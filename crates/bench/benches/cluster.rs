@@ -25,16 +25,10 @@ use knet::build::ClusterBuilder;
 use knet::harness::kbuf;
 use knet::prelude::*;
 use knet::ShardedCluster;
+use knet_bench::{env_u64, write_report};
 use knet_core::api::{channel_connect, channel_send, ChannelId};
 use knet_core::Endpoint;
 use knet_simos::Asid;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn builder(n: usize) -> ClusterBuilder {
     ClusterBuilder::new()
@@ -284,17 +278,5 @@ fn main() {
     json.push_str(&cases.join(",\n"));
     json.push_str("\n  ]\n}\n");
 
-    // Relative paths resolve against the *workspace* root (cargo runs
-    // benches with the package directory as cwd).
-    let out = std::env::var("CLUSTER_OUT").unwrap_or_else(|_| "BENCH_cluster.json".to_string());
-    let out = if std::path::Path::new(&out).is_absolute() {
-        std::path::PathBuf::from(out)
-    } else {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(out)
-    };
-    std::fs::write(&out, &json).expect("write benchmark json");
-    println!("{json}");
-    eprintln!("wrote {}", out.display());
+    write_report("CLUSTER_OUT", "BENCH_cluster.json", &json);
 }

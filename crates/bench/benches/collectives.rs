@@ -31,6 +31,7 @@ use knet::build::ClusterBuilder;
 use knet::figures::{coll_fixture, CollFixture};
 use knet::harness::{kbuf, KBuf};
 use knet::world::ClusterWorld;
+use knet_bench::{env_u64, write_report};
 use knet_core::api::{
     channel_accept, channel_connect, channel_post_recv, channel_send, channel_send_to,
     channel_set_send_queue_cap,
@@ -40,13 +41,6 @@ use knet_gm::GmPortConfig;
 use knet_simcore::{now, run_until, RunOutcome, SimTime};
 use knet_simnic::ReduceOp;
 use knet_simos::{Asid, CpuModel, NodeId};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Config {
     max_nodes: usize,
@@ -460,15 +454,5 @@ fn main() {
         "  \"nic_tree_wins_at_64_plus\": {wins_at_64_plus}\n}}\n"
     ));
 
-    let out = std::env::var("COLL_OUT").unwrap_or_else(|_| "BENCH_collectives.json".to_string());
-    let out = if std::path::Path::new(&out).is_absolute() {
-        std::path::PathBuf::from(out)
-    } else {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(out)
-    };
-    std::fs::write(&out, &json).expect("write benchmark json");
-    println!("{json}");
-    eprintln!("wrote {}", out.display());
+    write_report("COLL_OUT", "BENCH_collectives.json", &json);
 }

@@ -34,6 +34,7 @@ use knet::build::ClusterBuilder;
 use knet::harness::kbuf;
 use knet::prelude::MxEndpointConfig;
 use knet::world::ClusterWorld;
+use knet_bench::{env_u64, write_report};
 use knet_core::api::{
     channel_connect, channel_post_recv, channel_send, channel_set_send_queue_cap,
 };
@@ -80,13 +81,6 @@ struct Config {
     pages: usize,
     reg_ops: u64,
     fresh_every: u64,
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 impl Config {
@@ -787,17 +781,5 @@ fn main() {
     ));
     json.push_str("}\n");
 
-    // Relative paths resolve against the *workspace* root (cargo runs
-    // benches with the package directory as cwd).
-    let out = std::env::var("HOTPATH_OUT").unwrap_or_else(|_| "BENCH_hotpath.json".to_string());
-    let out = if std::path::Path::new(&out).is_absolute() {
-        std::path::PathBuf::from(out)
-    } else {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(out)
-    };
-    std::fs::write(&out, &json).expect("write benchmark json");
-    println!("{json}");
-    eprintln!("wrote {}", out.display());
+    write_report("HOTPATH_OUT", "BENCH_hotpath.json", &json);
 }

@@ -25,14 +25,8 @@ use std::sync::{Arc, Mutex};
 
 use knet::prelude::*;
 use knet::ClusterEv;
+use knet_bench::{env_u64, write_report};
 use knet_simnic::FaultPlan;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Config {
     calls: usize,
@@ -386,15 +380,5 @@ fn main() {
     json.push_str(&body.join(",\n"));
     json.push_str("\n  ]\n}\n");
 
-    let out = std::env::var("RPC_OUT").unwrap_or_else(|_| "BENCH_rpc.json".to_string());
-    let out = if std::path::Path::new(&out).is_absolute() {
-        std::path::PathBuf::from(out)
-    } else {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(out)
-    };
-    std::fs::write(&out, &json).expect("write benchmark json");
-    println!("{json}");
-    eprintln!("wrote {}", out.display());
+    write_report("RPC_OUT", "BENCH_rpc.json", &json);
 }

@@ -26,15 +26,9 @@
 
 use knet::build::ClusterBuilder;
 use knet::workload::{run_sharded, run_solo, ClassReport, ClassSpec, WorkloadSpec};
+use knet_bench::{env_u64, write_report};
 use knet_simcore::SimTime;
 use knet_simos::{CpuModel, NodeId};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Config {
     scale_pct: u64,
@@ -256,15 +250,5 @@ fn main() {
         "    \"p99_inflation\": {inflation:.3},\n    \"documented_bound\": 5.0\n  }}\n}}\n"
     ));
 
-    let out = std::env::var("TAIL_OUT").unwrap_or_else(|_| "BENCH_tail.json".to_string());
-    let out = if std::path::Path::new(&out).is_absolute() {
-        std::path::PathBuf::from(out)
-    } else {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(out)
-    };
-    std::fs::write(&out, &json).expect("write benchmark json");
-    println!("{json}");
-    eprintln!("wrote {}", out.display());
+    write_report("TAIL_OUT", "BENCH_tail.json", &json);
 }

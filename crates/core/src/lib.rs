@@ -15,13 +15,19 @@
 //!   **completion queues**, and the **consumer dispatch registry** that
 //!   applications register against (no composed-world edits to add a
 //!   workload), with API-level coalescing of vectored sends on GM;
+//! * [`pace`] and [`driver`] — what sits *below* the transport and is the
+//!   same for both drivers: the tenant pacing seam between the NIC's token
+//!   buckets and a driver's send pipeline, the completion-event type and
+//!   the scratch-buffer accounting;
 //! * [`error`] — the unified error type.
 //!
 //! The two drivers implementing this API live in `knet-gm` and `knet-mx`.
 
 pub mod api;
+pub mod driver;
 pub mod error;
 pub mod iovec;
+pub mod pace;
 pub mod regcache;
 pub mod tenant;
 pub mod transport;
@@ -33,15 +39,16 @@ pub use api::{
     release_kernel_buffer, Channel, ChannelId, ConsumerId, CqEntry, CqId, DispatchWorld, Registry,
     RegistryStats, DEFAULT_SEND_QUEUE_CAP,
 };
+pub use driver::{DriverEvent, ScratchStats};
 pub use error::{NetError, RpcError};
 pub use iovec::{
     chunk_segments, next_chunk, read_iovec, read_iovec_into, resolve_iovec, resolve_iovec_into,
     seg_window, seg_window_into, write_iovec, AddrClass, ChunkCursor, IoVec, MemRef, Resolution,
     IOVEC_INLINE_SEGS,
 };
+pub use pace::{pace_drain, pace_submit, pace_timer_fired, PaceLanes, PacedSend};
 pub use regcache::{RangePlan, RegCache, RegCacheStats, RegKey};
 pub use tenant::{
-    TenantChannelRow, TenantId, TenantInfo, TenantSendStats, TenantTable, WdrrLanes,
-    WDRR_QUANTUM_BYTES,
+    TenantChannelRow, TenantId, TenantInfo, TenantSendStats, TenantTable, WDRR_QUANTUM_BYTES,
 };
 pub use transport::{Endpoint, TransportEvent, TransportKind, TransportWorld};

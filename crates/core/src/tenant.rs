@@ -4,10 +4,11 @@
 //! that ownership schedulable. A [`TenantId`] is a consumer *group* minted
 //! at registry registration ([`TenantTable::create`]) and carried on every
 //! send from the channel layer down to the NIC admission point. Each
-//! queueing point the send crosses — the per-channel backpressure queue,
-//! the driver-seam pacing queues in the GM/MX layers — holds one
-//! [`WdrrLanes`] instead of a single FIFO: one lane per tenant, drained by
-//! deficit round robin weighted by the tenant's registered weight.
+//! queueing point the send crosses — the per-channel backpressure queue
+//! ([`crate::api`]), the pacing lanes of the one seam below both drivers
+//! ([`crate::pace`]) — holds one `WdrrLanes` instead of a single FIFO: one
+//! lane per tenant, drained by deficit round robin weighted by the
+//! tenant's registered weight.
 //!
 //! Two properties the rest of the system depends on:
 //!
@@ -157,7 +158,11 @@ struct Lane<T> {
 /// capacity across drains — in steady state a push/pop cycle performs no
 /// heap allocation (observable through [`WdrrLanes::grows`], asserted flat
 /// by `tests/hotpath_alloc.rs`).
-pub struct WdrrLanes<T> {
+///
+/// Crate-private: the channel backpressure queue ([`crate::api`]) and the
+/// driver pacing seam ([`crate::pace`]) are its two users, and nothing above
+/// the scheduler may reorder parked sends.
+pub(crate) struct WdrrLanes<T> {
     lanes: Vec<Lane<T>>,
     len: usize,
     /// Lanes currently holding at least one item.
@@ -186,10 +191,6 @@ impl<T> Default for WdrrLanes<T> {
 impl<T> WdrrLanes<T> {
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Items parked for one tenant.
@@ -384,20 +385,6 @@ impl<T> WdrrLanes<T> {
             }
         }
         None
-    }
-
-    /// Keep only items matching `pred` (lane rings keep their capacity).
-    pub fn retain(&mut self, mut pred: impl FnMut(&T) -> bool) {
-        for lane in &mut self.lanes {
-            let was_empty = lane.q.is_empty();
-            let before = lane.q.len();
-            lane.q.retain(&mut pred);
-            self.len -= before - lane.q.len();
-            if !was_empty && lane.q.is_empty() {
-                self.active -= 1;
-                lane.deficit = 0;
-            }
-        }
     }
 
     /// Drain everything in tenant order, FIFO within each lane (teardown:

@@ -9,7 +9,7 @@
 //! and copy protocols) stays inside the drivers.
 
 use bytes::Bytes;
-use knet_simnic::NicWorld;
+use knet_simnic::{NicWorld, Proto};
 use knet_simos::NodeId;
 
 use crate::error::NetError;
@@ -21,6 +21,30 @@ use crate::tenant::TenantId;
 pub enum TransportKind {
     Gm,
     Mx,
+}
+
+/// The wire protocol a driver's packets carry.
+impl From<TransportKind> for Proto {
+    fn from(kind: TransportKind) -> Proto {
+        match kind {
+            TransportKind::Gm => Proto::Gm,
+            TransportKind::Mx => Proto::Mx,
+        }
+    }
+}
+
+/// The driver that owns a wire protocol; [`Proto::Raw`] fabric traffic
+/// belongs to none and is handed back as the error.
+impl TryFrom<Proto> for TransportKind {
+    type Error = Proto;
+
+    fn try_from(proto: Proto) -> Result<TransportKind, Proto> {
+        match proto {
+            Proto::Gm => Ok(TransportKind::Gm),
+            Proto::Mx => Ok(TransportKind::Mx),
+            Proto::Raw => Err(Proto::Raw),
+        }
+    }
 }
 
 /// A transport endpoint: a GM port or an MX endpoint on some node.
@@ -188,5 +212,13 @@ mod tests {
         };
         assert_ne!(a, b, "kind participates in identity");
         assert_eq!(a, a);
+    }
+
+    #[test]
+    fn kinds_and_wire_protocols_convert_both_ways() {
+        for kind in [TransportKind::Gm, TransportKind::Mx] {
+            assert_eq!(TransportKind::try_from(Proto::from(kind)), Ok(kind));
+        }
+        assert_eq!(TransportKind::try_from(Proto::Raw), Err(Proto::Raw));
     }
 }

@@ -109,7 +109,7 @@ pub fn gm_ensure_cached<W: GmWorld>(
         victims.clear();
         scratch.plan = plan;
         scratch.victims = victims;
-        scratch.note(cap_before, cap_after);
+        scratch.stats.note(cap_before, cap_after);
     }
     {
         let p = w.gm_mut().port_mut(port_id)?;

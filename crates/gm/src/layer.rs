@@ -18,13 +18,14 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use knet_core::{
-    next_chunk, seg_window_into, ChunkCursor, IoVec, MemRef, NetError, RangePlan, RegCache, RegKey,
-    TenantId, WdrrLanes,
+    next_chunk, pace_drain, pace_submit, pace_timer_fired, seg_window_into, ChunkCursor,
+    DriverEvent, IoVec, MemRef, NetError, PaceLanes, PacedSend, RangePlan, RegCache, RegKey,
+    ScratchStats, TenantId,
 };
-use knet_simcore::SimTime;
+use knet_simcore::{SimTime, SimWorld};
 use knet_simnic::{
     coll_inject, coll_on_packet, dma_charge, dma_gather, dma_scatter, fw_charge, is_coll_frame,
-    rel_on_packet, rel_send, Admission, CollCmd, NicId, NicWorld, Packet, Proto, RelVerdict,
+    rel_on_packet, rel_send, CollCmd, MsgHeader, NicId, NicWorld, Packet, Proto, RelVerdict,
     TransKey,
 };
 use knet_simos::{cpu_charge, page_slices, Asid, FrameIdx, NodeId, PhysSeg};
@@ -105,30 +106,10 @@ impl GmPortConfig {
     }
 }
 
-/// Completion events delivered to a port's event queue.
-#[derive(Clone, Debug)]
-pub enum GmEvent {
-    /// A send completed locally (buffer reusable, token returned).
-    SendDone { ctx: u64 },
-    /// A message landed in a provided receive buffer.
-    RecvDone {
-        ctx: u64,
-        tag: u64,
-        len: u64,
-        from: GmPortId,
-    },
-    /// A message arrived with no matching buffer and was bounced through the
-    /// pre-registered pool (one extra host copy, already charged).
-    Unexpected {
-        tag: u64,
-        data: Bytes,
-        from: GmPortId,
-    },
-    /// A send the driver had parked in a tenant pacing lane failed at drain
-    /// time (peer died, port closed, policy shed it): no bytes left the
-    /// node and no `SendDone` will arrive for `ctx`.
-    SendFailed { ctx: u64, error: NetError },
-}
+/// Completion events delivered to a port's event queue. `SendDone` also
+/// returns the send token; `Unexpected` messages were bounced through the
+/// pre-registered pool.
+pub type GmEvent = DriverEvent<GmPortId>;
 
 /// Per-port counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -215,28 +196,7 @@ pub struct GmScratch {
     pub(crate) victims: Vec<(RegKey, FrameIdx)>,
     /// Registration page plan of the buffer being sent.
     pub(crate) plan: RangePlan,
-    pub stats: GmScratchStats,
-}
-
-/// Observability for the scratch pools (see `tests/hotpath_alloc.rs`):
-/// steady state shows `uses` growing while `grows` stays flat.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GmScratchStats {
-    /// Operations that borrowed scratch buffers.
-    pub uses: u64,
-    /// Borrows that had to grow a buffer (warm-up only, in steady state).
-    pub grows: u64,
-}
-
-impl GmScratch {
-    /// Account one borrow whose capacity footprint went from `before` to
-    /// `after`.
-    pub(crate) fn note(&mut self, before: usize, after: usize) {
-        self.stats.uses += 1;
-        if after > before {
-            self.stats.grows += 1;
-        }
-    }
+    pub stats: ScratchStats,
 }
 
 /// A send parked in a NIC's per-tenant pacing lane: everything needed to
@@ -247,20 +207,33 @@ pub struct PacedGmSend {
     dest: GmPortId,
     tag: u64,
     ctx: u64,
-    bytes: u64,
 }
 
-impl PacedGmSend {
-    fn new(port: GmPortId, buf: MemRef, dest: GmPortId, tag: u64, ctx: u64) -> Self {
-        let bytes = buf.len();
-        PacedGmSend {
-            port,
-            buf,
-            dest,
-            tag,
-            ctx,
-            bytes,
-        }
+impl<W: GmWorld> PacedSend<W> for PacedGmSend {
+    fn lanes(w: &mut W) -> &mut PaceLanes<Self> {
+        &mut w.gm_mut().paced
+    }
+
+    fn send_admitted(&self, w: &mut W, tenant: TenantId) -> Result<(), NetError> {
+        gm_send_admitted(
+            w, self.port, self.buf, self.dest, self.tag, self.ctx, tenant,
+        )
+    }
+
+    fn send_failed(&self, w: &W, error: NetError) -> Option<(u32, <W as SimWorld>::Ev)> {
+        let node = w.gm().port(self.port).ok()?.node.0;
+        let ev = W::lift_gm(GmEv::Complete {
+            port: self.port,
+            ev: GmEvent::SendFailed {
+                ctx: self.ctx,
+                error,
+            },
+        });
+        Some((node, ev))
+    }
+
+    fn pace_timer(nic: NicId) -> <W as SimWorld>::Ev {
+        W::lift_gm(GmEv::Pace { nic })
     }
 }
 
@@ -277,15 +250,10 @@ pub struct GmLayer {
     next_msg_id: u64,
     /// Recycled per-operation buffers (see [`GmScratch`]).
     pub scratch: GmScratch,
-    /// Per-NIC pacing lanes: sends the token bucket deferred, one WDRR
-    /// lane per tenant, drained on pace-timer fire and send-token return.
-    paced: BTreeMap<NicId, WdrrLanes<PacedGmSend>>,
-    /// Earliest armed pace timer per NIC (dedup so a burst of deferrals
-    /// arms one event, not one per send).
-    pace_armed: BTreeMap<NicId, SimTime>,
-    /// WDRR weights indexed by tenant id (missing → 1), installed by the
-    /// composed world from the registry's tenant table.
-    pub tenant_weights: Vec<u64>,
+    /// Tenant pacing lanes (the shared seam, [`knet_core::pace`]): sends
+    /// the token bucket deferred, drained on pace-timer fire and — GM only
+    /// — on send-token return.
+    pub paced: PaceLanes<PacedGmSend>,
 }
 
 impl GmLayer {
@@ -296,9 +264,7 @@ impl GmLayer {
             assemblies: BTreeMap::new(),
             next_msg_id: 1,
             scratch: GmScratch::default(),
-            paced: BTreeMap::new(),
-            pace_armed: BTreeMap::new(),
-            tenant_weights: Vec::new(),
+            paced: PaceLanes::default(),
         }
     }
 
@@ -326,35 +292,6 @@ impl GmLayer {
 
     pub fn open_ports(&self) -> usize {
         self.ports.iter().filter(|p| p.open).count()
-    }
-
-    /// Sends parked in `nic`'s pacing lanes (all tenants).
-    pub fn paced_backlog(&self, nic: NicId) -> usize {
-        self.paced.get(&nic).map(|l| l.len()).unwrap_or(0)
-    }
-
-    /// Heap-growth events across all pacing lanes (flat in steady state;
-    /// see `tests/hotpath_alloc.rs`).
-    pub fn paced_grows(&self) -> u64 {
-        self.paced.values().map(|l| l.grows()).sum()
-    }
-
-    /// Fold pacing-lane scheduler state into a fingerprint accumulator
-    /// (shard-equivalence hook).
-    pub fn paced_fingerprint(&self, mut mix: impl FnMut(u64)) {
-        for (nic, lanes) in &self.paced {
-            mix(nic.0 as u64);
-            lanes.fingerprint(&mut mix);
-        }
-    }
-
-    /// [`Self::paced_fingerprint`] restricted to one NIC — the
-    /// shard-invariant slice (a NIC's pacing lanes are only touched by the
-    /// shard owning its node).
-    pub fn paced_fingerprint_nic(&self, nic: NicId, mut mix: impl FnMut(u64)) {
-        if let Some(lanes) = self.paced.get(&nic) {
-            lanes.fingerprint(&mut mix);
-        }
     }
 }
 
@@ -405,19 +342,13 @@ pub fn run_gm_ev<W: GmWorld>(w: &mut W, ev: GmEv) {
             // `NoSendTokens`; drain before the dispatch hook so parked
             // (older) sends beat the channel layer's retry queue to it.
             if let Some(nic) = token_back_on {
-                if w.gm().paced_backlog(nic) > 0 {
-                    gm_pace_drain(w, nic);
+                if w.gm().paced.backlog(nic) > 0 {
+                    pace_drain::<W, PacedGmSend>(w, nic);
                 }
             }
             w.gm_dispatch(port);
         }
-        GmEv::Pace { nic } => {
-            let now = knet_simcore::now(w);
-            if w.gm().pace_armed.get(&nic).is_some_and(|t| *t <= now) {
-                w.gm_mut().pace_armed.remove(&nic);
-            }
-            gm_pace_drain(w, nic);
-        }
+        GmEv::Pace { nic } => pace_timer_fired::<W, PacedGmSend>(w, nic),
     }
 }
 
@@ -659,42 +590,6 @@ fn resolve_for_wire<W: GmWorld>(
 
 const PKT_KIND_DATA: u8 = 0;
 
-fn pack_meta(
-    dst: GmPortId,
-    src: GmPortId,
-    tag: u64,
-    msg_id: u64,
-    offset: u64,
-    total: u64,
-) -> [u64; 4] {
-    [
-        (dst.0 as u64) | ((src.0 as u64) << 32),
-        tag,
-        msg_id,
-        (offset << 32) | (total & 0xFFFF_FFFF),
-    ]
-}
-
-struct WireMeta {
-    dst: GmPortId,
-    src: GmPortId,
-    tag: u64,
-    msg_id: u64,
-    offset: u64,
-    total: u64,
-}
-
-fn unpack_meta(meta: &[u64; 4]) -> WireMeta {
-    WireMeta {
-        dst: GmPortId((meta[0] & 0xFFFF_FFFF) as u32),
-        src: GmPortId((meta[0] >> 32) as u32),
-        tag: meta[1],
-        msg_id: meta[2],
-        offset: meta[3] >> 32,
-        total: meta[3] & 0xFFFF_FFFF,
-    }
-}
-
 /// `gm_send_with_callback`: send `buf` to `dest`. Asynchronous; a
 /// [`GmEvent::SendDone`] with `ctx` is pushed when the buffer is reusable.
 ///
@@ -715,16 +610,10 @@ pub fn gm_send<W: GmWorld>(
 }
 
 /// Tenant-attributed send: consults the tenant's token bucket at the NIC
-/// admission point before committing any send token or registration.
-///
-/// * **Admit** — proceeds synchronously exactly like [`gm_send`].
-/// * **Defer** — parks the send in the NIC's per-tenant pacing lane and
-///   arms a pace timer for the refill instant; returns `Ok(())` (the
-///   `SendDone`/`SendFailed` completion arrives later). FIFO order within
-///   a tenant is preserved: while the lane is non-empty new sends park
-///   behind it rather than racing the bucket.
-/// * **Shed** — fails synchronously with [`NetError::Overload`] (zero-rate
-///   tenant, message larger than the burst, or pacing lane full).
+/// admission point before committing any send token or registration, then
+/// admits, parks or sheds the send as the shared pacing seam decides
+/// ([`knet_core::pace`]). A parked send returns `Ok(())`; its
+/// `SendDone`/`SendFailed` completion arrives later.
 pub fn gm_send_t<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
@@ -741,139 +630,20 @@ pub fn gm_send_t<W: GmWorld>(
     if w.nics().rel.link_dead(Proto::Gm, nic, dst_nic) {
         return Err(NetError::PeerUnreachable);
     }
-    let bytes = buf.len();
-    let lane_busy = w
-        .gm()
-        .paced
-        .get(&nic)
-        .map(|l| l.lane_len(tenant) > 0)
-        .unwrap_or(false);
-    if !lane_busy {
-        let now = knet_simcore::now(w);
-        match w.nics_mut().qos.admit(nic, tenant.0, bytes, now) {
-            Admission::Admit => {
-                let r = gm_send_admitted(w, port_id, buf, dest, tag, ctx, tenant);
-                if r.is_err() {
-                    w.nics_mut().qos.refund(nic, tenant.0, bytes);
-                }
-                return r;
-            }
-            Admission::Shed => return Err(NetError::Overload),
-            Admission::Defer { until } => {
-                gm_pace_park(
-                    w,
-                    nic,
-                    tenant,
-                    PacedGmSend::new(port_id, buf, dest, tag, ctx),
-                )?;
-                gm_pace_arm(w, nic, until);
-                return Ok(());
-            }
-        }
-    }
-    gm_pace_park(
+    pace_submit(
         w,
         nic,
         tenant,
-        PacedGmSend::new(port_id, buf, dest, tag, ctx),
+        buf.len(),
+        |w| gm_send_admitted(w, port_id, buf, dest, tag, ctx, tenant),
+        || PacedGmSend {
+            port: port_id,
+            buf,
+            dest,
+            tag,
+            ctx,
+        },
     )
-}
-
-/// Park one send in `nic`'s pacing lane for `tenant`, shedding if the lane
-/// is at the policy's cap.
-fn gm_pace_park<W: GmWorld>(
-    w: &mut W,
-    nic: NicId,
-    tenant: TenantId,
-    send: PacedGmSend,
-) -> Result<(), NetError> {
-    let cap = w
-        .nics()
-        .qos
-        .policy(tenant.0)
-        .map(|p| p.pace_queue_cap)
-        .unwrap_or(usize::MAX);
-    let lanes = w.gm_mut().paced.entry(nic).or_default();
-    if lanes.lane_len(tenant) >= cap {
-        w.nics_mut().qos.note_shed(tenant.0);
-        return Err(NetError::Overload);
-    }
-    w.gm_mut().paced.entry(nic).or_default().push(tenant, send);
-    Ok(())
-}
-
-/// Arm (or tighten) `nic`'s pace timer to fire at `until`.
-fn gm_pace_arm<W: GmWorld>(w: &mut W, nic: NicId, until: SimTime) {
-    if w.gm().pace_armed.get(&nic).is_some_and(|t| *t <= until) {
-        return; // an earlier (or equal) fire is already scheduled
-    }
-    w.gm_mut().pace_armed.insert(nic, until);
-    let node = w.nics().get(nic).node.0;
-    let ev = W::lift_gm(GmEv::Pace { nic });
-    knet_simcore::emit_at(w, node, until, ev);
-}
-
-/// Complete a parked send as failed (typed, terminal — no `SendDone` will
-/// follow). Dropped silently if the sending port has since closed.
-fn gm_fail_parked<W: GmWorld>(w: &mut W, port: GmPortId, ctx: u64, error: NetError) {
-    let Ok(p) = w.gm().port(port) else { return };
-    let node = p.node.0;
-    let now = knet_simcore::now(w);
-    let ev = W::lift_gm(GmEv::Complete {
-        port,
-        ev: GmEvent::SendFailed { ctx, error },
-    });
-    knet_simcore::emit_at(w, node, now, ev);
-}
-
-/// Drain `nic`'s pacing lanes in WDRR order against the token buckets.
-/// Runs on pace-timer fire and on send-token return; blocked tenants
-/// (bucket still dry, port out of tokens) are skipped without head-of-line
-/// blocking the rest, and the timer is re-armed for the earliest refill.
-pub fn gm_pace_drain<W: GmWorld>(w: &mut W, nic: NicId) {
-    let Some(mut lanes) = w.gm_mut().paced.remove(&nic) else {
-        return;
-    };
-    let weights = std::mem::take(&mut w.gm_mut().tenant_weights);
-    let now = knet_simcore::now(w);
-    let mut blocked: Vec<u32> = Vec::new();
-    let mut min_defer: Option<SimTime> = None;
-    loop {
-        let popped = lanes.pop_next_eligible(
-            |t| weights.get(t.0 as usize).copied().unwrap_or(1),
-            |ps| ps.bytes,
-            |t, _| !blocked.contains(&t.0),
-        );
-        let Some((t, ps)) = popped else { break };
-        match w.nics_mut().qos.admit(nic, t.0, ps.bytes, now) {
-            Admission::Admit => {
-                match gm_send_admitted(w, ps.port, ps.buf, ps.dest, ps.tag, ps.ctx, t) {
-                    Ok(()) => {}
-                    Err(NetError::NoSendTokens) => {
-                        w.nics_mut().qos.refund(nic, t.0, ps.bytes);
-                        let cost = ps.bytes;
-                        lanes.requeue_front(t, ps, cost);
-                        blocked.push(t.0);
-                    }
-                    Err(e) => gm_fail_parked(w, ps.port, ps.ctx, e),
-                }
-            }
-            Admission::Defer { until } => {
-                let cost = ps.bytes;
-                lanes.requeue_front(t, ps, cost);
-                blocked.push(t.0);
-                min_defer = Some(min_defer.map_or(until, |m| m.min(until)));
-            }
-            Admission::Shed => gm_fail_parked(w, ps.port, ps.ctx, NetError::Overload),
-        }
-    }
-    w.gm_mut().tenant_weights = weights;
-    // Keep the (possibly empty) lanes: the slab and ring capacities are the
-    // steady-state allocation the hot path relies on.
-    w.gm_mut().paced.insert(nic, lanes);
-    if let Some(until) = min_defer {
-        gm_pace_arm(w, nic, until);
-    }
 }
 
 /// The admitted send pipeline (post token-bucket): token check, address
@@ -979,7 +749,7 @@ fn gm_send_admitted<W: GmWorld>(
         } else {
             fw_charge(w, nic, dma_done, params.fw_chunk)
         };
-        let meta = pack_meta(dest, port_id, tag, msg_id, offset, total);
+        let meta = MsgHeader::new(dest.0, port_id.0, tag, msg_id, offset, total).pack();
         let mut pkt = Packet::new(
             nic,
             dst_nic,
@@ -1011,7 +781,7 @@ fn gm_send_admitted<W: GmWorld>(
     let scratch = &mut w.gm_mut().scratch;
     scratch.segs = segs;
     scratch.chunk = chunk;
-    scratch.note(cap_before + chunk_cap_before, cap_after);
+    scratch.stats.note(cap_before + chunk_cap_before, cap_after);
     Ok(())
 }
 
@@ -1094,18 +864,19 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     if is_coll_frame(pkt.kind) {
         return coll_on_packet(w, nic, pkt);
     }
-    let m = unpack_meta(&pkt.meta);
+    let m = MsgHeader::unpack(&pkt.meta);
+    let (dst, src) = (GmPortId(m.dst), GmPortId(m.src));
     let params = w.gm().params;
     let now = knet_simcore::now(w);
 
     // Locate the destination port; a stale port swallows the packet (real GM
     // drops traffic to closed ports).
-    let Ok(port) = w.gm().port(m.dst) else {
+    let Ok(port) = w.gm().port(dst) else {
         return;
     };
     debug_assert_eq!(port.nic, nic, "packet routed to the wrong NIC");
 
-    let akey = (m.dst.0, m.src.0, m.msg_id);
+    let akey = (m.dst, m.src, m.msg_id);
     let first_chunk = !w.gm().assemblies.contains_key(&akey);
 
     let fw_done;
@@ -1113,7 +884,7 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         // Match against provided buffers: first buffer whose tag matches and
         // whose capacity fits.
         let matched = {
-            let p = w.gm_mut().port_mut(m.dst).expect("checked above");
+            let p = w.gm_mut().port_mut(dst).expect("checked above");
             let pos = p
                 .recv_queue
                 .iter()
@@ -1130,8 +901,8 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         w.gm_mut().assemblies.insert(
             akey,
             Assembly {
-                dst_port: m.dst,
-                src_port: m.src,
+                dst_port: dst,
+                src_port: src,
                 tag: m.tag,
                 total: m.total,
                 received: 0,

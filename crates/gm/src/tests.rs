@@ -2,15 +2,15 @@
 //! calibration checks the figures depend on.
 
 use bytes::Bytes;
-use knet_core::{IoVec, MemRef, NetError};
+use knet_core::{IoVec, MemRef, NetError, TenantId};
 use knet_simcore::{run_to_quiescence, run_until, RunOutcome, Scheduler, SimTime, SimWorld};
-use knet_simnic::{NicId, NicLayer, NicModel, NicWorld, Packet, Proto};
+use knet_simnic::{FaultPlan, NicId, NicLayer, NicModel, NicWorld, Packet, Proto, QosPolicy};
 use knet_simos::{munmap, CpuModel, NodeId, OsLayer, OsWorld, Prot, VirtAddr, VmaEvent, PAGE_SIZE};
 
 use crate::cache::{gm_on_vma_event, gm_send_cached};
 use crate::layer::{
     gm_next_event, gm_on_packet, gm_open_port, gm_provide_receive_buffer, gm_register, gm_send,
-    GmEvent, GmLayer, GmPortConfig, GmPortId, GmWorld, GM_ANY_TAG,
+    gm_send_t, GmEvent, GmLayer, GmPortConfig, GmPortId, GmWorld, GM_ANY_TAG,
 };
 use crate::params::GmParams;
 
@@ -614,4 +614,62 @@ fn registration_cost_is_observable_in_virtual_time() {
         (40.0..=60.0).contains(&saved.micros()),
         "cache saved {saved} of host time (expected ≈48 µs)"
     );
+}
+
+/// A send parked behind a dry bucket, admitted by the bucket when the pace
+/// timer fires and then refused for good by the send pipeline (the peer's
+/// link died meanwhile), must leave the tenant's admission account as if
+/// the drain had never admitted it: no bytes left the node.
+#[test]
+fn parked_send_failing_at_drain_is_refunded() {
+    let (mut w, n0, n1) = world();
+    let cfg = GmPortConfig::kernel().with_physical_api();
+    let a = gm_open_port(&mut w, n0, cfg.clone()).unwrap();
+    let b = gm_open_port(&mut w, n1, cfg).unwrap();
+    let (nic, peer_nic) = (w.gm.port(a).unwrap().nic, w.gm.port(b).unwrap().nic);
+    let addr = w.os.node_mut(n0).kalloc(PAGE_SIZE).unwrap();
+    let tenant = TenantId(1);
+    w.nics.qos.set_policy(
+        tenant.0,
+        QosPolicy {
+            rate_bytes_per_sec: 1000,
+            burst_bytes: 1000,
+            pace_queue_cap: 16,
+        },
+    );
+    // The peer is powered off: the burst is never acked, and its link dies
+    // (~14 ms) long before the next 100 bytes have refilled (100 ms).
+    w.nics
+        .set_fault_plan(FaultPlan::new(1).with_kill(n1, SimTime::ZERO));
+    gm_send_t(&mut w, a, MemRef::kernel(addr, 1000), b, 1, 1, tenant).unwrap();
+    gm_send_t(&mut w, a, MemRef::kernel(addr, 100), b, 2, 2, tenant).unwrap();
+    let before = w.nics.qos.tenant_stats(tenant.0);
+    assert_eq!((before.admitted, before.admitted_bytes), (1, 1000));
+    let dead = |w: &World| w.nics.rel.link_dead(Proto::Gm, nic, peer_nic);
+    assert_eq!(run_until(&mut w, dead), RunOutcome::Satisfied);
+    assert_eq!(
+        w.gm.paced.backlog(nic),
+        1,
+        "the second send is still parked"
+    );
+
+    run_to_quiescence(&mut w);
+
+    let failed = std::iter::from_fn(|| gm_next_event(&mut w, a)).find_map(|ev| match ev {
+        GmEvent::SendFailed { ctx, error } => Some((ctx, error)),
+        _ => None,
+    });
+    assert_eq!(failed, Some((2, NetError::PeerUnreachable)));
+    assert_eq!(w.gm.paced.backlog(nic), 0);
+    let after = w.nics.qos.tenant_stats(tenant.0);
+    assert_eq!(
+        (after.admitted, after.admitted_bytes),
+        (before.admitted, before.admitted_bytes),
+        "the failed send is not counted as admitted"
+    );
+    // The bucket, as (tenant, level in byte·ns, last refill): the 100 bytes
+    // refilled by the drain instant are back in it.
+    let mut bucket = Vec::new();
+    w.nics.qos.fingerprint_nic(nic, |v| bucket.push(v));
+    assert_eq!(bucket, vec![1, 100 * 1_000_000_000, 100_000_000]);
 }

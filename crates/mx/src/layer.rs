@@ -20,13 +20,14 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use knet_core::{
-    next_chunk, read_iovec_into, resolve_iovec, resolve_iovec_into, seg_window_into, write_iovec,
-    AddrClass, ChunkCursor, IoVec, NetError, TenantId, WdrrLanes,
+    next_chunk, pace_submit, pace_timer_fired, read_iovec_into, resolve_iovec, resolve_iovec_into,
+    seg_window_into, write_iovec, AddrClass, ChunkCursor, DriverEvent, IoVec, NetError, PaceLanes,
+    PacedSend, ScratchStats, TenantId,
 };
-use knet_simcore::SimTime;
+use knet_simcore::{SimTime, SimWorld};
 use knet_simnic::{
     coll_inject, coll_on_packet, dma_charge, dma_gather, dma_scatter, fw_charge, is_coll_frame,
-    rel_on_packet, rel_send, Admission, CollCmd, NicId, NicWorld, Packet, Proto, RelVerdict,
+    rel_on_packet, rel_send, CollCmd, MsgHeader, NicId, NicWorld, Packet, Proto, RelVerdict,
 };
 use knet_simos::{Asid, FrameIdx, NodeId, PhysSeg};
 
@@ -97,33 +98,10 @@ impl MxEndpointConfig {
     }
 }
 
-/// Completion events in an endpoint's queue.
-#[derive(Clone, Debug)]
-pub enum MxEvent {
-    SendDone {
-        ctx: u64,
-    },
-    RecvDone {
-        ctx: u64,
-        tag: u64,
-        len: u64,
-        from: MxEndpointId,
-    },
-    /// An unmatched eager message, delivered inline (endpoint configured
-    /// with `deliver_unexpected`).
-    Unexpected {
-        tag: u64,
-        data: Bytes,
-        from: MxEndpointId,
-    },
-    /// A send the driver had parked in a tenant pacing lane failed at
-    /// drain time (peer died, endpoint closed, policy shed it): no bytes
-    /// left the node and no `SendDone` will arrive for `ctx`.
-    SendFailed {
-        ctx: u64,
-        error: NetError,
-    },
-}
+/// Completion events in an endpoint's queue. `Unexpected` is an unmatched
+/// eager message delivered inline (endpoints configured with
+/// `deliver_unexpected`).
+pub type MxEvent = DriverEvent<MxEndpointId>;
 
 /// Per-endpoint counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -240,26 +218,7 @@ pub struct MxScratch {
     pub(crate) window: Vec<PhysSeg>,
     /// The MTU chunk currently streaming out of a rendezvous source.
     pub(crate) chunk: Vec<PhysSeg>,
-    pub stats: MxScratchStats,
-}
-
-/// Scratch-pool observability: steady state shows `uses` growing while
-/// `grows` stays flat.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MxScratchStats {
-    /// Operations that borrowed scratch buffers.
-    pub uses: u64,
-    /// Borrows that had to grow a buffer (warm-up only, in steady state).
-    pub grows: u64,
-}
-
-impl MxScratch {
-    pub(crate) fn note(&mut self, before: usize, after: usize) {
-        self.stats.uses += 1;
-        if after > before {
-            self.stats.grows += 1;
-        }
-    }
+    pub stats: ScratchStats,
 }
 
 /// A send parked in a NIC's per-tenant pacing lane, re-issued verbatim
@@ -270,7 +229,36 @@ pub struct PacedMxSend {
     tag: u64,
     iov: IoVec,
     ctx: u64,
-    bytes: u64,
+}
+
+impl<W: MxWorld> PacedSend<W> for PacedMxSend {
+    fn lanes(w: &mut W) -> &mut PaceLanes<Self> {
+        &mut w.mx_mut().paced
+    }
+
+    fn send_admitted(&self, w: &mut W, tenant: TenantId) -> Result<(), NetError> {
+        mx_isend_admitted(
+            w, self.from, self.dest, self.tag, &self.iov, self.ctx, tenant,
+        )
+    }
+
+    fn send_failed(&self, w: &W, error: NetError) -> Option<(u32, <W as SimWorld>::Ev)> {
+        let node = w.mx().ep(self.from).ok()?.node.0;
+        let ev = W::lift_mx(MxEv::Complete {
+            ep: self.from,
+            ev: MxEvent::SendFailed {
+                ctx: self.ctx,
+                error,
+            },
+            unpin: None,
+            direct: false,
+        });
+        Some((node, ev))
+    }
+
+    fn pace_timer(nic: NicId) -> <W as SimWorld>::Ev {
+        W::lift_mx(MxEv::Pace { nic })
+    }
 }
 
 /// All MX state in the world.
@@ -288,14 +276,9 @@ pub struct MxLayer {
     next_msg_id: u64,
     /// Recycled per-operation buffers (see [`MxScratch`]).
     pub scratch: MxScratch,
-    /// Per-NIC pacing lanes: sends the token bucket deferred, one WDRR
-    /// lane per tenant, drained on pace-timer fire.
-    paced: BTreeMap<NicId, WdrrLanes<PacedMxSend>>,
-    /// Earliest armed pace timer per NIC.
-    pace_armed: BTreeMap<NicId, SimTime>,
-    /// WDRR weights indexed by tenant id (missing → 1), installed by the
-    /// composed world from the registry's tenant table.
-    pub tenant_weights: Vec<u64>,
+    /// Tenant pacing lanes (the shared seam, [`knet_core::pace`]): sends
+    /// the token bucket deferred, drained on pace-timer fire.
+    pub paced: PaceLanes<PacedMxSend>,
 }
 
 impl MxLayer {
@@ -308,9 +291,7 @@ impl MxLayer {
             rndv_recv: BTreeMap::new(),
             next_msg_id: 1,
             scratch: MxScratch::default(),
-            paced: BTreeMap::new(),
-            pace_armed: BTreeMap::new(),
-            tenant_weights: Vec::new(),
+            paced: PaceLanes::default(),
         }
     }
 
@@ -330,33 +311,6 @@ impl MxLayer {
 
     pub fn open_endpoints(&self) -> usize {
         self.endpoints.iter().filter(|e| e.open).count()
-    }
-
-    /// Sends parked in `nic`'s pacing lanes (all tenants).
-    pub fn paced_backlog(&self, nic: NicId) -> usize {
-        self.paced.get(&nic).map(|l| l.len()).unwrap_or(0)
-    }
-
-    /// Heap-growth events across all pacing lanes (flat in steady state).
-    pub fn paced_grows(&self) -> u64 {
-        self.paced.values().map(|l| l.grows()).sum()
-    }
-
-    /// Fold pacing-lane scheduler state into a fingerprint accumulator.
-    pub fn paced_fingerprint(&self, mut mix: impl FnMut(u64)) {
-        for (nic, lanes) in &self.paced {
-            mix(nic.0 as u64);
-            lanes.fingerprint(&mut mix);
-        }
-    }
-
-    /// [`Self::paced_fingerprint`] restricted to one NIC — the
-    /// shard-invariant slice (a NIC's pacing lanes are only touched by the
-    /// shard owning its node).
-    pub fn paced_fingerprint_nic(&self, nic: NicId, mut mix: impl FnMut(u64)) {
-        if let Some(lanes) = self.paced.get(&nic) {
-            lanes.fingerprint(&mut mix);
-        }
     }
 }
 
@@ -420,13 +374,7 @@ pub fn run_mx_ev<W: MxWorld>(w: &mut W, ev: MxEv) {
             }
             w.mx_dispatch(ep);
         }
-        MxEv::Pace { nic } => {
-            let now = knet_simcore::now(w);
-            if w.mx().pace_armed.get(&nic).is_some_and(|t| *t <= now) {
-                w.mx_mut().pace_armed.remove(&nic);
-            }
-            mx_pace_drain(w, nic);
-        }
+        MxEv::Pace { nic } => pace_timer_fired::<W, PacedMxSend>(w, nic),
     }
 }
 
@@ -495,42 +443,6 @@ const KIND_RTS: u8 = 1;
 const KIND_CTS: u8 = 2;
 const KIND_LARGE: u8 = 3;
 
-fn pack_meta(
-    dst: MxEndpointId,
-    src: MxEndpointId,
-    tag: u64,
-    msg_id: u64,
-    offset: u64,
-    total: u64,
-) -> [u64; 4] {
-    [
-        (dst.0 as u64) | ((src.0 as u64) << 32),
-        tag,
-        msg_id,
-        (offset << 32) | (total & 0xFFFF_FFFF),
-    ]
-}
-
-struct WireMeta {
-    dst: MxEndpointId,
-    src: MxEndpointId,
-    tag: u64,
-    msg_id: u64,
-    offset: u64,
-    total: u64,
-}
-
-fn unpack_meta(meta: &[u64; 4]) -> WireMeta {
-    WireMeta {
-        dst: MxEndpointId((meta[0] & 0xFFFF_FFFF) as u32),
-        src: MxEndpointId((meta[0] >> 32) as u32),
-        tag: meta[1],
-        msg_id: meta[2],
-        offset: meta[3] >> 32,
-        total: meta[3] & 0xFFFF_FFFF,
-    }
-}
-
 /// Gather an io-vector's bytes into a `Bytes` payload through the layer's
 /// recycled scratch buffer: one copy, one allocation (the `Bytes` itself),
 /// no intermediate `Vec` per send.
@@ -542,7 +454,7 @@ fn gather_payload<W: MxWorld>(w: &mut W, node: NodeId, iov: &IoVec) -> Result<By
     let cap_after = payload.capacity();
     let scratch = &mut w.mx_mut().scratch;
     scratch.payload = payload;
-    scratch.note(cap_before, cap_after);
+    scratch.stats.note(cap_before, cap_after);
     data
 }
 
@@ -575,14 +487,10 @@ pub fn mx_isend<W: MxWorld>(
 }
 
 /// Tenant-attributed send: consults the tenant's token bucket at the NIC
-/// admission point before committing any copy, pin or DMA.
-///
-/// * **Admit** — proceeds synchronously exactly like [`mx_isend`].
-/// * **Defer** — parks the send in the NIC's per-tenant pacing lane and
-///   arms a pace timer for the refill instant; returns `Ok(())` (the
-///   completion arrives later). FIFO order within a tenant is preserved:
-///   while the lane is non-empty new sends park behind it.
-/// * **Shed** — fails synchronously with [`NetError::Overload`].
+/// admission point before committing any copy, pin or DMA, then admits,
+/// parks or sheds the send as the shared pacing seam decides
+/// ([`knet_core::pace`]). A parked send returns `Ok(())`; its completion
+/// arrives later.
 pub fn mx_isend_t<W: MxWorld>(
     w: &mut W,
     from: MxEndpointId,
@@ -603,140 +511,20 @@ pub fn mx_isend_t<W: MxWorld>(
     if w.nics().rel.link_dead(Proto::Mx, nic, dst_nic) {
         return Err(NetError::PeerUnreachable);
     }
-    let bytes = iov.total_len();
-    let lane_busy = w
-        .mx()
-        .paced
-        .get(&nic)
-        .map(|l| l.lane_len(tenant) > 0)
-        .unwrap_or(false);
-    if !lane_busy {
-        let now = knet_simcore::now(w);
-        match w.nics_mut().qos.admit(nic, tenant.0, bytes, now) {
-            Admission::Admit => {
-                let r = mx_isend_admitted(w, from, dest, tag, iov, ctx, tenant);
-                if r.is_err() {
-                    w.nics_mut().qos.refund(nic, tenant.0, bytes);
-                }
-                return r;
-            }
-            Admission::Shed => return Err(NetError::Overload),
-            Admission::Defer { until } => {
-                mx_pace_park(w, nic, tenant, from, dest, tag, iov, ctx)?;
-                mx_pace_arm(w, nic, until);
-                return Ok(());
-            }
-        }
-    }
-    mx_pace_park(w, nic, tenant, from, dest, tag, iov, ctx)
-}
-
-/// Park one send in `nic`'s pacing lane for `tenant`, shedding if the lane
-/// is at the policy's cap.
-#[allow(clippy::too_many_arguments)]
-fn mx_pace_park<W: MxWorld>(
-    w: &mut W,
-    nic: NicId,
-    tenant: TenantId,
-    from: MxEndpointId,
-    dest: MxEndpointId,
-    tag: u64,
-    iov: &IoVec,
-    ctx: u64,
-) -> Result<(), NetError> {
-    let cap = w
-        .nics()
-        .qos
-        .policy(tenant.0)
-        .map(|p| p.pace_queue_cap)
-        .unwrap_or(usize::MAX);
-    let lanes = w.mx_mut().paced.entry(nic).or_default();
-    if lanes.lane_len(tenant) >= cap {
-        w.nics_mut().qos.note_shed(tenant.0);
-        return Err(NetError::Overload);
-    }
-    let bytes = iov.total_len();
-    w.mx_mut().paced.entry(nic).or_default().push(
+    pace_submit(
+        w,
+        nic,
         tenant,
-        PacedMxSend {
+        iov.total_len(),
+        |w| mx_isend_admitted(w, from, dest, tag, iov, ctx, tenant),
+        || PacedMxSend {
             from,
             dest,
             tag,
             iov: iov.clone(),
             ctx,
-            bytes,
         },
-    );
-    Ok(())
-}
-
-/// Arm (or tighten) `nic`'s pace timer to fire at `until`.
-fn mx_pace_arm<W: MxWorld>(w: &mut W, nic: NicId, until: SimTime) {
-    if w.mx().pace_armed.get(&nic).is_some_and(|t| *t <= until) {
-        return;
-    }
-    w.mx_mut().pace_armed.insert(nic, until);
-    let node = w.nics().get(nic).node.0;
-    let ev = W::lift_mx(MxEv::Pace { nic });
-    knet_simcore::emit_at(w, node, until, ev);
-}
-
-/// Complete a parked send as failed (typed, terminal). Dropped silently if
-/// the sending endpoint has since closed.
-fn mx_fail_parked<W: MxWorld>(w: &mut W, ep: MxEndpointId, ctx: u64, error: NetError) {
-    let Ok(e) = w.mx().ep(ep) else { return };
-    let node = e.node.0;
-    let now = knet_simcore::now(w);
-    let ev = W::lift_mx(MxEv::Complete {
-        ep,
-        ev: MxEvent::SendFailed { ctx, error },
-        unpin: None,
-        direct: false,
-    });
-    knet_simcore::emit_at(w, node, now, ev);
-}
-
-/// Drain `nic`'s pacing lanes in WDRR order against the token buckets.
-/// Blocked tenants (bucket still dry) are skipped without head-of-line
-/// blocking the rest; the timer is re-armed for the earliest refill.
-pub fn mx_pace_drain<W: MxWorld>(w: &mut W, nic: NicId) {
-    let Some(mut lanes) = w.mx_mut().paced.remove(&nic) else {
-        return;
-    };
-    let weights = std::mem::take(&mut w.mx_mut().tenant_weights);
-    let now = knet_simcore::now(w);
-    let mut blocked: Vec<u32> = Vec::new();
-    let mut min_defer: Option<SimTime> = None;
-    loop {
-        let popped = lanes.pop_next_eligible(
-            |t| weights.get(t.0 as usize).copied().unwrap_or(1),
-            |ps| ps.bytes,
-            |t, _| !blocked.contains(&t.0),
-        );
-        let Some((t, ps)) = popped else { break };
-        match w.nics_mut().qos.admit(nic, t.0, ps.bytes, now) {
-            Admission::Admit => {
-                match mx_isend_admitted(w, ps.from, ps.dest, ps.tag, &ps.iov, ps.ctx, t) {
-                    Ok(()) => {}
-                    Err(e) => mx_fail_parked(w, ps.from, ps.ctx, e),
-                }
-            }
-            Admission::Defer { until } => {
-                let cost = ps.bytes;
-                lanes.requeue_front(t, ps, cost);
-                blocked.push(t.0);
-                min_defer = Some(min_defer.map_or(until, |m| m.min(until)));
-            }
-            Admission::Shed => mx_fail_parked(w, ps.from, ps.ctx, NetError::Overload),
-        }
-    }
-    w.mx_mut().tenant_weights = weights;
-    // Keep the (possibly empty) lanes: slab and ring capacities are the
-    // steady-state allocation the hot path relies on.
-    w.mx_mut().paced.insert(nic, lanes);
-    if let Some(until) = min_defer {
-        mx_pace_arm(w, nic, until);
-    }
+    )
 }
 
 /// The admitted send pipeline (post token-bucket): protocol selection,
@@ -782,7 +570,7 @@ fn mx_isend_admitted<W: MxWorld>(
             let host_cost = params.host_post + params.pio_cost(total);
             let host_done = knet_simos::cpu_charge(w, node, host_cost);
             let fw_done = fw_charge(w, nic, host_done, params.fw_send);
-            let meta = pack_meta(dest, from, tag, msg_id, 0, total);
+            let meta = MsgHeader::new(dest.0, from.0, tag, msg_id, 0, total).pack();
             let mut pkt = Packet::new(
                 nic,
                 dst_nic,
@@ -852,7 +640,7 @@ fn mx_isend_admitted<W: MxWorld>(
                 } else {
                     fw_charge(w, nic, dma_done, params.fw_chunk)
                 };
-                let meta = pack_meta(dest, from, tag, msg_id, offset, total);
+                let meta = MsgHeader::new(dest.0, from.0, tag, msg_id, offset, total).pack();
                 let mut pkt = Packet::new(
                     nic,
                     dst_nic,
@@ -903,7 +691,7 @@ fn mx_isend_admitted<W: MxWorld>(
                 },
             );
             let fw_done = fw_charge(w, nic, host_done, params.fw_send);
-            let meta = pack_meta(dest, from, tag, msg_id, 0, total);
+            let meta = MsgHeader::new(dest.0, from.0, tag, msg_id, 0, total).pack();
             let mut pkt = Packet::new(
                 nic,
                 dst_nic,
@@ -1032,7 +820,7 @@ fn accept_rendezvous<W: MxWorld>(
     );
     let now = knet_simcore::now(w);
     let fw_done = fw_charge(w, nic, now, params.fw_rndv);
-    let meta = pack_meta(from, ep_id, tag, msg_id, 0, total);
+    let meta = MsgHeader::new(from.0, ep_id.0, tag, msg_id, 0, total).pack();
     let pkt = Packet::new(
         nic,
         src_nic,
@@ -1092,34 +880,32 @@ pub fn mx_on_packet<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 }
 
 fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
-    let m = unpack_meta(&pkt.meta);
+    let m = MsgHeader::unpack(&pkt.meta);
+    let (dst, src) = (MxEndpointId(m.dst), MxEndpointId(m.src));
     let params = w.mx().params;
     let now = knet_simcore::now(w);
-    let Ok(_) = w.mx().ep(m.dst) else { return };
+    let Ok(_) = w.mx().ep(dst) else { return };
 
-    let akey = (m.dst.0, m.src.0, m.msg_id);
+    let akey = (m.dst, m.src, m.msg_id);
     let first = !w.mx().eager.contains_key(&akey);
     let fw_done;
     if first {
         // Match posted receives at first chunk.
         let matched = {
-            let e = w.mx_mut().ep_mut(m.dst).expect("checked");
+            let e = w.mx_mut().ep_mut(dst).expect("checked");
             let pos = e
                 .posted
                 .iter()
                 .position(|p| (p.tag == MX_ANY_TAG || p.tag == m.tag) && p.capacity >= m.total);
             pos.map(|i| e.posted.remove(i).expect("position valid"))
         };
-        let direct = matched.is_some()
-            && w.mx()
-                .ep(m.dst)
-                .map(|e| e.opts.no_recv_copy)
-                .unwrap_or(false);
+        let direct =
+            matched.is_some() && w.mx().ep(dst).map(|e| e.opts.no_recv_copy).unwrap_or(false);
         fw_done = fw_charge(w, nic, now, params.fw_recv);
         w.mx_mut().eager.insert(
             akey,
             EagerAssembly {
-                from: m.src,
+                from: src,
                 tag: m.tag,
                 total: m.total,
                 received: 0,
@@ -1172,7 +958,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     }
 
     let a = w.mx_mut().eager.remove(&akey).expect("assembly");
-    let Ok(node) = w.mx().ep(m.dst).map(|e| e.node) else {
+    let Ok(node) = w.mx().ep(dst).map(|e| e.node) else {
         return;
     };
     let ev_dma = dma_charge(w, nic, a.last_dma_done, 64);
@@ -1194,7 +980,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
             release_pins(w, node, &posted.pinned);
             let start = ev_dma.max(knet_simcore::now(w));
             let (_, done) = w.os_mut().node_mut(node).cpu.busy.acquire(start, host_cost);
-            let (ep_id, tag, from, pctx) = (m.dst, a.tag, a.from, posted.ctx);
+            let (ep_id, tag, from, pctx) = (dst, a.tag, a.from, posted.ctx);
             let ev = W::lift_mx(MxEv::Complete {
                 ep: ep_id,
                 ev: MxEvent::RecvDone {
@@ -1211,7 +997,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         None => {
             let deliver = w
                 .mx()
-                .ep(m.dst)
+                .ep(dst)
                 .map(|e| e.deliver_unexpected)
                 .unwrap_or(false);
             let data = Bytes::from(a.ring);
@@ -1226,7 +1012,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
                     .cpu
                     .busy
                     .acquire(start, params.host_event + copy);
-                let (ep_id, tag, from, _total) = (m.dst, a.tag, a.from, a.total);
+                let (ep_id, tag, from, _total) = (dst, a.tag, a.from, a.total);
                 let ev = W::lift_mx(MxEv::Complete {
                     ep: ep_id,
                     ev: MxEvent::Unexpected { tag, data, from },
@@ -1236,7 +1022,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
                 knet_simcore::emit_at(w, node.0, done, ev);
             } else {
                 // MPI mode: park in the unexpected queue for a later irecv.
-                if let Ok(e) = w.mx_mut().ep_mut(m.dst) {
+                if let Ok(e) = w.mx_mut().ep_mut(dst) {
                     e.stats.unexpected += 1;
                     e.unexpected.push_back(UnexpectedMsg::Eager {
                         tag: a.tag,
@@ -1250,14 +1036,15 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 }
 
 fn rts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
-    let m = unpack_meta(&pkt.meta);
+    let m = MsgHeader::unpack(&pkt.meta);
+    let (dst, src) = (MxEndpointId(m.dst), MxEndpointId(m.src));
     let params = w.mx().params;
     let now = knet_simcore::now(w);
-    let Ok(_) = w.mx().ep(m.dst) else { return };
+    let Ok(_) = w.mx().ep(dst) else { return };
     fw_charge(w, nic, now, params.fw_rndv);
     // Match a posted receive.
     let matched = {
-        let e = w.mx_mut().ep_mut(m.dst).expect("checked");
+        let e = w.mx_mut().ep_mut(dst).expect("checked");
         let pos = e
             .posted
             .iter()
@@ -1266,14 +1053,14 @@ fn rts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     };
     match matched {
         Some(posted) => {
-            accept_rendezvous(w, m.dst, posted, m.tag, m.total, m.src, m.msg_id, pkt.src).ok();
+            accept_rendezvous(w, dst, posted, m.tag, m.total, src, m.msg_id, pkt.src).ok();
         }
         None => {
-            if let Ok(e) = w.mx_mut().ep_mut(m.dst) {
+            if let Ok(e) = w.mx_mut().ep_mut(dst) {
                 e.unexpected.push_back(UnexpectedMsg::Rndv {
                     tag: m.tag,
                     total: m.total,
-                    from: m.src,
+                    from: src,
                     msg_id: m.msg_id,
                     src_nic: pkt.src,
                 });
@@ -1283,7 +1070,7 @@ fn rts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 }
 
 fn cts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
-    let m = unpack_meta(&pkt.meta);
+    let m = MsgHeader::unpack(&pkt.meta);
     let params = w.mx().params;
     let now = knet_simcore::now(w);
     let Some(r) = w.mx_mut().rndv_send.remove(&m.msg_id) else {
@@ -1310,7 +1097,7 @@ fn cts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
             fw_charge(w, nic, dma_done, params.fw_chunk)
         };
         first = false;
-        let meta = pack_meta(r.dst_ep, r.from_ep, r.tag, m.msg_id, offset, r.total);
+        let meta = MsgHeader::new(r.dst_ep.0, r.from_ep.0, r.tag, m.msg_id, offset, r.total).pack();
         let mut pkt = Packet::new(
             nic,
             dst_nic,
@@ -1355,10 +1142,11 @@ fn cts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 }
 
 fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
-    let m = unpack_meta(&pkt.meta);
+    let m = MsgHeader::unpack(&pkt.meta);
+    let dst = MxEndpointId(m.dst);
     let params = w.mx().params;
     let now = knet_simcore::now(w);
-    let key = (m.dst.0, m.src.0, m.msg_id);
+    let key = (m.dst, m.src, m.msg_id);
     if !w.mx().rndv_recv.contains_key(&key) {
         return;
     }
@@ -1381,7 +1169,7 @@ fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         return;
     }
     let r = w.mx_mut().rndv_recv.remove(&key).expect("checked");
-    let Ok(node) = w.mx().ep(m.dst).map(|e| e.node) else {
+    let Ok(node) = w.mx().ep(dst).map(|e| e.node) else {
         return;
     };
     let ev_dma = dma_charge(w, nic, r.last_dma_done, 64);
@@ -1398,7 +1186,7 @@ fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         .cpu
         .busy
         .acquire(start, params.host_event + unpin_cost);
-    let (ep_id, tag, from, total, pctx) = (m.dst, r.posted.tag, r.from, r.total, r.posted.ctx);
+    let (ep_id, tag, from, total, pctx) = (dst, r.posted.tag, r.from, r.total, r.posted.ctx);
     let tag = if tag == MX_ANY_TAG { m.tag } else { tag };
     let pinned = r.posted.pinned.clone();
     let ev = W::lift_mx(MxEv::Complete {

@@ -2,14 +2,15 @@
 //! (4.2 µs latency, kernel ≡ user, copy-removal gains).
 
 use bytes::Bytes;
-use knet_core::{IoVec, MemRef, NetError};
+use knet_core::{IoVec, MemRef, NetError, TenantId};
 use knet_simcore::{run_to_quiescence, run_until, RunOutcome, Scheduler, SimTime, SimWorld};
-use knet_simnic::{NicId, NicLayer, NicModel, NicWorld, Packet, Proto};
+use knet_simnic::{NicId, NicLayer, NicModel, NicWorld, Packet, Proto, QosPolicy};
 use knet_simos::{Asid, CpuModel, NodeId, OsLayer, OsWorld, Prot, PAGE_SIZE};
 
 use crate::layer::{
-    mx_irecv, mx_isend, mx_next_event, mx_on_packet, mx_open_endpoint, MxEndpointConfig,
-    MxEndpointId, MxEvent, MxLayer, MxOpts, MxWorld, MX_ANY_TAG,
+    mx_close_endpoint, mx_irecv, mx_isend, mx_isend_t, mx_next_event, mx_on_packet,
+    mx_open_endpoint, MxEndpointConfig, MxEndpointId, MxEvent, MxLayer, MxOpts, MxWorld,
+    MX_ANY_TAG,
 };
 use crate::params::MxParams;
 
@@ -702,4 +703,54 @@ fn payload_bytes_on_wire_match_message_sizes() {
     // 3 chunks × 32 B header + 10 000 B payload.
     assert_eq!(sent, 10_000 + 3 * 32);
     let _ = Bytes::new(); // keep the bytes import exercised
+}
+
+/// A send parked behind a dry bucket, admitted by the bucket when the pace
+/// timer fires and then refused for good by the send pipeline (its
+/// destination closed meanwhile), must leave the tenant's admission account
+/// as if the drain had never admitted it: no bytes left the node.
+#[test]
+fn parked_send_failing_at_drain_is_refunded() {
+    let (mut w, n0, n1) = world();
+    let a = mx_open_endpoint(&mut w, n0, MxEndpointConfig::kernel()).unwrap();
+    let b = mx_open_endpoint(&mut w, n1, MxEndpointConfig::kernel()).unwrap();
+    let nic = w.mx.ep(a).unwrap().nic;
+    let burst = make_buf(&mut w, n0, 1000, Class::Kernel);
+    let small = make_buf(&mut w, n0, 100, Class::Kernel);
+    let tenant = TenantId(1);
+    w.nics.qos.set_policy(
+        tenant.0,
+        QosPolicy {
+            rate_bytes_per_sec: 1_000_000,
+            burst_bytes: 1000,
+            pace_queue_cap: 16,
+        },
+    );
+    // The burst drains the bucket; the next 100 bytes refill in 100 µs.
+    mx_isend_t(&mut w, a, b, 1, &burst.iov, 1, tenant).unwrap();
+    mx_isend_t(&mut w, a, b, 2, &small.iov, 2, tenant).unwrap();
+    assert_eq!(w.mx.paced.backlog(nic), 1, "the second send parked");
+    let before = w.nics.qos.tenant_stats(tenant.0);
+    assert_eq!((before.admitted, before.admitted_bytes), (1, 1000));
+
+    mx_close_endpoint(&mut w, b).unwrap();
+    run_to_quiescence(&mut w);
+
+    let failed = std::iter::from_fn(|| mx_next_event(&mut w, a)).find_map(|ev| match ev {
+        MxEvent::SendFailed { ctx, error } => Some((ctx, error)),
+        _ => None,
+    });
+    assert_eq!(failed, Some((2, NetError::BadEndpoint)));
+    assert_eq!(w.mx.paced.backlog(nic), 0);
+    let after = w.nics.qos.tenant_stats(tenant.0);
+    assert_eq!(
+        (after.admitted, after.admitted_bytes),
+        (before.admitted, before.admitted_bytes),
+        "the failed send is not counted as admitted"
+    );
+    // The bucket, as (tenant, level in byte·ns, last refill): the 100 bytes
+    // refilled by the drain instant are back in it.
+    let mut bucket = Vec::new();
+    w.nics.qos.fingerprint_nic(nic, |v| bucket.push(v));
+    assert_eq!(bucket, vec![1, 100 * 1_000_000_000, 100_000]);
 }

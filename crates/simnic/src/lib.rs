@@ -32,7 +32,7 @@ pub use layer::{
     NicStats, NicWorld,
 };
 pub use model::NicModel;
-pub use packet::{NicId, Packet, Proto};
+pub use packet::{MsgHeader, NicId, Packet, Proto};
 pub use qos::{Admission, QosPolicy, QosState, QosTenantStats};
 pub use rel::{
     rel_on_packet, rel_send, LinkKey, RelLinkStats, RelParams, RelState, RelStats, RelVerdict,

@@ -90,9 +90,75 @@ impl Packet {
     }
 }
 
+/// The message header both drivers carry in [`Packet::meta`]: who the
+/// message is for and from (driver-local port / endpoint indices), its
+/// match tag, the sender's message id, and where this packet's payload sits
+/// in the message. The one definition of the four header words — GM data
+/// packets and every MX packet kind (eager, RTS, CTS, large) use it.
+///
+/// `offset` and `total` share the last word, 32 bits each: a message is at
+/// most 4 GiB − 1 on the wire.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct MsgHeader {
+    pub dst: u32,
+    pub src: u32,
+    pub tag: u64,
+    pub msg_id: u64,
+    pub offset: u64,
+    pub total: u64,
+}
+
+impl MsgHeader {
+    pub fn new(dst: u32, src: u32, tag: u64, msg_id: u64, offset: u64, total: u64) -> Self {
+        MsgHeader {
+            dst,
+            src,
+            tag,
+            msg_id,
+            offset,
+            total,
+        }
+    }
+
+    pub fn pack(&self) -> [u64; 4] {
+        [
+            (self.dst as u64) | ((self.src as u64) << 32),
+            self.tag,
+            self.msg_id,
+            (self.offset << 32) | (self.total & 0xFFFF_FFFF),
+        ]
+    }
+
+    pub fn unpack(meta: &[u64; 4]) -> Self {
+        MsgHeader {
+            dst: (meta[0] & 0xFFFF_FFFF) as u32,
+            src: (meta[0] >> 32) as u32,
+            tag: meta[1],
+            msg_id: meta[2],
+            offset: meta[3] >> 32,
+            total: meta[3] & 0xFFFF_FFFF,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn msg_header_round_trips_every_field_at_its_limits() {
+        let max32 = u32::MAX as u64;
+        for h in [
+            MsgHeader::new(3, 0x8000_0001, 0xDEAD_BEEF_0BAD_F00D, 42, 8192, 32768),
+            MsgHeader::new(u32::MAX, u32::MAX, u64::MAX, u64::MAX, max32, max32),
+            MsgHeader::new(0, 0, 0, 0, 0, 0),
+            // The two halves of the shared word do not bleed into each other.
+            MsgHeader::new(1, 2, 3, 4, max32, 0),
+            MsgHeader::new(1, 2, 3, 4, 0, max32),
+        ] {
+            assert_eq!(MsgHeader::unpack(&h.pack()), h);
+        }
+    }
 
     #[test]
     fn wire_len_includes_header() {

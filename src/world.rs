@@ -22,17 +22,17 @@
 use knet_coll::{CollLayer, CollWorld};
 use knet_core::api::{self, ConsumerId, CqId, Registry};
 use knet_core::{
-    DispatchWorld, Endpoint, IoVec, MemRef, NetError, TenantId, TenantSendStats, TransportEvent,
-    TransportKind, TransportWorld,
+    DispatchWorld, DriverEvent, Endpoint, IoVec, MemRef, NetError, TenantId, TenantSendStats,
+    TransportEvent, TransportKind, TransportWorld,
 };
 use knet_gm::{
     gm_ensure_cached, gm_next_event, gm_on_packet, gm_on_vma_event, gm_open_port,
-    gm_provide_receive_buffer, gm_send_t, GmEv, GmEvent, GmLayer, GmPortConfig, GmPortId, GmWorld,
+    gm_provide_receive_buffer, gm_send_t, GmEv, GmLayer, GmPortConfig, GmPortId, GmWorld,
 };
 use knet_kv::{KvEv, KvLayer, KvWorld};
 use knet_mx::{
     mx_irecv, mx_isend_t, mx_next_event, mx_on_packet, mx_open_endpoint, MxEndpointConfig,
-    MxEndpointId, MxEv, MxEvent, MxLayer, MxWorld,
+    MxEndpointId, MxEv, MxLayer, MxWorld,
 };
 use knet_nbd::{NbdLayer, NbdWorld};
 use knet_orfs::{OrfsLayer, OrfsWorld};
@@ -277,14 +277,9 @@ impl ClusterWorld {
     /// schedulers (both drivers index weights by dense tenant id).
     fn sync_tenant_weights(&mut self) {
         let table = self.registry.tenant_table();
-        let n = table.count();
-        self.gm.tenant_weights.clear();
-        self.mx.tenant_weights.clear();
-        for i in 0..n {
-            let wgt = table.weight(TenantId(i as u32));
-            self.gm.tenant_weights.push(wgt);
-            self.mx.tenant_weights.push(wgt);
-        }
+        let weights = (0..table.count()).map(|i| table.weight(TenantId(i as u32)));
+        self.gm.paced.tenant_weights = weights.collect();
+        self.mx.paced.tenant_weights = self.gm.paced.tenant_weights.clone();
     }
 
     /// One stats row per tenant: channel-layer queueing counters joined
@@ -309,8 +304,8 @@ impl ClusterWorld {
     /// `tests/sched_equivalence.rs` to prove shard invariance.
     pub fn tenant_fingerprint(&self, mut mix: impl FnMut(u64)) {
         self.registry.wdrr_fingerprint(&mut mix);
-        self.gm.paced_fingerprint(&mut mix);
-        self.mx.paced_fingerprint(&mut mix);
+        self.gm.paced.fingerprint(&mut mix);
+        self.mx.paced.fingerprint(&mut mix);
         self.nics.qos.fingerprint(&mut mix);
     }
 
@@ -322,8 +317,8 @@ impl ClusterWorld {
     pub fn tenant_fingerprint_node(&self, node: NodeId, mut mix: impl FnMut(u64)) {
         self.registry.wdrr_fingerprint_node(node.0, &mut mix);
         if let Some(nic) = self.nics.nic_of_node(node) {
-            self.gm.paced_fingerprint_nic(nic, &mut mix);
-            self.mx.paced_fingerprint_nic(nic, &mut mix);
+            self.gm.paced.fingerprint_nic(nic, &mut mix);
+            self.mx.paced.fingerprint_nic(nic, &mut mix);
             self.nics.qos.fingerprint_nic(nic, &mut mix);
         }
     }
@@ -391,10 +386,8 @@ impl NicWorld for ClusterWorld {
         // A reliability window exhausted its retry budget: surface the dead
         // peer to every channel above the driver seam, and resolve every
         // collective the dead node was a member of as a typed failure.
-        let kind = match proto {
-            Proto::Gm => TransportKind::Gm,
-            Proto::Mx => TransportKind::Mx,
-            Proto::Raw => return,
+        let Ok(kind) = TransportKind::try_from(proto) else {
+            return;
         };
         let local_node = self.nics.get(local).node;
         let remote_node = self.nics.get(remote).node;
@@ -402,10 +395,8 @@ impl NicWorld for ClusterWorld {
         knet_coll::coll_peer_down(self, kind, remote_node);
     }
     fn coll_event(&mut self, proto: Proto, nic: NicId, ev: CollEvent) {
-        let kind = match proto {
-            Proto::Gm => TransportKind::Gm,
-            Proto::Mx => TransportKind::Mx,
-            Proto::Raw => return,
+        let Ok(kind) = TransportKind::try_from(proto) else {
+            return;
         };
         let node = self.nics.get(nic).node;
         knet_coll::on_nic_event(self, kind, node, ev);
@@ -432,10 +423,6 @@ impl CollWorld for ClusterWorld {
         children: &[Endpoint],
         group: u32,
     ) {
-        let proto = match ep.kind {
-            TransportKind::Gm => Proto::Gm,
-            TransportKind::Mx => Proto::Mx,
-        };
         let Some(nic) = self.nics.nic_of_node(ep.node) else {
             return;
         };
@@ -448,23 +435,15 @@ impl CollWorld for ClusterWorld {
         }
         self.nics
             .coll
-            .install_tree(proto, group, nic, parent, &kids);
+            .install_tree(ep.kind.into(), group, nic, parent, &kids);
     }
     fn coll_uninstall(&mut self, ep: Endpoint, group: u32) {
-        let proto = match ep.kind {
-            TransportKind::Gm => Proto::Gm,
-            TransportKind::Mx => Proto::Mx,
-        };
         if let Some(nic) = self.nics.nic_of_node(ep.node) {
-            self.nics.coll.uninstall_tree(proto, group, nic);
+            self.nics.coll.uninstall_tree(ep.kind.into(), group, nic);
         }
     }
     fn coll_purge(&mut self, kind: TransportKind, group: u32) {
-        let proto = match kind {
-            TransportKind::Gm => Proto::Gm,
-            TransportKind::Mx => Proto::Mx,
-        };
-        self.nics.coll.purge_group(proto, group);
+        self.nics.coll.purge_group(kind.into(), group);
     }
 }
 
@@ -512,52 +491,20 @@ impl GmWorld for ClusterWorld {
         ClusterEv::Gm(ev)
     }
     fn gm_dispatch(&mut self, port: GmPortId) {
-        let node = match self.gm.port(port) {
-            Ok(p) => p.node,
-            Err(_) => return,
+        let Ok(node) = self.gm.port(port).map(|p| p.node) else {
+            return;
         };
-        while let Some(ev) = gm_next_event(self, port) {
-            let tev = match ev {
-                GmEvent::SendDone { ctx } => TransportEvent::SendDone { ctx },
-                GmEvent::SendFailed { ctx, error } => TransportEvent::SendFailed { ctx, error },
-                GmEvent::RecvDone {
-                    ctx,
-                    tag,
-                    len,
-                    from,
-                } => {
-                    let from_node = self.gm.port(from).map(|p| p.node).unwrap_or(node);
-                    TransportEvent::RecvDone {
-                        ctx,
-                        tag,
-                        len,
-                        from: Endpoint {
-                            kind: TransportKind::Gm,
-                            node: from_node,
-                            idx: from.0,
-                        },
-                    }
-                }
-                GmEvent::Unexpected { tag, data, from } => {
-                    let from_node = self.gm.port(from).map(|p| p.node).unwrap_or(node);
-                    TransportEvent::Unexpected {
-                        tag,
-                        data,
-                        from: Endpoint {
-                            kind: TransportKind::Gm,
-                            node: from_node,
-                            idx: from.0,
-                        },
-                    }
-                }
-            };
-            let ep = Endpoint {
-                kind: TransportKind::Gm,
-                node,
-                idx: port.0,
-            };
-            api::deliver(self, ep, tev);
-        }
+        let ep = Endpoint {
+            kind: TransportKind::Gm,
+            node,
+            idx: port.0,
+        };
+        deliver_driver_events(
+            self,
+            ep,
+            |w| gm_next_event(w, port),
+            |w, from: GmPortId| (from.0, w.gm.port(from).ok().map(|p| p.node)),
+        );
     }
 }
 
@@ -572,52 +519,44 @@ impl MxWorld for ClusterWorld {
         ClusterEv::Mx(ev)
     }
     fn mx_dispatch(&mut self, ep_id: MxEndpointId) {
-        let node = match self.mx.ep(ep_id) {
-            Ok(e) => e.node,
-            Err(_) => return,
+        let Ok(node) = self.mx.ep(ep_id).map(|e| e.node) else {
+            return;
         };
-        while let Some(ev) = mx_next_event(self, ep_id) {
-            let tev = match ev {
-                MxEvent::SendDone { ctx } => TransportEvent::SendDone { ctx },
-                MxEvent::SendFailed { ctx, error } => TransportEvent::SendFailed { ctx, error },
-                MxEvent::RecvDone {
-                    ctx,
-                    tag,
-                    len,
-                    from,
-                } => {
-                    let from_node = self.mx.ep(from).map(|e| e.node).unwrap_or(node);
-                    TransportEvent::RecvDone {
-                        ctx,
-                        tag,
-                        len,
-                        from: Endpoint {
-                            kind: TransportKind::Mx,
-                            node: from_node,
-                            idx: from.0,
-                        },
-                    }
-                }
-                MxEvent::Unexpected { tag, data, from } => {
-                    let from_node = self.mx.ep(from).map(|e| e.node).unwrap_or(node);
-                    TransportEvent::Unexpected {
-                        tag,
-                        data,
-                        from: Endpoint {
-                            kind: TransportKind::Mx,
-                            node: from_node,
-                            idx: from.0,
-                        },
-                    }
-                }
-            };
-            let ep = Endpoint {
-                kind: TransportKind::Mx,
-                node,
-                idx: ep_id.0,
-            };
-            api::deliver(self, ep, tev);
-        }
+        let ep = Endpoint {
+            kind: TransportKind::Mx,
+            node,
+            idx: ep_id.0,
+        };
+        deliver_driver_events(
+            self,
+            ep,
+            |w| mx_next_event(w, ep_id),
+            |w, from: MxEndpointId| (from.0, w.mx.ep(from).ok().map(|e| e.node)),
+        );
+    }
+}
+
+/// The one driver-queue → [`TransportEvent`] → [`api::deliver`] loop: drain
+/// the driver's event queue of endpoint `ep` (`next` pops it) and hand each
+/// event to whatever consumer the registry routes `ep` to. `peer` gives the
+/// driver-local index of a receive's sender and the node it lives on; a
+/// sender that has since closed is placed on `ep`'s own node.
+fn deliver_driver_events<Id>(
+    w: &mut ClusterWorld,
+    ep: Endpoint,
+    mut next: impl FnMut(&mut ClusterWorld) -> Option<DriverEvent<Id>>,
+    peer: impl Fn(&ClusterWorld, Id) -> (u32, Option<NodeId>),
+) {
+    while let Some(ev) = next(w) {
+        let tev = ev.into_transport(|from| {
+            let (idx, node) = peer(w, from);
+            Endpoint {
+                kind: ep.kind,
+                node: node.unwrap_or(ep.node),
+                idx,
+            }
+        });
+        api::deliver(w, ep, tev);
     }
 }
 

@@ -2,13 +2,20 @@
 //! *driver seam*, not the application API. Channels (`knet_core::api`) are
 //! the one application-facing send path — batching, GM coalescing and
 //! backpressure live there — so nothing above that layer may call the raw
-//! transport. CI runs the same check as a grep step; this test makes the
-//! tier-1 suite self-enforcing.
+//! transport.
 //!
 //! Allowed callers: `crates/core` (the channel layer itself), `crates/gm`
 //! and `crates/mx` (the drivers), and driver-level integration tests under
 //! `tests/`. Every in-kernel service — the socket layer, ORFS and NBD —
 //! now attaches through handler-backed channels.
+//!
+//! This file is the **one table** of the boundaries that only a text search
+//! can check (CI runs it with the rest of the suite; it has no grep steps
+//! of its own). A boundary that crate visibility can express is not listed
+//! here: the per-tenant lane queue (`knet_core::tenant`) is crate-private,
+//! so the one pacing seam both drivers share (`knet_core::pace`) and the
+//! channel queue are its only possible users — naming it anywhere else is
+//! a compile error.
 
 use std::fs;
 use std::path::Path;
@@ -197,7 +204,7 @@ fn boxed_event_scheduling_stays_inside_the_engine() {
 /// all of its traffic. A raw channel call in `crates/kv` would be a
 /// side-channel around every one of those guarantees. (`crates/rpc` is the
 /// one consumer of the channel API here — the KV store sits strictly above
-/// it. CI runs the same check as a grep step.)
+/// it.)
 #[test]
 fn kv_store_speaks_typed_rpc_only() {
     let patterns = vec![
@@ -219,10 +226,11 @@ fn kv_store_speaks_typed_rpc_only() {
 }
 
 /// Directories that must not bypass the WDRR scheduler. The tenant-stamped
-/// send entry points (`t_send_t`, `gm_send_t`, `mx_isend_t`) and the
-/// per-tenant lane queue type are the seam *below* per-tenant fair queueing:
-/// calling them directly would let a caller pick its own tenant id or
-/// reorder parked sends, defeating both isolation and accounting. Services,
+/// send entry points (`t_send_t`, `gm_send_t`, `mx_isend_t`) are the seam
+/// *below* per-tenant fair queueing: calling them directly would let a
+/// caller pick its own tenant id, defeating both isolation and accounting.
+/// (The lane queue type itself, which could reorder parked sends, is not
+/// nameable outside `knet-core` at all.) Services,
 /// examples and integration tests send through channels; only the channel
 /// layer (`crates/core`), the two drivers, and the composed world
 /// (`src/world.rs`, which implements the `t_send_t` seam) sit below it.
@@ -246,14 +254,12 @@ fn tenant_stamped_sends_stay_below_the_wdrr_scheduler() {
         format!(".t_send_{}(", "t"),
         format!("gm_send_{}(", "t"),
         format!("mx_isend_{}(", "t"),
-        format!("Wdrr{}", "Lanes"),
     ];
     let offenders = offenders_for(WDRR_FORBIDDEN, &patterns);
     assert!(
         offenders.is_empty(),
-        "tenant-stamped raw sends or WDRR queue internals touched above \
-         the scheduler (register a tenant, assign the endpoint, and send \
-         through the channel API):\n{}",
+        "tenant-stamped raw sends above the scheduler (register a tenant, \
+         assign the endpoint, and send through the channel API):\n{}",
         offenders.join("\n")
     );
 }

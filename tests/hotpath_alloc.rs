@@ -360,16 +360,18 @@ fn channel_send_path_recycles_pools_in_steady_state() {
 /// The multi-tenant machinery rides the same contract: per-tenant WDRR
 /// lanes in the channel, per-tenant pacing lanes in the driver and token
 /// buckets at the NIC all reach their high-water mark during warm-up and
-/// never grow again. Two tenants share a 2-node GM cluster — "rt"
-/// unthrottled, "bulk" behind a token bucket so its sends cross the
-/// Defer → pacing-lane → pace-timer path every round — while a tiny token
-/// pool parks sends in the channel lanes. Once warm, an identical batch of
+/// never grow again. Three tenants share a 2-node cluster — "rt"
+/// unthrottled on GM, "bulk" on GM and "bulk-mx" on MX each behind a token
+/// bucket so their sends cross the Defer → pacing-lane → pace-timer path
+/// of the one shared seam through both drivers every round — while a tiny
+/// GM token pool parks sends in the channel lanes. Once warm, an identical batch of
 /// rounds performs *exactly* the same number of heap allocations as the
 /// previous one: the steady-state tenant path allocates nothing beyond the
 /// payload `Bytes` the driver already accounts.
 #[test]
 fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
     use knet_gm::GmParams;
+    use knet_mx::MxEndpointConfig;
     use knet_simnic::QosPolicy;
 
     let mut w = ClusterBuilder::new()
@@ -390,6 +392,8 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
             pace_queue_cap: 1024,
         }),
     );
+    let bulk_policy = w.nics.qos.policy(bulk.0);
+    let bulk_mx = w.register_tenant("bulk-mx", 1, bulk_policy);
     let cq = w.new_cq();
     let cfg = GmPortConfig::kernel().with_physical_api();
     let a_rt = w.open_gm_cq(n0, cfg.clone(), cq).unwrap();
@@ -398,24 +402,31 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
     let b_bulk = w.open_gm_cq(n1, cfg, cq).unwrap();
     let ch_rt = channel_connect(&mut w, a_rt, b_rt, cq);
     let ch_bulk = channel_connect(&mut w, a_bulk, b_bulk, cq);
+    let a_mx = w.open_mx_cq(n0, MxEndpointConfig::kernel(), cq).unwrap();
+    let b_mx = w.open_mx_cq(n1, MxEndpointConfig::kernel(), cq).unwrap();
+    let ch_mx = channel_connect(&mut w, a_mx, b_mx, cq);
     w.assign_tenant(a_rt, rt);
     w.assign_tenant(a_bulk, bulk);
+    w.assign_tenant(a_mx, bulk_mx);
     let ka = kbuf(&mut w, n0, 4096);
 
     let mut batch = Vec::new();
     let mut round = |w: &mut knet::world::ClusterWorld, r: u64| {
         // Six sends per tenant against two tokens: four park in each
-        // channel's tenant lane; bulk's admitted sends outrun the bucket
-        // and defer through the driver pacing lane.
+        // GM channel's tenant lane; the bulk tenants' admitted sends
+        // outrun their buckets and defer through the drivers' pacing lanes.
         for i in 0..6u64 {
             channel_send(w, ch_rt, r * 100 + i, ka.iov(1024)).unwrap();
             channel_send(w, ch_bulk, r * 100 + i, ka.iov(1024)).unwrap();
+            channel_send(w, ch_mx, r * 100 + i, ka.iov(1024)).unwrap();
         }
         knet_simcore::run_to_quiescence(w);
         w.take_events(a_rt, usize::MAX, &mut batch);
         w.take_events(a_bulk, usize::MAX, &mut batch);
         w.take_events(b_rt, usize::MAX, &mut batch);
         w.take_events(b_bulk, usize::MAX, &mut batch);
+        w.take_events(a_mx, usize::MAX, &mut batch);
+        w.take_events(b_mx, usize::MAX, &mut batch);
     };
 
     // Warm-up: lanes, buckets, pace timers and pools reach their marks.
@@ -430,7 +441,8 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
             rt_ch.queue_lanes(),
             bulk_ch.queue_grows(),
             bulk_ch.queue_lanes(),
-            w.gm.paced_grows(),
+            w.gm.paced.grows(),
+            w.mx.paced.grows(),
         )
     };
     let lanes0 = lane_grows(&w);
@@ -480,6 +492,15 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
         "unthrottled tenants skip the bucket"
     );
     assert!(bulk_row.qos.admitted > 0 && bulk_row.qos.deferred > 0);
+    let mx_row = rows.iter().find(|r| r.name == "bulk-mx").unwrap();
+    assert!(
+        mx_row.qos.admitted > 0 && mx_row.qos.deferred > 0,
+        "the MX lanes were driven too"
+    );
+    assert!(
+        w.mx.paced.grows() > 0,
+        "MX sends really parked in its pacing lanes"
+    );
 }
 
 // ---------------------------------------------------------------- rpc
