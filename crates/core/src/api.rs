@@ -250,14 +250,14 @@ pub fn ctx_slot(ctx: u64) -> Option<usize> {
 /// `SendFailed`; steady state performs zero heap allocations once the pool
 /// reaches the workload's in-flight high-water mark.
 #[derive(Default)]
-struct CtxPool {
+pub(crate) struct CtxPool {
     /// Generation per slot; bumped on release.
     gens: Vec<u32>,
     free: Vec<u32>,
 }
 
 impl CtxPool {
-    fn encode(slot: u32, gen: u32) -> u64 {
+    pub(crate) fn encode(slot: u32, gen: u32) -> u64 {
         CTX_POOL_BIT | ((gen as u64 & 0x7FFF_FFFF) << 32) | slot as u64
     }
 
@@ -525,6 +525,11 @@ pub struct Channel {
     /// `None` until the accepting side learns its peer from the first
     /// inbound message.
     pub peer: Option<Endpoint>,
+    /// Opened without a fixed peer ([`channel_accept`] /
+    /// [`channel_accept_handler`]): the endpoint may hear from — and hold
+    /// state for — any number of peers, whichever one `peer` recorded
+    /// first. Decides who hears about a dead node (see [`peer_down`]).
+    accepting: bool,
     /// The backing completion queue, when the consumer is queue-backed
     /// (`None` for handler-backed channels).
     pub cq: Option<CqId>,
@@ -1068,6 +1073,7 @@ fn create_channel<W: DispatchWorld>(
         Channel {
             local,
             peer,
+            accepting: peer.is_none(),
             cq,
             consumer,
             staging: None,
@@ -1524,32 +1530,39 @@ pub fn channel_close<W: DispatchWorld>(w: &mut W, ch: ChannelId) {
 
 /// Propagate a dead link into the channel layer: the driver's reliability
 /// window exhausted its retry budget against `remote_node` (or the node was
-/// killed). Every channel of `kind` whose endpoint lives on `local_node`:
+/// killed). Among the channels of `kind` whose endpoint lives on
+/// `local_node`:
 ///
-/// * has its backpressure-queued sends toward the dead node completed as
-///   [`TransportEvent::SendFailed`] with [`NetError::PeerUnreachable`]
-///   (their bytes can never leave), and
-/// * receives one [`TransportEvent::PeerDown`] so its consumer can fail
-///   in-flight operations instead of stalling forever — zsock poisons the
-///   socket, ORFS/NBD clients fail pending ops with a typed error.
+/// * **every** channel has its backpressure-queued sends toward the dead
+///   node completed as [`TransportEvent::SendFailed`] with
+///   [`NetError::PeerUnreachable`] (their bytes can never leave);
+/// * one [`TransportEvent::PeerDown`] goes to each channel that can hold
+///   state for the dead node, and to no other: a *connected* channel
+///   ([`channel_connect`] / [`channel_connect_handler`]) hears it iff its
+///   peer lives on `remote_node`; an *accept-side* channel
+///   ([`channel_accept`] / [`channel_accept_handler`]) always hears it,
+///   because one endpoint serves many peers — its consumer keys the
+///   cleanup on `peer.node`.
 ///
-/// Channels whose recorded peer is a *different* live node still get the
-/// event (accept-side server channels serve many peers and may hold state
-/// for the dead one); consumers key their cleanup on `peer.node`.
+/// This is the one place that decides who hears about a dead peer. A
+/// client connected to a live node is never told about someone else's
+/// casualty, so a consumer's `PeerDown` arm may fail everything it has in
+/// flight without asking whose peer died — zsock poisons the socket, the
+/// ORFS/NBD/RPC clients fail their pending operations with a typed error.
 pub fn peer_down<W: DispatchWorld>(
     w: &mut W,
     kind: TransportKind,
     local_node: NodeId,
     remote_node: NodeId,
 ) {
-    let affected: Vec<(ChannelId, Endpoint, Option<Endpoint>)> = w
+    let affected: Vec<(ChannelId, Endpoint, Option<Endpoint>, bool)> = w
         .registry()
         .channels
         .iter()
         .filter(|(_, c)| c.local.kind == kind && c.local.node == local_node)
-        .map(|(id, c)| (ChannelId(*id), c.local, c.peer))
+        .map(|(id, c)| (ChannelId(*id), c.local, c.peer, c.accepting))
         .collect();
-    for (chid, local, peer) in affected {
+    for (chid, local, peer, accepting) in affected {
         // Fail queued sends addressed to the dead node, in order (lanes in
         // tenant order, FIFO within each).
         loop {
@@ -1576,11 +1589,12 @@ pub fn peer_down<W: DispatchWorld>(
         }
         let peer_ep = match peer {
             Some(p) if p.node == remote_node => p,
-            _ => Endpoint {
+            _ if accepting => Endpoint {
                 kind,
                 node: remote_node,
                 idx: u32::MAX,
             },
+            _ => continue,
         };
         deliver(w, local, TransportEvent::PeerDown { peer: peer_ep });
     }

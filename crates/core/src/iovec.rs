@@ -99,6 +99,18 @@ impl MemRef {
         }
     }
 
+    /// The sub-range `[offset, offset + len)` of this reference, in the
+    /// same address class, clamped to what the reference holds.
+    pub fn sub_range(&self, offset: u64, len: u64) -> MemRef {
+        let offset = offset.min(self.len());
+        let len = len.min(self.len() - offset);
+        match *self {
+            MemRef::UserVirtual { asid, addr, .. } => MemRef::user(asid, addr.add(offset), len),
+            MemRef::KernelVirtual { addr, .. } => MemRef::kernel(addr.add(offset), len),
+            MemRef::Physical { addr, .. } => MemRef::physical(addr.add(offset), len),
+        }
+    }
+
     /// Pages spanned by this reference.
     pub fn pages(&self) -> u64 {
         match *self {
@@ -433,6 +445,28 @@ mod tests {
         assert_eq!(iov.total_len(), 100 + PAGE_SIZE);
         assert!(!iov.needs_pinning());
         assert_eq!(iov.uniform_class(), None);
+    }
+
+    #[test]
+    fn sub_range_keeps_the_class_and_clamps() {
+        let asid = Asid(3);
+        let u = MemRef::user(asid, VirtAddr::new(0x1000), 100);
+        assert_eq!(
+            u.sub_range(10, 20),
+            MemRef::user(asid, VirtAddr::new(0x100A), 20)
+        );
+        let k = MemRef::kernel(VirtAddr::new(knet_simos::KERNEL_BASE), 100);
+        assert_eq!(k.sub_range(0, 100), k);
+        assert_eq!(k.sub_range(90, 50).len(), 10, "clamped to the tail");
+        let p = MemRef::physical(PhysAddr::new(0x2000), 8);
+        assert_eq!(
+            p.sub_range(8, 1),
+            MemRef::physical(PhysAddr::new(0x2008), 0)
+        );
+        assert!(
+            p.sub_range(9, 1).is_empty(),
+            "an offset past the end is empty"
+        );
     }
 
     #[test]

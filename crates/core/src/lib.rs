@@ -15,6 +15,10 @@
 //!   **completion queues**, and the **consumer dispatch registry** that
 //!   applications register against (no composed-world edits to add a
 //!   workload), with API-level coalescing of vectored sends on GM;
+//! * [`req`] — the request seam *above* the channel, shared by every
+//!   request/response service: the send-context → record map, the
+//!   bound-checked staging ring, and the request table (id mint, waiters,
+//!   send-failure and peer-death triage);
 //! * [`pace`] and [`driver`] — what sits *below* the transport and is the
 //!   same for both drivers: the tenant pacing seam between the NIC's token
 //!   buckets and a driver's send pipeline, the completion-event type and
@@ -29,6 +33,7 @@ pub mod error;
 pub mod iovec;
 pub mod pace;
 pub mod regcache;
+pub mod req;
 pub mod tenant;
 pub mod transport;
 
@@ -48,6 +53,7 @@ pub use iovec::{
 };
 pub use pace::{pace_drain, pace_submit, pace_timer_fired, PaceLanes, PacedSend};
 pub use regcache::{RangePlan, RegCache, RegCacheStats, RegKey};
+pub use req::{channel_send_request, ring_stage, ReqTable, SendMap, StagingRing, REQ_ID_MASK};
 pub use tenant::{
     TenantChannelRow, TenantId, TenantInfo, TenantSendStats, TenantTable, WDRR_QUANTUM_BYTES,
 };

@@ -83,14 +83,16 @@ pub enum TransportEvent {
     /// whatever resources they tied to the context.
     SendFailed { ctx: u64, error: NetError },
     /// The driver's reliability window declared the peer's node dead (retry
-    /// budget exhausted, or the node was killed). Delivered to every
-    /// channel on the affected transport whose node faces the dead peer;
-    /// further sends toward it fail with [`NetError::PeerUnreachable`].
+    /// budget exhausted, or the node was killed). Delivered, on the node
+    /// facing the dead peer, to the connected channels whose peer lives on
+    /// it and to every accept-side channel of the transport (see
+    /// `api::peer_down`, which owns the rule); further sends toward the
+    /// node fail with [`NetError::PeerUnreachable`].
     ///
-    /// `peer` is the channel's recorded peer endpoint when one is known and
-    /// lives on the dead node; otherwise (accept-side channels serving many
-    /// peers) `peer.idx` is `u32::MAX` and only `peer.kind`/`peer.node`
-    /// identify the casualty — consumers key their cleanup on the node.
+    /// `peer` is the channel's recorded peer endpoint when it lives on the
+    /// dead node; otherwise (an accept-side channel serving many peers)
+    /// `peer.idx` is `u32::MAX` and only `peer.kind`/`peer.node` identify
+    /// the casualty — such consumers key their cleanup on the node.
     PeerDown { peer: Endpoint },
     /// A collective this endpoint initiated (or contributed to) completed.
     /// At the root of a broadcast/barrier/reduce this is the single

@@ -14,11 +14,12 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use knet_core::api::{
-    channel_cancel_recv, channel_connect_handler, channel_post_recv, channel_send,
+use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
+use knet_core::{
+    channel_send_request, ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, ReqTable,
+    StagingRing, TransportEvent,
 };
-use knet_core::{ChannelId, Endpoint, IoVec, MemRef, NetError, TransportEvent};
-use knet_simos::{cpu_charge, PageKey, VirtAddr, PAGE_SIZE};
+use knet_simos::{cpu_charge, Asid, PageKey, PAGE_SIZE};
 
 use crate::proto::{NbdRequest, SECTOR_SIZE};
 use crate::NbdWorld;
@@ -76,16 +77,12 @@ pub struct NbdClient {
     pub server: Endpoint,
     /// Page-cache namespace for this device (disjoint from ORFS mounts).
     pub device_id: u32,
-    next_reqid: u64,
     next_op: u64,
-    pending: BTreeMap<u64, NbdOp>,
-    /// In-flight channel send contexts → request id, so a `SendFailed`
-    /// fails exactly that request's op instead of hanging it.
-    tx_ctxs: BTreeMap<u64, u64>,
+    /// Requests in flight → the block op each one advances.
+    reqs: ReqTable<NbdOp>,
     ops: BTreeMap<NbdOp, OpState>,
-    ring: VirtAddr,
-    ring_len: u64,
-    ring_off: u64,
+    /// Staging ring for request headers and write chunks.
+    ring: StagingRing,
     pub completed: VecDeque<(NbdOp, NbdResult)>,
     pub stats: NbdClientStats,
 }
@@ -125,14 +122,10 @@ pub fn nbd_client_create<W: NbdWorld>(
         ch,
         server,
         device_id,
-        next_reqid: 1,
         next_op: 1,
-        pending: BTreeMap::new(),
-        tx_ctxs: BTreeMap::new(),
+        reqs: ReqTable::new(ep),
         ops: BTreeMap::new(),
-        ring,
-        ring_len: RING,
-        ring_off: 0,
+        ring: StagingRing::new(ring, Asid::KERNEL, RING),
         completed: VecDeque::new(),
         stats: NbdClientStats::default(),
     });
@@ -140,14 +133,10 @@ pub fn nbd_client_create<W: NbdWorld>(
 }
 
 impl NbdClient {
-    fn ring_reserve(&mut self, len: u64) -> VirtAddr {
-        debug_assert!(len <= self.ring_len);
-        if self.ring_off + len > self.ring_len {
-            self.ring_off = 0;
-        }
-        let a = self.ring.add(self.ring_off);
-        self.ring_off += len;
-        a
+    /// Requests the request table has room for (flat in steady state;
+    /// asserted by `tests/hotpath_alloc.rs`).
+    pub fn request_table_capacity(&self) -> usize {
+        self.reqs.capacity()
     }
 
     fn key(&self, sector: u64) -> PageKey {
@@ -165,76 +154,45 @@ fn charge_entry<W: NbdWorld>(w: &mut W, cid: NbdClientId) {
     cpu_charge(w, node, cost);
 }
 
-/// A request's send was rejected by the channel: withdraw any posted reply
-/// buffer, drop the op and complete it with the error — silently dropping
-/// it would hang the block operation forever.
-fn fail_send<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64, e: NetError) {
+/// A request will never be answered (its send was rejected or dropped, or
+/// the server died): withdraw any posted reply buffer, drop the op and
+/// complete it with the error — silently dropping it would hang the block
+/// operation forever. An op fails once, however many of its requests do.
+fn fail_request<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64, op: NbdOp, e: NetError) {
     let ch = w.nbd().clients[cid.0 as usize].ch;
     channel_cancel_recv(w, ch, reqid);
     let c = &mut w.nbd_mut().clients[cid.0 as usize];
-    let Some(op) = c.pending.remove(&reqid) else {
-        return;
-    };
-    c.ops.remove(&op);
-    c.completed.push_back((op, Err(e)));
-}
-
-/// Submit one channel send for request `reqid`, recording its context so a
-/// later `SendFailed` fails exactly this request (or failing it now on a
-/// synchronous rejection).
-fn send_tracked<W: NbdWorld>(
-    w: &mut W,
-    cid: NbdClientId,
-    ch: knet_core::ChannelId,
-    reqid: u64,
-    iov: IoVec,
-) {
-    match channel_send(w, ch, reqid, iov) {
-        Ok(ctx) => {
-            w.nbd_mut().clients[cid.0 as usize]
-                .tx_ctxs
-                .insert(ctx, reqid);
-        }
-        Err(e) => fail_send(w, cid, reqid, e),
+    if c.ops.remove(&op).is_some() {
+        c.completed.push_back((op, Err(e)));
     }
 }
 
+/// Stage `header` (and a write chunk behind it) in the ring and send it as
+/// request `reqid`; a synchronous rejection fails the request now.
 fn send_request<W: NbdWorld>(
     w: &mut W,
     cid: NbdClientId,
-    op: NbdOp,
+    reqid: u64,
     req: NbdRequest,
-    payload: Option<&[u8]>,
-) -> u64 {
-    let node = w.nbd().clients[cid.0 as usize].ep.node;
-    let bytes = req.encode();
-    let total = bytes.len() as u64 + payload.map(|p| p.len() as u64).unwrap_or(0);
-    let (reqid, ch, addr) = {
-        let c = &mut w.nbd_mut().clients[cid.0 as usize];
-        let reqid = c.next_reqid;
-        c.next_reqid += 1;
-        c.pending.insert(reqid, op);
-        let addr = c.ring_reserve(total);
-        (reqid, c.ch, addr)
+    payload: &[u8],
+) {
+    let (node, ch) = {
+        let c = &w.nbd().clients[cid.0 as usize];
+        (c.ep.node, c.ch)
     };
-    w.os_mut()
-        .node_mut(node)
-        .write_virt(knet_simos::Asid::KERNEL, addr, &bytes)
-        .expect("ring mapped");
-    if let Some(p) = payload {
-        w.os_mut()
-            .node_mut(node)
-            .write_virt(knet_simos::Asid::KERNEL, addr.add(bytes.len() as u64), p)
-            .expect("ring mapped");
-    }
-    send_tracked(
+    let seg = ring_stage(
         w,
-        cid,
-        ch,
-        reqid,
-        IoVec::single(MemRef::kernel(addr, total)),
-    );
-    reqid
+        node,
+        |w| &mut w.nbd_mut().clients[cid.0 as usize].ring,
+        &[&req.encode(), payload],
+    )
+    .expect("a header + WRITE_CHUNK fits the client ring");
+    let sent = channel_send_request(w, ch, reqid, reqid, IoVec::single(seg), |w| {
+        &mut w.nbd_mut().clients[cid.0 as usize].reqs
+    });
+    if let Err((e, Some(op))) = sent {
+        fail_request(w, cid, reqid, op, e);
+    }
 }
 
 /// Buffered read: `dest.len()` bytes at device `offset` through the
@@ -274,32 +232,9 @@ pub fn nbd_read_raw<W: NbdWorld>(w: &mut W, cid: NbdClientId, dest: MemRef, sect
         (op, c.ch)
     };
     // Buffer first, then the request (the reply must never race it).
-    let reqid = {
-        let c = &mut w.nbd_mut().clients[cid.0 as usize];
-        let reqid = c.next_reqid;
-        c.next_reqid += 1;
-        c.pending.insert(reqid, op);
-        reqid
-    };
+    let reqid = w.nbd_mut().clients[cid.0 as usize].reqs.mint(op);
     let _ = channel_post_recv(w, ch, reqid, IoVec::single(dest));
-    // Send header under the same id without re-registering it.
-    let node = w.nbd().clients[cid.0 as usize].ep.node;
-    let bytes = NbdRequest::Read { sector, count }.encode();
-    let addr = {
-        let c = &mut w.nbd_mut().clients[cid.0 as usize];
-        c.ring_reserve(bytes.len() as u64)
-    };
-    w.os_mut()
-        .node_mut(node)
-        .write_virt(knet_simos::Asid::KERNEL, addr, &bytes)
-        .expect("ring mapped");
-    send_tracked(
-        w,
-        cid,
-        ch,
-        reqid,
-        IoVec::single(MemRef::kernel(addr, bytes.len() as u64)),
-    );
+    send_request(w, cid, reqid, NbdRequest::Read { sector, count }, &[]);
     op
 }
 
@@ -395,21 +330,14 @@ fn issue_next_write_chunk<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) -
             data.slice(off as usize..(off + n) as usize),
         )
     };
-    send_request(
-        w,
-        cid,
-        op,
-        NbdRequest::Write {
-            sector: first + off / SECTOR_SIZE,
-            count: (n / SECTOR_SIZE) as u32,
-        },
-        Some(&chunk),
-    );
+    let reqid = w.nbd_mut().clients[cid.0 as usize].reqs.mint(op);
+    let req = NbdRequest::Write {
+        sector: first + off / SECTOR_SIZE,
+        count: (n / SECTOR_SIZE) as u32,
+    };
+    send_request(w, cid, reqid, req, &chunk);
     true
 }
-
-/// No-op in this write-through model; kept for API completeness.
-pub fn nbd_flush<W: NbdWorld>(_w: &mut W, _cid: NbdClientId) {}
 
 fn advance_buffered<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
     let (node, device, ch) = {
@@ -471,7 +399,7 @@ fn advance_buffered<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
                     .mem
                     .read(p.frame.base().add(soff), &mut tmp)
                     .expect("cached sector");
-                let dst = shift(&dest, done, n);
+                let dst = dest.sub_range(done, n);
                 knet_core::write_iovec(w.os_mut().node_mut(node), &IoVec::single(dst), &tmp).ok();
                 let copy = w.os().node(node).cpu.model.memcpy_cost(n);
                 cpu_charge(w, node, copy);
@@ -506,43 +434,13 @@ fn advance_buffered<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
                 }
                 // The paper's point: the page-cache frame's physical address
                 // goes straight to the network.
-                let reqid = {
-                    let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                    let reqid = c.next_reqid;
-                    c.next_reqid += 1;
-                    c.pending.insert(reqid, op);
-                    reqid
-                };
+                let reqid = w.nbd_mut().clients[cid.0 as usize].reqs.mint(op);
                 let iov = IoVec::single(MemRef::physical(frame.base(), PAGE_SIZE));
                 let _ = channel_post_recv(w, ch, reqid, iov);
-                let node2 = node;
-                let bytes = NbdRequest::Read { sector, count: 1 }.encode();
-                let addr = {
-                    let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                    c.ring_reserve(bytes.len() as u64)
-                };
-                w.os_mut()
-                    .node_mut(node2)
-                    .write_virt(knet_simos::Asid::KERNEL, addr, &bytes)
-                    .expect("ring mapped");
-                send_tracked(
-                    w,
-                    cid,
-                    ch,
-                    reqid,
-                    IoVec::single(MemRef::kernel(addr, bytes.len() as u64)),
-                );
+                send_request(w, cid, reqid, NbdRequest::Read { sector, count: 1 }, &[]);
                 return;
             }
         }
-    }
-}
-
-fn shift(m: &MemRef, delta: u64, len: u64) -> MemRef {
-    match *m {
-        MemRef::UserVirtual { asid, addr, .. } => MemRef::user(asid, addr.add(delta), len),
-        MemRef::KernelVirtual { addr, .. } => MemRef::kernel(addr.add(delta), len),
-        MemRef::Physical { addr, .. } => MemRef::physical(addr.add(delta), len),
     }
 }
 
@@ -554,15 +452,15 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
         TransportEvent::RecvDone { tag, len, .. } => (tag, len),
         TransportEvent::Unexpected { tag, data, .. } => (tag, data.len() as u64),
         TransportEvent::SendDone { ctx } => {
-            w.nbd_mut().clients[cid.0 as usize].tx_ctxs.remove(&ctx);
+            w.nbd_mut().clients[cid.0 as usize].reqs.sent(ctx);
             return;
         }
         TransportEvent::SendFailed { ctx, error } => {
             // A queued request frame was dropped by its retry: the reply
             // will never come. Fail exactly that request's op.
-            let reqid = w.nbd_mut().clients[cid.0 as usize].tx_ctxs.remove(&ctx);
-            if let Some(reqid) = reqid {
-                fail_send(w, cid, reqid, error);
+            let failed = w.nbd_mut().clients[cid.0 as usize].reqs.send_failed(ctx);
+            if let Some((reqid, op)) = failed {
+                fail_request(w, cid, reqid, op, error);
             }
             return;
         }
@@ -571,26 +469,12 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
         | TransportEvent::CollectiveRecv { .. }
         | TransportEvent::CollectiveFailed { .. }
         | TransportEvent::RpcDone { .. } => return,
-        TransportEvent::PeerDown { peer } => {
+        TransportEvent::PeerDown { .. } => {
             // The server's node died: every in-flight block op completes
             // with a typed error — nothing may stall on a dead disk.
-            if peer.node != w.nbd().clients[cid.0 as usize].server.node {
-                return;
-            }
-            let ch = w.nbd().clients[cid.0 as usize].ch;
-            let reqids: Vec<u64> = {
-                let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                c.tx_ctxs.clear();
-                c.pending.keys().copied().collect()
-            };
-            for reqid in reqids {
-                channel_cancel_recv(w, ch, reqid);
-                let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                if let Some(op) = c.pending.remove(&reqid) {
-                    if c.ops.remove(&op).is_some() {
-                        c.completed.push_back((op, Err(NetError::PeerUnreachable)));
-                    }
-                }
+            let failed = w.nbd_mut().clients[cid.0 as usize].reqs.fail_all();
+            for (reqid, op) in failed {
+                fail_request(w, cid, reqid, op, NetError::PeerUnreachable);
             }
             // Ops with no outstanding request (should not exist) fail too.
             let c = &mut w.nbd_mut().clients[cid.0 as usize];
@@ -602,7 +486,7 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
             return;
         }
     };
-    let Some(op) = w.nbd_mut().clients[cid.0 as usize].pending.remove(&tag) else {
+    let Some(op) = w.nbd_mut().clients[cid.0 as usize].reqs.finish(tag) else {
         return;
     };
     let node = w.nbd().clients[cid.0 as usize].ep.node;

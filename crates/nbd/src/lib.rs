@@ -21,8 +21,8 @@ pub mod proto;
 pub mod server;
 
 pub use client::{
-    nbd_client_create, nbd_flush, nbd_on_client_event, nbd_read, nbd_read_raw, nbd_wait, nbd_write,
-    NbdClient, NbdClientId, NbdClientStats, NbdOp, NbdResult,
+    nbd_client_create, nbd_on_client_event, nbd_read, nbd_read_raw, nbd_wait, nbd_write, NbdClient,
+    NbdClientId, NbdClientStats, NbdOp, NbdResult,
 };
 pub use proto::{NbdRequest, SECTOR_SIZE};
 pub use server::{nbd_on_server_event, nbd_server_create, NbdServer, NbdServerId, VirtualDisk};

@@ -1,10 +1,11 @@
 //! The NBD server: a virtual disk behind a transport endpoint.
 
-use bytes::Bytes;
 use knet_core::api::{channel_accept_handler, channel_send_to};
-use knet_core::{ChannelId, Endpoint, IoVec, MemRef, NetError, TransportEvent};
+use knet_core::{
+    ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, StagingRing, TransportEvent,
+};
 use knet_simcore::SimTime;
-use knet_simos::{cpu_charge, Asid, VirtAddr};
+use knet_simos::{cpu_charge, Asid};
 
 use crate::proto::{NbdRequest, SECTOR_SIZE};
 use crate::NbdWorld;
@@ -77,9 +78,8 @@ pub struct NbdServer {
     /// out with [`channel_send_to`]).
     pub ch: ChannelId,
     pub disk: VirtualDisk,
-    ring: VirtAddr,
-    ring_len: u64,
-    ring_off: u64,
+    /// Kernel staging ring for outgoing replies.
+    ring: StagingRing,
     pub requests: u64,
     pub bytes_read: u64,
     pub bytes_written: u64,
@@ -107,9 +107,7 @@ pub fn nbd_server_create<W: NbdWorld>(
         ep,
         ch,
         disk: VirtualDisk::new(sector_count),
-        ring,
-        ring_len: RING,
-        ring_off: 0,
+        ring: StagingRing::new(ring, Asid::KERNEL, RING),
         requests: 0,
         bytes_read: 0,
         bytes_written: 0,
@@ -117,16 +115,15 @@ pub fn nbd_server_create<W: NbdWorld>(
     Ok(id)
 }
 
-impl NbdServer {
-    fn ring_reserve(&mut self, len: u64) -> VirtAddr {
-        debug_assert!(len <= self.ring_len);
-        if self.ring_off + len > self.ring_len {
-            self.ring_off = 0;
-        }
-        let a = self.ring.add(self.ring_off);
-        self.ring_off += len;
-        a
-    }
+/// Stage a reply in the server's ring (`None`: it can never fit).
+fn stage<W: NbdWorld>(w: &mut W, sid: NbdServerId, reply: &[u8]) -> Option<MemRef> {
+    let node = w.nbd().servers[sid.0 as usize].ep.node;
+    ring_stage(
+        w,
+        node,
+        |w| &mut w.nbd_mut().servers[sid.0 as usize].ring,
+        &[reply],
+    )
 }
 
 /// Transport upcall for NBD server `sid`.
@@ -147,7 +144,11 @@ pub fn nbd_on_server_event<W: NbdWorld>(w: &mut W, sid: NbdServerId, ev: Transpo
             let (payload, access) = {
                 let s = &mut w.nbd_mut().servers[sid.0 as usize];
                 let access = s.disk.sector_access * count as u64;
-                (s.disk.read(sector, count), access)
+                // `count` is wire input: a range the ring could never
+                // stage is answered like one off the end of the disk —
+                // with an empty reply — before anything is read for it.
+                let fits = count as u64 * SECTOR_SIZE <= RING;
+                (fits.then(|| s.disk.read(sector, count)).flatten(), access)
             };
             cpu_charge(w, node, access);
             let payload = payload.unwrap_or_default();
@@ -155,13 +156,9 @@ pub fn nbd_on_server_event<W: NbdWorld>(w: &mut W, sid: NbdServerId, ev: Transpo
             // Stage into the kernel ring (disk cache → network memory).
             let copy = w.os().node(node).cpu.model.memcpy_cost(n);
             cpu_charge(w, node, copy);
-            let addr = w.nbd_mut().servers[sid.0 as usize].ring_reserve(n.max(1));
-            w.os_mut()
-                .node_mut(node)
-                .write_virt(Asid::KERNEL, addr, &payload)
-                .expect("ring mapped");
+            let seg = stage(w, sid, &payload).expect("reads are bounded by RING");
             w.nbd_mut().servers[sid.0 as usize].bytes_read += n;
-            let _ = channel_send_to(w, ch, from, tag, IoVec::single(MemRef::kernel(addr, n)));
+            let _ = channel_send_to(w, ch, from, tag, IoVec::single(seg));
         }
         NbdRequest::Write { sector, .. } => {
             let payload = data.slice(used..);
@@ -174,15 +171,10 @@ pub fn nbd_on_server_event<W: NbdWorld>(w: &mut W, sid: NbdServerId, ev: Transpo
             };
             cpu_charge(w, node, access);
             // Acknowledge with a 1-byte status message.
-            let addr = w.nbd_mut().servers[sid.0 as usize].ring_reserve(1);
-            w.os_mut()
-                .node_mut(node)
-                .write_virt(Asid::KERNEL, addr, &[0u8])
-                .expect("ring mapped");
-            let _ = channel_send_to(w, ch, from, tag, IoVec::single(MemRef::kernel(addr, 1)));
+            let seg = stage(w, sid, &[0u8]).expect("one status byte fits the ring");
+            let _ = channel_send_to(w, ch, from, tag, IoVec::single(seg));
         }
     }
-    let _ = Bytes::new();
 }
 
 #[cfg(test)]

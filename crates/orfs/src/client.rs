@@ -18,13 +18,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use knet_core::api::{
-    channel_cancel_recv, channel_connect_handler, channel_post_recv, channel_send,
+use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
+use knet_core::{
+    channel_send_request, ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, ReqTable,
+    StagingRing, TransportEvent, TransportKind,
 };
-use knet_core::{ChannelId, Endpoint, IoVec, MemRef, NetError, TransportEvent, TransportKind};
 use knet_simcore::SimTime;
 use knet_simfs::FsError;
-use knet_simos::{cpu_charge, Asid, PageKey, VirtAddr, PAGE_SIZE};
+use knet_simos::{cpu_charge, Asid, PageKey, PAGE_SIZE};
 
 use crate::layer::{OrfsClientId, OrfsWorld};
 use crate::proto::{
@@ -200,10 +201,6 @@ struct Flush {
     then_close: bool,
 }
 
-struct Pending {
-    syscall: SyscallId,
-}
-
 /// One ORFA/ORFS client instance.
 pub struct OrfsClient {
     pub id: OrfsClientId,
@@ -218,13 +215,9 @@ pub struct OrfsClient {
     pub asid: Asid,
     /// Per-client page-cache namespace.
     pub mount_id: u32,
-    next_reqid: u64,
     next_syscall: u64,
-    pending: BTreeMap<u64, Pending>,
-    /// In-flight channel send contexts → the request they carry, so a
-    /// `SendFailed` completion can fail exactly that request instead of
-    /// leaving its syscall hanging forever.
-    tx_ctxs: BTreeMap<u64, u64>,
+    /// Requests in flight → the syscall each one advances.
+    reqs: ReqTable<SyscallId>,
     ops: BTreeMap<SyscallId, OpState>,
     /// Completed operations for the driver to collect.
     pub completed: VecDeque<(SyscallId, SysResult)>,
@@ -234,10 +227,7 @@ pub struct OrfsClient {
     /// Staging ring for request headers (and GM-coalesced writes): kernel
     /// memory for the ORFS kernel client, a user mapping of the client's
     /// own process for the ORFA library (which cannot touch kernel memory).
-    ring: VirtAddr,
-    ring_asid: Asid,
-    ring_len: u64,
-    ring_off: u64,
+    ring: StagingRing,
     pub stats: ClientStats,
 }
 
@@ -284,41 +274,24 @@ pub fn client_create<W: OrfsWorld>(
         config,
         asid,
         mount_id,
-        next_reqid: 1,
         next_syscall: 1,
-        pending: BTreeMap::new(),
-        tx_ctxs: BTreeMap::new(),
+        reqs: ReqTable::new(ep),
         ops: BTreeMap::new(),
         completed: VecDeque::new(),
         dentries: BTreeMap::new(),
         attrs: BTreeMap::new(),
         fds: Vec::new(),
-        ring,
-        ring_asid,
-        ring_len: CLIENT_RING,
-        ring_off: 0,
+        ring: StagingRing::new(ring, ring_asid, CLIENT_RING),
         stats: ClientStats::default(),
     });
     Ok(id)
 }
 
 impl OrfsClient {
-    fn ring_reserve(&mut self, len: u64) -> VirtAddr {
-        debug_assert!(len <= self.ring_len);
-        if self.ring_off + len > self.ring_len {
-            self.ring_off = 0;
-        }
-        let a = self.ring.add(self.ring_off);
-        self.ring_off += len;
-        a
-    }
-
-    fn ring_memref(&self, addr: VirtAddr, len: u64) -> MemRef {
-        if self.ring_asid.is_kernel() {
-            MemRef::kernel(addr, len)
-        } else {
-            MemRef::user(self.ring_asid, addr, len)
-        }
+    /// Requests the request table has room for (flat in steady state;
+    /// asserted by `tests/hotpath_alloc.rs`).
+    pub fn request_table_capacity(&self) -> usize {
+        self.reqs.capacity()
     }
 
     pub fn file(&self, fd: u32) -> Result<OpenFile, OrfsError> {
@@ -524,7 +497,7 @@ pub fn op_read<W: OrfsWorld>(
         // Prepare the destination *first*: the buffer (registration,
         // pinning) must be ready before the server can reply into it.
         let reqid = alloc_reqid(w, cid, sid);
-        let shrunk = offset_memref(&dest, 0, len, Asid::KERNEL);
+        let shrunk = dest.sub_range(0, len);
         let ch = w.orfs().client(cid).ch;
         let _ = channel_post_recv(w, ch, reqid, IoVec::single(shrunk));
         send_request_with_id(
@@ -887,50 +860,46 @@ fn advance_resolve<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
 
 // ---- request plumbing ------------------------------------------------------------
 
-/// Reserve a request id bound to `sid` (lets callers post the reply buffer
+/// Mint a request id bound to `sid` (lets callers post the reply buffer
 /// *before* the request leaves — the reply must never race the buffer).
 fn alloc_reqid<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) -> u64 {
     let c = w.orfs_mut().client_mut(cid);
-    let reqid = c.next_reqid;
-    c.next_reqid += 1;
-    c.pending.insert(reqid, Pending { syscall: sid });
-    reqid
+    c.stats.requests += 1;
+    c.reqs.mint(sid)
 }
 
-/// A request's send was rejected by the channel (a non-transient transport
-/// error, or backpressure-queue overflow): withdraw any reply buffer posted
-/// under the request id and fail the syscall — silently dropping it would
-/// hang the operation forever.
-fn fail_send<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, reqid: u64) {
+/// A request will never be answered (one of its sends was rejected or
+/// dropped): withdraw any reply buffer posted under the request id and
+/// fail the syscall — silently dropping it would hang the operation
+/// forever.
+fn fail_request<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, reqid: u64, sid: SyscallId) {
     let ch = w.orfs().client(cid).ch;
     channel_cancel_recv(w, ch, reqid);
-    let Some(p) = w.orfs_mut().client_mut(cid).pending.remove(&reqid) else {
-        return;
-    };
-    finish(w, cid, p.syscall, Err(OrfsError::Net));
+    finish(w, cid, sid, Err(OrfsError::Net));
 }
 
-/// Submit one channel send under request `reqid`, recording its context so
-/// a later `SendFailed` fails exactly this request (or failing it now on a
-/// synchronous rejection). Returns whether the send was accepted.
-fn send_tracked<W: OrfsWorld>(
-    w: &mut W,
-    cid: OrfsClientId,
-    ch: ChannelId,
-    tag: u64,
-    reqid: u64,
-    iov: IoVec,
-) -> bool {
-    match channel_send(w, ch, tag, iov) {
-        Ok(ctx) => {
-            w.orfs_mut().client_mut(cid).tx_ctxs.insert(ctx, reqid);
-            true
-        }
-        Err(_) => {
-            fail_send(w, cid, reqid);
-            false
-        }
+/// Submit one message of request `reqid` under wire tag `tag`; a
+/// synchronous rejection fails the request now. Returns whether the send
+/// was accepted.
+fn submit<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, tag: u64, reqid: u64, iov: IoVec) -> bool {
+    let ch = w.orfs().client(cid).ch;
+    let sent = channel_send_request(w, ch, tag, reqid, iov, |w| {
+        &mut w.orfs_mut().client_mut(cid).reqs
+    });
+    if let Err((_, Some(sid))) = sent {
+        fail_request(w, cid, reqid, sid);
     }
+    sent.is_ok()
+}
+
+/// Stage `parts` end to end in the client's ring. Every caller's total is
+/// bounded far below it: one encoded request header (names reach a file
+/// system through the VFS, which bounds them), plus at most
+/// `WRITE_INLINE_MAX` bytes of GM-coalesced payload.
+fn stage<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, parts: &[&[u8]]) -> MemRef {
+    let node = w.orfs().client(cid).ep.node;
+    ring_stage(w, node, |w| &mut w.orfs_mut().client_mut(cid).ring, parts)
+        .expect("a request header + WRITE_INLINE_MAX fits the client ring")
 }
 
 /// Encode and send a metadata request (small message from the staging ring).
@@ -944,19 +913,8 @@ fn send_request<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, req:
 fn send_request_with_id<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, reqid: u64, req: &Request) {
     let node = w.orfs().client(cid).ep.node;
     cpu_charge(w, node, codec_cost());
-    let bytes = req.encode();
-    let (ch, addr, ring_asid, seg) = {
-        let c = w.orfs_mut().client_mut(cid);
-        c.stats.requests += 1;
-        let addr = c.ring_reserve(bytes.len() as u64);
-        let seg = c.ring_memref(addr, bytes.len() as u64);
-        (c.ch, addr, c.ring_asid, seg)
-    };
-    w.os_mut()
-        .node_mut(node)
-        .write_virt(ring_asid, addr, &bytes)
-        .expect("client ring mapped");
-    send_tracked(w, cid, ch, reqid, reqid, IoVec::single(seg));
+    let seg = stage(w, cid, &[&req.encode()]);
+    submit(w, cid, reqid, reqid, IoVec::single(seg));
 }
 
 /// Send a write request with payload: vectorial on MX (header ++ data, no
@@ -969,7 +927,8 @@ fn send_write_request<W: OrfsWorld>(
     offset: u64,
     src: MemRef,
 ) -> u64 {
-    let node = w.orfs().client(cid).ep.node;
+    let ep = w.orfs().client(cid).ep;
+    let node = ep.node;
     let len = src.len();
     let req = Request::Write {
         handle,
@@ -978,73 +937,35 @@ fn send_write_request<W: OrfsWorld>(
     };
     cpu_charge(w, node, codec_cost());
     let header = req.encode();
-    let (reqid, ep, ch) = {
-        let c = w.orfs_mut().client_mut(cid);
-        let reqid = c.next_reqid;
-        c.next_reqid += 1;
-        c.pending.insert(reqid, Pending { syscall: sid });
-        c.stats.requests += 1;
-        (reqid, c.ep, c.ch)
-    };
+    let reqid = alloc_reqid(w, cid, sid);
     if len > WRITE_INLINE_MAX {
         // Announced write: header first; the payload follows as a separate
         // tagged message once the server has posted its staging buffer.
         // (The announcement is tiny, so the server's post always wins the
         // race for eager transports; MX large messages rendezvous anyway.)
-        let (addr, ring_asid, seg) = {
-            let c = w.orfs_mut().client_mut(cid);
-            let addr = c.ring_reserve(header.len() as u64);
-            (addr, c.ring_asid, c.ring_memref(addr, header.len() as u64))
-        };
-        w.os_mut()
-            .node_mut(node)
-            .write_virt(ring_asid, addr, &header)
-            .expect("ring mapped");
-        if send_tracked(w, cid, ch, reqid, reqid, IoVec::single(seg)) {
-            send_tracked(w, cid, ch, reqid | DATA_TAG_BIT, reqid, IoVec::single(src));
+        let seg = stage(w, cid, &[&header]);
+        if submit(w, cid, reqid, reqid, IoVec::single(seg)) {
+            submit(w, cid, reqid | DATA_TAG_BIT, reqid, IoVec::single(src));
         }
         return reqid;
     }
     let iov = match ep.kind {
         TransportKind::Mx => {
             // Vectorial: header from the ring, data straight from source.
-            let (addr, ring_asid, seg) = {
-                let c = w.orfs_mut().client_mut(cid);
-                let addr = c.ring_reserve(header.len() as u64);
-                (addr, c.ring_asid, c.ring_memref(addr, header.len() as u64))
-            };
-            w.os_mut()
-                .node_mut(node)
-                .write_virt(ring_asid, addr, &header)
-                .expect("ring mapped");
-            IoVec::from_segs(vec![seg, src])
+            IoVec::from_segs(vec![stage(w, cid, &[&header]), src])
         }
         TransportKind::Gm => {
             // GM cannot gather: coalesce header + data into the ring,
             // paying a host copy of the payload (§4.1).
-            let total = header.len() as u64 + len;
-            let (addr, ring_asid, seg) = {
-                let c = w.orfs_mut().client_mut(cid);
-                let addr = c.ring_reserve(total);
-                (addr, c.ring_asid, c.ring_memref(addr, total))
-            };
-            w.os_mut()
-                .node_mut(node)
-                .write_virt(ring_asid, addr, &header)
-                .expect("ring mapped");
-            // Functional copy of the payload into the ring.
             let data =
                 knet_core::read_iovec(w.os().node(node), &IoVec::single(src)).unwrap_or_default();
-            w.os_mut()
-                .node_mut(node)
-                .write_virt(ring_asid, addr.add(header.len() as u64), &data)
-                .expect("ring mapped");
+            let seg = stage(w, cid, &[&header, &data]);
             let copy = w.os().node(node).cpu.model.ring_copy_cost(len);
             cpu_charge(w, node, copy);
             IoVec::single(seg)
         }
     };
-    send_tracked(w, cid, ch, reqid, reqid, iov);
+    submit(w, cid, reqid, reqid, iov);
     reqid
 }
 
@@ -1054,12 +975,11 @@ fn send_write_request<W: OrfsWorld>(
 /// missing page (run) from the server into freshly allocated page-cache
 /// frames whose *physical* addresses are handed to the transport.
 fn advance_buffered_read<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
-    let (node, mount, asid, combine, max_combine) = {
+    let (node, mount, combine, max_combine) = {
         let c = w.orfs().client(cid);
         (
             c.ep.node,
             c.mount_id,
-            c.asid,
             c.config.combine_pages && c.ep.kind == TransportKind::Mx,
             c.config.max_combine,
         )
@@ -1109,7 +1029,7 @@ fn advance_buffered_read<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: Syscal
                     .mem
                     .read(page.frame.base().add(page_off), &mut tmp)
                     .expect("cached page readable");
-                let dest = offset_memref(&br.user, br.done, n, asid);
+                let dest = br.user.sub_range(br.done, n);
                 knet_core::write_iovec(w.os_mut().node_mut(node), &IoVec::single(dest), &tmp).ok();
                 let copy = w.os().node(node).cpu.model.memcpy_cost(n);
                 cpu_charge(w, node, copy);
@@ -1184,15 +1104,6 @@ fn advance_buffered_read<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: Syscal
                 return;
             }
         }
-    }
-}
-
-/// A `MemRef` shifted by `delta` bytes and clamped to `len`.
-fn offset_memref(m: &MemRef, delta: u64, len: u64, _asid: Asid) -> MemRef {
-    match *m {
-        MemRef::UserVirtual { asid, addr, .. } => MemRef::user(asid, addr.add(delta), len),
-        MemRef::KernelVirtual { addr, .. } => MemRef::kernel(addr.add(delta), len),
-        MemRef::Physical { addr, .. } => MemRef::physical(addr.add(delta), len),
     }
 }
 
@@ -1278,7 +1189,7 @@ fn advance_buffered_write<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: Sysca
                 w.orfs_mut().client_mut(cid).stats.page_hits += 1;
                 // Copy user → page.
                 let mut tmp = vec![0u8; n as usize];
-                let src = offset_memref(&bw.user, bw.done, n, Asid::KERNEL);
+                let src = bw.user.sub_range(bw.done, n);
                 let data = knet_core::read_iovec(w.os().node(node), &IoVec::single(src))
                     .unwrap_or(tmp.clone());
                 tmp.copy_from_slice(&data[..n as usize]);
@@ -1413,52 +1324,44 @@ fn advance_flush<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
 pub fn client_on_event<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, ev: TransportEvent) {
     match ev {
         TransportEvent::Unexpected { tag, data, .. } => {
-            let Some(p) = w.orfs_mut().client_mut(cid).pending.remove(&tag) else {
+            let Some(sid) = w.orfs_mut().client_mut(cid).reqs.finish(tag) else {
                 return;
             };
             let node = w.orfs().client(cid).ep.node;
             cpu_charge(w, node, codec_cost());
             let resp = Response::decode(&data).unwrap_or(Response::Err(OrfsError::Decode));
-            on_response(w, cid, p.syscall, resp);
+            on_response(w, cid, sid, resp);
         }
         TransportEvent::RecvDone { tag, len, .. } => {
             // Correlate by tag: receive contexts are channel-assigned now,
             // but the reply's tag is the request id the client posted.
-            let Some(p) = w.orfs_mut().client_mut(cid).pending.remove(&tag) else {
+            let Some(sid) = w.orfs_mut().client_mut(cid).reqs.finish(tag) else {
                 return;
             };
-            on_data(w, cid, p.syscall, len);
+            on_data(w, cid, sid, len);
         }
-        TransportEvent::SendDone { ctx } => {
-            w.orfs_mut().client_mut(cid).tx_ctxs.remove(&ctx);
-        }
+        TransportEvent::SendDone { ctx } => w.orfs_mut().client_mut(cid).reqs.sent(ctx),
         TransportEvent::SendFailed { ctx, .. } => {
             // A queued request (or write payload) frame was dropped by its
             // retry: the reply will never come. Fail exactly that request's
             // syscall with a typed error instead of hanging it.
-            let reqid = w.orfs_mut().client_mut(cid).tx_ctxs.remove(&ctx);
-            if let Some(reqid) = reqid {
-                fail_send(w, cid, reqid);
+            let failed = w.orfs_mut().client_mut(cid).reqs.send_failed(ctx);
+            if let Some((reqid, sid)) = failed {
+                fail_request(w, cid, reqid, sid);
             }
         }
-        TransportEvent::PeerDown { peer } => {
+        TransportEvent::PeerDown { .. } => {
             // The server's node is gone: every in-flight operation fails
             // with a typed error — nothing may stall waiting for a reply
             // that can never arrive.
-            if peer.node != w.orfs().client(cid).server.node {
-                return;
-            }
             let ch = w.orfs().client(cid).ch;
-            let (reqids, sids) = {
+            let (failed, sids) = {
                 let c = w.orfs_mut().client_mut(cid);
-                c.tx_ctxs.clear();
-                let reqids: Vec<u64> = c.pending.keys().copied().collect();
                 let sids: Vec<SyscallId> = c.ops.keys().copied().collect();
-                (reqids, sids)
+                (c.reqs.fail_all(), sids)
             };
-            for reqid in reqids {
+            for (reqid, _) in failed {
                 channel_cancel_recv(w, ch, reqid);
-                w.orfs_mut().client_mut(cid).pending.remove(&reqid);
             }
             for sid in sids {
                 finish(w, cid, sid, Err(OrfsError::Net));

@@ -16,6 +16,9 @@ use knet_simfs::{Attr, DirEntry, FileType, FsError, InodeNo};
 /// Tag bit distinguishing bulk-data messages from request/response tags.
 pub const DATA_TAG_BIT: u64 = 1 << 63;
 
+// Request ids (minted by `knet_core::ReqTable`) never occupy it.
+const _: () = assert!(DATA_TAG_BIT & knet_core::REQ_ID_MASK == 0);
+
 /// Largest write payload sent inline behind its header; larger writes are
 /// announced first and stream into a server-posted buffer (staying inside
 /// the transports' eager regime — MX rendezvous needs a posted receive).

@@ -11,10 +11,12 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use knet_core::api::{channel_accept_handler, channel_post_recv, channel_send_to};
-use knet_core::{ChannelId, Endpoint, IoVec, MemRef, NetError, TransportEvent};
+use knet_core::{
+    ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, StagingRing, TransportEvent,
+};
 use knet_simcore::SimTime;
 use knet_simfs::{FsError, InodeNo, SimFs};
-use knet_simos::{cpu_charge, Asid, VirtAddr};
+use knet_simos::{cpu_charge, Asid};
 
 use crate::layer::{OrfsServerId, OrfsWorld};
 use crate::proto::{codec_cost, OrfsError, Request, Response, WireAttr, WireDirEntry};
@@ -34,8 +36,8 @@ pub struct ServerStats {
 struct PendingWrite {
     handle: u32,
     offset: u64,
-    len: u64,
-    ring_addr: VirtAddr,
+    /// The staging-ring buffer posted for the payload, `len` bytes long.
+    staging: MemRef,
     reply_to: Endpoint,
     via: Endpoint,
     tag: u64,
@@ -53,14 +55,12 @@ pub struct OrfsServer {
     /// delay-reordering fabric): stashed by data tag until the header
     /// arrives, then consumed directly instead of posting a buffer for
     /// bytes that already passed. Keyed by tag *and* attributed to their
-    /// sender — per-client request ids restart at 1, so a stale entry from
-    /// one client must never satisfy another client's same-tag write
-    /// (PeerDown cleanup purges a dead client's stash).
+    /// sender — tags are wire input, so an entry from one client must
+    /// never satisfy another client's same-tag write (PeerDown cleanup
+    /// purges a dead client's stash).
     early_payloads: BTreeMap<u64, (Endpoint, Bytes)>,
-    /// Kernel staging ring for outgoing replies.
-    ring: VirtAddr,
-    ring_len: u64,
-    ring_off: u64,
+    /// Kernel staging ring for outgoing replies and announced writes.
+    ring: StagingRing,
     /// Fixed CPU cost to accept and dispatch one request.
     pub handling_cost: SimTime,
     pub stats: ServerStats,
@@ -95,9 +95,7 @@ pub fn server_create<W: OrfsWorld>(
         free_handles: Vec::new(),
         pending_writes: BTreeMap::new(),
         early_payloads: BTreeMap::new(),
-        ring,
-        ring_len: RING_LEN,
-        ring_off: 0,
+        ring: StagingRing::new(ring, Asid::KERNEL, RING_LEN),
         handling_cost: SimTime::from_nanos(700),
         stats: ServerStats::default(),
     });
@@ -133,17 +131,6 @@ impl OrfsServer {
             .get(h as usize)
             .and_then(|x| *x)
             .ok_or(OrfsError::BadHandle)
-    }
-
-    /// Reserve `len` bytes in the staging ring; returns the kernel address.
-    fn ring_reserve(&mut self, len: u64) -> VirtAddr {
-        debug_assert!(len <= self.ring_len);
-        if self.ring_off + len > self.ring_len {
-            self.ring_off = 0;
-        }
-        let addr = self.ring.add(self.ring_off);
-        self.ring_off += len;
-        addr
     }
 
     pub fn open_handles(&self) -> usize {
@@ -326,10 +313,10 @@ pub fn server_on_event<W: OrfsWorld>(
             // overtook the announcement (delay-reordering fabric), or the
             // driver started assembling it before the staging buffer was
             // posted. Never a decodable request — consume it as data.
-            // Tags collide across clients (per-client reqids restart at
-            // 1), so a pending write is consumed only by *its own*
-            // client's payload; a colliding stranger's payload is stashed
-            // under its sender instead.
+            // Tags are wire input (a well-behaved client's are unique,
+            // see `knet_core::ReqTable`), so a pending write is consumed
+            // only by *its own* client's payload; a colliding stranger's
+            // payload is stashed under its sender instead.
             let own_pending = {
                 let s = w.orfs_mut().server_mut(sid);
                 if s.pending_writes
@@ -347,7 +334,7 @@ pub fn server_on_event<W: OrfsWorld>(
                 // and apply the write from the bounced bytes.
                 let ch = server_channel(w, pw.via);
                 knet_core::api::channel_cancel_recv(w, ch, tag);
-                let n = (data.len() as u64).min(pw.len);
+                let n = (data.len() as u64).min(pw.staging.len());
                 apply_write(
                     w,
                     sid,
@@ -358,9 +345,11 @@ pub fn server_on_event<W: OrfsWorld>(
                     pw.offset,
                     &data[..n as usize],
                 );
-            } else {
+            } else if data.len() as u64 <= RING_LEN {
                 // Payload before its announcement: stash until the header
-                // arrives.
+                // arrives. (A payload the ring could never stage belongs
+                // to a write that is refused whichever message comes
+                // first; it is dropped here.)
                 w.orfs_mut()
                     .server_mut(sid)
                     .early_payloads
@@ -416,11 +405,8 @@ fn complete_pending_write<W: OrfsWorld>(w: &mut W, sid: OrfsServerId, tag: u64, 
         return;
     };
     let node = w.orfs().server(sid).ep.node;
-    let mut data = vec![0u8; got.min(pw.len) as usize];
-    w.os()
-        .node(node)
-        .read_virt(Asid::KERNEL, pw.ring_addr, &mut data)
-        .expect("ring mapped");
+    let landed = IoVec::single(pw.staging.sub_range(0, got));
+    let data = knet_core::read_iovec(w.os().node(node), &landed).expect("ring mapped");
     apply_write(
         w,
         sid,
@@ -433,8 +419,9 @@ fn complete_pending_write<W: OrfsWorld>(w: &mut W, sid: OrfsServerId, tag: u64, 
     );
 }
 
-/// Execute an announced write's payload against the file system and send
-/// the `Written` (or error) reply.
+/// Execute a write's payload (inline behind its header, or announced and
+/// landed since) against the file system and send the `Written` (or
+/// error) reply.
 #[allow(clippy::too_many_arguments)]
 fn apply_write<W: OrfsWorld>(
     w: &mut W,
@@ -507,6 +494,11 @@ fn server_handle_request<W: OrfsWorld>(
             let (result, fs_cost) = {
                 let s = w.orfs_mut().server_mut(sid);
                 let r = s.handle_ino(handle).and_then(|ino| {
+                    // `len` is wire input: a read the ring could never
+                    // stage is refused before anything is allocated.
+                    if len > RING_LEN {
+                        return Err(OrfsError::Fs(FsError::FileTooBig));
+                    }
                     let mut buf = vec![0u8; len as usize];
                     let n =
                         s.fs.read(ino, offset, &mut buf, now)
@@ -524,17 +516,12 @@ fn server_handle_request<W: OrfsWorld>(
                     // memory) and send.
                     let copy = w.os().node(node).cpu.model.memcpy_cost(n);
                     cpu_charge(w, node, copy);
-                    let addr = w.orfs_mut().server_mut(sid).ring_reserve(n.max(1));
-                    w.os_mut()
-                        .node_mut(node)
-                        .write_virt(Asid::KERNEL, addr, &buf)
-                        .expect("ring is mapped");
+                    let seg = stage(w, sid, &[&buf]).expect("reads are bounded by RING_LEN");
                     let s = w.orfs_mut().server_mut(sid);
                     s.stats.bytes_read += n;
                     s.stats.replies += 1;
-                    let iov = IoVec::single(MemRef::kernel(addr, n));
                     let ch = server_channel(w, via);
-                    let _ = channel_send_to(w, ch, from, tag, iov);
+                    let _ = channel_send_to(w, ch, from, tag, IoVec::single(seg));
                 }
                 Err(e) => {
                     w.orfs_mut().server_mut(sid).stats.errors += 1;
@@ -560,7 +547,7 @@ fn server_handle_request<W: OrfsWorld>(
                 let early = {
                     let s = w.orfs_mut().server_mut(sid);
                     // Consume only the *announcing client's own* payload —
-                    // tags collide across clients (per-client reqids).
+                    // tags are wire input.
                     if s.early_payloads.get(&key).is_some_and(|(f, _)| *f == from) {
                         s.early_payloads.remove(&key).map(|(_, b)| b)
                     } else {
@@ -573,44 +560,31 @@ fn server_handle_request<W: OrfsWorld>(
                     return;
                 }
                 // Post a staging-ring buffer for the payload to land in.
-                let ring_addr = w.orfs_mut().server_mut(sid).ring_reserve(len);
+                // `len` is wire input: a write larger than the whole ring
+                // is refused with a typed error and nothing is posted.
+                let Some(staging) = w.orfs_mut().server_mut(sid).ring.reserve(len) else {
+                    w.orfs_mut().server_mut(sid).stats.errors += 1;
+                    let refusal = Response::Err(OrfsError::Fs(FsError::FileTooBig));
+                    reply_meta(w, sid, tag, via, from, refusal);
+                    return;
+                };
                 w.orfs_mut().server_mut(sid).pending_writes.insert(
-                    tag | crate::proto::DATA_TAG_BIT,
+                    key,
                     PendingWrite {
                         handle,
                         offset,
-                        len,
-                        ring_addr,
+                        staging,
                         reply_to: from,
                         via,
                         tag,
                     },
                 );
-                let iov = IoVec::single(MemRef::kernel(ring_addr, len));
                 let ch = server_channel(w, via);
-                let _ = channel_post_recv(w, ch, tag | crate::proto::DATA_TAG_BIT, iov);
+                let _ = channel_post_recv(w, ch, key, IoVec::single(staging));
                 return;
             }
             debug_assert_eq!(data.len() as u64, len, "write payload length");
-            let (resp, fs_cost) = {
-                let s = w.orfs_mut().server_mut(sid);
-                let r = s
-                    .handle_ino(handle)
-                    .and_then(|ino| s.fs.write(ino, offset, data, now).map_err(OrfsError::from));
-                let cost = s.fs.take_cost();
-                match r {
-                    Ok(n) => {
-                        s.stats.bytes_written += n as u64;
-                        (Response::Written(n as u64), cost)
-                    }
-                    Err(e) => {
-                        s.stats.errors += 1;
-                        (Response::Err(e), cost)
-                    }
-                }
-            };
-            cpu_charge(w, node, fs_cost);
-            reply_meta(w, sid, tag, via, from, resp);
+            apply_write(w, sid, via, from, tag, handle, offset, data);
         }
         other => {
             let (resp, fs_cost) = {
@@ -642,18 +616,19 @@ fn reply_meta<W: OrfsWorld>(
 ) {
     let node = w.orfs().server(sid).ep.node;
     cpu_charge(w, node, codec_cost());
-    let bytes = resp.encode();
-    let addr = w
-        .orfs_mut()
-        .server_mut(sid)
-        .ring_reserve(bytes.len() as u64);
-    w.os_mut()
-        .node_mut(node)
-        .write_virt(Asid::KERNEL, addr, &bytes)
-        .expect("ring is mapped");
-    let s = w.orfs_mut().server_mut(sid);
-    s.stats.replies += 1;
-    let iov = IoVec::single(MemRef::kernel(addr, bytes.len() as u64));
+    // A reply larger than the whole ring (a huge directory listing) is
+    // answered with a typed error instead.
+    let too_big = Response::Err(OrfsError::Fs(FsError::FileTooBig));
+    let seg = stage(w, sid, &[&resp.encode()])
+        .or_else(|| stage(w, sid, &[&too_big.encode()]))
+        .expect("an error reply fits the ring");
+    w.orfs_mut().server_mut(sid).stats.replies += 1;
     let ch = server_channel(w, via);
-    let _ = channel_send_to(w, ch, to, tag, iov);
+    let _ = channel_send_to(w, ch, to, tag, IoVec::single(seg));
+}
+
+/// Stage `parts` end to end in the server's ring, if they can ever fit.
+fn stage<W: OrfsWorld>(w: &mut W, sid: OrfsServerId, parts: &[&[u8]]) -> Option<MemRef> {
+    let node = w.orfs().server(sid).ep.node;
+    ring_stage(w, node, |w| &mut w.orfs_mut().server_mut(sid).ring, parts)
 }

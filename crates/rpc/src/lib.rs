@@ -45,10 +45,12 @@ use std::sync::Arc;
 
 use knet_core::api::{
     channel_abort_queued_send, channel_accept_handler, channel_cancel_recv, channel_close,
-    channel_connect_handler, channel_post_recv, channel_send, channel_send_to, ctx_slot,
-    DispatchWorld,
+    channel_connect_handler, channel_post_recv, channel_send, channel_send_to, DispatchWorld,
 };
-use knet_core::{ChannelId, CqId, Endpoint, IoVec, MemRef, NetError, RpcError, TransportEvent};
+use knet_core::{
+    ring_stage, ChannelId, CqId, Endpoint, IoVec, MemRef, NetError, RpcError, SendMap, StagingRing,
+    TransportEvent,
+};
 use knet_simcore::{emit_after, emit_at, now, SimEvent, SimTime, SplitMix64};
 use knet_simos::{Asid, NodeId, VirtAddr};
 
@@ -312,11 +314,8 @@ pub struct RpcClient<W: ?Sized> {
     rng: SplitMix64,
     calls: Vec<CallSlot>,
     free: Vec<u32>,
-    /// Dense map: channel send-context slot → call slot + 1 (`0` =
-    /// none). Send contexts are pooled per channel (see `ctx_slot`), so
-    /// this stays bounded by the in-flight window — no per-call map
-    /// insertion on the warm path.
-    tx_slots: Vec<u32>,
+    /// In-flight request sends → the call slot each carries.
+    tx: SendMap<u32>,
     /// Buffer region: `window` slots of `req_cap + resp_cap` bytes each.
     region: VirtAddr,
     pub stats: RpcClientStats,
@@ -499,10 +498,10 @@ pub struct RpcServer {
     pub ep: Endpoint,
     pub ch: ChannelId,
     cfg: RpcServerConfig,
-    ring: VirtAddr,
-    ring_off: u64,
-    /// Dense map: reply send-context slot → occupied flag.
-    reply_slots: Vec<u8>,
+    /// Reply staging ring.
+    ring: StagingRing,
+    /// Reply sends in flight (they count toward the overload watermark).
+    reply_tx: SendMap<()>,
     replies_in_flight: u32,
     defers: Vec<DeferSlot>,
     defer_free: Vec<u32>,
@@ -512,16 +511,6 @@ pub struct RpcServer {
 }
 
 impl RpcServer {
-    fn ring_reserve(&mut self, len: u64) -> VirtAddr {
-        debug_assert!(len <= self.cfg.ring);
-        if self.ring_off + len > self.cfg.ring {
-            self.ring_off = 0;
-        }
-        let a = self.ring.add(self.ring_off);
-        self.ring_off += len;
-        a
-    }
-
     fn pending(&self) -> u32 {
         self.replies_in_flight + self.defers_pending
     }
@@ -637,7 +626,7 @@ pub fn rpc_client_create<W: RpcWorld>(
         rng: SplitMix64::new(cfg.seed ^ ((id.0 as u64) << 17)),
         calls: Vec::new(),
         free: Vec::new(),
-        tx_slots: Vec::new(),
+        tx: SendMap::default(),
         region,
         stats: RpcClientStats::default(),
     });
@@ -648,8 +637,8 @@ pub fn rpc_client_create<W: RpcWorld>(
 /// re-resolution). Pending calls must already be resolved — `PeerDown`
 /// does that when the old server died. The old channel is torn down
 /// (queued sends complete as `SendFailed` first) and a fresh one
-/// connected; the new channel's context pool restarts, so the dense send
-/// map is cleared.
+/// connected; the new channel's context pool restarts, so the send map is
+/// cleared.
 pub fn rpc_retarget<W: RpcWorld>(w: &mut W, cid: RpcClientId, server: Endpoint) {
     let (ep, old_ch) = {
         let c = &w.rpc().clients[cid.0 as usize];
@@ -666,9 +655,7 @@ pub fn rpc_retarget<W: RpcWorld>(w: &mut W, cid: RpcClientId, server: Endpoint) 
     let c = &mut w.rpc_mut().clients[cid.0 as usize];
     c.ch = ch;
     c.server = server;
-    for v in &mut c.tx_slots {
-        *v = 0;
-    }
+    c.tx.clear();
 }
 
 /// Submit a typed call: `payload` goes out under `method`; the reply (or
@@ -848,12 +835,7 @@ fn transmit<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32) {
                 s.retry_seq = s.retry_seq.wrapping_add(1);
                 let attempt = s.attempt;
                 let seq = s.retry_seq;
-                if let Some(cs) = ctx_slot(ctx) {
-                    if cs >= c.tx_slots.len() {
-                        c.tx_slots.resize(cs + 1, 0);
-                    }
-                    c.tx_slots[cs] = slot + 1;
-                }
+                c.tx.insert(ctx, slot);
                 // Fold backoff into the inter-attempt gap: reply window
                 // first, jittered exponential spacing on top.
                 let delay = policy.attempt_timeout + policy.backoff(&mut c.rng, attempt);
@@ -976,12 +958,7 @@ fn resolve<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32, result: Result<u
         // never left the node, withdraw it. Either way, a late SendDone
         // must find no mapping.
         let _ = channel_abort_queued_send(w, ch, ctx);
-        let c = &mut w.rpc_mut().clients[cid.0 as usize];
-        if let Some(cs) = ctx_slot(ctx) {
-            if cs < c.tx_slots.len() {
-                c.tx_slots[cs] = 0;
-            }
-        }
+        w.rpc_mut().clients[cid.0 as usize].tx.take(ctx);
     }
     let mut drain = false;
     if result.is_err() && recv_armed {
@@ -1104,26 +1081,17 @@ fn rpc_on_client_event<W: RpcWorld>(w: &mut W, cid: RpcClientId, ev: TransportEv
     match ev {
         TransportEvent::SendDone { ctx } => {
             let c = &mut w.rpc_mut().clients[cid.0 as usize];
-            if let Some(cs) = ctx_slot(ctx) {
-                if cs < c.tx_slots.len() && c.tx_slots[cs] != 0 {
-                    let slot = c.tx_slots[cs] - 1;
-                    c.tx_slots[cs] = 0;
-                    let s = &mut c.calls[slot as usize];
-                    if s.tx_ctx == Some(ctx) {
-                        s.tx_ctx = None;
-                    }
+            if let Some(slot) = c.tx.take(ctx) {
+                let s = &mut c.calls[slot as usize];
+                if s.tx_ctx == Some(ctx) {
+                    s.tx_ctx = None;
                 }
             }
         }
         TransportEvent::SendFailed { ctx, error } => {
             let slot = {
                 let c = &mut w.rpc_mut().clients[cid.0 as usize];
-                let Some(cs) = ctx_slot(ctx) else { return };
-                if cs >= c.tx_slots.len() || c.tx_slots[cs] == 0 {
-                    return;
-                }
-                let slot = c.tx_slots[cs] - 1;
-                c.tx_slots[cs] = 0;
+                let Some(slot) = c.tx.take(ctx) else { return };
                 let s = &mut c.calls[slot as usize];
                 if s.tx_ctx != Some(ctx) || s.state != CallState::Pending {
                     return;
@@ -1143,6 +1111,7 @@ fn rpc_on_client_event<W: RpcWorld>(w: &mut W, cid: RpcClientId, ev: TransportEv
             // already consumed, or a straggler past resolution.
             w.rpc_mut().clients[cid.0 as usize].stats.late_replies += 1;
         }
+        // A connected channel hears of its own peer's death only.
         TransportEvent::PeerDown { .. } => on_client_peer_down(w, cid),
         _ => {}
     }
@@ -1288,9 +1257,8 @@ pub fn rpc_server_create<W: RpcWorld>(
         ep,
         ch,
         cfg,
-        ring,
-        ring_off: 0,
-        reply_slots: Vec::new(),
+        ring: StagingRing::new(ring, Asid::KERNEL, cfg.ring),
+        reply_tx: SendMap::default(),
         replies_in_flight: 0,
         defers: Vec::new(),
         defer_free: Vec::new(),
@@ -1315,11 +1283,8 @@ fn rpc_on_server_event<W: RpcWorld>(
             // toward the overload watermark. Lost replies are repaired by
             // the client's retry and the idempotency cache.
             let s = &mut w.rpc_mut().servers[sid.0 as usize];
-            if let Some(cs) = ctx_slot(ctx) {
-                if cs < s.reply_slots.len() && s.reply_slots[cs] != 0 {
-                    s.reply_slots[cs] = 0;
-                    s.replies_in_flight -= 1;
-                }
+            if s.reply_tx.take(ctx).is_some() {
+                s.replies_in_flight -= 1;
             }
         }
         TransportEvent::PeerDown { peer } => {
@@ -1560,34 +1525,27 @@ fn stage_and_send<W: RpcWorld>(
     frame: Vec<u8>,
     had_cap: usize,
 ) {
-    let (node, ch, addr) = {
-        let s = &mut w.rpc_mut().servers[sid.0 as usize];
-        let addr = s.ring_reserve(frame.len() as u64);
-        (s.ep.node, s.ch, addr)
+    let (ch, node) = {
+        let s = &w.rpc().servers[sid.0 as usize];
+        (s.ch, s.ep.node)
     };
-    w.os_mut()
-        .node_mut(node)
-        .write_virt(Asid::KERNEL, addr, &frame)
-        .expect("rpc reply staging");
-    let len = frame.len() as u64;
+    let staged = ring_stage(
+        w,
+        node,
+        |w| &mut w.rpc_mut().servers[sid.0 as usize].ring,
+        &[&frame],
+    );
     w.rpc_mut().frame_scratch.put(frame, had_cap);
-    match channel_send_to(w, ch, to, corr, IoVec::single(MemRef::kernel(addr, len))) {
-        Ok(ctx) => {
-            let s = &mut w.rpc_mut().servers[sid.0 as usize];
-            s.stats.replies += 1;
-            if let Some(cs) = ctx_slot(ctx) {
-                if cs >= s.reply_slots.len() {
-                    s.reply_slots.resize(cs + 1, 0);
-                }
-                s.reply_slots[cs] = 1;
-                s.replies_in_flight += 1;
-            }
-        }
-        Err(_) => {
-            // The reply could not even be queued (peer declared dead,
-            // queue overflow): drop it — the client's retry machinery and
-            // the idempotency cache repair the loss.
-        }
+    // A reply frame the ring can never hold (a service answering past
+    // `RpcServerConfig::ring`), or one that could not even be queued (peer
+    // declared dead, queue overflow), is dropped — the client's retry
+    // machinery and the idempotency cache repair the loss.
+    let Some(seg) = staged else { return };
+    if let Ok(ctx) = channel_send_to(w, ch, to, corr, IoVec::single(seg)) {
+        let s = &mut w.rpc_mut().servers[sid.0 as usize];
+        s.stats.replies += 1;
+        s.reply_tx.insert(ctx, ());
+        s.replies_in_flight += 1;
     }
 }
 

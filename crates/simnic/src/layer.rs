@@ -317,8 +317,8 @@ pub trait NicWorld: OsWorld {
 
     /// A reliability window exhausted its retry budget: the `(proto,
     /// local, remote)` link is dead. The composed world propagates this as
-    /// `PeerDown` to every channel above; the default (raw fabric tests,
-    /// benchmark substrates) ignores it.
+    /// `PeerDown` to the channels above that face the dead node; the
+    /// default (raw fabric tests, benchmark substrates) ignores it.
     fn nic_link_dead(&mut self, _proto: Proto, _local: NicId, _remote: NicId) {}
 
     /// The collective engine (see [`crate::coll`]) has something for the

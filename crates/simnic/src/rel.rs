@@ -41,7 +41,8 @@
 //!   round would have wasted). [`RelParams::max_retries`] fruitless rounds
 //!   declare the link **dead**: the window is torn down, subsequent sends
 //!   fail synchronously, and the composed world is told through
-//!   [`NicWorld::nic_link_dead`] so `PeerDown` reaches every channel above.
+//!   [`NicWorld::nic_link_dead`] so `PeerDown` reaches the channels above
+//!   that face the dead node.
 //! * a retransmission that turns out to have been unnecessary — the ack
 //!   that finally progresses echoes a timestamp *older* than the last RTO
 //!   round, so the original copy had arrived all along (Eifel detection) —

@@ -37,7 +37,9 @@ use knet_core::api::{
     channel_cancel_recv, channel_close, channel_connect_handler, channel_post_recv, channel_send,
     release_kernel_buffer,
 };
-use knet_core::{ChannelId, Endpoint, IoVec, MemRef, NetError, TransportEvent, TransportKind};
+use knet_core::{
+    ChannelId, Endpoint, IoVec, MemRef, NetError, SendMap, TransportEvent, TransportKind,
+};
 use knet_simos::{cpu_charge, Asid, VirtAddr};
 
 use crate::params::ZsockParams;
@@ -166,11 +168,8 @@ pub struct Sock {
     /// Live ring extents (`offset → len`), so a reservation never
     /// overwrites bytes still in flight.
     ring_live: BTreeMap<u64, u64>,
-    /// In-flight sends, slab-indexed by the channel context's pooled slot
-    /// ([`knet_core::ctx_slot`]): O(1), allocation-free at the in-flight
-    /// high-water mark. Each slot stores the full context value so a
-    /// recycled slot can never complete someone else's frame.
-    tx_inflight: Vec<Option<(u64, TxDone)>>,
+    /// In-flight sends → what each completion releases and reports.
+    tx: SendMap<TxDone>,
     next_op: u64,
     /// Set when a frame was lost (a send failed after its sequence number
     /// was committed): the stream can never be whole again, so the socket
@@ -373,7 +372,7 @@ pub fn sock_create<W: ZsockWorld>(
         ring_len: SOCK_RING,
         ring_off: 0,
         ring_live: BTreeMap::new(),
-        tx_inflight: Vec::new(),
+        tx: SendMap::default(),
         next_op: 1,
         error: None,
         completed: VecDeque::new(),
@@ -423,16 +422,9 @@ pub fn sock_close<W: ZsockWorld>(w: &mut W, sid: SockId) {
     let node = sock.ep.node;
     // Dedicated heap staging still in flight dies with the socket.
     let mut heaps: Vec<(VirtAddr, u64)> = Vec::new();
-    for entry in sock.tx_inflight.iter().flatten() {
-        if let (
-            _,
-            TxDone {
-                buf: Some(SockBuf::Heap { addr, len }),
-                ..
-            },
-        ) = entry
-        {
-            heaps.push((*addr, *len));
+    for done in sock.tx.values() {
+        if let Some(SockBuf::Heap { addr, len }) = done.buf {
+            heaps.push((addr, len));
         }
     }
     for inbound in sock.inbound.values() {
@@ -483,16 +475,8 @@ fn track_send<W: ZsockWorld>(
 ) {
     match sent {
         Ok(ctx) => {
-            let slot = knet_core::ctx_slot(ctx).expect("channel send contexts are pooled");
             let s = w.zsock_mut().sock_mut(sid);
-            if s.tx_inflight.len() <= slot {
-                s.tx_inflight.resize_with(slot + 1, || None);
-            }
-            debug_assert!(
-                s.tx_inflight[slot].is_none(),
-                "slot recycled while in flight"
-            );
-            s.tx_inflight[slot] = Some((ctx, TxDone { op, buf }));
+            s.tx.insert(ctx, TxDone { op, buf });
         }
         Err(e) => {
             if let Some(buf) = buf {
@@ -500,20 +484,6 @@ fn track_send<W: ZsockWorld>(
             }
             poison(w, sid, e, op);
         }
-    }
-}
-
-/// Take the in-flight record of `ctx`, if this socket owns it (full
-/// context values are compared, so a recycled pool slot never matches a
-/// stale record).
-fn tx_take<W: ZsockWorld>(w: &mut W, sid: SockId, ctx: u64) -> Option<TxDone> {
-    let slot = knet_core::ctx_slot(ctx)?;
-    let s = w.zsock_mut().sock_mut(sid);
-    let entry = s.tx_inflight.get_mut(slot)?;
-    if entry.as_ref().is_some_and(|(c, _)| *c == ctx) {
-        entry.take().map(|(_, t)| t)
-    } else {
-        None
     }
 }
 
@@ -709,20 +679,14 @@ fn drain_rx<W: ZsockWorld>(w: &mut W, sid: SockId) {
 pub fn sock_on_event<W: ZsockWorld>(w: &mut W, sid: SockId, ev: TransportEvent) {
     // A completion can race a close (e.g. teardown-time SendFailed replay
     // ordering): a stale socket id is simply ignored.
-    let Some((node, kind, peer_node)) = w
-        .zsock()
-        .try_sock(sid)
-        .map(|s| (s.ep.node, s.ep.kind, s.peer_ep.node))
-    else {
+    let Some((node, kind)) = w.zsock().try_sock(sid).map(|s| (s.ep.node, s.ep.kind)) else {
         return;
     };
-    if let TransportEvent::PeerDown { peer } = ev {
+    if let TransportEvent::PeerDown { .. } = ev {
         // The driver's reliability window declared the peer dead: the
         // stream can never be whole again. Fail every parked reader and
         // all future ops instead of stalling.
-        if peer.node == peer_node {
-            poison(w, sid, NetError::PeerUnreachable, None);
-        }
+        poison(w, sid, NetError::PeerUnreachable, None);
         return;
     }
     // The SOCKETS-GM dispatcher thread: every completion is picked up by an
@@ -799,7 +763,7 @@ pub fn sock_on_event<W: ZsockWorld>(w: &mut W, sid: SockId, ev: TransportEvent) 
             on_data_landed(w, sid, tag - TAG_DATA_BASE, len);
         }
         TransportEvent::SendDone { ctx } => {
-            let done = tx_take(w, sid, ctx);
+            let done = w.zsock_mut().sock_mut(sid).tx.take(ctx);
             if let Some(t) = done {
                 if let Some(buf) = t.buf {
                     stage_release(w, sid, buf);
@@ -814,7 +778,7 @@ pub fn sock_on_event<W: ZsockWorld>(w: &mut W, sid: SockId, ev: TransportEvent) 
             // A backpressure-queued frame was dropped by its retry: the
             // stream has a hole the peer can never fill. Release the
             // staging, fail the op, poison the socket.
-            let done = tx_take(w, sid, ctx);
+            let done = w.zsock_mut().sock_mut(sid).tx.take(ctx);
             if let Some(t) = done {
                 if let Some(buf) = t.buf {
                     stage_release(w, sid, buf);
@@ -862,7 +826,7 @@ fn on_header<W: ZsockWorld>(w: &mut W, sid: SockId, seq: u64, len: u64) {
             let s = w.zsock_mut().sock_mut(sid);
             s.waiting.pop_front().expect("checked")
         };
-        let dst = clamp_memref(&p.dst, len);
+        let dst = p.dst.sub_range(0, len);
         let _ = channel_post_recv(w, ch, TAG_DATA_BASE + seq, IoVec::single(dst));
         let s = w.zsock_mut().sock_mut(sid);
         s.inbound
@@ -946,12 +910,4 @@ fn accept_in_order<W: ZsockWorld>(w: &mut W, sid: SockId, seq: u64, data: Bytes)
     let s = w.zsock_mut().sock_mut(sid);
     s.reorder.insert(seq, data);
     promote_reorder(s);
-}
-
-fn clamp_memref(m: &MemRef, len: u64) -> MemRef {
-    match *m {
-        MemRef::UserVirtual { asid, addr, len: l } => MemRef::user(asid, addr, l.min(len)),
-        MemRef::KernelVirtual { addr, len: l } => MemRef::kernel(addr, l.min(len)),
-        MemRef::Physical { addr, len: l } => MemRef::physical(addr, l.min(len)),
-    }
 }

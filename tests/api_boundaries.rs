@@ -225,6 +225,39 @@ fn kv_store_speaks_typed_rpc_only() {
     );
 }
 
+/// The request seam (`knet_core::req`) exists once. Every service above
+/// the channel used to carry its own copy of the same plumbing — a
+/// send-context → record map, a blind wrap-around staging ring, a
+/// request-id mint with its pending map — and the copies drifted (one
+/// forgot the peer-death rule, all of them bounded their ring with a
+/// `debug_assert`). These are the names the copies went by; none may grow
+/// back in a service crate. (The socket layer keeps a ring of its own —
+/// *tracked* extents, a different algorithm — so only the map and mint
+/// names are fenced there.)
+const REQ_SEAM_FORBIDDEN: &[&str] = &["crates/orfs", "crates/nbd", "crates/rpc", "crates/kv"];
+
+#[test]
+fn request_plumbing_lives_in_the_shared_seam_only() {
+    // Patterns assembled at runtime so this file never matches itself.
+    let maps_and_mints = vec![
+        format!("tx_{}", "ctxs"),
+        format!("tx_{}", "slots"),
+        format!("reply_{}", "slots"),
+        format!("tx_{}", "inflight"),
+        format!("next_{}", "reqid"),
+    ];
+    let mut everything = maps_and_mints.clone();
+    everything.push(format!("fn ring_{}", "reserve"));
+    let mut offenders = offenders_for(REQ_SEAM_FORBIDDEN, &everything);
+    offenders.extend(offenders_for(&["crates/zsock"], &maps_and_mints));
+    assert!(
+        offenders.is_empty(),
+        "a service re-grew its own request plumbing (use knet_core's \
+         SendMap / StagingRing / ReqTable):\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// Directories that must not bypass the WDRR scheduler. The tenant-stamped
 /// send entry points (`t_send_t`, `gm_send_t`, `mx_isend_t`) are the seam
 /// *below* per-tenant fair queueing: calling them directly would let a

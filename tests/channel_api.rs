@@ -1138,3 +1138,50 @@ fn ghost_purge_covers_reuse_with_a_different_queue() {
         "handler-backed reuse also purges the previous queue"
     );
 }
+
+/// Who hears about a dead node is decided in `api::peer_down` and nowhere
+/// else. On the node facing the casualty: a connected channel hears
+/// `PeerDown` iff its own peer lives on the dead node; an accept-side
+/// channel (one endpoint, many peers) always does, whichever peer it
+/// happened to learn first — and identifies the casualty by node only.
+#[test]
+fn peer_down_reaches_only_the_channels_that_can_hold_state_for_the_dead_node() {
+    let mut w = ClusterBuilder::new()
+        .nodes(3, CpuModel::xeon_2600())
+        .build();
+    let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+    let cq = w.new_cq();
+    let ep = |w: &mut ClusterWorld, n| w.open_mx_cq(n, MxEndpointConfig::kernel(), cq).unwrap();
+    let (to_live, to_dead, acceptor) = (ep(&mut w, n0), ep(&mut w, n0), ep(&mut w, n0));
+    let (live, dead) = (ep(&mut w, n1), ep(&mut w, n2));
+    api::channel_connect(&mut w, to_live, live, cq);
+    api::channel_connect(&mut w, to_dead, dead, cq);
+    let acc = api::channel_accept(&mut w, acceptor, cq);
+    // The acceptor learns a peer on the *live* node first.
+    let live_ch = api::channel_connect(&mut w, live, acceptor, cq);
+    let hello = kbuf(&mut w, n1, 64);
+    channel_send(&mut w, live_ch, 1, hello.iov(64)).unwrap();
+    run_to_quiescence(&mut w);
+    assert_eq!(api::channel_peer(&w, acc), Some(live));
+    while w.registry.cq_pop(cq).is_some() {}
+
+    api::peer_down(&mut w, TransportKind::Mx, n0, n2);
+
+    let mut heard = Vec::new();
+    while let Some(e) = w.registry.cq_pop(cq) {
+        match e.event {
+            TransportEvent::PeerDown { peer } => heard.push((e.ep, peer)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    let casualty = Endpoint {
+        kind: TransportKind::Mx,
+        node: n2,
+        idx: u32::MAX,
+    };
+    assert_eq!(
+        heard,
+        [(to_dead, dead), (acceptor, casualty)],
+        "the channel connected to the live node must hear nothing"
+    );
+}

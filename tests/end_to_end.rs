@@ -167,6 +167,42 @@ fn direct_writes_are_synchronous_and_vectorial_on_mx() {
     }
 }
 
+/// The server stages an announced write in a fixed 4 MB ring, and the
+/// announced length is wire input: a write the ring can never hold is
+/// refused with a typed error — it must not take the server down (it used
+/// to, in both build profiles) — and the server keeps serving.
+#[test]
+fn a_write_larger_than_the_server_ring_is_refused_typed_and_the_server_keeps_serving() {
+    for kind in [TransportKind::Mx, TransportKind::Gm] {
+        let mut fx = fs_fixture(FsOpts {
+            kind,
+            file_len: 4096,
+            ..FsOpts::default()
+        });
+        let fd = fsops::open(&mut fx.w, fx.cid, "/data", true).unwrap();
+        let big = ubuf(&mut fx.w, fx.client_node, 5 << 20);
+        let refused = fsops::write(&mut fx.w, fx.cid, fd, big.memref(5 << 20), 0);
+        assert!(refused.is_err(), "{kind:?}: 5 MB write gave {refused:?}");
+
+        let data = vec![0x5A; 4096];
+        fx.w.os
+            .node_mut(fx.user.node)
+            .write_virt(fx.user.asid, fx.user.addr, &data)
+            .unwrap();
+        let n = fsops::write(&mut fx.w, fx.cid, fd, fx.user.memref(4096), 0);
+        assert_eq!(n, Ok(4096), "{kind:?}: the server stopped serving");
+        let n = fsops::read(&mut fx.w, fx.cid, fd, fx.user.memref_at(4096, 4096), 0);
+        assert_eq!(n, Ok(4096));
+        run_to_quiescence(&mut fx.w);
+        let back = read_user_buf(&fx.w, &fx.user, 8192);
+        assert_eq!(&back[4096..], &data[..], "{kind:?}: the small write landed");
+
+        let server = &fx.w.orfs.servers[0];
+        assert_eq!(server.stats.errors, 1, "{kind:?}: one refusal, counted");
+        assert_eq!(server.staging_len(), 0, "{kind:?}: nothing stays staged");
+    }
+}
+
 #[test]
 fn namespace_operations_work_end_to_end() {
     let mut fx = fs_fixture(FsOpts::default());
@@ -350,4 +386,69 @@ fn two_clients_share_one_server_consistently() {
         .read_virt(ub.asid, ub.addr, &mut back)
         .unwrap();
     assert_eq!(&back, msg, "cross-transport, cross-client consistency");
+}
+
+/// Request ids are wire tags, and the server keys its announced-write
+/// state by tag alone — so two clients that have issued the same number of
+/// requests must still never present the same tag. Two kernel clients run
+/// *identical* op sequences against one server, then one concurrent
+/// announced (256 kB, direct) write each: both complete, and each file
+/// holds its own client's bytes. (With per-client counters from 1 the two
+/// writes shared a tag, one announcement overwrote the other's staging
+/// record, and one syscall never completed.)
+#[test]
+fn concurrent_announced_writes_of_two_clients_never_share_a_tag() {
+    const LEN: u64 = 256 * 1024;
+    let mut w = ClusterBuilder::new()
+        .nodes(3, CpuModel::xeon_2600())
+        .build();
+    let server_ep = w.open_mx(NodeId(2), MxEndpointConfig::kernel()).unwrap();
+    knet_orfs::server_create(&mut w, server_ep, SimFs::with_defaults()).unwrap();
+
+    let mut clients = Vec::new();
+    for (node, path, fill) in [(NodeId(0), "/a", 0xA1u8), (NodeId(1), "/b", 0xB2)] {
+        let user = ubuf(&mut w, node, LEN);
+        let ep = w.open_mx(node, MxEndpointConfig::kernel()).unwrap();
+        let cid = knet_orfs::client_create(
+            &mut w,
+            ep,
+            server_ep,
+            ClientKind::KernelVfs,
+            user.asid,
+            VfsConfig::default(),
+        )
+        .unwrap();
+        w.os.node_mut(node)
+            .write_virt(user.asid, user.addr, &vec![fill; LEN as usize])
+            .unwrap();
+        clients.push((cid, user, path, fill));
+    }
+    // The same op sequence on both clients: their request counters agree.
+    let mut fds = Vec::new();
+    for (cid, _, path, _) in &clients {
+        fsops::create(&mut w, *cid, path, 0o644).unwrap();
+        fds.push(fsops::open(&mut w, *cid, path, true).unwrap());
+    }
+    // Both writes in flight before either is waited for.
+    let writes: Vec<_> = clients
+        .iter()
+        .zip(&fds)
+        .map(|((cid, user, _, _), fd)| knet_orfs::op_write(&mut w, *cid, *fd, user.memref(LEN), 0))
+        .collect();
+    for ((cid, ..), sid) in clients.iter().zip(writes) {
+        let done = knet::harness::orfs_wait(&mut w, *cid, sid);
+        assert_eq!(done, Ok(knet_orfs::SysRet::Bytes(LEN)));
+    }
+    for (_, _, path, fill) in &clients {
+        let fs = &mut w.orfs.servers[0].fs;
+        let ino = fs.lookup_path(path).unwrap();
+        let mut back = vec![0u8; LEN as usize];
+        let n = fs.read(ino, 0, &mut back, knet_simcore::SimTime::ZERO);
+        assert_eq!(n, Ok(LEN as usize));
+        assert!(
+            back.iter().all(|b| b == fill),
+            "{path} holds another client's bytes"
+        );
+    }
+    assert_eq!(w.orfs.servers[0].staging_len(), 0);
 }

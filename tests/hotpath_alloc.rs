@@ -800,3 +800,73 @@ fn collective_rounds_recycle_pools_in_steady_state() {
     // during warm-up too — collective frames ride the same windows.
     assert_eq!(w.nics.rel.stats.retransmits, 0, "lossless fabric");
 }
+
+/// The request seam above the channel (`knet_core::req`) rides the same
+/// contract. An ORFS client and an NBD client run request-heavy rounds —
+/// announced writes (two sends per request), direct reads, a metadata
+/// call; windowed block writes (eight requests in flight) and raw reads —
+/// and once warm, correlating all of it costs nothing: the request tables
+/// (waiter list + send-context map) stop growing, and so does the channel
+/// context pool underneath them.
+#[test]
+fn orfs_and_nbd_request_paths_keep_the_request_seam_flat() {
+    use knet::figures::{fs_fixture, FsOpts};
+    use knet::harness::{fsops, ubuf};
+    use knet::prelude::*;
+
+    let mut fx = fs_fixture(FsOpts {
+        file_len: 1 << 20,
+        ..FsOpts::default()
+    });
+    let n0 = fx.client_node;
+    let nbd_user = ubuf(&mut fx.w, n0, 128 * 1024);
+    let nbd_cep = fx.w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
+    let nbd_sep = fx.w.open_mx(NodeId(1), MxEndpointConfig::kernel()).unwrap();
+    knet_nbd::nbd_server_create(&mut fx.w, nbd_sep, 1024).unwrap();
+    let nbd = knet_nbd::nbd_client_create(&mut fx.w, nbd_cep, nbd_sep, 7).unwrap();
+    let fd = fsops::open(&mut fx.w, fx.cid, "/data", true).unwrap();
+
+    let (cid, user) = (fx.cid, fx.user);
+    let round = |w: &mut ClusterWorld| {
+        assert_eq!(
+            fsops::write(w, cid, fd, user.memref(64 * 1024), 0),
+            Ok(65536)
+        );
+        assert_eq!(
+            fsops::read(w, cid, fd, user.memref(64 * 1024), 0),
+            Ok(65536)
+        );
+        fsops::stat(w, cid, "/data").unwrap();
+        let write = knet_nbd::nbd_write(w, nbd, nbd_user.memref(128 * 1024), 0);
+        let read = knet_nbd::nbd_read_raw(w, nbd, nbd_user.memref(4096), 3);
+        knet_simcore::run_to_quiescence(w);
+        let c = &mut w.nbd.clients[nbd.0 as usize];
+        assert_eq!(knet_nbd::nbd_wait(c, write), Some(Ok(128 * 1024)));
+        assert_eq!(knet_nbd::nbd_wait(c, read), Some(Ok(4096)));
+    };
+    let sizes = |w: &ClusterWorld| {
+        (
+            w.orfs.client(cid).request_table_capacity(),
+            w.nbd.clients[nbd.0 as usize].request_table_capacity(),
+            w.registry.stats.ctx_pool_slots,
+        )
+    };
+
+    for _ in 0..8 {
+        round(&mut fx.w);
+    }
+    let (warm, requests0) = (sizes(&fx.w), fx.w.orfs.client(cid).stats.requests);
+    assert!(
+        warm.0 > 0 && warm.1 >= 8,
+        "warm-up is where the tables grow"
+    );
+    for _ in 0..50 {
+        round(&mut fx.w);
+    }
+    assert!(fx.w.orfs.client(cid).stats.requests >= requests0 + 150);
+    assert_eq!(
+        sizes(&fx.w),
+        warm,
+        "steady-state requests must not grow a request table or the context pool"
+    );
+}

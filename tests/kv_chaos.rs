@@ -276,3 +276,42 @@ fn kv_deadline_failures_stay_failed() {
     }
     assert_eq!(fx.w.stats_snapshot().engine_errors, 0);
 }
+
+/// Fault containment (the invariant every chaos suite should hold): **no
+/// op is refused toward a node that was never faulted.** Node 0 is killed
+/// under 1 % loss; nodes 1 (the backup) and 2 (the client) are never
+/// touched. So every RPC between those two must resolve with a reply, the
+/// KV client must never report the backup dead, and — the reissue budget
+/// covering the blackout — every KV op must succeed. One fault seed in
+/// five used to break all three: the primary's `PeerDown` also reached the
+/// client's channel to the *live* backup and failed its calls in flight.
+#[test]
+fn kv_primary_kill_never_refuses_an_op_toward_an_unfaulted_node() {
+    let faulted = NodeId(0);
+    for seed in 201..=210u64 {
+        let plan = FaultPlan::new(seed)
+            .with_drop(0.01)
+            .with_kill(faulted, SimTime::from_millis(1));
+        let mut fx = build_kv(plan);
+        drive_workload(&mut fx, 60, 6);
+
+        let label = format!("kill seed={seed} loss=1%");
+        assert_invariants(&fx, &label);
+        for c in &fx.w.rpc.clients {
+            if c.ep.node != faulted && c.server.node != faulted {
+                assert_eq!(
+                    c.stats.failed, 0,
+                    "{label}: a call from {:?} to {:?} was refused; neither node was faulted",
+                    c.ep, c.server
+                );
+            }
+        }
+        let kv = &fx.w.kv;
+        assert!(kv.stats.promotions >= 1, "{label}: the backup promotes");
+        assert!(
+            kv.replica_alive(fx.r1),
+            "{label}: the live backup was reported dead"
+        );
+        assert_eq!(kv.stats.failures, 0, "{label}: every op must succeed");
+    }
+}

@@ -311,6 +311,103 @@ fn cancellation_is_typed_and_idempotent() {
     assert_eq!(w.stats_snapshot().engine_errors, 0);
 }
 
+/// Fault containment: a node's death is the business of the channels
+/// connected to it and of nobody else. Two clients share node 0 — one
+/// calls a live (slow) server on node 1, the other a server on node 2,
+/// which is killed. When node 0's link to node 2 is declared dead, the
+/// call toward node 2 fails typed; the call in flight to the live server
+/// at that instant must not hear about it, and completes with its reply.
+#[test]
+fn a_call_in_flight_to_a_live_server_survives_another_nodes_death() {
+    let mut w = ClusterBuilder::new()
+        .nodes(3, CpuModel::xeon_2600())
+        .fault_plan(FaultPlan::new(1).with_kill(NodeId(2), SimTime::from_micros(50)))
+        .build();
+    let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+
+    // The live server answers 100 ms after the request arrived — long
+    // after the reliability window has given up on node 2.
+    let live_ep = w.open_mx(n1, MxEndpointConfig::kernel()).unwrap();
+    rpc_server_create(
+        &mut w,
+        live_ep,
+        "slow-but-alive",
+        RpcServerConfig::default(),
+        |w, req, _payload, _resp| {
+            let answer = ClusterEv_call(move |w| {
+                assert!(rpc_server_reply(w, req.server, req.token, Ok(b"alive")));
+            });
+            knet_simcore::emit_after(w, 1, SimTime::from_millis(100), answer);
+            RpcOutcome::Defer
+        },
+        |_w, _node| {},
+    )
+    .unwrap();
+    let doomed_ep = black_hole(&mut w, n2);
+
+    // Neither client may resolve a call by its own timers: only a reply
+    // or a `PeerDown` can end these calls.
+    let patient = RpcClientConfig {
+        policy: RetryPolicy {
+            max_attempts: 1,
+            attempt_timeout: SimTime::from_millis(1_000),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let (live_done, doomed_done): (Done, Done) = Default::default();
+    let live_cep = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
+    let to_live = rpc_client_create(
+        &mut w,
+        live_cep,
+        live_ep,
+        "to-live",
+        sink_into(&live_done),
+        patient,
+    )
+    .unwrap();
+    let doomed_cep = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
+    let to_doomed = rpc_client_create(
+        &mut w,
+        doomed_cep,
+        doomed_ep,
+        "to-doomed",
+        sink_into(&doomed_done),
+        patient,
+    )
+    .unwrap();
+
+    let live_call = rpc_call(&mut w, to_live, 1, b"ping", RpcCallOpts::default()).unwrap();
+    // Submitted after the kill: the request is never acknowledged, node
+    // 0's window toward node 2 exhausts its budget and declares it dead.
+    let call_doomed = ClusterEv_call(move |w| {
+        rpc_call(w, to_doomed, 1, b"anyone?", RpcCallOpts::default()).unwrap();
+    });
+    knet_simcore::emit_after(&mut w, 0, SimTime::from_micros(100), call_doomed);
+    run_to_quiescence(&mut w);
+
+    let doomed = doomed_done.lock().unwrap().clone();
+    assert_eq!(doomed.len(), 1);
+    assert_eq!(doomed[0].1, Err(RpcError::PeerUnreachable));
+    let link_declared_dead_at = doomed[0].2;
+
+    let live = live_done.lock().unwrap().clone();
+    assert_eq!(live.len(), 1, "exactly one completion");
+    assert_eq!(
+        (live[0].0, live[0].1),
+        (live_call, Ok(5)),
+        "the call to the live server was failed by another node's death"
+    );
+    assert!(
+        live[0].2 > link_declared_dead_at,
+        "the call was in flight when the link was declared dead"
+    );
+    let mut out = Vec::new();
+    assert_eq!(rpc_collect(&mut w, to_live, live_call, &mut out), Some(5));
+    assert_eq!(&out, b"alive");
+    assert_eq!(w.stats_snapshot().engine_errors, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
