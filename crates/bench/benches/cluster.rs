@@ -38,110 +38,55 @@ fn builder(n: usize) -> ClusterBuilder {
 
 // ---------------------------------------------------------------- driver
 
-enum Driver {
-    Seq(Box<ClusterWorld>),
-    Sharded(ShardedCluster),
-}
-
 struct Mesh {
     eps: Vec<Endpoint>,
     bufs: Vec<knet::harness::KBuf>,
     chans: Vec<ChannelId>,
 }
 
-impl Driver {
-    fn new(n: usize, shards: usize) -> Self {
-        if shards <= 1 {
-            Driver::Seq(Box::new(builder(n).build()))
-        } else {
-            Driver::Sharded(builder(n).build_sharded(shards))
+/// One endpoint, staging buffer and ring channel per node (mirrored set-up).
+fn setup(d: &mut ShardedCluster, n: usize, msg_bytes: u64) -> Mesh {
+    d.setup(|w| {
+        let mut eps = Vec::new();
+        let mut bufs = Vec::new();
+        let mut cqs = Vec::new();
+        for i in 0..n {
+            let node = NodeId(i as u32);
+            let cq = w.new_cq();
+            let ep = w.open_mx_cq(node, MxEndpointConfig::kernel(), cq).unwrap();
+            let buf = kbuf(w, node, msg_bytes.max(4096));
+            let data: Vec<u8> = (0..msg_bytes).map(|j| (i as u64 * 131 + j) as u8).collect();
+            w.os.node_mut(node)
+                .write_virt(Asid::KERNEL, buf.addr, &data)
+                .unwrap();
+            eps.push(ep);
+            bufs.push(buf);
+            cqs.push(cq);
         }
-    }
-
-    fn setup(&mut self, n: usize, msg_bytes: u64) -> Mesh {
-        let f = |w: &mut ClusterWorld| {
-            let mut eps = Vec::new();
-            let mut bufs = Vec::new();
-            let mut cqs = Vec::new();
-            for i in 0..n {
-                let node = NodeId(i as u32);
-                let cq = w.new_cq();
-                let ep = w.open_mx_cq(node, MxEndpointConfig::kernel(), cq).unwrap();
-                let buf = kbuf(w, node, msg_bytes.max(4096));
-                let data: Vec<u8> = (0..msg_bytes).map(|j| (i as u64 * 131 + j) as u8).collect();
-                w.os.node_mut(node)
-                    .write_virt(Asid::KERNEL, buf.addr, &data)
-                    .unwrap();
-                eps.push(ep);
-                bufs.push(buf);
-                cqs.push(cq);
-            }
-            let chans: Vec<ChannelId> = (0..n)
-                .map(|i| channel_connect(w, eps[i], eps[(i + 1) % n], cqs[i]))
-                .collect();
-            (eps, bufs, chans)
-        };
-        let (eps, bufs, chans) = match self {
-            Driver::Seq(w) => f(w),
-            Driver::Sharded(s) => s.setup(f),
-        };
+        let chans = (0..n)
+            .map(|i| channel_connect(w, eps[i], eps[(i + 1) % n], cqs[i]))
+            .collect();
         Mesh { eps, bufs, chans }
-    }
+    })
+}
 
-    fn round(&mut self, mesh: &Mesh, n: usize, round: u64, msg_bytes: u64) {
-        // Every node owns a staging kbuf written at setup; re-send it with a
-        // fresh tag each round.
-        for i in 0..n {
-            let ch = mesh.chans[i];
-            let buf = mesh.bufs[i];
-            let send = move |w: &mut ClusterWorld| {
-                let _ = channel_send(w, ch, round * 1_000_000 + i as u64, buf.iov(msg_bytes));
-            };
-            match self {
-                Driver::Seq(w) => send(w),
-                Driver::Sharded(s) => s.on(i as u32, send),
-            }
-        }
-        match self {
-            Driver::Seq(w) => {
-                knet_simcore::run_to_quiescence(&mut **w);
-            }
-            Driver::Sharded(s) => {
-                s.run_to_quiescence();
-            }
-        }
-        // Drain completion queues so they stay at their high-water marks.
-        for i in 0..n {
-            let ep = mesh.eps[i];
-            let drain = |w: &mut ClusterWorld| while w.take_event(ep).is_some() {};
-            match self {
-                Driver::Seq(w) => drain(w),
-                Driver::Sharded(s) => s.on(i as u32, drain),
-            }
-        }
+fn round(d: &mut ShardedCluster, mesh: &Mesh, round: u64, msg_bytes: u64) {
+    // Every node owns a staging kbuf written at setup; re-send it with a
+    // fresh tag each round.
+    for (i, (&ch, buf)) in mesh.chans.iter().zip(&mesh.bufs).enumerate() {
+        d.on(i as u32, |w| {
+            let _ = channel_send(w, ch, round * 1_000_000 + i as u64, buf.iov(msg_bytes));
+        });
     }
+    d.run_to_quiescence();
+    // Drain completion queues so they stay at their high-water marks.
+    for (i, &ep) in mesh.eps.iter().enumerate() {
+        d.on(i as u32, |w| while w.take_event(ep).is_some() {});
+    }
+}
 
-    fn executed(&self) -> u64 {
-        match self {
-            Driver::Seq(w) => w.sched.executed(),
-            Driver::Sharded(s) => s.executed(),
-        }
-    }
-
-    fn now_secs(&self) -> f64 {
-        let ns = match self {
-            Driver::Seq(w) => w.sched.now().nanos(),
-            Driver::Sharded(s) => s.world(0).sched.now().nanos(),
-        };
-        ns as f64 / 1e9
-    }
-
-    fn engine(&self) -> knet_simcore::EngineStats {
-        match self {
-            Driver::Seq(w) => w.engine_stats(),
-            Driver::Sharded(s) => s.engine_stats().0,
-        }
-    }
+fn now_secs(d: &ShardedCluster) -> f64 {
+    d.world(0).sched.now().nanos() as f64 / 1e9
 }
 
 // ---------------------------------------------------------------- measure
@@ -166,30 +111,32 @@ impl CaseResult {
     }
 }
 
+/// One case; `shards = 1` is the sequential engine (a one-shard cluster
+/// runs the plain step loop on the calling thread).
 fn run_case(n: usize, shards: usize, rounds: u64, msg_bytes: u64) -> CaseResult {
-    let mut d = Driver::new(n, shards);
-    let mesh = d.setup(n, msg_bytes);
+    let mut d = builder(n).build_sharded(shards);
+    let mesh = setup(&mut d, n, msg_bytes);
 
     // Warm-up: one round grows every pool (arenas, heaps, windows, CQs) to
     // its high-water mark.
-    d.round(&mesh, n, 0, msg_bytes);
+    round(&mut d, &mesh, 0, msg_bytes);
     let events0 = d.executed();
-    let grows0 = d.engine().arena_grows;
-    let virt0 = d.now_secs();
+    let grows0 = d.engine_stats().0.arena_grows;
+    let virt0 = now_secs(&d);
 
     let start = Instant::now();
     for r in 1..=rounds {
-        d.round(&mesh, n, r, msg_bytes);
+        round(&mut d, &mesh, r, msg_bytes);
     }
     let secs = start.elapsed().as_secs_f64();
-    let e = d.engine();
+    let e = d.engine_stats().0;
 
     CaseResult {
         nodes: n,
         shards,
         events: d.executed() - events0,
         secs,
-        virt_secs: d.now_secs() - virt0,
+        virt_secs: now_secs(&d) - virt0,
         epochs: e.epochs,
         mailbox_injected: e.mailbox_injected,
         arena_grows_steady: e.arena_grows - grows0,

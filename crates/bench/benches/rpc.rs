@@ -159,7 +159,7 @@ fn echo_point(cfg: &Config, payload: u64, loss_pct: u64, seed: u64) -> EchoPoint
         done.iter().all(|&(_, _, ok)| ok),
         "payload={payload} loss={loss_pct}%: survivable loss must not fail calls"
     );
-    assert_eq!(w.stats_snapshot().engine_errors, 0);
+    assert_eq!(w.stats().engine.errors, 0);
 
     let mut lat_ns: Vec<u64> = done
         .iter()
@@ -275,11 +275,7 @@ fn failover_point(cfg: &Config, loss_pct: u64, seed: u64) -> FailoverPoint {
         "{label}: linearizability-lite violations:\n{}",
         violations.join("\n")
     );
-    assert_eq!(
-        w.stats_snapshot().engine_errors,
-        0,
-        "{label}: engine errors"
-    );
+    assert_eq!(w.stats().engine.errors, 0, "{label}: engine errors");
     assert!(w.kv.stats.promotions >= 1, "{label}: backup must promote");
     let promoted_at = promoted_at.expect("promotion observed");
     let first_ack_after = first_ack_after

@@ -63,18 +63,24 @@ struct Member {
     reduce_seq: u64,
 }
 
-/// Per-group operation counters.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct GroupStats {
-    /// Collective operations posted by this group's members.
-    pub started: u64,
-    /// Contexts completed (`CollectiveDone`).
-    pub completed: u64,
-    /// Contexts resolved as failures (`CollectiveFailed`).
-    pub failed: u64,
-    /// Broadcast payloads delivered to members (`CollectiveRecv`).
-    pub delivered: u64,
+knet_simcore::counters! {
+    /// Collective operation counters: the layer aggregate (the `coll` block
+    /// of the composed world's stats tree) and, as [`GroupStats`], each
+    /// group's slice of it.
+    pub struct CollApiStats {
+        /// Collective operations posted by members.
+        pub started: u64,
+        /// Contexts completed (`CollectiveDone`).
+        pub completed: u64,
+        /// Contexts resolved as failures (`CollectiveFailed`).
+        pub failed: u64,
+        /// Broadcast payloads delivered to members (`CollectiveRecv`).
+        pub delivered: u64,
+    }
 }
+
+/// Per-group operation counters.
+pub type GroupStats = CollApiStats;
 
 struct GroupState {
     kind: TransportKind,
@@ -104,16 +110,6 @@ impl GroupState {
 pub struct CollScratchStats {
     pub uses: u64,
     pub grows: u64,
-}
-
-/// Aggregate collective-layer counters (per-group breakdowns live in
-/// [`GroupStats`]).
-#[derive(Clone, Copy, Default, Debug)]
-pub struct CollApiStats {
-    pub started: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub delivered: u64,
 }
 
 /// All collective-group state in the composed world.

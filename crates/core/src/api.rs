@@ -97,135 +97,43 @@ struct Consumer<W> {
     sink: Sink<W>,
 }
 
-/// Registry counters (observable by tests and reports).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RegistryStats {
-    /// Events routed to a consumer.
-    pub delivered: u64,
-    /// Events parked because their endpoint had no consumer.
-    pub parked: u64,
-    /// Parked events replayed when a consumer bound.
-    pub replayed: u64,
-    /// Events dropped because their completion queue was destroyed.
-    pub dropped: u64,
-    /// Per-endpoint CQ pops served by the endpoint index (no linear scan).
-    pub indexed_pops: u64,
-    /// Channel sends queued because the transport was out of tokens.
-    pub queued_sends: u64,
-    /// Queued channel sends successfully retried after a `SendDone`.
-    pub retried_sends: u64,
-    /// Queued channel sends that failed their retry with a non-transient
-    /// error and were dropped (the original caller already holds the
-    /// context; no completion will arrive for it).
-    pub failed_retries: u64,
-    /// Send contexts served by recycling a pooled slot (no growth).
-    pub ctx_pool_reuses: u64,
-    /// Send-context slots ever created (the pool's high-water mark).
-    pub ctx_pool_slots: u64,
-    /// Entries drained through [`Registry::cq_pop_batch`].
-    pub batched_pops: u64,
-    /// Mirrors of the NIC-level reliability counters (`knet_simnic::rel`),
-    /// filled by the composed world's stats snapshot so consumers above
-    /// the driver seam can assert on retransmission behaviour without
-    /// reaching into the NIC layer. Zero in a bare registry.
-    ///
-    /// Sequenced data packets handed to the reliability window (the
-    /// denominator for retransmit-ratio assertions).
-    pub rel_data_packets: u64,
-    /// Packets resent by selective-repeat rounds (holes only).
-    pub rel_retransmits: u64,
-    /// Packets a retransmission round skipped because SACK state showed
-    /// the receiver already holds them (go-back-N would have resent them).
-    pub rel_sack_repairs: u64,
-    /// RTT samples fed to the reliability layer's estimator.
-    pub rel_rtt_samples: u64,
-    /// Retransmission rounds proven unnecessary by timestamp echo.
-    pub rel_spurious_rtos: u64,
-    /// Latest smoothed RTT observed by the reliability layer, in ns.
-    pub rel_srtt_ns: u64,
-    /// Latest adaptive RTO derived by the reliability layer, in ns.
-    pub rel_rto_ns: u64,
-    /// Fast-retransmit rounds fired by duplicate-SACK indications.
-    pub rel_fast_retransmits: u64,
-    /// Multiplicative decreases of a congestion window (loss episodes the
-    /// AIMD loop reacted to).
-    pub rel_cwnd_cuts: u64,
-    /// Receiver acks aggregated away (covered by a later cumulative ack).
-    pub rel_delayed_acks: u64,
-    /// Arrivals dropped to receive-FIFO overflow across every NIC (incast
-    /// congestion the fabric itself inflicted — deterministic, no fault
-    /// dice).
-    pub nic_rx_congestion_drops: u64,
-    /// Mirrors of the collective-subsystem counters (`knet_coll` +
-    /// `knet_simnic::coll`), filled by the composed world's stats
-    /// snapshot. Zero in a bare registry.
-    ///
-    /// Collective operations posted (bcast/barrier/reduce, any member).
-    pub coll_started: u64,
-    /// Collective contexts completed (`CollectiveDone`).
-    pub coll_completed: u64,
-    /// Collective contexts resolved as failures (`CollectiveFailed`).
-    pub coll_failed: u64,
-    /// Collective frames processed by the NIC tree engines.
-    pub coll_frames: u64,
-    /// In-NIC lane combines performed by the tree engines.
-    pub coll_combines: u64,
-    /// Mirrors of the event-engine counters (`knet_simcore::EngineStats`),
-    /// summed over every shard by the composed world's stats snapshot.
-    /// Zero in a bare registry.
-    ///
-    /// Events executed by the scheduler(s).
-    pub engine_events: u64,
-    /// Epoch barriers crossed by the parallel engine (0 sequential).
-    pub engine_epochs: u64,
-    /// Cross-shard messages injected through ingress mailboxes.
-    pub engine_mailbox_injected: u64,
-    /// Deepest single-epoch mailbox drain observed on any shard.
-    pub engine_mailbox_high_water: u64,
-    /// Event-arena slots handed out (recycled or fresh).
-    pub engine_arena_uses: u64,
-    /// Event-arena slot allocations that grew the arena (steady state: 0).
-    pub engine_arena_grows: u64,
-    /// Typed engine errors recorded (time regression / causality breach).
-    /// Non-zero means a shard-engine invariant broke — fail the run.
-    pub engine_errors: u64,
-    /// Queued-but-unobserved `RecvDone` completions withdrawn from a CQ by
-    /// [`channel_cancel_recv`](crate::api::channel_cancel_recv) winning the
-    /// cancel-vs-completion race.
-    pub cancelled_completions: u64,
-    /// Backpressure-parked sends withdrawn by
-    /// [`channel_abort_queued_send`](crate::api::channel_abort_queued_send)
-    /// before the transport ever accepted them.
-    pub aborted_queued_sends: u64,
-    /// Mirrors of the RPC-layer counters (`knet_rpc`), filled by the
-    /// composed world's stats snapshot. Zero in a bare registry.
-    ///
-    /// RPC calls submitted.
-    pub rpc_calls: u64,
-    /// RPC calls resolved with a reply.
-    pub rpc_completed: u64,
-    /// RPC calls resolved with a typed [`RpcError`](crate::RpcError).
-    pub rpc_failed: u64,
-    /// Request transmissions beyond each call's first attempt.
-    pub rpc_retries: u64,
-    /// Requests a server dropped because they arrived already past their
-    /// propagated deadline (no reply is sent for the dead).
-    pub rpc_expired_dropped: u64,
-    /// Retried requests answered from a server's idempotency cache without
-    /// re-executing the handler (exactly-once for retried writes).
-    pub rpc_idem_hits: u64,
-    /// Mirrors of the NIC-admission QoS counters (`knet_simnic::qos`),
-    /// summed over every tenant by the composed world's stats snapshot
-    /// (per-tenant rows come from `ClusterWorld::tenant_stats`). Zero in a
-    /// bare registry.
-    ///
-    /// Sends admitted by a token bucket.
-    pub qos_admitted: u64,
-    /// Sends deferred into a driver pacing lane (bucket dry, refill due).
-    pub qos_deferred: u64,
-    /// Sends shed with [`NetError::Overload`] (zero rate, over-burst
-    /// message, or pacing lane full).
-    pub qos_shed: u64,
+knet_simcore::counters! {
+    /// Registry counters (observable by tests and reports): what this crate
+    /// increments, the `registry` block of the composed world's stats tree.
+    pub struct RegistryStats {
+        /// Events routed to a consumer.
+        pub delivered: u64,
+        /// Events parked because their endpoint had no consumer.
+        pub parked: u64,
+        /// Parked events replayed when a consumer bound.
+        pub replayed: u64,
+        /// Events dropped because their completion queue was destroyed.
+        pub dropped: u64,
+        /// Per-endpoint CQ pops served by the endpoint index (no linear scan).
+        pub indexed_pops: u64,
+        /// Channel sends queued because the transport was out of tokens.
+        pub queued_sends: u64,
+        /// Queued channel sends successfully retried after a `SendDone`.
+        pub retried_sends: u64,
+        /// Queued channel sends that failed their retry with a non-transient
+        /// error and were dropped (the original caller already holds the
+        /// context; no completion will arrive for it).
+        pub failed_retries: u64,
+        /// Send contexts served by recycling a pooled slot (no growth).
+        pub ctx_pool_reuses: u64,
+        /// Send-context slots ever created (the pool's high-water mark).
+        pub ctx_pool_slots: u64,
+        /// Entries drained through [`Registry::cq_pop_batch`].
+        pub batched_pops: u64,
+        /// Queued-but-unobserved `RecvDone` completions withdrawn from a CQ by
+        /// [`channel_cancel_recv`](crate::api::channel_cancel_recv) winning the
+        /// cancel-vs-completion race.
+        pub cancelled_completions: u64,
+        /// Backpressure-parked sends withdrawn by
+        /// [`channel_abort_queued_send`](crate::api::channel_abort_queued_send)
+        /// before the transport ever accepted them.
+        pub aborted_queued_sends: u64,
+    }
 }
 
 // ------------------------------------------------------------- send contexts
@@ -852,14 +760,20 @@ impl<W> Registry<W> {
     }
 
     /// Attribute an endpoint (and its current channel, if any) to a
-    /// tenant. Sends already parked keep the lane they joined under.
-    pub fn assign_tenant(&mut self, ep: Endpoint, t: TenantId) {
+    /// tenant. Sends already parked keep the lane they joined under. An id
+    /// [`Self::tenant_create`] never minted has no stats row and is refused
+    /// (`false`): the endpoint stays on its current tenant.
+    pub fn assign_tenant(&mut self, ep: Endpoint, t: TenantId) -> bool {
+        if t.0 as usize >= self.tenants.count() {
+            return false;
+        }
         self.ep_tenants.insert(key(ep), t);
         if let Some(chid) = self.channel_routes.get(&key(ep)).copied() {
             if let Some(c) = self.channels.get_mut(&chid.0) {
                 c.tenant = t;
             }
         }
+        true
     }
 
     /// The tenant directory (names, weights, per-tenant counters).

@@ -39,21 +39,23 @@ impl TenantId {
 /// messages for every one a weight-1 tenant drains.
 pub const WDRR_QUANTUM_BYTES: u64 = 4096;
 
-/// Per-tenant channel-layer counters (one row per tenant; the global
-/// `RegistryStats` counters stay the cross-tenant sums).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TenantSendStats {
-    /// Channel sends parked under backpressure.
-    pub queued_sends: u64,
-    /// Parked sends successfully retried after a `SendDone`.
-    pub retried_sends: u64,
-    /// Parked sends completed as `SendFailed` (retry failure, eviction,
-    /// teardown, dead peer).
-    pub failed_retries: u64,
-    /// Parked sends withdrawn by `channel_abort_queued_send`.
-    pub aborted_queued_sends: u64,
-    /// Sends admitted synchronously (straight to the transport).
-    pub direct_sends: u64,
+knet_simcore::counters! {
+    /// Per-tenant channel-layer counters (one row per tenant; the rows sum
+    /// to `RegistryStats`' counters of the same four names — every send is
+    /// attributed to a minted tenant).
+    pub struct TenantSendStats {
+        /// Channel sends parked under backpressure.
+        pub queued_sends: u64,
+        /// Parked sends successfully retried after a `SendDone`.
+        pub retried_sends: u64,
+        /// Parked sends completed as `SendFailed` (retry failure, eviction,
+        /// teardown, dead peer).
+        pub failed_retries: u64,
+        /// Parked sends withdrawn by `channel_abort_queued_send`.
+        pub aborted_queued_sends: u64,
+        /// Sends admitted synchronously (straight to the transport).
+        pub direct_sends: u64,
+    }
 }
 
 /// One registered tenant: display name plus WDRR weight.
@@ -244,36 +246,7 @@ impl<T> WdrrLanes<T> {
         weight_of: impl Fn(TenantId) -> u64,
         cost_of: impl Fn(&T) -> u64,
     ) -> Option<(TenantId, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        // Single-tenant degeneracy: one active lane is a plain FIFO, with
-        // no deficit bookkeeping to diverge from the pre-tenant behaviour
-        // (and no quantum-sized spinning for oversized messages).
-        if self.active == 1 {
-            let i = self.lanes.iter().position(|l| !l.q.is_empty())?;
-            return Some((TenantId(i as u32), self.take_front(i)?));
-        }
-        loop {
-            let i = self.cursor;
-            if self.lanes[i].q.is_empty() {
-                self.lanes[i].deficit = 0;
-                self.advance();
-                continue;
-            }
-            if !self.granted {
-                let quantum = weight_of(TenantId(i as u32)).max(1) * WDRR_QUANTUM_BYTES;
-                self.lanes[i].deficit = self.lanes[i].deficit.saturating_add(quantum);
-                self.granted = true;
-            }
-            let cost = cost_of(self.lanes[i].q.front().expect("non-empty"));
-            if self.lanes[i].deficit >= cost {
-                self.lanes[i].deficit -= cost;
-                let item = self.take_front(i)?;
-                return Some((TenantId(i as u32), item));
-            }
-            self.advance();
-        }
+        self.pop_next_eligible(weight_of, cost_of, |_, _| true)
     }
 
     /// Like [`WdrrLanes::pop_next`], but lanes whose head fails `eligible`
@@ -290,6 +263,9 @@ impl<T> WdrrLanes<T> {
         if self.len == 0 {
             return None;
         }
+        // Single-tenant degeneracy: one active lane is a plain FIFO, with
+        // no deficit bookkeeping to diverge from the pre-tenant behaviour
+        // (and no quantum-sized spinning for oversized messages).
         if self.active == 1 {
             let i = self.lanes.iter().position(|l| !l.q.is_empty())?;
             let head = self.lanes[i].q.front().expect("non-empty");

@@ -192,18 +192,20 @@ pub enum KvResult {
     Put { seq: u64 },
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KvStats {
-    pub puts: u64,
-    pub gets: u64,
-    pub acks: u64,
-    pub failures: u64,
-    pub reissues: u64,
-    pub wrong_epoch: u64,
-    pub promotions: u64,
-    pub solo_demotions: u64,
-    pub repl_applied: u64,
-    pub repl_rejected: u64,
+knet_simcore::counters! {
+    /// Layer-aggregate KV counters (clients and replicas together).
+    pub struct KvStats {
+        pub puts: u64,
+        pub gets: u64,
+        pub acks: u64,
+        pub failures: u64,
+        pub reissues: u64,
+        pub wrong_epoch: u64,
+        pub promotions: u64,
+        pub solo_demotions: u64,
+        pub repl_applied: u64,
+        pub repl_rejected: u64,
+    }
 }
 
 #[derive(Clone, Copy, Debug)]

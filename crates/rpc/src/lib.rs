@@ -546,16 +546,17 @@ impl RpcScratch {
     }
 }
 
-/// Layer-aggregate counters, mirrored into `RegistryStats` by the
-/// composed world's stats snapshot.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RpcStats {
-    pub calls: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub retries: u64,
-    pub expired_dropped: u64,
-    pub idem_hits: u64,
+knet_simcore::counters! {
+    /// Layer-aggregate counters: the `rpc` block of the composed world's
+    /// stats tree.
+    pub struct RpcStats {
+        pub calls: u64,
+        pub completed: u64,
+        pub failed: u64,
+        pub retries: u64,
+        pub expired_dropped: u64,
+        pub idem_hits: u64,
+    }
 }
 
 /// All RPC state in a world.

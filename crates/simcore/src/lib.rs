@@ -47,5 +47,5 @@ pub use sched::{
     run_until_budgeted, step, BoxEvent, EngineError, EngineStats, OutMsg, RunOutcome, Scheduler,
     ShardPhase, SimEvent, SimWorld, CONTROL_ORIGIN, DEFAULT_EVENT_BUDGET,
 };
-pub use stats::{pow2_sizes, Series, SeriesPoint, Summary};
+pub use stats::{pow2_sizes, Counters, Merge, Series, SeriesPoint, Summary};
 pub use time::{Bandwidth, SimTime};

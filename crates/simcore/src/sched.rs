@@ -168,8 +168,8 @@ impl Ord for Entry {
 
 /// A typed engine invariant violation. Promoted from the old
 /// `debug_assert!` so release-mode shard bugs fail loudly (surfaced through
-/// `stats_snapshot()` and [`Scheduler::engine_error`]) instead of silently
-/// reordering events.
+/// [`EngineStats::errors`] and [`Scheduler::engine_error`]) instead of
+/// silently reordering events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineError {
     /// An event popped with a timestamp before the clock — the heap order
@@ -186,30 +186,32 @@ pub enum EngineError {
     },
 }
 
-/// Per-shard engine counters, mirrored into the registry snapshot
-/// (`stats_snapshot()`) alongside `RelStats` and the collective counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Events executed by this shard.
-    pub executed: u64,
-    /// Events currently pending in this shard's heap.
-    pub pending: u64,
-    /// Epochs this shard has stepped through under the parallel engine.
-    pub epochs: u64,
-    /// Cross-shard messages injected into this shard's ingress mailbox.
-    pub mailbox_injected: u64,
-    /// Largest single mailbox exchange observed (depth high-water mark).
-    pub mailbox_high_water: u64,
-    /// Events placed in the arena (allocation-free when `arena_grows`
-    /// stays flat while this climbs).
-    pub arena_uses: u64,
-    /// Arena slab expansions — flat in steady state.
-    pub arena_grows: u64,
-    /// Events dropped in mirror mode (foreign targets scheduled by
-    /// mirrored setup code; each shard keeps only its own).
-    pub mirror_dropped: u64,
-    /// Engine invariant violations recorded (see [`EngineError`]).
-    pub errors: u64,
+crate::counters! {
+    /// Per-shard engine counters (the `engine` block of the composed
+    /// world's stats tree); a sharded aggregate is the plain merge of the
+    /// shards' blocks — the heaps partition even `pending`.
+    pub struct EngineStats {
+        /// Events executed by this shard.
+        pub executed: u64,
+        /// Events currently pending in this shard's heap.
+        pub pending: u64,
+        /// Epochs this shard has stepped through under the parallel engine.
+        pub epochs: u64 = HighWater,
+        /// Cross-shard messages injected into this shard's ingress mailbox.
+        pub mailbox_injected: u64,
+        /// Largest single mailbox exchange observed (depth high-water mark).
+        pub mailbox_high_water: u64 = HighWater,
+        /// Events placed in the arena (allocation-free when `arena_grows`
+        /// stays flat while this climbs).
+        pub arena_uses: u64,
+        /// Arena slab expansions — flat in steady state.
+        pub arena_grows: u64,
+        /// Events dropped in mirror mode (foreign targets scheduled by
+        /// mirrored setup code; each shard keeps only its own).
+        pub mirror_dropped: u64,
+        /// Engine invariant violations recorded (see [`EngineError`]).
+        pub errors: u64,
+    }
 }
 
 // ------------------------------------------------------------- shard mode

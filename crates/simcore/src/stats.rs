@@ -4,6 +4,111 @@ use std::fmt;
 
 use crate::time::SimTime;
 
+/// How one counter field combines when stats blocks are merged — shard
+/// worlds into a cluster aggregate, per-tenant or per-NIC rows into a total.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// Running total: what each input gained is added.
+    Total,
+    /// High-water mark: the largest value any input reached.
+    HighWater,
+    /// Latest-value gauge (sampled state such as `srtt_ns`, not a count):
+    /// merged as the maximum over the inputs, so it depends on the partition
+    /// and is never compared across shard counts.
+    Gauge,
+}
+
+/// A block of counters that knows how its fields merge: the leaf cells
+/// (`u64`, `[u64; N]`) and, through [`counters!`](crate::counters), every
+/// stats struct. Blocks nest, so a whole tree merges and walks in one call.
+pub trait Counters: Copy + Default {
+    /// Fold `later` into `self` as a field of `kind`: a total gains
+    /// `later − earlier`, a mark or gauge rises to `later`. A block ignores
+    /// `kind` and applies its own fields' declared kinds.
+    fn fold(&mut self, kind: Merge, later: &Self, earlier: &Self);
+    /// Push `(dotted name, kind, value)` for every leaf under `name`.
+    fn walk(&self, name: &str, kind: Merge, out: &mut Vec<(String, Merge, u64)>);
+
+    /// `self += later − earlier`, each field by its declared kind.
+    fn accumulate(&mut self, later: &Self, earlier: &Self) {
+        self.fold(Merge::Total, later, earlier);
+    }
+    /// The merge of `parts` (rows, shards) starting from zero.
+    fn merged(parts: impl IntoIterator<Item = Self>) -> Self {
+        let mut out = Self::default();
+        for p in parts {
+            out.accumulate(&p, &Self::default());
+        }
+        out
+    }
+    /// Every leaf as `(dotted name, kind, value)`, in declaration order.
+    fn fields(&self) -> Vec<(String, Merge, u64)> {
+        let mut out = Vec::new();
+        self.walk("", Merge::Total, &mut out);
+        out
+    }
+}
+
+impl Counters for u64 {
+    fn fold(&mut self, kind: Merge, later: &u64, earlier: &u64) {
+        *self = match kind {
+            // Modular, so a total that dipped (a refund) still nets out.
+            Merge::Total => self.wrapping_add(*later).wrapping_sub(*earlier),
+            Merge::HighWater | Merge::Gauge => (*self).max(*later),
+        };
+    }
+    fn walk(&self, name: &str, kind: Merge, out: &mut Vec<(String, Merge, u64)>) {
+        out.push((name.to_string(), kind, *self));
+    }
+}
+
+impl<const N: usize> Counters for [u64; N]
+where
+    Self: Default,
+{
+    fn fold(&mut self, kind: Merge, later: &Self, earlier: &Self) {
+        for i in 0..N {
+            self[i].fold(kind, &later[i], &earlier[i]);
+        }
+    }
+    fn walk(&self, name: &str, kind: Merge, out: &mut Vec<(String, Merge, u64)>) {
+        for (i, v) in self.iter().enumerate() {
+            v.walk(&format!("{name}[{i}]"), kind, out);
+        }
+    }
+}
+
+/// Declare a stats block: a `Copy` struct of public counter fields plus its
+/// [`Counters`] impl. Every field is a [`Merge::Total`] unless marked
+/// `= HighWater` or `= Gauge` after its type; a field may itself be a block.
+#[macro_export]
+macro_rules! counters {
+    ($(#[$sm:meta])* pub struct $name:ident {
+        $($(#[$fm:meta])* pub $f:ident : $t:ty $(= $kind:ident)?),* $(,)?
+    }) => {
+        $(#[$sm])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $name { $($(#[$fm])* pub $f: $t,)* }
+
+        impl $crate::Counters for $name {
+            fn fold(&mut self, _: $crate::Merge, later: &Self, earlier: &Self) {
+                $($crate::Counters::fold(
+                    &mut self.$f, $crate::counters!(@kind $($kind)?), &later.$f, &earlier.$f,
+                );)*
+            }
+            fn walk(&self, name: &str, _: $crate::Merge, out: &mut Vec<(String, $crate::Merge, u64)>) {
+                let dot = if name.is_empty() { "" } else { "." };
+                $($crate::Counters::walk(
+                    &self.$f, &format!("{name}{dot}{}", stringify!($f)),
+                    $crate::counters!(@kind $($kind)?), out,
+                );)*
+            }
+        }
+    };
+    (@kind) => { $crate::Merge::Total };
+    (@kind $kind:ident) => { $crate::Merge::$kind };
+}
+
 /// Online summary of a stream of samples: count, mean, min, max.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Summary {
@@ -181,6 +286,62 @@ pub fn pow2_sizes(lo: u64, hi: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    crate::counters! {
+        /// A leaf block with one field of each kind.
+        pub struct Leaf {
+            /// Things done.
+            pub done: u64,
+            pub deepest: u64 = HighWater,
+            pub latest: u64 = Gauge,
+            pub lanes: [u64; 2],
+        }
+    }
+    crate::counters! {
+        pub struct Tree {
+            pub a: Leaf,
+            pub b: Leaf,
+        }
+    }
+
+    fn leaf(done: u64, deepest: u64, latest: u64) -> Leaf {
+        Leaf {
+            done,
+            deepest,
+            latest,
+            lanes: [done, 0],
+        }
+    }
+
+    #[test]
+    fn blocks_merge_by_declared_kind_and_nest() {
+        // Two shards that both started from `base`: totals add the gains
+        // once over the shared base, marks and gauges take the maximum.
+        let base = leaf(10, 2, 5);
+        let (s0, s1) = (leaf(13, 7, 6), leaf(11, 4, 9));
+        let mut sum = base;
+        sum.accumulate(&s0, &base);
+        sum.accumulate(&s1, &base);
+        assert_eq!(sum, leaf(14, 7, 9));
+        assert_eq!(Leaf::merged([s0, s1]), leaf(24, 7, 9));
+
+        let tree = Tree { a: s0, b: s1 };
+        let both = Tree::merged([tree, tree]);
+        assert_eq!((both.a.done, both.b.deepest), (26, 4));
+        let names: Vec<(String, Merge, u64)> = tree.fields();
+        assert_eq!(names.len(), 10);
+        assert_eq!(names[0], ("a.done".to_string(), Merge::Total, 13));
+        assert_eq!(names[4], ("a.lanes[1]".to_string(), Merge::Total, 0));
+        assert_eq!(names[7], ("b.latest".to_string(), Merge::Gauge, 9));
+    }
+
+    #[test]
+    fn a_total_that_dipped_below_its_base_still_nets_out() {
+        let mut acc = 5u64;
+        acc.fold(Merge::Total, &3, &5); // one shard refunded two
+        acc.fold(Merge::Total, &9, &5);
+        assert_eq!(acc, 7);
+    }
 
     #[test]
     fn summary_tracks_extremes() {

@@ -227,27 +227,29 @@ impl Default for CollParams {
     }
 }
 
-/// Counters exposed to figures, benches, and the allocation tests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CollNicStats {
-    /// Collective frames processed by NIC firmware.
-    pub frames: u64,
-    /// Frames sent along tree edges (down- and upward).
-    pub forwards: u64,
-    /// Reduce chunks combined in-NIC.
-    pub combines: u64,
-    /// Payloads DMAed to a member host.
-    pub deliveries: u64,
-    /// Collectives fully aggregated at their root.
-    pub root_completions: u64,
-    /// Liveness probes sent toward silent subtrees.
-    pub probes: u64,
-    /// Scratch buffers borrowed from the recycled pools.
-    pub buf_uses: u64,
-    /// Times a pooled buffer had to grow (flat in steady state).
-    pub buf_grows: u64,
-    /// Pending fan-in slots dropped by a failure purge.
-    pub purged: u64,
+knet_simcore::counters! {
+    /// Counters exposed to figures, benches, and the allocation tests.
+    pub struct CollNicStats {
+        /// Collective frames processed by NIC firmware.
+        pub frames: u64,
+        /// Frames sent along tree edges (down- and upward).
+        pub forwards: u64,
+        /// Reduce chunks combined in-NIC.
+        pub combines: u64,
+        /// Payloads DMAed to a member host.
+        pub deliveries: u64,
+        /// Collectives fully aggregated at their root.
+        pub root_completions: u64,
+        /// Liveness probes sent toward silent subtrees.
+        pub probes: u64,
+        /// Scratch buffers borrowed from the recycled pools.
+        pub buf_uses: u64,
+        /// Times a pooled buffer had to grow (flat in steady state). Every
+        /// shard world warms its own pools, so the merge is the maximum.
+        pub buf_grows: u64 = HighWater,
+        /// Pending fan-in slots dropped by a failure purge.
+        pub purged: u64,
+    }
 }
 
 // ------------------------------------------------------------- tree state

@@ -116,19 +116,20 @@ impl FaultPlan {
     }
 }
 
-/// Counters of injected faults (observable by tests and reports).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultStats {
-    /// Packets silently dropped by the dice.
-    pub dropped: u64,
-    /// Extra copies delivered by the duplication dice.
-    pub duplicated: u64,
-    /// Packets delivered late by the delay dice.
-    pub delayed: u64,
-    /// Packets dropped because an endpoint node was killed.
-    pub dead_node_drops: u64,
-    /// Packets judged by a per-link plan instead of the base dice.
-    pub link_plan_packets: u64,
+knet_simcore::counters! {
+    /// Counters of injected faults (observable by tests and reports).
+    pub struct FaultStats {
+        /// Packets silently dropped by the dice.
+        pub dropped: u64,
+        /// Extra copies delivered by the duplication dice.
+        pub duplicated: u64,
+        /// Packets delivered late by the delay dice.
+        pub delayed: u64,
+        /// Packets dropped because an endpoint node was killed.
+        pub dead_node_drops: u64,
+        /// Packets judged by a per-link plan instead of the base dice.
+        pub link_plan_packets: u64,
+    }
 }
 
 /// The fabric's decision for one packet.

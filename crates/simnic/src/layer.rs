@@ -8,7 +8,7 @@
 //! slower stage (the 250 MB/s link) sets the asymptotic bandwidth.
 
 use bytes::Bytes;
-use knet_simcore::{Busy, LaneBank, SimTime};
+use knet_simcore::{Busy, Counters, LaneBank, SimTime};
 use knet_simos::{NodeId, OsError, OsWorld, PhysSeg};
 
 use knet_simcore::SimEvent;
@@ -21,22 +21,23 @@ use crate::qos::QosState;
 use crate::rel::{LinkKey, RelState};
 use crate::ttable::TransTable;
 
-/// Counters exposed to figures and tests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NicStats {
-    pub tx_packets: u64,
-    pub tx_bytes: u64,
-    pub rx_packets: u64,
-    pub rx_bytes: u64,
-    pub dma_to_host_bytes: u64,
-    pub dma_from_host_bytes: u64,
-    /// Arrivals dropped because the receive FIFO backlog exceeded
-    /// [`crate::model::NicModel::rx_fifo`] (incast congestion at this
-    /// card). Deterministic — no fault dice involved.
-    pub rx_congestion_drops: u64,
-    /// Transmissions per physical lane (lane striping observability; lanes
-    /// beyond the fourth fold into the last bucket).
-    pub lane_tx: [u64; 4],
+knet_simcore::counters! {
+    /// Counters exposed to figures and tests.
+    pub struct NicStats {
+        pub tx_packets: u64,
+        pub tx_bytes: u64,
+        pub rx_packets: u64,
+        pub rx_bytes: u64,
+        pub dma_to_host_bytes: u64,
+        pub dma_from_host_bytes: u64,
+        /// Arrivals dropped because the receive FIFO backlog exceeded
+        /// [`crate::model::NicModel::rx_fifo`] (incast congestion at this
+        /// card). Deterministic — no fault dice involved.
+        pub rx_congestion_drops: u64,
+        /// Transmissions per physical lane (lane striping observability; lanes
+        /// beyond the fourth fold into the last bucket).
+        pub lane_tx: [u64; 4],
+    }
 }
 
 /// One NIC: hardware resources plus the bounded translation table.
@@ -150,7 +151,12 @@ impl NicLayer {
     /// Arrivals dropped to receive-FIFO overflow, summed over every card
     /// (the fabric-wide incast congestion signal).
     pub fn congestion_drops(&self) -> u64 {
-        self.nics.iter().map(|n| n.stats.rx_congestion_drops).sum()
+        self.totals().rx_congestion_drops
+    }
+
+    /// Every card's [`NicStats`] merged (the `nic` block of the stats tree).
+    pub fn totals(&self) -> NicStats {
+        NicStats::merged(self.nics.iter().map(|n| n.stats))
     }
 
     /// Install a NIC in `node`; returns its id.

@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use knet_simcore::SimTime;
+use knet_simcore::{Counters, SimTime};
 
 use crate::packet::NicId;
 
@@ -57,17 +57,18 @@ impl Default for QosPolicy {
     }
 }
 
-/// Per-tenant admission counters (summed across the tenant's NICs).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QosTenantStats {
-    /// Sends admitted (tokens consumed).
-    pub admitted: u64,
-    /// Bytes admitted.
-    pub admitted_bytes: u64,
-    /// Sends deferred into a pacing lane.
-    pub deferred: u64,
-    /// Sends shed with `Overload`.
-    pub shed: u64,
+knet_simcore::counters! {
+    /// Per-tenant admission counters (summed across the tenant's NICs).
+    pub struct QosTenantStats {
+        /// Sends admitted (tokens consumed).
+        pub admitted: u64,
+        /// Bytes admitted.
+        pub admitted_bytes: u64,
+        /// Sends deferred into a pacing lane.
+        pub deferred: u64,
+        /// Sends shed with `Overload`.
+        pub shed: u64,
+    }
 }
 
 /// One bucket: scaled token level plus the instant it was last refilled.
@@ -126,16 +127,9 @@ impl QosState {
         ids
     }
 
-    /// Sum of all per-tenant counters (the `RegistryStats` mirror).
+    /// The merge of all per-tenant rows (the `qos` block of the stats tree).
     pub fn totals(&self) -> QosTenantStats {
-        let mut out = QosTenantStats::default();
-        for s in self.stats.values() {
-            out.admitted += s.admitted;
-            out.admitted_bytes += s.admitted_bytes;
-            out.deferred += s.deferred;
-            out.shed += s.shed;
-        }
-        out
+        QosTenantStats::merged(self.stats.values().copied())
     }
 
     /// Offer a `bytes`-long send to `tenant`'s bucket on `nic` at virtual

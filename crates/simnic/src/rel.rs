@@ -189,67 +189,68 @@ impl RelParams {
     }
 }
 
-/// Reliability counters (observable by tests, figures and reports).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RelStats {
-    /// Sequenced packets handed to the window.
-    pub data_packets: u64,
-    /// Cumulative acks emitted.
-    pub acks_sent: u64,
-    /// Inbound packets dropped as duplicates (loss recovery working).
-    pub dup_dropped: u64,
-    /// Packets resent by retransmission rounds (holes only — a SACKed
-    /// packet is never among them).
-    pub retransmits: u64,
-    /// Timer periods that elapsed with zero ack progress.
-    pub timeouts: u64,
-    /// Sends parked because the window was full.
-    pub parked: u64,
-    /// Links declared dead after an exhausted retry budget.
-    pub dead_links: u64,
-    /// Cumulative acks received.
-    pub acks_recv: u64,
-    /// Received acks that advanced a window base.
-    pub ack_progress: u64,
-    /// Link states ever created (flat in steady state).
-    pub links: u64,
-    /// Structure-growth events — ring reallocations while queueing
-    /// (warm-up only in steady state).
-    pub grows: u64,
-    /// Window entries marked received via the SACK bitmap (ahead of the
-    /// cumulative ack).
-    pub sacked: u64,
-    /// Packets a retransmission round *skipped* because SACK state showed
-    /// the receiver already has them — exactly the resends go-back-N would
-    /// have wasted.
-    pub sack_repairs: u64,
-    /// RTT samples fed to the estimator (one per ack arrival).
-    pub rtt_samples: u64,
-    /// Retransmission rounds later proven unnecessary: the ack that
-    /// progressed echoed a pre-RTO timestamp (Eifel detection).
-    pub spurious_rtos: u64,
-    /// Latest smoothed RTT observed on any link, in nanoseconds.
-    pub srtt_ns: u64,
-    /// Latest adaptive RTO derived on any link, in nanoseconds.
-    pub rto_ns: u64,
-    /// Fast-retransmit rounds fired by duplicate-SACK indications (the
-    /// packets they resent are in `retransmits`).
-    pub fast_retransmits: u64,
-    /// Multiplicative decreases of a congestion window (one per recovery
-    /// episode or RTO collapse).
-    pub cwnd_cuts: u64,
-    /// Fresh in-order packets whose ack was aggregated away (covered by a
-    /// later count-triggered or holdoff-flushed ack).
-    pub acks_delayed: u64,
-    /// Sequenced packets swallowed because their link was already dead
-    /// (stragglers after reclaim).
-    pub dead_dropped: u64,
-    /// Drop notifications sent by a receiver NIC whose rx FIFO shed a
-    /// sequenced packet (GM-style NACKs).
-    pub nacks: u64,
-    /// Packets resent immediately in response to a NACK (also counted in
-    /// `retransmits`).
-    pub nack_resends: u64,
+knet_simcore::counters! {
+    /// Reliability counters (observable by tests, figures and reports).
+    pub struct RelStats {
+        /// Sequenced packets handed to the window.
+        pub data_packets: u64,
+        /// Cumulative acks emitted.
+        pub acks_sent: u64,
+        /// Inbound packets dropped as duplicates (loss recovery working).
+        pub dup_dropped: u64,
+        /// Packets resent by retransmission rounds (holes only — a SACKed
+        /// packet is never among them).
+        pub retransmits: u64,
+        /// Timer periods that elapsed with zero ack progress.
+        pub timeouts: u64,
+        /// Sends parked because the window was full.
+        pub parked: u64,
+        /// Links declared dead after an exhausted retry budget.
+        pub dead_links: u64,
+        /// Cumulative acks received.
+        pub acks_recv: u64,
+        /// Received acks that advanced a window base.
+        pub ack_progress: u64,
+        /// Link states ever created (flat in steady state).
+        pub links: u64,
+        /// Structure-growth events — ring reallocations while queueing
+        /// (warm-up only in steady state).
+        pub grows: u64,
+        /// Window entries marked received via the SACK bitmap (ahead of the
+        /// cumulative ack).
+        pub sacked: u64,
+        /// Packets a retransmission round *skipped* because SACK state showed
+        /// the receiver already has them — exactly the resends go-back-N would
+        /// have wasted.
+        pub sack_repairs: u64,
+        /// RTT samples fed to the estimator (one per ack arrival).
+        pub rtt_samples: u64,
+        /// Retransmission rounds later proven unnecessary: the ack that
+        /// progressed echoed a pre-RTO timestamp (Eifel detection).
+        pub spurious_rtos: u64,
+        /// Latest smoothed RTT observed on any link, in nanoseconds.
+        pub srtt_ns: u64 = Gauge,
+        /// Latest adaptive RTO derived on any link, in nanoseconds.
+        pub rto_ns: u64 = Gauge,
+        /// Fast-retransmit rounds fired by duplicate-SACK indications (the
+        /// packets they resent are in `retransmits`).
+        pub fast_retransmits: u64,
+        /// Multiplicative decreases of a congestion window (one per recovery
+        /// episode or RTO collapse).
+        pub cwnd_cuts: u64,
+        /// Fresh in-order packets whose ack was aggregated away (covered by a
+        /// later count-triggered or holdoff-flushed ack).
+        pub acks_delayed: u64,
+        /// Sequenced packets swallowed because their link was already dead
+        /// (stragglers after reclaim).
+        pub dead_dropped: u64,
+        /// Drop notifications sent by a receiver NIC whose rx FIFO shed a
+        /// sequenced packet (GM-style NACKs).
+        pub nacks: u64,
+        /// Packets resent immediately in response to a NACK (also counted in
+        /// `retransmits`).
+        pub nack_resends: u64,
+    }
 }
 
 /// One transmitted-but-unacked packet in a sender window.

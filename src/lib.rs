@@ -87,7 +87,7 @@ pub mod world;
 pub use build::ClusterBuilder;
 pub use event::ClusterEv;
 pub use shard::ShardedCluster;
-pub use world::{ClusterWorld, TenantStatsRow};
+pub use world::{ClusterWorld, TenantStatsRow, WorldStats};
 
 /// Everything needed to script experiments.
 pub mod prelude {

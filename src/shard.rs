@@ -27,10 +27,21 @@
 //! 1, 2, 4 and 8 shards.
 
 use knet_simcore::{
-    run_shards_to_quiescence, EngineStats, EpochReport, ShardPhase, SimTime, DEFAULT_EVENT_BUDGET,
+    run_shards_to_quiescence, Counters, EngineStats, EpochReport, ShardPhase, SimTime,
+    DEFAULT_EVENT_BUDGET,
 };
 
-use crate::world::ClusterWorld;
+use crate::world::{ClusterWorld, WorldStats};
+
+/// A world's stats tree with the `engine` block zeroed: what mirrored set-up
+/// leaves identical on every replica (schedulers keep only their own nodes'
+/// events even while mirroring, so engine counters are per-shard throughout).
+fn layer_counters(w: &ClusterWorld) -> WorldStats {
+    WorldStats {
+        engine: EngineStats::default(),
+        ..w.stats()
+    }
+}
 
 /// A cluster partitioned into `k` shard worlds stepped in parallel.
 pub struct ShardedCluster {
@@ -41,7 +52,9 @@ pub struct ShardedCluster {
     /// The global control-stream sequence counter, threaded through every
     /// [`Self::on`] call so control events get sequential-identical keys.
     control_seq: u64,
-    setup_done: bool,
+    /// `Some` once set-up is sealed: the layer counters mirrored set-up left
+    /// on every replica alike — the base [`Self::stats`] sums gains over.
+    base: Option<WorldStats>,
 }
 
 impl ShardedCluster {
@@ -60,7 +73,7 @@ impl ShardedCluster {
             worlds,
             lookahead,
             control_seq: 0,
-            setup_done: false,
+            base: None,
         }
     }
 
@@ -82,7 +95,7 @@ impl ShardedCluster {
     /// no longer sound and this panics.
     pub fn setup<T>(&mut self, f: impl Fn(&mut ClusterWorld) -> T) -> T {
         assert!(
-            !self.setup_done,
+            self.base.is_none(),
             "setup() must precede all routed operations"
         );
         let mut last = None;
@@ -95,17 +108,19 @@ impl ShardedCluster {
     /// Switch from mirrored setup to routed steady-state. Idempotent;
     /// called automatically by the first `on`/`run_to_quiescence`.
     fn seal_setup(&mut self) {
-        if self.setup_done {
+        if self.base.is_some() {
             return;
         }
-        self.setup_done = true;
         // Every replica ran identical setup code, so every control counter
-        // agrees; adopt it as the global one.
+        // and every layer counter agrees; adopt world 0's as the global ones.
+        let base = layer_counters(&self.worlds[0]);
         self.control_seq = self.worlds[0].sched.control_seq();
         for w in &mut self.worlds {
             debug_assert_eq!(w.sched.control_seq(), self.control_seq);
+            debug_assert_eq!(layer_counters(w), base, "mirrored set-up diverged");
             w.sched.set_phase(ShardPhase::Routed);
         }
+        self.base = Some(base);
     }
 
     /// Run a control operation against the world that owns `node` and
@@ -180,39 +195,23 @@ impl ShardedCluster {
         self.worlds.iter().map(|w| w.sched.executed()).sum()
     }
 
-    /// Engine counters summed over all shards, plus the per-shard list.
+    /// Engine counters merged over all shards, plus the per-shard list.
     pub fn engine_stats(&self) -> (EngineStats, Vec<EngineStats>) {
         let per: Vec<EngineStats> = self.worlds.iter().map(|w| w.engine_stats()).collect();
-        let mut sum = EngineStats::default();
-        for s in &per {
-            sum.executed += s.executed;
-            sum.pending += s.pending;
-            sum.epochs = sum.epochs.max(s.epochs);
-            sum.mailbox_injected += s.mailbox_injected;
-            sum.mailbox_high_water = sum.mailbox_high_water.max(s.mailbox_high_water);
-            sum.arena_uses += s.arena_uses;
-            sum.arena_grows += s.arena_grows;
-            sum.mirror_dropped += s.mirror_dropped;
-            sum.errors += s.errors;
-        }
-        (sum, per)
+        (EngineStats::merged(per.iter().copied()), per)
     }
 
-    /// Aggregate stats snapshot: world 0's registry-style snapshot shape
-    /// with the engine counters summed over every shard. (Layer counters
-    /// other than the engine's are per-shard in a sharded run; read them
-    /// through [`Self::world`].)
-    pub fn stats_snapshot(&self) -> knet_core::RegistryStats {
-        let mut st = self.worlds[0].stats_snapshot();
-        let (sum, _) = self.engine_stats();
-        st.engine_events = sum.executed;
-        st.engine_epochs = sum.epochs;
-        st.engine_mailbox_injected = sum.mailbox_injected;
-        st.engine_mailbox_high_water = sum.mailbox_high_water;
-        st.engine_arena_uses = sum.arena_uses;
-        st.engine_arena_grows = sum.arena_grows;
-        st.engine_errors = sum.errors;
-        st
+    /// The cluster's stats tree: what mirrored set-up counted (once, not
+    /// once per replica) plus what every shard world gained since — so
+    /// running totals equal a one-shard run's, high-water marks and gauges
+    /// are the maximum over the shards.
+    pub fn stats(&self) -> WorldStats {
+        let base = self.base.unwrap_or_else(|| layer_counters(&self.worlds[0]));
+        let mut sum = base;
+        for w in &self.worlds {
+            sum.accumulate(&w.stats(), &base);
+        }
+        sum
     }
 
     /// First typed engine error recorded on any shard, if one exists.

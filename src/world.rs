@@ -37,7 +37,7 @@ use knet_mx::{
 use knet_nbd::{NbdLayer, NbdWorld};
 use knet_orfs::{OrfsLayer, OrfsWorld};
 use knet_rpc::{RpcEv, RpcLayer, RpcWorld};
-use knet_simcore::{Scheduler, SimWorld};
+use knet_simcore::{Counters, Merge, Scheduler, SimWorld};
 
 use crate::event::ClusterEv;
 use knet_simnic::{CollCmd, CollEvent, NicEv, NicId, NicLayer, NicWorld, Packet, Proto};
@@ -189,62 +189,33 @@ impl ClusterWorld {
         self.nics.set_fault_plan(plan);
     }
 
-    /// The registry counters with the NIC-level reliability counters
-    /// (`knet_simnic::RelStats`) mirrored in: one snapshot tests, figures
-    /// and the bench can assert on without reaching below the driver seam.
-    pub fn stats_snapshot(&self) -> knet_core::RegistryStats {
-        let mut st = self.registry.stats;
-        let rel = self.nics.rel.stats;
-        st.rel_data_packets = rel.data_packets;
-        st.rel_retransmits = rel.retransmits;
-        st.rel_sack_repairs = rel.sack_repairs;
-        st.rel_rtt_samples = rel.rtt_samples;
-        st.rel_spurious_rtos = rel.spurious_rtos;
-        st.rel_srtt_ns = rel.srtt_ns;
-        st.rel_rto_ns = rel.rto_ns;
-        st.rel_fast_retransmits = rel.fast_retransmits;
-        st.rel_cwnd_cuts = rel.cwnd_cuts;
-        st.rel_delayed_acks = rel.acks_delayed;
-        st.nic_rx_congestion_drops = self.nics.congestion_drops();
-        let coll = self.coll.stats;
-        st.coll_started = coll.started;
-        st.coll_completed = coll.completed;
-        st.coll_failed = coll.failed;
-        let nic_coll = self.nics.coll.stats;
-        st.coll_frames = nic_coll.frames;
-        st.coll_combines = nic_coll.combines;
-        let rpc = self.rpc.stats;
-        st.rpc_calls = rpc.calls;
-        st.rpc_completed = rpc.completed;
-        st.rpc_failed = rpc.failed;
-        st.rpc_retries = rpc.retries;
-        st.rpc_expired_dropped = rpc.expired_dropped;
-        st.rpc_idem_hits = rpc.idem_hits;
-        let eng = self.sched.engine_stats();
-        st.engine_events = eng.executed;
-        st.engine_epochs = eng.epochs;
-        st.engine_mailbox_injected = eng.mailbox_injected;
-        st.engine_mailbox_high_water = eng.mailbox_high_water;
-        st.engine_arena_uses = eng.arena_uses;
-        st.engine_arena_grows = eng.arena_grows;
-        st.engine_errors = eng.errors;
-        let qos = self.nics.qos.totals();
-        st.qos_admitted = qos.admitted;
-        st.qos_deferred = qos.deferred;
-        st.qos_shed = qos.shed;
-        st
+    /// Every layer's own counter block, composed unrenamed: one read for
+    /// tests, figures and benches. Per-object breakdowns stay where they
+    /// are ([`Self::rel_link_stats`], [`Self::tenant_stats`], the NICs).
+    pub fn stats(&self) -> WorldStats {
+        WorldStats {
+            engine: self.sched.engine_stats(),
+            registry: self.registry.stats,
+            nic: self.nics.totals(),
+            rel: self.nics.rel.stats,
+            fault: self.nics.fault_stats(),
+            qos: self.nics.qos.totals(),
+            nic_coll: self.nics.coll.stats,
+            coll: self.coll.stats,
+            rpc: self.rpc.stats,
+            kv: self.kv.stats,
+        }
     }
 
     /// The raw engine counters of this world's scheduler shard (the
-    /// aggregate view lives in [`Self::stats_snapshot`]; sharded runs sum
-    /// each world's copy).
+    /// `engine` block of [`Self::stats`]).
     pub fn engine_stats(&self) -> knet_simcore::EngineStats {
         self.sched.engine_stats()
     }
 
     /// Per-link reliability counters, one row per live link state,
     /// deterministically ordered — the breakdown behind the aggregate
-    /// [`Self::stats_snapshot`], so a hot link (e.g. a collective tree's
+    /// `rel` block of [`Self::stats`], so a hot link (e.g. a collective tree's
     /// root edge) is attributable instead of averaged away.
     pub fn rel_link_stats(&self) -> Vec<knet_simnic::RelLinkStats> {
         self.nics.rel.link_breakdown()
@@ -268,9 +239,10 @@ impl ClusterWorld {
     }
 
     /// Attribute an endpoint's sends to `tenant` (channels created for it
-    /// pick the tenant up; existing channels are re-tagged).
-    pub fn assign_tenant(&mut self, ep: Endpoint, tenant: TenantId) {
-        self.registry.assign_tenant(ep, tenant);
+    /// pick the tenant up; existing channels are re-tagged). `false` — and
+    /// no change — for an id [`Self::register_tenant`] never returned.
+    pub fn assign_tenant(&mut self, ep: Endpoint, tenant: TenantId) -> bool {
+        self.registry.assign_tenant(ep, tenant)
     }
 
     /// Mirror the registry's tenant weights into the driver pacing
@@ -321,6 +293,45 @@ impl ClusterWorld {
             self.mx.paced.fingerprint_nic(nic, &mut mix);
             self.nics.qos.fingerprint_nic(nic, &mut mix);
         }
+    }
+}
+
+knet_simcore::counters! {
+    /// The composed world's stats tree ([`ClusterWorld::stats`]): one block
+    /// per layer, each declared — names, docs and merge kinds — by the crate
+    /// that increments it (`nic` and `qos` are its totals over every card
+    /// and every tenant; `nic_coll` is the NIC tree engines, `coll` the
+    /// group API above them). Merging two trees merges every block, which
+    /// is how [`crate::ShardedCluster::stats`] sums its shard worlds.
+    pub struct WorldStats {
+        pub engine: knet_simcore::EngineStats,
+        pub registry: knet_core::RegistryStats,
+        pub nic: knet_simnic::NicStats,
+        pub rel: knet_simnic::RelStats,
+        pub fault: knet_simnic::FaultStats,
+        pub qos: knet_simnic::QosTenantStats,
+        pub nic_coll: knet_simnic::CollNicStats,
+        pub coll: knet_coll::CollApiStats,
+        pub rpc: knet_rpc::RpcStats,
+        pub kv: knet_kv::KvStats,
+    }
+}
+
+impl WorldStats {
+    /// Where `self` and `other` — one workload and seed at two shard counts
+    /// — disagree on a field the partition must not move, as `name: a != b`
+    /// lines. That is every running total: high-water marks and gauges
+    /// (`rel.srtt_ns`, `rel.rto_ns`) are maxima over the shards, and of the
+    /// `engine` block only `executed` and `errors` are partition-free.
+    pub fn shard_invariant_diff(&self, other: &WorldStats) -> Vec<String> {
+        let fields = self.fields().into_iter().zip(other.fields());
+        fields
+            .filter(|((name, kind, a), (_, _, b))| {
+                let engine_ok = matches!(name.as_str(), "engine.executed" | "engine.errors");
+                a != b && *kind == Merge::Total && (engine_ok || !name.starts_with("engine."))
+            })
+            .map(|((name, _, a), (_, _, b))| format!("{name}: {a} != {b}"))
+            .collect()
     }
 }
 

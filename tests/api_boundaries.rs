@@ -360,3 +360,52 @@ fn collective_opcodes_stay_inside_the_nic_engine_and_drivers() {
         offenders.join("\n")
     );
 }
+
+/// Every counter is declared once, in the crate that increments it, and
+/// read through the composed stats tree (`ClusterWorld::stats()` /
+/// `ShardedCluster::stats()`). Two things must not grow back: a flat
+/// snapshot function that copies other layers' counters field by field,
+/// and fields in `knet-core`'s `api.rs` named after layers the core crate
+/// does not own (`rel_*`, `nic_rx_*`, `coll_*`, `engine_*`, `rpc_*`,
+/// `qos_*` — the renamed copies the old `RegistryStats` carried).
+#[test]
+fn counters_are_declared_once_and_read_through_the_stats_tree() {
+    // Pattern assembled at runtime so this file never matches itself.
+    let patterns = vec![format!("stats_{}", "snapshot")];
+    let offenders = offenders_for(&["crates", "src", "tests", "examples"], &patterns);
+    assert!(
+        offenders.is_empty(),
+        "a flat stats snapshot came back (compose the layers' own blocks \
+         in WorldStats instead):\n{}",
+        offenders.join("\n")
+    );
+
+    // `\b(rel|nic_rx|coll|engine|rpc|qos)_\w+\s*:` by hand: the identifier
+    // that ends each text run before a colon.
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let foreign_field = |line: &str| {
+        let mut runs: Vec<&str> = line.split(':').collect();
+        runs.pop(); // what follows the last colon precedes none
+        runs.iter().any(|run| {
+            let run = run.trim_end();
+            let ident = &run[run.rfind(|c| !is_ident(c)).map_or(0, |i| i + 1)..];
+            ["rel_", "nic_rx_", "coll_", "engine_", "rpc_", "qos_"]
+                .iter()
+                .any(|p| ident.len() > p.len() && ident.starts_with(p))
+        })
+    };
+    let api = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/api.rs");
+    let text = fs::read_to_string(&api).expect("crates/core/src/api.rs");
+    let offenders: Vec<String> = text
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| foreign_field(line))
+        .map(|(i, line)| format!("{}:{}: {}", api.display(), i + 1, line.trim()))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "knet-core names a counter of a layer it does not own (declare it \
+         in that layer's stats block):\n{}",
+        offenders.join("\n")
+    );
+}

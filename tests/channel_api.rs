@@ -1057,7 +1057,11 @@ fn cap_shrink_evicts_within_each_tenant_never_across() {
     // Re-tag the endpoint and park four more in tenant b's lane. Parked
     // sends keep the lane they joined under.
     let tb = w.registry.tenant_create("b", 2);
-    w.assign_tenant(ea, tb);
+    assert!(w.assign_tenant(ea, tb));
+    // An id nobody minted has no stats row — sends tagged with it would
+    // count in the registry totals and in no tenant — so it is refused.
+    assert!(!w.assign_tenant(ea, TenantId(7)), "never minted");
+    assert_eq!(w.registry.tenant_of(ea), tb, "endpoint stays where it was");
     let mut b_ctxs = Vec::new();
     for i in 10..14u64 {
         b_ctxs.push(channel_send(&mut w, ch_a, i, ka.iov(16)).unwrap());
@@ -1103,6 +1107,18 @@ fn cap_shrink_evicts_within_each_tenant_never_across() {
     expected.sort_unstable();
     done.sort_unstable();
     assert_eq!(done, expected, "both lanes drain after the shrink");
+    // Every parked, retried and evicted send is in some tenant's row.
+    let (reg, rows) = (w.stats().registry, w.tenant_stats());
+    let sum = |of: fn(&knet_core::TenantSendStats) -> u64| -> u64 {
+        rows.iter().map(|r| of(&r.channel)).sum()
+    };
+    assert_eq!(
+        (reg.queued_sends, reg.retried_sends, reg.failed_retries),
+        (7, 4, 3)
+    );
+    assert_eq!(sum(|s| s.queued_sends), reg.queued_sends);
+    assert_eq!(sum(|s| s.retried_sends), reg.retried_sends);
+    assert_eq!(sum(|s| s.failed_retries), reg.failed_retries);
 }
 
 #[test]

@@ -61,9 +61,9 @@ fn endpoints(
 /// pool double-release, handler panic absorbed by the engine) is a
 /// simulator bug that fault injection must never be allowed to mask.
 fn assert_no_engine_errors(w: &ClusterWorld) {
-    let st = w.stats_snapshot();
+    let st = w.stats();
     assert_eq!(
-        st.engine_errors, 0,
+        st.engine.errors, 0,
         "engine errors under chaos are a hard fail"
     );
 }
@@ -547,13 +547,13 @@ fn orfs_server_kill_spares_surviving_traffic() {
         0,
         "surviving server holds no stale staging"
     );
-    let st = w.stats_snapshot();
+    let st = w.stats();
     assert!(
-        st.ctx_pool_slots <= 256,
+        st.registry.ctx_pool_slots <= 256,
         "ctx slots bounded after failover: {}",
-        st.ctx_pool_slots
+        st.registry.ctx_pool_slots
     );
-    assert!(st.rel_rtt_samples > 0, "surviving links kept sampling RTT");
+    assert!(st.rel.rtt_samples > 0, "surviving links kept sampling RTT");
     assert_no_engine_errors(&w);
 }
 
@@ -615,11 +615,11 @@ fn nbd_server_kill_spares_surviving_traffic() {
     run_to_quiescence(&mut w);
 
     assert_eq!(w.nics.rel.buffered_total(), 0, "window rings drained");
-    let st = w.stats_snapshot();
+    let st = w.stats();
     assert!(
-        st.ctx_pool_slots <= 256,
+        st.registry.ctx_pool_slots <= 256,
         "ctx slots bounded after failover: {}",
-        st.ctx_pool_slots
+        st.registry.ctx_pool_slots
     );
     assert_no_engine_errors(&w);
 }

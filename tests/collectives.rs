@@ -74,10 +74,10 @@ fn bcast_reaches_every_member_byte_exact_on_gm() {
 
     assert_eq!(w.coll.pending_count(), 0, "no stranded host contexts");
     assert_eq!(w.nics.coll.pending_count(), 0, "no stranded NIC slots");
-    let snap = w.stats_snapshot();
-    assert_eq!(snap.coll_started, 1);
-    assert_eq!(snap.coll_completed, 1);
-    assert!(snap.coll_frames > 0, "frames crossed the tree engine");
+    let snap = w.stats();
+    assert_eq!(snap.coll.started, 1);
+    assert_eq!(snap.coll.completed, 1);
+    assert!(snap.nic_coll.frames > 0, "frames crossed the tree engine");
 }
 
 #[test]
@@ -283,13 +283,13 @@ fn member_killed_mid_barrier_fails_survivors_typed() {
         channel_barrier(&mut w, group, eps[0]),
         Err(NetError::PeerUnreachable)
     ));
-    let snap = w.stats_snapshot();
-    assert_eq!(snap.coll_failed as usize, eps.len() - 1);
+    let snap = w.stats();
+    assert_eq!(snap.coll.failed as usize, eps.len() - 1);
 }
 
-/// Satellite: the aggregate `RelStats` mirror stays, and the new per-link
-/// breakdown attributes traffic to individual directed links — rows sum
-/// back to the aggregate counters they slice.
+/// Satellite: the per-link breakdown behind the aggregate `RelStats`
+/// attributes traffic to individual directed links — rows sum back to the
+/// aggregate counters they slice.
 #[test]
 fn rel_link_breakdown_sums_to_the_aggregate() {
     let CollFixture {

@@ -13,8 +13,9 @@
 //! * goodput is monotone-ish in the sender count (no collapse),
 //! * `retransmits / data_packets` stays bounded,
 //! * the 16-sender point actually exercises the rx-FIFO model
-//!   (`nic_rx_congestion_drops > 0`),
-//! * the whole scenario is bit-identical per seed at shard counts 1/2/4.
+//!   (`nic.rx_congestion_drops > 0`),
+//! * the whole scenario — events and summed counters — is bit-identical per
+//!   seed at shard counts 1/2/4.
 
 use knet::harness::kbuf;
 use knet::prelude::*;
@@ -75,11 +76,8 @@ fn post_round(
 /// Run barrier-synchronized incast rounds sequentially (the classic
 /// incast shape: every sender answers the round's request at once, the
 /// next round starts when the fan-in drains); return (goodput bytes/sec
-/// in virtual time, snapshot of the composed stats).
-fn incast_goodput(
-    n_senders: usize,
-    rel: knet_simnic::RelParams,
-) -> (f64, knet_core::RegistryStats) {
+/// in virtual time, the world's stats tree).
+fn incast_goodput(n_senders: usize, rel: knet_simnic::RelParams) -> (f64, knet::WorldStats) {
     let mut w = builder(n_senders).rel_params(rel).build();
     let inc = incast_setup(&mut w, n_senders);
     for round in 0..ROUNDS {
@@ -109,7 +107,7 @@ fn incast_goodput(
 
     let elapsed = knet_simcore::now(&w).nanos().max(1);
     let goodput = got_bytes as f64 / (elapsed as f64 / 1e9);
-    (goodput, w.stats_snapshot())
+    (goodput, w.stats())
 }
 
 /// The headline regression: adding senders must not collapse goodput,
@@ -127,18 +125,18 @@ fn incast_goodput_is_monotone_ish_and_retransmits_stay_bounded() {
             prev / 1e6
         );
         prev = prev.max(goodput);
-        assert!(st.rel_data_packets > 0);
-        let ratio = st.rel_retransmits as f64 / st.rel_data_packets as f64;
+        assert!(st.rel.data_packets > 0);
+        let ratio = st.rel.retransmits as f64 / st.rel.data_packets as f64;
         assert!(
             ratio < 0.5,
             "{n} senders: retransmit ratio {ratio:.3} unbounded \
              ({} resends / {} data packets)",
-            st.rel_retransmits,
-            st.rel_data_packets
+            st.rel.retransmits,
+            st.rel.data_packets
         );
         if n == 16 {
             assert!(
-                st.nic_rx_congestion_drops > 0,
+                st.nic.rx_congestion_drops > 0,
                 "16-way incast never overflowed the rx FIFO — the \
                  scenario stopped exercising the contention model"
             );
@@ -160,54 +158,18 @@ fn incast_goodput_is_monotone_ish_and_retransmits_stay_bounded() {
 
 // ------------------------------------------------------- shard identity
 
-/// Sequential baseline or sharded cluster behind one workload surface
-/// (same shape as `sched_equivalence.rs`).
-enum Driver {
-    Seq(Box<ClusterWorld>),
-    Sharded(ShardedCluster),
-}
-
-impl Driver {
-    fn setup<T>(&mut self, f: impl Fn(&mut ClusterWorld) -> T) -> T {
-        match self {
-            Driver::Seq(w) => f(w),
-            Driver::Sharded(s) => s.setup(f),
-        }
-    }
-
-    fn on<R>(&mut self, node: u32, f: impl FnOnce(&mut ClusterWorld) -> R) -> R {
-        match self {
-            Driver::Seq(w) => f(w),
-            Driver::Sharded(s) => s.on(node, f),
-        }
-    }
-
-    fn run(&mut self) {
-        match self {
-            Driver::Seq(w) => {
-                run_to_quiescence(&mut **w);
-            }
-            Driver::Sharded(s) => {
-                s.run_to_quiescence();
-            }
-        }
-    }
-
-    fn executed(&self) -> u64 {
-        match self {
-            Driver::Seq(w) => w.sched.executed(),
-            Driver::Sharded(s) => s.executed(),
-        }
-    }
-}
-
 fn mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
 }
 
 /// The incast workload under a seeded lossy fabric, returning an
-/// order-sensitive fingerprint of everything the receiver observed.
-fn incast_fingerprint(d: &mut Driver, n_senders: usize, seed: u64) -> (u64, u64) {
+/// order-sensitive fingerprint of everything the receiver observed and
+/// the cluster's summed stats tree.
+fn incast_fingerprint(
+    d: &mut ShardedCluster,
+    n_senders: usize,
+    seed: u64,
+) -> ((u64, u64), knet::WorldStats) {
     let inc = d.setup(|w| {
         w.set_fault_plan(FaultPlan::new(seed).with_drop(0.03).with_delay(
             0.05,
@@ -221,7 +183,7 @@ fn incast_fingerprint(d: &mut Driver, n_senders: usize, seed: u64) -> (u64, u64)
         for (i, s) in inc.senders.iter().enumerate() {
             d.on(i as u32 + 1, |w| post_round(w, s, round, i as u64 + 1));
         }
-        d.run();
+        d.run_to_quiescence();
         fp = d.on(0, |w| {
             let mut h = fp;
             while let Some(ev) = w.take_event(inc.recv_ep) {
@@ -236,22 +198,28 @@ fn incast_fingerprint(d: &mut Driver, n_senders: usize, seed: u64) -> (u64, u64)
             h
         });
     }
-    (d.executed(), fp)
+    ((d.executed(), fp), d.stats())
 }
 
-/// Same seed ⇒ same incast, event for event, at shard counts 1, 2 and 4
-/// (8 senders + 1 receiver: node count not divisible by either).
+/// Same seed ⇒ same incast, event for event and counter for counter, at
+/// shard counts 1 (the sequential engine), 2 and 4 (8 senders + 1
+/// receiver: node count not divisible by either).
 #[test]
 fn incast_fingerprints_match_across_shard_counts() {
     let n = 8;
-    let baseline = incast_fingerprint(&mut Driver::Seq(Box::new(builder(n).build())), n, 0x1_CA57);
+    let (baseline, base_stats) = incast_fingerprint(&mut builder(n).build_sharded(1), n, 0x1_CA57);
     assert_ne!(baseline.1, 0xcbf2_9ce4_8422_2325, "receiver saw traffic");
-    for k in [1usize, 2, 4] {
-        let got = incast_fingerprint(
-            &mut Driver::Sharded(builder(n).build_sharded(k)),
-            n,
-            0x1_CA57,
-        );
+    assert!(
+        base_stats.rel.retransmits > 0,
+        "the lossy fabric cost resends"
+    );
+    for k in [2usize, 4] {
+        let (got, stats) = incast_fingerprint(&mut builder(n).build_sharded(k), n, 0x1_CA57);
         assert_eq!(got, baseline, "shard count {k} diverged");
+        assert_eq!(
+            stats.shard_invariant_diff(&base_stats),
+            Vec::<String>::new(),
+            "summed counters diverged at {k} shards"
+        );
     }
 }

@@ -99,9 +99,9 @@ fn assert_invariants(fx: &Fx, label: &str) {
         "{label}: linearizability-lite violations:\n{}",
         violations.join("\n")
     );
-    let st = fx.w.stats_snapshot();
+    let st = fx.w.stats();
     assert_eq!(
-        st.engine_errors, 0,
+        st.engine.errors, 0,
         "{label}: engine errors are a hard fail"
     );
 }
@@ -274,7 +274,7 @@ fn kv_deadline_failures_stay_failed() {
             o.result
         );
     }
-    assert_eq!(fx.w.stats_snapshot().engine_errors, 0);
+    assert_eq!(fx.w.stats().engine.errors, 0);
 }
 
 /// Fault containment (the invariant every chaos suite should hold): **no

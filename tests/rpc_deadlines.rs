@@ -100,8 +100,8 @@ fn echo_roundtrip_completes_and_collects() {
 
     assert_eq!(rpc_server_stats(&w, sid).requests, 1);
     assert_eq!(rpc_client_stats(&w, cid).completed, 1);
-    assert_eq!(w.stats_snapshot().rpc_completed, 1);
-    assert_eq!(w.stats_snapshot().engine_errors, 0);
+    assert_eq!(w.stats().rpc.completed, 1);
+    assert_eq!(w.stats().engine.errors, 0);
 }
 
 #[test]
@@ -207,13 +207,13 @@ fn deadline_expiring_in_send_backpressure_queue_aborts_the_queued_send() {
         deadline_failures > 0,
         "some calls must die in the backpressure queue"
     );
-    let st = w.stats_snapshot();
+    let st = w.stats();
     assert!(
-        st.aborted_queued_sends > 0,
+        st.registry.aborted_queued_sends > 0,
         "expired queued sends must be withdrawn, not left to transmit: {:?}",
         st
     );
-    assert_eq!(st.engine_errors, 0);
+    assert_eq!(st.engine.errors, 0);
     assert_eq!(w.rpc.clients[cid.0 as usize].outstanding(), 0);
 }
 
@@ -308,7 +308,7 @@ fn cancellation_is_typed_and_idempotent() {
     assert_eq!(d.len(), 1);
     assert_eq!((d[0].0, d[0].1), (call, Err(RpcError::Cancelled)));
     assert_eq!(rpc_client_stats(&w, cid).cancelled, 1);
-    assert_eq!(w.stats_snapshot().engine_errors, 0);
+    assert_eq!(w.stats().engine.errors, 0);
 }
 
 /// Fault containment: a node's death is the business of the channels
@@ -405,7 +405,7 @@ fn a_call_in_flight_to_a_live_server_survives_another_nodes_death() {
     let mut out = Vec::new();
     assert_eq!(rpc_collect(&mut w, to_live, live_call, &mut out), Some(5));
     assert_eq!(&out, b"alive");
-    assert_eq!(w.stats_snapshot().engine_errors, 0);
+    assert_eq!(w.stats().engine.errors, 0);
 }
 
 proptest! {
@@ -475,6 +475,6 @@ proptest! {
             }
         }
         prop_assert_eq!(w.rpc.clients[cid.0 as usize].outstanding(), 0);
-        prop_assert_eq!(w.stats_snapshot().engine_errors, 0);
+        prop_assert_eq!(w.stats().engine.errors, 0);
     }
 }

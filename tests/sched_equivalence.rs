@@ -7,6 +7,14 @@
 //! `executed()` event counts, a rolling hash of every transport event each
 //! endpoint observed, and — for the collective workload — the NIC tree
 //! fingerprint. A single reordered event anywhere shifts the fingerprint.
+//! The stats tree rides along: `ShardedCluster::stats()` must equal the
+//! sequential world's `stats()` on every running total at every shard
+//! count, and on the sequential world the per-link rows must sum to the
+//! `rel` block they slice.
+//!
+//! This file keeps the only `Driver` adapter over a raw `ClusterWorld`: it
+//! is the reference the one-shard cluster (`build_sharded(1)`, what every
+//! other suite uses as its sequential leg) is itself held to.
 //!
 //! The chaos workload exercises the whole cross-shard surface: seeded
 //! drop/duplicate/delay fault dice (per-directed-link streams), MX channel
@@ -15,10 +23,10 @@
 
 use knet::harness::{kbuf, KBuf};
 use knet::prelude::*;
-use knet::ShardedCluster;
+use knet::{ShardedCluster, WorldStats};
 use knet_core::api::{channel_send, ChannelId};
 use knet_core::Endpoint;
-use knet_simnic::FaultPlan;
+use knet_simnic::{FaultPlan, RelLinkStats};
 use knet_simos::Asid;
 use proptest::prelude::*;
 
@@ -29,7 +37,7 @@ use proptest::prelude::*;
 /// engines.
 enum Driver {
     Seq(Box<ClusterWorld>),
-    Sharded(ShardedCluster),
+    Sharded(Box<ShardedCluster>),
 }
 
 impl Driver {
@@ -38,7 +46,7 @@ impl Driver {
     }
 
     fn sharded(n: usize, k: usize) -> Self {
-        Driver::Sharded(builder(n).build_sharded(k))
+        Driver::Sharded(Box::new(builder(n).build_sharded(k)))
     }
 
     /// Mirrored setup (must precede any `on`/`run`).
@@ -82,6 +90,13 @@ impl Driver {
         }
     }
 
+    fn stats(&self) -> WorldStats {
+        match self {
+            Driver::Seq(w) => w.stats(),
+            Driver::Sharded(s) => s.stats(),
+        }
+    }
+
     /// No shard may have recorded a typed engine error.
     fn assert_clean(&self) {
         match self {
@@ -95,6 +110,31 @@ fn builder(n: usize) -> ClusterBuilder {
     ClusterBuilder::new()
         .nodes(n, CpuModel::xeon_2600())
         .mem_frames(32_768.max(n as u32 * 512))
+}
+
+// --------------------------------------------------------- reconciliation
+
+/// The per-link rows sum to `stats().rel` on every counter they share
+/// (valid while no link was reclaimed: a dead link's row leaves with it).
+fn assert_link_rows_reconcile(w: &ClusterWorld) {
+    let (rel, rows) = (w.stats().rel, w.rel_link_stats());
+    let sum = |of: fn(&RelLinkStats) -> u64| rows.iter().map(of).sum::<u64>();
+    for (name, rows, total) in [
+        ("data_packets", sum(|r| r.data_packets), rel.data_packets),
+        ("retransmits", sum(|r| r.retransmits), rel.retransmits),
+        ("timeouts", sum(|r| r.timeouts), rel.timeouts),
+        ("sacked", sum(|r| r.sacked), rel.sacked),
+        ("sack_repairs", sum(|r| r.sack_repairs), rel.sack_repairs),
+        ("rtt_samples", sum(|r| r.rtt_samples), rel.rtt_samples),
+        ("spurious_rtos", sum(|r| r.spurious_rtos), rel.spurious_rtos),
+        (
+            "fast_retransmits",
+            sum(|r| r.fast_retransmits),
+            rel.fast_retransmits,
+        ),
+    ] {
+        assert_eq!(rows, total, "link rows do not sum to stats().rel.{name}");
+    }
 }
 
 // ------------------------------------------------------------ fingerprint
@@ -150,7 +190,13 @@ struct Mesh {
 /// and that state is folded into the fingerprint per node each round. (The
 /// paced tenant stays off the kill target: a dead NIC drains nothing, by
 /// design.)
-fn chaos_fingerprint(d: &mut Driver, n: usize, seed: u64, loss_pct: u64, kill: bool) -> (u64, u64) {
+fn chaos_fingerprint(
+    d: &mut Driver,
+    n: usize,
+    seed: u64,
+    loss_pct: u64,
+    kill: bool,
+) -> ((u64, u64), WorldStats) {
     let mesh = d.setup(|w| {
         let mut plan = FaultPlan::new(seed)
             .with_drop(loss_pct as f64 / 100.0)
@@ -224,13 +270,21 @@ fn chaos_fingerprint(d: &mut Driver, n: usize, seed: u64, loss_pct: u64, kill: b
         }
     }
     d.assert_clean();
-    (d.executed(), fp)
+    if let (Driver::Seq(w), false) = (&*d, kill) {
+        assert_link_rows_reconcile(w);
+    }
+    ((d.executed(), fp), d.stats())
 }
 
 // --------------------------------------------------- collective workload
 
 /// Broadcast + barrier + reduce rounds over an n-member NIC-tree group.
-fn coll_fingerprint(d: &mut Driver, n: usize, fanout: usize, seed: u64) -> (u64, u64, u64) {
+fn coll_fingerprint(
+    d: &mut Driver,
+    n: usize,
+    fanout: usize,
+    seed: u64,
+) -> ((u64, u64, u64), WorldStats) {
     let (group, eps, root_buf) = d.setup(|w| {
         let mut eps = Vec::new();
         let mut bufs = Vec::new();
@@ -298,12 +352,25 @@ fn coll_fingerprint(d: &mut Driver, n: usize, fanout: usize, seed: u64) -> (u64,
         .nics
         .coll
         .tree_fingerprint(knet_simnic::Proto::Mx, group.0);
-    (d.executed(), fp, tree)
+    ((d.executed(), fp, tree), d.stats())
 }
 
 // ----------------------------------------------------------------- tests
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// What moved between the raw sequential world's run and a sharded one's:
+/// the fingerprint, or any summed running total (named). Empty = equal.
+fn diverged<F: PartialEq + std::fmt::Debug>(
+    got: &(F, WorldStats),
+    baseline: &(F, WorldStats),
+) -> Vec<String> {
+    let mut diff = got.1.shard_invariant_diff(&baseline.1);
+    if got.0 != baseline.0 {
+        diff.push(format!("fingerprint: {:?} != {:?}", got.0, baseline.0));
+    }
+    diff
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
@@ -320,7 +387,7 @@ proptest! {
         let baseline = chaos_fingerprint(&mut Driver::seq(n), n, seed, loss, kill);
         for k in SHARD_COUNTS {
             let got = chaos_fingerprint(&mut Driver::sharded(n, k), n, seed, loss, kill);
-            prop_assert_eq!(got, baseline, "shard count {} diverged", k);
+            prop_assert_eq!(diverged(&got, &baseline), Vec::<String>::new(), "{} shards", k);
         }
     }
 
@@ -335,14 +402,14 @@ proptest! {
         let baseline = coll_fingerprint(&mut Driver::seq(n), n, fanout, seed);
         for k in SHARD_COUNTS {
             let got = coll_fingerprint(&mut Driver::sharded(n, k), n, fanout, seed);
-            prop_assert_eq!(got, baseline, "shard count {} diverged", k);
+            prop_assert_eq!(diverged(&got, &baseline), Vec::<String>::new(), "{} shards", k);
         }
     }
 }
 
 /// CI shard-matrix entry: `KNET_SHARDS=1,4` (comma-separated shard counts)
-/// runs the chaos equivalence at a fixed seed against the sequential
-/// baseline.
+/// runs the chaos equivalence — event fingerprint and summed counters — at
+/// a fixed seed against the sequential baseline.
 #[test]
 fn chaos_smoke_shard_matrix() {
     let counts: Vec<usize> = std::env::var("KNET_SHARDS")
@@ -354,6 +421,10 @@ fn chaos_smoke_shard_matrix() {
     let baseline = chaos_fingerprint(&mut Driver::seq(n), n, 0xC0FFEE, 8, false);
     for k in counts {
         let got = chaos_fingerprint(&mut Driver::sharded(n, k), n, 0xC0FFEE, 8, false);
-        assert_eq!(got, baseline, "shard count {k} diverged");
+        assert_eq!(
+            diverged(&got, &baseline),
+            Vec::<String>::new(),
+            "{k} shards"
+        );
     }
 }

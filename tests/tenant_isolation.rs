@@ -22,10 +22,10 @@ use knet::build::ClusterBuilder;
 use knet::workload::{run_sharded, run_solo, ClassSpec, WorkloadSpec};
 use knet::world::ClusterWorld;
 use knet_core::api::{channel_connect, channel_send};
-use knet_core::NetError;
+use knet_core::{NetError, TenantSendStats};
 use knet_mx::MxEndpointConfig;
-use knet_simcore::SimTime;
-use knet_simnic::QosPolicy;
+use knet_simcore::{Counters, SimTime};
+use knet_simnic::{QosPolicy, QosTenantStats};
 use knet_simos::{CpuModel, NodeId};
 
 const NODES: usize = 3;
@@ -148,8 +148,9 @@ fn isolation_experiment_is_deterministic_per_seed() {
 
 /// The contended experiment is bit-identical at shard counts 1, 2 and 4:
 /// same per-tenant reports (exact percentiles), same folded WDRR + token
-/// bucket state. Token-bucket refill is virtual-time arithmetic, so thread
-/// interleaving across shards cannot move a single bucket level.
+/// bucket state, same summed counters. Token-bucket refill is virtual-time
+/// arithmetic, so thread interleaving across shards cannot move a single
+/// bucket level.
 #[test]
 fn isolation_experiment_is_shard_invariant() {
     let seed = 0xBEEF;
@@ -169,6 +170,11 @@ fn isolation_experiment_is_shard_invariant() {
         assert_eq!(reports, base_reports, "reports diverged at {shards} shards");
         let fp = fold_fingerprint(|node| sc.world(node));
         assert_eq!(fp, base_fp, "tenant state diverged at {shards} shards");
+        assert_eq!(
+            sc.stats().shard_invariant_diff(&solo.stats()),
+            Vec::<String>::new(),
+            "summed counters diverged at {shards} shards"
+        );
     }
 }
 
@@ -209,8 +215,8 @@ fn zero_rate_tenant_always_sheds_typed_overload() {
     channel_send(&mut w, ch_free, 2, buf.iov(1024)).expect("default tenant rides free");
     knet_simcore::run_to_quiescence(&mut w);
 
-    let st = w.stats_snapshot();
-    assert_eq!(st.qos_shed, 5, "every zero-rate send counted as shed");
+    let st = w.stats();
+    assert_eq!(st.qos.shed, 5, "every zero-rate send counted as shed");
     let rows = w.tenant_stats();
     let dead_row = rows.iter().find(|r| r.name == "dead").unwrap();
     assert_eq!(dead_row.qos.shed, 5);
@@ -230,11 +236,19 @@ fn tenant_stats_rows_cover_admission_and_queueing() {
     assert!(blast_row.qos.shed > 0, "blast must have been shed");
     assert!(victim_row.qos.admitted == 0 && victim_row.qos.shed == 0);
     assert!(victim_row.channel.direct_sends > 0);
-    let st = w.stats_snapshot();
+    // The rows slice the aggregates exactly: admission to `stats().qos`,
+    // queueing to the registry's counters of the same names.
+    let st = w.stats();
+    assert_eq!(QosTenantStats::merged(rows.iter().map(|r| r.qos)), st.qos);
+    let ch = TenantSendStats::merged(rows.iter().map(|r| r.channel));
     assert_eq!(
-        st.qos_shed,
-        rows.iter().map(|r| r.qos.shed).sum::<u64>(),
-        "snapshot mirrors the per-tenant totals"
+        (ch.queued_sends, ch.retried_sends, ch.failed_retries),
+        (
+            st.registry.queued_sends,
+            st.registry.retried_sends,
+            st.registry.failed_retries
+        )
     );
+    assert_eq!(ch.aborted_queued_sends, st.registry.aborted_queued_sends);
     let _ = reports;
 }
