@@ -14,9 +14,14 @@
 //!   with no consumer yet are *parked* and replayed on bind, so wiring
 //!   order never loses traffic. The composed world routes every driver
 //!   event through [`deliver`]; it needs no knowledge of any application.
-//!   Queues keep a **per-endpoint index** so [`Registry::cq_pop_for`] /
+//!   Queues keep a **per-endpoint chain** so [`Registry::cq_pop_for`] /
 //!   [`Registry::has_event`] stay cheap when thousands of endpoints share
 //!   one queue (no linear scans; see [`RegistryStats::indexed_pops`]).
+//!   **Ids are indices**: everything the registry knows about one endpoint
+//!   — consumer, channel, tenant, parked events, queue chains — is one
+//!   record of one table indexed by `(kind, idx)`, and queues, consumers
+//!   and channels live in id-indexed slabs, so routing an event is a few
+//!   array indexings, not a search per map.
 //! * A **[`Channel`]** is a connected, tagged, vectored message pipe
 //!   between two endpoints. Completions go to the channel's consumer: a CQ
 //!   ([`channel_connect`] / [`channel_accept`]) or an in-kernel upcall
@@ -37,10 +42,12 @@
 //! attach with [`Registry::register`] + [`bind`] and are never named by the
 //! world again.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
+use knet_simcore::Slab;
 use knet_simos::{cpu_charge, Asid, NodeId, VirtAddr, VmaEvent};
+use smallvec::SmallVec;
 
 use crate::error::NetError;
 use crate::iovec::{read_iovec, IoVec, MemRef};
@@ -81,15 +88,6 @@ enum Sink<W> {
     Cq(CqId),
     /// Synchronous upcall into an application layer.
     Handler(Handler<W>),
-}
-
-impl<W> Clone for Sink<W> {
-    fn clone(&self) -> Self {
-        match self {
-            Sink::Cq(cq) => Sink::Cq(*cq),
-            Sink::Handler(h) => Sink::Handler(Arc::clone(h)),
-        }
-    }
 }
 
 struct Consumer<W> {
@@ -211,20 +209,35 @@ struct CqSlot {
     ep_next: u32,
 }
 
+/// One endpoint's entries inside one completion queue, oldest first. The
+/// chain lives in the endpoint's registry record ([`EpRec::chains`]), not in
+/// the queue: a queue shared by thousands of endpoints keeps no per-endpoint
+/// state of its own.
 #[derive(Clone, Copy)]
-struct EpQueue {
+struct EpChain {
+    cq: CqId,
     head: u32,
     tail: u32,
     len: u32,
 }
 
+impl Default for EpChain {
+    /// The empty chain of no queue.
+    fn default() -> Self {
+        EpChain {
+            cq: CqId(u32::MAX),
+            head: CQ_NIL,
+            tail: CQ_NIL,
+            len: 0,
+        }
+    }
+}
+
 /// One completion queue: a slab of entries threaded by two intrusive lists
-/// — global arrival order, and a per-endpoint chain so pops and peeks for a
-/// single endpoint never scan past other endpoints' traffic. Pushes and
-/// pops are O(1) and allocation-free once the slab and the per-endpoint map
-/// reach their high-water marks (slots and `EpQueue` records are recycled,
-/// never removed).
-#[derive(Default)]
+/// — global arrival order, and a per-endpoint [`EpChain`] so pops and peeks
+/// for a single endpoint never scan past other endpoints' traffic. Pushes
+/// and pops are O(1) and allocation-free once the slab reaches its
+/// high-water mark (slots and chains are recycled, never removed).
 struct Cq {
     slots: Vec<CqSlot>,
     free: Vec<u32>,
@@ -232,7 +245,6 @@ struct Cq {
     head: u32,
     /// Newest entry overall.
     tail: u32,
-    by_ep: HashMap<(TransportKind, u32), EpQueue>,
     len: usize,
 }
 
@@ -243,32 +255,27 @@ impl Cq {
             free: Vec::new(),
             head: CQ_NIL,
             tail: CQ_NIL,
-            by_ep: HashMap::new(),
             len: 0,
         }
     }
 
-    fn push(&mut self, ep: Endpoint, event: TransportEvent) {
-        let entry = CqEntry { ep, event };
+    /// Append an entry for `ep`, whose chain in this queue is `chain`.
+    fn push(&mut self, chain: &mut EpChain, ep: Endpoint, event: TransportEvent) {
+        let filled = CqSlot {
+            entry: Some(CqEntry { ep, event }),
+            prev: self.tail,
+            next: CQ_NIL,
+            ep_next: CQ_NIL,
+        };
         let slot = match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = CqSlot {
-                    entry: Some(entry),
-                    prev: self.tail,
-                    next: CQ_NIL,
-                    ep_next: CQ_NIL,
-                };
+                self.slots[i as usize] = filled;
                 i
             }
             None => {
                 let i = self.slots.len() as u32;
                 assert!(i < CQ_NIL, "completion queue slab overflow");
-                self.slots.push(CqSlot {
-                    entry: Some(entry),
-                    prev: self.tail,
-                    next: CQ_NIL,
-                    ep_next: CQ_NIL,
-                });
+                self.slots.push(filled);
                 i
             }
         };
@@ -277,17 +284,12 @@ impl Cq {
             t => self.slots[t as usize].next = slot,
         }
         self.tail = slot;
-        let q = self.by_ep.entry(key(ep)).or_insert(EpQueue {
-            head: CQ_NIL,
-            tail: CQ_NIL,
-            len: 0,
-        });
-        match q.tail {
-            CQ_NIL => q.head = slot,
+        match chain.tail {
+            CQ_NIL => chain.head = slot,
             t => self.slots[t as usize].ep_next = slot,
         }
-        q.tail = slot;
-        q.len += 1;
+        chain.tail = slot;
+        chain.len += 1;
         self.len += 1;
     }
 
@@ -310,61 +312,39 @@ impl Cq {
         self.slots[slot as usize].entry.take().expect("occupied")
     }
 
-    /// Pop the oldest entry overall.
-    fn pop(&mut self) -> Option<CqEntry> {
-        let slot = self.head;
+    /// The endpoint of the oldest entry overall — which is also the oldest
+    /// entry of that endpoint's chain, so popping the queue is
+    /// [`Self::pop_for`] on it.
+    fn oldest_ep(&self) -> Option<Endpoint> {
+        if self.head == CQ_NIL {
+            return None;
+        }
+        let oldest = &self.slots[self.head as usize];
+        Some(oldest.entry.as_ref().expect("occupied").ep)
+    }
+
+    /// Pop the oldest entry of one endpoint's chain (others keep their
+    /// order).
+    fn pop_for(&mut self, chain: &mut EpChain) -> Option<CqEntry> {
+        let slot = chain.head;
         if slot == CQ_NIL {
             return None;
         }
-        // The oldest entry overall is also the oldest for its endpoint.
-        let ep = self.slots[slot as usize]
-            .entry
-            .as_ref()
-            .expect("occupied")
-            .ep;
-        let ep_next = self.slots[slot as usize].ep_next;
-        let q = self.by_ep.get_mut(&key(ep)).expect("indexed");
-        debug_assert_eq!(q.head, slot);
-        q.head = ep_next;
-        if q.head == CQ_NIL {
-            q.tail = CQ_NIL;
+        chain.head = self.slots[slot as usize].ep_next;
+        if chain.head == CQ_NIL {
+            chain.tail = CQ_NIL;
         }
-        q.len -= 1;
+        chain.len -= 1;
         Some(self.take_global(slot))
     }
 
-    /// Pop the oldest entry for one endpoint (others keep their order).
-    fn pop_for(&mut self, ep: Endpoint) -> Option<CqEntry> {
-        let q = self.by_ep.get_mut(&key(ep))?;
-        let slot = q.head;
-        if slot == CQ_NIL {
-            return None;
-        }
-        q.head = self.slots[slot as usize].ep_next;
-        if q.head == CQ_NIL {
-            q.tail = CQ_NIL;
-        }
-        q.len -= 1;
-        Some(self.take_global(slot))
-    }
-
-    fn len_for(&self, ep: Endpoint) -> usize {
-        self.by_ep
-            .get(&key(ep))
-            .map(|q| q.len as usize)
-            .unwrap_or(0)
-    }
-
-    /// Withdraw the oldest un-popped `RecvDone` for (`ep`, `tag`), if one
-    /// is queued: unlink it from both intrusive lists and recycle its slot.
-    /// This is the CQ half of the cancel-vs-completion rule (see
-    /// [`channel_cancel_recv`]).
-    fn withdraw_recv(&mut self, ep: Endpoint, tag: u64) -> bool {
-        let Some(q) = self.by_ep.get(&key(ep)) else {
-            return false;
-        };
+    /// Withdraw the oldest un-popped `RecvDone` for `tag` on one endpoint's
+    /// chain, if one is queued: unlink it from both intrusive lists and
+    /// recycle its slot. This is the CQ half of the cancel-vs-completion
+    /// rule (see [`channel_cancel_recv`]).
+    fn withdraw_recv(&mut self, chain: &mut EpChain, tag: u64) -> bool {
         let mut prev = CQ_NIL;
-        let mut slot = q.head;
+        let mut slot = chain.head;
         while slot != CQ_NIL {
             let s = &self.slots[slot as usize];
             let hit = matches!(
@@ -373,15 +353,14 @@ impl Cq {
             );
             let next = s.ep_next;
             if hit {
-                let q = self.by_ep.get_mut(&key(ep)).expect("indexed");
                 match prev {
-                    CQ_NIL => q.head = next,
+                    CQ_NIL => chain.head = next,
                     p => self.slots[p as usize].ep_next = next,
                 }
-                if q.tail == slot {
-                    q.tail = prev;
+                if chain.tail == slot {
+                    chain.tail = prev;
                 }
-                q.len -= 1;
+                chain.len -= 1;
                 self.take_global(slot);
                 return true;
             }
@@ -391,17 +370,15 @@ impl Cq {
         false
     }
 
-    /// Drop every entry queued for `ep` (the endpoint's chain empties; the
-    /// `EpQueue` record recycles as usual). Returns the number purged.
-    fn purge_ep(&mut self, ep: Endpoint) -> usize {
-        let Some(q) = self.by_ep.get_mut(&key(ep)) else {
-            return 0;
+    /// Drop every entry of one endpoint's chain (the chain empties and
+    /// stays in place for reuse). Returns the number purged.
+    fn purge(&mut self, chain: &mut EpChain) -> usize {
+        let mut slot = chain.head;
+        let purged = chain.len as usize;
+        *chain = EpChain {
+            cq: chain.cq,
+            ..EpChain::default()
         };
-        let mut slot = q.head;
-        let purged = q.len as usize;
-        q.head = CQ_NIL;
-        q.tail = CQ_NIL;
-        q.len = 0;
         while slot != CQ_NIL {
             let next = self.slots[slot as usize].ep_next;
             self.take_global(slot);
@@ -490,52 +467,139 @@ impl Channel {
     }
 }
 
-/// Endpoint → consumer dispatch, completion queues, channels.
-pub struct Registry<W> {
-    consumers: BTreeMap<u32, Consumer<W>>,
-    next_consumer: u32,
-    routes: BTreeMap<(TransportKind, u32), ConsumerId>,
-    cqs: BTreeMap<u32, Cq>,
-    next_cq: u32,
-    parked: BTreeMap<(TransportKind, u32), VecDeque<TransportEvent>>,
-    channels: BTreeMap<u32, Channel>,
-    /// Endpoint → channel, for peer learning and send retries.
-    channel_routes: BTreeMap<(TransportKind, u32), ChannelId>,
-    /// The last queue that accumulated entries for each endpoint — so a
+/// Everything the registry knows about one endpoint. `Default` is the
+/// state of an endpoint nobody has bound, assigned or delivered to.
+struct EpRec {
+    /// The consumer the endpoint's events are routed to (`None`: they park).
+    consumer: Option<ConsumerId>,
+    /// The channel owning the endpoint, for peer learning and send retries.
+    channel: Option<ChannelId>,
+    /// The last queue that accumulated entries for the endpoint — so a
     /// channel taking over a recycled endpoint can purge its predecessor's
     /// ghosts even when it feeds a different queue (or none).
-    ep_cqs: HashMap<(TransportKind, u32), CqId>,
-    next_channel: u32,
+    last_cq: Option<CqId>,
+    /// Tenant attribution ([`TenantId::DEFAULT`] until assigned).
+    tenant: TenantId,
+    /// Events that arrived while no consumer was bound, oldest first.
+    parked: VecDeque<TransportEvent>,
+    /// The endpoint's chain in each queue holding (or having held) entries
+    /// for it — one queue in every ordinary wiring, hence inline.
+    chains: SmallVec<EpChain, 1>,
+}
+
+impl Default for EpRec {
+    fn default() -> Self {
+        EpRec {
+            consumer: None,
+            channel: None,
+            last_cq: None,
+            tenant: TenantId::DEFAULT,
+            parked: VecDeque::new(),
+            chains: SmallVec::new(),
+        }
+    }
+}
+
+impl EpRec {
+    fn chain(&self, cq: CqId) -> Option<&EpChain> {
+        self.chains.iter().find(|c| c.cq == cq)
+    }
+
+    fn chain_mut(&mut self, cq: CqId) -> Option<&mut EpChain> {
+        self.chains.iter_mut().find(|c| c.cq == cq)
+    }
+
+    /// The endpoint's chain in `cq`, created empty on first use.
+    fn chain_entry(&mut self, cq: CqId) -> &mut EpChain {
+        let pos = match self.chains.iter().position(|c| c.cq == cq) {
+            Some(pos) => pos,
+            None => {
+                self.chains.push(EpChain {
+                    cq,
+                    ..EpChain::default()
+                });
+                self.chains.len() - 1
+            }
+        };
+        &mut self.chains[pos]
+    }
+
+    /// Forget the chain in `cq` (the queue is gone, its entries with it).
+    fn drop_chain(&mut self, cq: CqId) {
+        if let Some(pos) = self.chains.iter().position(|c| c.cq == cq) {
+            let last = self.chains.len() - 1;
+            self.chains.swap(pos, last);
+            self.chains.pop();
+        }
+    }
+}
+
+/// The per-endpoint table: one [`EpRec`] per `(kind, idx)`, indexed
+/// directly. Driver endpoint indices are minted densely from 0, so each
+/// kind's row grows to the highest index actually used and no further;
+/// reads never grow it.
+#[derive(Default)]
+struct EpTable {
+    by_kind: [Vec<EpRec>; 2],
+}
+
+impl EpTable {
+    fn get(&self, ep: Endpoint) -> Option<&EpRec> {
+        self.by_kind[ep.kind as usize].get(ep.idx as usize)
+    }
+
+    fn get_mut(&mut self, ep: Endpoint) -> Option<&mut EpRec> {
+        self.by_kind[ep.kind as usize].get_mut(ep.idx as usize)
+    }
+
+    /// The endpoint's record, materialized on first use.
+    fn entry(&mut self, ep: Endpoint) -> &mut EpRec {
+        let row = &mut self.by_kind[ep.kind as usize];
+        let idx = ep.idx as usize;
+        if row.len() <= idx {
+            row.resize_with(idx + 1, EpRec::default);
+        }
+        &mut row[idx]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &EpRec> {
+        self.by_kind.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut EpRec> {
+        self.by_kind.iter_mut().flatten()
+    }
+
+    /// Records the table can hold before a row reallocates.
+    fn capacity(&self) -> usize {
+        self.by_kind.iter().map(Vec::capacity).sum()
+    }
+}
+
+/// Endpoint → consumer dispatch, completion queues, channels.
+pub struct Registry<W> {
+    consumers: Slab<Consumer<W>>,
+    cqs: Slab<Cq>,
+    channels: Slab<Channel>,
+    /// Routes, channel ownership, tenants, parked events and queue chains,
+    /// per endpoint.
+    eps: EpTable,
     /// Tenant directory: ids, weights, per-tenant channel-layer counters.
     tenants: TenantTable,
-    /// Endpoint → tenant attribution (endpoints never registered to a
-    /// tenant belong to [`TenantId::DEFAULT`]).
-    ep_tenants: BTreeMap<(TransportKind, u32), TenantId>,
     pub stats: RegistryStats,
 }
 
 impl<W> Default for Registry<W> {
     fn default() -> Self {
         Registry {
-            consumers: BTreeMap::new(),
-            next_consumer: 0,
-            routes: BTreeMap::new(),
-            cqs: BTreeMap::new(),
-            next_cq: 0,
-            parked: BTreeMap::new(),
-            channels: BTreeMap::new(),
-            channel_routes: BTreeMap::new(),
-            ep_cqs: HashMap::new(),
-            next_channel: 0,
+            consumers: Slab::new(),
+            cqs: Slab::new(),
+            channels: Slab::new(),
+            eps: EpTable::default(),
             tenants: TenantTable::default(),
-            ep_tenants: BTreeMap::new(),
             stats: RegistryStats::default(),
         }
     }
-}
-
-fn key(ep: Endpoint) -> (TransportKind, u32) {
-    (ep.kind, ep.idx)
 }
 
 impl<W> Registry<W> {
@@ -543,14 +607,21 @@ impl<W> Registry<W> {
         Self::default()
     }
 
+    /// Slots the endpoint table and the three id slabs can hold before any
+    /// of them reallocates — flat once a workload's endpoints, queues and
+    /// channels exist (asserted by `tests/hotpath_alloc.rs`).
+    pub fn table_capacity(&self) -> usize {
+        self.eps.capacity()
+            + self.consumers.capacity()
+            + self.cqs.capacity()
+            + self.channels.capacity()
+    }
+
     // ------------------------------------------------------------ queues
 
     /// Create an empty completion queue.
     pub fn create_cq(&mut self) -> CqId {
-        let id = CqId(self.next_cq);
-        self.next_cq += 1;
-        self.cqs.insert(id.0, Cq::new());
-        id
+        CqId(self.cqs.insert(Cq::new()))
     }
 
     /// Destroy a queue, dropping any entries still in it. Consumers backed
@@ -559,12 +630,16 @@ impl<W> Registry<W> {
     /// stale [`CqId`] through [`Registry::cq_of`]/[`Registry::has_event`]
     /// (the lifecycle bug regression-tested in `tests/channel_api.rs`).
     pub fn destroy_cq(&mut self, cq: CqId) {
-        self.cqs.remove(&cq.0);
+        if self.cqs.remove(cq.0).is_some() {
+            for rec in self.eps.iter_mut() {
+                rec.drop_chain(cq);
+            }
+        }
         let stale: Vec<ConsumerId> = self
             .consumers
             .iter()
             .filter(|(_, c)| matches!(c.sink, Sink::Cq(q) if q == cq))
-            .map(|(id, _)| ConsumerId(*id))
+            .map(|(id, _)| ConsumerId(id))
             .collect();
         for cid in stale {
             self.deregister(cid);
@@ -577,22 +652,11 @@ impl<W> Registry<W> {
     pub fn cq_push(&mut self, cq: CqId, ep: Endpoint, event: TransportEvent) {
         // A destroyed queue stays destroyed: events for it are dropped, not
         // silently resurrected into a queue nobody polls.
-        match self.cqs.get_mut(&cq.0) {
+        match self.cqs.get_mut(cq.0) {
             Some(q) => {
-                q.push(ep, event);
-                // Record the endpoint's accumulating queue; write only on
-                // change (the mapping is almost always stable — keep the
-                // per-completion path read-mostly).
-                match self.ep_cqs.entry(key(ep)) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        if *e.get() != cq {
-                            e.insert(cq);
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(cq);
-                    }
-                }
+                let rec = self.eps.entry(ep);
+                q.push(rec.chain_entry(cq), ep, event);
+                rec.last_cq = Some(cq);
             }
             None => self.stats.dropped += 1,
         }
@@ -600,14 +664,18 @@ impl<W> Registry<W> {
 
     /// Pop the oldest entry of the queue.
     pub fn cq_pop(&mut self, cq: CqId) -> Option<CqEntry> {
-        self.cqs.get_mut(&cq.0)?.pop()
+        let q = self.cqs.get_mut(cq.0)?;
+        let ep = q.oldest_ep()?;
+        let chain = self.eps.get_mut(ep)?.chain_mut(cq).expect("chained");
+        q.pop_for(chain)
     }
 
     /// Pop the oldest entry of the queue *for this endpoint* (entries for
     /// other endpoints sharing the queue keep their order). Served by the
     /// per-endpoint chain — O(1), not a scan over the queue.
     pub fn cq_pop_for(&mut self, cq: CqId, ep: Endpoint) -> Option<CqEntry> {
-        let e = self.cqs.get_mut(&cq.0)?.pop_for(ep)?;
+        let chain = self.eps.get_mut(ep)?.chain_mut(cq)?;
+        let e = self.cqs.get_mut(cq.0)?.pop_for(chain)?;
         self.stats.indexed_pops += 1;
         Some(e)
     }
@@ -624,11 +692,12 @@ impl<W> Registry<W> {
         out: &mut Vec<CqEntry>,
     ) -> usize {
         out.clear();
-        let Some(q) = self.cqs.get_mut(&cq.0) else {
+        let chain = self.eps.get_mut(ep).and_then(|rec| rec.chain_mut(cq));
+        let (Some(chain), Some(q)) = (chain, self.cqs.get_mut(cq.0)) else {
             return 0;
         };
         while out.len() < max {
-            match q.pop_for(ep) {
+            match q.pop_for(chain) {
                 Some(e) => out.push(e),
                 None => break,
             }
@@ -640,18 +709,19 @@ impl<W> Registry<W> {
     }
 
     pub fn cq_len(&self, cq: CqId) -> usize {
-        self.cqs.get(&cq.0).map(|q| q.len).unwrap_or(0)
+        self.cqs.get(cq.0).map(|q| q.len).unwrap_or(0)
     }
 
     /// Entries waiting in the queue for this endpoint.
     pub fn cq_len_for(&self, cq: CqId, ep: Endpoint) -> usize {
-        self.cqs.get(&cq.0).map(|q| q.len_for(ep)).unwrap_or(0)
+        let chain = self.eps.get(ep).and_then(|rec| rec.chain(cq));
+        chain.map(|c| c.len as usize).unwrap_or(0)
     }
 
     /// The queue the endpoint's consumer feeds, when it is queue-backed.
     pub fn cq_of(&self, ep: Endpoint) -> Option<CqId> {
-        let cid = self.routes.get(&key(ep))?;
-        match self.consumers.get(&cid.0)?.sink {
+        let cid = self.consumer_of(ep)?;
+        match self.consumers.get(cid.0)?.sink {
             Sink::Cq(cq) => Some(cq),
             Sink::Handler(_) => None,
         }
@@ -659,10 +729,7 @@ impl<W> Registry<W> {
 
     /// Is an event waiting for `ep` on its bound queue?
     pub fn has_event(&self, ep: Endpoint) -> bool {
-        self.cq_of(ep)
-            .and_then(|cq| self.cqs.get(&cq.0))
-            .map(|q| q.len_for(ep) > 0)
-            .unwrap_or(false)
+        self.cq_of(ep).is_some_and(|cq| self.cq_len_for(cq, ep) > 0)
     }
 
     /// Pop the next event for `ep` from its bound queue.
@@ -688,57 +755,55 @@ impl<W> Registry<W> {
     }
 
     fn insert_consumer(&mut self, name: &str, sink: Sink<W>) -> ConsumerId {
-        let id = ConsumerId(self.next_consumer);
-        self.next_consumer += 1;
-        self.consumers.insert(
-            id.0,
-            Consumer {
-                name: name.to_string(),
-                sink,
-            },
-        );
-        id
+        ConsumerId(self.consumers.insert(Consumer {
+            name: name.to_string(),
+            sink,
+        }))
     }
 
     /// Remove a consumer and every route pointing at it. Future events for
     /// those endpoints park until someone else binds. Returns whether the
     /// consumer existed.
     pub fn deregister(&mut self, cid: ConsumerId) -> bool {
-        let existed = self.consumers.remove(&cid.0).is_some();
-        self.routes.retain(|_, c| *c != cid);
+        let existed = self.consumers.remove(cid.0).is_some();
+        for rec in self.eps.iter_mut() {
+            if rec.consumer == Some(cid) {
+                rec.consumer = None;
+            }
+        }
         existed
     }
 
     /// The consumer currently bound to `ep`.
     pub fn consumer_of(&self, ep: Endpoint) -> Option<ConsumerId> {
-        self.routes.get(&key(ep)).copied()
+        self.eps.get(ep)?.consumer
     }
 
     /// The display name of a consumer.
     pub fn consumer_name(&self, cid: ConsumerId) -> Option<&str> {
-        self.consumers.get(&cid.0).map(|c| c.name.as_str())
+        self.consumers.get(cid.0).map(|c| c.name.as_str())
     }
 
     /// Drop the route for `ep` (events park again). Returns the previous
     /// consumer, if any.
     pub fn unbind(&mut self, ep: Endpoint) -> Option<ConsumerId> {
-        self.routes.remove(&key(ep))
+        self.eps.get_mut(ep)?.consumer.take()
     }
 
     /// Parked events waiting for `ep` (unbound endpoints).
     pub fn parked_len(&self, ep: Endpoint) -> usize {
-        self.parked.get(&key(ep)).map(VecDeque::len).unwrap_or(0)
+        self.eps.get(ep).map(|rec| rec.parked.len()).unwrap_or(0)
     }
 
     // ---------------------------------------------------------- channels
 
     pub fn channel(&self, ch: ChannelId) -> Option<&Channel> {
-        self.channels.get(&ch.0)
+        self.channels.get(ch.0)
     }
 
     /// The channel owning `ep`, if any.
     pub fn channel_of(&self, ep: Endpoint) -> Option<ChannelId> {
-        self.channel_routes.get(&key(ep)).copied()
+        self.eps.get(ep)?.channel
     }
 
     // ----------------------------------------------------------- tenants
@@ -753,9 +818,9 @@ impl<W> Registry<W> {
     /// The tenant an endpoint's sends are attributed to
     /// ([`TenantId::DEFAULT`] when never assigned).
     pub fn tenant_of(&self, ep: Endpoint) -> TenantId {
-        self.ep_tenants
-            .get(&key(ep))
-            .copied()
+        self.eps
+            .get(ep)
+            .map(|rec| rec.tenant)
             .unwrap_or(TenantId::DEFAULT)
     }
 
@@ -767,11 +832,10 @@ impl<W> Registry<W> {
         if t.0 as usize >= self.tenants.count() {
             return false;
         }
-        self.ep_tenants.insert(key(ep), t);
-        if let Some(chid) = self.channel_routes.get(&key(ep)).copied() {
-            if let Some(c) = self.channels.get_mut(&chid.0) {
-                c.tenant = t;
-            }
+        let rec = self.eps.entry(ep);
+        rec.tenant = t;
+        if let Some(c) = rec.channel.and_then(|chid| self.channels.get_mut(chid.0)) {
+            c.tenant = t;
         }
         true
     }
@@ -797,12 +861,12 @@ impl<W> Registry<W> {
     }
 
     /// Fold every channel's WDRR scheduler state into a fingerprint
-    /// accumulator — the shard-equivalence hook (`tests/sched_equivalence`
-    /// mixes this next to the event stream so per-tenant queueing cannot
-    /// silently diverge across shard counts).
+    /// accumulator, ascending channel id — the shard-equivalence hook
+    /// (`tests/sched_equivalence` mixes this next to the event stream so
+    /// per-tenant queueing cannot silently diverge across shard counts).
     pub fn wdrr_fingerprint(&self, mut mix: impl FnMut(u64)) {
-        for (id, c) in &self.channels {
-            mix(*id as u64);
+        for (id, c) in self.channels.iter() {
+            mix(id as u64);
             mix(c.tenant.0 as u64);
             c.pending.fingerprint(&mut mix);
         }
@@ -813,37 +877,13 @@ impl<W> Registry<W> {
     /// channel state is authoritative only on the shard world owning the
     /// node, so equivalence tests fold each node's slice from its owner.
     pub fn wdrr_fingerprint_node(&self, node: u32, mut mix: impl FnMut(u64)) {
-        for (id, c) in &self.channels {
+        for (id, c) in self.channels.iter() {
             if c.local.node.0 != node {
                 continue;
             }
-            mix(*id as u64);
+            mix(id as u64);
             mix(c.tenant.0 as u64);
             c.pending.fingerprint(&mut mix);
-        }
-    }
-
-    /// Record the peer of an accept-side channel from its first inbound
-    /// message (unexpected delivery or posted-receive completion).
-    fn note_channel_event(&mut self, ep: Endpoint, ev: &TransportEvent) {
-        let from = match ev {
-            TransportEvent::Unexpected { from, .. } | TransportEvent::RecvDone { from, .. } => {
-                *from
-            }
-            TransportEvent::SendDone { .. }
-            | TransportEvent::SendFailed { .. }
-            | TransportEvent::PeerDown { .. }
-            | TransportEvent::CollectiveDone { .. }
-            | TransportEvent::CollectiveRecv { .. }
-            | TransportEvent::CollectiveFailed { .. }
-            | TransportEvent::RpcDone { .. } => return,
-        };
-        if let Some(chid) = self.channel_routes.get(&key(ep)) {
-            if let Some(ch) = self.channels.get_mut(&chid.0) {
-                if ch.peer.is_none() {
-                    ch.peer = Some(from);
-                }
-            }
         }
     }
 }
@@ -859,28 +899,23 @@ impl<W> Registry<W> {
 pub fn bind<W: DispatchWorld>(w: &mut W, ep: Endpoint, cid: ConsumerId) {
     let stale_channel = {
         let r = w.registry();
-        r.channel_of(ep).filter(|chid| {
-            r.channels
-                .get(&chid.0)
-                .map(|c| c.consumer != cid)
-                .unwrap_or(true)
-        })
+        r.channel_of(ep)
+            .filter(|chid| r.channel(*chid).map(|c| c.consumer != cid).unwrap_or(true))
     };
     if let Some(chid) = stale_channel {
         teardown_channel(w, chid);
     }
     let r = w.registry_mut();
-    let displaced = r.routes.insert(key(ep), cid);
+    let rec = r.eps.entry(ep);
+    let displaced = rec.consumer.replace(cid);
+    let parked = std::mem::take(&mut rec.parked);
     if let Some(prev) = displaced.filter(|p| *p != cid) {
-        let routeless = !r.routes.values().any(|c| *c == prev);
-        let is_cq = matches!(r.consumers.get(&prev.0).map(|c| &c.sink), Some(Sink::Cq(_)));
+        let routeless = !r.eps.iter().any(|rec| rec.consumer == Some(prev));
+        let is_cq = matches!(r.consumers.get(prev.0).map(|c| &c.sink), Some(Sink::Cq(_)));
         if routeless && is_cq {
-            r.consumers.remove(&prev.0);
+            r.consumers.remove(prev.0);
         }
     }
-    let Some(parked) = r.parked.remove(&key(ep)) else {
-        return;
-    };
     for ev in parked {
         w.registry_mut().stats.replayed += 1;
         deliver(w, ep, ev);
@@ -900,44 +935,42 @@ pub fn deliver<W: DispatchWorld>(w: &mut W, ep: Endpoint, ev: TransportEvent) {
         TransportEvent::SendDone { ctx } | TransportEvent::SendFailed { ctx, .. } => Some(ctx),
         _ => None,
     };
-    let sink = {
-        let r = w.registry_mut();
-        r.note_channel_event(ep, &ev);
-        match r.routes.get(&key(ep)) {
-            Some(cid) => r.consumers.get(&cid.0).map(|c| c.sink.clone()),
-            None => None,
+    let r = w.registry_mut();
+    let rec = r.eps.entry(ep);
+    // An accept-side channel learns its peer from its first inbound message
+    // (unexpected delivery or posted-receive completion).
+    if let TransportEvent::Unexpected { from, .. } | TransportEvent::RecvDone { from, .. } = &ev {
+        if let Some(ch) = rec.channel.and_then(|chid| r.channels.get_mut(chid.0)) {
+            ch.peer.get_or_insert(*from);
         }
-    };
-    match sink {
+    }
+    let sink = rec.consumer.and_then(|cid| r.consumers.get(cid.0));
+    match sink.map(|c| &c.sink) {
         None => {
-            let r = w.registry_mut();
             r.stats.parked += 1;
-            r.parked.entry(key(ep)).or_default().push_back(ev);
+            rec.parked.push_back(ev);
         }
-        Some(Sink::Cq(cq)) => {
-            let r = w.registry_mut();
+        Some(&Sink::Cq(cq)) => {
             r.stats.delivered += 1;
             r.cq_push(cq, ep, ev);
         }
         Some(Sink::Handler(h)) => {
-            w.registry_mut().stats.delivered += 1;
+            r.stats.delivered += 1;
+            let h = Arc::clone(h);
             h(w, ep, ev);
         }
     }
     // Release *after* routing: a handler consumer has processed the event
-    // by now, so a recycled slot can never collide with its bookkeeping.
-    if let Some(ctx) = retired_ctx {
-        let r = w.registry_mut();
-        if let Some(chid) = r.channel_routes.get(&key(ep)).copied() {
-            if let Some(c) = r.channels.get_mut(&chid.0) {
-                c.pool.release(ctx);
-            }
-        }
+    // by now, so a recycled slot can never collide with its bookkeeping —
+    // and the endpoint's channel is whatever the handler left there.
+    let Some(ctx) = retired_ctx else { return };
+    let r = w.registry_mut();
+    let Some(chid) = r.channel_of(ep) else { return };
+    if let Some(c) = r.channels.get_mut(chid.0) {
+        c.pool.release(ctx);
     }
     if is_send_done {
-        if let Some(chid) = w.registry().channel_of(ep) {
-            flush_channel_sends(w, chid);
-        }
+        flush_channel_sends(w, chid);
     }
 }
 
@@ -967,39 +1000,33 @@ fn create_channel<W: DispatchWorld>(
     // then they are ghosts, and dropped (counted in `dropped`). This is
     // the recycled-endpoint lifecycle bug regression-tested in
     // `tests/channel_api.rs`.
-    {
-        let r = w.registry_mut();
-        let previous = r.ep_cqs.get(&key(local)).copied();
-        for target in [cq, previous].into_iter().flatten() {
-            if let Some(q) = r.cqs.get_mut(&target.0) {
-                let purged = q.purge_ep(local);
-                r.stats.dropped += purged as u64;
-            }
+    let r = w.registry_mut();
+    let rec = r.eps.entry(local);
+    let tenant = rec.tenant;
+    for target in [cq, rec.last_cq].into_iter().flatten() {
+        if let (Some(q), Some(chain)) = (r.cqs.get_mut(target.0), rec.chain_mut(target)) {
+            r.stats.dropped += q.purge(chain) as u64;
         }
     }
-    let r = w.registry_mut();
-    let id = ChannelId(r.next_channel);
-    r.next_channel += 1;
-    let tenant = r.tenant_of(local);
+    // Ids are minted once and never reused: they appear in consumer names
+    // and callers may hold a closed channel's id.
+    let id = ChannelId(r.channels.next_id());
     let consumer = r.insert_consumer(&format!("channel-{}", id.0), sink);
-    r.channels.insert(
-        id.0,
-        Channel {
-            local,
-            peer,
-            accepting: peer.is_none(),
-            cq,
-            consumer,
-            staging: None,
-            next_ctx: 1,
-            coalesced_bytes: 0,
-            tenant,
-            pending: WdrrLanes::default(),
-            send_queue_cap: DEFAULT_SEND_QUEUE_CAP,
-            pool: CtxPool::default(),
-        },
-    );
-    r.channel_routes.insert(key(local), id);
+    r.channels.insert(Channel {
+        local,
+        peer,
+        accepting: peer.is_none(),
+        cq,
+        consumer,
+        staging: None,
+        next_ctx: 1,
+        coalesced_bytes: 0,
+        tenant,
+        pending: WdrrLanes::default(),
+        send_queue_cap: DEFAULT_SEND_QUEUE_CAP,
+        pool: CtxPool::default(),
+    });
+    r.eps.entry(local).channel = Some(id);
     bind(w, local, consumer);
     id
 }
@@ -1058,8 +1085,8 @@ pub fn channel_accept_handler<W: DispatchWorld>(
 /// Give a channel's consumer the service's name for diagnostics.
 fn name_channel_consumer<W: DispatchWorld>(w: &mut W, ch: ChannelId, name: &str) {
     let r = w.registry_mut();
-    if let Some(c) = r.channels.get(&ch.0).map(|c| c.consumer) {
-        if let Some(consumer) = r.consumers.get_mut(&c.0) {
+    if let Some(c) = r.channels.get(ch.0).map(|c| c.consumer) {
+        if let Some(consumer) = r.consumers.get_mut(c.0) {
             consumer.name = name.to_string();
         }
     }
@@ -1089,7 +1116,7 @@ pub fn channel_cq<W: DispatchWorld>(w: &W, ch: ChannelId) -> Option<CqId> {
 pub fn channel_set_send_queue_cap<W: DispatchWorld>(w: &mut W, ch: ChannelId, cap: usize) {
     let local = {
         let r = w.registry_mut();
-        let Some(c) = r.channels.get_mut(&ch.0) else {
+        let Some(c) = r.channels.get_mut(ch.0) else {
             return;
         };
         c.send_queue_cap = cap;
@@ -1098,7 +1125,7 @@ pub fn channel_set_send_queue_cap<W: DispatchWorld>(w: &mut W, ch: ChannelId, ca
     loop {
         let evicted = {
             let r = w.registry_mut();
-            let Some(c) = r.channels.get_mut(&ch.0) else {
+            let Some(c) = r.channels.get_mut(ch.0) else {
                 return;
             };
             let over = (0..c.pending.lane_count())
@@ -1144,7 +1171,7 @@ pub fn channel_send<W: DispatchWorld>(
 ) -> Result<u64, NetError> {
     let peer = {
         let r = w.registry();
-        let c = r.channels.get(&ch.0).ok_or(NetError::BadEndpoint)?;
+        let c = r.channels.get(ch.0).ok_or(NetError::BadEndpoint)?;
         c.peer.ok_or(NetError::BadDestination)?
     };
     channel_send_to(w, ch, peer, tag, iov)
@@ -1165,7 +1192,7 @@ pub fn channel_send_to<W: DispatchWorld>(
     // values (see `ctx_slot`). The slot returns on SendDone/SendFailed.
     let (local, tenant, busy, cap, qlen, ctx) = {
         let r = w.registry_mut();
-        let c = r.channels.get_mut(&ch.0).ok_or(NetError::BadEndpoint)?;
+        let c = r.channels.get_mut(ch.0).ok_or(NetError::BadEndpoint)?;
         let (ctx, reused) = c.pool.alloc();
         let state = (
             c.local,
@@ -1190,7 +1217,7 @@ pub fn channel_send_to<W: DispatchWorld>(
             return Err(NetError::SendQueueFull);
         }
         let r = w.registry_mut();
-        if let Some(c) = r.channels.get_mut(&ch.0) {
+        if let Some(c) = r.channels.get_mut(ch.0) {
             c.pending.push(tenant, QueuedSend { to, tag, iov, ctx });
         }
         r.stats.queued_sends += 1;
@@ -1214,7 +1241,7 @@ pub fn channel_send_to<W: DispatchWorld>(
         }
         Err(NetError::NoSendTokens) if cap > 0 => {
             let r = w.registry_mut();
-            if let Some(c) = r.channels.get_mut(&ch.0) {
+            if let Some(c) = r.channels.get_mut(ch.0) {
                 // Queue the *original* io-vector; coalescing (and its
                 // charge) reruns when the retry is accepted.
                 c.pending.push(tenant, QueuedSend { to, tag, iov, ctx });
@@ -1233,7 +1260,7 @@ pub fn channel_send_to<W: DispatchWorld>(
 /// Return a send context to its channel's pool (no-op if the channel is
 /// gone — the pool dies with it).
 fn release_channel_ctx<W: DispatchWorld>(w: &mut W, ch: ChannelId, ctx: u64) {
-    if let Some(c) = w.registry_mut().channels.get_mut(&ch.0) {
+    if let Some(c) = w.registry_mut().channels.get_mut(ch.0) {
         c.pool.release(ctx);
     }
 }
@@ -1247,7 +1274,7 @@ fn flush_channel_sends<W: DispatchWorld>(w: &mut W, ch: ChannelId) {
         let Some((local, tenant, qs)) = ({
             let r = w.registry_mut();
             let tenants = &r.tenants;
-            r.channels.get_mut(&ch.0).and_then(|c| {
+            r.channels.get_mut(ch.0).and_then(|c| {
                 c.pending
                     .pop_next(|t| tenants.weight(t), send_cost)
                     .map(|(t, qs)| (c.local, t, qs))
@@ -1268,7 +1295,7 @@ fn flush_channel_sends<W: DispatchWorld>(w: &mut W, ch: ChannelId) {
                     Err(NetError::NoSendTokens) => {
                         // Still dry: put it back (cost refunded, same lane
                         // head) and wait for the next SendDone.
-                        if let Some(c) = w.registry_mut().channels.get_mut(&ch.0) {
+                        if let Some(c) = w.registry_mut().channels.get_mut(ch.0) {
                             let cost = send_cost(&qs);
                             c.pending.requeue_front(tenant, qs, cost);
                         }
@@ -1299,7 +1326,7 @@ fn charge_coalesce<W: DispatchWorld>(w: &mut W, ch: ChannelId, node: NodeId, coa
     }
     let cost = w.os().node(node).cpu.model.memcpy_cost(coalesced);
     cpu_charge(w, node, cost);
-    if let Some(c) = w.registry_mut().channels.get_mut(&ch.0) {
+    if let Some(c) = w.registry_mut().channels.get_mut(ch.0) {
         c.coalesced_bytes += coalesced;
     }
 }
@@ -1314,7 +1341,7 @@ pub fn channel_post_recv<W: DispatchWorld>(
 ) -> Result<u64, NetError> {
     let (local, ctx) = {
         let r = w.registry_mut();
-        let c = r.channels.get_mut(&ch.0).ok_or(NetError::BadEndpoint)?;
+        let c = r.channels.get_mut(ch.0).ok_or(NetError::BadEndpoint)?;
         let ctx = c.next_ctx;
         c.next_ctx += 1;
         (c.local, ctx)
@@ -1355,8 +1382,9 @@ pub fn channel_cancel_recv<W: DispatchWorld>(w: &mut W, ch: ChannelId, tag: u64)
     // (delivered, unobserved) on the channel's CQ. Cancel wins that race.
     if let Some(cq) = cq {
         let r = w.registry_mut();
-        if let Some(q) = r.cqs.get_mut(&cq.0) {
-            if q.withdraw_recv(local, tag) {
+        let chain = r.eps.get_mut(local).and_then(|rec| rec.chain_mut(cq));
+        if let (Some(q), Some(chain)) = (r.cqs.get_mut(cq.0), chain) {
+            if q.withdraw_recv(chain, tag) {
                 r.stats.cancelled_completions += 1;
                 return true;
             }
@@ -1378,7 +1406,7 @@ pub fn channel_cancel_recv<W: DispatchWorld>(w: &mut W, ch: ChannelId, tag: u64)
 pub fn channel_abort_queued_send<W: DispatchWorld>(w: &mut W, ch: ChannelId, ctx: u64) -> bool {
     let removed = {
         let r = w.registry_mut();
-        let Some(c) = r.channels.get_mut(&ch.0) else {
+        let Some(c) = r.channels.get_mut(ch.0) else {
             return false;
         };
         c.pending.remove_first(|qs| qs.ctx == ctx)
@@ -1399,7 +1427,7 @@ pub fn channel_abort_queued_send<W: DispatchWorld>(w: &mut W, ch: ChannelId, ctx
 /// queued sends — without touching the endpoint's *current* binding.
 /// Returns the channel's endpoint when it existed.
 fn teardown_channel<W: DispatchWorld>(w: &mut W, ch: ChannelId) -> Option<Endpoint> {
-    let mut c = w.registry_mut().channels.remove(&ch.0)?;
+    let mut c = w.registry_mut().channels.remove(ch.0)?;
     // Backpressure-queued sends can never go out now. Complete them as
     // `SendFailed` while the channel's consumer is still bound, so every
     // `Ok(ctx)` the caller holds gets its completion and the resources
@@ -1420,8 +1448,8 @@ fn teardown_channel<W: DispatchWorld>(w: &mut W, ch: ChannelId) -> Option<Endpoi
     }
     {
         let r = w.registry_mut();
-        if r.channel_routes.get(&key(c.local)) == Some(&ch) {
-            r.channel_routes.remove(&key(c.local));
+        if let Some(rec) = r.eps.get_mut(c.local).filter(|rec| rec.channel == Some(ch)) {
+            rec.channel = None;
         }
         r.deregister(c.consumer);
     }
@@ -1474,7 +1502,7 @@ pub fn peer_down<W: DispatchWorld>(
         .channels
         .iter()
         .filter(|(_, c)| c.local.kind == kind && c.local.node == local_node)
-        .map(|(id, c)| (ChannelId(*id), c.local, c.peer, c.accepting))
+        .map(|(id, c)| (ChannelId(id), c.local, c.peer, c.accepting))
         .collect();
     for (chid, local, peer, accepting) in affected {
         // Fail queued sends addressed to the dead node, in order (lanes in
@@ -1482,7 +1510,7 @@ pub fn peer_down<W: DispatchWorld>(
         loop {
             let ctx = {
                 let r = w.registry_mut();
-                let Some(c) = r.channels.get_mut(&chid.0) else {
+                let Some(c) = r.channels.get_mut(chid.0) else {
                     break;
                 };
                 let Some((t, qs)) = c.pending.remove_first(|qs| qs.to.node == remote_node) else {
@@ -1555,7 +1583,7 @@ fn coalesce_for_transport<W: DispatchWorld>(
                     release_kernel_buffer(w, node, addr, cap);
                 }
                 let addr = w.os_mut().node_mut(node).kalloc(len)?;
-                if let Some(c) = w.registry_mut().channels.get_mut(&ch.0) {
+                if let Some(c) = w.registry_mut().channels.get_mut(ch.0) {
                     c.staging = Some((addr, len));
                 }
                 addr
@@ -1569,4 +1597,109 @@ fn coalesce_for_transport<W: DispatchWorld>(
         .node_mut(node)
         .write_virt(Asid::KERNEL, staging, &data)?;
     Ok((IoVec::single(MemRef::kernel(staging, len)), len))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ep(kind: TransportKind, idx: u32) -> Endpoint {
+        Endpoint {
+            kind,
+            node: NodeId(0),
+            idx,
+        }
+    }
+
+    fn done(ctx: u64) -> TransportEvent {
+        TransportEvent::SendDone { ctx }
+    }
+
+    #[test]
+    fn endpoint_table_grows_to_the_highest_index_used_and_reads_never_grow_it() {
+        use TransportKind::{Gm, Mx};
+        let mut t = EpTable::default();
+        assert!(t.get(ep(Gm, 5)).is_none());
+        assert!(t.get_mut(ep(Mx, 0)).is_none());
+        assert_eq!(t.capacity(), 0, "lookups materialize nothing");
+
+        t.entry(ep(Gm, 5)).tenant = TenantId(3);
+        assert_eq!(t.by_kind[Gm as usize].len(), 6, "one row, up to the index");
+        assert!(
+            t.by_kind[Mx as usize].is_empty(),
+            "the other kind untouched"
+        );
+        // Records below the index exist in their default state; the kind
+        // takes part in the key.
+        let below = t.get(ep(Gm, 2)).expect("materialized with the row");
+        assert!(below.consumer.is_none() && below.tenant == TenantId::DEFAULT);
+        assert_eq!(t.get(ep(Gm, 5)).map(|r| r.tenant), Some(TenantId(3)));
+        assert!(t.get(ep(Mx, 5)).is_none());
+        assert_eq!(t.iter().count(), 6);
+
+        // Re-entering a materialized record neither grows nor resets it.
+        t.entry(ep(Gm, 1)).last_cq = Some(CqId(9));
+        assert_eq!(t.entry(ep(Gm, 5)).tenant, TenantId(3));
+        assert_eq!(t.iter().count(), 6);
+    }
+
+    #[test]
+    fn routes_set_clear_set_and_deregister_keeps_everyone_elses() {
+        let mut r: Registry<()> = Registry::new();
+        let cq = r.create_cq();
+        let (c1, c2) = (r.register_cq("one", cq), r.register_cq("two", cq));
+        assert_eq!((c1, c2), (ConsumerId(0), ConsumerId(1)));
+        let eps: Vec<Endpoint> = (0..4).map(|i| ep(TransportKind::Mx, i)).collect();
+        for (e, cid) in eps.iter().zip([c1, c2, c1, c2]) {
+            r.eps.entry(*e).consumer = Some(cid);
+        }
+        // Clear one route and set it again.
+        assert_eq!(r.unbind(eps[0]), Some(c1));
+        assert_eq!(r.unbind(eps[0]), None);
+        assert_eq!(r.consumer_of(eps[0]), None);
+        r.eps.entry(eps[0]).consumer = Some(c1);
+        assert_eq!(r.consumer_of(eps[0]), Some(c1));
+        // Deregistering drops exactly that consumer's routes.
+        assert!(r.deregister(c1));
+        assert!(!r.deregister(c1), "already gone");
+        let routes: Vec<_> = eps.iter().map(|e| r.consumer_of(*e)).collect();
+        assert_eq!(routes, [None, Some(c2), None, Some(c2)]);
+        assert_eq!(r.consumer_name(c1), None);
+        assert_eq!(r.consumer_name(c2), Some("two"));
+        // Consumer ids are never reused.
+        assert_eq!(r.register_cq("three", cq), ConsumerId(2));
+    }
+
+    #[test]
+    fn an_endpoint_keeps_one_chain_per_queue_and_loses_it_with_the_queue() {
+        let mut r: Registry<()> = Registry::new();
+        let (qa, qb) = (r.create_cq(), r.create_cq());
+        let (e, other) = (ep(TransportKind::Gm, 2), ep(TransportKind::Gm, 0));
+        r.cq_push(qa, e, done(1));
+        r.cq_push(qb, e, done(2));
+        r.cq_push(qa, other, done(3));
+        r.cq_push(qa, e, done(4));
+        assert_eq!((r.cq_len_for(qa, e), r.cq_len_for(qb, e)), (2, 1));
+        assert_eq!(r.eps.get(e).unwrap().last_cq, Some(qa));
+        assert_eq!(r.eps.get(e).unwrap().chains.len(), 2);
+
+        // Destroying a queue forgets its chains and nothing else.
+        r.destroy_cq(qb);
+        assert_eq!(r.eps.get(e).unwrap().chains.len(), 1);
+        assert_eq!(r.cq_len_for(qb, e), 0);
+        r.cq_push(qb, e, done(5));
+        assert_eq!(r.stats.dropped, 1, "a destroyed queue stays destroyed");
+        assert_eq!(r.create_cq(), CqId(2), "queue ids are never reused");
+
+        // The surviving queue pops globally FIFO through the chains.
+        let popped: Vec<u64> = std::iter::from_fn(|| r.cq_pop(qa))
+            .map(|entry| match entry.event {
+                TransportEvent::SendDone { ctx } => ctx,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(popped, [1, 3, 4]);
+        assert_eq!(r.cq_len_for(qa, e), 0);
+        assert_eq!(r.eps.get(e).unwrap().chains.len(), 1, "chains are recycled");
+    }
 }

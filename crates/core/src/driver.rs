@@ -82,3 +82,66 @@ impl ScratchStats {
         }
     }
 }
+
+/// Recycled receive-side reassembly buffers (MX's medium-message ring,
+/// GM's bounce pool): a message that arrives in several chunks borrows one
+/// for as long as it is incomplete, so the pool settles at the number of
+/// concurrently reassembling messages and their largest size. A message
+/// that arrives whole in one chunk never needs one.
+#[derive(Default)]
+pub struct RingPool {
+    idle: Vec<Vec<u8>>,
+}
+
+impl RingPool {
+    /// An empty buffer, recycled when one is idle.
+    pub fn take(&mut self) -> Vec<u8> {
+        self.idle.pop().unwrap_or_default()
+    }
+
+    /// Return a buffer (one that never held anything is simply dropped).
+    pub fn give(&mut self, mut ring: Vec<u8>) {
+        if ring.capacity() > 0 {
+            ring.clear();
+            self.idle.push(ring);
+        }
+    }
+
+    /// Copy a chunk's `payload` into `ring` at `offset`, growing it to fit.
+    /// Chunks may land in any order (reassembly is offset-based).
+    pub fn stage(ring: &mut Vec<u8>, offset: u64, payload: &[u8]) {
+        let (off, end) = (offset as usize, offset as usize + payload.len());
+        if ring.len() < end {
+            ring.resize(end, 0);
+        }
+        ring[off..end].copy_from_slice(payload);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ring_pool_recycles_buffers_and_stages_chunks_in_any_order() {
+        let mut pool = RingPool::default();
+        let mut ring = pool.take();
+        assert_eq!(
+            ring.capacity(),
+            0,
+            "a cold pool hands out nothing allocated"
+        );
+        RingPool::stage(&mut ring, 4, b"5678");
+        RingPool::stage(&mut ring, 0, b"1234");
+        assert_eq!(ring, b"12345678");
+        let heap = ring.as_ptr();
+        pool.give(ring);
+        pool.give(Vec::new()); // never held anything: not kept
+        let again = pool.take();
+        assert!(
+            again.is_empty() && again.as_ptr() == heap,
+            "same buffer, cleared"
+        );
+        assert_eq!(pool.take().capacity(), 0, "the pool held exactly one");
+    }
+}

@@ -190,6 +190,13 @@ impl IoVec {
     }
 }
 
+/// The resolved segments of a *posted* buffer, which outlive the operation
+/// that resolved them (a receive stays queued until a message lands), so
+/// they cannot sit in per-operation scratch: up to [`IOVEC_INLINE_SEGS`]
+/// segments — any physically contiguous buffer, any short scatter list —
+/// are held inline, and posting such a receive allocates nothing.
+pub type SegList = SmallVec<PhysSeg, IOVEC_INLINE_SEGS>;
+
 /// The outcome of resolving an [`IoVec`] into DMA-able physical segments.
 #[derive(Clone, Debug, Default)]
 pub struct Resolution {

@@ -44,12 +44,12 @@ pub use api::{
     release_kernel_buffer, Channel, ChannelId, ConsumerId, CqEntry, CqId, DispatchWorld, Registry,
     RegistryStats, DEFAULT_SEND_QUEUE_CAP,
 };
-pub use driver::{DriverEvent, ScratchStats};
+pub use driver::{DriverEvent, RingPool, ScratchStats};
 pub use error::{NetError, RpcError};
 pub use iovec::{
     chunk_segments, next_chunk, read_iovec, read_iovec_into, resolve_iovec, resolve_iovec_into,
     seg_window, seg_window_into, write_iovec, AddrClass, ChunkCursor, IoVec, MemRef, Resolution,
-    IOVEC_INLINE_SEGS,
+    SegList, IOVEC_INLINE_SEGS,
 };
 pub use pace::{pace_drain, pace_submit, pace_timer_fired, PaceLanes, PacedSend};
 pub use regcache::{RangePlan, RegCache, RegCacheStats, RegKey};

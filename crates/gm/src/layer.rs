@@ -20,7 +20,7 @@ use bytes::Bytes;
 use knet_core::{
     next_chunk, pace_drain, pace_submit, pace_timer_fired, seg_window_into, ChunkCursor,
     DriverEvent, IoVec, MemRef, NetError, PaceLanes, PacedSend, RangePlan, RegCache, RegKey,
-    ScratchStats, TenantId,
+    RingPool, ScratchStats, SegList, TenantId,
 };
 use knet_simcore::{SimTime, SimWorld};
 use knet_simnic::{
@@ -126,7 +126,7 @@ pub struct GmStats {
 
 struct ProvidedBuffer {
     tag: u64,
-    segs: Vec<PhysSeg>,
+    segs: SegList,
     capacity: u64,
     ctx: u64,
     /// Firmware translation cost the NIC pays when this buffer receives a
@@ -143,6 +143,8 @@ struct Assembly {
     received: u64,
     /// `Some` when matched into a provided buffer, `None` when bouncing.
     matched: Option<ProvidedBuffer>,
+    /// Borrowed from [`GmScratch::bounces`] by the first chunk that needs it
+    /// (a message that arrives whole never does) and returned on completion.
     bounce: Vec<u8>,
     last_dma_done: SimTime,
 }
@@ -196,6 +198,8 @@ pub struct GmScratch {
     pub(crate) victims: Vec<(RegKey, FrameIdx)>,
     /// Registration page plan of the buffer being sent.
     pub(crate) plan: RangePlan,
+    /// Bounce-pool assembly buffers of unmatched multi-chunk messages.
+    pub(crate) bounces: RingPool,
     pub stats: ScratchStats,
 }
 
@@ -799,12 +803,16 @@ pub fn gm_provide_receive_buffer<W: GmWorld>(
         let p = w.gm().port(port_id)?;
         (p.node, p.mode.is_kernel())
     };
-    // Owned, not scratch: the buffer stays queued until a message lands.
-    let mut segs: Vec<PhysSeg> = Vec::new();
-    let mut translate_cost = SimTime::ZERO;
-    for seg in iov.segs() {
-        translate_cost += resolve_for_wire(w, port_id, seg, &mut segs)?;
-    }
+    // Resolve through the recycled segment scratch; the buffer stays queued
+    // until a message lands, so it keeps its own (inline) copy.
+    let mut scratch = std::mem::take(&mut w.gm_mut().scratch.segs);
+    scratch.clear();
+    let translate_cost = iov.segs().iter().try_fold(SimTime::ZERO, |cost, seg| {
+        Ok::<_, NetError>(cost + resolve_for_wire(w, port_id, seg, &mut scratch)?)
+    });
+    let segs: SegList = scratch.iter().copied().collect();
+    w.gm_mut().scratch.segs = scratch;
+    let translate_cost = translate_cost?;
     let capacity = PhysSeg::total_len(&segs);
     let mut host_cost = params.host_send_post;
     if is_kernel {
@@ -876,31 +884,31 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     };
     debug_assert_eq!(port.nic, nic, "packet routed to the wrong NIC");
 
+    // The assembly is out of the map while its chunk is processed, and goes
+    // back only if the message is still incomplete.
     let akey = (m.dst, m.src, m.msg_id);
-    let first_chunk = !w.gm().assemblies.contains_key(&akey);
-
-    let fw_done;
-    if first_chunk {
-        // Match against provided buffers: first buffer whose tag matches and
-        // whose capacity fits.
-        let matched = {
-            let p = w.gm_mut().port_mut(dst).expect("checked above");
-            let pos = p
-                .recv_queue
-                .iter()
-                .position(|b| (b.tag == GM_ANY_TAG || b.tag == m.tag) && b.capacity >= m.total);
-            pos.map(|i| p.recv_queue.remove(i).expect("position valid"))
-        };
-        // Firmware cost: match processing plus the receive buffer's address
-        // translation (skipped entirely by physical-address buffers).
-        let translate = matched
-            .as_ref()
-            .map(|b| b.translate_cost)
-            .unwrap_or(SimTime::ZERO);
-        fw_done = fw_charge(w, nic, now, params.fw_recv + translate);
-        w.gm_mut().assemblies.insert(
-            akey,
-            Assembly {
+    let (mut a, fw_done) = match w.gm_mut().assemblies.remove(&akey) {
+        Some(a) => (a, fw_charge(w, nic, now, params.fw_chunk)),
+        None => {
+            // Match against provided buffers: first buffer whose tag matches
+            // and whose capacity fits.
+            let matched = {
+                let p = w.gm_mut().port_mut(dst).expect("checked above");
+                let pos = p
+                    .recv_queue
+                    .iter()
+                    .position(|b| (b.tag == GM_ANY_TAG || b.tag == m.tag) && b.capacity >= m.total);
+                pos.map(|i| p.recv_queue.remove(i).expect("position valid"))
+            };
+            // Firmware cost: match processing plus the receive buffer's
+            // address translation (skipped entirely by physical-address
+            // buffers).
+            let translate = matched
+                .as_ref()
+                .map(|b| b.translate_cost)
+                .unwrap_or(SimTime::ZERO);
+            let fw_done = fw_charge(w, nic, now, params.fw_recv + translate);
+            let a = Assembly {
                 dst_port: dst,
                 src_port: src,
                 tag: m.tag,
@@ -909,51 +917,43 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
                 matched,
                 bounce: Vec::new(),
                 last_dma_done: fw_done,
-            },
-        );
-    } else {
-        fw_done = fw_charge(w, nic, now, params.fw_chunk);
-    }
+            };
+            (a, fw_done)
+        }
+    };
 
     // Land the chunk, scattering through the recycled window scratch.
     let payload_len = pkt.payload.len() as u64;
-    let mut window = std::mem::take(&mut w.gm_mut().scratch.window);
-    let is_matched = {
-        let a = w.gm().assemblies.get(&akey).expect("assembly exists");
-        match &a.matched {
-            Some(buf) => {
-                seg_window_into(&buf.segs, m.offset, payload_len, &mut window);
-                true
+    // An unmatched message that arrives whole in its first chunk is handed
+    // up as the packet's own payload: no bounce buffer.
+    let whole = a.received == 0 && payload_len >= a.total;
+    let dma_done = match &a.matched {
+        Some(buf) => {
+            let mut window = std::mem::take(&mut w.gm_mut().scratch.window);
+            seg_window_into(&buf.segs, m.offset, payload_len, &mut window);
+            let t = dma_scatter(w, nic, fw_done, &window, &pkt.payload).unwrap_or(fw_done);
+            w.gm_mut().scratch.window = window;
+            t
+        }
+        None => {
+            // Bounce pool: DMA into pre-registered kernel ring.
+            let t = dma_charge(w, nic, fw_done, payload_len);
+            if !whole {
+                if a.received == 0 {
+                    a.bounce = w.gm_mut().scratch.bounces.take();
+                }
+                RingPool::stage(&mut a.bounce, m.offset, &pkt.payload);
             }
-            None => false,
+            t
         }
     };
-    let dma_done = if is_matched {
-        dma_scatter(w, nic, fw_done, &window, &pkt.payload).unwrap_or(fw_done)
-    } else {
-        // Bounce pool: DMA into pre-registered kernel ring.
-        let t = dma_charge(w, nic, fw_done, payload_len);
-        let a = w.gm_mut().assemblies.get_mut(&akey).expect("assembly");
-        let off = m.offset as usize;
-        if a.bounce.len() < off + payload_len as usize {
-            a.bounce.resize(off + payload_len as usize, 0);
-        }
-        a.bounce[off..off + payload_len as usize].copy_from_slice(&pkt.payload);
-        t
-    };
-    w.gm_mut().scratch.window = window;
-
-    let complete = {
-        let a = w.gm_mut().assemblies.get_mut(&akey).expect("assembly");
-        a.received += payload_len;
-        a.last_dma_done = a.last_dma_done.max(dma_done);
-        a.received >= a.total
-    };
-    if !complete {
+    a.received += payload_len;
+    a.last_dma_done = a.last_dma_done.max(dma_done);
+    if a.received < a.total {
+        w.gm_mut().assemblies.insert(akey, a);
         return;
     }
 
-    let a = w.gm_mut().assemblies.remove(&akey).expect("assembly");
     let node = w.gm().port(a.dst_port).map(|p| p.node);
     let Ok(node) = node else { return };
     let (is_kernel, blocking) = w
@@ -1008,7 +1008,19 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
             };
             let port_id = a.dst_port;
             let (tag, _total, src) = (a.tag, a.total, a.src_port);
-            let data = Bytes::from(a.bounce);
+            // A whole message is the packet's own (immutable, refcounted)
+            // payload; a reassembled one is copied out of the bounce
+            // buffer, which goes back to the pool.
+            let data = if whole {
+                pkt.payload.clone()
+            } else {
+                let data = Bytes::copy_from_slice(&a.bounce);
+                w.gm_mut()
+                    .scratch
+                    .bounces
+                    .give(std::mem::take(&mut a.bounce));
+                data
+            };
             let ev = W::lift_gm(GmEv::Complete {
                 port: port_id,
                 ev: GmEvent::Unexpected {

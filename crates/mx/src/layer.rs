@@ -22,7 +22,7 @@ use bytes::Bytes;
 use knet_core::{
     next_chunk, pace_submit, pace_timer_fired, read_iovec_into, resolve_iovec, resolve_iovec_into,
     seg_window_into, write_iovec, AddrClass, ChunkCursor, DriverEvent, IoVec, NetError, PaceLanes,
-    PacedSend, ScratchStats, TenantId,
+    PacedSend, RingPool, ScratchStats, SegList, TenantId,
 };
 use knet_simcore::{SimTime, SimWorld};
 use knet_simnic::{
@@ -121,7 +121,7 @@ struct PostedRecv {
     tag: u64,
     iov: IoVec,
     /// Pre-resolved segments (pinned for large user buffers at post time).
-    segs: Vec<PhysSeg>,
+    segs: SegList,
     pinned: Vec<FrameIdx>,
     capacity: u64,
     ctx: u64,
@@ -153,6 +153,8 @@ struct EagerAssembly {
     /// True when chunks are DMA'd straight into the posted buffer
     /// (`no_recv_copy`); otherwise data accumulates in the ring.
     direct: bool,
+    /// Borrowed from [`MxScratch::rings`] by the first chunk that needs it
+    /// (a message that arrives whole never does) and returned on completion.
     ring: Vec<u8>,
     last_dma_done: SimTime,
 }
@@ -218,6 +220,8 @@ pub struct MxScratch {
     pub(crate) window: Vec<PhysSeg>,
     /// The MTU chunk currently streaming out of a rendezvous source.
     pub(crate) chunk: Vec<PhysSeg>,
+    /// Receive-side assembly rings of multi-chunk messages.
+    pub(crate) rings: RingPool,
     pub stats: ScratchStats,
 }
 
@@ -726,19 +730,24 @@ pub fn mx_irecv<W: MxWorld>(
     // Resolve (and pin user memory) up front: MX needs the translation for
     // direct DMA of large/no-recv-copy messages, and pinning at post time is
     // what "page locking overhead is lower [in the kernel]" refers to.
-    let r = resolve_iovec(w.os_mut().node_mut(node), iov, true)?;
+    // The resolution runs in the recycled scratch; what the posted receive
+    // keeps of it is an inline segment list and the (kernel: empty) pins.
+    let mut r = std::mem::take(&mut w.mx_mut().scratch.resolution);
+    let resolved = resolve_iovec_into(w.os_mut().node_mut(node), iov, true, &mut r);
+    let posted = resolved.map(|()| PostedRecv {
+        tag,
+        iov: iov.clone(),
+        capacity: r.total_len(),
+        segs: r.segs.iter().copied().collect(),
+        pinned: std::mem::take(&mut r.pinned),
+        ctx,
+    });
     let pin_pages = r.user_pages;
+    w.mx_mut().scratch.resolution = r;
+    let posted = posted?;
     let host_cost = params.host_post + w.os().node(node).cpu.model.pin_cost(pin_pages);
     knet_simos::cpu_charge(w, node, host_cost);
     w.mx_mut().ep_mut(ep_id)?.stats.pages_pinned += pin_pages;
-    let posted = PostedRecv {
-        tag,
-        iov: iov.clone(),
-        capacity: PhysSeg::total_len(&r.segs),
-        segs: r.segs,
-        pinned: r.pinned,
-        ctx,
-    };
 
     // Check the unexpected queue.
     let matched = {
@@ -886,25 +895,25 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let now = knet_simcore::now(w);
     let Ok(_) = w.mx().ep(dst) else { return };
 
+    // The assembly is out of the map while its chunk is processed, and goes
+    // back only if the message is still incomplete.
     let akey = (m.dst, m.src, m.msg_id);
-    let first = !w.mx().eager.contains_key(&akey);
-    let fw_done;
-    if first {
-        // Match posted receives at first chunk.
-        let matched = {
-            let e = w.mx_mut().ep_mut(dst).expect("checked");
-            let pos = e
-                .posted
-                .iter()
-                .position(|p| (p.tag == MX_ANY_TAG || p.tag == m.tag) && p.capacity >= m.total);
-            pos.map(|i| e.posted.remove(i).expect("position valid"))
-        };
-        let direct =
-            matched.is_some() && w.mx().ep(dst).map(|e| e.opts.no_recv_copy).unwrap_or(false);
-        fw_done = fw_charge(w, nic, now, params.fw_recv);
-        w.mx_mut().eager.insert(
-            akey,
-            EagerAssembly {
+    let (mut a, fw_done) = match w.mx_mut().eager.remove(&akey) {
+        Some(a) => (a, fw_charge(w, nic, now, params.fw_chunk)),
+        None => {
+            // Match posted receives at first chunk.
+            let matched = {
+                let e = w.mx_mut().ep_mut(dst).expect("checked");
+                let pos = e
+                    .posted
+                    .iter()
+                    .position(|p| (p.tag == MX_ANY_TAG || p.tag == m.tag) && p.capacity >= m.total);
+                pos.map(|i| e.posted.remove(i).expect("position valid"))
+            };
+            let direct =
+                matched.is_some() && w.mx().ep(dst).map(|e| e.opts.no_recv_copy).unwrap_or(false);
+            let fw_done = fw_charge(w, nic, now, params.fw_recv);
+            let a = EagerAssembly {
                 from: src,
                 tag: m.tag,
                 total: m.total,
@@ -913,53 +922,49 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
                 direct,
                 ring: Vec::new(),
                 last_dma_done: fw_done,
-            },
-        );
-    } else {
-        fw_done = fw_charge(w, nic, now, params.fw_chunk);
-    }
+            };
+            (a, fw_done)
+        }
+    };
 
     let payload_len = pkt.payload.len() as u64;
+    // A message that arrives whole in its first chunk is delivered from the
+    // packet itself: no ring, and the assembly never enters the map.
+    let whole = a.received == 0 && payload_len >= a.total;
     // Land the chunk: directly into the posted buffer (no_recv_copy), or
     // into the receive ring. The scatter window is recycled scratch.
-    let mut window = std::mem::take(&mut w.mx_mut().scratch.window);
-    let direct = {
-        let a = w.mx().eager.get(&akey).expect("assembly");
-        match (&a.matched, a.direct) {
-            (Some(p), true) => {
-                seg_window_into(&p.segs, m.offset, payload_len, &mut window);
-                true
+    let dma_done = match (&a.matched, a.direct) {
+        (Some(p), true) => {
+            let mut window = std::mem::take(&mut w.mx_mut().scratch.window);
+            seg_window_into(&p.segs, m.offset, payload_len, &mut window);
+            let t = dma_scatter(w, nic, fw_done, &window, &pkt.payload).unwrap_or(fw_done);
+            w.mx_mut().scratch.window = window;
+            t
+        }
+        _ => {
+            let t = dma_charge(w, nic, fw_done, payload_len);
+            if !whole {
+                if a.received == 0 {
+                    a.ring = w.mx_mut().scratch.rings.take();
+                }
+                RingPool::stage(&mut a.ring, m.offset, &pkt.payload);
             }
-            _ => false,
+            t
         }
     };
-    let dma_done = if direct {
-        dma_scatter(w, nic, fw_done, &window, &pkt.payload).unwrap_or(fw_done)
-    } else {
-        let t = dma_charge(w, nic, fw_done, payload_len);
-        let a = w.mx_mut().eager.get_mut(&akey).expect("assembly");
-        let off = m.offset as usize;
-        if a.ring.len() < off + payload_len as usize {
-            a.ring.resize(off + payload_len as usize, 0);
-        }
-        a.ring[off..off + payload_len as usize].copy_from_slice(&pkt.payload);
-        t
-    };
-    w.mx_mut().scratch.window = window;
-
-    let complete = {
-        let a = w.mx_mut().eager.get_mut(&akey).expect("assembly");
-        a.received += payload_len;
-        a.last_dma_done = a.last_dma_done.max(dma_done);
-        a.received >= a.total
-    };
-    if !complete {
+    a.received += payload_len;
+    a.last_dma_done = a.last_dma_done.max(dma_done);
+    if a.received < a.total {
+        w.mx_mut().eager.insert(akey, a);
         return;
     }
 
-    let a = w.mx_mut().eager.remove(&akey).expect("assembly");
+    // The message's bytes: the packet's own payload, or the ring — which
+    // goes back to the pool once they are copied out.
+    let ring = std::mem::take(&mut a.ring);
+    let bytes: &[u8] = if whole { &pkt.payload } else { &ring };
     let Ok(node) = w.mx().ep(dst).map(|e| e.node) else {
-        return;
+        return w.mx_mut().scratch.rings.give(ring);
     };
     let ev_dma = dma_charge(w, nic, a.last_dma_done, 64);
     match a.matched {
@@ -975,7 +980,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
                 )
             };
             if copied {
-                write_iovec(w.os_mut().node_mut(node), &posted.iov, &a.ring).ok();
+                write_iovec(w.os_mut().node_mut(node), &posted.iov, bytes).ok();
             }
             release_pins(w, node, &posted.pinned);
             let start = ev_dma.max(knet_simcore::now(w));
@@ -1000,7 +1005,14 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
                 .ep(dst)
                 .map(|e| e.deliver_unexpected)
                 .unwrap_or(false);
-            let data = Bytes::from(a.ring);
+            // A whole message is handed up as the packet's own (immutable,
+            // refcounted) payload; a reassembled one is copied out of the
+            // ring.
+            let data = if whole {
+                pkt.payload.clone()
+            } else {
+                Bytes::copy_from_slice(&ring)
+            };
             if deliver {
                 // Transport-glue mode: hand the payload up with the copy
                 // charged.
@@ -1033,6 +1045,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
             }
         }
     }
+    w.mx_mut().scratch.rings.give(ring);
 }
 
 fn rts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {

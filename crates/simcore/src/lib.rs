@@ -31,6 +31,7 @@
 //!   host-machine timings.
 
 pub mod engine;
+pub mod ids;
 pub mod lru;
 pub mod resource;
 pub mod rng;
@@ -39,6 +40,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{run_shards_to_quiescence, EpochReport};
+pub use ids::{IdHashMap, IdHasher, Slab};
 pub use lru::LruSlab;
 pub use resource::{Busy, LaneBank};
 pub use rng::SplitMix64;

@@ -9,8 +9,9 @@
 //! * **LRU victim**: read off the list tail — O(1);
 //! * **insert / remove**: slab slots recycle through a free list, so the
 //!   steady state performs no heap allocation once the slab and the free
-//!   list reach their high-water marks (the free list is fully reserved
-//!   up front, the hash map to `reserve`);
+//!   list reach their high-water marks (the free list and the hash map are
+//!   reserved to `reserve` by the first insert — an index nothing was ever
+//!   inserted into costs nothing);
 //! * **range pops** (VMA invalidation, per-ASID purge): served by a
 //!   `BTreeMap` ordered index maintained only on insert/remove — the hit
 //!   path never touches it.
@@ -45,20 +46,24 @@ pub struct LruSlab<K, V> {
     tail: u32,
     index: HashMap<K, u32>,
     ordered: BTreeMap<K, u32>,
+    /// Entries the first insert reserves for.
+    reserve: usize,
 }
 
 impl<K: Copy + Eq + Ord + Hash, V: Copy> LruSlab<K, V> {
-    /// An empty slab whose hash index and free list are pre-reserved for
-    /// `reserve` entries, so filling to that occupancy — and all churn
-    /// below it — never rehashes or reallocates.
+    /// An empty slab whose first insert reserves the hash index and free
+    /// list for `reserve` entries, so filling to that occupancy — and all
+    /// churn below it — never rehashes or reallocates. Until then the slab
+    /// owns no heap memory.
     pub fn with_reserve(reserve: usize) -> Self {
         LruSlab {
             slots: Vec::new(),
-            free: Vec::with_capacity(reserve),
+            free: Vec::new(),
             head: NIL,
             tail: NIL,
-            index: HashMap::with_capacity(reserve),
+            index: HashMap::new(),
             ordered: BTreeMap::new(),
+            reserve,
         }
     }
 
@@ -144,6 +149,10 @@ impl<K: Copy + Eq + Ord + Hash, V: Copy> LruSlab<K, V> {
                 self.promote(slot);
             }
             None => {
+                if self.index.capacity() == 0 {
+                    self.index.reserve(self.reserve);
+                    self.free.reserve(self.reserve);
+                }
                 let slot = match self.free.pop() {
                     Some(i) => {
                         self.slots[i as usize] = Slot {
@@ -270,6 +279,20 @@ mod tests {
         assert_eq!(l.pop_in_range(2..=8), Some((5, 5)));
         assert_eq!(l.pop_in_range(2..=8), None);
         assert_eq!(l.len(), 2);
+    }
+
+    #[test]
+    fn reserve_happens_at_the_first_insert_and_never_again() {
+        let mut l: LruSlab<u64, u32> = LruSlab::with_reserve(64);
+        assert_eq!(l.index.capacity() + l.free.capacity(), 0, "idle: no heap");
+        l.insert(0, 0);
+        let (index, free) = (l.index.capacity(), l.free.capacity());
+        assert!(index >= 64 && free >= 64);
+        for k in 1..64u64 {
+            l.insert(k, 0);
+        }
+        while l.pop_lru().is_some() {}
+        assert_eq!((l.index.capacity(), l.free.capacity()), (index, free));
     }
 
     #[test]

@@ -30,9 +30,7 @@
 //! reproduces exactly, and installing a plan on one link never shifts the
 //! draws any other link sees.
 
-use std::collections::HashMap;
-
-use knet_simcore::{SimTime, SplitMix64};
+use knet_simcore::{IdHashMap, SimTime, SplitMix64};
 use knet_simos::NodeId;
 
 /// What the fabric does to packets. Build with the fluent setters; install
@@ -240,7 +238,7 @@ pub(crate) struct FaultState {
     /// stream seed derived from the base seed and the pair, so every
     /// directed link owns an independent stream (the shard-invariance
     /// contract in the module docs).
-    links: HashMap<(u32, u32), DiceState>,
+    links: IdHashMap<(u32, u32), DiceState>,
     pub(crate) stats: FaultStats,
 }
 

@@ -82,6 +82,9 @@ impl Nic {
 #[derive(Default)]
 pub struct NicLayer {
     nics: Vec<Nic>,
+    /// Node → its first NIC, indexed by node id (`None` for a node without
+    /// a card); filled by [`Self::add_nic`].
+    first_nic: Vec<Option<NicId>>,
     /// Recycled gather buffer for [`dma_gather`]: one payload copy per
     /// chunk (into the packet's `Bytes`), no intermediate `Vec` per DMA.
     gather_scratch: Vec<u8>,
@@ -163,6 +166,11 @@ impl NicLayer {
     pub fn add_nic(&mut self, node: NodeId, model: NicModel) -> NicId {
         let id = NicId(self.nics.len() as u32);
         self.nics.push(Nic::new(id, node, model));
+        let n = node.0 as usize;
+        if self.first_nic.len() <= n {
+            self.first_nic.resize(n + 1, None);
+        }
+        self.first_nic[n].get_or_insert(id);
         id
     }
 
@@ -180,7 +188,7 @@ impl NicLayer {
 
     /// The first NIC installed in `node`, if any.
     pub fn nic_of_node(&self, node: NodeId) -> Option<NicId> {
-        self.nics.iter().find(|n| n.node == node).map(|n| n.id)
+        *self.first_nic.get(node.0 as usize)?
     }
 }
 
@@ -567,6 +575,20 @@ mod tests {
         run_to_quiescence(&mut w);
         let times: Vec<_> = w.rx.iter().map(|r| r.1).collect();
         assert_eq!(times[0], times[1], "both links carry packets concurrently");
+    }
+
+    #[test]
+    fn the_first_nic_of_a_node_wins_the_lookup() {
+        // `world()` gives nodes 0 and 1 one card each; the dual-link pair
+        // added afterwards must not displace them.
+        let (mut w, a, b) = world();
+        w.nics.add_nic(NodeId(0), NicModel::pci_xe());
+        let far = w.nics.add_nic(NodeId(5), NicModel::pci_xe());
+        assert_eq!(w.nics.nic_of_node(NodeId(0)), Some(a));
+        assert_eq!(w.nics.nic_of_node(NodeId(1)), Some(b));
+        assert_eq!(w.nics.nic_of_node(NodeId(5)), Some(far));
+        assert_eq!(w.nics.nic_of_node(NodeId(3)), None, "a node without a card");
+        assert_eq!(w.nics.nic_of_node(NodeId(99)), None, "a node never seen");
     }
 
     #[test]

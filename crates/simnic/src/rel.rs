@@ -84,9 +84,15 @@
 //! * dead links are **reclaimed**: retry-budget exhaustion removes the
 //!   sender ring, the receiver bitmap of the reverse direction and the
 //!   lazily-derived fault dice streams of the node pair (when no other
-//!   live link shares them), leaving only a compact tombstone so
-//!   [`RelState::link_dead`] keeps failing fast and stragglers are
-//!   swallowed — link churn no longer grows the maps forever.
+//!   live link shares them), leaving only a tombstone — the link's record
+//!   with both halves dropped — so [`RelState::link_dead`] keeps failing
+//!   fast and stragglers are swallowed: link churn no longer grows the
+//!   rings forever.
+//! * link state is found by **one probe per packet**: both halves and the
+//!   tombstone of a directed link live in one record of one table, hashed
+//!   with `knet_simcore::IdHasher` — link keys are NIC ids this program
+//!   minted, so they need no SipHash, and without per-process hash state
+//!   the table's iteration order repeats across runs and processes.
 //!
 //! Lossless-path invariance: within the window, transmissions are the very
 //! same `wire_send` calls at the very same instants as without the window,
@@ -100,10 +106,9 @@
 //! nothing — the congestion state is five more inline integers under the
 //! same contract.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use knet_simcore::SimTime;
+use knet_simcore::{IdHashMap, SimTime};
 
 use crate::fault::FaultVerdict;
 use crate::layer::{wire_send, NicEv, NicWorld};
@@ -516,16 +521,24 @@ fn key(proto: Proto, src: NicId, dst: NicId) -> LinkKey {
     (proto, src.0, dst.0)
 }
 
+/// Everything the fabric knows about one directed link. The sender half
+/// lives where the source NIC's node does and the receiver half where the
+/// destination's does — the same world unless the cluster is sharded.
+#[derive(Default)]
+struct Link {
+    tx: Option<TxLink>,
+    rx: Option<RxLink>,
+    /// Tombstone of a reclaimed link: both halves are gone for good, so
+    /// `link_dead` keeps failing fast after the ring state is freed and
+    /// limping stragglers are swallowed instead of resurrecting a window.
+    dead: bool,
+}
+
 /// All reliability state on the fabric (one instance in the `NicLayer`;
 /// sequence spaces are disjoint per protocol and direction).
 pub struct RelState {
     pub params: RelParams,
-    tx: HashMap<LinkKey, TxLink>,
-    rx: HashMap<LinkKey, RxLink>,
-    /// Tombstones of reclaimed links — both directions of a dead pair —
-    /// so `link_dead` keeps failing fast after the ring state is freed and
-    /// limping stragglers are swallowed instead of resurrecting a window.
-    dead: HashSet<LinkKey>,
+    links: IdHashMap<LinkKey, Link>,
     /// Recycled scratch for collecting retransmissions/releases outside the
     /// state borrow.
     burst: Vec<(Packet, SimTime)>,
@@ -546,9 +559,7 @@ impl RelState {
         );
         RelState {
             params,
-            tx: HashMap::new(),
-            rx: HashMap::new(),
-            dead: HashSet::new(),
+            links: IdHashMap::default(),
             burst: Vec::new(),
             stats: RelStats::default(),
         }
@@ -557,26 +568,42 @@ impl RelState {
     /// Is this link dead (retry budget exhausted)? Drivers check before
     /// committing a send so the failure is synchronous.
     pub fn link_dead(&self, proto: Proto, src: NicId, dst: NicId) -> bool {
-        let k = key(proto, src, dst);
-        self.dead.contains(&k) || self.tx.get(&k).map(|l| l.dead).unwrap_or(false)
+        self.links
+            .get(&key(proto, src, dst))
+            .is_some_and(|l| l.dead || l.tx.as_ref().is_some_and(|t| t.dead))
     }
 
-    /// Live link-state map sizes, `(sender windows, receiver bitmaps)` —
-    /// the churn regression asserts these stay bounded as links die and
-    /// new ones are created.
+    /// The sender half of a link, if it has ever sent.
+    fn tx(&self, k: &LinkKey) -> Option<&TxLink> {
+        self.links.get(k)?.tx.as_ref()
+    }
+
+    fn tx_mut(&mut self, k: &LinkKey) -> Option<&mut TxLink> {
+        self.links.get_mut(k)?.tx.as_mut()
+    }
+
+    /// Live link halves, `(sender windows, receiver bitmaps)` — the churn
+    /// regression asserts these stay bounded as links die and new ones are
+    /// created.
     pub fn live_links(&self) -> (usize, usize) {
-        (self.tx.len(), self.rx.len())
+        let halves = |half: fn(&Link) -> bool| self.links.values().filter(|l| half(l)).count();
+        (halves(|l| l.tx.is_some()), halves(|l| l.rx.is_some()))
+    }
+
+    /// Records the link table can hold before it grows again (flat once a
+    /// workload's links exist; asserted by `tests/hotpath_alloc.rs`).
+    pub fn table_capacity(&self) -> usize {
+        self.links.capacity()
     }
 
     /// The congestion window of a link, if it has ever sent.
     pub fn link_cwnd(&self, proto: Proto, src: NicId, dst: NicId) -> Option<usize> {
-        self.tx.get(&key(proto, src, dst)).map(|l| l.cwnd)
+        self.tx(&key(proto, src, dst)).map(|l| l.cwnd)
     }
 
     /// Packets currently unacked + parked on a link (tests).
     pub fn in_flight(&self, proto: Proto, src: NicId, dst: NicId) -> usize {
-        self.tx
-            .get(&key(proto, src, dst))
+        self.tx(&key(proto, src, dst))
             .map(|l| l.unacked.len() + l.parked.len())
             .unwrap_or(0)
     }
@@ -584,8 +611,7 @@ impl RelState {
     /// Packets occupying the unacked window of a link — never exceeds
     /// [`RelParams::window`] (tests assert this under chaos schedules).
     pub fn window_load(&self, proto: Proto, src: NicId, dst: NicId) -> usize {
-        self.tx
-            .get(&key(proto, src, dst))
+        self.tx(&key(proto, src, dst))
             .map(|l| l.unacked.len())
             .unwrap_or(0)
     }
@@ -593,8 +619,9 @@ impl RelState {
     /// Sum of unacked + parked packets across every link (tests: bounded
     /// teardown — zero once flows quiesce or die).
     pub fn buffered_total(&self) -> usize {
-        self.tx
+        self.links
             .values()
+            .filter_map(|l| l.tx.as_ref())
             .map(|l| l.unacked.len() + l.parked.len())
             .sum()
     }
@@ -602,7 +629,7 @@ impl RelState {
     /// The RTT estimator of a link: `(srtt, current rto)`, if it has
     /// sampled at least once (tests, figures).
     pub fn link_rtt(&self, proto: Proto, src: NicId, dst: NicId) -> Option<(SimTime, SimTime)> {
-        let l = self.tx.get(&key(proto, src, dst))?;
+        let l = self.tx(&key(proto, src, dst))?;
         l.srtt_ns.map(|s| (SimTime::from_nanos(s), l.rto_cur))
     }
 
@@ -630,15 +657,18 @@ impl RelState {
     /// The counters of one directed link, if it has ever sent.
     pub fn link_stats(&self, proto: Proto, src: NicId, dst: NicId) -> Option<RelLinkStats> {
         let k = key(proto, src, dst);
-        self.tx.get(&k).map(|l| self.link_row(&k, l))
+        self.tx(&k).map(|l| self.link_row(&k, l))
     }
 
     /// Every link's counters, deterministically ordered (protocol, then
     /// source, then destination) — the per-link breakdown behind the
     /// aggregate [`RelStats`], summing back to it on the shared fields.
     pub fn link_breakdown(&self) -> Vec<RelLinkStats> {
-        let mut rows: Vec<RelLinkStats> =
-            self.tx.iter().map(|(k, l)| self.link_row(k, l)).collect();
+        let mut rows: Vec<RelLinkStats> = self
+            .links
+            .iter()
+            .filter_map(|(k, l)| Some(self.link_row(k, l.tx.as_ref()?)))
+            .collect();
         rows.sort_by_key(|r| (r.proto as u8, r.src.0, r.dst.0));
         rows
     }
@@ -666,19 +696,17 @@ pub fn rel_send<W: NicWorld>(w: &mut W, mut pkt: Packet, ready: SimTime) {
     let action = {
         let rel = &mut w.nics_mut().rel;
         let params = rel.params;
-        if rel.dead.contains(&k) {
+        let record = rel.links.entry(k).or_default();
+        if record.dead {
             // Reclaimed link: the rings are gone, only the tombstone
             // remains — drop silently, like the pre-reclaim dead flag.
             rel.stats.dead_dropped += 1;
             return;
         }
-        let link = match rel.tx.entry(k) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                rel.stats.links += 1;
-                e.insert(TxLink::new(&params))
-            }
-        };
+        let link = record.tx.get_or_insert_with(|| {
+            rel.stats.links += 1;
+            TxLink::new(&params)
+        });
         if link.dead {
             return;
         }
@@ -716,7 +744,7 @@ pub fn rel_send<W: NicWorld>(w: &mut W, mut pkt: Packet, ready: SimTime) {
 
 /// Record a transmission's link-departure instant (staleness baseline).
 fn note_tx<W: NicWorld>(w: &mut W, k: LinkKey, tx_done: SimTime) {
-    if let Some(link) = w.nics_mut().rel.tx.get_mut(&k) {
+    if let Some(link) = w.nics_mut().rel.tx_mut(&k) {
         link.last_tx_done = link.last_tx_done.max(tx_done);
     }
 }
@@ -725,8 +753,7 @@ fn note_tx<W: NicWorld>(w: &mut W, k: LinkKey, tx_done: SimTime) {
 /// current staleness deadline.
 fn arm_timer<W: NicWorld>(w: &mut W, k: LinkKey) {
     let deadline = {
-        let rel = &mut w.nics_mut().rel;
-        let Some(link) = rel.tx.get_mut(&k) else {
+        let Some(link) = w.nics_mut().rel.tx_mut(&k) else {
             return;
         };
         if link.armed || link.dead || link.unacked.is_empty() {
@@ -761,7 +788,7 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
     let outcome = {
         let rel = &mut w.nics_mut().rel;
         let params = rel.params;
-        let Some(link) = rel.tx.get_mut(&k) else {
+        let Some(link) = rel.links.get_mut(&k).and_then(|l| l.tx.as_mut()) else {
             return;
         };
         link.armed = false;
@@ -854,8 +881,8 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
     }
 }
 
-/// Free a dead link's ring and bitmap, leaving a tombstone in
-/// [`RelState::dead`], and — when no other live link shares the node pair —
+/// Free a dead link's ring and bitmap, leaving its record as a tombstone,
+/// and — when no other live link shares the node pair —
 /// the lazily-derived fault dice streams of both directions (the data
 /// direction and the one its acks ride). Streams pinned by an explicit
 /// per-link plan are part of the scenario and stay.
@@ -870,15 +897,17 @@ fn reclaim_link<W: NicWorld>(w: &mut W, k: LinkKey) {
             let p = (nl.get(NicId(kk.1)).node, nl.get(NicId(kk.2)).node);
             p == (src_node, dst_node) || p == (dst_node, src_node)
         };
-        let shared = nl.rel.tx.keys().any(on_pair) || nl.rel.rx.keys().any(on_pair);
+        let live = |l: &Link| l.tx.is_some() || l.rx.is_some();
+        let shared = nl.rel.links.iter().any(|(kk, l)| live(l) && on_pair(kk));
         (src_node, dst_node, shared)
     };
-    {
-        let rel = &mut w.nics_mut().rel;
-        rel.tx.remove(&k);
-        rel.rx.remove(&k);
-        rel.dead.insert(k);
-    }
+    w.nics_mut().rel.links.insert(
+        k,
+        Link {
+            dead: true,
+            ..Link::default()
+        },
+    );
     if !shared {
         w.nics_mut().reclaim_fault_stream(src_node, dst_node);
         w.nics_mut().reclaim_fault_stream(dst_node, src_node);
@@ -905,7 +934,8 @@ pub fn rel_on_packet<W: NicWorld>(w: &mut W, pkt: &Packet) -> RelVerdict {
     }
     let (fresh, cum, sack, ack) = {
         let rel = &mut w.nics_mut().rel;
-        if rel.dead.contains(&k) {
+        let record = rel.links.entry(k).or_default();
+        if record.dead {
             // A straggler (in-fabric retransmission) of a reclaimed link:
             // swallowing it here keeps a recreated bitmap from re-delivering
             // sequences the dead window already delivered.
@@ -913,7 +943,7 @@ pub fn rel_on_packet<W: NicWorld>(w: &mut W, pkt: &Packet) -> RelVerdict {
             return RelVerdict::Consumed;
         }
         let params = rel.params;
-        let rx = rel.rx.entry(k).or_insert(RxLink {
+        let rx = record.rx.get_or_insert(RxLink {
             rx_next: 1,
             seen: 0,
             pending: 0,
@@ -1001,7 +1031,7 @@ pub fn rel_on_packet<W: NicWorld>(w: &mut W, pkt: &Packet) -> RelVerdict {
 pub(crate) fn rel_ack_flush<W: NicWorld>(w: &mut W, k: LinkKey) {
     let flush = {
         let rel = &mut w.nics_mut().rel;
-        let Some(rx) = rel.rx.get_mut(&k) else {
+        let Some(rx) = rel.links.get_mut(&k).and_then(|l| l.rx.as_mut()) else {
             return; // link reclaimed while the flush was in flight
         };
         rx.flush_armed = false;
@@ -1081,7 +1111,7 @@ pub(crate) fn rel_on_rx_drop<W: NicWorld>(w: &mut W, pkt: &Packet, backlog: SimT
         return; // unsequenced frame: nothing for the window to repair
     }
     let k = key(pkt.proto, pkt.src, pkt.dst);
-    if w.nics().rel.dead.contains(&k) {
+    if w.nics().rel.links.get(&k).is_some_and(|l| l.dead) {
         return;
     }
     let now = knet_simcore::now(w);
@@ -1128,7 +1158,7 @@ pub(crate) fn nack_arrival<W: NicWorld>(w: &mut W, k: LinkKey, seq: u64, hold: S
         if !params.cc {
             return;
         }
-        let Some(link) = rel.tx.get_mut(&k) else {
+        let Some(link) = rel.links.get_mut(&k).and_then(|l| l.tx.as_mut()) else {
             return;
         };
         if link.dead || seq < link.base {
@@ -1165,7 +1195,7 @@ pub(crate) fn ack_arrival<W: NicWorld>(w: &mut W, k: LinkKey, cum: u64, sack: u6
         let rel = &mut w.nics_mut().rel;
         rel.stats.acks_recv += 1;
         let params = rel.params;
-        let Some(link) = rel.tx.get_mut(&k) else {
+        let Some(link) = rel.links.get_mut(&k).and_then(|l| l.tx.as_mut()) else {
             return;
         };
         if link.dead {
@@ -1324,6 +1354,9 @@ mod tests {
         nics: NicLayer,
         delivered: Vec<(u64, SimTime)>,
         dead: Vec<(Proto, NicId, NicId)>,
+        /// Run arrivals through the receiver half (dedupe + acks) like a
+        /// driver does; off, tests inject acks by hand.
+        acking: bool,
     }
 
     impl SimWorld for TestWorld {
@@ -1351,6 +1384,9 @@ mod tests {
             &mut self.nics
         }
         fn nic_rx(&mut self, _nic: NicId, pkt: Packet) {
+            if self.acking && rel_on_packet(self, &pkt) == RelVerdict::Consumed {
+                return;
+            }
             let at = knet_simcore::now(self);
             self.delivered.push((pkt.meta[0], at));
         }
@@ -1366,6 +1402,7 @@ mod tests {
             nics: NicLayer::new(),
             delivered: Vec::new(),
             dead: Vec::new(),
+            acking: false,
         };
         let n0 = w.os.add_node(CpuModel::xeon_2600(), 64);
         let n1 = w.os.add_node(CpuModel::xeon_2600(), 64);
@@ -1498,6 +1535,7 @@ mod tests {
             nics: NicLayer::new(),
             delivered: Vec::new(),
             dead: Vec::new(),
+            acking: false,
         };
         let n0 = w.os.add_node(CpuModel::xeon_2600(), 64);
         let n1 = w.os.add_node(CpuModel::xeon_2600(), 64);
@@ -1676,6 +1714,7 @@ mod tests {
             nics: NicLayer::new(),
             delivered: Vec::new(),
             dead: Vec::new(),
+            acking: false,
         };
         let mut nics = Vec::new();
         for _ in 0..4 {
@@ -1711,6 +1750,65 @@ mod tests {
         assert!(w.nics.rel.link_dead(Proto::Gm, nics[0], nics[1]));
         assert_eq!(w.nics.rel.stats.dead_dropped, 1);
         assert_eq!(w.nics.rel.live_links(), (0, 0));
+    }
+
+    /// One seed, one lossy all-to-all exchange (with one black-holed link
+    /// so the table also holds a tombstone): the link table in iteration
+    /// order — what a default-hasher map reshuffles per instance and per
+    /// process — followed by the per-link rows, folded to one word.
+    fn link_table_digest() -> u64 {
+        use std::hash::Hasher;
+        let (mut w, _, _) = world();
+        w.acking = true;
+        for _ in 2..6 {
+            let n = w.os.add_node(CpuModel::xeon_2600(), 64);
+            w.nics.add_nic(n, NicModel::pci_xd());
+        }
+        let (n0, n1) = (w.nics.get(NicId(0)).node, w.nics.get(NicId(1)).node);
+        let lossy = crate::FaultPlan::new(0x5EED).with_drop(0.2);
+        let black_hole = crate::FaultPlan::new(1).with_drop(1.0);
+        w.nics.set_fault_plan(lossy.for_link(n0, n1, black_hole));
+        for i in 0..8 {
+            for src in 0..6 {
+                for dst in (0..6).filter(|d| *d != src) {
+                    rel_send(&mut w, pkt(NicId(src), NicId(dst), i), SimTime::ZERO);
+                }
+            }
+        }
+        run_to_quiescence(&mut w);
+        let rel = &w.nics.rel;
+        assert!(rel.link_dead(Proto::Gm, NicId(0), NicId(1)) && rel.stats.retransmits > 0);
+        let order: Vec<&LinkKey> = rel.links.keys().collect();
+        let mut fold = knet_simcore::IdHasher::default();
+        fold.write(format!("{order:?} {:?}", rel.link_breakdown()).as_bytes());
+        fold.finish()
+    }
+
+    /// The link table's iteration order and the per-link breakdown are a
+    /// function of the seed alone: equal for two worlds in one process and
+    /// for two processes (the test re-runs itself as a child to see one).
+    #[test]
+    fn link_table_order_repeats_within_and_across_processes() {
+        const CHILD: &str = "KNET_REL_DIGEST_CHILD";
+        let digest = link_table_digest();
+        if std::env::var_os(CHILD).is_some() {
+            println!("\ndigest={digest}");
+            return;
+        }
+        assert_eq!(digest, link_table_digest(), "two worlds, one process");
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "--nocapture", "--test-threads=1"])
+            .arg("rel::tests::link_table_order_repeats_within_and_across_processes")
+            .env(CHILD, "1")
+            .output()
+            .expect("re-run the test binary");
+        let out = String::from_utf8_lossy(&child.stdout);
+        let theirs = out.lines().find_map(|l| l.strip_prefix("digest="));
+        assert_eq!(
+            theirs,
+            Some(digest.to_string().as_str()),
+            "child said:\n{out}"
+        );
     }
 
     /// An ack that progresses but echoes a pre-RTO timestamp proves the

@@ -66,6 +66,9 @@ pub struct TransTable {
 }
 
 impl TransTable {
+    /// An empty table of `capacity` entries. The index is reserved by the
+    /// first [`Self::insert`] (and never rehashes after it); a card nothing
+    /// was ever registered on holds no heap memory.
     pub fn new(capacity: usize) -> Self {
         TransTable {
             capacity,

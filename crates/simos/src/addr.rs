@@ -154,7 +154,7 @@ impl fmt::Debug for PhysAddr {
 }
 
 /// A physically contiguous byte range — the unit the DMA engine consumes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PhysSeg {
     pub addr: PhysAddr,
     pub len: u64,

@@ -61,31 +61,65 @@ impl Frame {
 
 /// A node's physical memory.
 pub struct PhysMem {
+    /// Metadata of the frames handed out at least once: `[0, watermark)`,
+    /// where the watermark is `frames.len()`. Frames above it were never
+    /// allocated and have no record.
     frames: Vec<Frame>,
+    /// Size of the memory in frames (`frames.len() <= total`).
+    total: u32,
     /// Recycled single frames.
     free: Vec<FrameIdx>,
-    /// Watermark for never-yet-allocated frames (supports contiguous runs).
-    watermark: u32,
     allocated: u32,
 }
 
 impl PhysMem {
-    /// A memory of `frames` page frames (contents are lazily materialized, so
-    /// a large memory costs nothing until touched).
+    /// A memory of `frames` page frames. Nothing is materialized up front:
+    /// a frame's metadata appears when the allocator first hands it out and
+    /// its contents when it is first written, so a large memory costs
+    /// nothing until touched.
+    ///
+    /// A frame index falls in one of three ranges, and every accessor
+    /// answers as if all `frames` records existed:
+    ///
+    /// * `[0, watermark)` — handed out at least once: its record decides;
+    /// * `[watermark, frames)` — never allocated, so it reads as a
+    ///   [`FrameState::Free`] frame with no pins: [`Self::pin`], [`Self::read`]
+    ///   and [`Self::write`] fail with [`OsError::UseAfterFree`],
+    ///   [`Self::free`] with [`OsError::DoubleFree`], [`Self::unpin`] with
+    ///   [`OsError::NotPinned`];
+    /// * `>= frames` — outside the memory: all five fail with
+    ///   [`OsError::BadPhysAddr`] ([`Self::state_of`] / [`Self::pin_count`]
+    ///   read `Free` / 0).
     pub fn new(frames: u32) -> Self {
-        let mut v = Vec::with_capacity(frames as usize);
-        v.resize_with(frames as usize, Frame::empty);
         PhysMem {
-            frames: v,
+            frames: Vec::new(),
+            total: frames,
             free: Vec::new(),
-            watermark: 0,
             allocated: 0,
         }
     }
 
     /// Total frames.
     pub fn total_frames(&self) -> u32 {
-        self.frames.len() as u32
+        self.total
+    }
+
+    /// The record of frame `idx`: `Ok(None)` for a frame inside the memory
+    /// that was never handed out (it reads as [`Frame::empty`]).
+    fn frame(&self, idx: usize) -> Result<Option<&Frame>, OsError> {
+        match self.frames.get(idx) {
+            Some(f) => Ok(Some(f)),
+            None if idx < self.total as usize => Ok(None),
+            None => Err(OsError::BadPhysAddr),
+        }
+    }
+
+    /// [`Self::frame`], mutably.
+    fn frame_mut(&mut self, idx: FrameIdx) -> Result<Option<&mut Frame>, OsError> {
+        if idx.0 >= self.total {
+            return Err(OsError::BadPhysAddr);
+        }
+        Ok(self.frames.get_mut(idx.0 as usize))
     }
 
     /// Frames currently allocated.
@@ -98,10 +132,9 @@ impl PhysMem {
         debug_assert!(state != FrameState::Free);
         let idx = if let Some(idx) = self.free.pop() {
             idx
-        } else if (self.watermark as usize) < self.frames.len() {
-            let idx = FrameIdx(self.watermark);
-            self.watermark += 1;
-            idx
+        } else if self.frames.len() < self.total as usize {
+            self.frames.push(Frame::empty());
+            FrameIdx(self.frames.len() as u32 - 1)
         } else {
             return Err(OsError::OutOfMemory);
         };
@@ -117,27 +150,21 @@ impl PhysMem {
     /// Allocate `n` physically contiguous frames (kernel buffers, DMA rings).
     pub fn alloc_contig(&mut self, n: u32, state: FrameState) -> Result<FrameIdx, OsError> {
         debug_assert!(state != FrameState::Free && n > 0);
-        if self.watermark as usize + n as usize > self.frames.len() {
+        let first = self.frames.len();
+        if first + n as usize > self.total as usize {
             return Err(OsError::OutOfMemory);
         }
-        let first = FrameIdx(self.watermark);
-        for i in 0..n {
-            let f = &mut self.frames[(self.watermark + i) as usize];
-            f.state = state;
-            f.pin = 0;
-            f.data = None;
-        }
-        self.watermark += n;
+        self.frames.resize_with(first + n as usize, || Frame {
+            state,
+            ..Frame::empty()
+        });
         self.allocated += n;
-        Ok(first)
+        Ok(FrameIdx(first as u32))
     }
 
     /// Free a frame. Pinned frames cannot be freed.
     pub fn free(&mut self, idx: FrameIdx) -> Result<(), OsError> {
-        let f = self
-            .frames
-            .get_mut(idx.0 as usize)
-            .ok_or(OsError::BadPhysAddr)?;
+        let f = self.frame_mut(idx)?.ok_or(OsError::DoubleFree)?;
         if f.state == FrameState::Free {
             return Err(OsError::DoubleFree);
         }
@@ -164,10 +191,7 @@ impl PhysMem {
 
     /// Pin a frame in memory (it cannot be freed while pinned).
     pub fn pin(&mut self, idx: FrameIdx) -> Result<(), OsError> {
-        let f = self
-            .frames
-            .get_mut(idx.0 as usize)
-            .ok_or(OsError::BadPhysAddr)?;
+        let f = self.frame_mut(idx)?.ok_or(OsError::UseAfterFree)?;
         if f.state == FrameState::Free {
             return Err(OsError::UseAfterFree);
         }
@@ -179,10 +203,7 @@ impl PhysMem {
     /// (see [`PhysMem::mark_release_on_unpin`]) and this was the last pin,
     /// the frame is freed.
     pub fn unpin(&mut self, idx: FrameIdx) -> Result<(), OsError> {
-        let f = self
-            .frames
-            .get_mut(idx.0 as usize)
-            .ok_or(OsError::BadPhysAddr)?;
+        let f = self.frame_mut(idx)?.ok_or(OsError::NotPinned)?;
         if f.pin == 0 {
             return Err(OsError::NotPinned);
         }
@@ -198,8 +219,12 @@ impl PhysMem {
     /// `munmap`/process exit when the NIC still holds a registration on the
     /// page — the Linux `get_user_pages`/`put_page` life cycle.
     pub fn mark_release_on_unpin(&mut self, idx: FrameIdx) {
-        if let Some(f) = self.frames.get_mut(idx.0 as usize) {
-            debug_assert!(f.pin > 0, "only pinned frames can defer their free");
+        let f = self.frames.get_mut(idx.0 as usize);
+        debug_assert!(
+            idx.0 >= self.total || f.as_ref().is_some_and(|f| f.pin > 0),
+            "only pinned frames can defer their free"
+        );
+        if let Some(f) = f {
             f.release_on_unpin = true;
         }
     }
@@ -211,9 +236,9 @@ impl PhysMem {
         let first = addr.pfn();
         let last = PhysAddr::new(addr.raw() + len - 1).pfn();
         for pfn in first..=last {
-            let f = self.frames.get(pfn as usize).ok_or(OsError::BadPhysAddr)?;
-            if f.state == FrameState::Free {
-                return Err(OsError::UseAfterFree);
+            match self.frame(pfn as usize)? {
+                Some(f) if f.state != FrameState::Free => {}
+                _ => return Err(OsError::UseAfterFree),
             }
         }
         Ok(())
@@ -383,6 +408,65 @@ mod tests {
             m.read(PhysAddr::new(16 * PAGE_SIZE), &mut buf),
             Err(OsError::BadPhysAddr)
         );
+    }
+
+    /// Every accessor, for a never-allocated frame inside the memory and
+    /// for one outside it — the answers a memory with all its frame
+    /// records materialized up front gives.
+    #[test]
+    fn untouched_and_out_of_range_frames_answer_like_materialized_ones() {
+        let mut m = PhysMem::new(8);
+        let a = m.alloc(FrameState::Kernel).unwrap();
+        m.alloc_contig(2, FrameState::Kernel).unwrap();
+        let mut buf = [0u8; 4];
+
+        // [watermark, total): a Free frame nobody ever held.
+        for idx in [FrameIdx(3), FrameIdx(7)] {
+            assert_eq!(m.state_of(idx), FrameState::Free);
+            assert_eq!(m.pin_count(idx), 0);
+            assert_eq!(m.pin(idx), Err(OsError::UseAfterFree));
+            assert_eq!(m.unpin(idx), Err(OsError::NotPinned));
+            assert_eq!(m.free(idx), Err(OsError::DoubleFree));
+            assert_eq!(m.read(idx.base(), &mut buf), Err(OsError::UseAfterFree));
+            assert_eq!(m.write(idx.base(), &buf), Err(OsError::UseAfterFree));
+        }
+        // A span running from a live frame into an untouched one, and one
+        // running off the end of the memory through an untouched frame.
+        let straddle = FrameIdx(2).base().add(PAGE_SIZE - 2);
+        assert_eq!(m.read(straddle, &mut buf), Err(OsError::UseAfterFree));
+        let off_end = FrameIdx(7).base().add(PAGE_SIZE - 2);
+        assert_eq!(m.write(off_end, &buf), Err(OsError::UseAfterFree));
+
+        // >= total: not a frame of this memory.
+        for idx in [FrameIdx(8), FrameIdx(1 << 20)] {
+            assert_eq!(m.state_of(idx), FrameState::Free);
+            assert_eq!(m.pin_count(idx), 0);
+            assert_eq!(m.pin(idx), Err(OsError::BadPhysAddr));
+            assert_eq!(m.unpin(idx), Err(OsError::BadPhysAddr));
+            assert_eq!(m.free(idx), Err(OsError::BadPhysAddr));
+            assert_eq!(m.read(idx.base(), &mut buf), Err(OsError::BadPhysAddr));
+            assert_eq!(m.write(idx.base(), &buf), Err(OsError::BadPhysAddr));
+            m.mark_release_on_unpin(idx); // silently ignored
+        }
+        assert_eq!(m.read(FrameIdx(8).base(), &mut []), Ok(()), "empty span");
+
+        // None of the probing materialized or leaked anything.
+        assert_eq!(m.total_frames(), 8);
+        assert_eq!(m.allocated_frames(), 3);
+        m.free(a).unwrap();
+        assert_eq!(m.alloc(FrameState::Anon), Ok(a), "recycled first");
+        assert_eq!(
+            m.alloc(FrameState::Anon),
+            Ok(FrameIdx(3)),
+            "then the watermark"
+        );
+        assert_eq!(
+            m.alloc_contig(5, FrameState::Kernel),
+            Err(OsError::OutOfMemory),
+            "4 frames left above the watermark"
+        );
+        assert_eq!(m.alloc_contig(4, FrameState::Kernel), Ok(FrameIdx(4)));
+        assert_eq!(m.alloc(FrameState::Anon), Err(OsError::OutOfMemory));
     }
 
     #[test]

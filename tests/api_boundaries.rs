@@ -16,6 +16,10 @@
 //! so the one pacing seam both drivers share (`knet_core::pace`) and the
 //! channel queue are its only possible users — naming it anywhere else is
 //! a compile error.
+//!
+//! The last entry is a performance boundary rather than a layering one:
+//! the registry's and the reliability layer's tables are indexed by the
+//! ids this program mints, never searched or SipHashed per event.
 
 use std::fs;
 use std::path::Path;
@@ -406,6 +410,63 @@ fn counters_are_declared_once_and_read_through_the_stats_tree() {
         offenders.is_empty(),
         "knet-core names a counter of a layer it does not own (declare it \
          in that layer's stats block):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// Ids are indices. Every key on the per-event path — endpoint `(kind,
+/// idx)`, queue / consumer / channel id, reliability link — is minted
+/// densely by this program, so its table is indexed directly or hashed
+/// without per-process state (`knet_simcore::{Slab, IdHashMap}`). Two
+/// things must not grow back: an endpoint-keyed map in the registry (one
+/// search per map per event, where one index of the endpoint table serves
+/// them all), and a default-hasher map or set in the registry, the
+/// reliability layer or the fault dice (SipHash per packet, and an
+/// iteration order that differs from run to run).
+#[test]
+fn per_event_tables_are_indexed_by_id_not_searched() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lines_of = |file: &str, bad: &dyn Fn(&str) -> bool| -> Vec<String> {
+        let text = fs::read_to_string(root.join(file)).expect(file);
+        let hits = text.lines().enumerate().filter(|(_, line)| bad(line));
+        hits.map(|(i, line)| format!("{file}:{}: {}", i + 1, line.trim()))
+            .collect()
+    };
+    // Patterns assembled at runtime so this file never matches itself.
+    let keyed = [
+        format!("BTreeMap<({}", "TransportKind"),
+        format!("HashMap<({}", "TransportKind"),
+    ];
+    let offenders = lines_of("crates/core/src/api.rs", &|line| {
+        keyed.iter().any(|p| line.contains(p.as_str()))
+    });
+    assert!(
+        offenders.is_empty(),
+        "an endpoint-keyed map is back in the registry (add a field to the \
+         endpoint table's record instead):\n{}",
+        offenders.join("\n")
+    );
+
+    let std_tables = [format!("Hash{}", "Map"), format!("Hash{}", "Set")];
+    let default_hasher = |line: &str| {
+        std_tables.iter().any(|name| {
+            line.match_indices(name.as_str())
+                .any(|(at, _)| !line[..at].ends_with("Id"))
+        })
+    };
+    let per_event = [
+        "crates/core/src/api.rs",
+        "crates/simnic/src/rel.rs",
+        "crates/simnic/src/fault.rs",
+    ];
+    let offenders: Vec<String> = per_event
+        .iter()
+        .flat_map(|file| lines_of(file, &default_hasher))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "a default-hasher map or set on the per-event path (index by id, \
+         or use knet_simcore::IdHashMap):\n{}",
         offenders.join("\n")
     );
 }

@@ -307,6 +307,35 @@ fn closed_channels_stop_routing_and_release_state() {
     let _ = ea;
 }
 
+#[test]
+fn a_closed_channel_id_is_never_handed_out_again() {
+    // Channel ids index a slab; a caller may still hold a closed channel's
+    // id (and the id is in the consumer's name), so reopening the endpoint
+    // must mint a fresh one instead of recycling the slot.
+    let (mut w, n0, n1) = two_nodes();
+    let (ch_a, ch_b, cq_a, _cq_b, ea, eb) = channel_pair(&mut w, TransportKind::Mx, n0, n1);
+    let ka = kbuf(&mut w, n0, 4096);
+    api::channel_close(&mut w, ch_a);
+    let again = api::channel_connect(&mut w, ea, eb, cq_a);
+    assert!(again.0 > ch_a.0.max(ch_b.0), "ids only ever ascend");
+    assert!(w.registry.channel(ch_a).is_none(), "the old id stays dead");
+    assert_eq!(
+        channel_send(&mut w, ch_a, 1, ka.iov(8)).unwrap_err(),
+        NetError::BadEndpoint
+    );
+    assert_eq!(w.registry.channel_of(ea), Some(again));
+    let consumer = w.registry.consumer_of(ea).expect("bound");
+    assert_eq!(
+        w.registry.consumer_name(consumer),
+        Some(format!("channel-{}", again.0).as_str())
+    );
+    // Replacing a live channel (no explicit close) retires its id too.
+    let replaced = api::channel_connect(&mut w, ea, eb, cq_a);
+    assert!(replaced.0 > again.0);
+    assert!(w.registry.channel(again).is_none());
+    channel_send(&mut w, replaced, 2, ka.iov(8)).unwrap();
+}
+
 // ----------------------------------------------------- rebind coherence
 
 #[test]

@@ -240,10 +240,12 @@ fn typed_event_dispatch_allocates_nothing() {
 
 // ---------------------------------------------------------------- full path
 
-/// Drive real messages through channels over GM and hold the *pools* to
-/// their contract: in steady state the scratch buffers stop growing and the
-/// send-context pool stops minting slots — every per-operation buffer the
-/// driver and API layers need is recycled.
+/// Drive real messages through kernel-buffer channels over GM and MX —
+/// the whole cycle: post the receive, send, deliver, pop both completion
+/// queues — and hold the *pools* to their contract: in steady state the
+/// scratch buffers stop growing, the send-context pool stops minting slots,
+/// the registry and reliability tables stop growing, and the only heap
+/// allocation left per message is its payload `Bytes`.
 #[test]
 fn channel_send_path_recycles_pools_in_steady_state() {
     let mut w = ClusterBuilder::new()
@@ -255,20 +257,38 @@ fn channel_send_path_recycles_pools_in_steady_state() {
     let cfg = GmPortConfig::kernel().with_physical_api();
     let a = w.open_gm_cq(n0, cfg.clone(), cq0).unwrap();
     let b = w.open_gm_cq(n1, cfg, cq1).unwrap();
+    let mx_cfg = knet_mx::MxEndpointConfig::kernel();
+    let ma = w.open_mx_cq(n0, mx_cfg, cq0).unwrap();
+    let mb = w.open_mx_cq(n1, mx_cfg, cq1).unwrap();
     let ka = kbuf(&mut w, n0, 4096);
     let kb = kbuf(&mut w, n1, 4096);
-    let ch_a = channel_connect(&mut w, a, b, cq0);
-    let ch_b = channel_connect(&mut w, b, a, cq1);
+    let mka = kbuf(&mut w, n0, 4096);
+    let mkb = kbuf(&mut w, n1, 4096);
+    let gm = (
+        channel_connect(&mut w, a, b, cq0),
+        channel_connect(&mut w, b, a, cq1),
+    );
+    let mx = (
+        channel_connect(&mut w, ma, mb, cq0),
+        channel_connect(&mut w, mb, ma, cq1),
+    );
 
+    // One round is one message per transport, sized to alternate between
+    // the smallest and the largest a single chunk carries.
     let mut batch = Vec::new();
     let mut round = |w: &mut knet::world::ClusterWorld, tag: u64| {
-        channel_post_recv(w, ch_b, tag, kb.iov(4096)).unwrap();
-        channel_send(w, ch_a, tag, ka.iov(4096)).unwrap();
+        let len = if tag.is_multiple_of(2) { 4096 } else { 64 };
+        channel_post_recv(w, gm.1, tag, kb.iov(len)).unwrap();
+        channel_post_recv(w, mx.1, tag, mkb.iov(len)).unwrap();
+        channel_send(w, gm.0, tag, ka.iov(len)).unwrap();
+        channel_send(w, mx.0, tag, mka.iov(len)).unwrap();
         knet_simcore::run_to_quiescence(w);
-        w.take_events(a, usize::MAX, &mut batch);
-        w.take_events(b, usize::MAX, &mut batch);
+        let mut popped = 0;
+        for ep in [a, b, ma, mb] {
+            popped += w.take_events(ep, usize::MAX, &mut batch);
+        }
+        assert_eq!(popped, 4, "a SendDone and a RecvDone per message");
     };
-    let _ = ch_b;
 
     // Warm-up: reach every pool's high-water mark.
     for tag in 1..=16u64 {
@@ -277,14 +297,26 @@ fn channel_send_path_recycles_pools_in_steady_state() {
     let scratch0 = w.gm.scratch.stats;
     let pool0 = w.registry.stats;
     let rel0 = w.nics.rel.stats;
+    let tables0 = (w.registry.table_capacity(), w.nics.rel.table_capacity());
 
-    for tag in 17..=116u64 {
-        round(&mut w, tag);
-    }
+    let (allocs, ()) = count(|| {
+        for tag in 17..=116u64 {
+            round(&mut w, tag);
+        }
+    });
     let scratch1 = w.gm.scratch.stats;
     let pool1 = w.registry.stats;
     let rel1 = w.nics.rel.stats;
 
+    assert!(
+        allocs <= 200,
+        "200 messages may allocate their 200 payloads and nothing else, got {allocs}"
+    );
+    assert_eq!(
+        (w.registry.table_capacity(), w.nics.rel.table_capacity()),
+        tables0,
+        "the registry's and the reliability layer's tables are warm"
+    );
     assert!(
         scratch1.uses >= scratch0.uses + 100,
         "every send borrows the scratch"
