@@ -1356,15 +1356,17 @@ pub fn channel_post_recv<W: DispatchWorld>(
 /// wins every race the consumer has not yet observed. Concretely:
 ///
 /// * returns `true` ⇒ the consumer will **never** observe a `RecvDone` for
-///   this tag — either the receive was still pending in the driver
+///   this tag — either the receive was still pending in the driver, queued
+///   or captured by a half-arrived eager message
 ///   ([`TransportWorld::t_cancel_recv`](crate::transport::TransportWorld::t_cancel_recv)
 ///   withdrew it), or its completion had already been delivered to the
 ///   channel's CQ but **not yet popped**, in which case the queued entry is
 ///   dropped here (counted in [`RegistryStats::cancelled_completions`]);
 /// * returns `false` ⇒ cancel lost deterministically: the completion was
 ///   already observed (popped from the CQ / upcalled into a handler), the
-///   transfer was matched in-flight inside the driver and its `RecvDone`
-///   is irrevocably on its way, or no such receive was ever posted.
+///   receive was committed to an accepted rendezvous inside the driver and
+///   its `RecvDone` is irrevocably on its way, or no such receive was ever
+///   posted.
 ///
 /// Handler-backed channels have no queued-but-unobserved window (upcalls
 /// are synchronous), so for them this is exactly the driver contract. RPC

@@ -21,8 +21,9 @@
 //!   send-failure and peer-death triage);
 //! * [`pace`] and [`driver`] — what sits *below* the transport and is the
 //!   same for both drivers: the tenant pacing seam between the NIC's token
-//!   buckets and a driver's send pipeline, the completion-event type and
-//!   the scratch-buffer accounting;
+//!   buckets and a driver's send pipeline; the completion-event type, and
+//!   the message engine — MTU segmentation, first-fit matching of posted
+//!   buffers, reassembly, and the rule for giving a captured buffer back;
 //! * [`error`] — the unified error type.
 //!
 //! The two drivers implementing this API live in `knet-gm` and `knet-mx`.
@@ -44,7 +45,10 @@ pub use api::{
     release_kernel_buffer, Channel, ChannelId, ConsumerId, CqEntry, CqId, DispatchWorld, Registry,
     RegistryStats, DEFAULT_SEND_QUEUE_CAP,
 };
-pub use driver::{DriverEvent, RingPool, ScratchStats};
+pub use driver::{
+    first_fit, host_completion, land, send_chunks, tag_matches, take_first, take_tag, Assembly,
+    ChunkSource, DriverEvent, Posted, Reassembly, Route, ScratchStats, ANY_TAG,
+};
 pub use error::{NetError, RpcError};
 pub use iovec::{
     chunk_segments, next_chunk, read_iovec, read_iovec_into, resolve_iovec, resolve_iovec_into,

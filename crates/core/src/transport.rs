@@ -184,9 +184,16 @@ pub trait TransportWorld: NicWorld {
     ///   tag was ever posted, it already completed (`RecvDone` was or will
     ///   be delivered), or it was already cancelled. Cancelling is
     ///   idempotent — a second call with the same tag returns `false`.
-    /// * A receive that matched an in-flight message (e.g. an MX rendezvous
-    ///   mid-transfer) is *consumed*, not pending: cancelling it returns
-    ///   `false` and the transfer completes normally.
+    /// * A receive an **accepted rendezvous** was committed to (MX: the CTS
+    ///   left, the sender is streaming into the buffer) is *consumed*, not
+    ///   pending: cancelling it returns `false` and the transfer completes
+    ///   normally.
+    /// * A receive merely **captured** by an eager message that has not
+    ///   finished arriving is still its owner's: cancel returns `true`, the
+    ///   driver's resources are released, no `RecvDone` will arrive, and
+    ///   the rest of that message is discarded (never matched against
+    ///   another receive). This is what lets a consumer take its buffer
+    ///   back from a sender that died mid-message.
     /// * **Payload-overtakes-descriptor**: when the payload arrived before
     ///   the receive was posted, it was delivered as `Unexpected` and the
     ///   later-posted receive stays armed forever (tags are not matched

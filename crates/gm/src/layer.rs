@@ -16,17 +16,15 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use bytes::Bytes;
 use knet_core::{
-    next_chunk, pace_drain, pace_submit, pace_timer_fired, seg_window_into, ChunkCursor,
-    DriverEvent, IoVec, MemRef, NetError, PaceLanes, PacedSend, RangePlan, RegCache, RegKey,
-    RingPool, ScratchStats, SegList, TenantId,
+    host_completion, land, pace_drain, pace_submit, pace_timer_fired, send_chunks, take_tag,
+    ChunkSource, DriverEvent, IoVec, MemRef, NetError, PaceLanes, PacedSend, Posted, RangePlan,
+    Reassembly, RegCache, RegKey, Route, ScratchStats, SegList, TenantId, ANY_TAG,
 };
 use knet_simcore::{SimTime, SimWorld};
 use knet_simnic::{
-    coll_inject, coll_on_packet, dma_charge, dma_gather, dma_scatter, fw_charge, is_coll_frame,
-    rel_on_packet, rel_send, CollCmd, MsgHeader, NicId, NicWorld, Packet, Proto, RelVerdict,
-    TransKey,
+    coll_inject, coll_on_packet, dma_charge, fw_charge, is_coll_frame, rel_on_packet, CollCmd,
+    MsgHeader, NicId, NicWorld, Packet, Proto, RelVerdict, TransKey,
 };
 use knet_simos::{cpu_charge, page_slices, Asid, FrameIdx, NodeId, PhysSeg};
 
@@ -37,7 +35,7 @@ use crate::params::GmParams;
 pub struct GmPortId(pub u32);
 
 /// Wildcard receive tag: a provided buffer with this tag matches anything.
-pub const GM_ANY_TAG: u64 = u64::MAX;
+pub const GM_ANY_TAG: u64 = ANY_TAG;
 
 /// Whether a port belongs to a user process or to the kernel.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -135,18 +133,13 @@ struct ProvidedBuffer {
     translate_cost: SimTime,
 }
 
-struct Assembly {
-    dst_port: GmPortId,
-    src_port: GmPortId,
-    tag: u64,
-    total: u64,
-    received: u64,
-    /// `Some` when matched into a provided buffer, `None` when bouncing.
-    matched: Option<ProvidedBuffer>,
-    /// Borrowed from [`GmScratch::bounces`] by the first chunk that needs it
-    /// (a message that arrives whole never does) and returned on completion.
-    bounce: Vec<u8>,
-    last_dma_done: SimTime,
+impl Posted for ProvidedBuffer {
+    fn tag(&self) -> u64 {
+        self.tag
+    }
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
 }
 
 /// One open GM port.
@@ -190,16 +183,10 @@ impl GmPort {
 pub struct GmScratch {
     /// Resolved physical segments of the buffer being sent.
     pub(crate) segs: Vec<PhysSeg>,
-    /// The MTU chunk currently being DMA'd.
-    pub(crate) chunk: Vec<PhysSeg>,
-    /// Receive-side scatter window of one inbound chunk.
-    pub(crate) window: Vec<PhysSeg>,
     /// LRU victims drained from a registration cache under pressure.
     pub(crate) victims: Vec<(RegKey, FrameIdx)>,
     /// Registration page plan of the buffer being sent.
     pub(crate) plan: RangePlan,
-    /// Bounce-pool assembly buffers of unmatched multi-chunk messages.
-    pub(crate) bounces: RingPool,
     pub stats: ScratchStats,
 }
 
@@ -245,12 +232,9 @@ impl<W: GmWorld> PacedSend<W> for PacedGmSend {
 pub struct GmLayer {
     pub params: GmParams,
     ports: Vec<GmPort>,
-    /// In-flight reassemblies keyed `(dst port, src port, msg id)`.
-    /// `msg_id` alone is only unique per *sending* world — under sharded
-    /// execution every shard mints its own sequence, so two senders
-    /// converging on one receiver can collide on it. The source port
-    /// (carried in the wire meta) disambiguates.
-    assemblies: BTreeMap<(u32, u32, u64), Assembly>,
+    /// Messages still arriving, with the bounce pool (staging rings) an
+    /// unmatched one is reassembled in.
+    assemblies: Reassembly<ProvidedBuffer>,
     next_msg_id: u64,
     /// Recycled per-operation buffers (see [`GmScratch`]).
     pub scratch: GmScratch,
@@ -265,7 +249,7 @@ impl GmLayer {
         GmLayer {
             params,
             ports: Vec::new(),
-            assemblies: BTreeMap::new(),
+            assemblies: Reassembly::default(),
             next_msg_id: 1,
             scratch: GmScratch::default(),
             paced: PaceLanes::default(),
@@ -296,6 +280,16 @@ impl GmLayer {
 
     pub fn open_ports(&self) -> usize {
         self.ports.iter().filter(|p| p.open).count()
+    }
+
+    /// Messages still reassembling.
+    pub fn reassembling(&self) -> usize {
+        self.assemblies.incomplete()
+    }
+
+    /// `(table capacity, idle bounce buffers)` of the reassembly table.
+    pub fn reassembly_footprint(&self) -> (usize, usize) {
+        self.assemblies.footprint()
     }
 }
 
@@ -714,78 +708,42 @@ fn gm_send_admitted<W: GmWorld>(
     // Firmware picks the command up and resolves addressing.
     let fw_done = fw_charge(w, nic, host_done, params.fw_send + translate_cost);
 
-    // Cut into MTU chunks; DMA and wire pipeline chunk by chunk, streaming
-    // through the recycled chunk scratch (no per-send chunk lists).
-    let mtu = w.nics().get(nic).model.mtu;
-    let total = PhysSeg::total_len(&segs);
+    // Cut into MTU chunks; DMA and wire pipeline chunk by chunk.
     let msg_id = {
         let l = w.gm_mut();
         l.next_msg_id += 1;
         l.next_msg_id
     };
-    let mut chunk = std::mem::take(&mut w.gm_mut().scratch.chunk);
-    let chunk_cap_before = chunk.capacity();
-    let mut cursor = ChunkCursor::default();
-    let mut ready = fw_done;
-    let mut offset = 0u64;
-    let mut first = true;
-    loop {
-        let produced = next_chunk(&segs, &mut cursor, mtu, &mut chunk);
-        if !produced {
-            if !first {
-                break;
-            }
-            // A zero-length message still carries an envelope: fall through
-            // with the empty chunk once.
-            chunk.clear();
-        }
-        let chunk_len = PhysSeg::total_len(&chunk);
-        let (data, dma_done) = match dma_gather(w, nic, ready, &chunk) {
-            Ok(x) => x,
-            Err(e) => {
-                w.gm_mut().scratch.segs = segs;
-                w.gm_mut().scratch.chunk = chunk;
-                return Err(e.into());
-            }
-        };
-        let fw_ready = if first {
-            dma_done
-        } else {
-            fw_charge(w, nic, dma_done, params.fw_chunk)
-        };
-        let meta = MsgHeader::new(dest.0, port_id.0, tag, msg_id, offset, total).pack();
-        let mut pkt = Packet::new(
-            nic,
-            dst_nic,
-            Proto::Gm,
-            PKT_KIND_DATA,
-            meta,
-            data,
-            params.header_bytes,
-        );
-        pkt.tenant = tenant.0;
-        rel_send(w, pkt, fw_ready);
-        ready = dma_done;
-        offset += chunk_len;
-        // After the last chunk leaves host memory the buffer is reusable:
-        // complete the send and return the token.
-        if offset >= total {
-            let ev_done = dma_charge(w, nic, dma_done, 64); // completion record DMA
-            let node = w.nics().get(nic).node.0;
-            let ev = W::lift_gm(GmEv::Complete {
-                port: port_id,
-                ev: GmEvent::SendDone { ctx },
-            });
-            knet_simcore::emit_at(w, node, ev_done, ev);
-            break;
-        }
-        first = false;
-    }
-    let cap_after = segs.capacity() + chunk.capacity();
+    let route = Route {
+        src: nic,
+        dst: dst_nic,
+        proto: Proto::Gm,
+        kind: PKT_KIND_DATA,
+        header_bytes: params.header_bytes,
+        tenant,
+    };
+    let hdr = MsgHeader {
+        dst: dest.0,
+        src: port_id.0,
+        tag,
+        msg_id,
+        offset: 0,
+        total: PhysSeg::total_len(&segs),
+    };
+    let source = ChunkSource::Segs(&segs);
+    let sent = send_chunks(w, &route, hdr, source, fw_done, params.fw_chunk);
+    let cap_after = segs.capacity();
     let scratch = &mut w.gm_mut().scratch;
     scratch.segs = segs;
-    scratch.chunk = chunk;
-    scratch.stats.note(cap_before + chunk_cap_before, cap_after);
+    scratch.stats.note(cap_before, cap_after);
+    // After the last chunk leaves host memory the buffer is reusable:
+    // complete the send and return the token.
+    let ev_done = dma_charge(w, nic, sent?, 64); // completion record DMA
+    let ev = W::lift_gm(GmEv::Complete {
+        port: port_id,
+        ev: GmEvent::SendDone { ctx },
+    });
+    knet_simcore::emit_at(w, node.0, ev_done, ev);
     Ok(())
 }
 
@@ -873,7 +831,7 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         return coll_on_packet(w, nic, pkt);
     }
     let m = MsgHeader::unpack(&pkt.meta);
-    let (dst, src) = (GmPortId(m.dst), GmPortId(m.src));
+    let dst = GmPortId(m.dst);
     let params = w.gm().params;
     let now = knet_simcore::now(w);
 
@@ -883,84 +841,35 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         return;
     };
     debug_assert_eq!(port.nic, nic, "packet routed to the wrong NIC");
+    let (node, is_kernel, blocking) = (port.node, port.mode.is_kernel(), port.blocking_notify);
 
-    // The assembly is out of the map while its chunk is processed, and goes
-    // back only if the message is still incomplete.
-    let akey = (m.dst, m.src, m.msg_id);
-    let (mut a, fw_done) = match w.gm_mut().assemblies.remove(&akey) {
-        Some(a) => (a, fw_charge(w, nic, now, params.fw_chunk)),
-        None => {
-            // Match against provided buffers: first buffer whose tag matches
-            // and whose capacity fits.
-            let matched = {
-                let p = w.gm_mut().port_mut(dst).expect("checked above");
-                let pos = p
-                    .recv_queue
-                    .iter()
-                    .position(|b| (b.tag == GM_ANY_TAG || b.tag == m.tag) && b.capacity >= m.total);
-                pos.map(|i| p.recv_queue.remove(i).expect("position valid"))
-            };
-            // Firmware cost: match processing plus the receive buffer's
-            // address translation (skipped entirely by physical-address
-            // buffers).
-            let translate = matched
-                .as_ref()
-                .map(|b| b.translate_cost)
-                .unwrap_or(SimTime::ZERO);
-            let fw_done = fw_charge(w, nic, now, params.fw_recv + translate);
-            let a = Assembly {
-                dst_port: dst,
-                src_port: src,
-                tag: m.tag,
-                total: m.total,
-                received: 0,
-                matched,
-                bounce: Vec::new(),
-                last_dma_done: fw_done,
-            };
-            (a, fw_done)
-        }
+    // A first chunk matches against the provided buffers and pays the match
+    // processing plus the captured buffer's address translation (skipped
+    // entirely by physical-address buffers); later chunks pay per chunk.
+    let (mut a, first) = {
+        let l = w.gm_mut();
+        let queue = &mut l.ports[m.dst as usize].recv_queue;
+        l.assemblies.begin_or_resume(&m, (nic, pkt.src), queue)
     };
-
-    // Land the chunk, scattering through the recycled window scratch.
-    let payload_len = pkt.payload.len() as u64;
-    // An unmatched message that arrives whole in its first chunk is handed
-    // up as the packet's own payload: no bounce buffer.
-    let whole = a.received == 0 && payload_len >= a.total;
-    let dma_done = match &a.matched {
-        Some(buf) => {
-            let mut window = std::mem::take(&mut w.gm_mut().scratch.window);
-            seg_window_into(&buf.segs, m.offset, payload_len, &mut window);
-            let t = dma_scatter(w, nic, fw_done, &window, &pkt.payload).unwrap_or(fw_done);
-            w.gm_mut().scratch.window = window;
-            t
-        }
-        None => {
-            // Bounce pool: DMA into pre-registered kernel ring.
-            let t = dma_charge(w, nic, fw_done, payload_len);
-            if !whole {
-                if a.received == 0 {
-                    a.bounce = w.gm_mut().scratch.bounces.take();
-                }
-                RingPool::stage(&mut a.bounce, m.offset, &pkt.payload);
-            }
-            t
-        }
+    let fw_cost = match (first, &a.matched) {
+        (true, Some(buf)) => params.fw_recv + buf.translate_cost,
+        (true, None) => params.fw_recv,
+        (false, _) => params.fw_chunk,
     };
-    a.received += payload_len;
-    a.last_dma_done = a.last_dma_done.max(dma_done);
-    if a.received < a.total {
-        w.gm_mut().assemblies.insert(akey, a);
-        return;
+    let fw_done = fw_charge(w, nic, now, fw_cost);
+    // A matched message scatters straight into its buffer; an unmatched one
+    // is reassembled in the pre-registered bounce pool.
+    let arrived = land(
+        w,
+        |w| &mut w.gm_mut().assemblies,
+        &mut a,
+        (&m, &pkt),
+        fw_done,
+        |buf| Some(&buf.segs),
+    );
+    if !arrived {
+        return w.gm_mut().assemblies.put_back(&m, a);
     }
-
-    let node = w.gm().port(a.dst_port).map(|p| p.node);
-    let Ok(node) = node else { return };
-    let (is_kernel, blocking) = w
-        .gm()
-        .port(a.dst_port)
-        .map(|p| (p.mode.is_kernel(), p.blocking_notify))
-        .unwrap_or((false, false));
 
     // Completion record reaches the host event queue by DMA; the host then
     // polls it (paying the kernel extra on kernel ports), or — for sleeping
@@ -973,65 +882,28 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     if blocking {
         host_cost += params.blocking_notify;
     }
-    match a.matched {
-        Some(buf) => {
-            let done = {
-                let start = ev_dma.max(knet_simcore::now(w));
-                let (_, end) = w.os_mut().node_mut(node).cpu.busy.acquire(start, host_cost);
-                end
-            };
-            let port_id = a.dst_port;
-            let (tag, total, src) = (a.tag, a.total, a.src_port);
-            let ev = W::lift_gm(GmEv::Complete {
-                port: port_id,
-                ev: GmEvent::RecvDone {
-                    ctx: buf.ctx,
-                    tag,
-                    len: total,
-                    from: src,
-                },
-            });
-            knet_simcore::emit_at(w, node.0, done, ev);
-        }
+    let from = GmPortId(a.from);
+    let ev = match a.matched.take() {
+        Some(buf) => GmEvent::RecvDone {
+            ctx: buf.ctx,
+            tag: a.tag,
+            len: a.total,
+            from,
+        },
         None => {
             // Unexpected: the host copies the message out of the bounce pool.
-            let copy = w.os().node(node).cpu.model.ring_copy_cost(a.total);
-            let done = {
-                let start = ev_dma.max(knet_simcore::now(w));
-                let (_, end) = w
-                    .os_mut()
-                    .node_mut(node)
-                    .cpu
-                    .busy
-                    .acquire(start, host_cost + copy);
-                end
-            };
-            let port_id = a.dst_port;
-            let (tag, _total, src) = (a.tag, a.total, a.src_port);
-            // A whole message is the packet's own (immutable, refcounted)
-            // payload; a reassembled one is copied out of the bounce
-            // buffer, which goes back to the pool.
-            let data = if whole {
-                pkt.payload.clone()
-            } else {
-                let data = Bytes::copy_from_slice(&a.bounce);
-                w.gm_mut()
-                    .scratch
-                    .bounces
-                    .give(std::mem::take(&mut a.bounce));
-                data
-            };
-            let ev = W::lift_gm(GmEv::Complete {
-                port: port_id,
-                ev: GmEvent::Unexpected {
-                    tag,
-                    data,
-                    from: src,
-                },
-            });
-            knet_simcore::emit_at(w, node.0, done, ev);
+            host_cost += w.os().node(node).cpu.model.ring_copy_cost(a.total);
+            GmEvent::Unexpected {
+                tag: a.tag,
+                data: a.staged_bytes(&pkt.payload),
+                from,
+            }
         }
-    }
+    };
+    w.gm_mut().assemblies.finish(a);
+    let done = host_completion(w, node, ev_dma, host_cost);
+    let ev = W::lift_gm(GmEv::Complete { port: dst, ev });
+    knet_simcore::emit_at(w, node.0, done, ev);
 }
 
 /// Pop the next pending event from a port's queue (host polling).
@@ -1079,6 +951,9 @@ pub fn gm_close_port<W: GmWorld>(w: &mut W, port_id: GmPortId) -> Result<SimTime
         pages += 1;
     }
     {
+        // Provided buffers hold nothing of their own (the registrations
+        // above are what they pinned), queued or captured mid-message.
+        w.gm_mut().assemblies.abandon(|port, _| port == port_id.0);
         let p = w.gm_mut().port_mut(port_id)?;
         p.recv_queue.clear();
         p.events.clear();
@@ -1096,17 +971,27 @@ pub fn gm_close_port<W: GmWorld>(w: &mut W, port_id: GmPortId) -> Result<SimTime
     Ok(cpu_charge(w, node, cost))
 }
 
-/// Withdraw the first provided receive buffer with exactly this tag.
-/// Returns whether one was withdrawn.
+/// Withdraw the first provided receive buffer with exactly this tag —
+/// still queued, or captured by a message that has not finished arriving
+/// (the rest of that message is then discarded). Returns whether one was
+/// withdrawn.
 pub fn gm_cancel_receive_buffer<W: GmWorld>(w: &mut W, port_id: GmPortId, tag: u64) -> bool {
-    let Ok(p) = w.gm_mut().port_mut(port_id) else {
+    let l = w.gm_mut();
+    let Ok(p) = l.port_mut(port_id) else {
         return false;
     };
-    match p.recv_queue.iter().position(|b| b.tag == tag) {
-        Some(i) => {
-            p.recv_queue.remove(i);
-            true
-        }
-        None => false,
+    take_tag(&mut p.recv_queue, tag).is_some()
+        || l.assemblies.cancel_captured(port_id.0, tag).is_some()
+}
+
+/// The reliability window toward `remote` died: nothing more will arrive
+/// from it. Messages it was still sending to ports on `local` are dropped,
+/// and a buffer one had captured goes back to the head of its port's queue
+/// (still registered), where the next message — or its owner's cancel —
+/// finds it.
+pub fn gm_peer_down<W: GmWorld>(w: &mut W, local: NicId, remote: NicId) {
+    let l = w.gm_mut();
+    for (port, buf) in l.assemblies.abandon(|_, link| link == (local, remote)) {
+        l.ports[port as usize].recv_queue.push_front(buf);
     }
 }

@@ -26,8 +26,8 @@ mod tests;
 pub use cache::{gm_ensure_cached, gm_on_vma_event, gm_send_cached};
 pub use layer::{
     gm_cancel_receive_buffer, gm_close_port, gm_coll_post, gm_deregister, gm_next_event,
-    gm_on_packet, gm_open_port, gm_provide_receive_buffer, gm_register, gm_send, gm_send_t,
-    run_gm_ev, GmEv, GmEvent, GmLayer, GmPort, GmPortConfig, GmPortId, GmStats, GmWorld,
+    gm_on_packet, gm_open_port, gm_peer_down, gm_provide_receive_buffer, gm_register, gm_send,
+    gm_send_t, run_gm_ev, GmEv, GmEvent, GmLayer, GmPort, GmPortConfig, GmPortId, GmStats, GmWorld,
     PacedGmSend, PortMode, GM_ANY_TAG,
 };
 pub use params::GmParams;

@@ -9,8 +9,9 @@ use knet_simos::{munmap, CpuModel, NodeId, OsLayer, OsWorld, Prot, VirtAddr, Vma
 
 use crate::cache::{gm_on_vma_event, gm_send_cached};
 use crate::layer::{
-    gm_next_event, gm_on_packet, gm_open_port, gm_provide_receive_buffer, gm_register, gm_send,
-    gm_send_t, GmEvent, GmLayer, GmPortConfig, GmPortId, GmWorld, GM_ANY_TAG,
+    gm_cancel_receive_buffer, gm_close_port, gm_next_event, gm_on_packet, gm_open_port,
+    gm_peer_down, gm_provide_receive_buffer, gm_register, gm_send, gm_send_t, GmEvent, GmLayer,
+    GmPortConfig, GmPortId, GmWorld, GM_ANY_TAG,
 };
 use crate::params::GmParams;
 
@@ -672,4 +673,73 @@ fn parked_send_failing_at_drain_is_refunded() {
     let mut bucket = Vec::new();
     w.nics.qos.fingerprint_nic(nic, |v| bucket.push(v));
     assert_eq!(bucket, vec![1, 100 * 1_000_000_000, 100_000_000]);
+}
+
+/// A 32 kB message whose sender dies mid-stream leaves the receiver with a
+/// provided buffer that is in neither place its owner could reach before:
+/// out of the receive queue, captured by an assembly that will never
+/// complete. It is still the owner's: cancel withdraws it exactly once,
+/// close drops it, a declared peer death puts it back at the head of the
+/// queue; and an unmatched message's bounce buffer returns to the pool.
+#[test]
+fn a_buffer_captured_by_a_half_arrived_message_is_still_the_owners() {
+    #[derive(PartialEq)]
+    enum Reclaim {
+        Cancel,
+        Close,
+        PeerDown,
+        /// No buffer provided: the message was bouncing.
+        CloseBouncing,
+    }
+    let size = 32 * 1024u64;
+    let mut stranded = 0;
+    for seed in 1..=20u64 {
+        for how in [
+            Reclaim::Cancel,
+            Reclaim::Close,
+            Reclaim::PeerDown,
+            Reclaim::CloseBouncing,
+        ] {
+            let (mut w, n0, n1) = world();
+            w.nics.set_fault_plan(
+                FaultPlan::new(seed)
+                    .with_drop(0.3)
+                    .with_kill(n0, SimTime::from_micros(100)),
+            );
+            let (pa, ba) = make_user_port(&mut w, n0, size);
+            let (pb, bb) = make_user_port(&mut w, n1, size);
+            let bouncing = how == Reclaim::CloseBouncing;
+            if !bouncing {
+                let iov = IoVec::single(MemRef::user(bb.asid, bb.addr, size));
+                gm_provide_receive_buffer(&mut w, pb, &iov, 7, 42).unwrap();
+            }
+            gm_send(&mut w, pa, MemRef::user(ba.asid, ba.addr, size), pb, 7, 1).unwrap();
+            run_to_quiescence(&mut w);
+            if !w.gm.port(pb).unwrap().events.is_empty() {
+                continue; // the whole message beat the kill
+            }
+            stranded += 1;
+            assert_eq!(w.gm.port(pb).unwrap().receive_buffers(), 0, "captured");
+            assert_eq!(w.gm.reassembling(), 1);
+            match how {
+                Reclaim::Cancel => {
+                    assert!(gm_cancel_receive_buffer(&mut w, pb, 7), "seed {seed}");
+                    assert!(!gm_cancel_receive_buffer(&mut w, pb, 7), "exactly once");
+                }
+                Reclaim::Close | Reclaim::CloseBouncing => {
+                    gm_close_port(&mut w, pb).unwrap();
+                }
+                Reclaim::PeerDown => {
+                    let (local, remote) = (w.gm.port(pb).unwrap().nic, w.gm.port(pa).unwrap().nic);
+                    gm_peer_down(&mut w, local, remote);
+                    assert_eq!(w.gm.port(pb).unwrap().receive_buffers(), 1, "queued again");
+                    assert!(gm_cancel_receive_buffer(&mut w, pb, 7));
+                }
+            }
+            assert_eq!(w.gm.reassembling(), 0, "seed {seed}");
+            let idle_bounce_buffers = w.gm.reassembly_footprint().1;
+            assert_eq!(idle_bounce_buffers, bouncing as usize, "seed {seed}");
+        }
+    }
+    assert!(stranded >= 60, "the kill lands mid-message on most seeds");
 }

@@ -16,18 +16,19 @@
 //!   *predicted* receive-side removal (`no_recv_copy`) is implemented as the
 //!   "future MX" whose receive processing lives in the NIC (§5.1).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use knet_core::{
-    next_chunk, pace_submit, pace_timer_fired, read_iovec_into, resolve_iovec, resolve_iovec_into,
-    seg_window_into, write_iovec, AddrClass, ChunkCursor, DriverEvent, IoVec, NetError, PaceLanes,
-    PacedSend, RingPool, ScratchStats, SegList, TenantId,
+    first_fit, host_completion, land, pace_submit, pace_timer_fired, read_iovec_into,
+    resolve_iovec_into, send_chunks, tag_matches, take_first, take_tag, write_iovec, AddrClass,
+    ChunkSource, DriverEvent, IoVec, NetError, PaceLanes, PacedSend, Posted, Reassembly, Route,
+    ScratchStats, SegList, TenantId, ANY_TAG,
 };
-use knet_simcore::{SimTime, SimWorld};
+use knet_simcore::{IdHashMap, SimTime, SimWorld};
 use knet_simnic::{
-    coll_inject, coll_on_packet, dma_charge, dma_gather, dma_scatter, fw_charge, is_coll_frame,
-    rel_on_packet, rel_send, CollCmd, MsgHeader, NicId, NicWorld, Packet, Proto, RelVerdict,
+    coll_inject, coll_on_packet, dma_charge, fw_charge, is_coll_frame, rel_on_packet, CollCmd,
+    MsgHeader, NicId, NicWorld, Packet, Proto, RelVerdict,
 };
 use knet_simos::{Asid, FrameIdx, NodeId, PhysSeg};
 
@@ -38,7 +39,7 @@ use crate::params::{MxParams, MxProtocol};
 pub struct MxEndpointId(pub u32);
 
 /// Match-any tag for receives.
-pub const MX_ANY_TAG: u64 = u64::MAX;
+pub const MX_ANY_TAG: u64 = ANY_TAG;
 
 /// Endpoint mode: which space the application lives in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -127,6 +128,15 @@ struct PostedRecv {
     ctx: u64,
 }
 
+impl Posted for PostedRecv {
+    fn tag(&self) -> u64 {
+        self.tag
+    }
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+}
+
 enum UnexpectedMsg {
     Eager {
         tag: u64,
@@ -134,51 +144,32 @@ enum UnexpectedMsg {
         from: MxEndpointId,
     },
     Rndv {
-        tag: u64,
-        total: u64,
-        from: MxEndpointId,
-        msg_id: u64,
+        /// The RTS's header: sender, tag, message id and size.
+        hdr: MsgHeader,
         src_nic: NicId,
     },
 }
 
-/// Receive-side reassembly of an in-flight eager message.
-struct EagerAssembly {
-    from: MxEndpointId,
-    tag: u64,
-    total: u64,
-    received: u64,
-    /// Matched posted receive (taken from the queue at first chunk).
-    matched: Option<PostedRecv>,
-    /// True when chunks are DMA'd straight into the posted buffer
-    /// (`no_recv_copy`); otherwise data accumulates in the ring.
-    direct: bool,
-    /// Borrowed from [`MxScratch::rings`] by the first chunk that needs it
-    /// (a message that arrives whole never does) and returned on completion.
-    ring: Vec<u8>,
-    last_dma_done: SimTime,
+impl UnexpectedMsg {
+    fn tag(&self) -> u64 {
+        match self {
+            UnexpectedMsg::Eager { tag, .. } => *tag,
+            UnexpectedMsg::Rndv { hdr, .. } => hdr.tag,
+        }
+    }
 }
 
 /// Sender-side state of a rendezvous awaiting CTS.
 struct RndvSend {
-    from_ep: MxEndpointId,
-    segs: Vec<PhysSeg>,
+    /// The message's wire header (`src` is the sending endpoint).
+    hdr: MsgHeader,
+    /// `(sending NIC, receiving NIC)`: what peer death is declared for.
+    link: (NicId, NicId),
+    segs: SegList,
     pinned: Vec<FrameIdx>,
-    total: u64,
-    tag: u64,
     ctx: u64,
-    dst_ep: MxEndpointId,
     /// Sending tenant, stamped onto the streamed data packets.
     tenant: TenantId,
-}
-
-/// Receiver-side state of an accepted rendezvous.
-struct RndvRecv {
-    posted: PostedRecv,
-    from: MxEndpointId,
-    total: u64,
-    received: u64,
-    last_dma_done: SimTime,
 }
 
 /// One open MX endpoint.
@@ -216,12 +207,6 @@ pub struct MxScratch {
     pub(crate) payload: Vec<u8>,
     /// Send-side address resolution (the copy-avoidance check).
     pub(crate) resolution: knet_core::Resolution,
-    /// Receive-side scatter window of one inbound chunk.
-    pub(crate) window: Vec<PhysSeg>,
-    /// The MTU chunk currently streaming out of a rendezvous source.
-    pub(crate) chunk: Vec<PhysSeg>,
-    /// Receive-side assembly rings of multi-chunk messages.
-    pub(crate) rings: RingPool,
     pub stats: ScratchStats,
 }
 
@@ -269,14 +254,12 @@ impl<W: MxWorld> PacedSend<W> for PacedMxSend {
 pub struct MxLayer {
     pub params: MxParams,
     endpoints: Vec<MxEndpoint>,
-    /// In-flight reassemblies keyed `(dst endpoint, src endpoint, msg id)`.
-    /// `msg_id` alone is only unique per *sending* world — under sharded
-    /// execution every shard mints its own sequence, so two senders
-    /// converging on one receiver can collide on it. The source endpoint
-    /// (carried in the wire meta) disambiguates.
-    eager: BTreeMap<(u32, u32, u64), EagerAssembly>,
-    rndv_send: BTreeMap<u64, RndvSend>,
-    rndv_recv: BTreeMap<(u32, u32, u64), RndvRecv>,
+    /// Messages still arriving — eager ones (with the receive rings a
+    /// medium message is staged in) and accepted rendezvous, whose CTS
+    /// committed the posted receive before any data moved.
+    inbound: Reassembly<PostedRecv>,
+    /// Rendezvous awaiting their CTS, by the sender's message id.
+    rndv_send: IdHashMap<u64, RndvSend>,
     next_msg_id: u64,
     /// Recycled per-operation buffers (see [`MxScratch`]).
     pub scratch: MxScratch,
@@ -290,9 +273,8 @@ impl MxLayer {
         MxLayer {
             params,
             endpoints: Vec::new(),
-            eager: BTreeMap::new(),
-            rndv_send: BTreeMap::new(),
-            rndv_recv: BTreeMap::new(),
+            inbound: Reassembly::default(),
+            rndv_send: IdHashMap::default(),
             next_msg_id: 1,
             scratch: MxScratch::default(),
             paced: PaceLanes::default(),
@@ -315,6 +297,26 @@ impl MxLayer {
 
     pub fn open_endpoints(&self) -> usize {
         self.endpoints.iter().filter(|e| e.open).count()
+    }
+
+    /// Messages still reassembling (eager and accepted rendezvous) and
+    /// rendezvous sends still awaiting their CTS.
+    pub fn in_flight(&self) -> usize {
+        self.inbound.incomplete() + self.rndv_send.len()
+    }
+
+    /// `(table capacity, idle receive rings)` of the reassembly table.
+    pub fn reassembly_footprint(&self) -> (usize, usize) {
+        self.inbound.footprint()
+    }
+
+    /// Take out the rendezvous sends `gone` selects, in message order.
+    fn take_rndv_sends(&mut self, gone: impl Fn(&RndvSend) -> bool) -> Vec<RndvSend> {
+        let doomed = self.rndv_send.iter().filter(|(_, r)| gone(r));
+        let mut ids: Vec<u64> = doomed.map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        let sends = ids.iter().filter_map(|id| self.rndv_send.remove(id));
+        sends.collect()
     }
 }
 
@@ -447,6 +449,18 @@ const KIND_RTS: u8 = 1;
 const KIND_CTS: u8 = 2;
 const KIND_LARGE: u8 = 3;
 
+/// How packets of `kind` travel from `src` to `dst` on behalf of `tenant`.
+fn mx_route(params: &MxParams, src: NicId, dst: NicId, kind: u8, tenant: TenantId) -> Route {
+    Route {
+        src,
+        dst,
+        proto: Proto::Mx,
+        kind,
+        header_bytes: params.header_bytes,
+        tenant,
+    }
+}
+
 /// Gather an io-vector's bytes into a `Bytes` payload through the layer's
 /// recycled scratch buffer: one copy, one allocation (the `Bytes` itself),
 /// no intermediate `Vec` per send.
@@ -462,16 +476,51 @@ fn gather_payload<W: MxWorld>(w: &mut W, node: NodeId, iov: &IoVec) -> Result<By
     data
 }
 
-/// Can the send-side copy be elided for this resolution? (§5.1: possible for
+/// Run `f` on the resolution of `iov` on `node` (user memory pinned when
+/// `pin`), borrowed from the layer's recycled scratch.
+fn with_resolution<W: MxWorld, R>(
+    w: &mut W,
+    node: NodeId,
+    iov: &IoVec,
+    pin: bool,
+    f: impl FnOnce(&mut knet_core::Resolution) -> R,
+) -> Result<R, NetError> {
+    let mut r = std::mem::take(&mut w.mx_mut().scratch.resolution);
+    let resolved = resolve_iovec_into(w.os_mut().node_mut(node), iov, pin, &mut r);
+    let out = f(&mut r);
+    w.mx_mut().scratch.resolution = r;
+    resolved.map(|()| out)
+}
+
+/// Resolve and pin `iov` for direct DMA: the (inline) segment list, the
+/// pinned frames (kernel: none) and the number of user pages pinned.
+fn resolve_pinned<W: MxWorld>(
+    w: &mut W,
+    node: NodeId,
+    iov: &IoVec,
+) -> Result<(SegList, Vec<FrameIdx>, u64), NetError> {
+    with_resolution(w, node, iov, true, |r| {
+        let segs = r.segs.iter().copied().collect();
+        (segs, std::mem::take(&mut r.pinned), r.user_pages)
+    })
+}
+
+/// Can the send-side copy be elided for this send? (§5.1: possible for
 /// physically contiguous buffers whose residency the kernel guarantees —
-/// kernel virtual or physical address classes.)
-fn send_copy_avoidable(ep: &MxEndpoint, iov: &IoVec, segs: &[PhysSeg]) -> bool {
-    ep.opts.no_send_copy
-        && segs.len() == 1
-        && matches!(
-            iov.uniform_class(),
-            Some(AddrClass::KernelVirtual) | Some(AddrClass::Physical)
-        )
+/// kernel virtual or physical address classes, which resolve freely, no
+/// pinning; user memory is read through the copy path anyway.)
+fn send_copy_avoidable<W: MxWorld>(
+    w: &mut W,
+    from: MxEndpointId,
+    node: NodeId,
+    iov: &IoVec,
+) -> Result<bool, NetError> {
+    let kernel_owned = matches!(
+        iov.uniform_class(),
+        Some(AddrClass::KernelVirtual | AddrClass::Physical)
+    );
+    let contiguous = kernel_owned && with_resolution(w, node, iov, false, |r| r.segs.len() == 1)?;
+    Ok(contiguous && w.mx().ep(from)?.opts.no_send_copy)
 }
 
 /// `mx_isend`: send the (possibly vectorial) `iov` to `dest` with `tag`.
@@ -565,6 +614,17 @@ fn mx_isend_admitted<W: MxWorld>(
         l.next_msg_id += 1;
         l.next_msg_id
     };
+    let hdr = MsgHeader {
+        dst: dest.0,
+        src: from.0,
+        tag,
+        msg_id,
+        offset: 0,
+        total,
+    };
+    let route = |kind| mx_route(&params, nic, dst_nic, kind, tenant);
+    let send_done =
+        |w: &mut W, at| complete(w, (node, from), at, MxEvent::SendDone { ctx }, None, false);
 
     match params.protocol_for(total) {
         MxProtocol::Small => {
@@ -574,50 +634,11 @@ fn mx_isend_admitted<W: MxWorld>(
             let host_cost = params.host_post + params.pio_cost(total);
             let host_done = knet_simos::cpu_charge(w, node, host_cost);
             let fw_done = fw_charge(w, nic, host_done, params.fw_send);
-            let meta = MsgHeader::new(dest.0, from.0, tag, msg_id, 0, total).pack();
-            let mut pkt = Packet::new(
-                nic,
-                dst_nic,
-                Proto::Mx,
-                KIND_EAGER,
-                meta,
-                data,
-                params.header_bytes,
-            );
-            pkt.tenant = tenant.0;
-            rel_send(w, pkt, fw_done);
-            let ev = W::lift_mx(MxEv::Complete {
-                ep: from,
-                ev: MxEvent::SendDone { ctx },
-                unpin: None,
-                direct: false,
-            });
-            knet_simcore::emit_at(w, node.0, host_done, ev);
+            route(KIND_EAGER).send(w, hdr, data, fw_done);
+            send_done(w, host_done);
         }
         MxProtocol::Medium => {
-            let avoidable = {
-                // Resolve without pinning: kernel/physical classes resolve
-                // freely; user memory is read through the copy path anyway.
-                // The resolution lives in the layer's recycled scratch.
-                let mut resolution = std::mem::take(&mut w.mx_mut().scratch.resolution);
-                resolution.clear();
-                if iov.uniform_class() == Some(AddrClass::KernelVirtual)
-                    || iov.uniform_class() == Some(AddrClass::Physical)
-                {
-                    if let Err(e) =
-                        resolve_iovec_into(w.os_mut().node_mut(node), iov, false, &mut resolution)
-                    {
-                        w.mx_mut().scratch.resolution = resolution;
-                        return Err(e);
-                    }
-                }
-                let avoidable = {
-                    let e = w.mx().ep(from)?;
-                    send_copy_avoidable(e, iov, &resolution.segs)
-                };
-                w.mx_mut().scratch.resolution = resolution;
-                avoidable
-            };
+            let avoidable = send_copy_avoidable(w, from, node, iov)?;
             let data = gather_payload(w, node, iov)?;
             let host_cost = if avoidable {
                 // No copy: just the doorbell. (The paper's optimization.)
@@ -631,49 +652,21 @@ fn mx_isend_admitted<W: MxWorld>(
             // Chunks stream from the ring (or directly from the source when
             // the copy was elided — same DMA cost, the ring copy is what
             // disappears).
-            let mtu = w.nics().get(nic).model.mtu;
-            let mut ready = fw_done;
-            let mut offset = 0u64;
-            let n_chunks = total.div_ceil(mtu).max(1);
-            for i in 0..n_chunks {
-                let chunk_len = mtu.min(total - offset);
-                let chunk = data.slice(offset as usize..(offset + chunk_len) as usize);
-                let dma_done = dma_charge(w, nic, ready, chunk_len);
-                let fw_ready = if i == 0 {
-                    dma_done
-                } else {
-                    fw_charge(w, nic, dma_done, params.fw_chunk)
-                };
-                let meta = MsgHeader::new(dest.0, from.0, tag, msg_id, offset, total).pack();
-                let mut pkt = Packet::new(
-                    nic,
-                    dst_nic,
-                    Proto::Mx,
-                    KIND_EAGER,
-                    meta,
-                    chunk,
-                    params.header_bytes,
-                );
-                pkt.tenant = tenant.0;
-                rel_send(w, pkt, fw_ready);
-                ready = dma_done;
-                offset += chunk_len;
-            }
+            let last_fetch = send_chunks(
+                w,
+                &route(KIND_EAGER),
+                hdr,
+                ChunkSource::Gathered(&data),
+                fw_done,
+                params.fw_chunk,
+            )?;
             // Buffer reusable once the host copy (or for the zero-copy path,
             // the last DMA fetch) is done.
-            let complete_at = if avoidable { ready } else { host_done };
-            let ev = W::lift_mx(MxEv::Complete {
-                ep: from,
-                ev: MxEvent::SendDone { ctx },
-                unpin: None,
-                direct: false,
-            });
-            knet_simcore::emit_at(w, node.0, complete_at, ev);
+            send_done(w, if avoidable { last_fetch } else { host_done });
         }
         MxProtocol::Large => {
             // Rendezvous: pin/resolve now, send RTS, stream on CTS.
-            let r = resolve_iovec(w.os_mut().node_mut(node), iov, true)?;
-            let pin_pages = r.user_pages;
+            let (segs, pinned, pin_pages) = resolve_pinned(w, node, iov)?;
             let host_cost = params.host_post + w.os().node(node).cpu.model.pin_cost(pin_pages);
             let host_done = knet_simos::cpu_charge(w, node, host_cost);
             {
@@ -684,29 +677,16 @@ fn mx_isend_admitted<W: MxWorld>(
             w.mx_mut().rndv_send.insert(
                 msg_id,
                 RndvSend {
-                    from_ep: from,
-                    segs: r.segs,
-                    pinned: r.pinned,
-                    total,
-                    tag,
+                    hdr,
+                    link: (nic, dst_nic),
+                    segs,
+                    pinned,
                     ctx,
-                    dst_ep: dest,
                     tenant,
                 },
             );
             let fw_done = fw_charge(w, nic, host_done, params.fw_send);
-            let meta = MsgHeader::new(dest.0, from.0, tag, msg_id, 0, total).pack();
-            let mut pkt = Packet::new(
-                nic,
-                dst_nic,
-                Proto::Mx,
-                KIND_RTS,
-                meta,
-                Bytes::new(),
-                params.header_bytes,
-            );
-            pkt.tenant = tenant.0;
-            rel_send(w, pkt, fw_done);
+            route(KIND_RTS).send(w, hdr, Bytes::new(), fw_done);
         }
     }
     Ok(())
@@ -722,7 +702,7 @@ pub fn mx_irecv<W: MxWorld>(
     ctx: u64,
 ) -> Result<(), NetError> {
     let params = w.mx().params;
-    let (node, _nic) = {
+    let (node, nic) = {
         let e = w.mx().ep(ep_id)?;
         check_classes(e, iov)?;
         (e.node, e.nic)
@@ -730,39 +710,23 @@ pub fn mx_irecv<W: MxWorld>(
     // Resolve (and pin user memory) up front: MX needs the translation for
     // direct DMA of large/no-recv-copy messages, and pinning at post time is
     // what "page locking overhead is lower [in the kernel]" refers to.
-    // The resolution runs in the recycled scratch; what the posted receive
-    // keeps of it is an inline segment list and the (kernel: empty) pins.
-    let mut r = std::mem::take(&mut w.mx_mut().scratch.resolution);
-    let resolved = resolve_iovec_into(w.os_mut().node_mut(node), iov, true, &mut r);
-    let posted = resolved.map(|()| PostedRecv {
+    let (segs, pinned, pin_pages) = resolve_pinned(w, node, iov)?;
+    let posted = PostedRecv {
         tag,
         iov: iov.clone(),
-        capacity: r.total_len(),
-        segs: r.segs.iter().copied().collect(),
-        pinned: std::mem::take(&mut r.pinned),
+        capacity: PhysSeg::total_len(&segs),
+        segs,
+        pinned,
         ctx,
-    });
-    let pin_pages = r.user_pages;
-    w.mx_mut().scratch.resolution = r;
-    let posted = posted?;
+    };
     let host_cost = params.host_post + w.os().node(node).cpu.model.pin_cost(pin_pages);
     knet_simos::cpu_charge(w, node, host_cost);
     w.mx_mut().ep_mut(ep_id)?.stats.pages_pinned += pin_pages;
 
     // Check the unexpected queue.
-    let matched = {
-        let e = w.mx_mut().ep_mut(ep_id)?;
-        let pos = e.unexpected.iter().position(|u| match u {
-            UnexpectedMsg::Eager { tag: t, .. } | UnexpectedMsg::Rndv { tag: t, .. } => {
-                tag == MX_ANY_TAG || *t == tag
-            }
-        });
-        pos.map(|i| e.unexpected.remove(i).expect("position valid"))
-    };
-    match matched {
-        None => {
-            w.mx_mut().ep_mut(ep_id)?.posted.push_back(posted);
-        }
+    let e = w.mx_mut().ep_mut(ep_id)?;
+    match take_first(&mut e.unexpected, |u| tag_matches(tag, u.tag())) {
+        None => e.posted.push_back(posted),
         Some(UnexpectedMsg::Eager { tag: t, data, from }) => {
             // Copy out of the ring into the posted buffer.
             let len = (data.len() as u64).min(posted.capacity);
@@ -770,28 +734,16 @@ pub fn mx_irecv<W: MxWorld>(
             let done = knet_simos::cpu_charge(w, node, copy + params.host_event);
             write_iovec(w.os_mut().node_mut(node), &posted.iov, &data)?;
             release_pins(w, node, &posted.pinned);
-            let pctx = posted.ctx;
-            let ev = W::lift_mx(MxEv::Complete {
-                ep: ep_id,
-                ev: MxEvent::RecvDone {
-                    ctx: pctx,
-                    tag: t,
-                    len,
-                    from,
-                },
-                unpin: None,
-                direct: false,
-            });
-            knet_simcore::emit_at(w, node.0, done, ev);
+            let ev = MxEvent::RecvDone {
+                ctx: posted.ctx,
+                tag: t,
+                len,
+                from,
+            };
+            complete(w, (node, ep_id), done, ev, None, false);
         }
-        Some(UnexpectedMsg::Rndv {
-            tag: t,
-            total,
-            from,
-            msg_id,
-            src_nic,
-        }) => {
-            accept_rendezvous(w, ep_id, posted, t, total, from, msg_id, src_nic)?;
+        Some(UnexpectedMsg::Rndv { hdr, src_nic }) => {
+            accept_rendezvous(w, nic, posted, &hdr, src_nic);
         }
     }
     Ok(())
@@ -803,44 +755,46 @@ fn release_pins<W: MxWorld>(w: &mut W, node: NodeId, pinned: &[FrameIdx]) {
     }
 }
 
-/// Receiver accepts a rendezvous: record state and fire CTS back.
-#[allow(clippy::too_many_arguments)]
+/// Post completion `ev` on `ep` (living on `node`) at instant `at`,
+/// releasing `unpin` first; `direct` counts a receive as zero-copy.
+fn complete<W: MxWorld>(
+    w: &mut W,
+    (node, ep): (NodeId, MxEndpointId),
+    at: SimTime,
+    ev: MxEvent,
+    unpin: Option<Vec<FrameIdx>>,
+    direct: bool,
+) {
+    let unpin = unpin.map(|frames| (node, frames));
+    let ev = W::lift_mx(MxEv::Complete {
+        ep,
+        ev,
+        unpin,
+        direct,
+    });
+    knet_simcore::emit_at(w, node.0, at, ev);
+}
+
+/// The receiver (on `nic`) of RTS `rts` from `src_nic` accepts the
+/// rendezvous into `posted`: record state and fire CTS back.
 fn accept_rendezvous<W: MxWorld>(
     w: &mut W,
-    ep_id: MxEndpointId,
+    nic: NicId,
     posted: PostedRecv,
-    tag: u64,
-    total: u64,
-    from: MxEndpointId,
-    msg_id: u64,
+    rts: &MsgHeader,
     src_nic: NicId,
-) -> Result<(), NetError> {
+) {
     let params = w.mx().params;
-    let nic = w.mx().ep(ep_id)?.nic;
-    w.mx_mut().rndv_recv.insert(
-        (ep_id.0, from.0, msg_id),
-        RndvRecv {
-            posted,
-            from,
-            total,
-            received: 0,
-            last_dma_done: SimTime::ZERO,
-        },
-    );
+    w.mx_mut().inbound.commit(rts, (nic, src_nic), posted);
     let now = knet_simcore::now(w);
     let fw_done = fw_charge(w, nic, now, params.fw_rndv);
-    let meta = MsgHeader::new(from.0, ep_id.0, tag, msg_id, 0, total).pack();
-    let pkt = Packet::new(
-        nic,
-        src_nic,
-        Proto::Mx,
-        KIND_CTS,
-        meta,
-        Bytes::new(),
-        params.header_bytes,
-    );
-    rel_send(w, pkt, fw_done);
-    Ok(())
+    let hdr = MsgHeader {
+        dst: rts.src,
+        src: rts.dst,
+        ..*rts
+    };
+    let cts = mx_route(&params, nic, src_nic, KIND_CTS, TenantId::DEFAULT);
+    cts.send(w, hdr, Bytes::new(), fw_done);
 }
 
 /// Post a collective descriptor through an MX endpoint: the host pays one
@@ -890,195 +844,95 @@ pub fn mx_on_packet<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 
 fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let m = MsgHeader::unpack(&pkt.meta);
-    let (dst, src) = (MxEndpointId(m.dst), MxEndpointId(m.src));
+    let dst = MxEndpointId(m.dst);
     let params = w.mx().params;
     let now = knet_simcore::now(w);
-    let Ok(_) = w.mx().ep(dst) else { return };
+    let Ok(e) = w.mx().ep(dst) else { return };
+    let (node, no_recv_copy, deliver) = (e.node, e.opts.no_recv_copy, e.deliver_unexpected);
 
-    // The assembly is out of the map while its chunk is processed, and goes
-    // back only if the message is still incomplete.
-    let akey = (m.dst, m.src, m.msg_id);
-    let (mut a, fw_done) = match w.mx_mut().eager.remove(&akey) {
-        Some(a) => (a, fw_charge(w, nic, now, params.fw_chunk)),
-        None => {
-            // Match posted receives at first chunk.
-            let matched = {
-                let e = w.mx_mut().ep_mut(dst).expect("checked");
-                let pos = e
-                    .posted
-                    .iter()
-                    .position(|p| (p.tag == MX_ANY_TAG || p.tag == m.tag) && p.capacity >= m.total);
-                pos.map(|i| e.posted.remove(i).expect("position valid"))
-            };
-            let direct =
-                matched.is_some() && w.mx().ep(dst).map(|e| e.opts.no_recv_copy).unwrap_or(false);
-            let fw_done = fw_charge(w, nic, now, params.fw_recv);
-            let a = EagerAssembly {
-                from: src,
-                tag: m.tag,
-                total: m.total,
-                received: 0,
-                matched,
-                direct,
-                ring: Vec::new(),
-                last_dma_done: fw_done,
-            };
-            (a, fw_done)
-        }
+    // A first chunk matches against the posted receives.
+    let (mut a, first) = {
+        let l = w.mx_mut();
+        let posted = &mut l.endpoints[m.dst as usize].posted;
+        l.inbound.begin_or_resume(&m, (nic, pkt.src), posted)
     };
-
-    let payload_len = pkt.payload.len() as u64;
-    // A message that arrives whole in its first chunk is delivered from the
-    // packet itself: no ring, and the assembly never enters the map.
-    let whole = a.received == 0 && payload_len >= a.total;
-    // Land the chunk: directly into the posted buffer (no_recv_copy), or
-    // into the receive ring. The scatter window is recycled scratch.
-    let dma_done = match (&a.matched, a.direct) {
-        (Some(p), true) => {
-            let mut window = std::mem::take(&mut w.mx_mut().scratch.window);
-            seg_window_into(&p.segs, m.offset, payload_len, &mut window);
-            let t = dma_scatter(w, nic, fw_done, &window, &pkt.payload).unwrap_or(fw_done);
-            w.mx_mut().scratch.window = window;
-            t
-        }
-        _ => {
-            let t = dma_charge(w, nic, fw_done, payload_len);
-            if !whole {
-                if a.received == 0 {
-                    a.ring = w.mx_mut().scratch.rings.take();
-                }
-                RingPool::stage(&mut a.ring, m.offset, &pkt.payload);
-            }
-            t
-        }
+    let fw_cost = if first {
+        params.fw_recv
+    } else {
+        params.fw_chunk
     };
-    a.received += payload_len;
-    a.last_dma_done = a.last_dma_done.max(dma_done);
-    if a.received < a.total {
-        w.mx_mut().eager.insert(akey, a);
-        return;
+    let fw_done = fw_charge(w, nic, now, fw_cost);
+    // Land the chunk: directly into the posted buffer (`no_recv_copy`), or
+    // into the receive ring.
+    let arrived = land(
+        w,
+        |w| &mut w.mx_mut().inbound,
+        &mut a,
+        (&m, &pkt),
+        fw_done,
+        |p| no_recv_copy.then_some(&p.segs[..]),
+    );
+    if !arrived {
+        return w.mx_mut().inbound.put_back(&m, a);
     }
 
-    // The message's bytes: the packet's own payload, or the ring — which
-    // goes back to the pool once they are copied out.
-    let ring = std::mem::take(&mut a.ring);
-    let bytes: &[u8] = if whole { &pkt.payload } else { &ring };
-    let Ok(node) = w.mx().ep(dst).map(|e| e.node) else {
-        return w.mx_mut().scratch.rings.give(ring);
-    };
     let ev_dma = dma_charge(w, nic, a.last_dma_done, 64);
-    match a.matched {
+    let from = MxEndpointId(a.from);
+    let mut host_cost = params.host_event;
+    let ev = match a.matched.take() {
         Some(posted) => {
             let len = a.total.min(posted.capacity);
-            let (host_cost, copied) = if a.direct {
-                // Future-MX: no receive copy.
-                (params.host_event, false)
-            } else {
-                (
-                    params.host_event + w.os().node(node).cpu.model.ring_copy_cost(len),
-                    true,
-                )
-            };
-            if copied {
+            // (Future-MX, `no_recv_copy`: nothing to copy out of the ring.)
+            if !no_recv_copy {
+                host_cost += w.os().node(node).cpu.model.ring_copy_cost(len);
+                let bytes = a.staged(&pkt.payload);
                 write_iovec(w.os_mut().node_mut(node), &posted.iov, bytes).ok();
             }
             release_pins(w, node, &posted.pinned);
-            let start = ev_dma.max(knet_simcore::now(w));
-            let (_, done) = w.os_mut().node_mut(node).cpu.busy.acquire(start, host_cost);
-            let (ep_id, tag, from, pctx) = (dst, a.tag, a.from, posted.ctx);
-            let ev = W::lift_mx(MxEv::Complete {
-                ep: ep_id,
-                ev: MxEvent::RecvDone {
-                    ctx: pctx,
-                    tag,
-                    len,
-                    from,
-                },
-                unpin: None,
-                direct: a.direct,
-            });
-            knet_simcore::emit_at(w, node.0, done, ev);
-        }
-        None => {
-            let deliver = w
-                .mx()
-                .ep(dst)
-                .map(|e| e.deliver_unexpected)
-                .unwrap_or(false);
-            // A whole message is handed up as the packet's own (immutable,
-            // refcounted) payload; a reassembled one is copied out of the
-            // ring.
-            let data = if whole {
-                pkt.payload.clone()
-            } else {
-                Bytes::copy_from_slice(&ring)
-            };
-            if deliver {
-                // Transport-glue mode: hand the payload up with the copy
-                // charged.
-                let copy = w.os().node(node).cpu.model.ring_copy_cost(a.total);
-                let start = ev_dma.max(knet_simcore::now(w));
-                let (_, done) = w
-                    .os_mut()
-                    .node_mut(node)
-                    .cpu
-                    .busy
-                    .acquire(start, params.host_event + copy);
-                let (ep_id, tag, from, _total) = (dst, a.tag, a.from, a.total);
-                let ev = W::lift_mx(MxEv::Complete {
-                    ep: ep_id,
-                    ev: MxEvent::Unexpected { tag, data, from },
-                    unpin: None,
-                    direct: false,
-                });
-                knet_simcore::emit_at(w, node.0, done, ev);
-            } else {
-                // MPI mode: park in the unexpected queue for a later irecv.
-                if let Ok(e) = w.mx_mut().ep_mut(dst) {
-                    e.stats.unexpected += 1;
-                    e.unexpected.push_back(UnexpectedMsg::Eager {
-                        tag: a.tag,
-                        data,
-                        from: a.from,
-                    });
-                }
+            MxEvent::RecvDone {
+                ctx: posted.ctx,
+                tag: a.tag,
+                len,
+                from,
             }
         }
-    }
-    w.mx_mut().scratch.rings.give(ring);
+        None => {
+            let (tag, data) = (a.tag, a.staged_bytes(&pkt.payload));
+            if !deliver {
+                // MPI mode: park in the unexpected queue for a later irecv.
+                let e = &mut w.mx_mut().endpoints[m.dst as usize];
+                e.stats.unexpected += 1;
+                e.unexpected
+                    .push_back(UnexpectedMsg::Eager { tag, data, from });
+                return w.mx_mut().inbound.finish(a);
+            }
+            // Transport-glue mode: hand the payload up with the copy
+            // charged.
+            host_cost += w.os().node(node).cpu.model.ring_copy_cost(a.total);
+            MxEvent::Unexpected { tag, data, from }
+        }
+    };
+    let direct = no_recv_copy && matches!(ev, MxEvent::RecvDone { .. });
+    w.mx_mut().inbound.finish(a);
+    let done = host_completion(w, node, ev_dma, host_cost);
+    complete(w, (node, dst), done, ev, None, direct);
 }
 
 fn rts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let m = MsgHeader::unpack(&pkt.meta);
-    let (dst, src) = (MxEndpointId(m.dst), MxEndpointId(m.src));
     let params = w.mx().params;
     let now = knet_simcore::now(w);
-    let Ok(_) = w.mx().ep(dst) else { return };
-    fw_charge(w, nic, now, params.fw_rndv);
-    // Match a posted receive.
-    let matched = {
-        let e = w.mx_mut().ep_mut(dst).expect("checked");
-        let pos = e
-            .posted
-            .iter()
-            .position(|p| (p.tag == MX_ANY_TAG || p.tag == m.tag) && p.capacity >= m.total);
-        pos.map(|i| e.posted.remove(i).expect("position valid"))
+    let Ok(_) = w.mx().ep(MxEndpointId(m.dst)) else {
+        return;
     };
-    match matched {
-        Some(posted) => {
-            accept_rendezvous(w, dst, posted, m.tag, m.total, src, m.msg_id, pkt.src).ok();
-        }
-        None => {
-            if let Ok(e) = w.mx_mut().ep_mut(dst) {
-                e.unexpected.push_back(UnexpectedMsg::Rndv {
-                    tag: m.tag,
-                    total: m.total,
-                    from: src,
-                    msg_id: m.msg_id,
-                    src_nic: pkt.src,
-                });
-            }
-        }
+    fw_charge(w, nic, now, params.fw_rndv);
+    let e = &mut w.mx_mut().endpoints[m.dst as usize];
+    match first_fit(&mut e.posted, m.tag, m.total) {
+        Some(posted) => accept_rendezvous(w, nic, posted, &m, pkt.src),
+        None => e.unexpected.push_back(UnexpectedMsg::Rndv {
+            hdr: m,
+            src_nic: pkt.src,
+        }),
     }
 }
 
@@ -1089,69 +943,49 @@ fn cts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let Some(r) = w.mx_mut().rndv_send.remove(&m.msg_id) else {
         return;
     };
-    let dst_nic = pkt.src;
     let fw_done = fw_charge(w, nic, now, params.fw_rndv);
-    // Stream the message, zero-copy from the pinned source segments,
-    // chunk by chunk through the recycled scratch (no chunk lists).
-    let mtu = w.nics().get(nic).model.mtu;
-    let mut chunk = std::mem::take(&mut w.mx_mut().scratch.chunk);
-    let mut cursor = ChunkCursor::default();
-    let mut ready = fw_done;
-    let mut offset = 0u64;
-    let mut first = true;
-    while next_chunk(&r.segs, &mut cursor, mtu, &mut chunk) {
-        let chunk_len = PhysSeg::total_len(&chunk);
-        let Ok((data, dma_done)) = dma_gather(w, nic, ready, &chunk) else {
-            break;
-        };
-        let fw_ready = if first {
-            dma_done
-        } else {
-            fw_charge(w, nic, dma_done, params.fw_chunk)
-        };
-        first = false;
-        let meta = MsgHeader::new(r.dst_ep.0, r.from_ep.0, r.tag, m.msg_id, offset, r.total).pack();
-        let mut pkt = Packet::new(
-            nic,
-            dst_nic,
-            Proto::Mx,
-            KIND_LARGE,
-            meta,
-            data,
-            params.header_bytes,
-        );
-        pkt.tenant = r.tenant.0;
-        rel_send(w, pkt, fw_ready);
-        ready = dma_done;
-        offset += chunk_len;
-        if offset >= r.total {
-            // Source drained: unpin and complete the send.
-            let node = w.mx().ep(r.from_ep).map(|e| e.node).ok();
-            let pinned = r.pinned.clone();
-            let (from_ep, ctx) = (r.from_ep, r.ctx);
-            let unpin_cost = node
-                .map(|nd| w.os().node(nd).cpu.model.unpin_cost(pinned.len() as u64))
-                .unwrap_or(SimTime::ZERO);
-            if let Some(nd) = node {
-                let start = dma_done.max(knet_simcore::now(w));
-                let (_, done) = w
-                    .os_mut()
-                    .node_mut(nd)
-                    .cpu
-                    .busy
-                    .acquire(start, params.host_event + unpin_cost);
-                let ev = W::lift_mx(MxEv::Complete {
-                    ep: from_ep,
-                    ev: MxEvent::SendDone { ctx },
-                    unpin: Some((nd, pinned)),
-                    direct: false,
-                });
-                knet_simcore::emit_at(w, nd.0, done, ev);
-            }
-        }
-    }
-    chunk.clear();
-    w.mx_mut().scratch.chunk = chunk;
+    // Stream the message, zero-copy from the pinned source segments.
+    let route = mx_route(&params, nic, pkt.src, KIND_LARGE, r.tenant);
+    let source = ChunkSource::Segs(&r.segs);
+    let sent = send_chunks(w, &route, r.hdr, source, fw_done, params.fw_chunk);
+    let drained = match sent {
+        Ok(t) => t,
+        Err(e) => return fail_rndv_send(w, r, e.into()),
+    };
+    // Source drained: unpin and complete the send.
+    let from = MxEndpointId(r.hdr.src);
+    let Ok(node) = w.mx().ep(from).map(|e| e.node) else {
+        return;
+    };
+    let unpin = w
+        .os()
+        .node(node)
+        .cpu
+        .model
+        .unpin_cost(r.pinned.len() as u64);
+    let done = host_completion(w, node, drained, params.host_event + unpin);
+    let ev = MxEvent::SendDone { ctx: r.ctx };
+    complete(w, (node, from), done, ev, Some(r.pinned), false);
+}
+
+/// A rendezvous send that can no longer complete: release its pins, then
+/// tell its owner — synchronously, so the failure is seen before whatever
+/// the caller reports next (a `PeerDown`).
+fn fail_rndv_send<W: MxWorld>(w: &mut W, r: RndvSend, error: NetError) {
+    let ep = MxEndpointId(r.hdr.src);
+    let Ok(node) = w.mx().ep(ep).map(|e| e.node) else {
+        return;
+    };
+    let ev = MxEvent::SendFailed { ctx: r.ctx, error };
+    run_mx_ev(
+        w,
+        MxEv::Complete {
+            ep,
+            ev,
+            unpin: Some((node, r.pinned)),
+            direct: false,
+        },
+    );
 }
 
 fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
@@ -1159,61 +993,41 @@ fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let dst = MxEndpointId(m.dst);
     let params = w.mx().params;
     let now = knet_simcore::now(w);
-    let key = (m.dst, m.src, m.msg_id);
-    if !w.mx().rndv_recv.contains_key(&key) {
+    let Some(mut a) = w.mx_mut().inbound.resume(&m) else {
         return;
-    }
-    let fw_done = fw_charge(w, nic, now, params.fw_chunk);
-    let payload_len = pkt.payload.len() as u64;
-    let mut window = std::mem::take(&mut w.mx_mut().scratch.window);
-    {
-        let r = w.mx().rndv_recv.get(&key).expect("checked");
-        seg_window_into(&r.posted.segs, m.offset, payload_len, &mut window);
-    }
-    let dma_done = dma_scatter(w, nic, fw_done, &window, &pkt.payload).unwrap_or(fw_done);
-    w.mx_mut().scratch.window = window;
-    let complete = {
-        let r = w.mx_mut().rndv_recv.get_mut(&key).expect("checked");
-        r.received += payload_len;
-        r.last_dma_done = r.last_dma_done.max(dma_done);
-        r.received >= r.total
     };
-    if !complete {
-        return;
+    let fw_done = fw_charge(w, nic, now, params.fw_chunk);
+    let arrived = land(
+        w,
+        |w| &mut w.mx_mut().inbound,
+        &mut a,
+        (&m, &pkt),
+        fw_done,
+        |p| Some(&p.segs),
+    );
+    if !arrived {
+        return w.mx_mut().inbound.put_back(&m, a);
     }
-    let r = w.mx_mut().rndv_recv.remove(&key).expect("checked");
+    // (Always `Some`: a rendezvous is accepted into a posted receive.)
+    let Some(posted) = a.matched else { return };
     let Ok(node) = w.mx().ep(dst).map(|e| e.node) else {
         return;
     };
-    let ev_dma = dma_charge(w, nic, r.last_dma_done, 64);
+    let ev_dma = dma_charge(w, nic, a.last_dma_done, 64);
     let unpin_cost = w
         .os()
         .node(node)
         .cpu
         .model
-        .unpin_cost(r.posted.pinned.len() as u64);
-    let start = ev_dma.max(knet_simcore::now(w));
-    let (_, done) = w
-        .os_mut()
-        .node_mut(node)
-        .cpu
-        .busy
-        .acquire(start, params.host_event + unpin_cost);
-    let (ep_id, tag, from, total, pctx) = (dst, r.posted.tag, r.from, r.total, r.posted.ctx);
-    let tag = if tag == MX_ANY_TAG { m.tag } else { tag };
-    let pinned = r.posted.pinned.clone();
-    let ev = W::lift_mx(MxEv::Complete {
-        ep: ep_id,
-        ev: MxEvent::RecvDone {
-            ctx: pctx,
-            tag,
-            len: total,
-            from,
-        },
-        unpin: Some((node, pinned)),
-        direct: false,
-    });
-    knet_simcore::emit_at(w, node.0, done, ev);
+        .unpin_cost(posted.pinned.len() as u64);
+    let done = host_completion(w, node, ev_dma, params.host_event + unpin_cost);
+    let ev = MxEvent::RecvDone {
+        ctx: posted.ctx,
+        tag: a.tag,
+        len: a.total,
+        from: MxEndpointId(a.from),
+    };
+    complete(w, (node, dst), done, ev, Some(posted.pinned), false);
 }
 
 /// Pop the next pending event (host polling; `mx_wait_any` in MX parlance —
@@ -1222,45 +1036,69 @@ pub fn mx_next_event<W: MxWorld>(w: &mut W, ep: MxEndpointId) -> Option<MxEvent>
     w.mx_mut().ep_mut(ep).ok()?.events.pop_front()
 }
 
-/// Close an endpoint: release every posted receive's pins and drop queued
-/// state. In-flight rendezvous in which this endpoint participates are
-/// abandoned (their peers' pins are released on their own completion path).
+/// Close an endpoint: release the pins of every receive it posted — still
+/// queued, or captured by a message (eager or rendezvous) that has not
+/// finished arriving — and of every rendezvous send still waiting for its
+/// CTS, and drop queued state.
 pub fn mx_close_endpoint<W: MxWorld>(w: &mut W, ep_id: MxEndpointId) -> Result<(), NetError> {
-    let (node, posted) = {
-        let e = w.mx_mut().ep_mut(ep_id)?;
-        let posted: Vec<PostedRecv> = e.posted.drain(..).collect();
-        e.unexpected.clear();
-        e.events.clear();
-        e.open = false;
-        (e.node, posted)
-    };
-    for p in posted {
-        release_pins(w, node, &p.pinned);
+    let l = w.mx_mut();
+    let e = l.ep_mut(ep_id)?;
+    e.unexpected.clear();
+    e.events.clear();
+    e.open = false;
+    let node = e.node;
+    let mut released: Vec<Vec<FrameIdx>> = e.posted.drain(..).map(|p| p.pinned).collect();
+    let captured = l.inbound.abandon(|ep, _| ep == ep_id.0);
+    released.extend(captured.into_iter().map(|(_, p)| p.pinned));
+    let sends = l.take_rndv_sends(|r| r.hdr.src == ep_id.0);
+    released.extend(sends.into_iter().map(|r| r.pinned));
+    for pinned in released {
+        release_pins(w, node, &pinned);
     }
     Ok(())
 }
 
 /// Cancel the first posted receive with exactly this tag (releasing its
-/// pins). Returns whether one was cancelled. Needed by layered protocols
-/// whose data can race ahead of the descriptor (e.g. the zero-copy socket
-/// header/payload pattern).
+/// pins) — still queued, or captured by an eager message that has not
+/// finished arriving, whose remainder is then discarded. A receive an
+/// accepted rendezvous was committed to is not cancellable. Returns
+/// whether one was cancelled. Needed by layered protocols whose data can
+/// race ahead of the descriptor (e.g. the zero-copy socket header/payload
+/// pattern).
 pub fn mx_cancel_recv<W: MxWorld>(w: &mut W, ep_id: MxEndpointId, tag: u64) -> bool {
-    let (node, cancelled) = {
-        let Ok(e) = w.mx_mut().ep_mut(ep_id) else {
-            return false;
-        };
-        let node = e.node;
-        let pos = e.posted.iter().position(|p| p.tag == tag);
-        (
-            node,
-            pos.map(|i| e.posted.remove(i).expect("position valid")),
-        )
+    let l = w.mx_mut();
+    let Ok(e) = l.ep_mut(ep_id) else {
+        return false;
     };
-    match cancelled {
+    let node = e.node;
+    let cancelled = take_tag(&mut e.posted, tag);
+    match cancelled.or_else(|| l.inbound.cancel_captured(ep_id.0, tag)) {
         Some(p) => {
             release_pins(w, node, &p.pinned);
             true
         }
         None => false,
+    }
+}
+
+/// The reliability window from `local` toward `remote` died. Every
+/// rendezvous send waiting for a CTS from `remote` fails (unpinned, then
+/// `SendFailed`), in message order; messages `remote` was still sending to
+/// endpoints on `local` are dropped, and a receive one had captured goes
+/// back to the head of its endpoint's queue (pins intact), where the next
+/// message — or its owner's cancel — finds it; queued RTSs from `remote`
+/// are forgotten.
+pub fn mx_peer_down<W: MxWorld>(w: &mut W, local: NicId, remote: NicId) {
+    let l = w.mx_mut();
+    let doomed = l.take_rndv_sends(|r| r.link == (local, remote));
+    for (ep, posted) in l.inbound.abandon(|_, link| link == (local, remote)) {
+        l.endpoints[ep as usize].posted.push_front(posted);
+    }
+    for e in l.endpoints.iter_mut().filter(|e| e.nic == local) {
+        e.unexpected
+            .retain(|u| !matches!(u, UnexpectedMsg::Rndv { src_nic, .. } if *src_nic == remote));
+    }
+    for r in doomed {
+        fail_rndv_send(w, r, NetError::PeerUnreachable);
     }
 }

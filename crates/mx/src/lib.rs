@@ -22,7 +22,8 @@ mod tests;
 
 pub use layer::{
     mx_cancel_recv, mx_close_endpoint, mx_coll_post, mx_irecv, mx_isend, mx_isend_t, mx_next_event,
-    mx_on_packet, mx_open_endpoint, run_mx_ev, MxEndpoint, MxEndpointConfig, MxEndpointId, MxEv,
-    MxEvent, MxLayer, MxMode, MxOpts, MxStats, MxWorld, PacedMxSend, MX_ANY_TAG,
+    mx_on_packet, mx_open_endpoint, mx_peer_down, run_mx_ev, MxEndpoint, MxEndpointConfig,
+    MxEndpointId, MxEv, MxEvent, MxLayer, MxMode, MxOpts, MxStats, MxWorld, PacedMxSend,
+    MX_ANY_TAG,
 };
 pub use params::{MxParams, MxProtocol};

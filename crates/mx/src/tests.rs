@@ -4,13 +4,13 @@
 use bytes::Bytes;
 use knet_core::{IoVec, MemRef, NetError, TenantId};
 use knet_simcore::{run_to_quiescence, run_until, RunOutcome, Scheduler, SimTime, SimWorld};
-use knet_simnic::{NicId, NicLayer, NicModel, NicWorld, Packet, Proto, QosPolicy};
+use knet_simnic::{FaultPlan, NicId, NicLayer, NicModel, NicWorld, Packet, Proto, QosPolicy};
 use knet_simos::{Asid, CpuModel, NodeId, OsLayer, OsWorld, Prot, PAGE_SIZE};
 
 use crate::layer::{
-    mx_close_endpoint, mx_irecv, mx_isend, mx_isend_t, mx_next_event, mx_on_packet,
-    mx_open_endpoint, MxEndpointConfig, MxEndpointId, MxEvent, MxLayer, MxOpts, MxWorld,
-    MX_ANY_TAG,
+    mx_cancel_recv, mx_close_endpoint, mx_irecv, mx_isend, mx_isend_t, mx_next_event, mx_on_packet,
+    mx_open_endpoint, mx_peer_down, MxEndpointConfig, MxEndpointId, MxEvent, MxLayer, MxOpts,
+    MxWorld, MX_ANY_TAG,
 };
 use crate::params::MxParams;
 
@@ -49,6 +49,9 @@ impl NicWorld for World {
         if pkt.proto == Proto::Mx {
             mx_on_packet(self, nic, pkt);
         }
+    }
+    fn nic_link_dead(&mut self, _proto: Proto, local: NicId, remote: NicId) {
+        mx_peer_down(self, local, remote);
     }
 }
 impl MxWorld for World {
@@ -753,4 +756,131 @@ fn parked_send_failing_at_drain_is_refunded() {
     let mut bucket = Vec::new();
     w.nics.qos.fingerprint_nic(nic, |v| bucket.push(v));
     assert_eq!(bucket, vec![1, 100 * 1_000_000_000, 100_000]);
+}
+
+fn pin_count(w: &World, node: NodeId, buf: &Buf) -> u32 {
+    let frame =
+        w.os.node(node)
+            .space(buf.asid)
+            .unwrap()
+            .frame_of(buf.addr)
+            .unwrap();
+    w.os.node(node).mem.pin_count(frame)
+}
+
+/// A 32 kB message whose sender dies mid-stream leaves the receiver with a
+/// posted receive that is in neither queue the owner could reach before:
+/// out of `posted`, captured by an assembly that will never complete. It is
+/// still the owner's: cancel withdraws it exactly once, close releases it,
+/// and a declared peer death puts it back at the head of the queue — each
+/// time with its pins and the receive ring given back.
+#[test]
+fn a_receive_captured_by_a_half_arrived_message_is_still_the_owners() {
+    enum Reclaim {
+        Cancel,
+        Close,
+        PeerDown,
+    }
+    let size = 32 * 1024u64;
+    let mut stranded = 0;
+    for seed in 1..=20u64 {
+        for how in [Reclaim::Cancel, Reclaim::Close, Reclaim::PeerDown] {
+            let (mut w, n0, n1) = world();
+            w.nics.set_fault_plan(
+                FaultPlan::new(seed)
+                    .with_drop(0.3)
+                    .with_kill(n0, SimTime::from_micros(100)),
+            );
+            let ba = make_buf(&mut w, n0, size, Class::User);
+            let bb = make_buf(&mut w, n1, size, Class::User);
+            let ea = mx_open_endpoint(&mut w, n0, MxEndpointConfig::user(ba.asid)).unwrap();
+            let eb = mx_open_endpoint(&mut w, n1, MxEndpointConfig::user(bb.asid)).unwrap();
+            mx_irecv(&mut w, eb, 7, &bb.iov, 42).unwrap();
+            mx_isend(&mut w, ea, eb, 7, &ba.iov, 1).unwrap();
+            run_to_quiescence(&mut w);
+            if has_recv(&w, eb) {
+                continue; // the whole message beat the kill
+            }
+            stranded += 1;
+            assert_eq!(w.mx.ep(eb).unwrap().posted_recvs(), 0, "captured");
+            assert_eq!(w.mx.in_flight(), 1);
+            assert_eq!(pin_count(&w, n1, &bb), 1);
+            match how {
+                Reclaim::Cancel => {
+                    assert!(mx_cancel_recv(&mut w, eb, 7), "seed {seed}");
+                    assert!(!mx_cancel_recv(&mut w, eb, 7), "exactly once");
+                }
+                Reclaim::Close => mx_close_endpoint(&mut w, eb).unwrap(),
+                Reclaim::PeerDown => {
+                    let (local, remote) = (w.mx.ep(eb).unwrap().nic, w.mx.ep(ea).unwrap().nic);
+                    mx_peer_down(&mut w, local, remote);
+                    assert_eq!(w.mx.ep(eb).unwrap().posted_recvs(), 1, "back in the queue");
+                    assert_eq!(pin_count(&w, n1, &bb), 1, "pins intact");
+                    assert!(mx_cancel_recv(&mut w, eb, 7), "where its owner finds it");
+                }
+            }
+            assert_eq!(pin_count(&w, n1, &bb), 0, "seed {seed}: pin leaked");
+            assert_eq!(w.mx.in_flight(), 0, "seed {seed}");
+            assert_eq!(w.mx.reassembly_footprint().1, 1, "the ring is pooled again");
+            assert!(mx_next_event(&mut w, eb).is_none(), "and nothing completes");
+        }
+    }
+    assert!(stranded >= 45, "the kill lands mid-message on most seeds");
+}
+
+/// The rest of a cancelled message is counted and dropped — never matched
+/// against the next posted buffer.
+#[test]
+fn the_rest_of_a_cancelled_message_is_discarded_not_rematched() {
+    let (mut w, n0, n1) = world();
+    let size = 32 * 1024u64;
+    let ba = make_buf(&mut w, n0, size, Class::Kernel);
+    let bb = make_buf(&mut w, n1, size, Class::Kernel);
+    let ea = mx_open_endpoint(&mut w, n0, MxEndpointConfig::kernel()).unwrap();
+    let eb = mx_open_endpoint(&mut w, n1, MxEndpointConfig::kernel()).unwrap();
+    mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 1).unwrap();
+    mx_isend(&mut w, ea, eb, 7, &ba.iov, 0).unwrap();
+    // Stop after the first chunk captured the receive.
+    let captured = |w: &World| w.mx.ep(eb).unwrap().posted_recvs() == 0;
+    assert_eq!(run_until(&mut w, captured), RunOutcome::Satisfied);
+    assert!(mx_cancel_recv(&mut w, eb, MX_ANY_TAG));
+    // A second wildcard receive must not be taken by the remainder.
+    mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 2).unwrap();
+    run_to_quiescence(&mut w);
+    assert!(!has_recv(&w, eb), "no completion for either receive");
+    assert_eq!(w.mx.ep(eb).unwrap().posted_recvs(), 1, "second still armed");
+    assert_eq!(w.mx.ep(eb).unwrap().unexpected_queued(), 0);
+    assert_eq!(w.mx.in_flight(), 0, "the remainder drained the record");
+}
+
+/// A rendezvous send toward a node that is already dead must not keep its
+/// record (and its pinned pages) forever: when the link is declared dead
+/// the send fails, once, with its pages released.
+#[test]
+fn rendezvous_send_toward_a_dead_peer_fails_once_and_unpins() {
+    let (mut w, n0, n1) = world();
+    w.nics
+        .set_fault_plan(FaultPlan::new(1).with_kill(n1, SimTime::ZERO));
+    let size = 128 * 1024u64;
+    let ba = make_buf(&mut w, n0, size, Class::User);
+    let ea = mx_open_endpoint(&mut w, n0, MxEndpointConfig::user(ba.asid)).unwrap();
+    let eb = mx_open_endpoint(&mut w, n1, MxEndpointConfig::kernel()).unwrap();
+    mx_isend(&mut w, ea, eb, 1, &ba.iov, 77).unwrap();
+    assert_eq!(pin_count(&w, n0, &ba), 1, "rendezvous pins the source");
+    run_to_quiescence(&mut w);
+    let (a_nic, b_nic) = (w.mx.ep(ea).unwrap().nic, w.mx.ep(eb).unwrap().nic);
+    assert!(w.nics.rel.link_dead(Proto::Mx, a_nic, b_nic));
+    assert_eq!(pin_count(&w, n0, &ba), 0, "pin leaked");
+    assert_eq!(w.mx.in_flight(), 0);
+    let events: Vec<MxEvent> = std::iter::from_fn(|| mx_next_event(&mut w, ea)).collect();
+    assert!(
+        matches!(
+            events[..],
+            [MxEvent::SendFailed {
+                ctx: 77,
+                error: NetError::PeerUnreachable
+            }]
+        ),
+        "{events:?}"
+    );
 }

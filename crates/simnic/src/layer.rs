@@ -88,6 +88,9 @@ pub struct NicLayer {
     /// Recycled gather buffer for [`dma_gather`]: one payload copy per
     /// chunk (into the packet's `Bytes`), no intermediate `Vec` per DMA.
     gather_scratch: Vec<u8>,
+    /// Recycled segment list of the MTU chunk a driver is currently
+    /// gathering (`knet_core::driver::send_chunks`): no chunk list per send.
+    pub chunk_scratch: Vec<PhysSeg>,
     /// Installed fault plan, if any. `None` keeps the fabric perfect and
     /// consumes no randomness (bit-identical to the pre-fault simulator).
     fault: Option<FaultState>,

@@ -435,10 +435,10 @@ pub fn sock_close<W: ZsockWorld>(w: &mut W, sid: SockId) {
             heaps.push((*addr, *len));
         }
     }
-    // Release the staging memory only after a grace period: a transfer the
-    // driver matched mid-assembly is *consumed*, not pending
-    // (`t_cancel_recv`'s contract), and keeps scattering chunks into these
-    // frames at later instants — an immediate free would let a subsequent
+    // Release the staging memory only after a grace period: a receive an
+    // accepted rendezvous was committed to is *consumed*, not pending
+    // (`t_cancel_recv`'s contract), and the driver keeps scattering chunks
+    // into these frames at later instants — an immediate free would let a subsequent
     // kalloc reuse them under the incoming DMA. Slot generations protect
     // the SockId, not the frames; the deferred free does. The grace bound
     // comfortably exceeds the reliability layer's worst case (retry budget

@@ -16,7 +16,7 @@
 //! | `knet-simcore` | discrete-event engine, virtual time, timed resources |
 //! | `knet-simos`   | CPU cost models, physical memory, address spaces, page-cache, VMA SPY |
 //! | `knet-simnic`  | Myrinet-like NIC: DMA, translation table, links, crossbar |
-//! | `knet-core`    | the paper's API: address classes, io-vectors, GMKRC, transport, **channels + completion queues + consumer registry**; above the channel, what every request/response service shares: the request seam (`req` — send-context map, staging ring, request table); below the transport, what both drivers share: the tenant pacing seam (`pace`) and the completion-event type (`driver`) |
+//! | `knet-core`    | the paper's API: address classes, io-vectors, GMKRC, transport, **channels + completion queues + consumer registry**; above the channel, what every request/response service shares: the request seam (`req` — send-context map, staging ring, request table); below the transport, what both drivers share: the tenant pacing seam (`pace`), and the completion-event type and message engine — packet builder, MTU chunk loop, first-fit matching, reassembly — (`driver`) |
 //! | `knet-gm`      | GM driver: registration, event queues, kernel port, physical patch |
 //! | `knet-mx`      | MX driver: matching, small/medium/large protocols, copy removal |
 //! | `knet-simfs`   | ext2-like server file system |

@@ -394,12 +394,20 @@ impl NicWorld for ClusterWorld {
         }
     }
     fn nic_link_dead(&mut self, proto: Proto, local: NicId, remote: NicId) {
-        // A reliability window exhausted its retry budget: surface the dead
-        // peer to every channel above the driver seam, and resolve every
-        // collective the dead node was a member of as a typed failure.
+        // A reliability window exhausted its retry budget. The driver goes
+        // first — it fails the sends it still holds toward the dead NIC and
+        // gives back what half-arrived messages from it had captured — so a
+        // consumer sees `SendFailed` for contexts it still knows, then the
+        // one `PeerDown`; then every channel above the driver seam hears of
+        // the dead peer, and every collective the dead node was a member of
+        // resolves as a typed failure.
         let Ok(kind) = TransportKind::try_from(proto) else {
             return;
         };
+        match kind {
+            TransportKind::Gm => knet_gm::gm_peer_down(self, local, remote),
+            TransportKind::Mx => knet_mx::mx_peer_down(self, local, remote),
+        }
         let local_node = self.nics.get(local).node;
         let remote_node = self.nics.get(remote).node;
         api::peer_down(self, kind, local_node, remote_node);

@@ -17,9 +17,12 @@
 //! channel queue are its only possible users — naming it anywhere else is
 //! a compile error.
 //!
-//! The last entry is a performance boundary rather than a layering one:
-//! the registry's and the reliability layer's tables are indexed by the
-//! ids this program mints, never searched or SipHashed per event.
+//! The last two entries are not layering boundaries. One is a performance
+//! boundary: the registry's and the reliability layer's tables are indexed
+//! by the ids this program mints, never searched or SipHashed per event.
+//! The other keeps one implementation one: how a message moves (chunking,
+//! packet building, matching, reassembly) lives in `knet_core::driver`, and
+//! neither driver may grow its own copy back.
 
 use std::fs;
 use std::path::Path;
@@ -469,4 +472,48 @@ fn per_event_tables_are_indexed_by_id_not_searched() {
          or use knet_simcore::IdHashMap):\n{}",
         offenders.join("\n")
     );
+}
+
+/// How a message moves — MTU segmentation, the packet builder, first-fit
+/// matching of posted buffers, reassembly and ring staging — is written
+/// once, in `knet_core::driver`. A driver that cuts its own chunks, packs
+/// its own header, builds its own packet, searches its own receive queue
+/// or keeps its own reassembly record has forked the mechanics, and with
+/// them the rule for giving a captured buffer back.
+#[test]
+fn message_mechanics_live_in_the_shared_engine_only() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let hand_rolled = [
+        "MsgHeader::new(",
+        "Packet::new(",
+        "next_chunk(",
+        "RingPool::stage(",
+        ".position(|",
+        "struct Assembly",
+        "EagerAssembly",
+        "RndvRecv",
+    ];
+    let mut offenders = Vec::new();
+    for file in ["crates/gm/src/layer.rs", "crates/mx/src/layer.rs"] {
+        let text = fs::read_to_string(root.join(file)).expect(file);
+        for (i, line) in text.lines().enumerate() {
+            if hand_rolled.iter().any(|p| line.contains(p)) {
+                offenders.push(format!("{file}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "message mechanics hand-rolled in a driver (use knet_core::driver's \
+         Route::send / send_chunks / PostedQueue / Reassembly):\n{}",
+        offenders.join("\n")
+    );
+    // And exactly one chunk loop in the workspace: the cursor is advanced
+    // from the shared engine and nowhere else outside its own module.
+    let chunkers: Vec<String> = offenders_for(&["crates", "src"], &["next_chunk(".to_string()])
+        .into_iter()
+        .filter(|hit| !hit.contains("crates/core/src/iovec.rs"))
+        .collect();
+    assert_eq!(chunkers.len(), 1, "{chunkers:#?}");
+    assert!(chunkers[0].contains("crates/core/src/driver.rs"));
 }

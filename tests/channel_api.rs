@@ -775,6 +775,34 @@ fn cancel_recv_contract_is_identical_on_gm_and_mx() {
             "{kind:?}: overtaken descriptor is withdrawable"
         );
         assert!(!w.t_cancel_recv(eb, 99), "{kind:?}: …exactly once");
+
+        // 6. Captured by an eager message that has not finished arriving
+        //    (32 kB is eight chunks): still the owner's. Cancel withdraws
+        //    it, the rest of the message is discarded — not matched against
+        //    the next receive, not delivered unexpected — and no completion
+        //    ever arrives for either.
+        let posted = |w: &ClusterWorld| match kind {
+            TransportKind::Mx => {
+                w.mx.ep(knet_mx::MxEndpointId(eb.idx))
+                    .unwrap()
+                    .posted_recvs()
+            }
+            TransportKind::Gm => {
+                let port = w.gm.port(knet_gm::GmPortId(eb.idx)).unwrap();
+                port.receive_buffers()
+            }
+        };
+        w.t_post_recv(eb, 111, kb.iov(32768), 4).unwrap();
+        w.t_send(ea, eb, 111, ka.iov(32768), 0).unwrap();
+        let outcome = run_until(&mut w, |w| posted(w) == 0);
+        assert_eq!(outcome, RunOutcome::Satisfied, "{kind:?}: first chunk");
+        assert!(!w.has_event(eb), "{kind:?}: mid-message");
+        assert!(w.t_cancel_recv(eb, 111), "{kind:?}: captured → withdrawn");
+        assert!(!w.t_cancel_recv(eb, 111), "{kind:?}: …exactly once");
+        w.t_post_recv(eb, 111, kb.iov(32768), 5).unwrap();
+        knet_simcore::run_to_quiescence(&mut w);
+        assert!(!w.has_event(eb), "{kind:?}: the remainder is discarded");
+        assert!(w.t_cancel_recv(eb, 111), "{kind:?}: second still armed");
     }
 }
 

@@ -377,6 +377,101 @@ fn channel_send_path_recycles_pools_in_steady_state() {
     );
 }
 
+/// Multi-chunk messages hold the shared message engine
+/// (`knet_core::driver`) to the same contract on each of its three paths:
+/// a 16 kB GM message (four MTU chunks gathered from host memory,
+/// scattered into the provided buffer), a 16 kB MX medium message (sliced
+/// from the send ring, staged in a receive ring) and a 128 kB MX
+/// rendezvous (RTS, CTS, thirty-two chunks streamed from and into kernel
+/// buffers). Once warm, the only allocations a message makes are its
+/// payload `Bytes` — one per gathered chunk, one per medium message — and
+/// the chunk scratch, the receive rings and the reassembly tables stay at
+/// their high-water mark.
+#[test]
+fn multi_chunk_messages_allocate_only_their_payload() {
+    let mut w = ClusterBuilder::new()
+        .nodes(2, CpuModel::xeon_2600())
+        .build();
+    let (n0, n1) = (NodeId(0), NodeId(1));
+    let cq = w.new_cq();
+    let cfg = GmPortConfig::kernel().with_physical_api();
+    let ga = w.open_gm_cq(n0, cfg.clone(), cq).unwrap();
+    let gb = w.open_gm_cq(n1, cfg, cq).unwrap();
+    let mx_cfg = knet_mx::MxEndpointConfig::kernel();
+    let ma = w.open_mx_cq(n0, mx_cfg, cq).unwrap();
+    let mb = w.open_mx_cq(n1, mx_cfg, cq).unwrap();
+    const LARGE: u64 = 128 * 1024;
+    let ka = kbuf(&mut w, n0, LARGE);
+    let kb = kbuf(&mut w, n1, LARGE);
+    let gm = (
+        channel_connect(&mut w, ga, gb, cq),
+        channel_connect(&mut w, gb, ga, cq),
+    );
+    let mx = (
+        channel_connect(&mut w, ma, mb, cq),
+        channel_connect(&mut w, mb, ma, cq),
+    );
+
+    let mut batch = Vec::new();
+    let mut cycle = |w: &mut knet::world::ClusterWorld,
+                     (tx, rx): (knet_core::ChannelId, knet_core::ChannelId),
+                     (a, b): (Endpoint, Endpoint),
+                     tag: u64,
+                     len: u64| {
+        channel_post_recv(w, rx, tag, kb.iov(len)).unwrap();
+        channel_send(w, tx, tag, ka.iov(len)).unwrap();
+        knet_simcore::run_to_quiescence(w);
+        let popped =
+            w.take_events(a, usize::MAX, &mut batch) + w.take_events(b, usize::MAX, &mut batch);
+        assert_eq!(popped, 2, "a SendDone and a RecvDone per message");
+    };
+    let footprint = |w: &knet::world::ClusterWorld| {
+        (
+            w.gm.scratch.stats.grows,
+            w.mx.scratch.stats.grows,
+            w.gm.reassembly_footprint(),
+            w.mx.reassembly_footprint(),
+            w.mx.in_flight() + w.gm.reassembling(),
+        )
+    };
+
+    for tag in 1..=8u64 {
+        cycle(&mut w, gm, (ga, gb), tag, 16 * 1024);
+        cycle(&mut w, mx, (ma, mb), tag, 16 * 1024);
+        cycle(&mut w, mx, (ma, mb), 100 + tag, LARGE);
+    }
+    let warm = footprint(&w);
+    assert_eq!(warm.3 .1, 1, "the one receive ring the medium path uses");
+
+    const N: u64 = 50;
+    let (gm_allocs, ()) = count(|| {
+        for tag in 9..9 + N {
+            cycle(&mut w, gm, (ga, gb), tag, 16 * 1024);
+        }
+    });
+    let (medium_allocs, ()) = count(|| {
+        for tag in 9..9 + N {
+            cycle(&mut w, mx, (ma, mb), tag, 16 * 1024);
+        }
+    });
+    let (rndv_allocs, ()) = count(|| {
+        for tag in 109..109 + N {
+            cycle(&mut w, mx, (ma, mb), tag, LARGE);
+        }
+    });
+    assert_eq!(gm_allocs, N * 4, "16 kB over GM: four gathered chunks");
+    assert_eq!(
+        medium_allocs, N,
+        "16 kB MX medium: the one gathered payload"
+    );
+    assert_eq!(
+        rndv_allocs,
+        N * 32,
+        "128 kB MX rendezvous: thirty-two gathered chunks"
+    );
+    assert_eq!(footprint(&w), warm, "scratch, rings and tables stay flat");
+}
+
 /// The multi-tenant machinery rides the same contract: per-tenant WDRR
 /// lanes in the channel, per-tenant pacing lanes in the driver and token
 /// buckets at the NIC all reach their high-water mark during warm-up and

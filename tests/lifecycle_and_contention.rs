@@ -315,3 +315,62 @@ fn single_client_direct_read_rate_is_wire_bound() {
         "direct 1MB reads: {mb:.1} MB/s"
     );
 }
+
+#[test]
+fn every_send_resolves_exactly_once_around_a_peer_kill() {
+    // Aim 3 below the channel layer: a rendezvous send parks in the driver
+    // until the receiver's CTS arrives. If the receiver dies first, the
+    // driver must fail the send (and unpin its pages) when the link is
+    // declared dead — before the channel hears `PeerDown`, so the consumer
+    // sees the failure for a context it still knows.
+    use knet_simnic::FaultPlan;
+    let mut w = ClusterBuilder::new()
+        .nodes(2, CpuModel::xeon_2600())
+        .fault_plan(FaultPlan::new(3).with_kill(NodeId(1), SimTime::ZERO))
+        .build();
+    let (n0, n1) = (NodeId(0), NodeId(1));
+    let cq = w.new_cq();
+    let a = w.open_mx_cq(n0, MxEndpointConfig::kernel(), cq).unwrap();
+    let b = w.open_mx_cq(n1, MxEndpointConfig::kernel(), cq).unwrap();
+    let ch = channel_connect(&mut w, a, b, cq);
+
+    const LARGE: u64 = 128 * 1024; // rendezvous
+    let bufs: Vec<_> = (0..3).map(|_| ubuf(&mut w, n0, LARGE)).collect();
+    let mut submitted = Vec::new();
+    for (i, buf) in bufs.iter().enumerate() {
+        submitted.push(channel_send(&mut w, ch, 10 + i as u64, buf.iov(LARGE)).unwrap());
+        // An eager send between them completes locally, dead peer or not.
+        submitted.push(channel_send(&mut w, ch, 20 + i as u64, buf.iov(64)).unwrap());
+    }
+    knet_simcore::run_to_quiescence(&mut w);
+
+    let mut resolved = Vec::new();
+    let mut failed = 0;
+    let mut peer_downs = 0;
+    while let Some(ev) = w.take_event(a) {
+        match ev {
+            TransportEvent::SendDone { ctx } => resolved.push(ctx),
+            TransportEvent::SendFailed { ctx, error } => {
+                assert_eq!(error, NetError::PeerUnreachable);
+                assert_eq!(peer_downs, 0, "failures precede the one PeerDown");
+                failed += 1;
+                resolved.push(ctx);
+            }
+            TransportEvent::PeerDown { peer } => {
+                assert_eq!(peer.node, n1);
+                peer_downs += 1;
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    resolved.sort_unstable();
+    submitted.sort_unstable();
+    assert_eq!(resolved, submitted, "every ctx resolves exactly once");
+    assert_eq!(failed, 3, "the three rendezvous sends fail");
+    assert_eq!(peer_downs, 1);
+    for buf in &bufs {
+        let frame = w.os.node(n0).space(buf.asid).unwrap().frame_of(buf.addr);
+        assert_eq!(w.os.node(n0).mem.pin_count(frame.unwrap()), 0, "pin leaked");
+    }
+    assert_eq!(w.mx.in_flight(), 0, "no driver state left at quiescence");
+}
