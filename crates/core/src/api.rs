@@ -860,22 +860,13 @@ impl<W> Registry<W> {
             .collect()
     }
 
-    /// Fold every channel's WDRR scheduler state into a fingerprint
-    /// accumulator, ascending channel id — the shard-equivalence hook
-    /// (`tests/sched_equivalence` mixes this next to the event stream so
-    /// per-tenant queueing cannot silently diverge across shard counts).
-    pub fn wdrr_fingerprint(&self, mut mix: impl FnMut(u64)) {
-        for (id, c) in self.channels.iter() {
-            mix(id as u64);
-            mix(c.tenant.0 as u64);
-            c.pending.fingerprint(&mut mix);
-        }
-    }
-
-    /// [`Self::wdrr_fingerprint`] restricted to channels whose local
-    /// endpoint lives on `node` — the shard-invariant form: a node's
-    /// channel state is authoritative only on the shard world owning the
-    /// node, so equivalence tests fold each node's slice from its owner.
+    /// Fold the WDRR scheduler state of the channels whose local endpoint
+    /// lives on `node` into a fingerprint accumulator, ascending channel id
+    /// — the shard-equivalence hook (`tests/sched_equivalence` mixes this
+    /// next to the event stream so per-tenant queueing cannot silently
+    /// diverge across shard counts). Per node because a node's channel
+    /// state is authoritative only on the shard world owning the node:
+    /// equivalence tests fold each node's slice from its owner.
     pub fn wdrr_fingerprint_node(&self, node: u32, mut mix: impl FnMut(u64)) {
         for (id, c) in self.channels.iter() {
             if c.local.node.0 != node {

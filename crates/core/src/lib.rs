@@ -19,6 +19,17 @@
 //!   request/response service: the send-context → record map, the
 //!   bound-checked staging ring, and the request table (id mint, waiters,
 //!   send-failure and peer-death triage);
+//! * [`pageio`] — the cached-I/O seam *beside* it, shared by the two
+//!   storage clients (ORFS, NBD): the page-cache walk, the page ↔ buffer
+//!   copy through one recycled bounce buffer, the page lifecycle (absent /
+//!   in flight under exactly one fetch / up to date) with its landing and
+//!   abandon rules, and "completion is observed once the charged CPU work
+//!   has drained". What still differs between the clients stays in them
+//!   and reaches the engine as values: the wire format of a fetch, the run
+//!   length (ORFS combines up to `max_combine` pages on MX, NBD fetches
+//!   one sector), the EOF clamp (files have a size, devices do not) and
+//!   write-back (ORFS marks dirty and flushes on `fsync`) versus
+//!   write-through (NBD marks up to date and sends at once);
 //! * [`pace`] and [`driver`] — what sits *below* the transport and is the
 //!   same for both drivers: the tenant pacing seam between the NIC's token
 //!   buckets and a driver's send pipeline; the completion-event type, and
@@ -33,6 +44,7 @@ pub mod driver;
 pub mod error;
 pub mod iovec;
 pub mod pace;
+pub mod pageio;
 pub mod regcache;
 pub mod req;
 pub mod tenant;

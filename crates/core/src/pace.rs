@@ -89,16 +89,8 @@ impl<S> PaceLanes<S> {
         self.lanes.values().map(|l| l.grows()).sum()
     }
 
-    /// Fold pacing-lane scheduler state into a fingerprint accumulator
-    /// (shard-equivalence hook).
-    pub fn fingerprint(&self, mut mix: impl FnMut(u64)) {
-        for (nic, lanes) in &self.lanes {
-            mix(nic.0 as u64);
-            lanes.fingerprint(&mut mix);
-        }
-    }
-
-    /// [`Self::fingerprint`] restricted to one NIC — the shard-invariant
+    /// Fold one NIC's pacing-lane scheduler state into a fingerprint
+    /// accumulator — the shard-equivalence hook, and the shard-invariant
     /// slice (a NIC's pacing lanes are only touched by the shard owning
     /// its node).
     pub fn fingerprint_nic(&self, nic: NicId, mut mix: impl FnMut(u64)) {

@@ -15,11 +15,12 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
+use knet_core::pageio::{self, Cursor, Fill, PageIo, Then};
 use knet_core::{
     channel_send_request, ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, ReqTable,
     StagingRing, TransportEvent,
 };
-use knet_simos::{cpu_charge, Asid, PageKey, PAGE_SIZE};
+use knet_simos::{cpu_charge, Asid, PageKey};
 
 use crate::proto::{NbdRequest, SECTOR_SIZE};
 use crate::NbdWorld;
@@ -48,12 +49,7 @@ pub struct NbdClientStats {
 #[derive(Clone, Debug)]
 enum OpState {
     /// Buffered read: copy out of cached sectors, fetching misses.
-    Buffered {
-        dest: MemRef,
-        offset: u64,
-        done: u64,
-        fetching: Option<u64>,
-    },
+    Buffered(Cursor),
     /// Raw read: waiting for the data message.
     Raw,
     /// Write in flight: completes when every chunk is acknowledged.
@@ -83,6 +79,9 @@ pub struct NbdClient {
     ops: BTreeMap<NbdOp, OpState>,
     /// Staging ring for request headers and write chunks.
     ring: StagingRing,
+    /// Cached-I/O engine state (bounce buffer, readers parked on sectors
+    /// in flight).
+    pageio: PageIo,
     pub completed: VecDeque<(NbdOp, NbdResult)>,
     pub stats: NbdClientStats,
 }
@@ -126,6 +125,7 @@ pub fn nbd_client_create<W: NbdWorld>(
         reqs: ReqTable::new(ep),
         ops: BTreeMap::new(),
         ring: StagingRing::new(ring, Asid::KERNEL, RING),
+        pageio: PageIo::default(),
         completed: VecDeque::new(),
         stats: NbdClientStats::default(),
     });
@@ -154,17 +154,34 @@ fn charge_entry<W: NbdWorld>(w: &mut W, cid: NbdClientId) {
     cpu_charge(w, node, cost);
 }
 
-/// A request will never be answered (its send was rejected or dropped, or
-/// the server died): withdraw any posted reply buffer, drop the op and
-/// complete it with the error — silently dropping it would hang the block
-/// operation forever. An op fails once, however many of its requests do.
+/// A request will never be answered (its send was rejected or dropped):
+/// withdraw any posted reply buffer, drop the op and complete it with the
+/// error — silently dropping it would hang the block operation forever.
+/// An op fails once, however many of its requests do.
 fn fail_request<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64, op: NbdOp, e: NetError) {
     let ch = w.nbd().clients[cid.0 as usize].ch;
     channel_cancel_recv(w, ch, reqid);
     let c = &mut w.nbd_mut().clients[cid.0 as usize];
     if c.ops.remove(&op).is_some() {
-        c.completed.push_back((op, Err(e)));
+        fail_op(w, cid, op, e);
     }
+}
+
+/// Complete `op` (already out of the table) with `e`. A read that dies
+/// while it owns an in-flight sector gives the frame back, and the readers
+/// parked on it fetch for themselves.
+fn fail_op<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, e: NetError) {
+    let c = &mut w.nbd_mut().clients[cid.0 as usize];
+    c.completed.push_back((op, Err(e)));
+    let node = c.ep.node;
+    for parked in pageio::abandoned(w, node, engine(cid), op) {
+        advance_read(w, cid, parked);
+    }
+}
+
+/// Selects client `cid`'s cached-I/O engine state inside the world.
+fn engine<W: NbdWorld>(cid: NbdClientId) -> impl Fn(&mut W) -> &mut PageIo {
+    move |w| &mut w.nbd_mut().clients[cid.0 as usize].pageio
 }
 
 /// Stage `header` (and a write chunk behind it) in the ring and send it as
@@ -204,18 +221,11 @@ pub fn nbd_read<W: NbdWorld>(w: &mut W, cid: NbdClientId, dest: MemRef, offset: 
         let op = c.next_op;
         c.next_op += 1;
         c.stats.reads += 1;
-        c.ops.insert(
-            op,
-            OpState::Buffered {
-                dest,
-                offset,
-                done: 0,
-                fetching: None,
-            },
-        );
+        let cur = Cursor::new(c.key(0), dest, offset);
+        c.ops.insert(op, OpState::Buffered(cur));
         op
     };
-    advance_buffered(w, cid, op);
+    advance_read(w, cid, op);
     op
 }
 
@@ -256,29 +266,23 @@ pub fn nbd_write<W: NbdWorld>(w: &mut W, cid: NbdClientId, src: MemRef, offset: 
         op
     };
     // Update the cached sectors (write-through), then send.
-    let data = knet_core::read_iovec(w.os().node(node), &IoVec::single(src)).unwrap_or_default();
-    let copy = w.os().node(node).cpu.model.memcpy_cost(len);
-    cpu_charge(w, node, copy);
+    let data = match knet_core::read_iovec(w.os().node(node), &IoVec::single(src)) {
+        Ok(data) => data,
+        Err(e) => {
+            let c = &mut w.nbd_mut().clients[cid.0 as usize];
+            c.completed.push_back((op, Err(e)));
+            return op;
+        }
+    };
+    pageio::charge_copy(w, node, len);
     let first = offset / SECTOR_SIZE;
     for i in 0..(len / SECTOR_SIZE) {
         let key = w.nbd().clients[cid.0 as usize].key(first + i);
-        let os = w.os_mut().node_mut(node);
-        let page = match os.page_cache.peek(key) {
-            Some(p) => Some(p),
-            None => {
-                let mem = &mut os.mem;
-                os.page_cache.insert(mem, key).ok()
-            }
-        };
-        if let Some(p) = page {
-            let off = (i * SECTOR_SIZE) as usize;
-            w.os_mut()
-                .node_mut(node)
-                .mem
-                .write(p.frame.base(), &data[off..off + SECTOR_SIZE as usize])
-                .expect("page writable");
-            w.os_mut().node_mut(node).page_cache.mark_uptodate(key);
-        }
+        let sector = src.sub_range(i * SECTOR_SIZE, SECTOR_SIZE);
+        // `src` was just read whole, so the one failure left is a frame
+        // shortage on an absent sector: it stays uncached (nothing stale)
+        // and still reaches the server.
+        let _ = pageio::copy_in(w, node, engine(cid), key, 0, sector, Fill::Uptodate);
     }
     // Issue the chunked write requests through a bounded window.
     {
@@ -339,107 +343,41 @@ fn issue_next_write_chunk<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) -
     true
 }
 
-fn advance_buffered<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
-    let (node, device, ch) = {
-        let c = &w.nbd().clients[cid.0 as usize];
-        (c.ep.node, c.device_id, c.ch)
+/// Advance a buffered read through the cached-I/O engine: copy cached
+/// sectors out, or request the next missing one into its page-cache frame
+/// — the paper's point: the frame's physical address goes straight to the
+/// network.
+fn advance_read<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
+    let c = &w.nbd().clients[cid.0 as usize];
+    let Some(OpState::Buffered(mut cur)) = c.ops.get(&op).cloned() else {
+        return;
     };
-    let _ = device;
-    loop {
-        let st = {
-            let c = &w.nbd().clients[cid.0 as usize];
-            match c.ops.get(&op) {
-                Some(OpState::Buffered {
-                    dest,
-                    offset,
-                    done,
-                    fetching,
-                }) => (*dest, *offset, *done, *fetching),
-                _ => return,
-            }
-        };
-        let (dest, offset, done, _) = st;
-        let want = dest.len();
-        if done >= want {
-            // Observe completion once the charged copy work has drained.
-            let t = w
-                .os()
-                .node(node)
-                .cpu
-                .busy
-                .free_at()
-                .max(knet_simcore::now(w));
-            let c = &mut w.nbd_mut().clients[cid.0 as usize];
+    let (node, ch, want) = (c.ep.node, c.ch, cur.buf.len());
+    let step = pageio::read_step(w, node, engine(cid), &mut cur, op, want, 1);
+    let c = &mut w.nbd_mut().clients[cid.0 as usize];
+    c.stats.sector_hits += step.hits;
+    c.ops.insert(op, OpState::Buffered(cur));
+    match step.then {
+        Then::Done => {
             c.stats.bytes_read += want;
             c.ops.remove(&op);
-            knet_simcore::call_at(w, node.0, t, move |w: &mut W| {
+            pageio::when_drained(w, node, move |w: &mut W| {
                 w.nbd_mut().clients[cid.0 as usize]
                     .completed
                     .push_back((op, Ok(want)));
             });
-            return;
         }
-        let pos = offset + done;
-        let sector = pos / SECTOR_SIZE;
-        let key = w.nbd().clients[cid.0 as usize].key(sector);
-        let cached = w
-            .os_mut()
-            .node_mut(node)
-            .page_cache
-            .lookup(key)
-            .filter(|p| p.uptodate);
-        match cached {
-            Some(p) => {
-                w.nbd_mut().clients[cid.0 as usize].stats.sector_hits += 1;
-                let soff = pos % SECTOR_SIZE;
-                let n = (SECTOR_SIZE - soff).min(want - done);
-                let mut tmp = vec![0u8; n as usize];
-                w.os()
-                    .node(node)
-                    .mem
-                    .read(p.frame.base().add(soff), &mut tmp)
-                    .expect("cached sector");
-                let dst = dest.sub_range(done, n);
-                knet_core::write_iovec(w.os_mut().node_mut(node), &IoVec::single(dst), &tmp).ok();
-                let copy = w.os().node(node).cpu.model.memcpy_cost(n);
-                cpu_charge(w, node, copy);
-                let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                if let Some(OpState::Buffered { done, .. }) = c.ops.get_mut(&op) {
-                    *done += n;
-                }
-            }
-            None => {
-                w.nbd_mut().clients[cid.0 as usize].stats.sector_misses += 1;
-                let os = w.os_mut().node_mut(node);
-                let frame = {
-                    let mem = &mut os.mem;
-                    match os.page_cache.insert(mem, key) {
-                        Ok(p) => p.frame,
-                        Err(_) => {
-                            let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                            c.ops.remove(&op);
-                            c.completed.push_back((
-                                op,
-                                Err(NetError::Os(knet_simos::OsError::OutOfMemory)),
-                            ));
-                            return;
-                        }
-                    }
-                };
-                {
-                    let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                    if let Some(OpState::Buffered { fetching, .. }) = c.ops.get_mut(&op) {
-                        *fetching = Some(sector);
-                    }
-                }
-                // The paper's point: the page-cache frame's physical address
-                // goes straight to the network.
-                let reqid = w.nbd_mut().clients[cid.0 as usize].reqs.mint(op);
-                let iov = IoVec::single(MemRef::physical(frame.base(), PAGE_SIZE));
-                let _ = channel_post_recv(w, ch, reqid, iov);
-                send_request(w, cid, reqid, NbdRequest::Read { sector, count: 1 }, &[]);
-                return;
-            }
+        Then::Parked => {}
+        Then::Failed(e) => {
+            c.ops.remove(&op);
+            c.completed.push_back((op, Err(e)));
+        }
+        Then::Fetch { run, iov } => {
+            c.stats.sector_misses += 1;
+            let reqid = c.reqs.mint(op);
+            let _ = channel_post_recv(w, ch, reqid, iov);
+            let sector = run.first.index;
+            send_request(w, cid, reqid, NbdRequest::Read { sector, count: 1 }, &[]);
         }
     }
 }
@@ -470,18 +408,18 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
         | TransportEvent::CollectiveFailed { .. }
         | TransportEvent::RpcDone { .. } => return,
         TransportEvent::PeerDown { .. } => {
-            // The server's node died: every in-flight block op completes
-            // with a typed error — nothing may stall on a dead disk.
-            let failed = w.nbd_mut().clients[cid.0 as usize].reqs.fail_all();
-            for (reqid, op) in failed {
-                fail_request(w, cid, reqid, op, NetError::PeerUnreachable);
-            }
-            // Ops with no outstanding request (should not exist) fail too.
+            // The server's node died: every block op — in flight, or parked
+            // on a sector another op was fetching — completes with a typed
+            // error; nothing may stall on a dead disk. The table is emptied
+            // first, so a reader woken by an abandoned fetch finds itself
+            // gone instead of asking the dead server again.
             let c = &mut w.nbd_mut().clients[cid.0 as usize];
-            let orphans: Vec<NbdOp> = c.ops.keys().copied().collect();
-            for op in orphans {
-                c.ops.remove(&op);
-                c.completed.push_back((op, Err(NetError::PeerUnreachable)));
+            let (ch, failed, ops) = (c.ch, c.reqs.fail_all(), std::mem::take(&mut c.ops));
+            for (reqid, _) in failed {
+                channel_cancel_recv(w, ch, reqid);
+            }
+            for op in ops.into_keys() {
+                fail_op(w, cid, op, NetError::PeerUnreachable);
             }
             return;
         }
@@ -489,22 +427,15 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
     let Some(op) = w.nbd_mut().clients[cid.0 as usize].reqs.finish(tag) else {
         return;
     };
-    let node = w.nbd().clients[cid.0 as usize].ep.node;
-    let st = {
-        let c = &w.nbd().clients[cid.0 as usize];
-        c.ops.get(&op).cloned()
-    };
-    match st {
-        Some(OpState::Buffered { fetching, .. }) => {
-            if let Some(sector) = fetching {
-                let key = w.nbd().clients[cid.0 as usize].key(sector);
-                w.os_mut().node_mut(node).page_cache.mark_uptodate(key);
-                let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                if let Some(OpState::Buffered { fetching, .. }) = c.ops.get_mut(&op) {
-                    *fetching = None;
-                }
+    let c = &w.nbd().clients[cid.0 as usize];
+    let node = c.ep.node;
+    match c.ops.get(&op).cloned() {
+        Some(OpState::Buffered(_)) => {
+            let parked = pageio::landed(w, node, engine(cid), op);
+            advance_read(w, cid, op);
+            for op in parked {
+                advance_read(w, cid, op);
             }
-            advance_buffered(w, cid, op);
         }
         Some(OpState::Raw) => {
             let c = &mut w.nbd_mut().clients[cid.0 as usize];

@@ -19,6 +19,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
+use knet_core::pageio::{self, Cursor, Fill, PageIo, Probe, Run, Then};
 use knet_core::{
     channel_send_request, ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, ReqTable,
     StagingRing, TransportEvent, TransportKind,
@@ -150,9 +151,9 @@ enum OpState {
     /// O_DIRECT (or ORFA) write: waiting for `Written`.
     DirectWrite { fd: u32 },
     /// Buffered read loop.
-    BufferedRead(BufferedRead),
+    BufferedRead(Buffered),
     /// Buffered write loop.
-    BufferedWrite(BufferedWrite),
+    BufferedWrite(Buffered),
     /// Write-back of dirty pages (fsync/close), one request at a time.
     Flush(Flush),
 }
@@ -168,28 +169,11 @@ enum MetaKind {
     Close { fd: u32 },
 }
 
-#[derive(Clone, Debug)]
-struct BufferedRead {
+/// A buffered read or write: where it is in the file's cached pages.
+#[derive(Clone, Copy, Debug)]
+struct Buffered {
     fd: u32,
-    ino: u32,
-    user: MemRef,
-    offset: u64,
-    len: u64,
-    done: u64,
-    /// Pages being fetched right now (first page index, count).
-    fetching: Option<(u64, u64)>,
-}
-
-#[derive(Clone, Debug)]
-struct BufferedWrite {
-    fd: u32,
-    ino: u32,
-    user: MemRef,
-    offset: u64,
-    len: u64,
-    done: u64,
-    /// Page being read for a read-modify-write.
-    fetching: Option<u64>,
+    cur: Cursor,
 }
 
 #[derive(Clone, Debug)]
@@ -228,6 +212,9 @@ pub struct OrfsClient {
     /// memory for the ORFS kernel client, a user mapping of the client's
     /// own process for the ORFA library (which cannot touch kernel memory).
     ring: StagingRing,
+    /// Cached-I/O engine state (bounce buffer, ops parked on pages in
+    /// flight).
+    pageio: PageIo,
     pub stats: ClientStats,
 }
 
@@ -282,6 +269,7 @@ pub fn client_create<W: OrfsWorld>(
         attrs: BTreeMap::new(),
         fds: Vec::new(),
         ring: StagingRing::new(ring, ring_asid, CLIENT_RING),
+        pageio: PageIo::default(),
         stats: ClientStats::default(),
     });
     Ok(id)
@@ -348,22 +336,59 @@ fn new_syscall<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, st: OpState) -> Sysca
     sid
 }
 
+/// A syscall refused at entry (bad descriptor, bad path): it still gets an
+/// id, and completes with `e`.
+fn refuse<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, e: OrfsError) -> SyscallId {
+    let kind = MetaKind::Generic;
+    let sid = new_syscall(w, cid, OpState::MetaWait { kind });
+    finish(w, cid, sid, Err(e));
+    sid
+}
+
+/// The op record of a buffered read or write of `fd` (`file`).
+fn buffered_op<W: OrfsWorld>(
+    w: &W,
+    cid: OrfsClientId,
+    fd: u32,
+    file: OpenFile,
+    buf: MemRef,
+    offset: u64,
+) -> Buffered {
+    let pages = PageKey {
+        mount: w.orfs().client(cid).mount_id,
+        inode: file.ino,
+        index: 0,
+    };
+    let cur = Cursor::new(pages, buf, offset);
+    Buffered { fd, cur }
+}
+
+/// Complete `sid` with `r`. An op that ends while it owns in-flight pages
+/// gives their frames back, and the ops parked on them fetch for
+/// themselves.
 fn finish<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, r: SysResult) {
-    // Completion is *observed* once the host CPU work charged so far has
-    // drained — otherwise operations served entirely from caches would
-    // appear to take zero time.
     let node = w.orfs().client(cid).ep.node;
-    let t = w
-        .os()
-        .node(node)
-        .cpu
-        .busy
-        .free_at()
-        .max(knet_simcore::now(w));
-    w.orfs_mut().client_mut(cid).ops.remove(&sid);
-    knet_simcore::call_at(w, node.0, t, move |w: &mut W| {
+    pageio::when_drained(w, node, move |w: &mut W| {
         w.orfs_mut().client_mut(cid).completed.push_back((sid, r));
     });
+    w.orfs_mut().client_mut(cid).ops.remove(&sid);
+    for parked in pageio::abandoned(w, node, engine(cid), sid) {
+        resume(w, cid, parked);
+    }
+}
+
+/// Selects client `cid`'s cached-I/O engine state inside the world.
+fn engine<W: OrfsWorld>(cid: OrfsClientId) -> impl Fn(&mut W) -> &mut PageIo {
+    move |w| &mut w.orfs_mut().client_mut(cid).pageio
+}
+
+/// Continue a buffered op that was waiting on the page-cache.
+fn resume<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
+    match w.orfs().client(cid).ops.get(&sid) {
+        Some(OpState::BufferedRead(_)) => advance_buffered_read(w, cid, sid),
+        Some(OpState::BufferedWrite(_)) => advance_buffered_write(w, cid, sid),
+        _ => {}
+    }
 }
 
 fn split_path(path: &str) -> Result<Vec<String>, OrfsError> {
@@ -460,29 +485,11 @@ pub fn op_read<W: OrfsWorld>(
     charge_entry(w, cid);
     let file = match w.orfs().client(cid).file(fd) {
         Ok(f) => f,
-        Err(e) => {
-            let sid = new_syscall(
-                w,
-                cid,
-                OpState::MetaWait {
-                    kind: MetaKind::Generic,
-                },
-            );
-            finish(w, cid, sid, Err(e));
-            return sid;
-        }
+        Err(e) => return refuse(w, cid, e),
     };
     let use_pagecache = w.orfs().client(cid).kind == ClientKind::KernelVfs && !file.direct;
     if use_pagecache {
-        let st = OpState::BufferedRead(BufferedRead {
-            fd,
-            ino: file.ino,
-            user: dest,
-            offset,
-            len: dest.len(),
-            done: 0,
-            fetching: None,
-        });
+        let st = OpState::BufferedRead(buffered_op(w, cid, fd, file, dest, offset));
         let sid = new_syscall(w, cid, st);
         advance_buffered_read(w, cid, sid);
         sid
@@ -494,22 +501,8 @@ pub fn op_read<W: OrfsWorld>(
             finish(w, cid, sid, Ok(SysRet::Bytes(0)));
             return sid;
         }
-        // Prepare the destination *first*: the buffer (registration,
-        // pinning) must be ready before the server can reply into it.
-        let reqid = alloc_reqid(w, cid, sid);
-        let shrunk = dest.sub_range(0, len);
-        let ch = w.orfs().client(cid).ch;
-        let _ = channel_post_recv(w, ch, reqid, IoVec::single(shrunk));
-        send_request_with_id(
-            w,
-            cid,
-            reqid,
-            &Request::Read {
-                handle: file.handle,
-                offset,
-                len,
-            },
-        );
+        let shrunk = IoVec::single(dest.sub_range(0, len));
+        request_read(w, cid, sid, file.handle, offset, len, shrunk);
         sid
     }
 }
@@ -525,29 +518,11 @@ pub fn op_write<W: OrfsWorld>(
     charge_entry(w, cid);
     let file = match w.orfs().client(cid).file(fd) {
         Ok(f) => f,
-        Err(e) => {
-            let sid = new_syscall(
-                w,
-                cid,
-                OpState::MetaWait {
-                    kind: MetaKind::Generic,
-                },
-            );
-            finish(w, cid, sid, Err(e));
-            return sid;
-        }
+        Err(e) => return refuse(w, cid, e),
     };
     let buffered = w.orfs().client(cid).kind == ClientKind::KernelVfs && !file.direct;
     if buffered {
-        let st = OpState::BufferedWrite(BufferedWrite {
-            fd,
-            ino: file.ino,
-            user: src,
-            offset,
-            len: src.len(),
-            done: 0,
-            fetching: None,
-        });
+        let st = OpState::BufferedWrite(buffered_op(w, cid, fd, file, src, offset));
         let sid = new_syscall(w, cid, st);
         advance_buffered_write(w, cid, sid);
         sid
@@ -560,63 +535,26 @@ pub fn op_write<W: OrfsWorld>(
 
 /// `fsync(fd)`: write back the file's dirty pages.
 pub fn op_fsync<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, fd: u32) -> SyscallId {
-    charge_entry(w, cid);
-    match w.orfs().client(cid).file(fd) {
-        Ok(file) => {
-            let flush = build_flush(w, cid, fd, file, false);
-            let sid = new_syscall(w, cid, OpState::Flush(flush));
-            advance_flush(w, cid, sid);
-            sid
-        }
-        Err(e) => {
-            let sid = new_syscall(
-                w,
-                cid,
-                OpState::MetaWait {
-                    kind: MetaKind::Generic,
-                },
-            );
-            finish(w, cid, sid, Err(e));
-            sid
-        }
-    }
+    start_flush(w, cid, fd, false)
 }
 
 /// `close(fd)`: flush (buffered files), then release the server handle.
 pub fn op_close<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, fd: u32) -> SyscallId {
+    start_flush(w, cid, fd, true)
+}
+
+/// Write back `fd`'s dirty pages one request at a time (with none dirty,
+/// `advance_flush` goes straight to the end), then close it if asked.
+fn start_flush<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, fd: u32, then_close: bool) -> SyscallId {
     charge_entry(w, cid);
-    match w.orfs().client(cid).file(fd) {
-        Ok(file) => {
-            let flush = build_flush(w, cid, fd, file, true);
-            if flush.pages.is_empty() {
-                let sid = new_syscall(
-                    w,
-                    cid,
-                    OpState::MetaWait {
-                        kind: MetaKind::Close { fd },
-                    },
-                );
-                let handle = file.handle;
-                send_request(w, cid, sid, &Request::Close { handle });
-                sid
-            } else {
-                let sid = new_syscall(w, cid, OpState::Flush(flush));
-                advance_flush(w, cid, sid);
-                sid
-            }
-        }
-        Err(e) => {
-            let sid = new_syscall(
-                w,
-                cid,
-                OpState::MetaWait {
-                    kind: MetaKind::Generic,
-                },
-            );
-            finish(w, cid, sid, Err(e));
-            sid
-        }
-    }
+    let file = match w.orfs().client(cid).file(fd) {
+        Ok(file) => file,
+        Err(e) => return refuse(w, cid, e),
+    };
+    let flush = build_flush(w, cid, fd, file, then_close);
+    let sid = new_syscall(w, cid, OpState::Flush(flush));
+    advance_flush(w, cid, sid);
+    sid
 }
 
 fn build_flush<W: OrfsWorld>(
@@ -658,17 +596,7 @@ fn start_resolve<W: OrfsWorld>(
 ) -> SyscallId {
     let parts = match split_path(path) {
         Ok(p) => p,
-        Err(e) => {
-            let sid = new_syscall(
-                w,
-                cid,
-                OpState::MetaWait {
-                    kind: MetaKind::Generic,
-                },
-            );
-            finish(w, cid, sid, Err(e));
-            return sid;
-        }
+        Err(e) => return refuse(w, cid, e),
     };
     let st = OpState::Resolve {
         parts,
@@ -751,45 +679,30 @@ fn advance_resolve<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
                         return;
                     }
                 }
-                let c = w.orfs_mut().client_mut(cid);
-                c.ops.insert(
-                    sid,
-                    OpState::MetaWait {
-                        kind: MetaKind::Stat,
-                    },
-                );
-                send_request(w, cid, sid, &Request::Getattr { ino: cur });
+                await_meta(w, cid, sid, MetaKind::Stat, &Request::Getattr { ino: cur });
             }
             AfterResolve::Readdir => {
-                let c = w.orfs_mut().client_mut(cid);
-                c.ops.insert(
+                await_meta(
+                    w,
+                    cid,
                     sid,
-                    OpState::MetaWait {
-                        kind: MetaKind::Readdir,
-                    },
+                    MetaKind::Readdir,
+                    &Request::Readdir { ino: cur },
                 );
-                send_request(w, cid, sid, &Request::Readdir { ino: cur });
             }
             AfterResolve::Readlink => {
-                let c = w.orfs_mut().client_mut(cid);
-                c.ops.insert(
+                await_meta(
+                    w,
+                    cid,
                     sid,
-                    OpState::MetaWait {
-                        kind: MetaKind::Readlink,
-                    },
+                    MetaKind::Readlink,
+                    &Request::Readlink { ino: cur },
                 );
-                send_request(w, cid, sid, &Request::Readlink { ino: cur });
             }
             AfterResolve::Truncate { size } => {
-                let c = w.orfs_mut().client_mut(cid);
-                c.attrs.remove(&cur);
-                c.ops.insert(
-                    sid,
-                    OpState::MetaWait {
-                        kind: MetaKind::Generic,
-                    },
-                );
-                send_request(w, cid, sid, &Request::Truncate { ino: cur, size });
+                w.orfs_mut().client_mut(cid).attrs.remove(&cur);
+                let req = Request::Truncate { ino: cur, size };
+                await_meta(w, cid, sid, MetaKind::Generic, &req);
             }
             AfterResolve::NameOp(op) => {
                 let name = parts.last().cloned().unwrap_or_default();
@@ -850,9 +763,7 @@ fn advance_resolve<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
                     let key = (*dir, name.clone());
                     w.orfs_mut().client_mut(cid).dentries.remove(&key);
                 }
-                let c = w.orfs_mut().client_mut(cid);
-                c.ops.insert(sid, OpState::MetaWait { kind });
-                send_request(w, cid, sid, &req);
+                await_meta(w, cid, sid, kind, &req);
             }
         }
     }
@@ -909,12 +820,49 @@ fn send_request<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, req:
     reqid
 }
 
+/// Send metadata request `req` for `sid`; its response finishes the op as
+/// `kind` says.
+fn await_meta<W: OrfsWorld>(
+    w: &mut W,
+    cid: OrfsClientId,
+    sid: SyscallId,
+    kind: MetaKind,
+    req: &Request,
+) {
+    let c = w.orfs_mut().client_mut(cid);
+    c.ops.insert(sid, OpState::MetaWait { kind });
+    send_request(w, cid, sid, req);
+}
+
 /// Encode and send a request under a pre-allocated id.
 fn send_request_with_id<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, reqid: u64, req: &Request) {
     let node = w.orfs().client(cid).ep.node;
     cpu_charge(w, node, codec_cost());
     let seg = stage(w, cid, &[&req.encode()]);
     submit(w, cid, reqid, reqid, IoVec::single(seg));
+}
+
+/// Ask for `len` bytes at `offset` of `handle` to land in `iov`. The
+/// destination is prepared *first*: the buffer (registration, pinning) must
+/// be ready before the server can reply into it.
+fn request_read<W: OrfsWorld>(
+    w: &mut W,
+    cid: OrfsClientId,
+    sid: SyscallId,
+    handle: u32,
+    offset: u64,
+    len: u64,
+    iov: IoVec,
+) {
+    let reqid = alloc_reqid(w, cid, sid);
+    let ch = w.orfs().client(cid).ch;
+    let _ = channel_post_recv(w, ch, reqid, iov);
+    let req = Request::Read {
+        handle,
+        offset,
+        len,
+    };
+    send_request_with_id(w, cid, reqid, &req);
 }
 
 /// Send a write request with payload: vectorial on MX (header ++ data, no
@@ -971,280 +919,120 @@ fn send_write_request<W: OrfsWorld>(
 
 // ---- buffered I/O ------------------------------------------------------------------
 
-/// Advance a buffered read: copy from cached pages, or fetch the next
-/// missing page (run) from the server into freshly allocated page-cache
-/// frames whose *physical* addresses are handed to the transport.
+/// What a cached-I/O engine failure means to a syscall.
+fn io_error(e: NetError) -> OrfsError {
+    match e {
+        NetError::Os(knet_simos::OsError::OutOfMemory) => OrfsError::Fs(FsError::NoSpace),
+        _ => OrfsError::Fault,
+    }
+}
+
+/// Request `run` of file `handle` into the page-cache frames `iov` names:
+/// their *physical* addresses are handed to the transport.
+fn fetch_pages<W: OrfsWorld>(
+    w: &mut W,
+    cid: OrfsClientId,
+    sid: SyscallId,
+    handle: u32,
+    run: Run,
+    iov: IoVec,
+) {
+    w.orfs_mut().client_mut(cid).stats.page_misses += 1;
+    let (offset, len) = (run.first.index * PAGE_SIZE, run.count * PAGE_SIZE);
+    request_read(w, cid, sid, handle, offset, len, iov);
+}
+
+/// Advance a buffered read through the cached-I/O engine: copy from cached
+/// pages, or fetch the next run of missing ones from the server. What is
+/// ORFS's own: the EOF clamp, and combining a run into one vectorial
+/// request (the Linux 2.6 behaviour of §3.3; requires MX).
 fn advance_buffered_read<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
-    let (node, mount, combine, max_combine) = {
-        let c = w.orfs().client(cid);
-        (
-            c.ep.node,
-            c.mount_id,
-            c.config.combine_pages && c.ep.kind == TransportKind::Mx,
-            c.config.max_combine,
-        )
+    let c = w.orfs().client(cid);
+    let Some(OpState::BufferedRead(mut br)) = c.ops.get(&sid).cloned() else {
+        return;
     };
-    loop {
-        let br = {
-            let c = w.orfs().client(cid);
-            match c.ops.get(&sid) {
-                Some(OpState::BufferedRead(br)) => br.clone(),
-                _ => return,
-            }
-        };
-        let file = match w.orfs().client(cid).file(br.fd) {
-            Ok(f) => f,
-            Err(e) => {
-                finish(w, cid, sid, Err(e));
-                return;
-            }
-        };
-        let want = br.len.min(file.size.saturating_sub(br.offset));
-        if br.done >= want {
-            finish(w, cid, sid, Ok(SysRet::Bytes(br.done)));
-            return;
-        }
-        let pos = br.offset + br.done;
-        let page_idx = pos / PAGE_SIZE;
-        let key = PageKey {
-            mount,
-            inode: br.ino,
-            index: page_idx,
-        };
-        let cached = w
-            .os_mut()
-            .node_mut(node)
-            .page_cache
-            .lookup(key)
-            .filter(|p| p.uptodate);
-        match cached {
-            Some(page) => {
-                w.orfs_mut().client_mut(cid).stats.page_hits += 1;
-                // Copy page → user buffer.
-                let page_off = pos % PAGE_SIZE;
-                let n = (PAGE_SIZE - page_off).min(want - br.done);
-                let mut tmp = vec![0u8; n as usize];
-                w.os()
-                    .node(node)
-                    .mem
-                    .read(page.frame.base().add(page_off), &mut tmp)
-                    .expect("cached page readable");
-                let dest = br.user.sub_range(br.done, n);
-                knet_core::write_iovec(w.os_mut().node_mut(node), &IoVec::single(dest), &tmp).ok();
-                let copy = w.os().node(node).cpu.model.memcpy_cost(n);
-                cpu_charge(w, node, copy);
-                {
-                    let c = w.orfs_mut().client_mut(cid);
-                    if let Some(OpState::BufferedRead(b)) = c.ops.get_mut(&sid) {
-                        b.done += n;
-                    }
-                    c.stats.bytes_read += n;
-                }
-                continue;
-            }
-            None => {
-                w.orfs_mut().client_mut(cid).stats.page_misses += 1;
-                // Build the run of missing pages to fetch.
-                let last_needed = (br.offset + want - 1) / PAGE_SIZE;
-                let mut count = 1u64;
-                if combine {
-                    while count < max_combine && page_idx + count <= last_needed {
-                        let k = PageKey {
-                            mount,
-                            inode: br.ino,
-                            index: page_idx + count,
-                        };
-                        if w.os().node(node).page_cache.peek(k).is_some() {
-                            break;
-                        }
-                        count += 1;
-                    }
-                }
-                // Allocate the frames and post their physical addresses.
-                let mut iov = IoVec::new();
-                for i in 0..count {
-                    let k = PageKey {
-                        mount,
-                        inode: br.ino,
-                        index: page_idx + i,
-                    };
-                    let os = w.os_mut().node_mut(node);
-                    let page = {
-                        let mem = &mut os.mem;
-                        os.page_cache.insert(mem, k)
-                    };
-                    match page {
-                        Ok(p) => iov.push(MemRef::physical(p.frame.base(), PAGE_SIZE)),
-                        Err(e) => {
-                            finish(w, cid, sid, Err(OrfsError::Fs(FsError::NoSpace)));
-                            let _ = e;
-                            return;
-                        }
-                    }
-                }
-                {
-                    let c = w.orfs_mut().client_mut(cid);
-                    if let Some(OpState::BufferedRead(b)) = c.ops.get_mut(&sid) {
-                        b.fetching = Some((page_idx, count));
-                    }
-                }
-                let reqid = alloc_reqid(w, cid, sid);
-                let ch = w.orfs().client(cid).ch;
-                let _ = channel_post_recv(w, ch, reqid, iov);
-                send_request_with_id(
-                    w,
-                    cid,
-                    reqid,
-                    &Request::Read {
-                        handle: file.handle,
-                        offset: page_idx * PAGE_SIZE,
-                        len: count * PAGE_SIZE,
-                    },
-                );
-                return;
-            }
-        }
+    let node = c.ep.node;
+    let max_run = if c.config.combine_pages && c.ep.kind == TransportKind::Mx {
+        c.config.max_combine
+    } else {
+        1
+    };
+    let file = match c.file(br.fd) {
+        Ok(f) => f,
+        Err(e) => return finish(w, cid, sid, Err(e)),
+    };
+    let (len, offset) = (br.cur.buf.len(), br.cur.offset);
+    let want = len.min(file.size.saturating_sub(offset));
+    let step = pageio::read_step(w, node, engine(cid), &mut br.cur, sid, want, max_run);
+    let done = br.cur.done;
+    let c = w.orfs_mut().client_mut(cid);
+    c.stats.page_hits += step.hits;
+    c.stats.bytes_read += step.copied;
+    c.ops.insert(sid, OpState::BufferedRead(br));
+    match step.then {
+        Then::Done => finish(w, cid, sid, Ok(SysRet::Bytes(done))),
+        Then::Parked => {}
+        Then::Failed(e) => finish(w, cid, sid, Err(io_error(e))),
+        Then::Fetch { run, iov } => fetch_pages(w, cid, sid, file.handle, run, iov),
     }
 }
 
 /// Advance a buffered write: fill page-cache pages (read-modify-write for
 /// partial pages over existing data), mark dirty; completion is local.
+/// Whether a page must be read first is ORFS's decision — it needs the
+/// file's size.
 fn advance_buffered_write<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
-    let (node, mount) = {
-        let c = w.orfs().client(cid);
-        (c.ep.node, c.mount_id)
-    };
+    let node = w.orfs().client(cid).ep.node;
     loop {
-        let bw = {
-            let c = w.orfs().client(cid);
-            match c.ops.get(&sid) {
-                Some(OpState::BufferedWrite(b)) => b.clone(),
-                _ => return,
-            }
-        };
-        if bw.done >= bw.len {
-            // Update size locally.
-            let end = bw.offset + bw.len;
-            {
-                let c = w.orfs_mut().client_mut(cid);
-                if let Ok(f) = c.file_mut(bw.fd) {
-                    if end > f.size {
-                        f.size = end;
-                    }
-                }
-                c.attrs.remove(&bw.ino);
-                c.stats.bytes_written += bw.len;
-            }
-            finish(w, cid, sid, Ok(SysRet::Bytes(bw.len)));
+        let c = w.orfs().client(cid);
+        let Some(&OpState::BufferedWrite(Buffered { fd, cur })) = c.ops.get(&sid) else {
             return;
+        };
+        let len = cur.buf.len();
+        if cur.done >= len {
+            // Update size locally.
+            let c = w.orfs_mut().client_mut(cid);
+            if let Ok(f) = c.file_mut(fd) {
+                f.size = f.size.max(cur.offset + len);
+            }
+            c.attrs.remove(&cur.file.inode);
+            c.stats.bytes_written += len;
+            return finish(w, cid, sid, Ok(SysRet::Bytes(len)));
         }
-        let file = match w.orfs().client(cid).file(bw.fd) {
+        let file = match c.file(fd) {
             Ok(f) => f,
-            Err(e) => {
-                finish(w, cid, sid, Err(e));
-                return;
-            }
+            Err(e) => return finish(w, cid, sid, Err(e)),
         };
-        let pos = bw.offset + bw.done;
-        let page_idx = pos / PAGE_SIZE;
-        let page_off = pos % PAGE_SIZE;
-        let n = (PAGE_SIZE - page_off).min(bw.len - bw.done);
-        let key = PageKey {
-            mount,
-            inode: bw.ino,
-            index: page_idx,
-        };
-        let cached = w.os_mut().node_mut(node).page_cache.lookup(key);
+        let (key, page_off, n) = cur.next_page(len);
         let covers_whole = page_off == 0 && n == PAGE_SIZE;
-        let beyond_eof = page_idx * PAGE_SIZE >= file.size;
-        let page = match cached {
-            Some(p) if p.uptodate || covers_whole => Some(p),
-            Some(_) | None if covers_whole || beyond_eof => {
-                // No read needed: take (or allocate) the page as-is.
-                match cached {
-                    Some(p) => Some(p),
-                    None => {
-                        let os = w.os_mut().node_mut(node);
-                        let r = {
-                            let mem = &mut os.mem;
-                            os.page_cache.insert(mem, key)
-                        };
-                        match r {
-                            Ok(p) => {
-                                w.os_mut().node_mut(node).page_cache.mark_uptodate(key);
-                                Some(p)
-                            }
-                            Err(_) => {
-                                finish(w, cid, sid, Err(OrfsError::Fs(FsError::NoSpace)));
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-            _ => None,
-        };
-        match page {
-            Some(p) => {
-                w.orfs_mut().client_mut(cid).stats.page_hits += 1;
-                // Copy user → page.
-                let mut tmp = vec![0u8; n as usize];
-                let src = bw.user.sub_range(bw.done, n);
-                let data = knet_core::read_iovec(w.os().node(node), &IoVec::single(src))
-                    .unwrap_or(tmp.clone());
-                tmp.copy_from_slice(&data[..n as usize]);
-                w.os_mut()
-                    .node_mut(node)
-                    .mem
-                    .write(p.frame.base().add(page_off), &tmp)
-                    .expect("page writable");
-                let os = w.os_mut().node_mut(node);
-                os.page_cache.mark_dirty(key);
-                let copy = w.os().node(node).cpu.model.memcpy_cost(n);
-                cpu_charge(w, node, copy);
-                let c = w.orfs_mut().client_mut(cid);
-                if let Some(OpState::BufferedWrite(b)) = c.ops.get_mut(&sid) {
-                    b.done += n;
-                }
-                continue;
-            }
-            None => {
+        let beyond_eof = key.index * PAGE_SIZE >= file.size;
+        match pageio::probe(w, node, engine(cid), key, sid) {
+            Probe::Uptodate(_) => {}
+            // No read needed: copy-in allocates the page as-is.
+            Probe::Absent if covers_whole || beyond_eof => {}
+            Probe::Absent => {
                 // Partial write over existing data: fetch the page first.
-                w.orfs_mut().client_mut(cid).stats.page_misses += 1;
-                let os = w.os_mut().node_mut(node);
-                let inserted = {
-                    let mem = &mut os.mem;
-                    os.page_cache.insert(mem, key)
+                let run = Run {
+                    first: key,
+                    count: 1,
                 };
-                let frame = match inserted {
-                    Ok(p) => p.frame,
-                    Err(_) => {
-                        finish(w, cid, sid, Err(OrfsError::Fs(FsError::NoSpace)));
-                        return;
-                    }
+                return match pageio::fetch(w, node, engine(cid), sid, run) {
+                    Ok(iov) => fetch_pages(w, cid, sid, file.handle, run, iov),
+                    Err(e) => finish(w, cid, sid, Err(io_error(e))),
                 };
-                {
-                    let c = w.orfs_mut().client_mut(cid);
-                    if let Some(OpState::BufferedWrite(b)) = c.ops.get_mut(&sid) {
-                        b.fetching = Some(page_idx);
-                    }
-                }
-                let reqid = alloc_reqid(w, cid, sid);
-                let iov = IoVec::single(MemRef::physical(frame.base(), PAGE_SIZE));
-                let ch = w.orfs().client(cid).ch;
-                let _ = channel_post_recv(w, ch, reqid, iov);
-                send_request_with_id(
-                    w,
-                    cid,
-                    reqid,
-                    &Request::Read {
-                        handle: file.handle,
-                        offset: page_idx * PAGE_SIZE,
-                        len: PAGE_SIZE,
-                    },
-                );
-                return;
             }
+            Probe::InFlight => return,
+        }
+        // Copy user → page.
+        let src = cur.buf.sub_range(cur.done, n);
+        if let Err(e) = pageio::copy_in(w, node, engine(cid), key, page_off, src, Fill::Dirty) {
+            return finish(w, cid, sid, Err(io_error(e)));
+        }
+        pageio::charge_copy(w, node, n);
+        let c = w.orfs_mut().client_mut(cid);
+        c.stats.page_hits += 1;
+        if let Some(OpState::BufferedWrite(b)) = c.ops.get_mut(&sid) {
+            b.cur.done += n;
         }
     }
 }
@@ -1265,17 +1053,10 @@ fn advance_flush<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
     if fl.idx >= fl.pages.len() {
         // All pages written back.
         if fl.then_close {
-            let file = w.orfs().client(cid).file(fl.fd);
-            match file {
+            match w.orfs().client(cid).file(fl.fd) {
                 Ok(f) => {
-                    let c = w.orfs_mut().client_mut(cid);
-                    c.ops.insert(
-                        sid,
-                        OpState::MetaWait {
-                            kind: MetaKind::Close { fd: fl.fd },
-                        },
-                    );
-                    send_request(w, cid, sid, &Request::Close { handle: f.handle });
+                    let (kind, handle) = (MetaKind::Close { fd: fl.fd }, f.handle);
+                    await_meta(w, cid, sid, kind, &Request::Close { handle });
                 }
                 Err(e) => finish(w, cid, sid, Err(e)),
             }
@@ -1302,10 +1083,7 @@ fn advance_flush<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
     };
     let file = match w.orfs().client(cid).file(fl.fd) {
         Ok(f) => f,
-        Err(e) => {
-            finish(w, cid, sid, Err(e));
-            return;
-        }
+        Err(e) => return finish(w, cid, sid, Err(e)),
     };
     w.os_mut().node_mut(node).page_cache.clear_dirty(key);
     send_write_request(
@@ -1353,17 +1131,15 @@ pub fn client_on_event<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, ev: Transport
         TransportEvent::PeerDown { .. } => {
             // The server's node is gone: every in-flight operation fails
             // with a typed error — nothing may stall waiting for a reply
-            // that can never arrive.
-            let ch = w.orfs().client(cid).ch;
-            let (failed, sids) = {
-                let c = w.orfs_mut().client_mut(cid);
-                let sids: Vec<SyscallId> = c.ops.keys().copied().collect();
-                (c.reqs.fail_all(), sids)
-            };
+            // that can never arrive. The table is emptied first, so an op
+            // woken by an abandoned fetch finds itself gone instead of
+            // asking the dead server again.
+            let c = w.orfs_mut().client_mut(cid);
+            let (ch, failed, ops) = (c.ch, c.reqs.fail_all(), std::mem::take(&mut c.ops));
             for (reqid, _) in failed {
                 channel_cancel_recv(w, ch, reqid);
             }
-            for sid in sids {
+            for sid in ops.into_keys() {
                 finish(w, cid, sid, Err(OrfsError::Net));
             }
         }
@@ -1449,62 +1225,41 @@ fn on_response<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, resp:
             });
             finish(w, cid, sid, Ok(SysRet::Fd(fd)));
         }
-        OpState::MetaWait { kind } => match kind {
-            MetaKind::Stat => {
-                if let Response::Attr(a) = resp {
-                    let c = w.orfs_mut().client_mut(cid);
-                    if c.kind == ClientKind::KernelVfs {
+        OpState::MetaWait { kind } => {
+            let c = w.orfs_mut().client_mut(cid);
+            let caches = c.kind == ClientKind::KernelVfs;
+            let r = match (kind, resp) {
+                (MetaKind::Stat, Response::Attr(a)) => {
+                    if caches {
                         c.attrs.insert(a.ino, a);
                     }
-                    finish(w, cid, sid, Ok(SysRet::Attr(a)));
-                } else {
-                    finish(w, cid, sid, Err(OrfsError::Decode));
+                    Ok(SysRet::Attr(a))
                 }
-            }
-            MetaKind::Readdir => {
-                if let Response::Entries(es) = resp {
-                    finish(w, cid, sid, Ok(SysRet::Entries(es)));
-                } else {
-                    finish(w, cid, sid, Err(OrfsError::Decode));
-                }
-            }
-            MetaKind::Readlink => {
-                if let Response::Target(t) = resp {
-                    finish(w, cid, sid, Ok(SysRet::Target(t)));
-                } else {
-                    finish(w, cid, sid, Err(OrfsError::Decode));
-                }
-            }
-            MetaKind::CreateLike { dir, name } => {
-                if let Response::Ino(i) = resp {
-                    let c = w.orfs_mut().client_mut(cid);
-                    if c.kind == ClientKind::KernelVfs {
+                (MetaKind::Readdir, Response::Entries(es)) => Ok(SysRet::Entries(es)),
+                (MetaKind::Readlink, Response::Target(t)) => Ok(SysRet::Target(t)),
+                (MetaKind::CreateLike { dir, name }, Response::Ino(i)) => {
+                    if caches {
                         c.dentries.insert((dir, name), i);
                     }
-                    finish(w, cid, sid, Ok(SysRet::Ino(i)));
-                } else {
-                    finish(w, cid, sid, Err(OrfsError::Decode));
+                    Ok(SysRet::Ino(i))
                 }
-            }
-            MetaKind::Lookup { dir, name } => {
-                // Used for unlink/rmdir completion: invalidate caches.
-                let c = w.orfs_mut().client_mut(cid);
-                c.dentries.remove(&(dir, name));
-                finish(w, cid, sid, Ok(SysRet::Unit));
-            }
-            MetaKind::Close { fd } => {
-                let c = w.orfs_mut().client_mut(cid);
-                if let Some(slot) = c.fds.get_mut(fd as usize) {
-                    *slot = None;
+                // Unlink/rmdir completion: invalidate caches.
+                (MetaKind::Lookup { dir, name }, _) => {
+                    c.dentries.remove(&(dir, name));
+                    Ok(SysRet::Unit)
                 }
-                finish(w, cid, sid, Ok(SysRet::Unit));
-            }
-            MetaKind::Generic => match resp {
-                Response::Written(n) => finish(w, cid, sid, Ok(SysRet::Bytes(n))),
-                Response::Unit | Response::Ino(_) => finish(w, cid, sid, Ok(SysRet::Unit)),
-                _ => finish(w, cid, sid, Err(OrfsError::Decode)),
-            },
-        },
+                (MetaKind::Close { fd }, _) => {
+                    if let Some(slot) = c.fds.get_mut(fd as usize) {
+                        *slot = None;
+                    }
+                    Ok(SysRet::Unit)
+                }
+                (MetaKind::Generic, Response::Written(n)) => Ok(SysRet::Bytes(n)),
+                (MetaKind::Generic, Response::Unit | Response::Ino(_)) => Ok(SysRet::Unit),
+                _ => Err(OrfsError::Decode),
+            };
+            finish(w, cid, sid, r);
+        }
         OpState::DirectWrite { fd } => {
             let Response::Written(n) = resp else {
                 finish(w, cid, sid, Err(OrfsError::Decode));
@@ -1544,64 +1299,20 @@ fn on_response<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, resp:
 
 /// A data message landed in a posted buffer for `sid` (`len` bytes).
 fn on_data<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, len: u64) {
-    let st = {
-        let c = w.orfs().client(cid);
-        match c.ops.get(&sid) {
-            Some(s) => s.clone(),
-            None => return,
-        }
-    };
-    match st {
-        OpState::DirectRead => {
+    match w.orfs().client(cid).ops.get(&sid) {
+        Some(OpState::DirectRead) => {
             w.orfs_mut().client_mut(cid).stats.bytes_read += len;
             finish(w, cid, sid, Ok(SysRet::Bytes(len)));
         }
-        OpState::BufferedRead(br) => {
-            let (node, mount) = {
-                let c = w.orfs().client(cid);
-                (c.ep.node, c.mount_id)
-            };
-            if let Some((first, count)) = br.fetching {
-                let mut remaining = len;
-                for i in 0..count {
-                    let key = PageKey {
-                        mount,
-                        inode: br.ino,
-                        index: first + i,
-                    };
-                    if remaining > 0 {
-                        w.os_mut().node_mut(node).page_cache.mark_uptodate(key);
-                        remaining = remaining.saturating_sub(PAGE_SIZE);
-                    } else {
-                        // Short read (EOF): page holds zeroes but is valid.
-                        w.os_mut().node_mut(node).page_cache.mark_uptodate(key);
-                    }
-                }
-                let c = w.orfs_mut().client_mut(cid);
-                if let Some(OpState::BufferedRead(b)) = c.ops.get_mut(&sid) {
-                    b.fetching = None;
-                }
+        Some(OpState::BufferedRead(_) | OpState::BufferedWrite(_)) => {
+            // The run this op was fetching landed: its pages are up to
+            // date. Continue the op, then whoever was parked on them.
+            let node = w.orfs().client(cid).ep.node;
+            let parked = pageio::landed(w, node, engine(cid), sid);
+            resume(w, cid, sid);
+            for sid in parked {
+                resume(w, cid, sid);
             }
-            advance_buffered_read(w, cid, sid);
-        }
-        OpState::BufferedWrite(bw) => {
-            let (node, mount) = {
-                let c = w.orfs().client(cid);
-                (c.ep.node, c.mount_id)
-            };
-            if let Some(page_idx) = bw.fetching {
-                let key = PageKey {
-                    mount,
-                    inode: bw.ino,
-                    index: page_idx,
-                };
-                w.os_mut().node_mut(node).page_cache.mark_uptodate(key);
-                let c = w.orfs_mut().client_mut(cid);
-                if let Some(OpState::BufferedWrite(b)) = c.ops.get_mut(&sid) {
-                    b.fetching = None;
-                }
-            }
-            advance_buffered_write(w, cid, sid);
         }
         _ => {}
     }

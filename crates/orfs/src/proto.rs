@@ -34,6 +34,8 @@ pub enum OrfsError {
     BadHandle,
     /// Transport failure.
     Net,
+    /// The caller's buffer is not mapped (`EFAULT`).
+    Fault,
 }
 
 impl From<FsError> for OrfsError {
@@ -496,6 +498,7 @@ fn error_code(e: OrfsError) -> (u8, u8) {
         OrfsError::Decode => (1, 0),
         OrfsError::BadHandle => (2, 0),
         OrfsError::Net => (3, 0),
+        OrfsError::Fault => (4, 0),
     }
 }
 
@@ -506,6 +509,7 @@ fn error_from(class: u8, code: u8) -> OrfsError {
             .unwrap_or(OrfsError::Decode),
         1 => OrfsError::Decode,
         2 => OrfsError::BadHandle,
+        4 => OrfsError::Fault,
         _ => OrfsError::Net,
     }
 }
@@ -679,6 +683,8 @@ mod tests {
         for r in [
             Response::Err(OrfsError::Fs(FsError::NotFound)),
             Response::Err(OrfsError::BadHandle),
+            Response::Err(OrfsError::Net),
+            Response::Err(OrfsError::Fault),
             Response::Ino(77),
             Response::Attr(WireAttr {
                 ino: 3,

@@ -194,26 +194,10 @@ impl QosState {
         self.stats.entry(tenant).or_default().shed += 1;
     }
 
-    /// Fold bucket state into a fingerprint accumulator (tenant ids,
-    /// levels, refill instants) — the shard-equivalence hook.
-    pub fn fingerprint(&self, mut mix: impl FnMut(u64)) {
-        for ((nic, tenant), b) in &self.buckets {
-            mix(nic.0 as u64);
-            mix(*tenant as u64);
-            mix(b.level);
-            mix(b.last.nanos());
-        }
-        for (t, s) in &self.stats {
-            mix(*t as u64);
-            mix(s.admitted);
-            mix(s.deferred);
-            mix(s.shed);
-        }
-    }
-
-    /// [`Self::fingerprint`] restricted to one NIC's buckets, excluding the
-    /// per-tenant counters (which are world-global partial sums in a
-    /// sharded run): the shard-invariant slice — a NIC's buckets are only
+    /// Fold one NIC's bucket state into a fingerprint accumulator (tenant
+    /// ids, levels, refill instants) — the shard-equivalence hook. The
+    /// per-tenant counters stay out (they are world-global partial sums in
+    /// a sharded run): a NIC's buckets are the shard-invariant slice, only
     /// ever touched by its owning shard.
     pub fn fingerprint_nic(&self, nic: NicId, mut mix: impl FnMut(u64)) {
         for ((_, tenant), b) in self.buckets.range((nic, u32::MIN)..=(nic, u32::MAX)) {

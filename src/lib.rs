@@ -16,7 +16,7 @@
 //! | `knet-simcore` | discrete-event engine, virtual time, timed resources |
 //! | `knet-simos`   | CPU cost models, physical memory, address spaces, page-cache, VMA SPY |
 //! | `knet-simnic`  | Myrinet-like NIC: DMA, translation table, links, crossbar |
-//! | `knet-core`    | the paper's API: address classes, io-vectors, GMKRC, transport, **channels + completion queues + consumer registry**; above the channel, what every request/response service shares: the request seam (`req` — send-context map, staging ring, request table); below the transport, what both drivers share: the tenant pacing seam (`pace`), and the completion-event type and message engine — packet builder, MTU chunk loop, first-fit matching, reassembly — (`driver`) |
+//! | `knet-core`    | the paper's API: address classes, io-vectors, GMKRC, transport, **channels + completion queues + consumer registry**; above the channel, what every request/response service shares: the request seam (`req` — send-context map, staging ring, request table), and beside it what the two storage clients share toward the page-cache: the cached-I/O seam (`pageio` — page walk, copy-in / copy-out, in-flight ownership, landing and abandon rules); below the transport, what both drivers share: the tenant pacing seam (`pace`), and the completion-event type and message engine — packet builder, MTU chunk loop, first-fit matching, reassembly — (`driver`) |
 //! | `knet-gm`      | GM driver: registration, event queues, kernel port, physical patch |
 //! | `knet-mx`      | MX driver: matching, small/medium/large protocols, copy removal |
 //! | `knet-simfs`   | ext2-like server file system |
@@ -32,7 +32,14 @@
 //!
 //! * in-kernel services (ORFS, NBD, sockets) register an upcall handler at
 //!   creation — `server_create`, `client_create`, `sock_create`,
-//!   `nbd_*_create` all bind their endpoints themselves;
+//!   `nbd_*_create` all bind their endpoints themselves; the two storage
+//!   clients (ORFS, NBD) additionally share `knet_core::pageio`, the
+//!   cached-I/O seam between an op and the node's page-cache. What still
+//!   differs between them stays in them: the wire format of a fetch, the
+//!   run length (ORFS combines pages on MX, NBD fetches one sector), EOF
+//!   (a file has a size to clamp to and to decide read-modify-write from,
+//!   a device does not) and write-back (ORFS: dirty, flushed on `fsync`)
+//!   versus write-through (NBD: up to date, sent at once);
 //! * polling drivers bind endpoints to a **completion queue**
 //!   ([`ClusterWorld::open_mx_cq`] / [`ClusterWorld::attach_cq`]) and pop
 //!   [`knet_core::CqEntry`]s — queues are indexed per endpoint, so popping

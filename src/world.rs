@@ -270,22 +270,13 @@ impl ClusterWorld {
             .collect()
     }
 
-    /// Fold every tenant-visible scheduler and admission state into a
-    /// fingerprint accumulator: channel WDRR lanes, driver pacing lanes,
-    /// token buckets. Zero-cost mix when no tenant is configured; used by
-    /// `tests/sched_equivalence.rs` to prove shard invariance.
-    pub fn tenant_fingerprint(&self, mut mix: impl FnMut(u64)) {
-        self.registry.wdrr_fingerprint(&mut mix);
-        self.gm.paced.fingerprint(&mut mix);
-        self.mx.paced.fingerprint(&mut mix);
-        self.nics.qos.fingerprint(&mut mix);
-    }
-
-    /// [`Self::tenant_fingerprint`] restricted to one node's slice —
-    /// channels homed on the node, pacing lanes and token buckets of its
-    /// NIC. In a sharded run a node's slice is authoritative only on the
-    /// owning shard world, so equivalence tests fold node slices from their
-    /// owners and get bit-identical results at every shard count.
+    /// Fold one node's slice of the tenant-visible scheduler and admission
+    /// state into a fingerprint accumulator: WDRR lanes of the channels
+    /// homed on the node, pacing lanes and token buckets of its NIC. In a
+    /// sharded run a node's slice is authoritative only on the owning shard
+    /// world, so equivalence tests (`tests/sched_equivalence.rs`) fold node
+    /// slices from their owners and get bit-identical results at every
+    /// shard count. Mixes nothing when no tenant is configured.
     pub fn tenant_fingerprint_node(&self, node: NodeId, mut mix: impl FnMut(u64)) {
         self.registry.wdrr_fingerprint_node(node.0, &mut mix);
         if let Some(nic) = self.nics.nic_of_node(node) {

@@ -17,12 +17,14 @@
 //! channel queue are its only possible users — naming it anywhere else is
 //! a compile error.
 //!
-//! The last two entries are not layering boundaries. One is a performance
-//! boundary: the registry's and the reliability layer's tables are indexed
-//! by the ids this program mints, never searched or SipHashed per event.
-//! The other keeps one implementation one: how a message moves (chunking,
-//! packet building, matching, reassembly) lives in `knet_core::driver`, and
-//! neither driver may grow its own copy back.
+//! The last three entries are not layering boundaries. One is a
+//! performance boundary: the registry's and the reliability layer's tables
+//! are indexed by the ids this program mints, never searched or SipHashed
+//! per event. The other two keep one implementation one: how a message
+//! moves (chunking, packet building, matching, reassembly) lives in
+//! `knet_core::driver`, and neither driver may grow its own copy back; how
+//! a cached page is walked, filled, landed and given back lives in
+//! `knet_core::pageio`, and neither storage client may.
 
 use std::fs;
 use std::path::Path;
@@ -516,4 +518,33 @@ fn message_mechanics_live_in_the_shared_engine_only() {
         .collect();
     assert_eq!(chunkers.len(), 1, "{chunkers:#?}");
     assert!(chunkers[0].contains("crates/core/src/driver.rs"));
+}
+
+/// What a storage client does toward the page-cache — the walk, the page ↔
+/// buffer copy, marking a landed fetch up to date, evicting an abandoned
+/// one, and observing completion once the charged CPU work has drained —
+/// is written once, in `knet_core::pageio`. A service that inserts or marks
+/// a page itself has forked the lifecycle (absent / in flight under one
+/// fetch / up to date), and with it the rule for giving frames back.
+/// (Write-back — `dirty_pages`, `peek`, `clear_dirty` — is policy only
+/// ORFS has, and stays there.)
+#[test]
+fn cached_io_lives_in_the_shared_engine_only() {
+    let services = ["crates/orfs/src", "crates/nbd/src", "crates/zsock/src"];
+    // Patterns assembled at runtime so this file never matches itself.
+    let patterns = vec![
+        format!("page_cache.{}(", "insert"),
+        format!("mark_{}(", "uptodate"),
+        format!("mark_{}(", "dirty"),
+        format!("free_{}()", "at"),
+    ];
+    let mut offenders = offenders_for(&services, &patterns);
+    let old_walk = vec![format!("fn advance_{}", "buffered")];
+    offenders.extend(offenders_for(&["crates/nbd"], &old_walk));
+    assert!(
+        offenders.is_empty(),
+        "page-cache mechanics hand-rolled in a service (use knet_core::pageio's \
+         read_step / copy_in / landed / abandoned / when_drained):\n{}",
+        offenders.join("\n")
+    );
 }

@@ -588,6 +588,11 @@ fn nbd_server_kill_spares_surviving_traffic() {
     // Reads in flight toward both servers when node 1 dies. The dead
     // server's read targets sectors beyond the written (client-cached)
     // range, so it must fetch over the wire.
+    let held = |w: &ClusterWorld| {
+        let os = w.os.node(n0);
+        (os.mem.allocated_frames(), os.page_cache.len())
+    };
+    let before = held(&w);
     let dead_op = nbd_read(&mut w, cid_a, ub.memref_at(512 * 1024, 20_000), 1_000_000);
     let live_op = nbd_read(&mut w, cid_b, ub.memref_at(640 * 1024, 20_000), 100);
     w.set_fault_plan(FaultPlan::new(5).with_kill(n1, SimTime::ZERO));
@@ -604,10 +609,13 @@ fn nbd_server_kill_spares_surviving_traffic() {
         .unwrap();
     assert_eq!(got, data[100..20_100], "surviving read byte-exact");
 
-    // Later ops toward the dead server fail fast; the survivor keeps
-    // serving raw zero-copy reads.
-    let op = nbd_read(&mut w, cid_a, ub.memref_at(512 * 1024, 4096), 2_000_000);
+    // Later ops toward the dead server fail fast — the very sector whose
+    // fetch died included: its never-filled frame went back with the op,
+    // and goes back again. The survivor keeps serving raw zero-copy reads.
+    assert_eq!(held(&w), before, "the abandoned fetch left nothing behind");
+    let op = nbd_read(&mut w, cid_a, ub.memref_at(512 * 1024, 4096), 1_000_000);
     assert_eq!(nbd_wait(&mut w, cid_a, op), Err(NetError::PeerUnreachable));
+    assert_eq!(held(&w), before);
     use knet_nbd::SECTOR_SIZE;
     let raw_len = 2 * SECTOR_SIZE;
     let op = nbd_read_raw(&mut w, cid_b, ub.memref_at(512 * 1024, raw_len), 4);

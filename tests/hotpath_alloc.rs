@@ -985,3 +985,65 @@ fn orfs_and_nbd_request_paths_keep_the_request_seam_flat() {
         "steady-state requests must not grow a request table or the context pool"
     );
 }
+
+/// The cached-I/O engine (`knet_core::pageio`) under both storage clients
+/// copies every page through one recycled bounce buffer: once warm, an op
+/// served from the page-cache allocates the same handful of times whether
+/// it covers one page or sixteen (the op record, its completion event) —
+/// nothing per page, on the read side or in the write side's copy-in.
+#[test]
+fn cached_io_allocations_do_not_grow_with_the_page_count() {
+    use knet::figures::{fs_fixture, FsOpts};
+    use knet::harness::{fsops, ubuf};
+    use knet::prelude::*;
+
+    const BIG: u64 = 64 * 1024;
+    let mut fx = fs_fixture(FsOpts {
+        file_len: 1 << 20,
+        ..FsOpts::default()
+    });
+    let n0 = fx.client_node;
+    let nbd_user = ubuf(&mut fx.w, n0, BIG);
+    let nbd_cep = fx.w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
+    let nbd_sep = fx.w.open_mx(NodeId(1), MxEndpointConfig::kernel()).unwrap();
+    knet_nbd::nbd_server_create(&mut fx.w, nbd_sep, 1024).unwrap();
+    let nbd = knet_nbd::nbd_client_create(&mut fx.w, nbd_cep, nbd_sep, 7).unwrap();
+    let fd = fsops::open(&mut fx.w, fx.cid, "/data", false).unwrap();
+    let (w, cid, user) = (&mut fx.w, fx.cid, fx.user);
+
+    let nbd_read = |w: &mut ClusterWorld, len: u64| {
+        let op = knet_nbd::nbd_read(w, nbd, nbd_user.memref(len), 0);
+        knet_simcore::run_to_quiescence(w);
+        let c = &mut w.nbd.clients[nbd.0 as usize];
+        assert_eq!(knet_nbd::nbd_wait(c, op), Some(Ok(len)));
+    };
+    // Warm-up: the pages enter the cache, the bounce buffer and the
+    // completion queues reach their high-water marks.
+    let op = knet_nbd::nbd_write(w, nbd, nbd_user.memref(BIG), 0);
+    knet_simcore::run_to_quiescence(w);
+    let c = &mut w.nbd.clients[nbd.0 as usize];
+    assert_eq!(knet_nbd::nbd_wait(c, op), Some(Ok(BIG)));
+    for len in [BIG, PAGE_SIZE, BIG] {
+        assert_eq!(fsops::read(w, cid, fd, user.memref(len), 0), Ok(len));
+        assert_eq!(fsops::write(w, cid, fd, user.memref(len), 0), Ok(len));
+        nbd_read(w, len);
+    }
+    let misses = w.os.node(n0).page_cache.stats.misses;
+
+    let mut allocs = |len: u64| {
+        let (read, _) = count(|| fsops::read(w, cid, fd, user.memref(len), 0).unwrap());
+        let (write, _) = count(|| fsops::write(w, cid, fd, user.memref(len), 0).unwrap());
+        let (block, _) = count(|| nbd_read(w, len));
+        (read, write, block)
+    };
+    let (one_page, sixteen_pages) = (allocs(PAGE_SIZE), allocs(BIG));
+    assert_eq!(
+        sixteen_pages, one_page,
+        "allocations of a cached (ORFS read, ORFS write, NBD read) of 16 pages vs 1"
+    );
+    assert_eq!(
+        w.os.node(n0).page_cache.stats.misses,
+        misses,
+        "every counted op was served from the cache"
+    );
+}
