@@ -96,19 +96,17 @@ fn echo_point(cfg: &Config, payload: u64, loss_pct: u64, seed: u64) -> EchoPoint
     // recycles under the paced load.
     type DoneRec = Arc<Mutex<Vec<(RpcCall, u64, bool)>>>;
     let done: DoneRec = Default::default();
-    let sink = {
+    let on_done: RpcSinkFn<ClusterWorld> = {
         let d = done.clone();
-        RpcSink::Handler(Arc::new(
-            move |w: &mut ClusterWorld, comp: RpcCompletion| {
-                let t = now(w).nanos();
-                let ok = comp.result.is_ok();
-                if ok {
-                    let mut scratch = Vec::new();
-                    rpc_collect(w, comp.client, comp.call, &mut scratch);
-                }
-                d.lock().unwrap().push((comp.call, t, ok));
-            },
-        ))
+        Arc::new(move |w: &mut ClusterWorld, comp: RpcCompletion| {
+            let t = now(w).nanos();
+            let ok = comp.result.is_ok();
+            if ok {
+                let mut scratch = Vec::new();
+                rpc_collect(w, comp.client, comp.call, &mut scratch);
+            }
+            d.lock().unwrap().push((comp.call, t, ok));
+        })
     };
     let ccfg = RpcClientConfig {
         req_cap: payload + 128,
@@ -120,7 +118,7 @@ fn echo_point(cfg: &Config, payload: u64, loss_pct: u64, seed: u64) -> EchoPoint
         },
         ..Default::default()
     };
-    let cid = rpc_client_create(&mut w, cep, sep, "bench", sink, ccfg).unwrap();
+    let cid = rpc_client_create(&mut w, cep, sep, "bench", on_done, ccfg).unwrap();
 
     // Pace calls below the window's service rate: ~16 ns/byte of eager
     // serialization means a 32 kB echo takes ~0.5 ms, so the inter-call

@@ -1,7 +1,7 @@
 //! Channels, completion queues and the consumer dispatch registry — the
 //! handle-based face of the kernel network API.
 //!
-//! The raw [`TransportWorld`](crate::transport::TransportWorld) interface
+//! The raw [`TransportWorld`] interface
 //! moves bytes but leaves three problems to its callers: *who* consumes an
 //! endpoint's completion events, *how* driver quirks (GM's single-segment
 //! sends, bounded send tokens) surface, and *where* batching policy lives.
@@ -1349,7 +1349,7 @@ pub fn channel_post_recv<W: DispatchWorld>(
 /// * returns `true` ⇒ the consumer will **never** observe a `RecvDone` for
 ///   this tag — either the receive was still pending in the driver, queued
 ///   or captured by a half-arrived eager message
-///   ([`TransportWorld::t_cancel_recv`](crate::transport::TransportWorld::t_cancel_recv)
+///   ([`TransportWorld::t_cancel_recv`]
 ///   withdrew it), or its completion had already been delivered to the
 ///   channel's CQ but **not yet popped**, in which case the queued entry is
 ///   dropped here (counted in [`RegistryStats::cancelled_completions`]);

@@ -1,7 +1,11 @@
 //! The driver seam: what GM and MX do the same way, written once.
 //!
-//! * what a driver **reports** — completion events ([`DriverEvent`]) and
-//!   scratch-buffer accounting ([`ScratchStats`]);
+//! * where a driver **reports** — the one completion hook
+//!   ([`CompletionHook::complete`]): a completion is a [`TransportEvent`]
+//!   from the moment the driver creates it, handed to the endpoint's
+//!   consumer in one call, its sender named from the packet's source NIC
+//!   and the wire header ([`Assembly::sender`]) — and scratch-buffer
+//!   accounting ([`ScratchStats`]);
 //! * how a message **moves** — the packet builder and the one MTU chunk
 //!   loop ([`Route::send`], [`send_chunks`]), the first-fit matcher over
 //!   posted buffers ([`first_fit`], [`Posted`]), and the reassembly table
@@ -31,67 +35,23 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 use knet_simcore::{IdHashMap, SimTime};
 use knet_simnic::{
-    dma_charge, dma_gather, dma_scatter, fw_charge, rel_send, MsgHeader, NicId, NicWorld, Packet,
-    Proto,
+    dma_charge, dma_gather, dma_scatter, fw_charge, rel_send, MsgHeader, NicId, NicLayer, NicWorld,
+    Packet, Proto,
 };
 use knet_simos::{NodeId, OsError, PhysSeg};
 
-use crate::error::NetError;
 use crate::iovec::{next_chunk, seg_window_into, ChunkCursor};
 use crate::tenant::TenantId;
-use crate::transport::{Endpoint, TransportEvent};
+use crate::transport::{Endpoint, TransportEvent, TransportKind};
 
-/// Completion events in a driver port's / endpoint's queue. `Id` is the
-/// driver's own endpoint identifier (`GmPortId`, `MxEndpointId`); the
-/// drivers export this type as `GmEvent` / `MxEvent`.
-#[derive(Clone, Debug)]
-pub enum DriverEvent<Id> {
-    /// A send completed locally: the buffer is reusable (and, on GM, the
-    /// send token is back).
-    SendDone { ctx: u64 },
-    /// A message landed in a posted / provided receive buffer.
-    RecvDone {
-        ctx: u64,
-        tag: u64,
-        len: u64,
-        from: Id,
-    },
-    /// A message arrived with no matching buffer and is delivered inline
-    /// (GM: through the pre-registered bounce pool; MX: endpoints opened
-    /// with `deliver_unexpected`). The extra host copy is already charged.
-    Unexpected { tag: u64, data: Bytes, from: Id },
-    /// A send the driver still held — parked in a tenant pacing lane, or a
-    /// rendezvous waiting for its CTS — failed (peer died, endpoint closed,
-    /// policy shed it): no payload left the node and no `SendDone` will
-    /// arrive for `ctx`.
-    SendFailed { ctx: u64, error: NetError },
-}
-
-impl<Id> DriverEvent<Id> {
-    /// The transport-level form of this event; `endpoint_of` names the
-    /// sending peer of a receive as a transport [`Endpoint`].
-    pub fn into_transport(self, endpoint_of: impl FnOnce(Id) -> Endpoint) -> TransportEvent {
-        match self {
-            DriverEvent::SendDone { ctx } => TransportEvent::SendDone { ctx },
-            DriverEvent::SendFailed { ctx, error } => TransportEvent::SendFailed { ctx, error },
-            DriverEvent::RecvDone {
-                ctx,
-                tag,
-                len,
-                from,
-            } => TransportEvent::RecvDone {
-                ctx,
-                tag,
-                len,
-                from: endpoint_of(from),
-            },
-            DriverEvent::Unexpected { tag, data, from } => TransportEvent::Unexpected {
-                tag,
-                data,
-                from: endpoint_of(from),
-            },
-        }
-    }
+/// The one completion hook both driver world-traits require. A driver
+/// calls it once per completion — `SendDone`, `RecvDone`, `Unexpected`,
+/// `SendFailed` — after its own bookkeeping, with the open endpoint the
+/// completion belongs to; a completion for an endpoint closed meanwhile is
+/// dropped by the driver and never reaches the hook. The composed world
+/// implements it as `api::deliver`; a driver's unit-test world records.
+pub trait CompletionHook {
+    fn complete(&mut self, ep: Endpoint, ev: TransportEvent);
 }
 
 /// Observability for a driver's recycled scratch buffers (see
@@ -257,8 +217,8 @@ type AssemblyKey = (u32, u32, u64);
 /// Receive-side state of one message from its first arriving chunk until
 /// its last.
 pub struct Assembly<B> {
-    /// Sending endpoint (driver-local index).
-    pub from: u32,
+    /// Sending endpoint (driver-local index; see [`Self::sender`]).
+    from: u32,
     pub tag: u64,
     pub total: u64,
     received: u64,
@@ -313,6 +273,17 @@ impl<B> Assembly<B> {
             payload.clone()
         } else {
             Bytes::copy_from_slice(&self.ring)
+        }
+    }
+
+    /// The sending endpoint, named where the driver knows it: the node
+    /// behind the sending NIC, the index from the wire header — whether or
+    /// not that endpoint is still open.
+    pub fn sender(&self, nics: &NicLayer, kind: TransportKind) -> Endpoint {
+        Endpoint {
+            kind,
+            node: nics.get(self.link.1).node,
+            idx: self.from,
         }
     }
 }

@@ -61,13 +61,12 @@ impl From<OsError> for NetError {
 }
 
 /// How an RPC issued through `knet-rpc` can fail. This is the complete
-/// caller-visible taxonomy: every call resolves with exactly one
-/// [`TransportEvent::RpcDone`](crate::TransportEvent::RpcDone) carrying
-/// either a payload length or one of these — never a hang.
+/// caller-visible taxonomy: every call resolves with exactly one completion
+/// (`knet_rpc::RpcCompletion`) carrying either a payload length or one of
+/// these — never a hang.
 ///
-/// The type lives here (next to [`NetError`]) because it rides the
-/// completion-queue dispatch path, which is core vocabulary; the `knet-rpc`
-/// crate re-exports it.
+/// The type lives here, next to [`NetError`]; the `knet-rpc` crate
+/// re-exports it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RpcError {
     /// The call's virtual-time deadline passed before a reply was

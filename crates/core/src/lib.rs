@@ -32,9 +32,11 @@
 //!   write-through (NBD marks up to date and sends at once);
 //! * [`pace`] and [`driver`] — what sits *below* the transport and is the
 //!   same for both drivers: the tenant pacing seam between the NIC's token
-//!   buckets and a driver's send pipeline; the completion-event type, and
-//!   the message engine — MTU segmentation, first-fit matching of posted
-//!   buffers, reassembly, and the rule for giving a captured buffer back;
+//!   buckets and a driver's send pipeline; the one completion hook, through
+//!   which a driver hands each [`TransportEvent`] straight to the
+//!   endpoint's consumer, and the message engine — MTU segmentation,
+//!   first-fit matching of posted buffers, reassembly, and the rule for
+//!   giving a captured buffer back;
 //! * [`error`] — the unified error type.
 //!
 //! The two drivers implementing this API live in `knet-gm` and `knet-mx`.
@@ -59,7 +61,7 @@ pub use api::{
 };
 pub use driver::{
     first_fit, host_completion, land, send_chunks, tag_matches, take_first, take_tag, Assembly,
-    ChunkSource, DriverEvent, Posted, Reassembly, Route, ScratchStats, ANY_TAG,
+    ChunkSource, CompletionHook, Posted, Reassembly, Route, ScratchStats, ANY_TAG,
 };
 pub use error::{NetError, RpcError};
 pub use iovec::{

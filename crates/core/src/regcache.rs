@@ -1,4 +1,4 @@
-//! GMKRC — the kernel registration cache (paper §3.2, after [TOHI98]).
+//! GMKRC — the kernel registration cache (paper §3.2, after \[TOHI98\]).
 //!
 //! Registration is so expensive (3 µs/page, 200 µs deregistration base in GM)
 //! that it only pays off when buffers are reused. The pin-down cache defers

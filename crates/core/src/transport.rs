@@ -113,19 +113,6 @@ pub enum TransportEvent {
         group: u32,
         error: NetError,
     },
-    /// An RPC issued through `knet-rpc` resolved. `call` is the
-    /// generation-tagged correlation id `rpc_call` returned; on success
-    /// `len` is the reply payload length (collect it with `rpc_collect`),
-    /// on failure `error` names the single typed cause — there is no
-    /// untyped outcome and no hang. Pushed by the RPC layer onto the
-    /// client's completion queue (per-endpoint indexed like every other
-    /// kind) for polling consumers; handler-sink clients receive the same
-    /// value as an upcall instead.
-    RpcDone {
-        call: u64,
-        len: u64,
-        error: Option<crate::error::RpcError>,
-    },
 }
 
 /// World capability: send/receive over whichever driver owns the endpoint.

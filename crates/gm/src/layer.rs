@@ -5,7 +5,10 @@
 //! * message passing with *send tokens* bounding pending requests;
 //! * all I/O buffers must be **registered** first (pin + NIC-table entry),
 //!   3 µs/page to register, 200 µs base to deregister;
-//! * completions arrive in a per-port **event queue** the host polls;
+//! * completions reach the host through the port's **event queue**: the
+//!   completion record's DMA plus the host's poll (or, for sleeping
+//!   in-kernel consumers, the notification wake-up), after which the
+//!   completion goes to the port's consumer;
 //! * receive buffers are *provided* ahead of time; messages that find no
 //!   buffer land in a pre-registered bounce pool and reach the host with an
 //!   extra copy (how real GM applications handled unexpected traffic);
@@ -18,8 +21,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use knet_core::{
     host_completion, land, pace_drain, pace_submit, pace_timer_fired, send_chunks, take_tag,
-    ChunkSource, DriverEvent, IoVec, MemRef, NetError, PaceLanes, PacedSend, Posted, RangePlan,
-    Reassembly, RegCache, RegKey, Route, ScratchStats, SegList, TenantId, ANY_TAG,
+    ChunkSource, CompletionHook, Endpoint, IoVec, MemRef, NetError, PaceLanes, PacedSend, Posted,
+    RangePlan, Reassembly, RegCache, RegKey, Route, ScratchStats, SegList, TenantId,
+    TransportEvent, TransportKind, ANY_TAG,
 };
 use knet_simcore::{SimTime, SimWorld};
 use knet_simnic::{
@@ -104,11 +108,6 @@ impl GmPortConfig {
     }
 }
 
-/// Completion events delivered to a port's event queue. `SendDone` also
-/// returns the send token; `Unexpected` messages were bounced through the
-/// pre-registered pool.
-pub type GmEvent = DriverEvent<GmPortId>;
-
 /// Per-port counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GmStats {
@@ -154,8 +153,6 @@ pub struct GmPort {
     pub regcache: Option<RegCache>,
     send_tokens: usize,
     recv_queue: VecDeque<ProvidedBuffer>,
-    /// The host-visible event queue.
-    pub events: VecDeque<GmEvent>,
     /// Explicit (non-cached) registrations: key → pinned frames of the page.
     explicit: BTreeMap<RegKey, Option<FrameIdx>>,
     pub stats: GmStats,
@@ -215,7 +212,7 @@ impl<W: GmWorld> PacedSend<W> for PacedGmSend {
         let node = w.gm().port(self.port).ok()?.node.0;
         let ev = W::lift_gm(GmEv::Complete {
             port: self.port,
-            ev: GmEvent::SendFailed {
+            ev: TransportEvent::SendFailed {
                 ctx: self.ctx,
                 error,
             },
@@ -299,15 +296,16 @@ impl Default for GmLayer {
     }
 }
 
-/// Capability trait: a world running the GM driver.
 /// Typed engine events for the GM layer: host-side completions that fire
 /// after the completion-record DMA (plus host polling cost) lands. Composed
 /// worlds embed these in their event enum via [`GmWorld::lift_gm`].
 #[derive(Debug)]
 pub enum GmEv {
-    /// Push a completion onto `port`'s event queue (charging the matching
-    /// stats) and run the world's dispatch hook.
-    Complete { port: GmPortId, ev: GmEvent },
+    /// Complete `ev` on `port`: a `SendDone` returns the send token, a
+    /// receive is counted (an `Unexpected` one was bounced through the
+    /// pre-registered pool), then the completion goes to the port's
+    /// consumer ([`CompletionHook::complete`]).
+    Complete { port: GmPortId, ev: TransportEvent },
     /// A tenant pace timer fired: drain `nic`'s pacing lanes against the
     /// (now refilled) token buckets.
     Pace { nic: NicId },
@@ -317,47 +315,50 @@ pub enum GmEv {
 pub fn run_gm_ev<W: GmWorld>(w: &mut W, ev: GmEv) {
     match ev {
         GmEv::Complete { port, ev } => {
+            // A port closed meanwhile takes no completions.
+            let Ok(p) = w.gm_mut().port_mut(port) else {
+                return;
+            };
             let mut token_back_on = None;
-            if let Ok(p) = w.gm_mut().port_mut(port) {
-                match &ev {
-                    GmEvent::SendDone { .. } => {
-                        p.send_tokens += 1;
-                        token_back_on = Some(p.nic);
-                    }
-                    GmEvent::RecvDone { len, .. } => {
-                        p.stats.recvs += 1;
-                        p.stats.bytes_received += *len;
-                    }
-                    GmEvent::Unexpected { data, .. } => {
-                        p.stats.unexpected += 1;
-                        p.stats.bytes_received += data.len() as u64;
-                    }
-                    GmEvent::SendFailed { .. } => {}
+            match &ev {
+                TransportEvent::SendDone { .. } => {
+                    p.send_tokens += 1;
+                    token_back_on = Some(p.nic);
                 }
-                p.events.push_back(ev);
+                TransportEvent::RecvDone { len, .. } => {
+                    p.stats.recvs += 1;
+                    p.stats.bytes_received += *len;
+                }
+                TransportEvent::Unexpected { data, .. } => {
+                    p.stats.unexpected += 1;
+                    p.stats.bytes_received += data.len() as u64;
+                }
+                _ => {}
             }
+            let ep = Endpoint {
+                kind: TransportKind::Gm,
+                node: p.node,
+                idx: port.0,
+            };
             // A returned token can unblock a pacing lane that stalled on
-            // `NoSendTokens`; drain before the dispatch hook so parked
-            // (older) sends beat the channel layer's retry queue to it.
+            // `NoSendTokens`; drain before delivering so parked (older)
+            // sends beat the channel layer's retry queue to it.
             if let Some(nic) = token_back_on {
                 if w.gm().paced.backlog(nic) > 0 {
                     pace_drain::<W, PacedGmSend>(w, nic);
                 }
             }
-            w.gm_dispatch(port);
+            w.complete(ep, ev);
         }
         GmEv::Pace { nic } => pace_timer_fired::<W, PacedGmSend>(w, nic),
     }
 }
 
-pub trait GmWorld: NicWorld {
+/// Capability trait: a world running the GM driver. Completions leave
+/// through the world's [`CompletionHook`].
+pub trait GmWorld: NicWorld + CompletionHook {
     fn gm(&self) -> &GmLayer;
     fn gm_mut(&mut self) -> &mut GmLayer;
-
-    /// Called whenever an event is pushed to `port`'s queue. The composed
-    /// world routes this to the port's owner; the default (benchmark
-    /// drivers) leaves events in the queue to be polled.
-    fn gm_dispatch(&mut self, _port: GmPortId) {}
 
     /// Wrap a GM event into the world's typed event enum. The default boxes
     /// (fine for tests); the composed cluster world overrides it with a
@@ -386,7 +387,6 @@ pub fn gm_open_port<W: GmWorld>(
         regcache: cfg.regcache_pages.map(RegCache::new),
         send_tokens,
         recv_queue: VecDeque::new(),
-        events: VecDeque::new(),
         explicit: BTreeMap::new(),
         stats: GmStats::default(),
         open: true,
@@ -589,7 +589,8 @@ fn resolve_for_wire<W: GmWorld>(
 const PKT_KIND_DATA: u8 = 0;
 
 /// `gm_send_with_callback`: send `buf` to `dest`. Asynchronous; a
-/// [`GmEvent::SendDone`] with `ctx` is pushed when the buffer is reusable.
+/// [`TransportEvent::SendDone`] with `ctx` completes when the buffer is
+/// reusable.
 ///
 /// `tag` travels with the message for receive matching (the correlation the
 /// in-kernel users layer over GM; plain MPI-over-GM uses `GM_ANY_TAG`
@@ -741,7 +742,7 @@ fn gm_send_admitted<W: GmWorld>(
     let ev_done = dma_charge(w, nic, sent?, 64); // completion record DMA
     let ev = W::lift_gm(GmEv::Complete {
         port: port_id,
-        ev: GmEvent::SendDone { ctx },
+        ev: TransportEvent::SendDone { ctx },
     });
     knet_simcore::emit_at(w, node.0, ev_done, ev);
     Ok(())
@@ -882,9 +883,9 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     if blocking {
         host_cost += params.blocking_notify;
     }
-    let from = GmPortId(a.from);
+    let from = a.sender(w.nics(), TransportKind::Gm);
     let ev = match a.matched.take() {
-        Some(buf) => GmEvent::RecvDone {
+        Some(buf) => TransportEvent::RecvDone {
             ctx: buf.ctx,
             tag: a.tag,
             len: a.total,
@@ -893,7 +894,7 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         None => {
             // Unexpected: the host copies the message out of the bounce pool.
             host_cost += w.os().node(node).cpu.model.ring_copy_cost(a.total);
-            GmEvent::Unexpected {
+            TransportEvent::Unexpected {
                 tag: a.tag,
                 data: a.staged_bytes(&pkt.payload),
                 from,
@@ -906,14 +907,10 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     knet_simcore::emit_at(w, node.0, done, ev);
 }
 
-/// Pop the next pending event from a port's queue (host polling).
-pub fn gm_next_event<W: GmWorld>(w: &mut W, port_id: GmPortId) -> Option<GmEvent> {
-    w.gm_mut().port_mut(port_id).ok()?.events.pop_front()
-}
-
 /// Close a port: drain its registration cache and explicit registrations
 /// (paying one batched deregistration), purge its NIC translations, unpin
-/// everything, and drop queued buffers/events. Returns when the host-side
+/// everything, and drop its provided buffers. Completions still on their
+/// way to the port are dropped when they land. Returns when the host-side
 /// teardown completes.
 pub fn gm_close_port<W: GmWorld>(w: &mut W, port_id: GmPortId) -> Result<SimTime, NetError> {
     let (node, nic) = {
@@ -956,7 +953,6 @@ pub fn gm_close_port<W: GmWorld>(w: &mut W, port_id: GmPortId) -> Result<SimTime
         w.gm_mut().assemblies.abandon(|port, _| port == port_id.0);
         let p = w.gm_mut().port_mut(port_id)?;
         p.recv_queue.clear();
-        p.events.clear();
         p.open = false;
         p.stats.pages_deregistered += pages;
         if pages > 0 {

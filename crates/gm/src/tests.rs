@@ -2,16 +2,18 @@
 //! calibration checks the figures depend on.
 
 use bytes::Bytes;
-use knet_core::{IoVec, MemRef, NetError, TenantId};
+use knet_core::{
+    CompletionHook, Endpoint, IoVec, MemRef, NetError, TenantId, TransportEvent, TransportKind,
+};
 use knet_simcore::{run_to_quiescence, run_until, RunOutcome, Scheduler, SimTime, SimWorld};
 use knet_simnic::{FaultPlan, NicId, NicLayer, NicModel, NicWorld, Packet, Proto, QosPolicy};
 use knet_simos::{munmap, CpuModel, NodeId, OsLayer, OsWorld, Prot, VirtAddr, VmaEvent, PAGE_SIZE};
 
 use crate::cache::{gm_on_vma_event, gm_send_cached};
 use crate::layer::{
-    gm_cancel_receive_buffer, gm_close_port, gm_next_event, gm_on_packet, gm_open_port,
-    gm_peer_down, gm_provide_receive_buffer, gm_register, gm_send, gm_send_t, GmEvent, GmLayer,
-    GmPortConfig, GmPortId, GmWorld, GM_ANY_TAG,
+    gm_cancel_receive_buffer, gm_close_port, gm_on_packet, gm_open_port, gm_peer_down,
+    gm_provide_receive_buffer, gm_register, gm_send, gm_send_t, GmLayer, GmPortConfig, GmPortId,
+    GmWorld, GM_ANY_TAG,
 };
 use crate::params::GmParams;
 
@@ -20,6 +22,8 @@ struct World {
     os: OsLayer,
     nics: NicLayer,
     gm: GmLayer,
+    /// Every completion the driver handed up, oldest first.
+    completed: Vec<(Endpoint, TransportEvent)>,
 }
 
 impl SimWorld for World {
@@ -55,6 +59,11 @@ impl NicWorld for World {
         }
     }
 }
+impl CompletionHook for World {
+    fn complete(&mut self, ep: Endpoint, ev: TransportEvent) {
+        self.completed.push((ep, ev));
+    }
+}
 impl GmWorld for World {
     fn gm(&self) -> &GmLayer {
         &self.gm
@@ -70,6 +79,7 @@ fn world_with(params: GmParams) -> (World, NodeId, NodeId) {
         os: OsLayer::new(),
         nics: NicLayer::new(),
         gm: GmLayer::new(params),
+        completed: Vec::new(),
     };
     let n0 = w.os.add_node(CpuModel::xeon_2600(), 4096);
     let n1 = w.os.add_node(CpuModel::xeon_2600(), 4096);
@@ -82,20 +92,35 @@ fn world() -> (World, NodeId, NodeId) {
     world_with(GmParams::default())
 }
 
-fn has_recv(w: &World, port: GmPortId) -> bool {
-    w.gm.port(port)
-        .map(|p| {
-            p.events
-                .iter()
-                .any(|e| matches!(e, GmEvent::RecvDone { .. }))
-        })
-        .unwrap_or(false)
+/// `port` as the transport endpoint completions name.
+fn ep_of(w: &World, port: GmPortId) -> Endpoint {
+    Endpoint {
+        kind: TransportKind::Gm,
+        node: w.gm.port(port).unwrap().node,
+        idx: port.0,
+    }
 }
 
-fn pop_recv(w: &mut World, port: GmPortId) -> GmEvent {
+/// Take the oldest completion handed to `port`.
+fn next_event(w: &mut World, port: GmPortId) -> Option<TransportEvent> {
+    let i = w.completed.iter().position(|(ep, _)| ep.idx == port.0)?;
+    Some(w.completed.remove(i).1)
+}
+
+fn has_event(w: &World, port: GmPortId) -> bool {
+    w.completed.iter().any(|(ep, _)| ep.idx == port.0)
+}
+
+fn has_recv(w: &World, port: GmPortId) -> bool {
+    w.completed
+        .iter()
+        .any(|(ep, e)| ep.idx == port.0 && matches!(e, TransportEvent::RecvDone { .. }))
+}
+
+fn pop_recv(w: &mut World, port: GmPortId) -> TransportEvent {
     loop {
-        match gm_next_event(w, port) {
-            Some(ev @ GmEvent::RecvDone { .. }) => return ev,
+        match next_event(w, port) {
+            Some(ev @ TransportEvent::RecvDone { .. }) => return ev,
             Some(_) => continue,
             None => panic!("no receive event pending"),
         }
@@ -292,7 +317,7 @@ fn payload_data_is_delivered_intact() {
     run_to_quiescence(&mut w);
     let ev = pop_recv(&mut w, pb);
     match ev {
-        GmEvent::RecvDone {
+        TransportEvent::RecvDone {
             ctx,
             tag,
             len: l,
@@ -301,7 +326,7 @@ fn payload_data_is_delivered_intact() {
             assert_eq!(ctx, 7);
             assert_eq!(tag, 42);
             assert_eq!(l, len as u64);
-            assert_eq!(from, pa);
+            assert_eq!(from, ep_of(&w, pa));
         }
         other => panic!("unexpected event {other:?}"),
     }
@@ -311,10 +336,10 @@ fn payload_data_is_delivered_intact() {
         .unwrap();
     assert_eq!(back, data, "received bytes differ");
     // Sender got its completion and token back.
-    let sender_events: Vec<_> = std::iter::from_fn(|| gm_next_event(&mut w, pa)).collect();
+    let sender_events: Vec<_> = std::iter::from_fn(|| next_event(&mut w, pa)).collect();
     assert!(sender_events
         .iter()
-        .any(|e| matches!(e, GmEvent::SendDone { ctx: 9 })));
+        .any(|e| matches!(e, TransportEvent::SendDone { ctx: 9 })));
     assert_eq!(
         w.gm.port(pa).unwrap().tokens(),
         GmParams::default().send_tokens
@@ -380,11 +405,11 @@ fn unmatched_message_bounces_as_unexpected() {
         .unwrap();
     gm_send(&mut w, pa, MemRef::user(ba.asid, ba.addr, 8), pb, 77, 0).unwrap();
     run_to_quiescence(&mut w);
-    match gm_next_event(&mut w, pb) {
-        Some(GmEvent::Unexpected { tag, data, from }) => {
+    match next_event(&mut w, pb) {
+        Some(TransportEvent::Unexpected { tag, data, from }) => {
             assert_eq!(tag, 77);
             assert_eq!(data, Bytes::from_static(b"request!"));
-            assert_eq!(from, pa);
+            assert_eq!(from, ep_of(&w, pa));
         }
         other => panic!("expected Unexpected, got {other:?}"),
     }
@@ -420,7 +445,7 @@ fn tagged_buffers_match_selectively() {
     gm_send(&mut w, pa, MemRef::user(ba.asid, ba.addr, 3), pb, 6, 0).unwrap();
     run_to_quiescence(&mut w);
     match pop_recv(&mut w, pb) {
-        GmEvent::RecvDone { ctx, tag, .. } => {
+        TransportEvent::RecvDone { ctx, tag, .. } => {
             assert_eq!((ctx, tag), (60, 6));
         }
         _ => unreachable!(),
@@ -656,8 +681,8 @@ fn parked_send_failing_at_drain_is_refunded() {
 
     run_to_quiescence(&mut w);
 
-    let failed = std::iter::from_fn(|| gm_next_event(&mut w, a)).find_map(|ev| match ev {
-        GmEvent::SendFailed { ctx, error } => Some((ctx, error)),
+    let failed = std::iter::from_fn(|| next_event(&mut w, a)).find_map(|ev| match ev {
+        TransportEvent::SendFailed { ctx, error } => Some((ctx, error)),
         _ => None,
     });
     assert_eq!(failed, Some((2, NetError::PeerUnreachable)));
@@ -715,7 +740,7 @@ fn a_buffer_captured_by_a_half_arrived_message_is_still_the_owners() {
             }
             gm_send(&mut w, pa, MemRef::user(ba.asid, ba.addr, size), pb, 7, 1).unwrap();
             run_to_quiescence(&mut w);
-            if !w.gm.port(pb).unwrap().events.is_empty() {
+            if has_event(&w, pb) {
                 continue; // the whole message beat the kill
             }
             stranded += 1;

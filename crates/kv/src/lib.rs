@@ -37,7 +37,7 @@ use knet_core::{Endpoint, RpcError};
 use knet_rpc::{
     rpc_call, rpc_client_create, rpc_collect, rpc_server_create, rpc_server_reply, RpcCall,
     RpcCallOpts, RpcClientConfig, RpcClientId, RpcCompletion, RpcOutcome, RpcRequest,
-    RpcServerConfig, RpcServerId, RpcSink, RpcWorld,
+    RpcServerConfig, RpcServerId, RpcWorld,
 };
 use knet_simcore::{emit_after, now, SimEvent, SimTime};
 use knet_simos::NodeId;
@@ -469,15 +469,13 @@ pub fn kv_pair<W: KvWorld>(
     for (me, my_ep, other) in [(a, a_repl_ep, b), (b, b_repl_ep, a)] {
         let other_server = w.kv().replicas[other.0 as usize].server_ep;
         let rid = me.0;
-        let sink = RpcSink::Handler(Arc::new(move |w: &mut W, comp: RpcCompletion| {
-            kv_on_repl_done(w, rid, comp)
-        }));
+        let on_done = Arc::new(move |w: &mut W, comp: RpcCompletion| kv_on_repl_done(w, rid, comp));
         let rc = rpc_client_create(
             w,
             my_ep,
             other_server,
             &format!("kv-repl-{}-to-{}", me.0, other.0),
-            sink,
+            on_done,
             rpc_cfg,
         )
         .expect("kv repl client");
@@ -528,15 +526,13 @@ pub fn kv_client_create<W: KvWorld>(
     for (i, &ep) in eps.iter().enumerate() {
         let server_ep = w.kv().replicas[i].server_ep;
         let (c, r) = (cid.0, i as u32);
-        let sink = RpcSink::Handler(Arc::new(move |w: &mut W, comp: RpcCompletion| {
-            kv_on_rpc_done(w, c, r, comp)
-        }));
+        let on_done = Arc::new(move |w: &mut W, comp: RpcCompletion| kv_on_rpc_done(w, c, r, comp));
         let rc = rpc_client_create(
             w,
             ep,
             server_ep,
             &format!("kv-cli-{}-r{}", cid.0, i),
-            sink,
+            on_done,
             rpc_cfg,
         )
         .expect("kv client rpc");

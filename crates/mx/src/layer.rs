@@ -22,8 +22,8 @@ use bytes::Bytes;
 use knet_core::{
     first_fit, host_completion, land, pace_submit, pace_timer_fired, read_iovec_into,
     resolve_iovec_into, send_chunks, tag_matches, take_first, take_tag, write_iovec, AddrClass,
-    ChunkSource, DriverEvent, IoVec, NetError, PaceLanes, PacedSend, Posted, Reassembly, Route,
-    ScratchStats, SegList, TenantId, ANY_TAG,
+    ChunkSource, CompletionHook, Endpoint, IoVec, NetError, PaceLanes, PacedSend, Posted,
+    Reassembly, Route, ScratchStats, SegList, TenantId, TransportEvent, TransportKind, ANY_TAG,
 };
 use knet_simcore::{IdHashMap, SimTime, SimWorld};
 use knet_simnic::{
@@ -66,8 +66,9 @@ pub struct MxOpts {
 pub struct MxEndpointConfig {
     pub mode: MxMode,
     pub opts: MxOpts,
-    /// Deliver unmatched eager messages as [`MxEvent::Unexpected`] (transport
-    /// glue) instead of queueing them for a later `mx_irecv` (MPI style).
+    /// Deliver unmatched eager messages as [`TransportEvent::Unexpected`]
+    /// (transport glue) instead of queueing them for a later `mx_irecv`
+    /// (MPI style).
     pub deliver_unexpected: bool,
 }
 
@@ -98,11 +99,6 @@ impl MxEndpointConfig {
         self
     }
 }
-
-/// Completion events in an endpoint's queue. `Unexpected` is an unmatched
-/// eager message delivered inline (endpoints configured with
-/// `deliver_unexpected`).
-pub type MxEvent = DriverEvent<MxEndpointId>;
 
 /// Per-endpoint counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -141,7 +137,7 @@ enum UnexpectedMsg {
     Eager {
         tag: u64,
         data: Bytes,
-        from: MxEndpointId,
+        from: Endpoint,
     },
     Rndv {
         /// The RTS's header: sender, tag, message id and size.
@@ -182,7 +178,6 @@ pub struct MxEndpoint {
     pub deliver_unexpected: bool,
     posted: VecDeque<PostedRecv>,
     unexpected: VecDeque<UnexpectedMsg>,
-    pub events: VecDeque<MxEvent>,
     pub stats: MxStats,
     open: bool,
 }
@@ -235,7 +230,7 @@ impl<W: MxWorld> PacedSend<W> for PacedMxSend {
         let node = w.mx().ep(self.from).ok()?.node.0;
         let ev = W::lift_mx(MxEv::Complete {
             ep: self.from,
-            ev: MxEvent::SendFailed {
+            ev: TransportEvent::SendFailed {
                 ctx: self.ctx,
                 error,
             },
@@ -326,17 +321,16 @@ impl Default for MxLayer {
     }
 }
 
-/// Capability trait: a world running the MX driver.
 /// Typed engine events for the MX layer: host-side completions that fire
 /// once DMA and host processing settle. Composed worlds embed these in
 /// their event enum via [`MxWorld::lift_mx`].
 #[derive(Debug)]
 pub enum MxEv {
-    /// Optionally release pinned frames, then push a completion onto the
-    /// endpoint's event queue (charging the matching stats) and dispatch.
+    /// Optionally release pinned frames, count a receive, then hand the
+    /// completion to the endpoint's consumer ([`CompletionHook::complete`]).
     Complete {
         ep: MxEndpointId,
-        ev: MxEvent,
+        ev: TransportEvent,
         /// Frames to unpin on a node before the completion posts
         /// (rendezvous paths defer the unpin to completion time).
         unpin: Option<(NodeId, Vec<FrameIdx>)>,
@@ -360,37 +354,40 @@ pub fn run_mx_ev<W: MxWorld>(w: &mut W, ev: MxEv) {
             if let Some((node, pinned)) = unpin {
                 release_pins(w, node, &pinned);
             }
-            if let Ok(e) = w.mx_mut().ep_mut(ep) {
-                match &ev {
-                    MxEvent::SendDone { .. } => {}
-                    MxEvent::RecvDone { len, .. } => {
-                        e.stats.recvs += 1;
-                        e.stats.bytes_received += *len;
-                        if direct {
-                            e.stats.recv_copies_avoided += 1;
-                        }
+            // An endpoint closed meanwhile takes no completions.
+            let Ok(e) = w.mx_mut().ep_mut(ep) else {
+                return;
+            };
+            match &ev {
+                TransportEvent::RecvDone { len, .. } => {
+                    e.stats.recvs += 1;
+                    e.stats.bytes_received += *len;
+                    if direct {
+                        e.stats.recv_copies_avoided += 1;
                     }
-                    MxEvent::Unexpected { data, .. } => {
-                        e.stats.unexpected += 1;
-                        e.stats.bytes_received += data.len() as u64;
-                    }
-                    MxEvent::SendFailed { .. } => {}
                 }
-                e.events.push_back(ev);
+                TransportEvent::Unexpected { data, .. } => {
+                    e.stats.unexpected += 1;
+                    e.stats.bytes_received += data.len() as u64;
+                }
+                _ => {}
             }
-            w.mx_dispatch(ep);
+            let to = Endpoint {
+                kind: TransportKind::Mx,
+                node: e.node,
+                idx: ep.0,
+            };
+            w.complete(to, ev);
         }
         MxEv::Pace { nic } => pace_timer_fired::<W, PacedMxSend>(w, nic),
     }
 }
 
-pub trait MxWorld: NicWorld {
+/// Capability trait: a world running the MX driver. Completions leave
+/// through the world's [`CompletionHook`].
+pub trait MxWorld: NicWorld + CompletionHook {
     fn mx(&self) -> &MxLayer;
     fn mx_mut(&mut self) -> &mut MxLayer;
-
-    /// Called whenever an event lands in an endpoint queue; the composed
-    /// world routes it to the endpoint's owner (default: polled).
-    fn mx_dispatch(&mut self, _ep: MxEndpointId) {}
 
     /// Wrap an MX event into the world's typed event enum. The default
     /// boxes (fine for tests); the composed cluster world overrides it with
@@ -417,7 +414,6 @@ pub fn mx_open_endpoint<W: MxWorld>(
         deliver_unexpected: cfg.deliver_unexpected,
         posted: VecDeque::new(),
         unexpected: VecDeque::new(),
-        events: VecDeque::new(),
         stats: MxStats::default(),
         open: true,
     });
@@ -524,7 +520,7 @@ fn send_copy_avoidable<W: MxWorld>(
 }
 
 /// `mx_isend`: send the (possibly vectorial) `iov` to `dest` with `tag`.
-/// Always asynchronous; completion surfaces as [`MxEvent::SendDone`].
+/// Always asynchronous; completion surfaces as [`TransportEvent::SendDone`].
 /// Untenanted entry point: attributes the send to [`TenantId::DEFAULT`],
 /// which has no QoS policy unless one was explicitly installed — behaviour
 /// is then identical to pre-tenant MX.
@@ -623,8 +619,16 @@ fn mx_isend_admitted<W: MxWorld>(
         total,
     };
     let route = |kind| mx_route(&params, nic, dst_nic, kind, tenant);
-    let send_done =
-        |w: &mut W, at| complete(w, (node, from), at, MxEvent::SendDone { ctx }, None, false);
+    let send_done = |w: &mut W, at| {
+        complete(
+            w,
+            (node, from),
+            at,
+            TransportEvent::SendDone { ctx },
+            None,
+            false,
+        )
+    };
 
     match params.protocol_for(total) {
         MxProtocol::Small => {
@@ -734,7 +738,7 @@ pub fn mx_irecv<W: MxWorld>(
             let done = knet_simos::cpu_charge(w, node, copy + params.host_event);
             write_iovec(w.os_mut().node_mut(node), &posted.iov, &data)?;
             release_pins(w, node, &posted.pinned);
-            let ev = MxEvent::RecvDone {
+            let ev = TransportEvent::RecvDone {
                 ctx: posted.ctx,
                 tag: t,
                 len,
@@ -761,7 +765,7 @@ fn complete<W: MxWorld>(
     w: &mut W,
     (node, ep): (NodeId, MxEndpointId),
     at: SimTime,
-    ev: MxEvent,
+    ev: TransportEvent,
     unpin: Option<Vec<FrameIdx>>,
     direct: bool,
 ) {
@@ -877,7 +881,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     }
 
     let ev_dma = dma_charge(w, nic, a.last_dma_done, 64);
-    let from = MxEndpointId(a.from);
+    let from = a.sender(w.nics(), TransportKind::Mx);
     let mut host_cost = params.host_event;
     let ev = match a.matched.take() {
         Some(posted) => {
@@ -889,7 +893,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
                 write_iovec(w.os_mut().node_mut(node), &posted.iov, bytes).ok();
             }
             release_pins(w, node, &posted.pinned);
-            MxEvent::RecvDone {
+            TransportEvent::RecvDone {
                 ctx: posted.ctx,
                 tag: a.tag,
                 len,
@@ -909,10 +913,10 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
             // Transport-glue mode: hand the payload up with the copy
             // charged.
             host_cost += w.os().node(node).cpu.model.ring_copy_cost(a.total);
-            MxEvent::Unexpected { tag, data, from }
+            TransportEvent::Unexpected { tag, data, from }
         }
     };
-    let direct = no_recv_copy && matches!(ev, MxEvent::RecvDone { .. });
+    let direct = no_recv_copy && matches!(ev, TransportEvent::RecvDone { .. });
     w.mx_mut().inbound.finish(a);
     let done = host_completion(w, node, ev_dma, host_cost);
     complete(w, (node, dst), done, ev, None, direct);
@@ -964,7 +968,7 @@ fn cts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         .model
         .unpin_cost(r.pinned.len() as u64);
     let done = host_completion(w, node, drained, params.host_event + unpin);
-    let ev = MxEvent::SendDone { ctx: r.ctx };
+    let ev = TransportEvent::SendDone { ctx: r.ctx };
     complete(w, (node, from), done, ev, Some(r.pinned), false);
 }
 
@@ -976,7 +980,7 @@ fn fail_rndv_send<W: MxWorld>(w: &mut W, r: RndvSend, error: NetError) {
     let Ok(node) = w.mx().ep(ep).map(|e| e.node) else {
         return;
     };
-    let ev = MxEvent::SendFailed { ctx: r.ctx, error };
+    let ev = TransportEvent::SendFailed { ctx: r.ctx, error };
     run_mx_ev(
         w,
         MxEv::Complete {
@@ -1009,7 +1013,9 @@ fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         return w.mx_mut().inbound.put_back(&m, a);
     }
     // (Always `Some`: a rendezvous is accepted into a posted receive.)
-    let Some(posted) = a.matched else { return };
+    let Some(posted) = a.matched.take() else {
+        return;
+    };
     let Ok(node) = w.mx().ep(dst).map(|e| e.node) else {
         return;
     };
@@ -1021,30 +1027,24 @@ fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         .model
         .unpin_cost(posted.pinned.len() as u64);
     let done = host_completion(w, node, ev_dma, params.host_event + unpin_cost);
-    let ev = MxEvent::RecvDone {
+    let ev = TransportEvent::RecvDone {
         ctx: posted.ctx,
         tag: a.tag,
         len: a.total,
-        from: MxEndpointId(a.from),
+        from: a.sender(w.nics(), TransportKind::Mx),
     };
     complete(w, (node, dst), done, ev, Some(posted.pinned), false);
-}
-
-/// Pop the next pending event (host polling; `mx_wait_any` in MX parlance —
-/// the flexible completion interface §5.2 praises).
-pub fn mx_next_event<W: MxWorld>(w: &mut W, ep: MxEndpointId) -> Option<MxEvent> {
-    w.mx_mut().ep_mut(ep).ok()?.events.pop_front()
 }
 
 /// Close an endpoint: release the pins of every receive it posted — still
 /// queued, or captured by a message (eager or rendezvous) that has not
 /// finished arriving — and of every rendezvous send still waiting for its
-/// CTS, and drop queued state.
+/// CTS, and drop queued state. Completions still on their way to the
+/// endpoint are dropped when they land.
 pub fn mx_close_endpoint<W: MxWorld>(w: &mut W, ep_id: MxEndpointId) -> Result<(), NetError> {
     let l = w.mx_mut();
     let e = l.ep_mut(ep_id)?;
     e.unexpected.clear();
-    e.events.clear();
     e.open = false;
     let node = e.node;
     let mut released: Vec<Vec<FrameIdx>> = e.posted.drain(..).map(|p| p.pinned).collect();

@@ -2,15 +2,17 @@
 //! (4.2 µs latency, kernel ≡ user, copy-removal gains).
 
 use bytes::Bytes;
-use knet_core::{IoVec, MemRef, NetError, TenantId};
+use knet_core::{
+    CompletionHook, Endpoint, IoVec, MemRef, NetError, TenantId, TransportEvent, TransportKind,
+};
 use knet_simcore::{run_to_quiescence, run_until, RunOutcome, Scheduler, SimTime, SimWorld};
 use knet_simnic::{FaultPlan, NicId, NicLayer, NicModel, NicWorld, Packet, Proto, QosPolicy};
 use knet_simos::{Asid, CpuModel, NodeId, OsLayer, OsWorld, Prot, PAGE_SIZE};
 
 use crate::layer::{
-    mx_cancel_recv, mx_close_endpoint, mx_irecv, mx_isend, mx_isend_t, mx_next_event, mx_on_packet,
-    mx_open_endpoint, mx_peer_down, MxEndpointConfig, MxEndpointId, MxEvent, MxLayer, MxOpts,
-    MxWorld, MX_ANY_TAG,
+    mx_cancel_recv, mx_close_endpoint, mx_irecv, mx_isend, mx_isend_t, mx_on_packet,
+    mx_open_endpoint, mx_peer_down, MxEndpointConfig, MxEndpointId, MxLayer, MxOpts, MxWorld,
+    MX_ANY_TAG,
 };
 use crate::params::MxParams;
 
@@ -19,6 +21,8 @@ struct World {
     os: OsLayer,
     nics: NicLayer,
     mx: MxLayer,
+    /// Every completion the driver handed up, oldest first.
+    completed: Vec<(Endpoint, TransportEvent)>,
 }
 
 impl SimWorld for World {
@@ -54,6 +58,11 @@ impl NicWorld for World {
         mx_peer_down(self, local, remote);
     }
 }
+impl CompletionHook for World {
+    fn complete(&mut self, ep: Endpoint, ev: TransportEvent) {
+        self.completed.push((ep, ev));
+    }
+}
 impl MxWorld for World {
     fn mx(&self) -> &MxLayer {
         &self.mx
@@ -69,6 +78,7 @@ fn world() -> (World, NodeId, NodeId) {
         os: OsLayer::new(),
         nics: NicLayer::new(),
         mx: MxLayer::new(MxParams::default()),
+        completed: Vec::new(),
     };
     let n0 = w.os.add_node(CpuModel::xeon_2600(), 8192);
     let n1 = w.os.add_node(CpuModel::xeon_2600(), 8192);
@@ -77,20 +87,31 @@ fn world() -> (World, NodeId, NodeId) {
     (w, n0, n1)
 }
 
-fn has_recv(w: &World, ep: MxEndpointId) -> bool {
-    w.mx.ep(ep)
-        .map(|e| {
-            e.events
-                .iter()
-                .any(|e| matches!(e, MxEvent::RecvDone { .. }))
-        })
-        .unwrap_or(false)
+/// `ep` as the transport endpoint completions name.
+fn ep_of(w: &World, ep: MxEndpointId) -> Endpoint {
+    Endpoint {
+        kind: TransportKind::Mx,
+        node: w.mx.ep(ep).unwrap().node,
+        idx: ep.0,
+    }
 }
 
-fn pop_recv(w: &mut World, ep: MxEndpointId) -> MxEvent {
+/// Take the oldest completion handed to `ep`.
+fn next_event(w: &mut World, ep: MxEndpointId) -> Option<TransportEvent> {
+    let i = w.completed.iter().position(|(to, _)| to.idx == ep.0)?;
+    Some(w.completed.remove(i).1)
+}
+
+fn has_recv(w: &World, ep: MxEndpointId) -> bool {
+    w.completed
+        .iter()
+        .any(|(to, e)| to.idx == ep.0 && matches!(e, TransportEvent::RecvDone { .. }))
+}
+
+fn pop_recv(w: &mut World, ep: MxEndpointId) -> TransportEvent {
     loop {
-        match mx_next_event(w, ep) {
-            Some(ev @ MxEvent::RecvDone { .. }) => return ev,
+        match next_event(w, ep) {
+            Some(ev @ TransportEvent::RecvDone { .. }) => return ev,
             Some(_) => continue,
             None => panic!("no receive event pending"),
         }
@@ -337,12 +358,13 @@ fn small_medium_large_payloads_arrive_intact() {
         mx_isend(&mut w, ea, eb, 5, &ba.iov, 88).unwrap();
         run_to_quiescence(&mut w);
         match pop_recv(&mut w, eb) {
-            MxEvent::RecvDone {
+            TransportEvent::RecvDone {
                 ctx,
                 tag,
                 len,
                 from,
             } => {
+                let ea = ep_of(&w, ea);
                 assert_eq!((ctx, tag, len, from), (77, 5, size, ea), "size {size}");
             }
             _ => unreachable!(),
@@ -354,8 +376,8 @@ fn small_medium_large_payloads_arrive_intact() {
         assert_eq!(back, data, "payload mismatch at size {size}");
         // Sender completion arrived too.
         let mut send_done = false;
-        while let Some(ev) = mx_next_event(&mut w, ea) {
-            if matches!(ev, MxEvent::SendDone { ctx: 88 }) {
+        while let Some(ev) = next_event(&mut w, ea) {
+            if matches!(ev, TransportEvent::SendDone { ctx: 88 }) {
                 send_done = true;
             }
         }
@@ -421,7 +443,7 @@ fn unexpected_eager_queues_for_later_irecv() {
     mx_irecv(&mut w, eb, 3, &bb.iov, 4).unwrap();
     run_to_quiescence(&mut w);
     match pop_recv(&mut w, eb) {
-        MxEvent::RecvDone { ctx, tag, len, .. } => {
+        TransportEvent::RecvDone { ctx, tag, len, .. } => {
             assert_eq!((ctx, tag, len), (4, 3, 256));
         }
         _ => unreachable!(),
@@ -451,10 +473,10 @@ fn unexpected_delivery_mode_emits_events() {
         .unwrap();
     mx_isend(&mut w, ea, eb, 11, &ba.iov, 0).unwrap();
     run_to_quiescence(&mut w);
-    match mx_next_event(&mut w, eb) {
-        Some(MxEvent::Unexpected { tag, data, from }) => {
+    match next_event(&mut w, eb) {
+        Some(TransportEvent::Unexpected { tag, data, from }) => {
             assert_eq!(tag, 11);
-            assert_eq!(from, ea);
+            assert_eq!(from, ep_of(&w, ea));
             assert_eq!(&data[..17], b"rpc-request-bytes");
         }
         other => panic!("expected Unexpected, got {other:?}"),
@@ -483,7 +505,7 @@ fn rendezvous_waits_for_matching_receive() {
     mx_irecv(&mut w, eb, 8, &bb.iov, 6).unwrap();
     run_to_quiescence(&mut w);
     match pop_recv(&mut w, eb) {
-        MxEvent::RecvDone { ctx, len, .. } => assert_eq!((ctx, len), (6, size)),
+        TransportEvent::RecvDone { ctx, len, .. } => assert_eq!((ctx, len), (6, size)),
         _ => unreachable!(),
     }
 }
@@ -624,9 +646,7 @@ fn small_message_send_completes_before_the_wire() {
     let bb = make_buf(&mut w, n1, 64, Class::Kernel);
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
     mx_isend(&mut w, ea, eb, 1, &ba.iov, 0).unwrap();
-    let sat = run_until(&mut w, |w| {
-        w.mx.ep(ea).map(|e| !e.events.is_empty()).unwrap_or(false)
-    });
+    let sat = run_until(&mut w, |w| w.completed.iter().any(|(to, _)| to.idx == ea.0));
     assert_eq!(sat, RunOutcome::Satisfied);
     let send_done_at = knet_simcore::now(&w);
     run_to_quiescence(&mut w);
@@ -739,8 +759,8 @@ fn parked_send_failing_at_drain_is_refunded() {
     mx_close_endpoint(&mut w, b).unwrap();
     run_to_quiescence(&mut w);
 
-    let failed = std::iter::from_fn(|| mx_next_event(&mut w, a)).find_map(|ev| match ev {
-        MxEvent::SendFailed { ctx, error } => Some((ctx, error)),
+    let failed = std::iter::from_fn(|| next_event(&mut w, a)).find_map(|ev| match ev {
+        TransportEvent::SendFailed { ctx, error } => Some((ctx, error)),
         _ => None,
     });
     assert_eq!(failed, Some((2, NetError::BadEndpoint)));
@@ -822,7 +842,7 @@ fn a_receive_captured_by_a_half_arrived_message_is_still_the_owners() {
             assert_eq!(pin_count(&w, n1, &bb), 0, "seed {seed}: pin leaked");
             assert_eq!(w.mx.in_flight(), 0, "seed {seed}");
             assert_eq!(w.mx.reassembly_footprint().1, 1, "the ring is pooled again");
-            assert!(mx_next_event(&mut w, eb).is_none(), "and nothing completes");
+            assert!(next_event(&mut w, eb).is_none(), "and nothing completes");
         }
     }
     assert!(stranded >= 45, "the kill lands mid-message on most seeds");
@@ -872,11 +892,11 @@ fn rendezvous_send_toward_a_dead_peer_fails_once_and_unpins() {
     assert!(w.nics.rel.link_dead(Proto::Mx, a_nic, b_nic));
     assert_eq!(pin_count(&w, n0, &ba), 0, "pin leaked");
     assert_eq!(w.mx.in_flight(), 0);
-    let events: Vec<MxEvent> = std::iter::from_fn(|| mx_next_event(&mut w, ea)).collect();
+    let events: Vec<TransportEvent> = std::iter::from_fn(|| next_event(&mut w, ea)).collect();
     assert!(
         matches!(
             events[..],
-            [MxEvent::SendFailed {
+            [TransportEvent::SendFailed {
                 ctx: 77,
                 error: NetError::PeerUnreachable
             }]

@@ -405,8 +405,7 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
         // The block client does not participate in collective groups.
         TransportEvent::CollectiveDone { .. }
         | TransportEvent::CollectiveRecv { .. }
-        | TransportEvent::CollectiveFailed { .. }
-        | TransportEvent::RpcDone { .. } => return,
+        | TransportEvent::CollectiveFailed { .. } => return,
         TransportEvent::PeerDown { .. } => {
             // The server's node died: every block op — in flight, or parked
             // on a sector another op was fetching — completes with a typed

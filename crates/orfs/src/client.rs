@@ -1146,8 +1146,7 @@ pub fn client_on_event<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, ev: Transport
         // The file client does not participate in collective groups.
         TransportEvent::CollectiveDone { .. }
         | TransportEvent::CollectiveRecv { .. }
-        | TransportEvent::CollectiveFailed { .. }
-        | TransportEvent::RpcDone { .. } => {}
+        | TransportEvent::CollectiveFailed { .. } => {}
     }
 }
 

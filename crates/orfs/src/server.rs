@@ -395,8 +395,7 @@ pub fn server_on_event<W: OrfsWorld>(
         // The file server does not participate in collective groups.
         TransportEvent::CollectiveDone { .. }
         | TransportEvent::CollectiveRecv { .. }
-        | TransportEvent::CollectiveFailed { .. }
-        | TransportEvent::RpcDone { .. } => {}
+        | TransportEvent::CollectiveFailed { .. } => {}
     }
 }
 

@@ -31,9 +31,9 @@
 //!   call resolves with exactly one completion — reply, `Deadline`,
 //!   `Cancelled`, `PeerUnreachable`, `VersionMismatch` or `Overload`.
 //!
-//! Completions surface as [`TransportEvent::RpcDone`] pushed onto a
-//! completion queue for polling consumers, or as a typed upcall
-//! ([`RpcCompletion`]) for in-kernel consumers (the `knet-kv` store).
+//! Completions surface as a typed upcall ([`RpcCompletion`]) into the
+//! handler the client was created with (the `knet-kv` store, benches,
+//! tests) — an RPC resolution is not a transport event.
 //! The warm path performs zero heap allocations: call slots, per-slot
 //! request/response buffers, encode scratch, send contexts and timer
 //! events are all pooled and recycled (`tests/hotpath_alloc.rs` pins
@@ -48,7 +48,7 @@ use knet_core::api::{
     channel_connect_handler, channel_post_recv, channel_send, channel_send_to, DispatchWorld,
 };
 use knet_core::{
-    ring_stage, ChannelId, CqId, Endpoint, IoVec, MemRef, NetError, RpcError, SendMap, StagingRing,
+    ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, RpcError, SendMap, StagingRing,
     TransportEvent,
 };
 use knet_simcore::{emit_after, emit_at, now, SimEvent, SimTime, SplitMix64};
@@ -202,19 +202,11 @@ pub struct RpcCallOpts {
 
 // ------------------------------------------------------------------- client
 
-/// A handler sink's upcall: invoked once per resolved call.
+/// A client's completion handler: a synchronous typed upcall, invoked once
+/// per resolved call.
 pub type RpcSinkFn<W> = Arc<dyn Fn(&mut W, RpcCompletion) + Send + Sync>;
 
-/// Where a client's completions go.
-pub enum RpcSink<W: ?Sized> {
-    /// Push [`TransportEvent::RpcDone`] entries onto this queue, indexed
-    /// under the client's endpoint (poll with `cq_pop` / `cq_pop_for`).
-    Cq(CqId),
-    /// Synchronous typed upcall (in-kernel consumers; the KV store).
-    Handler(RpcSinkFn<W>),
-}
-
-/// A resolved call, as seen by a handler sink.
+/// A resolved call, as seen by the client's handler.
 #[derive(Clone, Copy, Debug)]
 pub struct RpcCompletion {
     pub client: RpcClientId,
@@ -309,7 +301,7 @@ pub struct RpcClient<W: ?Sized> {
     pub ep: Endpoint,
     pub server: Endpoint,
     pub ch: ChannelId,
-    sink: RpcSink<W>,
+    on_done: RpcSinkFn<W>,
     cfg: RpcClientConfig,
     rng: SplitMix64,
     calls: Vec<CallSlot>,
@@ -599,16 +591,16 @@ impl<W: ?Sized> RpcLayer<W> {
 
 // ------------------------------------------------------------ client driver
 
-/// Create a client on `ep` talking to `server`; completions go to `sink`.
-/// The backing channel is handler-based regardless of the sink — the RPC
-/// layer consumes raw transport events itself and emits only typed
+/// Create a client on `ep` talking to `server`; every call resolves with
+/// one upcall into `on_done`. The backing channel is handler-based — the
+/// RPC layer consumes raw transport events itself and emits only typed
 /// completions.
 pub fn rpc_client_create<W: RpcWorld>(
     w: &mut W,
     ep: Endpoint,
     server: Endpoint,
     name: &str,
-    sink: RpcSink<W>,
+    on_done: RpcSinkFn<W>,
     cfg: RpcClientConfig,
 ) -> Result<RpcClientId, NetError> {
     let region_len = cfg.window as u64 * (cfg.req_cap + cfg.resp_cap);
@@ -622,7 +614,7 @@ pub fn rpc_client_create<W: RpcWorld>(
         ep,
         server,
         ch,
-        sink,
+        on_done,
         cfg,
         rng: SplitMix64::new(cfg.seed ^ ((id.0 as u64) << 17)),
         calls: Vec::new(),
@@ -1001,42 +993,15 @@ fn deliver_completion<W: RpcWorld>(
     corr: u64,
     result: Result<u64, RpcError>,
 ) {
-    enum Target<W: ?Sized> {
-        Cq(CqId, Endpoint),
-        Handler(RpcSinkFn<W>),
-    }
-    let target = {
-        let c = &w.rpc().clients[cid.0 as usize];
-        match &c.sink {
-            RpcSink::Cq(cq) => Target::Cq(*cq, c.ep),
-            RpcSink::Handler(h) => Target::Handler(h.clone()),
-        }
-    };
-    match target {
-        Target::Cq(cq, ep) => {
-            let (len, error) = match result {
-                Ok(len) => (len, None),
-                Err(e) => (0, Some(e)),
-            };
-            w.registry_mut().cq_push(
-                cq,
-                ep,
-                TransportEvent::RpcDone {
-                    call: corr,
-                    len,
-                    error,
-                },
-            );
-        }
-        Target::Handler(h) => h(
-            w,
-            RpcCompletion {
-                client: cid,
-                call: corr,
-                result,
-            },
-        ),
-    }
+    let on_done = Arc::clone(&w.rpc().clients[cid.0 as usize].on_done);
+    on_done(
+        w,
+        RpcCompletion {
+            client: cid,
+            call: corr,
+            result,
+        },
+    );
 }
 
 fn on_deadline<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32, gen: u32) {

@@ -221,9 +221,6 @@ pub enum NicEv {
         sack: u64,
         echo: SimTime,
     },
-    /// The receiver-side ack-aggregation holdoff for link `key` elapsed:
-    /// flush the pending cumulative ack, if any.
-    RelAckFlush { key: LinkKey },
     /// A receiver NIC's rx FIFO shed sequenced packet `seq` of link `key`;
     /// the notification arrives back at the sender (GM-style NACK). `hold`
     /// is the receive backlog at the drop — the retry-after hint.
@@ -309,7 +306,6 @@ pub fn run_nic_ev<W: NicWorld>(w: &mut W, ev: NicEv) {
             sack,
             echo,
         } => crate::rel::ack_arrival(w, key, cum, sack, echo),
-        NicEv::RelAckFlush { key } => crate::rel::rel_ack_flush(w, key),
         NicEv::RelNack { key, seq, hold } => crate::rel::nack_arrival(w, key, seq, hold),
         NicEv::Coll { proto, nic, ev } => w.coll_event(proto, nic, ev),
         NicEv::CollProbe { key } => crate::coll::probe_fire(w, key),

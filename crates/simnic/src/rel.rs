@@ -71,16 +71,10 @@
 //!   packet-times after the first) instead of blasted at one instant, so
 //!   recovery traffic drains at line rate instead of re-congesting the
 //!   path that just dropped it;
-//! * the receiver can **aggregate acks** ([`RelParams::ack_every`]): pure
-//!   in-order arrivals are acked every Nth packet or after a short
-//!   virtual-time holdoff ([`RelParams::ack_holdoff`]), while duplicates,
-//!   out-of-order arrivals and hole-fills are always acked immediately (a
-//!   delayed ack must never delay loss detection). A count-triggered ack
-//!   goes out at the very instant of the packet whose timestamp it
-//!   echoes, so RTT samples stay undistorted; only the holdoff path can
-//!   inflate a sample, by less than the holdoff itself. The default
-//!   (`ack_every = 1`) is ack-per-packet, bit-identical to the
-//!   pre-aggregation simulator;
+//! * the receiver acks **every packet** at its arrival instant —
+//!   duplicates included, so a lost ack is repaired by the retransmission
+//!   it caused — echoing that packet's timestamp, so RTT samples are
+//!   undistorted;
 //! * dead links are **reclaimed**: retry-budget exhaustion removes the
 //!   sender ring, the receiver bitmap of the reverse direction and the
 //!   lazily-derived fault dice streams of the node pair (when no other
@@ -98,8 +92,7 @@
 //! same `wire_send` calls at the very same instants as without the window,
 //! and acks are cost-free — so calibrated latency/bandwidth figures do not
 //! move. The congestion window starts wide open and only narrows on loss,
-//! and ack aggregation is off by default, so a clean fabric takes exactly
-//! the pre-control-loop event sequence. The window structures are recycled
+//! so a clean fabric takes exactly the pre-control-loop event sequence. The window structures are recycled
 //! (`RelStats::grows` stays flat in steady state, asserted by
 //! `tests/hotpath_alloc.rs`); the SACK bitmap is one machine word per link
 //! and the RTT estimator three inline fields, so ack processing allocates
@@ -136,13 +129,6 @@ pub struct RelParams {
     /// fast retransmit entirely (the pre-control-loop sender). The default
     /// of 3 tolerates the depth-1 reorder dual-link striping introduces.
     pub dupack_k: u32,
-    /// Receiver ack aggregation: ack every Nth pure in-order packet
-    /// (`1` = ack-per-packet, the bit-identical default). Duplicates,
-    /// out-of-order arrivals and hole-fills are always acked immediately.
-    pub ack_every: u32,
-    /// Longest virtual-time holdoff before a pending aggregated ack
-    /// flushes (only meaningful when `ack_every > 1`).
-    pub ack_holdoff: SimTime,
     /// Run the AIMD congestion window. When off, the fixed
     /// [`RelParams::window`] is the only in-flight bound (the
     /// pre-control-loop sender).
@@ -164,8 +150,6 @@ impl Default for RelParams {
             max_rto: SimTime::from_millis(2),
             max_retries: 8,
             dupack_k: 3,
-            ack_every: 1,
-            ack_holdoff: SimTime::ZERO,
             cc: true,
         }
     }
@@ -173,24 +157,14 @@ impl Default for RelParams {
 
 impl RelParams {
     /// The pre-control-loop sender: fixed 64-deep window, no fast
-    /// retransmit, ack-per-packet. The incast bench measures the control
-    /// loop against exactly this baseline.
+    /// retransmit. The incast bench measures the control loop against
+    /// exactly this baseline.
     pub fn fixed_window() -> Self {
         RelParams {
             cc: false,
             dupack_k: 0,
-            ack_every: 1,
-            ack_holdoff: SimTime::ZERO,
             ..Self::default()
         }
-    }
-
-    /// Aggregate acks: every `n`th pure in-order packet, or after
-    /// `holdoff` of receiver silence.
-    pub fn with_ack_every(mut self, n: u32, holdoff: SimTime) -> Self {
-        self.ack_every = n.max(1);
-        self.ack_holdoff = holdoff;
-        self
     }
 }
 
@@ -243,9 +217,6 @@ knet_simcore::counters! {
         /// Multiplicative decreases of a congestion window (one per recovery
         /// episode or RTO collapse).
         pub cwnd_cuts: u64,
-        /// Fresh in-order packets whose ack was aggregated away (covered by a
-        /// later count-triggered or holdoff-flushed ack).
-        pub acks_delayed: u64,
         /// Sequenced packets swallowed because their link was already dead
         /// (stragglers after reclaim).
         pub dead_dropped: u64,
@@ -503,14 +474,6 @@ struct RxLink {
     /// is always clear (else `rx_next` would have advanced), so the set
     /// bits are exactly the out-of-order packets the SACK advertises.
     seen: u64,
-    /// Fresh in-order packets received since the last ack went out
-    /// (ack aggregation; always 0 when `ack_every <= 1`).
-    pending: u32,
-    /// Wire-departure timestamp of the newest pending packet — what a
-    /// holdoff-flushed ack echoes.
-    pending_echo: SimTime,
-    /// A holdoff flush event is scheduled.
-    flush_armed: bool,
 }
 
 /// A directed reliability link: `(proto, src nic, dst nic)`. Public so the
@@ -925,14 +888,7 @@ pub fn rel_on_packet<W: NicWorld>(w: &mut W, pkt: &Packet) -> RelVerdict {
         return RelVerdict::Deliver; // unsequenced (raw fabric tests)
     }
     let k = key(pkt.proto, pkt.src, pkt.dst);
-    let echo = pkt.rel_tsval;
-    enum Ack {
-        /// Emit the ack at this packet's own arrival instant.
-        Now,
-        /// Aggregated away; `arm` schedules the holdoff flush.
-        Defer { arm: bool },
-    }
-    let (fresh, cum, sack, ack) = {
+    let (fresh, cum, sack) = {
         let rel = &mut w.nics_mut().rel;
         let record = rel.links.entry(k).or_default();
         if record.dead {
@@ -942,16 +898,11 @@ pub fn rel_on_packet<W: NicWorld>(w: &mut W, pkt: &Packet) -> RelVerdict {
             rel.stats.dead_dropped += 1;
             return RelVerdict::Consumed;
         }
-        let params = rel.params;
         let rx = record.rx.get_or_insert(RxLink {
             rx_next: 1,
             seen: 0,
-            pending: 0,
-            pending_echo: SimTime::ZERO,
-            flush_armed: false,
         });
         let seq = pkt.rel_seq;
-        let had_holes = rx.seen != 0;
         let fresh = if seq < rx.rx_next {
             false
         } else {
@@ -972,79 +923,17 @@ pub fn rel_on_packet<W: NicWorld>(w: &mut W, pkt: &Packet) -> RelVerdict {
         if !fresh {
             rel.stats.dup_dropped += 1;
         }
-        // Ack policy: duplicates, out-of-order arrivals and hole-fills are
-        // always acked immediately (a delayed ack must never delay loss
-        // detection); only pure in-order arrivals aggregate.
-        let immediate = !fresh || had_holes || rx.seen != 0 || params.ack_every <= 1;
-        let ack = if immediate {
-            rx.pending = 0;
-            rel.stats.acks_sent += 1;
-            Ack::Now
-        } else {
-            rx.pending += 1;
-            rx.pending_echo = echo;
-            if rx.pending >= params.ack_every {
-                // The count-triggered ack goes out at this very packet's
-                // arrival, echoing its timestamp — no RTT distortion.
-                rx.pending = 0;
-                rel.stats.acks_sent += 1;
-                Ack::Now
-            } else {
-                rel.stats.acks_delayed += 1;
-                let arm = !rx.flush_armed && params.ack_holdoff > SimTime::ZERO;
-                if arm {
-                    rx.flush_armed = true;
-                }
-                Ack::Defer { arm }
-            }
-        };
-        (fresh, rx.rx_next, rx.seen, ack)
+        rel.stats.acks_sent += 1;
+        (fresh, rx.rx_next, rx.seen)
     };
-    match ack {
-        // Cumulative ack + SACK bitmap back to the sender — also for
-        // duplicates, so a lost ack is repaired by the retransmission it
-        // caused.
-        Ack::Now => schedule_ack(w, k, cum, sack, echo),
-        Ack::Defer { arm } => {
-            if arm {
-                // The flush is the receiver's event: it targets the node
-                // owning the data destination.
-                let now = knet_simcore::now(w);
-                let holdoff = w.nics().rel.params.ack_holdoff;
-                let node = w.nics().get(NicId(k.2)).node.0;
-                let ev = W::lift_nic(NicEv::RelAckFlush { key: k });
-                knet_simcore::emit_at(w, node, now + holdoff, ev);
-            }
-        }
-    }
+    // Cumulative ack + SACK bitmap back to the sender at this packet's own
+    // arrival — also for duplicates, so a lost ack is repaired by the
+    // retransmission it caused.
+    schedule_ack(w, k, cum, sack, pkt.rel_tsval);
     if fresh {
         RelVerdict::Deliver
     } else {
         RelVerdict::Consumed
-    }
-}
-
-/// A receiver-side ack holdoff elapsed: flush the pending aggregated ack,
-/// if a count-triggered or immediate ack has not covered it already. The
-/// flushed ack echoes the newest pending packet's timestamp, so the RTT
-/// sample it feeds is inflated by less than the holdoff.
-pub(crate) fn rel_ack_flush<W: NicWorld>(w: &mut W, k: LinkKey) {
-    let flush = {
-        let rel = &mut w.nics_mut().rel;
-        let Some(rx) = rel.links.get_mut(&k).and_then(|l| l.rx.as_mut()) else {
-            return; // link reclaimed while the flush was in flight
-        };
-        rx.flush_armed = false;
-        if rx.pending == 0 {
-            None
-        } else {
-            rx.pending = 0;
-            rel.stats.acks_sent += 1;
-            Some((rx.rx_next, rx.seen, rx.pending_echo))
-        }
-    };
-    if let Some((cum, sack, echo)) = flush {
-        schedule_ack(w, k, cum, sack, echo);
     }
 }
 
@@ -1663,44 +1552,6 @@ mod tests {
         ack_arrival(&mut w, k, 6, 0, SimTime::ZERO);
         assert_eq!(w.nics.rel.link_cwnd(Proto::Gm, a, b), Some(32));
         assert_eq!(w.nics.rel.in_flight(Proto::Gm, a, b), 0);
-    }
-
-    /// Ack aggregation: pure in-order arrivals ack every Nth packet or at
-    /// the holdoff; duplicates, out-of-order arrivals and hole-fills always
-    /// ack immediately.
-    #[test]
-    fn delayed_acks_aggregate_and_flush() {
-        let (mut w, a, b) = world();
-        w.nics.rel.params = RelParams::default().with_ack_every(4, SimTime::from_micros(10));
-        let mk = |seq: u64| {
-            let mut p = pkt(a, b, seq);
-            p.rel_seq = seq;
-            p
-        };
-        // Three pure in-order arrivals aggregate...
-        for seq in 1..=3 {
-            assert_eq!(rel_on_packet(&mut w, &mk(seq)), RelVerdict::Deliver);
-        }
-        assert_eq!(w.nics.rel.stats.acks_sent, 0);
-        assert_eq!(w.nics.rel.stats.acks_delayed, 3);
-        // ...the fourth is the count trigger.
-        assert_eq!(rel_on_packet(&mut w, &mk(4)), RelVerdict::Deliver);
-        assert_eq!(w.nics.rel.stats.acks_sent, 1);
-        // Out-of-order arrival (hole at 5): immediate ack.
-        assert_eq!(rel_on_packet(&mut w, &mk(6)), RelVerdict::Deliver);
-        assert_eq!(w.nics.rel.stats.acks_sent, 2);
-        // Hole fill: immediate ack.
-        assert_eq!(rel_on_packet(&mut w, &mk(5)), RelVerdict::Deliver);
-        assert_eq!(w.nics.rel.stats.acks_sent, 3);
-        // Duplicate: immediate ack (repairs a lost ack).
-        assert_eq!(rel_on_packet(&mut w, &mk(2)), RelVerdict::Consumed);
-        assert_eq!(w.nics.rel.stats.acks_sent, 4);
-        // One pending in-order arrival flushes at the holdoff.
-        assert_eq!(rel_on_packet(&mut w, &mk(7)), RelVerdict::Deliver);
-        assert_eq!(w.nics.rel.stats.acks_sent, 4);
-        run_to_quiescence(&mut w);
-        assert_eq!(w.nics.rel.stats.acks_sent, 5, "holdoff flushed the ack");
-        assert!(knet_simcore::now(&w) >= SimTime::from_micros(10));
     }
 
     /// Dead links are reclaimed: rings, receiver bitmaps and lazily-derived

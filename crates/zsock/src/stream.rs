@@ -789,11 +789,10 @@ pub fn sock_on_event<W: ZsockWorld>(w: &mut W, sid: SockId, ev: TransportEvent) 
             }
         }
         TransportEvent::RecvDone { .. } | TransportEvent::Unexpected { .. } => {}
-        // Streams never join collective groups nor issue RPCs.
+        // Streams never join collective groups.
         TransportEvent::CollectiveDone { .. }
         | TransportEvent::CollectiveRecv { .. }
-        | TransportEvent::CollectiveFailed { .. }
-        | TransportEvent::RpcDone { .. } => {}
+        | TransportEvent::CollectiveFailed { .. } => {}
         TransportEvent::PeerDown { .. } => unreachable!("handled before the dispatcher charge"),
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's reference point for the socket comparison (§5.3): the full
 //! TCP/IP stack "with fragmentation and checksum computation" whose host
 //! processing is known to consume about half of the transaction cost
-//! [Sum00], on a commodity GigE wire. Modeled at the socket layer as an
+//! \[Sum00\], on a commodity GigE wire. Modeled at the socket layer as an
 //! explicit cost pipeline (sender stack → wire occupancy → receiver stack)
 //! rather than through the Myrinet NIC model — this network has no OS-bypass
 //! and no DMA engine the applications can see.

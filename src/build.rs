@@ -140,7 +140,7 @@ impl ClusterBuilder {
     }
 
     /// Tune the NIC-level reliability windows: AIMD congestion control,
-    /// fast-retransmit threshold, ack aggregation, retry budget (see
+    /// fast-retransmit threshold, retry budget (see
     /// `knet_simnic::RelParams`). `RelParams::fixed_window()` is the
     /// pre-control-loop sender — the incast bench's baseline.
     pub fn rel_params(mut self, p: RelParams) -> Self {

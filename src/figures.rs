@@ -730,7 +730,7 @@ pub fn fig8b() -> Figure {
 }
 
 /// Extension: the TCP/IP-over-GigE baseline the paper name-drops ("A common
-/// GIGA-ETHERNET network might get much more [latency]").
+/// GIGA-ETHERNET network might get much more \[latency\]").
 pub fn tcp_baseline() -> Figure {
     let sizes = pow2_sizes(1, 1 << 20);
     let mut lat = Series::new("TCP/IP GigE latency (us)");

@@ -130,9 +130,7 @@ pub fn await_recv(w: &mut ClusterWorld, ep: Endpoint) -> (u64, u64) {
                 TransportEvent::PeerDown { peer } => {
                     panic!("benchmark peer {peer:?} died (reliability window exhausted)")
                 }
-                TransportEvent::CollectiveDone { .. }
-                | TransportEvent::CollectiveRecv { .. }
-                | TransportEvent::RpcDone { .. } => {}
+                TransportEvent::CollectiveDone { .. } | TransportEvent::CollectiveRecv { .. } => {}
                 TransportEvent::CollectiveFailed { ctx, error, .. } => {
                     panic!("benchmark collective {ctx} failed: {error}")
                 }

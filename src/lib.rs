@@ -16,8 +16,8 @@
 //! | `knet-simcore` | discrete-event engine, virtual time, timed resources |
 //! | `knet-simos`   | CPU cost models, physical memory, address spaces, page-cache, VMA SPY |
 //! | `knet-simnic`  | Myrinet-like NIC: DMA, translation table, links, crossbar |
-//! | `knet-core`    | the paper's API: address classes, io-vectors, GMKRC, transport, **channels + completion queues + consumer registry**; above the channel, what every request/response service shares: the request seam (`req` — send-context map, staging ring, request table), and beside it what the two storage clients share toward the page-cache: the cached-I/O seam (`pageio` — page walk, copy-in / copy-out, in-flight ownership, landing and abandon rules); below the transport, what both drivers share: the tenant pacing seam (`pace`), and the completion-event type and message engine — packet builder, MTU chunk loop, first-fit matching, reassembly — (`driver`) |
-//! | `knet-gm`      | GM driver: registration, event queues, kernel port, physical patch |
+//! | `knet-core`    | the paper's API: address classes, io-vectors, GMKRC, transport, **channels + completion queues + consumer registry**; above the channel, what every request/response service shares: the request seam (`req` — send-context map, staging ring, request table), and beside it what the two storage clients share toward the page-cache: the cached-I/O seam (`pageio` — page walk, copy-in / copy-out, in-flight ownership, landing and abandon rules); below the transport, what both drivers share: the tenant pacing seam (`pace`), and the one completion hook and the message engine — packet builder, MTU chunk loop, first-fit matching, reassembly — (`driver`) |
+//! | `knet-gm`      | GM driver: registration, send tokens, kernel port, physical patch |
 //! | `knet-mx`      | MX driver: matching, small/medium/large protocols, copy removal |
 //! | `knet-simfs`   | ext2-like server file system |
 //! | `knet-orfs`    | ORFA/ORFS remote file access (server, user & kernel clients) |
@@ -51,7 +51,7 @@
 //!   token exhaustion in a bounded backpressure queue retried on
 //!   `SendDone`. Raw `t_send`/`t_post_recv` are the driver seam; nothing
 //!   above the channel layer calls them (enforced by
-//!   `tests/api_boundaries.rs` and the CI grep gate).
+//!   `tests/api_boundaries.rs`).
 //!
 //! Events arriving at a not-yet-bound endpoint park in the registry and
 //! replay when a consumer binds — wiring order never loses traffic.
@@ -125,8 +125,8 @@ pub mod prelude {
     pub use knet_rpc::{
         rpc_call, rpc_cancel, rpc_client_create, rpc_client_stats, rpc_collect, rpc_server_create,
         rpc_server_reply, rpc_server_stats, RetryPolicy, RpcCall, RpcCallOpts, RpcClientConfig,
-        RpcClientId, RpcCompletion, RpcOutcome, RpcRequest, RpcServerConfig, RpcServerId, RpcSink,
-        RpcWorld,
+        RpcClientId, RpcCompletion, RpcOutcome, RpcRequest, RpcServerConfig, RpcServerId,
+        RpcSinkFn, RpcWorld,
     };
     pub use knet_simcore::{now, run_to_quiescence, run_until, RunOutcome, SimTime};
     pub use knet_simnic::{CollOp, NicModel, QosPolicy, ReduceOp};

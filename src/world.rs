@@ -6,12 +6,13 @@
 //!
 //! * `nic_rx` → GM or MX firmware, by packet protocol;
 //! * `vma_event` → the GM registration caches (VMA SPY subscribers);
-//! * `gm_dispatch`/`mx_dispatch` → unified [`TransportEvent`]s handed to
-//!   [`knet_core::api::deliver`], which routes each endpoint's events to
-//!   whatever consumer registered for it — a completion queue for polling
-//!   drivers, or an application handler (ORFS, NBD, sockets). The world
-//!   itself names no application: new workloads attach through the
-//!   registry, not by editing this file.
+//! * [`CompletionHook::complete`] → each driver completion, a
+//!   [`TransportEvent`] from the moment the driver created it, handed to
+//!   [`knet_core::api::deliver`], which routes it to whatever consumer
+//!   registered for the endpoint — a completion queue for polling drivers,
+//!   or an application handler (ORFS, NBD, sockets). The world itself
+//!   names no application: new workloads attach through the registry, not
+//!   by editing this file.
 //! * [`TransportWorld`] (`t_send`/`t_post_recv`) → the owning driver, with
 //!   the GM glue inserting GMKRC registration for user-virtual buffers
 //!   exactly where the paper's in-kernel clients needed it. This is the
@@ -22,17 +23,17 @@
 use knet_coll::{CollLayer, CollWorld};
 use knet_core::api::{self, ConsumerId, CqId, Registry};
 use knet_core::{
-    DispatchWorld, DriverEvent, Endpoint, IoVec, MemRef, NetError, TenantId, TenantSendStats,
+    CompletionHook, DispatchWorld, Endpoint, IoVec, MemRef, NetError, TenantId, TenantSendStats,
     TransportEvent, TransportKind, TransportWorld,
 };
 use knet_gm::{
-    gm_ensure_cached, gm_next_event, gm_on_packet, gm_on_vma_event, gm_open_port,
-    gm_provide_receive_buffer, gm_send_t, GmEv, GmLayer, GmPortConfig, GmPortId, GmWorld,
+    gm_ensure_cached, gm_on_packet, gm_on_vma_event, gm_open_port, gm_provide_receive_buffer,
+    gm_send_t, GmEv, GmLayer, GmPortConfig, GmPortId, GmWorld,
 };
 use knet_kv::{KvEv, KvLayer, KvWorld};
 use knet_mx::{
-    mx_irecv, mx_isend_t, mx_next_event, mx_on_packet, mx_open_endpoint, MxEndpointConfig,
-    MxEndpointId, MxEv, MxLayer, MxWorld,
+    mx_irecv, mx_isend_t, mx_on_packet, mx_open_endpoint, MxEndpointConfig, MxEndpointId, MxEv,
+    MxLayer, MxWorld,
 };
 use knet_nbd::{NbdLayer, NbdWorld};
 use knet_orfs::{OrfsLayer, OrfsWorld};
@@ -490,6 +491,12 @@ impl DispatchWorld for ClusterWorld {
     }
 }
 
+impl CompletionHook for ClusterWorld {
+    fn complete(&mut self, ep: Endpoint, ev: TransportEvent) {
+        api::deliver(self, ep, ev);
+    }
+}
+
 impl GmWorld for ClusterWorld {
     fn gm(&self) -> &GmLayer {
         &self.gm
@@ -499,22 +506,6 @@ impl GmWorld for ClusterWorld {
     }
     fn lift_gm(ev: GmEv) -> ClusterEv {
         ClusterEv::Gm(ev)
-    }
-    fn gm_dispatch(&mut self, port: GmPortId) {
-        let Ok(node) = self.gm.port(port).map(|p| p.node) else {
-            return;
-        };
-        let ep = Endpoint {
-            kind: TransportKind::Gm,
-            node,
-            idx: port.0,
-        };
-        deliver_driver_events(
-            self,
-            ep,
-            |w| gm_next_event(w, port),
-            |w, from: GmPortId| (from.0, w.gm.port(from).ok().map(|p| p.node)),
-        );
     }
 }
 
@@ -527,46 +518,6 @@ impl MxWorld for ClusterWorld {
     }
     fn lift_mx(ev: MxEv) -> ClusterEv {
         ClusterEv::Mx(ev)
-    }
-    fn mx_dispatch(&mut self, ep_id: MxEndpointId) {
-        let Ok(node) = self.mx.ep(ep_id).map(|e| e.node) else {
-            return;
-        };
-        let ep = Endpoint {
-            kind: TransportKind::Mx,
-            node,
-            idx: ep_id.0,
-        };
-        deliver_driver_events(
-            self,
-            ep,
-            |w| mx_next_event(w, ep_id),
-            |w, from: MxEndpointId| (from.0, w.mx.ep(from).ok().map(|e| e.node)),
-        );
-    }
-}
-
-/// The one driver-queue → [`TransportEvent`] → [`api::deliver`] loop: drain
-/// the driver's event queue of endpoint `ep` (`next` pops it) and hand each
-/// event to whatever consumer the registry routes `ep` to. `peer` gives the
-/// driver-local index of a receive's sender and the node it lives on; a
-/// sender that has since closed is placed on `ep`'s own node.
-fn deliver_driver_events<Id>(
-    w: &mut ClusterWorld,
-    ep: Endpoint,
-    mut next: impl FnMut(&mut ClusterWorld) -> Option<DriverEvent<Id>>,
-    peer: impl Fn(&ClusterWorld, Id) -> (u32, Option<NodeId>),
-) {
-    while let Some(ev) = next(w) {
-        let tev = ev.into_transport(|from| {
-            let (idx, node) = peer(w, from);
-            Endpoint {
-                kind: ep.kind,
-                node: node.unwrap_or(ep.node),
-                idx,
-            }
-        });
-        api::deliver(w, ep, tev);
     }
 }
 

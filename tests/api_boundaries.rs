@@ -17,14 +17,16 @@
 //! channel queue are its only possible users — naming it anywhere else is
 //! a compile error.
 //!
-//! The last three entries are not layering boundaries. One is a
+//! The last four entries are not layering boundaries. One is a
 //! performance boundary: the registry's and the reliability layer's tables
 //! are indexed by the ids this program mints, never searched or SipHashed
 //! per event. The other two keep one implementation one: how a message
 //! moves (chunking, packet building, matching, reassembly) lives in
 //! `knet_core::driver`, and neither driver may grow its own copy back; how
 //! a cached page is walked, filled, landed and given back lives in
-//! `knet_core::pageio`, and neither storage client may.
+//! `knet_core::pageio`, and neither storage client may. The last row keeps
+//! deleted second paths deleted: a driver completion reaches its consumer
+//! through one hook, not a driver queue and a dispatch loop.
 
 use std::fs;
 use std::path::Path;
@@ -545,6 +547,38 @@ fn cached_io_lives_in_the_shared_engine_only() {
         offenders.is_empty(),
         "page-cache mechanics hand-rolled in a service (use knet_core::pageio's \
          read_step / copy_in / landed / abandoned / when_drained):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// A driver completion is a `TransportEvent` from the moment the driver
+/// creates it and reaches the endpoint's consumer in one call
+/// (`knet_core::CompletionHook::complete`). What that replaced must not
+/// come back anywhere: the driver-side twin event type, the per-endpoint
+/// driver queues with their pop functions, the two world dispatch hooks —
+/// nor the other second paths deleted with them: an RPC resolution pushed
+/// as a transport event onto a queue, and the receiver ack aggregation no
+/// workload ever enabled.
+#[test]
+fn one_completion_path_from_driver_to_consumer() {
+    // Patterns assembled at runtime so this file never matches itself.
+    let patterns = vec![
+        format!("Driver{}", "Event"),
+        format!("gm_next_{}(", "event"),
+        format!("mx_next_{}(", "event"),
+        format!("gm_{}(", "dispatch"),
+        format!("mx_{}(", "dispatch"),
+        format!("Rpc{}", "Done"),
+        format!("RpcSink::{}", "Cq"),
+        format!("RelAck{}", "Flush"),
+        format!("ack_{}", "every"),
+        format!("ack_{}", "holdoff"),
+    ];
+    let offenders = offenders_for(&["crates", "src", "tests", "examples"], &patterns);
+    assert!(
+        offenders.is_empty(),
+        "a second completion path grew back (a driver hands each completion \
+         to CompletionHook::complete; RPC completions are handler upcalls):\n{}",
         offenders.join("\n")
     );
 }

@@ -238,6 +238,14 @@ fn typed_event_dispatch_allocates_nothing() {
     assert_eq!(s1.errors, 0, "no engine errors on the hot path");
 }
 
+/// Every scheduler slot is one `ClusterEv`, sized by its widest variant —
+/// `NicEv::Rx`'s `Packet`. A driver completion (a `TransportEvent` inside
+/// `GmEv` / `MxEv`) must stay narrower, or it quietly widens every slot.
+#[test]
+fn cluster_event_stays_packet_sized() {
+    assert_eq!(std::mem::size_of::<knet::ClusterEv>(), 112);
+}
+
 // ---------------------------------------------------------------- full path
 
 /// Drive real messages through kernel-buffer channels over GM and MX —
@@ -711,7 +719,7 @@ fn rpc_round_trips_and_retries_recycle_pools_in_steady_state() {
         cep,
         sep,
         "cli",
-        RpcSink::Handler(Arc::new(|_w, _comp| {})),
+        Arc::new(|_w, _comp| {}),
         RpcClientConfig::default(),
     )
     .unwrap();
@@ -776,7 +784,7 @@ fn rpc_round_trips_and_retries_recycle_pools_in_steady_state() {
         cep2,
         bep,
         "retrier",
-        RpcSink::Handler(Arc::new(|_w, _comp| {})),
+        Arc::new(|_w, _comp| {}),
         RpcClientConfig {
             policy: RetryPolicy {
                 max_attempts: 3,

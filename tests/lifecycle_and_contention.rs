@@ -316,6 +316,60 @@ fn single_client_direct_read_rate_is_wire_bound() {
     );
 }
 
+/// A message whose sender closes while it is on the wire still names its
+/// sender: the completion's `from` — and the peer an accept-side channel
+/// learns from it — carry the client's node, on GM and on MX.
+#[test]
+fn a_completion_names_its_sender_after_the_sender_closed() {
+    use std::sync::{Arc, Mutex};
+    for kind in [TransportKind::Gm, TransportKind::Mx] {
+        let (mut w, n0, n1) = two_nodes();
+        let open = |w: &mut ClusterWorld, node| match kind {
+            TransportKind::Gm => w.open_gm(node, GmPortConfig::kernel().with_physical_api()),
+            TransportKind::Mx => w.open_mx(node, MxEndpointConfig::kernel()),
+        };
+        let cep = open(&mut w, n0).unwrap();
+        let sep = open(&mut w, n1).unwrap();
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let log = heard.clone();
+        let srv = knet_core::api::channel_accept_handler(&mut w, sep, "srv", move |_w, _ep, ev| {
+            log.lock().unwrap().push(ev)
+        });
+        let cq = w.new_cq();
+        let ch = channel_connect(&mut w, cep, sep, cq);
+        let buf = kbuf(&mut w, n0, 4096);
+        channel_send(&mut w, ch, 5, buf.iov(64)).unwrap();
+        // The send completes once the bytes have left host memory; the
+        // message has not landed yet.
+        assert_eq!(
+            run_until(&mut w, |w| w.has_event(cep)),
+            RunOutcome::Satisfied
+        );
+        assert!(
+            heard.lock().unwrap().is_empty(),
+            "{kind:?}: still in flight"
+        );
+        match kind {
+            TransportKind::Gm => gm_close_port(&mut w, GmPortId(cep.idx)).map(drop),
+            TransportKind::Mx => mx_close_endpoint(&mut w, MxEndpointId(cep.idx)),
+        }
+        .unwrap();
+        run_to_quiescence(&mut w);
+
+        let heard = heard.lock().unwrap();
+        let from = match heard.as_slice() {
+            [TransportEvent::Unexpected { tag: 5, from, .. }] => *from,
+            other => panic!("{kind:?}: {other:?}"),
+        };
+        assert_eq!(from, cep, "{kind:?}: the message names its sender");
+        assert_eq!(
+            channel_peer(&w, srv),
+            Some(cep),
+            "{kind:?}: the peer learned"
+        );
+    }
+}
+
 #[test]
 fn every_send_resolves_exactly_once_around_a_peer_kill() {
     // Aim 3 below the channel layer: a rendezvous send parks in the driver

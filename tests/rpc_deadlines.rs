@@ -25,14 +25,12 @@ use proptest::prelude::*;
 /// *when* a call resolved must use the recorded stamp, not final `now()`.
 type Done = Arc<Mutex<Vec<(RpcCall, Result<u64, RpcError>, u64)>>>;
 
-fn sink_into(done: &Done) -> RpcSink<ClusterWorld> {
+fn sink_into(done: &Done) -> RpcSinkFn<ClusterWorld> {
     let d = done.clone();
-    RpcSink::Handler(Arc::new(
-        move |w: &mut ClusterWorld, comp: RpcCompletion| {
-            let t = now(w).nanos();
-            d.lock().unwrap().push((comp.call, comp.result, t));
-        },
-    ))
+    Arc::new(move |w: &mut ClusterWorld, comp: RpcCompletion| {
+        let t = now(w).nanos();
+        d.lock().unwrap().push((comp.call, comp.result, t));
+    })
 }
 
 /// Echo server on `n1`, client on `n0`.

@@ -166,9 +166,6 @@ fn mix_event(h: u64, ev: &TransportEvent) -> u64 {
             mix(mix(mix(h, 7), *tag), sum)
         }
         TransportEvent::CollectiveFailed { ctx, .. } => mix(mix(h, 8), *ctx),
-        TransportEvent::RpcDone { call, len, error } => {
-            mix(mix(mix(mix(h, 9), *call), *len), error.is_some() as u64)
-        }
     }
 }
 
