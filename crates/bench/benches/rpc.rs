@@ -320,8 +320,10 @@ fn main() {
 
     // Sanity on the headline shape: lossless p99 must sit far below the
     // first retry timer (a clean fabric never waits on the recovery
-    // schedule), and every blackout is bounded by the retry budget the
-    // client runs on (4 attempts × 2 ms, plus reissue delay).
+    // schedule), and every blackout stays far below the ~10 ms that nine
+    // backed-off link rounds took to declare the primary dead: liveness
+    // probes find it at RTT scale, and what remains is the client's one
+    // 2 ms attempt timer.
     let clean_p99 = echo
         .iter()
         .filter(|p| p.loss_pct == 0)
@@ -334,8 +336,8 @@ fn main() {
     );
     for p in &failover {
         assert!(
-            p.blackout_us < 60_000.0,
-            "blackout at loss={}% ({} µs) exceeds the failover budget",
+            p.blackout_us < 5_000.0,
+            "blackout at loss={}% ({} µs) — failure detection is timer-bound again",
             p.loss_pct,
             p.blackout_us
         );

@@ -19,9 +19,11 @@
 //! Capacity *policy* (reject when full, evict in batches, …) stays with
 //! the caller; the slab itself is unbounded.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::Hash;
 use std::ops::RangeInclusive;
+
+use crate::IdHashMap;
 
 /// Sentinel slot index (list terminator / no slot).
 const NIL: u32 = u32::MAX;
@@ -44,7 +46,9 @@ pub struct LruSlab<K, V> {
     head: u32,
     /// LRU end — the next eviction victim.
     tail: u32,
-    index: HashMap<K, u32>,
+    /// Never iterated, so its hasher decides speed only — and, being
+    /// free of per-process state, the same tombstones on every run.
+    index: IdHashMap<K, u32>,
     ordered: BTreeMap<K, u32>,
     /// Entries the first insert reserves for.
     reserve: usize,
@@ -61,7 +65,7 @@ impl<K: Copy + Eq + Ord + Hash, V: Copy> LruSlab<K, V> {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            index: HashMap::new(),
+            index: IdHashMap::default(),
             ordered: BTreeMap::new(),
             reserve,
         }

@@ -229,6 +229,12 @@ pub enum NicEv {
         seq: u64,
         hold: SimTime,
     },
+    /// A liveness probe of link `key` arrives at the receiver's NIC, which
+    /// answers it on the spot.
+    RelProbe { key: LinkKey },
+    /// The receiver NIC's answer to a liveness probe of link `key` arrives
+    /// back at the sender.
+    RelAnswer { key: LinkKey },
     /// The collective engine delivers `ev` to the host at `nic` (a DMA
     /// completion into the host rings).
     Coll {
@@ -307,6 +313,8 @@ pub fn run_nic_ev<W: NicWorld>(w: &mut W, ev: NicEv) {
             echo,
         } => crate::rel::ack_arrival(w, key, cum, sack, echo),
         NicEv::RelNack { key, seq, hold } => crate::rel::nack_arrival(w, key, seq, hold),
+        NicEv::RelProbe { key } => crate::rel::probe_arrival(w, key),
+        NicEv::RelAnswer { key } => crate::rel::answer_arrival(w, key),
         NicEv::Coll { proto, nic, ev } => w.coll_event(proto, nic, ev),
         NicEv::CollProbe { key } => crate::coll::probe_fire(w, key),
     }
@@ -328,8 +336,9 @@ pub trait NicWorld: OsWorld {
     /// firmware of whichever driver (GM or MX) owns the card.
     fn nic_rx(&mut self, nic: NicId, pkt: Packet);
 
-    /// A reliability window exhausted its retry budget: the `(proto,
-    /// local, remote)` link is dead. The composed world propagates this as
+    /// A reliability window's questions went unanswered `max_retries + 1`
+    /// times in a row: the `(proto, local, remote)` link is dead. The
+    /// composed world propagates this as
     /// `PeerDown` to the channels above that face the dead node; the
     /// default (raw fabric tests, benchmark substrates) ignores it.
     fn nic_link_dead(&mut self, _proto: Proto, _local: NicId, _remote: NicId) {}

@@ -38,11 +38,27 @@
 //!   only the *holes* — unacked packets the SACK state has not covered —
 //!   are resent; SACKed packets inside the window are never retransmitted
 //!   (counted in [`RelStats::sack_repairs`] as the resends a go-back-N
-//!   round would have wasted). [`RelParams::max_retries`] fruitless rounds
-//!   declare the link **dead**: the window is torn down, subsequent sends
-//!   fail synchronously, and the composed world is told through
+//!   round would have wasted);
+//! * death is decided by **evidence, not by a backoff budget**: every
+//!   retransmission round and every liveness probe is one *question* to
+//!   the peer, and any arrival from the peer on the link — a progressing
+//!   or duplicate ack, a NACK, a probe answer — resets the count.
+//!   `RelParams::max_retries + 1` consecutive unanswered questions declare
+//!   the link **dead**: the window is torn down, subsequent sends fail
+//!   synchronously, and the composed world is told through
 //!   [`NicWorld::nic_link_dead`] so `PeerDown` reaches the channels above
-//!   that face the dead node.
+//!   that face the dead node;
+//! * **liveness probes** fill the gaps between backed-off data rounds once
+//!   two questions in a row went unanswered (one unanswered round is
+//!   ordinary loss; two in a row is rare on a live link): the sender asks
+//!   again every pre-backoff RTO until an answer comes back or the link
+//!   dies, so a dead peer is found at RTT scale while the data rounds keep
+//!   their exponential schedule. A probe is a control symbol like an ack —
+//!   no link bandwidth, no host or firmware charge, the same fault dice —
+//!   and the peer *NIC* answers it on arrival, ahead of its rx FIFO, so a
+//!   deep receive backlog never makes a live peer look dead. The answer
+//!   carries liveness only: no RTT sample, no cum/SACK, so the estimator,
+//!   the SACK state and Eifel detection never see it;
 //! * a retransmission that turns out to have been unnecessary — the ack
 //!   that finally progresses echoes a timestamp *older* than the last RTO
 //!   round, so the original copy had arrived all along (Eifel detection) —
@@ -75,7 +91,7 @@
 //!   duplicates included, so a lost ack is repaired by the retransmission
 //!   it caused — echoing that packet's timestamp, so RTT samples are
 //!   undistorted;
-//! * dead links are **reclaimed**: retry-budget exhaustion removes the
+//! * dead links are **reclaimed**: the death of a link removes the
 //!   sender ring, the receiver bitmap of the reverse direction and the
 //!   lazily-derived fault dice streams of the node pair (when no other
 //!   live link shares them), leaving only a tombstone — the link's record
@@ -122,7 +138,8 @@ pub struct RelParams {
     pub min_rto: SimTime,
     /// Ceiling of the adaptive RTO and of its exponential backoff.
     pub max_rto: SimTime,
-    /// Fruitless retransmission rounds before the link is declared dead.
+    /// Consecutive unanswered questions — retransmission rounds and
+    /// liveness probes — a link survives: the next one declares it dead.
     pub max_retries: u32,
     /// Duplicate-SACK indications (acks carrying SACK bits but no
     /// cumulative progress) that trigger a fast retransmit. `0` disables
@@ -182,9 +199,14 @@ knet_simcore::counters! {
         pub retransmits: u64,
         /// Timer periods that elapsed with zero ack progress.
         pub timeouts: u64,
+        /// Liveness-probe ticks between data rounds on links with two
+        /// unanswered questions in a row (the tick that exhausts the
+        /// question budget declares the link dead instead of asking).
+        pub probes: u64,
         /// Sends parked because the window was full.
         pub parked: u64,
-        /// Links declared dead after an exhausted retry budget.
+        /// Links declared dead after `max_retries + 1` unanswered
+        /// questions.
         pub dead_links: u64,
         /// Cumulative acks received.
         pub acks_recv: u64,
@@ -280,7 +302,7 @@ pub struct RelLinkStats {
     pub rto_ns: u64,
     /// Packets currently unacked + parked.
     pub in_flight: usize,
-    /// Retry budget exhausted — the link is dead.
+    /// Question budget exhausted — the link is dead.
     pub dead: bool,
     /// Fast-retransmit rounds fired on this link.
     pub fast_retransmits: u64,
@@ -302,8 +324,14 @@ struct TxLink {
     unacked: VecDeque<TxEntry>,
     /// Sequenced but not yet transmitted: the window was full.
     parked: VecDeque<(Packet, SimTime)>,
-    /// Fruitless timer rounds since the last ack progress.
+    /// Fruitless timer rounds since the last ack progress (backoff and
+    /// Eifel bookkeeping; death is `questions`' business).
     retries: u32,
+    /// Consecutive questions — retransmission rounds and liveness probes —
+    /// since the last arrival of any kind from the peer on this link.
+    questions: u32,
+    /// Instant of the latest question: the probe cadence counts from here.
+    last_question_at: SimTime,
     /// Instant the latest transmission left the source link. Drivers
     /// legitimately schedule wire slots far in the future (host/DMA
     /// pipeline backlog), so staleness is measured from here — never from
@@ -325,8 +353,12 @@ struct TxLink {
     /// `rto_cur` as it stood when the current backoff episode began —
     /// restored verbatim when Eifel proves the episode spurious.
     rto_prev: SimTime,
-    /// A retransmit timer is scheduled.
+    /// The retransmit timer is pending at `timer_at`. One timer event is
+    /// in flight exactly while this is set; probe ticks borrow it without
+    /// moving `timer_at`, so the data rounds keep their own schedule.
     armed: bool,
+    /// Instant the pending retransmit timer checks for staleness.
+    timer_at: SimTime,
     dead: bool,
     /// AIMD congestion window in packets: how much of the fixed window may
     /// be in flight. Opens at the full window; narrows only on loss.
@@ -356,6 +388,8 @@ impl TxLink {
             unacked: VecDeque::new(),
             parked: VecDeque::new(),
             retries: 0,
+            questions: 0,
+            last_question_at: SimTime::ZERO,
             last_tx_done: SimTime::ZERO,
             last_progress: SimTime::ZERO,
             srtt_ns: None,
@@ -365,6 +399,7 @@ impl TxLink {
             rto_outstanding: false,
             rto_prev: p.rto,
             armed: false,
+            timer_at: SimTime::ZERO,
             dead: false,
             cwnd: p.window,
             ssthresh: p.window,
@@ -433,6 +468,20 @@ impl TxLink {
     /// nor an ack progressed after `deadline - rto_cur`.
     fn deadline(&self) -> SimTime {
         self.last_tx_done.max(self.last_progress) + self.rto_cur
+    }
+
+    /// When the next liveness probe is due: one pre-backoff RTO after the
+    /// latest question, once two questions in a row went unanswered.
+    fn probe_at(&self) -> Option<SimTime> {
+        (self.questions >= 2 && !self.unacked.is_empty())
+            .then(|| self.last_question_at + self.rto_prev)
+    }
+
+    /// The timer event's next instant: the staleness check, or an earlier
+    /// probe.
+    fn wake_at(&self) -> SimTime {
+        self.probe_at()
+            .map_or(self.timer_at, |p| p.min(self.timer_at))
     }
 
     /// Feed one RTT sample (RFC 6298 smoothing) and, outside backoff,
@@ -712,10 +761,10 @@ fn note_tx<W: NicWorld>(w: &mut W, k: LinkKey, tx_done: SimTime) {
     }
 }
 
-/// Ensure one retransmit timer is pending for the link, scheduled at its
+/// Ensure one retransmit timer is pending for the link, checking at its
 /// current staleness deadline.
 fn arm_timer<W: NicWorld>(w: &mut W, k: LinkKey) {
-    let deadline = {
+    {
         let Some(link) = w.nics_mut().rel.tx_mut(&k) else {
             return;
         };
@@ -723,25 +772,37 @@ fn arm_timer<W: NicWorld>(w: &mut W, k: LinkKey) {
             return;
         }
         link.armed = true;
-        link.deadline()
+        link.timer_at = link.deadline();
+    }
+    schedule_wake(w, k);
+}
+
+/// Put the armed timer's event in flight at its next instant — the
+/// staleness check, or a probe tick if one comes first.
+fn schedule_wake<W: NicWorld>(w: &mut W, k: LinkKey) {
+    let Some(at) = w.nics().rel.tx(&k).map(TxLink::wake_at) else {
+        return;
     };
     // The timer is the sender's event: it targets the node driving the
     // link's tx side, so the shard owning that node executes it.
     let node = w.nics().get(NicId(k.1)).node.0;
     let ev = W::lift_nic(NicEv::RelTimer { key: k });
-    knet_simcore::emit_at(w, node, deadline, ev);
+    knet_simcore::emit_at(w, node, at, ev);
 }
 
-/// The per-link retransmit timer. Fires at the link's staleness deadline;
-/// when neither a transmission completed nor an ack progressed for a full
-/// adaptive RTO, the sender performs a selective-repeat round — resending
-/// only the holes the SACK state has not covered — and backs the RTO off.
-/// `max_retries` fruitless rounds declare the link dead.
+/// The per-link retransmit timer. Fires at the link's staleness deadline
+/// or its next probe, whichever comes first. When neither a transmission
+/// completed nor an ack progressed for a full adaptive RTO, the sender
+/// performs a selective-repeat round — resending only the holes the SACK
+/// state has not covered — and backs the RTO off; between rounds, a link
+/// with two unanswered questions in a row probes the peer. Each round and
+/// each probe is a question: `max_retries + 1` unanswered ones in a row
+/// declare the link dead.
 pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
     enum Outcome {
-        Idle,
-        Rearm,
+        Wait,
         Retransmit,
+        Probe,
         Dead,
     }
     let now = knet_simcore::now(w);
@@ -754,29 +815,43 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
         let Some(link) = rel.links.get_mut(&k).and_then(|l| l.tx.as_mut()) else {
             return;
         };
-        link.armed = false;
-        if link.dead || link.unacked.is_empty() {
-            Outcome::Idle
-        } else if now < link.deadline() {
-            // Progress since arming, or the pipeline is still feeding the
-            // wire: keep watching from the new deadline.
-            Outcome::Rearm
+        // The staleness check is due at `timer_at`; an earlier wake is a
+        // probe tick borrowing the timer event.
+        let check = now >= link.timer_at;
+        if check {
+            link.armed = false;
+        }
+        let stale = check && now >= link.deadline();
+        let probe = !stale && link.probe_at().is_some_and(|at| now >= at);
+        if link.dead || link.unacked.is_empty() || !(stale || probe) {
+            // Nothing to watch, or progress since arming, or the pipeline
+            // is still feeding the wire (or an answer cancelled the
+            // probe): keep watching, if there is anything to watch.
+            Outcome::Wait
         } else {
-            if link.retries == 0 {
-                // Entering a backoff episode: remember the pre-backoff RTO
-                // so Eifel detection can restore it if the episode turns
-                // out to be spurious.
-                link.rto_prev = link.rto_cur;
+            link.questions += 1;
+            link.last_question_at = now;
+            if stale {
+                if link.retries == 0 {
+                    // Entering a backoff episode: remember the pre-backoff
+                    // RTO so Eifel detection can restore it if the episode
+                    // turns out to be spurious.
+                    link.rto_prev = link.rto_cur;
+                }
+                link.retries += 1;
+                link.counts.timeouts += 1;
+                rel.stats.timeouts += 1;
+            } else {
+                rel.stats.probes += 1;
             }
-            link.retries += 1;
-            link.counts.timeouts += 1;
-            rel.stats.timeouts += 1;
-            if link.retries > params.max_retries {
+            if link.questions > params.max_retries {
                 link.dead = true;
                 link.unacked.clear();
                 link.parked.clear();
                 rel.stats.dead_links += 1;
                 Outcome::Dead
+            } else if probe {
+                Outcome::Probe
             } else {
                 // An RTO is the strongest loss signal the sender gets:
                 // collapse the congestion window to the floor and slow-start
@@ -822,8 +897,7 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
         }
     };
     match outcome {
-        Outcome::Idle => {}
-        Outcome::Rearm => arm_timer(w, k),
+        Outcome::Wait => {}
         Outcome::Retransmit => {
             let mut burst = std::mem::take(&mut w.nics_mut().rel.burst);
             let mut last = now;
@@ -832,7 +906,9 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
             }
             w.nics_mut().rel.burst = burst;
             note_tx(w, k, last);
-            arm_timer(w, k);
+        }
+        Outcome::Probe => {
+            control_send(w, NicId(k.1), NicId(k.2), NicEv::RelProbe { key: k });
         }
         Outcome::Dead => {
             let (proto, src, dst) = (k.0, NicId(k.1), NicId(k.2));
@@ -840,7 +916,15 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
             // so PeerDown handlers observe the final (empty) rings.
             reclaim_link(w, k);
             w.nic_link_dead(proto, src, dst);
+            return;
         }
+    }
+    // A probe tick leaves the staleness check pending where it was;
+    // after the check, a fresh one is armed from the new deadline.
+    if w.nics().rel.tx(&k).is_some_and(|l| l.armed) {
+        schedule_wake(w, k);
+    } else {
+        arm_timer(w, k);
     }
 }
 
@@ -937,6 +1021,49 @@ pub fn rel_on_packet<W: NicWorld>(w: &mut W, pkt: &Packet) -> RelVerdict {
     }
 }
 
+/// Roll the fabric's dice for one control symbol `from → to`, at the
+/// transmitting NIC's instant like a packet: `None` when the fabric lost
+/// it, else its arrival instant — one cut-through latency out, which is
+/// also the cross-shard lookahead bound — and, when the dice duplicated
+/// it, the copy's.
+fn control_arrival<W: NicWorld>(
+    w: &mut W,
+    from: NicId,
+    to: NicId,
+) -> Option<(SimTime, Option<SimTime>)> {
+    let now = knet_simcore::now(w);
+    let (latency, from_node, to_node) = {
+        let nl = w.nics();
+        (
+            nl.get(from).model.wire_latency,
+            nl.get(from).node,
+            nl.get(to).node,
+        )
+    };
+    let FaultVerdict::Deliver {
+        extra,
+        duplicate,
+        dup_extra,
+    } = w.nics_mut().fault_verdict(from_node, to_node, now)
+    else {
+        return None;
+    };
+    let arrival = now + latency + extra;
+    Some((arrival, duplicate.then_some(arrival + dup_extra)))
+}
+
+/// Put `ev` on the control stream `from → to` once (a duplicate copy is
+/// absorbed); the event runs at `to`'s node. Returns whether it survived
+/// the fabric.
+fn control_send<W: NicWorld>(w: &mut W, from: NicId, to: NicId, ev: NicEv) -> bool {
+    let Some((arrival, _)) = control_arrival(w, from, to) else {
+        return false;
+    };
+    let node = w.nics().get(to).node.0;
+    knet_simcore::emit_at(w, node, arrival, W::lift_nic(ev));
+    true
+}
+
 /// Put an ack on the control stream. Acks are not packets: they ride the
 /// Myrinet control symbols interleaved with the data stream, so they
 /// traverse the crossbar with cut-through latency but occupy no link
@@ -948,45 +1075,22 @@ pub fn rel_on_packet<W: NicWorld>(w: &mut W, pkt: &Packet) -> RelVerdict {
 /// same fault plan as data packets (acks get lost, delayed and duplicated
 /// too; cumulative acking absorbs all three).
 fn schedule_ack<W: NicWorld>(w: &mut W, k: LinkKey, cum: u64, sack: u64, echo: SimTime) {
-    let now = knet_simcore::now(w);
     let (data_src, data_dst) = (NicId(k.1), NicId(k.2));
-    let (latency, ack_src_node, ack_dst_node) = {
-        let nl = w.nics();
-        (
-            nl.get(data_dst).model.wire_latency,
-            nl.get(data_dst).node,
-            nl.get(data_src).node,
-        )
-    };
-    let FaultVerdict::Deliver {
-        extra,
-        duplicate,
-        dup_extra,
-    } = w.nics_mut().fault_verdict(ack_src_node, ack_dst_node, now)
-    else {
+    let Some((arrival, dup)) = control_arrival(w, data_dst, data_src) else {
         return; // lost in the fabric
     };
-    let arrival = now + latency + extra;
     // Ack arrivals mutate the *sender's* window: they target the data
     // source's node and cross shards through the engine mailboxes.
-    let node = ack_dst_node.0;
-    if duplicate {
-        let at2 = arrival + dup_extra;
+    let node = w.nics().get(data_src).node.0;
+    for at in dup.into_iter().chain([arrival]) {
         let ev = W::lift_nic(NicEv::RelCtrl {
             key: k,
             cum,
             sack,
             echo,
         });
-        knet_simcore::emit_at(w, node, at2, ev);
+        knet_simcore::emit_at(w, node, at, ev);
     }
-    let ev = W::lift_nic(NicEv::RelCtrl {
-        key: k,
-        cum,
-        sack,
-        echo,
-    });
-    knet_simcore::emit_at(w, node, arrival, ev);
 }
 
 /// The receiver NIC's rx FIFO shed a sequenced packet: tell the sender
@@ -1003,32 +1107,31 @@ pub(crate) fn rel_on_rx_drop<W: NicWorld>(w: &mut W, pkt: &Packet, backlog: SimT
     if w.nics().rel.links.get(&k).is_some_and(|l| l.dead) {
         return;
     }
-    let now = knet_simcore::now(w);
-    let (data_src, data_dst) = (NicId(k.1), NicId(k.2));
-    let (latency, nack_src_node, nack_dst_node) = {
-        let nl = w.nics();
-        (
-            nl.get(data_dst).model.wire_latency,
-            nl.get(data_dst).node,
-            nl.get(data_src).node,
-        )
-    };
-    // The notification rides the fabric like an ack: same direction, same
-    // fault dice, same latency floor (which is also the cross-shard
-    // lookahead bound).
-    let FaultVerdict::Deliver { extra, .. } =
-        w.nics_mut()
-            .fault_verdict(nack_src_node, nack_dst_node, now)
-    else {
-        return; // lost in the fabric; the RTO backstop still exists
-    };
-    w.nics_mut().rel.stats.nacks += 1;
-    let ev = W::lift_nic(NicEv::RelNack {
+    let nack = NicEv::RelNack {
         key: k,
         seq: pkt.rel_seq,
         hold: backlog,
-    });
-    knet_simcore::emit_at(w, nack_dst_node.0, now + latency + extra, ev);
+    };
+    // Lost in the fabric, the RTO backstop still exists.
+    if control_send(w, pkt.dst, pkt.src, nack) {
+        w.nics_mut().rel.stats.nacks += 1;
+    }
+}
+
+/// A liveness probe of link `k` reached the receiver's NIC: the card
+/// answers on the spot, ahead of its rx FIFO and without the driver, so
+/// only a dead node stays silent (the fault plan drops everything to and
+/// from it).
+pub(crate) fn probe_arrival<W: NicWorld>(w: &mut W, k: LinkKey) {
+    control_send(w, NicId(k.2), NicId(k.1), NicEv::RelAnswer { key: k });
+}
+
+/// A probe answer arrived at the sender: the peer is alive, so the
+/// question count starts over. Liveness only — no RTT sample, no cum/SACK.
+pub(crate) fn answer_arrival<W: NicWorld>(w: &mut W, k: LinkKey) {
+    if let Some(link) = w.nics_mut().rel.tx_mut(&k) {
+        link.questions = 0;
+    }
 }
 
 /// A drop notification arrived at the sender: resend exactly the shed
@@ -1036,22 +1139,21 @@ pub(crate) fn rel_on_rx_drop<W: NicWorld>(w: &mut W, pkt: &Packet, backlog: SimT
 /// decrease, like a fast retransmit). The resend departs only after the
 /// receiver's reported backlog (`hold`) has had time to drain — an
 /// immediate resend would dive straight back into the queue that shed
-/// the original. The pre-control-loop sender (`cc: false`) ignores
-/// NACKs — repair stays RTO-driven, which is the incast bench's
-/// baseline.
+/// the original. The pre-control-loop sender (`cc: false`) takes a NACK
+/// as proof of life only — repair stays RTO-driven, which is the incast
+/// bench's baseline.
 pub(crate) fn nack_arrival<W: NicWorld>(w: &mut W, k: LinkKey, seq: u64, hold: SimTime) {
     let now = knet_simcore::now(w);
     let resend = {
         let rel = &mut w.nics_mut().rel;
         let params = rel.params;
-        if !params.cc {
-            return;
-        }
         let Some(link) = rel.links.get_mut(&k).and_then(|l| l.tx.as_mut()) else {
             return;
         };
-        if link.dead || seq < link.base {
-            return; // already repaired (cumulative progress passed it)
+        // Whatever the sender makes of it, a NACK proves the peer alive.
+        link.questions = 0;
+        if !params.cc || link.dead || seq < link.base {
+            return; // ignored, or already repaired (cumulative progress passed it)
         }
         let pkt = match link.unacked.get((seq - link.base) as usize) {
             Some(e) if !e.acked => {
@@ -1090,6 +1192,8 @@ pub(crate) fn ack_arrival<W: NicWorld>(w: &mut W, k: LinkKey, cum: u64, sack: u6
         if link.dead {
             return;
         }
+        // Any ack, progressing or not, proves the peer alive.
+        link.questions = 0;
         // Every ack carries a valid echo — even a duplicate's tells the
         // true RTT of the copy that triggered it.
         let (srtt, rto) = link.rtt_sample(now.saturating_sub(echo), &params);
@@ -1378,8 +1482,8 @@ mod tests {
     }
 
     /// A link whose packets never arrive dies after exactly
-    /// `max_retries + 1` fruitless timer rounds, with exponential backoff
-    /// between them, and tears its rings down.
+    /// `max_retries + 1` unanswered questions — backed-off data rounds with
+    /// probes in the gaps — and tears its rings down.
     #[test]
     fn retry_budget_exhaustion_kills_the_link() {
         let (mut w, a, b) = world();
@@ -1393,21 +1497,24 @@ mod tests {
             rel_send(&mut w, pkt(a, b, i), SimTime::ZERO);
         }
         run_to_quiescence(&mut w);
-        let max_retries = w.nics.rel.params.max_retries;
+        let (max_retries, stats) = (w.nics.rel.params.max_retries, w.nics.rel.stats);
         assert_eq!(
-            w.nics.rel.stats.timeouts,
+            stats.timeouts + stats.probes,
             max_retries as u64 + 1,
-            "death happens exactly when the budget is exhausted"
+            "death happens exactly at the last unanswered question"
         );
+        assert!(stats.probes > 0, "probes filled the backoff gaps");
         assert_eq!(w.nics.rel.stats.dead_links, 1);
         assert!(w.nics.rel.link_dead(Proto::Gm, a, b));
         assert_eq!(w.nics.rel.in_flight(Proto::Gm, a, b), 0, "rings torn down");
         assert_eq!(w.dead, vec![(Proto::Gm, a, b)], "world told exactly once");
-        // Backoff doubled the RTO on the way down: 9 rounds from 200 µs,
-        // capped at 2 ms, is far beyond the initial period.
+        // Without an RTT sample the probes tick at the 200 µs initial RTO:
+        // two rounds (200 + 400 µs) and seven more questions 200 µs apart.
+        // Nine backed-off rounds alone would have taken over 5 ms.
         assert!(
-            knet_simcore::now(&w) > SimTime::from_millis(5),
-            "exponential backoff spaced the rounds out"
+            knet_simcore::now(&w) < SimTime::from_millis(2),
+            "probes found the dead peer at RTO scale (dead at {})",
+            knet_simcore::now(&w)
         );
     }
 

@@ -428,8 +428,10 @@ fn counters_are_declared_once_and_read_through_the_stats_tree() {
 /// things must not grow back: an endpoint-keyed map in the registry (one
 /// search per map per event, where one index of the endpoint table serves
 /// them all), and a default-hasher map or set in the registry, the
-/// reliability layer or the fault dice (SipHash per packet, and an
-/// iteration order that differs from run to run).
+/// reliability layer, the fault dice or the LRU slab under the
+/// translation table and registration cache (SipHash per packet, and an
+/// iteration order — and a tombstone pattern — that differs from run to
+/// run).
 #[test]
 fn per_event_tables_are_indexed_by_id_not_searched() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -465,6 +467,7 @@ fn per_event_tables_are_indexed_by_id_not_searched() {
         "crates/core/src/api.rs",
         "crates/simnic/src/rel.rs",
         "crates/simnic/src/fault.rs",
+        "crates/simcore/src/lru.rs",
     ];
     let offenders: Vec<String> = per_event
         .iter()

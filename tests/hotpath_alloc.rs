@@ -378,6 +378,11 @@ fn channel_send_path_recycles_pools_in_steady_state() {
         rel1.spurious_rtos, 0,
         "a lossless fabric never has a spurious RTO"
     );
+    assert_eq!(
+        (rel1.timeouts, rel1.probes),
+        (0, 0),
+        "a lossless fabric never asks the peer a question"
+    );
     assert_eq!(rel1.sacked, 0, "in-order lossless arrivals never need SACK");
     assert!(
         rel1.srtt_ns > 0 && rel1.rto_ns >= rel1.srtt_ns,

@@ -223,3 +223,27 @@ fn incast_fingerprints_match_across_shard_counts() {
         );
     }
 }
+
+/// No false death under fan-in: sixteen senders converge 32 kB each on
+/// one receiver at zero loss, so every round's receive backlog drains for
+/// longer than the whole question budget takes at the 50 µs floor — yet
+/// no link dies. The receiver's NIC keeps answering (acks, NACKs, probe
+/// answers ahead of its rx FIFO), and each answer resets the count.
+#[test]
+fn a_deep_rx_backlog_never_kills_a_live_link() {
+    let n = 16;
+    for rel in [
+        knet_simnic::RelParams::default(),
+        knet_simnic::RelParams::fixed_window(),
+    ] {
+        let (goodput, st) = incast_goodput(n, rel);
+        let round = SimTime::from_nanos(((n as u64 * MSG) as f64 / goodput * 1e9) as u64);
+        let budget = rel.min_rto * (rel.max_retries as u64 + 1);
+        assert!(
+            round > budget,
+            "the fan-in drains in {round}, inside the {budget} question budget"
+        );
+        assert!(st.nic.rx_congestion_drops > 0, "the rx FIFO overflowed");
+        assert_eq!(st.rel.dead_links, 0, "cc={}: a live link died", rel.cc);
+    }
+}

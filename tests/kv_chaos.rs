@@ -11,8 +11,9 @@
 //! * and the whole run is deterministic per seed (event counts and a
 //!   full-state fingerprint reproduce exactly).
 //!
-//! Layout: node 0 hosts replica A, node 1 replica B, node 2 the client.
-//! All shards start primaried on A with B as synchronous backup.
+//! Layout: node 0 hosts replica A, node 1 replica B, node 2 the client
+//! (nodes 2 and 3 each host one in the failover-latency scenario). All
+//! shards start primaried on A with B as synchronous backup.
 
 use knet::prelude::*;
 use knet::ClusterEv;
@@ -20,17 +21,24 @@ use knet_simnic::FaultPlan;
 
 struct Fx {
     w: ClusterWorld,
-    client: KvClientId,
+    /// One client per client node.
+    clients: Vec<KvClientId>,
     r0: KvReplicaId,
     r1: KvReplicaId,
 }
 
 fn build_kv(plan: FaultPlan) -> Fx {
+    build_kv_with_client_nodes(plan, 1)
+}
+
+/// The replica pair on nodes 0 and 1, and one two-endpoint KV client on
+/// each of the `client_nodes` nodes after them.
+fn build_kv_with_client_nodes(plan: FaultPlan, client_nodes: u32) -> Fx {
     let mut w = ClusterBuilder::new()
-        .nodes(3, CpuModel::xeon_2600())
+        .nodes(2 + client_nodes as usize, CpuModel::xeon_2600())
         .fault_plan(plan)
         .build();
-    let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+    let (n0, n1) = (NodeId(0), NodeId(1));
     let ep = |w: &mut ClusterWorld, n| w.open_mx(n, MxEndpointConfig::kernel()).unwrap();
 
     let a_srv = ep(&mut w, n0);
@@ -51,17 +59,20 @@ fn build_kv(plan: FaultPlan) -> Fx {
     kv_pair(&mut w, r0, a_repl, r1, b_repl, rpc_cfg);
     kv_add_shards(&mut w, 4, r0, Some(r1));
 
-    let c0 = ep(&mut w, n2);
-    let c1 = ep(&mut w, n2);
-    let client = kv_client_create(&mut w, &[c0, c1], rpc_cfg);
-    Fx { w, client, r0, r1 }
+    let clients: Vec<KvClientId> = (2..2 + client_nodes)
+        .map(|n| {
+            let eps = [ep(&mut w, NodeId(n)), ep(&mut w, NodeId(n))];
+            kv_client_create(&mut w, &eps, rpc_cfg)
+        })
+        .collect();
+    Fx { w, clients, r0, r1 }
 }
 
 /// Drive a paced workload: `puts` writes (cycling over `keys` keys, every
 /// value globally unique) interleaved 2:1 with reads, one op each 50 µs of
 /// virtual time.
 fn drive_workload(fx: &mut Fx, puts: usize, keys: usize) {
-    let client = fx.client;
+    let client = fx.clients[0];
     for i in 0..puts {
         let t = SimTime::from_micros(50 * (i as u64 + 1));
         let key = format!("key-{}", i % keys).into_bytes();
@@ -243,9 +254,10 @@ fn kv_chaos_smoke_fixed_seed() {
 fn kv_deadline_failures_stay_failed() {
     let plan = FaultPlan::new(0xD0D0).with_kill(NodeId(0), SimTime::ZERO);
     let mut fx = build_kv(plan);
-    let client = fx.client;
-    // Primary dead from t=0; deadline far below the ~8 ms the RPC layer
-    // needs to declare the peer dead: these writes must die of Deadline.
+    let client = fx.clients[0];
+    // Primary dead from t=0; deadline below the ~2 ms the link layer needs
+    // to declare the peer dead with no RTT sample yet (probes at the 200 µs
+    // initial RTO): these writes must die of Deadline.
     for i in 0..6 {
         let key = format!("k{i}").into_bytes();
         kv_put(
@@ -314,4 +326,52 @@ fn kv_primary_kill_never_refuses_an_op_toward_an_unfaulted_node() {
         );
         assert_eq!(kv.stats.failures, 0, "{label}: every op must succeed");
     }
+}
+
+/// The failover headline in `kv_failover`'s shape — two client nodes,
+/// paced gets and puts every 50 µs, 1 % loss, the primary killed at 1 ms:
+/// liveness probes at RTT scale find the dead primary, so the backup is
+/// promoted within a millisecond of the kill (nine backed-off rounds took
+/// about 9 ms), and no op fails on the way.
+#[test]
+fn kv_promotes_within_a_millisecond_of_the_kill() {
+    let kill = SimTime::from_millis(1);
+    let plan = FaultPlan::new(0xFA57)
+        .with_drop(0.01)
+        .with_kill(NodeId(0), kill);
+    let mut fx = build_kv_with_client_nodes(plan, 2);
+    for i in 0..80u64 {
+        let client = fx.clients[i as usize % 2];
+        let node = 2 + (i % 2) as u32;
+        let key = format!("key-{}", i % 8).into_bytes();
+        let val = format!("val-{i:04}").into_bytes();
+        knet_simcore::emit_at(
+            &mut fx.w,
+            node,
+            SimTime::from_micros(50 * (i + 1)),
+            ClusterEv::Call(Box::new(move |w: &mut ClusterWorld| {
+                if i % 3 == 0 {
+                    kv_put(w, client, &key, &val, None);
+                } else {
+                    kv_get(w, client, &key, None);
+                }
+            })),
+        );
+    }
+    let mut promoted_at = None;
+    let outcome = run_until(&mut fx.w, |w: &ClusterWorld| {
+        if promoted_at.is_none() && w.kv.stats.promotions >= 1 {
+            promoted_at = Some(w.sched.now());
+        }
+        false
+    });
+    assert_eq!(outcome, RunOutcome::Quiescent);
+    assert_invariants(&fx, "paced failover");
+    let promoted_at = promoted_at.expect("the backup promotes");
+    assert!(
+        promoted_at - kill <= SimTime::from_millis(1),
+        "promotion {} after the kill — detection is timer-bound again",
+        promoted_at - kill
+    );
+    assert_eq!(fx.w.kv.stats.failures, 0, "no op fails across the failover");
 }

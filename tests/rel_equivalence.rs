@@ -5,7 +5,9 @@
 //! delay-reorder — short of a dead node), every sequenced packet handed to
 //! `rel_send` is delivered to the remote driver **exactly once and
 //! byte-exact**, the sender's unacked window never exceeds its cap, and a
-//! link whose packets never arrive dies after exactly its retry budget.
+//! link whose peer stops answering dies after exactly `max_retries + 1`
+//! unanswered questions (retransmission rounds and liveness probes) — at
+//! RTT scale, and never while answers still come back.
 //! This suite drives the real state machine — both window halves, the
 //! control-stream acks, the adaptive RTO — over randomized fault schedules
 //! and checks it against that model packet by packet. (White-box
@@ -240,8 +242,8 @@ fn adaptive_rto_tracks_the_fabric() {
     assert_eq!(w.nics.rel.stats.retransmits, 0);
 }
 
-/// A link whose packets never arrive dies after exactly its retry budget,
-/// tears its rings down, and reports once — while an independent healthy
+/// A link whose packets never arrive dies after exactly `max_retries + 1`
+/// unanswered questions, tears its rings down, and reports once — while an independent healthy
 /// link on the same fabric keeps flowing. (The kill uses a per-link plan,
 /// so this also pins down that `for_link` faults stay on their directed
 /// pair: note the lossy direction carries both a→b data *and* the
@@ -279,10 +281,11 @@ fn budget_exhaustion_kills_only_the_dead_link() {
         !w.nics.rel.link_dead(Proto::Gm, c, d),
         "unrelated link healthy"
     );
+    let rel = w.nics.rel.stats;
     assert_eq!(
-        w.nics.rel.stats.timeouts,
+        rel.timeouts + rel.probes,
         w.nics.rel.params.max_retries as u64 + 1,
-        "death exactly at budget exhaustion"
+        "death exactly at the last unanswered question"
     );
     assert_eq!(w.nics.rel.buffered_total(), 0, "all rings torn down");
     let healthy: Vec<_> = w.delivered.iter().filter(|(i, _)| *i >= 1000).collect();
@@ -291,5 +294,125 @@ fn budget_exhaustion_kills_only_the_dead_link() {
         w.sched.engine_error(),
         None,
         "engine errors are a hard fail"
+    );
+}
+
+/// Run until `done`, recording the instant of every new retransmission
+/// round together with the link's RTO right after it.
+fn rounds_until(
+    w: &mut RelWorld,
+    a: NicId,
+    b: NicId,
+    done: impl Fn(&RelWorld) -> bool,
+) -> Vec<(SimTime, SimTime)> {
+    let mut rounds = Vec::new();
+    let _ = run_until(w, |w: &RelWorld| {
+        if w.nics.rel.stats.timeouts > rounds.len() as u64 {
+            let rto = w.nics.rel.link_rtt(Proto::Gm, a, b).map(|(_, rto)| rto);
+            rounds.push((w.sched.now(), rto.unwrap_or(SimTime::ZERO)));
+        }
+        done(w)
+    });
+    rounds
+}
+
+/// A peer that dies on a link with an RTT sample (so the pre-backoff RTO
+/// is the 50 µs floor) is found by probes at that cadence: the link dies
+/// after exactly `max_retries + 1` unanswered questions, well under a
+/// millisecond after the first RTO — while the data rounds between the
+/// probes still back off exponentially. Nine backed-off rounds alone take
+/// about 9 ms.
+#[test]
+fn a_dead_peer_is_found_by_rtt_scale_probes() {
+    let (mut w, a, b) = world();
+    send_stream(&mut w, a, b, 5, 20);
+    run_to_quiescence(&mut w);
+    assert_delivery(&w, 5, 20);
+    let min_rto = w.nics.rel.params.min_rto;
+    let (_, rto) = w.nics.rel.link_rtt(Proto::Gm, a, b).expect("sampled");
+    assert_eq!(rto, min_rto, "the estimator settled on the floor");
+
+    let kill = w.sched.now();
+    let nb = w.nics.get(b).node;
+    w.nics.set_fault_plan(FaultPlan::new(3).with_kill(nb, kill));
+    send_stream(&mut w, a, b, 6, 3);
+    let rounds = rounds_until(&mut w, a, b, |w| !w.dead.is_empty());
+    assert_eq!(w.dead, vec![(Proto::Gm, a, b)], "dead exactly once");
+    assert!(rounds.len() >= 2, "data rounds ran between the probes");
+    let dead_at = w.sched.now();
+
+    let rel = w.nics.rel.stats;
+    let budget = w.nics.rel.params.max_retries as u64 + 1;
+    assert_eq!(
+        rel.timeouts + rel.probes,
+        budget,
+        "dead at exactly max_retries + 1 unanswered questions"
+    );
+    assert!(rel.probes > 0, "probes filled the backoff gaps");
+    let first_rto = rounds[0].0;
+    assert!(
+        first_rto >= kill + min_rto && first_rto < kill + min_rto * 2,
+        "the first round fires one RTO after the last send ({first_rto})"
+    );
+    assert!(
+        dead_at - first_rto < SimTime::from_millis(1),
+        "found dead {} after the first RTO — not RTT scale",
+        dead_at - first_rto
+    );
+    // The data rounds kept their exponential backoff: each doubled the
+    // RTO, and each waited out the doubled period before the next.
+    let rtos: Vec<SimTime> = rounds.iter().map(|&(_, rto)| rto).collect();
+    let doubled: Vec<SimTime> = (1..=rounds.len() as u64)
+        .map(|i| min_rto * (1 << i))
+        .collect();
+    assert_eq!(rtos[..rounds.len() - 1], doubled[..rounds.len() - 1]);
+    for (pair, &rto) in rounds.windows(2).zip(&rtos) {
+        assert!(
+            pair[1].0 - pair[0].0 >= rto,
+            "round at {} came before the backed-off RTO {rto} elapsed",
+            pair[1].0
+        );
+    }
+}
+
+/// No false death under heavy loss: with 20 % of data *and* acks lost, no
+/// link dies over ten seeds and every packet lands exactly once — the
+/// answers that do come back keep resetting the question count.
+#[test]
+fn twenty_percent_loss_both_ways_never_kills_a_link() {
+    for seed in 0..10u64 {
+        let (mut w, a, b) = world();
+        w.nics
+            .set_fault_plan(FaultPlan::new(0x2020 + seed).with_drop(0.2));
+        send_stream(&mut w, a, b, seed, 150);
+        run_to_quiescence(&mut w);
+        assert!(
+            w.dead.is_empty(),
+            "seed {seed}: a live link was declared dead"
+        );
+        assert_eq!(w.nics.rel.stats.dead_links, 0);
+        assert_delivery(&w, seed, 150);
+    }
+}
+
+/// Evidence has to come back: with only the ack direction black-holed the
+/// data all arrives, the peer NIC answers every probe — and every answer
+/// is lost too, so the link still dies after exactly `max_retries + 1`
+/// unanswered questions.
+#[test]
+fn a_black_holed_ack_direction_still_kills_the_link() {
+    let (mut w, a, b) = world();
+    let (na, nb) = (w.nics.get(a).node, w.nics.get(b).node);
+    w.nics
+        .set_fault_plan(FaultPlan::new(1).for_link(nb, na, FaultPlan::new(2).with_drop(1.0)));
+    send_stream(&mut w, a, b, 9, 5);
+    run_to_quiescence(&mut w);
+    assert_delivery(&w, 9, 5);
+    assert_eq!(w.dead, vec![(Proto::Gm, a, b)], "dead exactly once");
+    let rel = w.nics.rel.stats;
+    assert!(rel.probes > 0, "the peer was probed");
+    assert_eq!(
+        rel.timeouts + rel.probes,
+        w.nics.rel.params.max_retries as u64 + 1
     );
 }
