@@ -334,6 +334,19 @@ fn main() {
         "lossless p99 ({clean_p99} µs) crossed the 2 ms attempt timer — \
          clean-fabric calls must never ride the retry schedule"
     );
+    // A lone loss is repaired at RTT scale: at 1 % loss no small or
+    // medium echo in the tail waits out the retransmit timer's floor.
+    let min_rto_us = knet_simnic::RelParams::default().min_rto.secs() * 1e6;
+    for p in echo.iter().filter(|p| p.loss_pct == 1 && p.payload <= 1024) {
+        assert!(
+            p.p99_us < p.p50_us + min_rto_us,
+            "payload={} at 1% loss: p99 {} µs ≥ p50 {} µs + the {min_rto_us} µs \
+             RTO floor — a lone loss waited out the timer",
+            p.payload,
+            p.p99_us,
+            p.p50_us
+        );
+    }
     for p in &failover {
         assert!(
             p.blackout_us < 5_000.0,

@@ -59,6 +59,24 @@
 //!   deep receive backlog never makes a live peer look dead. The answer
 //!   carries liveness only: no RTT sample, no cum/SACK, so the estimator,
 //!   the SACK state and Eifel detection never see it;
+//! * a **tail-loss probe** (RACK-TLP, RFC 8985) repairs a lone lost packet
+//!   at RTT scale: once the newest unacked packet has had no ack for one
+//!   probe timeout, `PTO = max(2·srtt, srtt + 4·rttvar)` after the latest
+//!   departure or progress, the sender resends it — so its ack, or the
+//!   SACK it raises behind an earlier hole, comes back instead of the link
+//!   waiting out an RTO clamped to `min_rto`. Only a link with **loss
+//!   evidence** arms it: a sticky flag set by a retransmission round whose
+//!   progressing ack echoes a post-round timestamp (one Eifel does not
+//!   refute) or by a fast retransmit — a NACK or a refuted RTO is not
+//!   evidence, so a lossless link and a merely backlogged one keep their
+//!   event sequence. It is armed outside backoff and recovery, with no
+//!   SACKed packet in the window, once per progress episode, and only
+//!   where the PTO beats the staleness deadline (in practice, where the
+//!   RTO sits on its floor). The probe is a data resend through the same
+//!   wire and fault dice, counted in `retransmits` and `tlps`. It is **not
+//!   a question** — the death rule never sees it — backs nothing off,
+//!   leaves `cwnd` alone and does not move the staleness deadline, so every
+//!   RTO round keeps its schedule;
 //! * a retransmission that turns out to have been unnecessary — the ack
 //!   that finally progresses echoes a timestamp *older* than the last RTO
 //!   round, so the original copy had arrived all along (Eifel detection) —
@@ -132,9 +150,12 @@ pub struct RelParams {
     /// Initial retransmit-timer period, used until the first RTT sample
     /// seeds the estimator.
     pub rto: SimTime,
-    /// Floor of the adaptive RTO: even on a fast fabric the timer never
-    /// fires earlier than this after the last transmission/ack progress
-    /// (guards against spurious retransmits from ack-processing jitter).
+    /// Floor of the adaptive RTO: even on a fast fabric no retransmission
+    /// round fires earlier than this after the last transmission/ack
+    /// progress (guards against spurious rounds from ack-processing
+    /// jitter). It guards the staleness round only: a link with loss
+    /// evidence resends its newest packet one probe timeout (≈ 2·srtt) in,
+    /// below the floor.
     pub min_rto: SimTime,
     /// Ceiling of the adaptive RTO and of its exponential backoff.
     pub max_rto: SimTime,
@@ -194,8 +215,8 @@ knet_simcore::counters! {
         pub acks_sent: u64,
         /// Inbound packets dropped as duplicates (loss recovery working).
         pub dup_dropped: u64,
-        /// Packets resent by retransmission rounds (holes only — a SACKed
-        /// packet is never among them).
+        /// Packets resent: by retransmission rounds (holes only — a SACKed
+        /// packet is never among them), by NACKs and by tail-loss probes.
         pub retransmits: u64,
         /// Timer periods that elapsed with zero ack progress.
         pub timeouts: u64,
@@ -248,6 +269,9 @@ knet_simcore::counters! {
         /// Packets resent immediately in response to a NACK (also counted in
         /// `retransmits`).
         pub nack_resends: u64,
+        /// Tail-loss probes: the newest unacked packet resent one probe
+        /// timeout after the link went quiet (also counted in `retransmits`).
+        pub tlps: u64,
     }
 }
 
@@ -271,6 +295,7 @@ struct LinkCounters {
     rtt_samples: u64,
     spurious_rtos: u64,
     fast_retransmits: u64,
+    tlps: u64,
 }
 
 /// One row of the per-link reliability breakdown
@@ -284,7 +309,8 @@ pub struct RelLinkStats {
     pub dst: NicId,
     /// Data packets sequenced onto this link.
     pub data_packets: u64,
-    /// Hole packets resent by selective-repeat rounds.
+    /// Packets resent on this link: round holes, NACK resends and
+    /// tail-loss probes.
     pub retransmits: u64,
     /// Retransmission rounds fired.
     pub timeouts: u64,
@@ -309,6 +335,8 @@ pub struct RelLinkStats {
     /// Current congestion window in packets (= the fixed window until the
     /// first loss indication).
     pub cwnd: usize,
+    /// Tail-loss probes sent on this link.
+    pub tlps: u64,
 }
 
 /// Sender half of one link.
@@ -354,8 +382,9 @@ struct TxLink {
     /// restored verbatim when Eifel proves the episode spurious.
     rto_prev: SimTime,
     /// The retransmit timer is pending at `timer_at`. One timer event is
-    /// in flight exactly while this is set; probe ticks borrow it without
-    /// moving `timer_at`, so the data rounds keep their own schedule.
+    /// in flight exactly while this is set; liveness and tail-loss probe
+    /// ticks borrow it without moving `timer_at`, so the data rounds keep
+    /// their own schedule. A wake that finds the window empty clears it.
     armed: bool,
     /// Instant the pending retransmit timer checks for staleness.
     timer_at: SimTime,
@@ -376,6 +405,11 @@ struct TxLink {
     /// `next_seq` at recovery entry — the episode ends when `base`
     /// reaches it.
     recover_seq: u64,
+    /// Sticky loss evidence: a retransmission round Eifel did not refute,
+    /// or a fast retransmit. Only such a link arms the tail-loss probe.
+    lossy: bool,
+    /// A tail-loss probe went out since the last ack progress.
+    tlp_sent: bool,
     /// This link's slice of the aggregate counters.
     counts: LinkCounters,
 }
@@ -407,6 +441,8 @@ impl TxLink {
             dup_ind: 0,
             in_recovery: false,
             recover_seq: 0,
+            lossy: false,
+            tlp_sent: false,
             counts: LinkCounters::default(),
         }
     }
@@ -477,11 +513,34 @@ impl TxLink {
             .then(|| self.last_question_at + self.rto_prev)
     }
 
+    /// When the tail-loss probe is due: one probe timeout,
+    /// `max(2·srtt, srtt + 4·rttvar)`, after the latest departure or
+    /// progress — on a link with loss evidence, outside backoff and
+    /// recovery, with no SACKed packet in the window, once per progress
+    /// episode, and only if that beats the staleness deadline.
+    fn tlp_at(&self) -> Option<SimTime> {
+        if !self.lossy
+            || self.tlp_sent
+            || self.unacked.is_empty()
+            || self.retries > 0
+            || self.in_recovery
+            || self.unacked.iter().any(|e| e.acked)
+        {
+            return None;
+        }
+        let s = self.srtt_ns?;
+        let pto = SimTime::from_nanos((2 * s).max(s + 4 * self.rttvar_ns));
+        let at = self.last_tx_done.max(self.last_progress) + pto;
+        (at < self.deadline()).then_some(at)
+    }
+
     /// The timer event's next instant: the staleness check, or an earlier
-    /// probe.
+    /// liveness or tail-loss probe.
     fn wake_at(&self) -> SimTime {
-        self.probe_at()
-            .map_or(self.timer_at, |p| p.min(self.timer_at))
+        [self.probe_at(), self.tlp_at()]
+            .into_iter()
+            .flatten()
+            .fold(self.timer_at, SimTime::min)
     }
 
     /// Feed one RTT sample (RFC 6298 smoothing) and, outside backoff,
@@ -663,6 +722,7 @@ impl RelState {
             dead: l.dead,
             fast_retransmits: l.counts.fast_retransmits,
             cwnd: l.cwnd,
+            tlps: l.counts.tlps,
         }
     }
 
@@ -797,12 +857,15 @@ fn schedule_wake<W: NicWorld>(w: &mut W, k: LinkKey) {
 /// state has not covered — and backs the RTO off; between rounds, a link
 /// with two unanswered questions in a row probes the peer. Each round and
 /// each probe is a question: `max_retries + 1` unanswered ones in a row
-/// declare the link dead.
+/// declare the link dead. Before the first round, a link with loss
+/// evidence resends its newest packet once a probe timeout after it went
+/// quiet (a tail-loss probe, not a question).
 pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
     enum Outcome {
         Wait,
         Retransmit,
         Probe,
+        TailLossProbe(Packet),
         Dead,
     }
     let now = knet_simcore::now(w);
@@ -816,18 +879,33 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
             return;
         };
         // The staleness check is due at `timer_at`; an earlier wake is a
-        // probe tick borrowing the timer event.
+        // probe tick borrowing the timer event. A wake that finds nothing
+        // to watch disarms either way.
         let check = now >= link.timer_at;
-        if check {
+        if check || link.unacked.is_empty() {
             link.armed = false;
         }
         let stale = check && now >= link.deadline();
         let probe = !stale && link.probe_at().is_some_and(|at| now >= at);
-        if link.dead || link.unacked.is_empty() || !(stale || probe) {
+        let tlp = !(stale || probe) && link.tlp_at().is_some_and(|at| now >= at);
+        if link.dead || link.unacked.is_empty() || !(stale || probe || tlp) {
             // Nothing to watch, or progress since arming, or the pipeline
             // is still feeding the wire (or an answer cancelled the
             // probe): keep watching, if there is anything to watch.
             Outcome::Wait
+        } else if tlp {
+            // Tail-loss probe: resend the newest packet (no entry is
+            // SACKed while one is due) so its ack — or the SACK it raises
+            // behind an earlier hole — comes back at RTT scale. Not a
+            // question, no backoff, no congestion cut, and the staleness
+            // deadline keeps its schedule.
+            link.tlp_sent = true;
+            link.counts.retransmits += 1;
+            link.counts.tlps += 1;
+            rel.stats.retransmits += 1;
+            rel.stats.tlps += 1;
+            let newest = link.unacked.back().expect("window is not empty");
+            Outcome::TailLossProbe(newest.pkt.clone())
         } else {
             link.questions += 1;
             link.last_question_at = now;
@@ -909,6 +987,9 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
         }
         Outcome::Probe => {
             control_send(w, NicId(k.1), NicId(k.2), NicEv::RelProbe { key: k });
+        }
+        Outcome::TailLossProbe(pkt) => {
+            wire_send(w, pkt, now);
         }
         Outcome::Dead => {
             let (proto, src, dst) = (k.0, NicId(k.1), NicId(k.2));
@@ -1233,6 +1314,7 @@ pub(crate) fn ack_arrival<W: NicWorld>(w: &mut W, k: LinkKey, cum: u64, sack: u6
             {
                 link.dup_ind += 1;
                 if link.dup_ind >= params.dupack_k {
+                    link.lossy = true;
                     let cut = link.enter_recovery(&params, false);
                     rel.stats.cwnd_cuts += cut as u64;
                     link.counts.fast_retransmits += 1;
@@ -1274,7 +1356,10 @@ pub(crate) fn ack_arrival<W: NicWorld>(w: &mut W, k: LinkKey, cum: u64, sack: u6
                 rel.stats.spurious_rtos += 1;
                 link.rto_cur = link.rto_prev;
             }
+            // A round the echo does not refute repaired a real loss.
+            link.lossy |= link.rto_outstanding && !spurious;
             link.rto_outstanding = false;
+            link.tlp_sent = false;
             rel.stats.ack_progress += 1;
             let n_acked = (cum - link.base) as usize;
             while link.unacked.front().is_some_and(|e| e.pkt.rel_seq < cum) {

@@ -319,6 +319,7 @@ fn rel_link_breakdown_sums_to_the_aggregate() {
         rows.iter().map(|r| r.rtt_samples).sum::<u64>(),
         agg.rtt_samples
     );
+    assert_eq!(rows.iter().map(|r| r.tlps).sum::<u64>(), agg.tlps);
     // The breakdown is deterministically ordered.
     let mut sorted = rows.clone();
     sorted.sort_by_key(|r| (r.proto as u8, r.src.0, r.dst.0));

@@ -9,6 +9,13 @@
 //! `knet_core::driver`; a refactor of that code may not edit it. A changed
 //! value means a byte, a tag match or a virtual-time charge moved.
 //!
+//! A second table folds the same observations without the virtual
+//! instants (the per-event instant and the final quiescence instant), so a
+//! change that moves only time — a loss repaired sooner — shows as a moved
+//! timed entry beside an unmoved instant-free one. The timed table's lossy
+//! entries were re-recorded where the tail-loss probe repairs a lone loss
+//! sooner; the instant-free table was recorded on the tree just before it.
+//!
 //! Axes: message size × driver configuration × {receives posted first,
 //! message arrives unexpected and the receives are posted late} × {clean
 //! fabric, seeded 5 % drop + duplicate + delay-reorder}.
@@ -69,6 +76,11 @@ const CONFIGS: [Cfg; 8] = [
 /// order `golden_rows` walks them. Recorded on the parent of the PR that
 /// introduced `knet_core::driver`'s message engine.
 const GOLDEN: [[u64; SIZES.len()]; CONFIGS.len() * 4] = include!("driver_datapath_golden.in");
+
+/// The same cases folded without the virtual instants: events, bytes,
+/// tags, lengths and results only.
+const GOLDEN_UNTIMED: [[u64; SIZES.len()]; CONFIGS.len() * 4] =
+    include!("driver_datapath_golden_untimed.in");
 
 #[derive(Clone, Copy)]
 struct Region {
@@ -165,10 +177,25 @@ fn open(w: &mut ClusterWorld, cfg: Cfg, node: NodeId, buf: Region, len: u64) -> 
 #[derive(Default)]
 struct Seen {
     hash: u64,
+    /// The fold without the virtual instants.
+    untimed: u64,
     recv_done: u32,
     unexpected: u32,
     /// Payload hashes of everything that landed, in arrival order.
     landed: Vec<u64>,
+}
+
+impl Seen {
+    /// Fold a word into both hashes.
+    fn fold(&mut self, word: u64) {
+        fnv(&mut self.hash, word);
+        fnv(&mut self.untimed, word);
+    }
+
+    /// Fold a virtual instant into the timed hash only.
+    fn fold_instant(&mut self, at: SimTime) {
+        fnv(&mut self.hash, at.nanos());
+    }
 }
 
 /// Bind `ep` to a recorder folding every event it sees into `acc`.
@@ -183,13 +210,12 @@ fn record(
     let cid = w.registry.register("golden", move |w, at, ev| {
         let mut seen = acc.lock().unwrap();
         let seen = &mut *seen;
-        let h = &mut seen.hash;
-        fnv(h, at.idx as u64 | (at.node.0 as u64) << 32);
-        fnv(h, now(w).nanos());
+        seen.fold(at.idx as u64 | (at.node.0 as u64) << 32);
+        seen.fold_instant(now(w));
         match ev {
             TransportEvent::SendDone { ctx } => {
-                fnv(h, 1);
-                fnv(h, ctx);
+                seen.fold(1);
+                seen.fold(ctx);
             }
             TransportEvent::RecvDone {
                 ctx,
@@ -200,7 +226,7 @@ fn record(
                 let iov = IoVec::single(recv_buf.memref((ctx - 100) * stride, len));
                 let landed = hash_bytes(&read_iovec(w.os.node(at.node), &iov).unwrap());
                 for word in [2, ctx, tag, len, from.idx as u64, landed] {
-                    fnv(h, word);
+                    seen.fold(word);
                 }
                 seen.recv_done += 1;
                 seen.landed.push(landed);
@@ -208,19 +234,19 @@ fn record(
             TransportEvent::Unexpected { tag, data, from } => {
                 let landed = hash_bytes(&data);
                 for word in [3, tag, data.len() as u64, from.idx as u64, landed] {
-                    fnv(h, word);
+                    seen.fold(word);
                 }
                 seen.unexpected += 1;
                 seen.landed.push(landed);
             }
             TransportEvent::SendFailed { ctx, error } => {
-                fnv(h, 4);
-                fnv(h, ctx);
-                fnv(h, hash_bytes(format!("{error:?}").as_bytes()));
+                seen.fold(4);
+                seen.fold(ctx);
+                seen.fold(hash_bytes(format!("{error:?}").as_bytes()));
             }
             other => {
-                fnv(h, 5);
-                fnv(h, hash_bytes(format!("{other:?}").as_bytes()));
+                seen.fold(5);
+                seen.fold(hash_bytes(format!("{other:?}").as_bytes()));
             }
         }
     });
@@ -252,11 +278,12 @@ fn run_case(case: u64, cfg: Cfg, size: u64, posted: bool, lossy: bool) -> Seen {
 
     let acc = Arc::new(Mutex::new(Seen {
         hash: FNV_OFFSET,
+        untimed: FNV_OFFSET,
         ..Seen::default()
     }));
     record(&mut w, a, &acc, src, stride);
     record(&mut w, b, &acc, dst, stride);
-    let fold = |word: u64| fnv(&mut acc.lock().unwrap().hash, word);
+    let fold = |word: u64| acc.lock().unwrap().fold(word);
     let fold_result = |r: Result<(), knet_core::NetError>| match r {
         Ok(()) => fold(0),
         Err(e) => fold(hash_bytes(format!("{e:?}").as_bytes())),
@@ -301,7 +328,7 @@ fn run_case(case: u64, cfg: Cfg, size: u64, posted: bool, lossy: bool) -> Seen {
         fold(w.t_cancel_recv(b, tag) as u64);
     }
     run_to_quiescence(&mut w);
-    fold(now(&w).nanos());
+    acc.lock().unwrap().fold_instant(now(&w));
     drop(w); // the recorders hold the other references
     Arc::into_inner(acc).unwrap().into_inner().unwrap()
 }
@@ -325,25 +352,32 @@ fn golden_rows() -> Vec<(Cfg, bool, bool)> {
     rows
 }
 
-#[test]
-fn driver_data_path_matches_the_recorded_table() {
+/// Run every case and compare the hash `pick` takes from it against
+/// `golden`, panicking with the moved cases and the full observed table.
+fn check_table(golden: &[[u64; SIZES.len()]], pick: fn(&Seen) -> u64) {
     let rows = golden_rows();
     let mut actual = Vec::new();
     for (r, &(cfg, posted, lossy)) in rows.iter().enumerate() {
         let mut row = [0u64; SIZES.len()];
         for (s, &size) in SIZES.iter().enumerate() {
-            row[s] = run_case((r * SIZES.len() + s) as u64, cfg, size, posted, lossy).hash;
+            row[s] = pick(&run_case(
+                (r * SIZES.len() + s) as u64,
+                cfg,
+                size,
+                posted,
+                lossy,
+            ));
         }
         actual.push(row);
     }
     let mut wrong = Vec::new();
     for (r, row) in actual.iter().enumerate() {
         for (s, &h) in row.iter().enumerate() {
-            if h != GOLDEN[r][s] {
+            if h != golden[r][s] {
                 let (cfg, posted, lossy) = rows[r];
                 wrong.push(format!(
                     "{cfg:?} posted={posted} lossy={lossy} size={}: {h:#018x} != {:#018x}",
-                    SIZES[s], GOLDEN[r][s]
+                    SIZES[s], golden[r][s]
                 ));
             }
         }
@@ -365,6 +399,16 @@ fn driver_data_path_matches_the_recorded_table() {
             wrong.join("\n")
         );
     }
+}
+
+#[test]
+fn driver_data_path_matches_the_recorded_table() {
+    check_table(&GOLDEN, |seen| seen.hash);
+}
+
+#[test]
+fn driver_data_path_matches_the_recorded_instant_free_table() {
+    check_table(&GOLDEN_UNTIMED, |seen| seen.untimed);
 }
 
 /// The cases must actually reach the code they pin: on every configuration

@@ -379,9 +379,9 @@ fn channel_send_path_recycles_pools_in_steady_state() {
         "a lossless fabric never has a spurious RTO"
     );
     assert_eq!(
-        (rel1.timeouts, rel1.probes),
-        (0, 0),
-        "a lossless fabric never asks the peer a question"
+        (rel1.timeouts, rel1.probes, rel1.tlps),
+        (0, 0, 0),
+        "a lossless fabric never asks the peer a question or probes its tail"
     );
     assert_eq!(rel1.sacked, 0, "in-order lossless arrivals never need SACK");
     assert!(

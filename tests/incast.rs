@@ -228,7 +228,9 @@ fn incast_fingerprints_match_across_shard_counts() {
 /// one receiver at zero loss, so every round's receive backlog drains for
 /// longer than the whole question budget takes at the 50 µs floor — yet
 /// no link dies. The receiver's NIC keeps answering (acks, NACKs, probe
-/// answers ahead of its rx FIFO), and each answer resets the count.
+/// answers ahead of its rx FIFO), and each answer resets the count. The
+/// backlog puts every RTO above its floor, so no tail-loss probe fires
+/// either: a queued packet is not a lost one.
 #[test]
 fn a_deep_rx_backlog_never_kills_a_live_link() {
     let n = 16;
@@ -245,5 +247,6 @@ fn a_deep_rx_backlog_never_kills_a_live_link() {
         );
         assert!(st.nic.rx_congestion_drops > 0, "the rx FIFO overflowed");
         assert_eq!(st.rel.dead_links, 0, "cc={}: a live link died", rel.cc);
+        assert_eq!(st.rel.tlps, 0, "cc={}: a backlog drew tail probes", rel.cc);
     }
 }

@@ -100,17 +100,57 @@ fn payload(s: u64, idx: u64) -> Vec<u8> {
 
 fn send_stream(w: &mut RelWorld, a: NicId, b: NicId, s: u64, n: u64) {
     for idx in 0..n {
-        let pkt = Packet::new(
-            a,
-            b,
-            Proto::Gm,
-            0,
-            [idx, 0, 0, 0],
-            bytes::Bytes::from(payload(s, idx)),
-            16,
-        );
-        rel_send(w, pkt, SimTime::ZERO);
+        send_one(w, a, b, s, idx);
     }
+}
+
+/// Packet `idx` of stream `s`, handed to the window now.
+fn send_one(w: &mut RelWorld, a: NicId, b: NicId, s: u64, idx: u64) -> Packet {
+    let pkt = Packet::new(
+        a,
+        b,
+        Proto::Gm,
+        0,
+        [idx, 0, 0, 0],
+        bytes::Bytes::from(payload(s, idx)),
+        16,
+    );
+    rel_send(w, pkt.clone(), SimTime::ZERO);
+    pkt
+}
+
+/// Send packet `idx` of stream `s` into a black hole: a → b drops exactly
+/// this one transmission (the dice roll as it leaves), and the fabric is
+/// clean again right after.
+fn lose_one(w: &mut RelWorld, a: NicId, b: NicId, s: u64, idx: u64) -> Packet {
+    let (na, nb) = (w.nics.get(a).node, w.nics.get(b).node);
+    w.nics
+        .set_fault_plan(FaultPlan::new(1).for_link(na, nb, FaultPlan::new(2).with_drop(1.0)));
+    let pkt = send_one(w, a, b, s, idx);
+    w.nics.set_fault_plan(FaultPlan::new(1));
+    pkt
+}
+
+/// A link that has shown loss evidence and settled its estimator on the
+/// floor: packet 0 of stream `s` is lost and repaired by an RTO round
+/// whose ack the echo does not refute, then packets `1..n` flow clean.
+fn lossy_settled_link(s: u64, n: u64) -> (RelWorld, NicId, NicId) {
+    let (mut w, a, b) = world();
+    lose_one(&mut w, a, b, s, 0);
+    run_to_quiescence(&mut w);
+    assert_eq!(w.nics.rel.stats.timeouts, 1, "an RTO round repaired it");
+    assert_eq!(w.nics.rel.stats.spurious_rtos, 0, "a real loss");
+    for idx in 1..n {
+        send_one(&mut w, a, b, s, idx);
+    }
+    run_to_quiescence(&mut w);
+    assert_delivery(&w, s, n);
+    let (_, rto) = w.nics.rel.link_rtt(Proto::Gm, a, b).expect("sampled");
+    assert_eq!(
+        rto, w.nics.rel.params.min_rto,
+        "the estimator settled on the floor"
+    );
+    (w, a, b)
 }
 
 /// Run to quiescence while tracking the window high-water mark at every
@@ -306,8 +346,9 @@ fn rounds_until(
     done: impl Fn(&RelWorld) -> bool,
 ) -> Vec<(SimTime, SimTime)> {
     let mut rounds = Vec::new();
+    let before = w.nics.rel.stats.timeouts;
     let _ = run_until(w, |w: &RelWorld| {
-        if w.nics.rel.stats.timeouts > rounds.len() as u64 {
+        if w.nics.rel.stats.timeouts - before > rounds.len() as u64 {
             let rto = w.nics.rel.link_rtt(Proto::Gm, a, b).map(|(_, rto)| rto);
             rounds.push((w.sched.now(), rto.unwrap_or(SimTime::ZERO)));
         }
@@ -321,16 +362,13 @@ fn rounds_until(
 /// after exactly `max_retries + 1` unanswered questions, well under a
 /// millisecond after the first RTO — while the data rounds between the
 /// probes still back off exponentially. Nine backed-off rounds alone take
-/// about 9 ms.
+/// about 9 ms. The link has shown loss, so a tail-loss probe goes out
+/// first; it is not a question and moves no round.
 #[test]
 fn a_dead_peer_is_found_by_rtt_scale_probes() {
-    let (mut w, a, b) = world();
-    send_stream(&mut w, a, b, 5, 20);
-    run_to_quiescence(&mut w);
-    assert_delivery(&w, 5, 20);
+    let (mut w, a, b) = lossy_settled_link(5, 20);
     let min_rto = w.nics.rel.params.min_rto;
-    let (_, rto) = w.nics.rel.link_rtt(Proto::Gm, a, b).expect("sampled");
-    assert_eq!(rto, min_rto, "the estimator settled on the floor");
+    let timeouts_before = w.nics.rel.stats.timeouts;
 
     let kill = w.sched.now();
     let nb = w.nics.get(b).node;
@@ -343,8 +381,9 @@ fn a_dead_peer_is_found_by_rtt_scale_probes() {
 
     let rel = w.nics.rel.stats;
     let budget = w.nics.rel.params.max_retries as u64 + 1;
+    assert_eq!(rel.tlps, 1, "one tail-loss probe before the first round");
     assert_eq!(
-        rel.timeouts + rel.probes,
+        rel.timeouts - timeouts_before + rel.probes,
         budget,
         "dead at exactly max_retries + 1 unanswered questions"
     );
@@ -373,6 +412,42 @@ fn a_dead_peer_is_found_by_rtt_scale_probes() {
             pair[1].0
         );
     }
+}
+
+/// A lone lost packet — nothing behind it to raise a SACK — on a link that
+/// has shown loss is repaired by one tail-loss probe a probe timeout
+/// (≈ 2·srtt) after it left, not by a retransmission round a 50 µs RTO
+/// floor later: it lands within 4·srtt plus one serialization time of
+/// its original departure.
+#[test]
+fn a_lone_tail_loss_is_repaired_by_a_probe_not_the_rto() {
+    let (mut w, a, b) = lossy_settled_link(8, 20);
+    let (srtt, _) = w.nics.rel.link_rtt(Proto::Gm, a, b).expect("sampled");
+    let before = w.nics.rel.stats;
+    let pkt = lose_one(&mut w, a, b, 8, 20);
+    let serialization = w.nics.get(a).model.link_bw.transfer_time(pkt.wire_len);
+    let departed = w.sched.now() + serialization;
+    let _ = run_until(&mut w, |w: &RelWorld| {
+        w.delivered.iter().any(|&(idx, _)| idx == 20)
+    });
+    let landed = w.sched.now();
+    assert!(
+        landed <= departed + srtt * 4 + serialization,
+        "the lone loss landed {} after it left (srtt {srtt})",
+        landed - departed
+    );
+    run_to_quiescence(&mut w);
+    assert_delivery(&w, 8, 21);
+    let rel = w.nics.rel.stats;
+    assert_eq!(rel.tlps - before.tlps, 1, "one tail-loss probe");
+    assert_eq!(rel.timeouts, before.timeouts, "no retransmission round");
+    assert_eq!(
+        rel.retransmits - before.retransmits,
+        1,
+        "the probe is the one resend"
+    );
+    let row = w.nics.rel.link_stats(Proto::Gm, a, b).expect("sent");
+    assert_eq!(row.tlps, rel.tlps, "the link's row carries the probe");
 }
 
 /// No false death under heavy loss: with 20 % of data *and* acks lost, no
