@@ -336,7 +336,7 @@ fn main() {
     );
     // A lone loss is repaired at RTT scale: at 1 % loss no small or
     // medium echo in the tail waits out the retransmit timer's floor.
-    let min_rto_us = knet_simnic::RelParams::default().min_rto.secs() * 1e6;
+    let min_rto_us = knet_simnic::rel::MIN_RTO.secs() * 1e6;
     for p in echo.iter().filter(|p| p.loss_pct == 1 && p.payload <= 1024) {
         assert!(
             p.p99_us < p.p50_us + min_rto_us,

@@ -13,6 +13,7 @@ use knet_simnic::TransKey;
 use knet_simos::{cpu_charge, FrameIdx, NodeId, VirtAddr, VmaEvent};
 
 use crate::layer::{gm_send, GmPortId, GmWorld};
+use crate::params::{deregister_cost, DEREG_PER_PAGE, REG_PER_PAGE, REG_SYSCALL};
 
 /// Evictions happen in batches of this fraction of the cache capacity, so
 /// one 200 µs deregistration pays for many future registrations (the
@@ -36,7 +37,6 @@ pub fn gm_ensure_cached<W: GmWorld>(
         }
         (p.node, p.nic, p.mode.is_kernel())
     };
-    let params = w.gm().params;
 
     // Take the cache and the layer's scratch out while we work (split
     // borrows; the scratch makes the steady-state hit path allocation-free).
@@ -124,14 +124,14 @@ pub fn gm_ensure_cached<W: GmWorld>(
 
     // Host cost: per-page registration (+ one syscall per miss batch from
     // user space), plus any amortized deregistration batches.
-    let mut cost = params.reg_per_page * registered_pages;
+    let mut cost = REG_PER_PAGE * registered_pages;
     if registered_pages > 0 && !is_kernel {
-        cost += params.reg_syscall;
+        cost += REG_SYSCALL;
     }
     for _ in 0..dereg_batches {
-        cost += params.deregister_cost(0);
+        cost += deregister_cost(0);
     }
-    cost += params.dereg_per_page * deregistered_pages;
+    cost += DEREG_PER_PAGE * deregistered_pages;
     Ok(cpu_charge(w, node, cost))
 }
 
@@ -206,7 +206,6 @@ pub fn gm_send_cached<W: GmWorld>(
 /// event touches, deregistering and unpinning the stale pages. The composed
 /// world routes `OsWorld::vma_event` here.
 pub fn gm_on_vma_event<W: GmWorld>(w: &mut W, node: NodeId, ev: &VmaEvent) {
-    let params = w.gm().params;
     let ports: Vec<GmPortId> = w.gm().ports_on(node).collect();
     let mut dropped = std::mem::take(&mut w.gm_mut().scratch.victims);
     for pid in ports {
@@ -228,7 +227,7 @@ pub fn gm_on_vma_event<W: GmWorld>(w: &mut W, node: NodeId, ev: &VmaEvent) {
         if !dropped.is_empty() {
             drop_registrations(w, nic, node, &dropped);
             // The kernel pays a real deregistration in the munmap path.
-            let cost = params.deregister_cost(dropped.len() as u64);
+            let cost = deregister_cost(dropped.len() as u64);
             cpu_charge(w, node, cost);
         }
     }

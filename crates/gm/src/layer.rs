@@ -32,7 +32,10 @@ use knet_simnic::{
 };
 use knet_simos::{cpu_charge, page_slices, Asid, FrameIdx, NodeId, PhysSeg};
 
-use crate::params::GmParams;
+use crate::params::{
+    deregister_cost, GmParams, FW_CHUNK, FW_RECV, FW_SEND, FW_TRANSLATE_BASE, FW_TRANSLATE_PAGE,
+    HEADER_BYTES, HOST_EVENT_POLL, HOST_SEND_POST, KERNEL_OP_EXTRA, REG_PER_PAGE, REG_SYSCALL,
+};
 
 /// Global identifier of an open GM port.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -426,7 +429,6 @@ pub fn gm_register<W: GmWorld>(
         let p = w.gm().port(port_id)?;
         (p.node, p.nic, p.mode.is_kernel())
     };
-    let params = w.gm().params;
     let mut pages = 0u64;
     let mut inserted: Vec<(RegKey, Option<FrameIdx>)> = Vec::new();
     for (page, _, _) in page_slices(addr, len) {
@@ -462,9 +464,9 @@ pub fn gm_register<W: GmWorld>(
     let syscall = if is_kernel {
         SimTime::ZERO
     } else {
-        params.reg_syscall
+        REG_SYSCALL
     };
-    let cost = syscall + params.reg_per_page * pages;
+    let cost = syscall + REG_PER_PAGE * pages;
     Ok(cpu_charge(w, node, cost))
 }
 
@@ -502,7 +504,6 @@ pub fn gm_deregister<W: GmWorld>(
         let p = w.gm().port(port_id)?;
         (p.node, p.nic)
     };
-    let params = w.gm().params;
     let mut pages = 0u64;
     for (page, _, _) in page_slices(addr, len) {
         let key = RegKey::of(asid, page);
@@ -520,7 +521,7 @@ pub fn gm_deregister<W: GmWorld>(
     let p = w.gm_mut().port_mut(port_id)?;
     p.stats.pages_deregistered += pages;
     p.stats.dereg_batches += 1;
-    let cost = params.deregister_cost(pages);
+    let cost = deregister_cost(pages);
     Ok(cpu_charge(w, node, cost))
 }
 
@@ -550,10 +551,6 @@ fn resolve_for_wire<W: GmWorld>(
         let p = w.gm().port(port_id)?;
         buffer_asid(p, seg)?
     };
-    let (fw_translate_base, fw_translate_page) = {
-        let p = &w.gm().params;
-        (p.fw_translate_base, p.fw_translate_page)
-    };
     match *seg {
         MemRef::Physical { addr, len } => {
             if !physical_api {
@@ -580,7 +577,7 @@ fn resolve_for_wire<W: GmWorld>(
                 let phys = tt.lookup(asid, page)?;
                 PhysSeg::push_merged(out, PhysSeg::new(phys.add(off), n));
             }
-            let cost = fw_translate_base + fw_translate_page * pages.saturating_sub(1);
+            let cost = FW_TRANSLATE_BASE + FW_TRANSLATE_PAGE * pages.saturating_sub(1);
             Ok(cost)
         }
     }
@@ -656,7 +653,6 @@ fn gm_send_admitted<W: GmWorld>(
     ctx: u64,
     tenant: TenantId,
 ) -> Result<(), NetError> {
-    let params = w.gm().params;
     let (node, nic, is_kernel) = {
         let p = w.gm().port(port_id)?;
         (p.node, p.nic, p.mode.is_kernel())
@@ -700,14 +696,14 @@ fn gm_send_admitted<W: GmWorld>(
     };
 
     // Host posts the send (kernel interface pays its overhead).
-    let mut host_cost = params.host_send_post;
+    let mut host_cost = HOST_SEND_POST;
     if is_kernel {
-        host_cost += params.kernel_op_extra;
+        host_cost += KERNEL_OP_EXTRA;
     }
     let host_done = cpu_charge(w, node, host_cost);
 
     // Firmware picks the command up and resolves addressing.
-    let fw_done = fw_charge(w, nic, host_done, params.fw_send + translate_cost);
+    let fw_done = fw_charge(w, nic, host_done, FW_SEND + translate_cost);
 
     // Cut into MTU chunks; DMA and wire pipeline chunk by chunk.
     let msg_id = {
@@ -720,7 +716,7 @@ fn gm_send_admitted<W: GmWorld>(
         dst: dst_nic,
         proto: Proto::Gm,
         kind: PKT_KIND_DATA,
-        header_bytes: params.header_bytes,
+        header_bytes: HEADER_BYTES,
         tenant,
     };
     let hdr = MsgHeader {
@@ -732,7 +728,7 @@ fn gm_send_admitted<W: GmWorld>(
         total: PhysSeg::total_len(&segs),
     };
     let source = ChunkSource::Segs(&segs);
-    let sent = send_chunks(w, &route, hdr, source, fw_done, params.fw_chunk);
+    let sent = send_chunks(w, &route, hdr, source, fw_done, FW_CHUNK);
     let cap_after = segs.capacity();
     let scratch = &mut w.gm_mut().scratch;
     scratch.segs = segs;
@@ -757,7 +753,6 @@ pub fn gm_provide_receive_buffer<W: GmWorld>(
     tag: u64,
     ctx: u64,
 ) -> Result<(), NetError> {
-    let params = w.gm().params;
     let (node, is_kernel) = {
         let p = w.gm().port(port_id)?;
         (p.node, p.mode.is_kernel())
@@ -773,9 +768,9 @@ pub fn gm_provide_receive_buffer<W: GmWorld>(
     w.gm_mut().scratch.segs = scratch;
     let translate_cost = translate_cost?;
     let capacity = PhysSeg::total_len(&segs);
-    let mut host_cost = params.host_send_post;
+    let mut host_cost = HOST_SEND_POST;
     if is_kernel {
-        host_cost += params.kernel_op_extra;
+        host_cost += KERNEL_OP_EXTRA;
     }
     cpu_charge(w, node, host_cost);
     w.gm_mut()
@@ -800,17 +795,16 @@ pub fn gm_coll_post<W: GmWorld>(
     port_id: GmPortId,
     cmd: CollCmd,
 ) -> Result<(), NetError> {
-    let params = w.gm().params;
     let (node, nic, is_kernel) = {
         let p = w.gm().port(port_id)?;
         (p.node, p.nic, p.mode.is_kernel())
     };
-    let mut host_cost = params.host_send_post;
+    let mut host_cost = HOST_SEND_POST;
     if is_kernel {
-        host_cost += params.kernel_op_extra;
+        host_cost += KERNEL_OP_EXTRA;
     }
     let host_done = cpu_charge(w, node, host_cost);
-    let fw_done = fw_charge(w, nic, host_done, params.fw_send);
+    let fw_done = fw_charge(w, nic, host_done, FW_SEND);
     coll_inject(w, Proto::Gm, nic, cmd, fw_done);
     Ok(())
 }
@@ -833,7 +827,6 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     }
     let m = MsgHeader::unpack(&pkt.meta);
     let dst = GmPortId(m.dst);
-    let params = w.gm().params;
     let now = knet_simcore::now(w);
 
     // Locate the destination port; a stale port swallows the packet (real GM
@@ -853,9 +846,9 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         l.assemblies.begin_or_resume(&m, (nic, pkt.src), queue)
     };
     let fw_cost = match (first, &a.matched) {
-        (true, Some(buf)) => params.fw_recv + buf.translate_cost,
-        (true, None) => params.fw_recv,
-        (false, _) => params.fw_chunk,
+        (true, Some(buf)) => FW_RECV + buf.translate_cost,
+        (true, None) => FW_RECV,
+        (false, _) => FW_CHUNK,
     };
     let fw_done = fw_charge(w, nic, now, fw_cost);
     // A matched message scatters straight into its buffer; an unmatched one
@@ -876,12 +869,12 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     // polls it (paying the kernel extra on kernel ports), or — for sleeping
     // in-kernel consumers — is woken through the notification thread.
     let ev_dma = dma_charge(w, nic, a.last_dma_done, 64);
-    let mut host_cost = params.host_event_poll;
+    let mut host_cost = HOST_EVENT_POLL;
     if is_kernel {
-        host_cost += params.kernel_op_extra;
+        host_cost += KERNEL_OP_EXTRA;
     }
     if blocking {
-        host_cost += params.blocking_notify;
+        host_cost += w.gm().params.blocking_notify;
     }
     let from = a.sender(w.nics(), TransportKind::Gm);
     let ev = match a.matched.take() {
@@ -917,7 +910,6 @@ pub fn gm_close_port<W: GmWorld>(w: &mut W, port_id: GmPortId) -> Result<SimTime
         let p = w.gm().port(port_id)?;
         (p.node, p.nic)
     };
-    let params = w.gm().params;
     // Drain the registration cache.
     let cached = {
         let p = w.gm_mut().port_mut(port_id)?;
@@ -960,7 +952,7 @@ pub fn gm_close_port<W: GmWorld>(w: &mut W, port_id: GmPortId) -> Result<SimTime
         }
     }
     let cost = if pages > 0 {
-        params.deregister_cost(pages)
+        deregister_cost(pages)
     } else {
         SimTime::ZERO
     };

@@ -6,7 +6,7 @@
 //! * message passing with send tokens; completions cost a completion-record
 //!   DMA and a host poll, then go straight to the port's consumer;
 //! * **explicit memory registration** — pin + NIC-table entry, 3 µs/page,
-//!   200 µs deregistration base ([`params::GmParams`]);
+//!   200 µs deregistration base ([`params`]);
 //! * a **kernel port** costing ≈2 µs more per operation;
 //! * the **physical-address primitives** patch (`GmPortConfig::with_physical_api`)
 //!   that lets in-kernel users hand page-cache pages straight to the NIC;

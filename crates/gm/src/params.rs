@@ -7,40 +7,48 @@
 //! * page registration ≈ 3 µs/page, deregistration ≈ 200 µs base (§2.2.2);
 //! * the physical-address primitives save ≈ 0.5 µs per side by skipping the
 //!   NIC translation lookup (§3.3).
+//!
+//! The calibrated costs are constants: they are measurements of one
+//! testbed, not settings. [`GmParams`] holds the two values a world may
+//! change — the per-port send-token limit (tests force token exhaustion)
+//! and the blocking-notification cost (the §5.2 ablation zeroes it).
 
 use knet_simcore::SimTime;
 
-/// Host- and firmware-side costs of the GM driver. Plain scalars — `Copy`,
-/// so the hot path reads it by value instead of cloning per operation.
+/// Host cost to post a send from user space (library + doorbell PIO).
+pub const HOST_SEND_POST: SimTime = SimTime::from_nanos(500);
+/// Host cost to consume a completion event from user space.
+pub const HOST_EVENT_POLL: SimTime = SimTime::from_nanos(550);
+/// Extra host cost per operation through the kernel interface — GM "was
+/// designed for user-level applications and thus lacks an efficient
+/// in-kernel communication implementation".
+pub const KERNEL_OP_EXTRA: SimTime = SimTime::from_micros(1);
+/// Firmware (MCP) processing of one send command.
+pub const FW_SEND: SimTime = SimTime::from_nanos(1_600);
+/// Firmware processing of one incoming message (match + completion).
+pub const FW_RECV: SimTime = SimTime::from_nanos(1_600);
+/// Firmware handling of each additional MTU chunk.
+pub const FW_CHUNK: SimTime = SimTime::from_nanos(400);
+/// Firmware translation-table lookup per message when addressing is
+/// virtual; the physical-address primitives skip exactly this.
+pub const FW_TRANSLATE_BASE: SimTime = SimTime::from_nanos(500);
+/// Additional translation cost per page beyond the first.
+pub const FW_TRANSLATE_PAGE: SimTime = SimTime::from_nanos(40);
+/// Host cost to enter the registration system call.
+pub const REG_SYSCALL: SimTime = SimTime::from_nanos(400);
+/// Registration cost per page (pin + table update): ≈3 µs.
+pub const REG_PER_PAGE: SimTime = SimTime::from_micros(3);
+/// Deregistration base cost (firmware synchronization): ≈200 µs.
+pub const DEREG_BASE: SimTime = SimTime::from_micros(200);
+/// Deregistration additional cost per page.
+pub const DEREG_PER_PAGE: SimTime = SimTime::from_nanos(100);
+/// On-wire header bytes per packet.
+pub const HEADER_BYTES: u64 = 24;
+
+/// The GM settings a world may change. Plain scalars — `Copy`, so the hot
+/// path reads it by value instead of cloning per operation.
 #[derive(Clone, Copy, Debug)]
 pub struct GmParams {
-    /// Host cost to post a send from user space (library + doorbell PIO).
-    pub host_send_post: SimTime,
-    /// Host cost to consume a completion event from user space.
-    pub host_event_poll: SimTime,
-    /// Extra host cost per operation through the kernel interface — GM "was
-    /// designed for user-level applications and thus lacks an efficient
-    /// in-kernel communication implementation".
-    pub kernel_op_extra: SimTime,
-    /// Firmware (MCP) processing of one send command.
-    pub fw_send: SimTime,
-    /// Firmware processing of one incoming message (match + completion).
-    pub fw_recv: SimTime,
-    /// Firmware handling of each additional MTU chunk.
-    pub fw_chunk: SimTime,
-    /// Firmware translation-table lookup per message when addressing is
-    /// virtual; the physical-address primitives skip exactly this.
-    pub fw_translate_base: SimTime,
-    /// Additional translation cost per page beyond the first.
-    pub fw_translate_page: SimTime,
-    /// Host cost to enter the registration system call.
-    pub reg_syscall: SimTime,
-    /// Registration cost per page (pin + table update): ≈3 µs.
-    pub reg_per_page: SimTime,
-    /// Deregistration base cost (firmware synchronization): ≈200 µs.
-    pub dereg_base: SimTime,
-    /// Deregistration additional cost per page.
-    pub dereg_per_page: SimTime,
     /// Cost of waking a sleeping in-kernel consumer through GM's helper
     /// notification thread (two context switches + scheduler latency).
     /// Polling consumers (MPI, raw benchmarks) never pay this; blocking
@@ -50,47 +58,27 @@ pub struct GmParams {
     /// Pending-send limit per port ("some interfaces, especially GM, ask the
     /// user to limit the amount of pending requests", §4.1).
     pub send_tokens: usize,
-    /// On-wire header bytes per packet.
-    pub header_bytes: u64,
-    /// Size of the bounce pool used for unexpected messages (per port).
-    pub bounce_bytes: u64,
 }
 
 impl Default for GmParams {
     fn default() -> Self {
         GmParams {
-            host_send_post: SimTime::from_nanos(500),
-            host_event_poll: SimTime::from_nanos(550),
-            kernel_op_extra: SimTime::from_micros_f64(1.0),
-            fw_send: SimTime::from_micros_f64(1.6),
-            fw_recv: SimTime::from_micros_f64(1.6),
-            fw_chunk: SimTime::from_nanos(400),
-            fw_translate_base: SimTime::from_nanos(500),
-            fw_translate_page: SimTime::from_nanos(40),
-            reg_syscall: SimTime::from_nanos(400),
-            reg_per_page: SimTime::from_micros_f64(3.0),
-            dereg_base: SimTime::from_micros_f64(200.0),
-            dereg_per_page: SimTime::from_nanos(100),
-            blocking_notify: SimTime::from_micros_f64(6.5),
+            blocking_notify: SimTime::from_nanos(6_500),
             send_tokens: 16,
-            header_bytes: 24,
-            bounce_bytes: 1 << 20,
         }
     }
 }
 
-impl GmParams {
-    /// Host cost of registering `pages` pages (Figure 1b "Memory
-    /// Registration" curve).
-    pub fn register_cost(&self, pages: u64) -> SimTime {
-        self.reg_syscall + self.reg_per_page * pages
-    }
+/// Host cost of registering `pages` pages (Figure 1b "Memory
+/// Registration" curve).
+pub fn register_cost(pages: u64) -> SimTime {
+    REG_SYSCALL + REG_PER_PAGE * pages
+}
 
-    /// Host cost of deregistering `pages` pages (Figure 1b
-    /// "Memory De-registration" curve).
-    pub fn deregister_cost(&self, pages: u64) -> SimTime {
-        self.dereg_base + self.dereg_per_page * pages
-    }
+/// Host cost of deregistering `pages` pages (Figure 1b
+/// "Memory De-registration" curve).
+pub fn deregister_cost(pages: u64) -> SimTime {
+    DEREG_BASE + DEREG_PER_PAGE * pages
 }
 
 #[cfg(test)]
@@ -100,27 +88,25 @@ mod tests {
 
     #[test]
     fn registration_cost_matches_figure_1b() {
-        let p = GmParams::default();
         // 256 kB = 64 pages → ≈192 µs registration.
         let pages = 256 * 1024 / PAGE_SIZE;
-        let reg = p.register_cost(pages);
+        let reg = register_cost(pages);
         assert!(
             (185.0..=205.0).contains(&reg.micros()),
             "256kB registration = {reg}"
         );
         // Deregistration is dominated by its 200 µs base.
-        let dereg = p.deregister_cost(pages);
+        let dereg = deregister_cost(pages);
         assert!(
             (200.0..=215.0).contains(&dereg.micros()),
             "256kB deregistration = {dereg}"
         );
         // Single page registration ≈ 3 µs + syscall.
-        assert!((3.0..=4.0).contains(&p.register_cost(1).micros()));
+        assert!((3.0..=4.0).contains(&register_cost(1).micros()));
     }
 
     #[test]
     fn physical_api_saves_about_half_a_microsecond() {
-        let p = GmParams::default();
-        assert_eq!(p.fw_translate_base.nanos(), 500);
+        assert_eq!(FW_TRANSLATE_BASE.nanos(), 500);
     }
 }

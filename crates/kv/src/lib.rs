@@ -72,7 +72,7 @@ pub type KvOpId = u64;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KvEv {
     /// Reissue a waiting operation (failure-triggered, paced by
-    /// [`KvConfig::retry_delay`] so a dead primary is not hot-looped).
+    /// [`RETRY_DELAY`] so a dead primary is not hot-looped).
     Reissue { client: u32, op: u32 },
 }
 
@@ -208,28 +208,15 @@ knet_simcore::counters! {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-pub struct KvConfig {
-    /// Reissue budget per operation (on top of the RPC layer's own
-    /// retransmissions).
-    pub op_retries: u32,
-    /// Pause before reissuing a failed operation, so failover has time to
-    /// converge and a dead primary is not hot-looped.
-    pub retry_delay: SimTime,
-}
-
-impl Default for KvConfig {
-    fn default() -> Self {
-        KvConfig {
-            op_retries: 8,
-            retry_delay: SimTime::from_millis(1),
-        }
-    }
-}
+/// Reissue budget per operation (on top of the RPC layer's own
+/// retransmissions).
+pub const OP_RETRIES: u32 = 8;
+/// Pause before reissuing a failed operation, so failover has time to
+/// converge and a dead primary is not hot-looped.
+pub const RETRY_DELAY: SimTime = SimTime::from_millis(1);
 
 /// All KV state in a world.
 pub struct KvLayer {
-    pub cfg: KvConfig,
     pub shards: Vec<Shard>,
     replicas: Vec<Replica>,
     clients: Vec<KvClient>,
@@ -247,7 +234,6 @@ pub struct KvLayer {
 impl Default for KvLayer {
     fn default() -> Self {
         KvLayer {
-            cfg: KvConfig::default(),
             shards: Vec::new(),
             replicas: Vec::new(),
             clients: Vec::new(),
@@ -690,25 +676,23 @@ fn finish<W: KvWorld>(w: &mut W, cid: u32, op_slot: u32, result: Result<KvResult
 fn retry_or_fail<W: KvWorld>(w: &mut W, cid: u32, op_slot: u32, e: RpcError) {
     let decision = {
         let kv = w.kv_mut();
-        let retries = kv.cfg.op_retries;
-        let delay = kv.cfg.retry_delay;
         let c = &mut kv.clients[cid as usize];
         let node = c.node;
         let o = &mut c.ops[op_slot as usize];
         o.attempts += 1;
-        if o.attempts > retries {
+        if o.attempts > OP_RETRIES {
             None
         } else {
             o.state = OpState::Waiting;
             kv.stats.reissues += 1;
-            Some((node, delay))
+            Some(node)
         }
     };
     match decision {
-        Some((node, delay)) => emit_after(
+        Some(node) => emit_after(
             w,
             node.0,
-            delay,
+            RETRY_DELAY,
             W::lift_kv(KvEv::Reissue {
                 client: cid,
                 op: op_slot,

@@ -32,7 +32,10 @@ use knet_simnic::{
 };
 use knet_simos::{Asid, FrameIdx, NodeId, PhysSeg};
 
-use crate::params::{MxParams, MxProtocol};
+use crate::params::{
+    pio_cost, protocol_for, MxProtocol, FW_CHUNK, FW_RECV, FW_RNDV, FW_SEND, HEADER_BYTES,
+    HOST_EVENT, HOST_POST,
+};
 
 /// Global identifier of an open MX endpoint.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -247,7 +250,6 @@ impl<W: MxWorld> PacedSend<W> for PacedMxSend {
 
 /// All MX state in the world.
 pub struct MxLayer {
-    pub params: MxParams,
     endpoints: Vec<MxEndpoint>,
     /// Messages still arriving — eager ones (with the receive rings a
     /// medium message is staged in) and accepted rendezvous, whose CTS
@@ -263,10 +265,9 @@ pub struct MxLayer {
     pub paced: PaceLanes<PacedMxSend>,
 }
 
-impl MxLayer {
-    pub fn new(params: MxParams) -> Self {
+impl Default for MxLayer {
+    fn default() -> Self {
         MxLayer {
-            params,
             endpoints: Vec::new(),
             inbound: Reassembly::default(),
             rndv_send: IdHashMap::default(),
@@ -275,7 +276,9 @@ impl MxLayer {
             paced: PaceLanes::default(),
         }
     }
+}
 
+impl MxLayer {
     pub fn ep(&self, id: MxEndpointId) -> Result<&MxEndpoint, NetError> {
         self.endpoints
             .get(id.0 as usize)
@@ -312,12 +315,6 @@ impl MxLayer {
         ids.sort_unstable();
         let sends = ids.iter().filter_map(|id| self.rndv_send.remove(id));
         sends.collect()
-    }
-}
-
-impl Default for MxLayer {
-    fn default() -> Self {
-        Self::new(MxParams::default())
     }
 }
 
@@ -446,13 +443,13 @@ const KIND_CTS: u8 = 2;
 const KIND_LARGE: u8 = 3;
 
 /// How packets of `kind` travel from `src` to `dst` on behalf of `tenant`.
-fn mx_route(params: &MxParams, src: NicId, dst: NicId, kind: u8, tenant: TenantId) -> Route {
+fn mx_route(src: NicId, dst: NicId, kind: u8, tenant: TenantId) -> Route {
     Route {
         src,
         dst,
         proto: Proto::Mx,
         kind,
-        header_bytes: params.header_bytes,
+        header_bytes: HEADER_BYTES,
         tenant,
     }
 }
@@ -587,7 +584,6 @@ fn mx_isend_admitted<W: MxWorld>(
     ctx: u64,
     tenant: TenantId,
 ) -> Result<(), NetError> {
-    let params = w.mx().params;
     let (node, nic) = {
         let e = w.mx().ep(from)?;
         check_classes(e, iov)?;
@@ -618,7 +614,7 @@ fn mx_isend_admitted<W: MxWorld>(
         offset: 0,
         total,
     };
-    let route = |kind| mx_route(&params, nic, dst_nic, kind, tenant);
+    let route = |kind| mx_route(nic, dst_nic, kind, tenant);
     let send_done = |w: &mut W, at| {
         complete(
             w,
@@ -630,14 +626,14 @@ fn mx_isend_admitted<W: MxWorld>(
         )
     };
 
-    match params.protocol_for(total) {
+    match protocol_for(total) {
         MxProtocol::Small => {
             // Host inlines the payload by PIO; the buffer is immediately
             // reusable. Gather through the recycled payload scratch.
             let data = gather_payload(w, node, iov)?;
-            let host_cost = params.host_post + params.pio_cost(total);
+            let host_cost = HOST_POST + pio_cost(total);
             let host_done = knet_simos::cpu_charge(w, node, host_cost);
-            let fw_done = fw_charge(w, nic, host_done, params.fw_send);
+            let fw_done = fw_charge(w, nic, host_done, FW_SEND);
             route(KIND_EAGER).send(w, hdr, data, fw_done);
             send_done(w, host_done);
         }
@@ -647,12 +643,12 @@ fn mx_isend_admitted<W: MxWorld>(
             let host_cost = if avoidable {
                 // No copy: just the doorbell. (The paper's optimization.)
                 w.mx_mut().ep_mut(from)?.stats.send_copies_avoided += 1;
-                params.host_post
+                HOST_POST
             } else {
-                params.host_post + w.os().node(node).cpu.model.ring_copy_cost(total)
+                HOST_POST + w.os().node(node).cpu.model.ring_copy_cost(total)
             };
             let host_done = knet_simos::cpu_charge(w, node, host_cost);
-            let fw_done = fw_charge(w, nic, host_done, params.fw_send);
+            let fw_done = fw_charge(w, nic, host_done, FW_SEND);
             // Chunks stream from the ring (or directly from the source when
             // the copy was elided — same DMA cost, the ring copy is what
             // disappears).
@@ -662,7 +658,7 @@ fn mx_isend_admitted<W: MxWorld>(
                 hdr,
                 ChunkSource::Gathered(&data),
                 fw_done,
-                params.fw_chunk,
+                FW_CHUNK,
             )?;
             // Buffer reusable once the host copy (or for the zero-copy path,
             // the last DMA fetch) is done.
@@ -671,7 +667,7 @@ fn mx_isend_admitted<W: MxWorld>(
         MxProtocol::Large => {
             // Rendezvous: pin/resolve now, send RTS, stream on CTS.
             let (segs, pinned, pin_pages) = resolve_pinned(w, node, iov)?;
-            let host_cost = params.host_post + w.os().node(node).cpu.model.pin_cost(pin_pages);
+            let host_cost = HOST_POST + w.os().node(node).cpu.model.pin_cost(pin_pages);
             let host_done = knet_simos::cpu_charge(w, node, host_cost);
             {
                 let e = w.mx_mut().ep_mut(from)?;
@@ -689,7 +685,7 @@ fn mx_isend_admitted<W: MxWorld>(
                     tenant,
                 },
             );
-            let fw_done = fw_charge(w, nic, host_done, params.fw_send);
+            let fw_done = fw_charge(w, nic, host_done, FW_SEND);
             route(KIND_RTS).send(w, hdr, Bytes::new(), fw_done);
         }
     }
@@ -705,7 +701,6 @@ pub fn mx_irecv<W: MxWorld>(
     iov: &IoVec,
     ctx: u64,
 ) -> Result<(), NetError> {
-    let params = w.mx().params;
     let (node, nic) = {
         let e = w.mx().ep(ep_id)?;
         check_classes(e, iov)?;
@@ -723,7 +718,7 @@ pub fn mx_irecv<W: MxWorld>(
         pinned,
         ctx,
     };
-    let host_cost = params.host_post + w.os().node(node).cpu.model.pin_cost(pin_pages);
+    let host_cost = HOST_POST + w.os().node(node).cpu.model.pin_cost(pin_pages);
     knet_simos::cpu_charge(w, node, host_cost);
     w.mx_mut().ep_mut(ep_id)?.stats.pages_pinned += pin_pages;
 
@@ -735,7 +730,7 @@ pub fn mx_irecv<W: MxWorld>(
             // Copy out of the ring into the posted buffer.
             let len = (data.len() as u64).min(posted.capacity);
             let copy = w.os().node(node).cpu.model.ring_copy_cost(len);
-            let done = knet_simos::cpu_charge(w, node, copy + params.host_event);
+            let done = knet_simos::cpu_charge(w, node, copy + HOST_EVENT);
             write_iovec(w.os_mut().node_mut(node), &posted.iov, &data)?;
             release_pins(w, node, &posted.pinned);
             let ev = TransportEvent::RecvDone {
@@ -788,16 +783,15 @@ fn accept_rendezvous<W: MxWorld>(
     rts: &MsgHeader,
     src_nic: NicId,
 ) {
-    let params = w.mx().params;
     w.mx_mut().inbound.commit(rts, (nic, src_nic), posted);
     let now = knet_simcore::now(w);
-    let fw_done = fw_charge(w, nic, now, params.fw_rndv);
+    let fw_done = fw_charge(w, nic, now, FW_RNDV);
     let hdr = MsgHeader {
         dst: rts.src,
         src: rts.dst,
         ..*rts
     };
-    let cts = mx_route(&params, nic, src_nic, KIND_CTS, TenantId::DEFAULT);
+    let cts = mx_route(nic, src_nic, KIND_CTS, TenantId::DEFAULT);
     cts.send(w, hdr, Bytes::new(), fw_done);
 }
 
@@ -811,13 +805,12 @@ pub fn mx_coll_post<W: MxWorld>(
     ep_id: MxEndpointId,
     cmd: CollCmd,
 ) -> Result<(), NetError> {
-    let params = w.mx().params;
     let (node, nic) = {
         let e = w.mx().ep(ep_id)?;
         (e.node, e.nic)
     };
-    let host_done = knet_simos::cpu_charge(w, node, params.host_post);
-    let fw_done = fw_charge(w, nic, host_done, params.fw_send);
+    let host_done = knet_simos::cpu_charge(w, node, HOST_POST);
+    let fw_done = fw_charge(w, nic, host_done, FW_SEND);
     coll_inject(w, Proto::Mx, nic, cmd, fw_done);
     Ok(())
 }
@@ -849,7 +842,6 @@ pub fn mx_on_packet<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let m = MsgHeader::unpack(&pkt.meta);
     let dst = MxEndpointId(m.dst);
-    let params = w.mx().params;
     let now = knet_simcore::now(w);
     let Ok(e) = w.mx().ep(dst) else { return };
     let (node, no_recv_copy, deliver) = (e.node, e.opts.no_recv_copy, e.deliver_unexpected);
@@ -860,11 +852,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         let posted = &mut l.endpoints[m.dst as usize].posted;
         l.inbound.begin_or_resume(&m, (nic, pkt.src), posted)
     };
-    let fw_cost = if first {
-        params.fw_recv
-    } else {
-        params.fw_chunk
-    };
+    let fw_cost = if first { FW_RECV } else { FW_CHUNK };
     let fw_done = fw_charge(w, nic, now, fw_cost);
     // Land the chunk: directly into the posted buffer (`no_recv_copy`), or
     // into the receive ring.
@@ -882,7 +870,7 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 
     let ev_dma = dma_charge(w, nic, a.last_dma_done, 64);
     let from = a.sender(w.nics(), TransportKind::Mx);
-    let mut host_cost = params.host_event;
+    let mut host_cost = HOST_EVENT;
     let ev = match a.matched.take() {
         Some(posted) => {
             let len = a.total.min(posted.capacity);
@@ -924,12 +912,11 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 
 fn rts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let m = MsgHeader::unpack(&pkt.meta);
-    let params = w.mx().params;
     let now = knet_simcore::now(w);
     let Ok(_) = w.mx().ep(MxEndpointId(m.dst)) else {
         return;
     };
-    fw_charge(w, nic, now, params.fw_rndv);
+    fw_charge(w, nic, now, FW_RNDV);
     let e = &mut w.mx_mut().endpoints[m.dst as usize];
     match first_fit(&mut e.posted, m.tag, m.total) {
         Some(posted) => accept_rendezvous(w, nic, posted, &m, pkt.src),
@@ -942,16 +929,15 @@ fn rts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 
 fn cts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let m = MsgHeader::unpack(&pkt.meta);
-    let params = w.mx().params;
     let now = knet_simcore::now(w);
     let Some(r) = w.mx_mut().rndv_send.remove(&m.msg_id) else {
         return;
     };
-    let fw_done = fw_charge(w, nic, now, params.fw_rndv);
+    let fw_done = fw_charge(w, nic, now, FW_RNDV);
     // Stream the message, zero-copy from the pinned source segments.
-    let route = mx_route(&params, nic, pkt.src, KIND_LARGE, r.tenant);
+    let route = mx_route(nic, pkt.src, KIND_LARGE, r.tenant);
     let source = ChunkSource::Segs(&r.segs);
-    let sent = send_chunks(w, &route, r.hdr, source, fw_done, params.fw_chunk);
+    let sent = send_chunks(w, &route, r.hdr, source, fw_done, FW_CHUNK);
     let drained = match sent {
         Ok(t) => t,
         Err(e) => return fail_rndv_send(w, r, e.into()),
@@ -967,7 +953,7 @@ fn cts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         .cpu
         .model
         .unpin_cost(r.pinned.len() as u64);
-    let done = host_completion(w, node, drained, params.host_event + unpin);
+    let done = host_completion(w, node, drained, HOST_EVENT + unpin);
     let ev = TransportEvent::SendDone { ctx: r.ctx };
     complete(w, (node, from), done, ev, Some(r.pinned), false);
 }
@@ -995,12 +981,11 @@ fn fail_rndv_send<W: MxWorld>(w: &mut W, r: RndvSend, error: NetError) {
 fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let m = MsgHeader::unpack(&pkt.meta);
     let dst = MxEndpointId(m.dst);
-    let params = w.mx().params;
     let now = knet_simcore::now(w);
     let Some(mut a) = w.mx_mut().inbound.resume(&m) else {
         return;
     };
-    let fw_done = fw_charge(w, nic, now, params.fw_chunk);
+    let fw_done = fw_charge(w, nic, now, FW_CHUNK);
     let arrived = land(
         w,
         |w| &mut w.mx_mut().inbound,
@@ -1026,7 +1011,7 @@ fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         .cpu
         .model
         .unpin_cost(posted.pinned.len() as u64);
-    let done = host_completion(w, node, ev_dma, params.host_event + unpin_cost);
+    let done = host_completion(w, node, ev_dma, HOST_EVENT + unpin_cost);
     let ev = TransportEvent::RecvDone {
         ctx: posted.ctx,
         tag: a.tag,

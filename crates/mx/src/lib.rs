@@ -25,4 +25,4 @@ pub use layer::{
     mx_open_endpoint, mx_peer_down, run_mx_ev, MxEndpoint, MxEndpointConfig, MxEndpointId, MxEv,
     MxLayer, MxMode, MxOpts, MxStats, MxWorld, PacedMxSend, MX_ANY_TAG,
 };
-pub use params::{MxParams, MxProtocol};
+pub use params::MxProtocol;

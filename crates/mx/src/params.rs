@@ -9,56 +9,36 @@
 //!   rendezvous and are pinned internally (§5.1);
 //! * removing the send-side copy buys ≈17 % at 32 kB and ≈9 % for a single
 //!   page; removing both copies is predicted to buy another ≈15 % (§5.1).
+//!
+//! The costs are constants: they are measurements of one testbed, not
+//! settings.
 
 use knet_simcore::SimTime;
 
-/// Host- and firmware-side costs of the MX driver. Plain scalars — `Copy`,
-/// so the hot path reads it by value instead of cloning per operation.
-#[derive(Clone, Copy, Debug)]
-pub struct MxParams {
-    /// Host cost to post a send or receive (identical user/kernel — the
-    /// "very generic core infrastructure" of §5.1).
-    pub host_post: SimTime,
-    /// Host cost to consume a completion event.
-    pub host_event: SimTime,
-    /// Firmware processing of a send command (MX's firmware is the reason
-    /// its latency beats GM's).
-    pub fw_send: SimTime,
-    /// Firmware processing of an incoming message (match + completion).
-    pub fw_recv: SimTime,
-    /// Firmware handling per additional MTU chunk.
-    pub fw_chunk: SimTime,
-    /// Firmware handling of a rendezvous control packet (RTS/CTS).
-    pub fw_rndv: SimTime,
-    /// PIO startup for inlining a small message into the command queue.
-    pub pio_base: SimTime,
-    /// PIO cost per byte of inlined payload.
-    pub pio_per_byte_ns: u64,
-    /// Messages strictly smaller than this are *small* (inlined): 128 B.
-    pub small_max: u64,
-    /// Messages up to this size are *medium* (two-sided copy): 32 kB.
-    pub medium_max: u64,
-    /// On-wire header bytes per packet.
-    pub header_bytes: u64,
-}
-
-impl Default for MxParams {
-    fn default() -> Self {
-        MxParams {
-            host_post: SimTime::from_nanos(450),
-            host_event: SimTime::from_nanos(450),
-            fw_send: SimTime::from_micros_f64(1.0),
-            fw_recv: SimTime::from_micros_f64(1.0),
-            fw_chunk: SimTime::from_nanos(300),
-            fw_rndv: SimTime::from_nanos(800),
-            pio_base: SimTime::from_nanos(80),
-            pio_per_byte_ns: 2,
-            small_max: 128,
-            medium_max: 32 * 1024,
-            header_bytes: 32,
-        }
-    }
-}
+/// Host cost to post a send or receive (identical user/kernel — the
+/// "very generic core infrastructure" of §5.1).
+pub const HOST_POST: SimTime = SimTime::from_nanos(450);
+/// Host cost to consume a completion event.
+pub const HOST_EVENT: SimTime = SimTime::from_nanos(450);
+/// Firmware processing of a send command (MX's firmware is the reason
+/// its latency beats GM's).
+pub const FW_SEND: SimTime = SimTime::from_micros(1);
+/// Firmware processing of an incoming message (match + completion).
+pub const FW_RECV: SimTime = SimTime::from_micros(1);
+/// Firmware handling per additional MTU chunk.
+pub const FW_CHUNK: SimTime = SimTime::from_nanos(300);
+/// Firmware handling of a rendezvous control packet (RTS/CTS).
+pub const FW_RNDV: SimTime = SimTime::from_nanos(800);
+/// PIO startup for inlining a small message into the command queue.
+pub const PIO_BASE: SimTime = SimTime::from_nanos(80);
+/// PIO cost per byte of inlined payload.
+pub const PIO_PER_BYTE_NS: u64 = 2;
+/// Messages strictly smaller than this are *small* (inlined): 128 B.
+pub const SMALL_MAX: u64 = 128;
+/// Messages up to this size are *medium* (two-sided copy): 32 kB.
+pub const MEDIUM_MAX: u64 = 32 * 1024;
+/// On-wire header bytes per packet.
+pub const HEADER_BYTES: u64 = 32;
 
 /// Which protocol a message of `len` bytes uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,21 +51,20 @@ pub enum MxProtocol {
     Large,
 }
 
-impl MxParams {
-    pub fn protocol_for(&self, len: u64) -> MxProtocol {
-        if len < self.small_max {
-            MxProtocol::Small
-        } else if len <= self.medium_max {
-            MxProtocol::Medium
-        } else {
-            MxProtocol::Large
-        }
+/// The protocol a message of `len` bytes travels by.
+pub fn protocol_for(len: u64) -> MxProtocol {
+    if len < SMALL_MAX {
+        MxProtocol::Small
+    } else if len <= MEDIUM_MAX {
+        MxProtocol::Medium
+    } else {
+        MxProtocol::Large
     }
+}
 
-    /// Host PIO cost to inline `len` bytes.
-    pub fn pio_cost(&self, len: u64) -> SimTime {
-        self.pio_base + SimTime::from_nanos(len * self.pio_per_byte_ns)
-    }
+/// Host PIO cost to inline `len` bytes.
+pub fn pio_cost(len: u64) -> SimTime {
+    PIO_BASE + SimTime::from_nanos(len * PIO_PER_BYTE_NS)
 }
 
 #[cfg(test)]
@@ -94,19 +73,17 @@ mod tests {
 
     #[test]
     fn protocol_boundaries_match_the_paper() {
-        let p = MxParams::default();
         // "medium side messages (from 128 bytes to 32 kB)" (§5.1).
-        assert_eq!(p.protocol_for(0), MxProtocol::Small);
-        assert_eq!(p.protocol_for(127), MxProtocol::Small);
-        assert_eq!(p.protocol_for(128), MxProtocol::Medium);
-        assert_eq!(p.protocol_for(32 * 1024), MxProtocol::Medium);
-        assert_eq!(p.protocol_for(32 * 1024 + 1), MxProtocol::Large);
+        assert_eq!(protocol_for(0), MxProtocol::Small);
+        assert_eq!(protocol_for(127), MxProtocol::Small);
+        assert_eq!(protocol_for(128), MxProtocol::Medium);
+        assert_eq!(protocol_for(32 * 1024), MxProtocol::Medium);
+        assert_eq!(protocol_for(32 * 1024 + 1), MxProtocol::Large);
     }
 
     #[test]
     fn pio_scales_with_bytes() {
-        let p = MxParams::default();
-        assert!(p.pio_cost(127) > p.pio_cost(1));
-        assert_eq!(p.pio_cost(0), p.pio_base);
+        assert!(pio_cost(127) > pio_cost(1));
+        assert_eq!(pio_cost(0), PIO_BASE);
     }
 }

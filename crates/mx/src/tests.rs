@@ -14,7 +14,6 @@ use crate::layer::{
     mx_open_endpoint, mx_peer_down, MxEndpointConfig, MxEndpointId, MxLayer, MxOpts, MxWorld,
     MX_ANY_TAG,
 };
-use crate::params::MxParams;
 
 struct World {
     sched: Scheduler<World>,
@@ -77,7 +76,7 @@ fn world() -> (World, NodeId, NodeId) {
         sched: Scheduler::new(),
         os: OsLayer::new(),
         nics: NicLayer::new(),
-        mx: MxLayer::new(MxParams::default()),
+        mx: MxLayer::default(),
         completed: Vec::new(),
     };
     let n0 = w.os.add_node(CpuModel::xeon_2600(), 8192);

@@ -1043,19 +1043,21 @@ fn advance_flush<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
         let c = w.orfs().client(cid);
         (c.ep.node, c.mount_id)
     };
-    let fl = {
+    // Copy out only the current page: the dirty list of an fsync can hold
+    // thousands of entries, and this runs once per page written back.
+    let (fd, ino, then_close, next) = {
         let c = w.orfs().client(cid);
         match c.ops.get(&sid) {
-            Some(OpState::Flush(f)) => f.clone(),
+            Some(OpState::Flush(f)) => (f.fd, f.ino, f.then_close, f.pages.get(f.idx).copied()),
             _ => return,
         }
     };
-    if fl.idx >= fl.pages.len() {
+    let Some((page_idx, valid)) = next else {
         // All pages written back.
-        if fl.then_close {
-            match w.orfs().client(cid).file(fl.fd) {
+        if then_close {
+            match w.orfs().client(cid).file(fd) {
                 Ok(f) => {
-                    let (kind, handle) = (MetaKind::Close { fd: fl.fd }, f.handle);
+                    let (kind, handle) = (MetaKind::Close { fd }, f.handle);
                     await_meta(w, cid, sid, kind, &Request::Close { handle });
                 }
                 Err(e) => finish(w, cid, sid, Err(e)),
@@ -1064,11 +1066,10 @@ fn advance_flush<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
             finish(w, cid, sid, Ok(SysRet::Unit));
         }
         return;
-    }
-    let (page_idx, valid) = fl.pages[fl.idx];
+    };
     let key = PageKey {
         mount,
-        inode: fl.ino,
+        inode: ino,
         index: page_idx,
     };
     let frame = w.os().node(node).page_cache.peek(key).map(|p| p.frame);
@@ -1081,7 +1082,7 @@ fn advance_flush<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
         advance_flush(w, cid, sid);
         return;
     };
-    let file = match w.orfs().client(cid).file(fl.fd) {
+    let file = match w.orfs().client(cid).file(fd) {
         Ok(f) => f,
         Err(e) => return finish(w, cid, sid, Err(e)),
     };

@@ -28,11 +28,11 @@
 //! * **Reduce** combines fixed-width `u64` lanes in-NIC at every interior
 //!   node ([`combine_lanes`]) over the same chunked payload path,
 //!   allocation-free via recycled per-group scratch buffers.
-//! * A **probe timer** re-arms while a fan-in slot is incomplete and sends
-//!   tiny sequenced probe frames toward the silent side; a dead member
-//!   exhausts the probe's retry budget, which surfaces as
-//!   `nic_link_dead` → `PeerDown` → `CollectiveFailed` for every survivor
-//!   (no silent hang).
+//! * A **probe timer** re-arms every [`PROBE_AFTER`] while a fan-in slot is
+//!   incomplete and sends tiny sequenced probe frames toward the silent
+//!   side; a dead member exhausts the probe's retry budget, which surfaces
+//!   as `nic_link_dead` → `PeerDown` → `CollectiveFailed` for every
+//!   survivor (no silent hang).
 
 use std::collections::BTreeMap;
 
@@ -200,32 +200,19 @@ pub enum CollEvent {
 }
 
 // ------------------------------------------------------------- parameters
+//
+// Costs and timers of the collective engine: one calibration, so constants.
 
-/// Firmware-side costs of the collective engine.
-#[derive(Clone, Copy, Debug)]
-pub struct CollParams {
-    /// Firmware cost to process/forward one collective frame.
-    pub fw_forward: SimTime,
-    /// Additional firmware cost to combine one reduce chunk in-NIC.
-    pub fw_combine: SimTime,
-    /// On-wire header bytes per collective frame.
-    pub header_bytes: u64,
-    /// Re-arm period of the liveness probe while a fan-in slot is
-    /// incomplete. Probes are sequenced frames: a dead subtree exhausts
-    /// their retry budget and surfaces as `nic_link_dead`.
-    pub probe_after: SimTime,
-}
-
-impl Default for CollParams {
-    fn default() -> Self {
-        CollParams {
-            fw_forward: SimTime::from_nanos(300),
-            fw_combine: SimTime::from_nanos(200),
-            header_bytes: 16,
-            probe_after: SimTime::from_micros(800),
-        }
-    }
-}
+/// Firmware cost to process/forward one collective frame.
+pub const FW_FORWARD: SimTime = SimTime::from_nanos(300);
+/// Additional firmware cost to combine one reduce chunk in-NIC.
+pub const FW_COMBINE: SimTime = SimTime::from_nanos(200);
+/// On-wire header bytes per collective frame.
+pub const HEADER_BYTES: u64 = 16;
+/// Re-arm period of the liveness probe while a fan-in slot is
+/// incomplete. Probes are sequenced frames: a dead subtree exhausts
+/// their retry budget and surfaces as `nic_link_dead`.
+pub const PROBE_AFTER: SimTime = SimTime::from_micros(800);
 
 knet_simcore::counters! {
     /// Counters exposed to figures, benches, and the allocation tests.
@@ -316,7 +303,6 @@ impl Pending {
 /// fixed-seed chaos fingerprints.
 #[derive(Default)]
 pub struct CollState {
-    pub params: CollParams,
     trees: BTreeMap<TreeKey, Tree>,
     pending: BTreeMap<PendKey, Pending>,
     free_bufs: Vec<Vec<u8>>,
@@ -460,7 +446,6 @@ fn frame(
     offset: u64,
     total: u64,
     payload: Bytes,
-    header_bytes: u64,
 ) -> Packet {
     debug_assert!(total <= u32::MAX as u64);
     let meta = [
@@ -469,7 +454,7 @@ fn frame(
         m2,
         offset << 32 | total,
     ];
-    Packet::new(src, dst, proto, kind, meta, payload, header_bytes)
+    Packet::new(src, dst, proto, kind, meta, payload, HEADER_BYTES)
 }
 
 /// Send one payload (possibly empty) to `dst`, chunked at the NIC's MTU
@@ -489,14 +474,10 @@ fn send_edge<W: NicWorld>(
     data: &Bytes,
     ready: SimTime,
 ) {
-    let (hdr, fw, mtu) = {
-        let nl = w.nics();
-        let p = nl.coll.params;
-        (p.header_bytes, p.fw_forward, nl.get(nic).model.mtu & !7)
-    };
+    let mtu = w.nics().get(nic).model.mtu & !7;
     let total = data.len() as u64;
     if total == 0 {
-        let t = fw_charge(w, nic, ready, fw);
+        let t = fw_charge(w, nic, ready, FW_FORWARD);
         let pkt = frame(
             proto,
             nic,
@@ -509,7 +490,6 @@ fn send_edge<W: NicWorld>(
             0,
             0,
             Bytes::new(),
-            hdr,
         );
         w.nics_mut().coll.stats.forwards += 1;
         rel_send(w, pkt, t);
@@ -518,7 +498,7 @@ fn send_edge<W: NicWorld>(
     let mut off = 0u64;
     while off < total {
         let end = (off + mtu).min(total);
-        let t = fw_charge(w, nic, ready, fw);
+        let t = fw_charge(w, nic, ready, FW_FORWARD);
         let pkt = frame(
             proto,
             nic,
@@ -531,7 +511,6 @@ fn send_edge<W: NicWorld>(
             off,
             total,
             data.slice(off as usize..end as usize),
-            hdr,
         );
         w.nics_mut().coll.stats.forwards += 1;
         rel_send(w, pkt, t);
@@ -627,7 +606,7 @@ pub fn coll_inject<W: NicWorld>(w: &mut W, proto: Proto, nic: NicId, cmd: CollCm
         } => {
             let key = (pcode(proto), group, nic.0, CLASS_REDUCE, seq);
             let need = child_count(w, proto, group, nic);
-            let t = fw_charge(w, nic, ready, w.nics().coll.params.fw_combine);
+            let t = fw_charge(w, nic, ready, FW_COMBINE);
             let created = {
                 let st = &mut w.nics_mut().coll;
                 let created = st.ensure(key, CLASS_REDUCE, need);
@@ -692,7 +671,7 @@ pub fn coll_on_packet<W: NicWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     {
         return; // stale frame for a group no longer installed here
     }
-    let fw_done = fw_charge(w, nic, now, w.nics().coll.params.fw_forward);
+    let fw_done = fw_charge(w, nic, now, FW_FORWARD);
     match pkt.kind {
         COLL_KIND_PROBE => {} // its work (exercising the link) is done
         COLL_KIND_RELEASE => release_arrival(w, proto, nic, group, seq, fw_done),
@@ -847,7 +826,7 @@ fn contrib_arrival<W: NicWorld>(
             created
         }
         CLASS_REDUCE => {
-            ready = fw_charge(w, nic, ready, w.nics().coll.params.fw_combine);
+            ready = fw_charge(w, nic, ready, FW_COMBINE);
             let st = &mut w.nics_mut().coll;
             let created = st.ensure(key, CLASS_REDUCE, need);
             if created {
@@ -1112,10 +1091,9 @@ fn root_done<W: NicWorld>(
 
 fn arm_probe<W: NicWorld>(w: &mut W, key: PendKey) {
     let now = knet_simcore::now(w);
-    let after = w.nics().coll.params.probe_after;
     let node = w.nics().get(NicId(key.2)).node.0;
     let ev = W::lift_nic(NicEv::CollProbe { key });
-    knet_simcore::emit_at(w, node, now + after, ev);
+    knet_simcore::emit_at(w, node, now + PROBE_AFTER, ev);
 }
 
 /// The slot is still incomplete after a probe period: send payload-free
@@ -1171,10 +1149,9 @@ pub(crate) fn probe_fire<W: NicWorld>(w: &mut W, key: PendKey) {
         );
     }
     put_targets(w, targets);
-    let after = w.nics().coll.params.probe_after;
     let node = w.nics().get(NicId(key.2)).node.0;
     let ev = W::lift_nic(NicEv::CollProbe { key });
-    knet_simcore::emit_at(w, node, now + after, ev);
+    knet_simcore::emit_at(w, node, now + PROBE_AFTER, ev);
 }
 
 // ------------------------------------------------------------------ tests

@@ -24,7 +24,7 @@ pub mod ttable;
 
 pub use coll::{
     coll_inject, coll_on_packet, combine_lanes, is_coll_frame, CollCmd, CollEvent, CollNicStats,
-    CollOp, CollParams, CollState, PendKey, ReduceOp,
+    CollOp, CollState, PendKey, ReduceOp,
 };
 pub use fault::{FaultPlan, FaultStats};
 pub use layer::{

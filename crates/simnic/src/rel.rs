@@ -14,7 +14,7 @@
 //! * every data/control packet carries a per-link sequence number
 //!   (`Packet::rel_seq`, assigned here; only this crate and the two drivers
 //!   may touch the raw field — enforced by the grep gate);
-//! * at most [`RelParams::window`] packets are unacked per link; excess
+//! * at most [`WINDOW`] packets are unacked per link; excess
 //!   sends park in submission order and go out as acks arrive;
 //! * the receiver dedupes against a 64-bit window bitmap, delivers fresh
 //!   packets immediately (upper-layer reassembly is offset-based, so
@@ -31,7 +31,7 @@
 //!   stamped by `wire_send`), feeding the sender's RTT estimator;
 //! * the retransmit timer is **adaptive**: SRTT/RTTVAR in virtual time
 //!   (RFC 6298 smoothing over the ack-echoed timestamps), RTO =
-//!   `clamp(srtt + 4·rttvar, min_rto, max_rto)`, doubled on every
+//!   `clamp(srtt + 4·rttvar, MIN_RTO, MAX_RTO)`, doubled on every
 //!   fruitless round (exponential backoff) and re-derived from the
 //!   estimator once acks progress again;
 //! * when the timer finds a stale link it performs **selective repeat**:
@@ -43,7 +43,7 @@
 //!   retransmission round and every liveness probe is one *question* to
 //!   the peer, and any arrival from the peer on the link — a progressing
 //!   or duplicate ack, a NACK, a probe answer — resets the count.
-//!   `RelParams::max_retries + 1` consecutive unanswered questions declare
+//!   [`MAX_RETRIES`] + 1 consecutive unanswered questions declare
 //!   the link **dead**: the window is torn down, subsequent sends fail
 //!   synchronously, and the composed world is told through
 //!   [`NicWorld::nic_link_dead`] so `PeerDown` reaches the channels above
@@ -64,7 +64,7 @@
 //!   probe timeout, `PTO = max(2·srtt, srtt + 4·rttvar)` after the latest
 //!   departure or progress, the sender resends it — so its ack, or the
 //!   SACK it raises behind an earlier hole, comes back instead of the link
-//!   waiting out an RTO clamped to `min_rto`. Only a link with **loss
+//!   waiting out an RTO clamped to [`MIN_RTO`]. Only a link with **loss
 //!   evidence** arms it: a sticky flag set by a retransmission round whose
 //!   progressing ack echoes a post-round timestamp (one Eifel does not
 //!   refute) or by a fast retransmit — a NACK or a refuted RTO is not
@@ -92,14 +92,14 @@
 //!   collapse to [`CWND_FLOOR`] on an RTO, slow-start (one packet per
 //!   acked packet) back to `ssthresh`, then additive increase (one packet
 //!   per acked round) to the cap;
-//! * **SACK fast retransmit** ([`RelParams::dupack_k`]): an ack that
-//!   carries SACK bits but no cumulative progress is a duplicate-SACK loss
-//!   indication — the receiver holds data beyond a hole. `dupack_k` of
-//!   them repair the holes below the highest SACKed sequence immediately,
-//!   without waiting for the RTO, with one multiplicative decrease per
-//!   recovery episode (no second cut until the window base passes the
-//!   episode's entry point). The default of 3 tolerates the depth-1
-//!   reorder that dual-link striping introduces;
+//! * **SACK fast retransmit**, part of the same loop and switched with it
+//!   ([`RelParams::cc`]): an ack that carries SACK bits but no cumulative
+//!   progress is a duplicate-SACK loss indication — the receiver holds
+//!   data beyond a hole. [`DUPACK_K`] of them repair the holes below the
+//!   highest SACKed sequence immediately, without waiting for the RTO,
+//!   with one multiplicative decrease per recovery episode (no second cut
+//!   until the window base passes the episode's entry point). Three
+//!   tolerates the depth-1 reorder that dual-link striping introduces;
 //! * retransmission rounds — RTO and fast alike — are **paced** across the
 //!   link serialization time (packet *i* of a round is released `i`
 //!   packet-times after the first) instead of blasted at one instant, so
@@ -141,35 +141,42 @@ use crate::fault::FaultVerdict;
 use crate::layer::{wire_send, NicEv, NicWorld};
 use crate::packet::{NicId, Packet, Proto};
 
-/// Tuning of the reliability window.
+/// Maximum unacked packets per link (≤ 64: the receiver dedupe bitmap
+/// and the SACK bitmap are one word).
+pub const WINDOW: usize = 64;
+const _: () = assert!(
+    WINDOW >= 1 && WINDOW <= 64,
+    "reliability window must be 1..=64 (one-word receiver/SACK bitmaps)"
+);
+/// Initial retransmit-timer period, used until the first RTT sample
+/// seeds the estimator.
+pub const RTO: SimTime = SimTime::from_micros(200);
+/// Floor of the adaptive RTO: even on a fast fabric no retransmission
+/// round fires earlier than this after the last transmission/ack
+/// progress (guards against spurious rounds from ack-processing
+/// jitter). It guards the staleness round only: a link with loss
+/// evidence resends its newest packet one probe timeout (≈ 2·srtt) in,
+/// below the floor.
+pub const MIN_RTO: SimTime = SimTime::from_micros(50);
+/// Ceiling of the adaptive RTO and of its exponential backoff.
+pub const MAX_RTO: SimTime = SimTime::from_millis(2);
+/// Consecutive unanswered questions — retransmission rounds and
+/// liveness probes — a link survives: the next one declares it dead.
+pub const MAX_RETRIES: u32 = 8;
+/// Duplicate-SACK indications (acks carrying SACK bits but no
+/// cumulative progress) that trigger a fast retransmit on a
+/// [`RelParams::cc`] sender. 3 tolerates the depth-1 reorder dual-link
+/// striping introduces.
+pub const DUPACK_K: u32 = 3;
+
+/// The one setting of the reliability window.
 #[derive(Clone, Copy, Debug)]
 pub struct RelParams {
-    /// Maximum unacked packets per link (≤ 64: the receiver dedupe bitmap
-    /// and the SACK bitmap are one word).
-    pub window: usize,
-    /// Initial retransmit-timer period, used until the first RTT sample
-    /// seeds the estimator.
-    pub rto: SimTime,
-    /// Floor of the adaptive RTO: even on a fast fabric no retransmission
-    /// round fires earlier than this after the last transmission/ack
-    /// progress (guards against spurious rounds from ack-processing
-    /// jitter). It guards the staleness round only: a link with loss
-    /// evidence resends its newest packet one probe timeout (≈ 2·srtt) in,
-    /// below the floor.
-    pub min_rto: SimTime,
-    /// Ceiling of the adaptive RTO and of its exponential backoff.
-    pub max_rto: SimTime,
-    /// Consecutive unanswered questions — retransmission rounds and
-    /// liveness probes — a link survives: the next one declares it dead.
-    pub max_retries: u32,
-    /// Duplicate-SACK indications (acks carrying SACK bits but no
-    /// cumulative progress) that trigger a fast retransmit. `0` disables
-    /// fast retransmit entirely (the pre-control-loop sender). The default
-    /// of 3 tolerates the depth-1 reorder dual-link striping introduces.
-    pub dupack_k: u32,
-    /// Run the AIMD congestion window. When off, the fixed
-    /// [`RelParams::window`] is the only in-flight bound (the
-    /// pre-control-loop sender).
+    /// Run the loss-driven control loop: the AIMD congestion window,
+    /// SACK fast retransmit and NACK repair. When off, the fixed
+    /// [`WINDOW`] is the only in-flight bound and only retransmission
+    /// rounds and tail-loss probes repair loss (the pre-control-loop
+    /// sender).
     pub cc: bool,
 }
 
@@ -181,28 +188,16 @@ pub const CWND_FLOOR: usize = 2;
 
 impl Default for RelParams {
     fn default() -> Self {
-        RelParams {
-            window: 64,
-            rto: SimTime::from_micros(200),
-            min_rto: SimTime::from_micros(50),
-            max_rto: SimTime::from_millis(2),
-            max_retries: 8,
-            dupack_k: 3,
-            cc: true,
-        }
+        RelParams { cc: true }
     }
 }
 
 impl RelParams {
     /// The pre-control-loop sender: fixed 64-deep window, no fast
-    /// retransmit. The incast bench measures the control loop against
-    /// exactly this baseline.
+    /// retransmit, no NACK repair. The incast bench measures the control
+    /// loop against exactly this baseline.
     pub fn fixed_window() -> Self {
-        RelParams {
-            cc: false,
-            dupack_k: 0,
-            ..Self::default()
-        }
+        RelParams { cc: false }
     }
 }
 
@@ -371,7 +366,7 @@ struct TxLink {
     srtt_ns: Option<u64>,
     /// RTT variance in nanoseconds.
     rttvar_ns: u64,
-    /// Current retransmission timeout: seeded from `RelParams::rto`,
+    /// Current retransmission timeout: seeded from [`RTO`],
     /// re-derived from the estimator on ack progress, doubled on backoff.
     rto_cur: SimTime,
     /// Instant of the most recent retransmission round (Eifel baseline).
@@ -415,7 +410,7 @@ struct TxLink {
 }
 
 impl TxLink {
-    fn new(p: &RelParams) -> Self {
+    fn new() -> Self {
         TxLink {
             next_seq: 1,
             base: 1,
@@ -428,15 +423,15 @@ impl TxLink {
             last_progress: SimTime::ZERO,
             srtt_ns: None,
             rttvar_ns: 0,
-            rto_cur: p.rto,
+            rto_cur: RTO,
             last_rto_at: SimTime::ZERO,
             rto_outstanding: false,
-            rto_prev: p.rto,
+            rto_prev: RTO,
             armed: false,
             timer_at: SimTime::ZERO,
             dead: false,
-            cwnd: p.window,
-            ssthresh: p.window,
+            cwnd: WINDOW,
+            ssthresh: WINDOW,
             acked_accum: 0,
             dup_ind: 0,
             in_recovery: false,
@@ -451,9 +446,9 @@ impl TxLink {
     /// by the fixed window (just the fixed window when the loop is off).
     fn eff_window(&self, p: &RelParams) -> usize {
         if p.cc {
-            self.cwnd.min(p.window)
+            self.cwnd.min(WINDOW)
         } else {
-            p.window
+            WINDOW
         }
     }
 
@@ -481,7 +476,7 @@ impl TxLink {
     /// below `ssthresh`, additive increase (one per acked round) above,
     /// capped at the fixed window.
     fn cc_on_acked(&mut self, n: usize, p: &RelParams) {
-        if !p.cc || self.cwnd >= p.window {
+        if !p.cc || self.cwnd >= WINDOW {
             return;
         }
         let mut n = n;
@@ -492,12 +487,12 @@ impl TxLink {
         }
         if n > 0 && self.cwnd >= self.ssthresh {
             self.acked_accum += n;
-            while self.acked_accum >= self.cwnd && self.cwnd < p.window {
+            while self.acked_accum >= self.cwnd && self.cwnd < WINDOW {
                 self.acked_accum -= self.cwnd;
                 self.cwnd += 1;
             }
         }
-        self.cwnd = self.cwnd.min(p.window);
+        self.cwnd = self.cwnd.min(WINDOW);
     }
 
     /// A link is stale at `deadline` if neither a transmission completed
@@ -545,7 +540,7 @@ impl TxLink {
 
     /// Feed one RTT sample (RFC 6298 smoothing) and, outside backoff,
     /// re-derive the adaptive RTO.
-    fn rtt_sample(&mut self, rtt: SimTime, p: &RelParams) -> (u64, u64) {
+    fn rtt_sample(&mut self, rtt: SimTime) -> (u64, u64) {
         let r = rtt.nanos();
         let (srtt, rttvar) = match self.srtt_ns {
             None => (r, r / 2),
@@ -558,18 +553,18 @@ impl TxLink {
         self.rttvar_ns = rttvar;
         if self.retries == 0 {
             // Backoffed links keep their inflated RTO until progress.
-            self.derive_rto(p);
+            self.derive_rto();
         }
         (srtt, self.rto_cur.nanos())
     }
 
     /// `RTO = clamp(srtt + 4·rttvar, min, max)` — the one place the
     /// formula lives (no-op until the estimator has sampled).
-    fn derive_rto(&mut self, p: &RelParams) {
+    fn derive_rto(&mut self) {
         if let Some(s) = self.srtt_ns {
             self.rto_cur = SimTime::from_nanos(s + 4 * self.rttvar_ns)
-                .max(p.min_rto)
-                .min(p.max_rto);
+                .max(MIN_RTO)
+                .min(MAX_RTO);
         }
     }
 }
@@ -624,10 +619,6 @@ impl Default for RelState {
 
 impl RelState {
     pub fn new(params: RelParams) -> Self {
-        assert!(
-            (1..=64).contains(&params.window),
-            "reliability window must be 1..=64 (one-word receiver/SACK bitmaps)"
-        );
         RelState {
             params,
             links: IdHashMap::default(),
@@ -680,7 +671,7 @@ impl RelState {
     }
 
     /// Packets occupying the unacked window of a link — never exceeds
-    /// [`RelParams::window`] (tests assert this under chaos schedules).
+    /// [`WINDOW`] (tests assert this under chaos schedules).
     pub fn window_load(&self, proto: Proto, src: NicId, dst: NicId) -> usize {
         self.tx(&key(proto, src, dst))
             .map(|l| l.unacked.len())
@@ -777,7 +768,7 @@ pub fn rel_send<W: NicWorld>(w: &mut W, mut pkt: Packet, ready: SimTime) {
         }
         let link = record.tx.get_or_insert_with(|| {
             rel.stats.links += 1;
-            TxLink::new(&params)
+            TxLink::new()
         });
         if link.dead {
             return;
@@ -922,7 +913,7 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
             } else {
                 rel.stats.probes += 1;
             }
-            if link.questions > params.max_retries {
+            if link.questions > MAX_RETRIES {
                 link.dead = true;
                 link.unacked.clear();
                 link.parked.clear();
@@ -969,7 +960,7 @@ pub(crate) fn rel_timeout<W: NicWorld>(w: &mut W, k: LinkKey) {
                 link.rto_outstanding = true;
                 // Exponential backoff until acks progress again.
                 link.rto_cur =
-                    SimTime::from_nanos(link.rto_cur.nanos().saturating_mul(2)).min(params.max_rto);
+                    SimTime::from_nanos(link.rto_cur.nanos().saturating_mul(2)).min(MAX_RTO);
                 Outcome::Retransmit
             }
         }
@@ -1277,7 +1268,7 @@ pub(crate) fn ack_arrival<W: NicWorld>(w: &mut W, k: LinkKey, cum: u64, sack: u6
         link.questions = 0;
         // Every ack carries a valid echo — even a duplicate's tells the
         // true RTT of the copy that triggered it.
-        let (srtt, rto) = link.rtt_sample(now.saturating_sub(echo), &params);
+        let (srtt, rto) = link.rtt_sample(now.saturating_sub(echo));
         link.counts.rtt_samples += 1;
         rel.stats.rtt_samples += 1;
         rel.stats.srtt_ns = srtt;
@@ -1304,16 +1295,16 @@ pub(crate) fn ack_arrival<W: NicWorld>(w: &mut W, k: LinkKey, cum: u64, sack: u6
         if cum <= link.base {
             // No cumulative progress. An ack at exactly the window base
             // carrying SACK bits is a duplicate-SACK loss indication: the
-            // receiver holds data beyond a hole. `dupack_k` of them fire a
+            // receiver holds data beyond a hole. `DUPACK_K` of them fire a
             // fast retransmit — once per recovery episode.
-            if params.dupack_k > 0
+            if params.cc
                 && cum == link.base
                 && sack != 0
                 && !link.in_recovery
                 && !link.unacked.is_empty()
             {
                 link.dup_ind += 1;
-                if link.dup_ind >= params.dupack_k {
+                if link.dup_ind >= DUPACK_K {
                     link.lossy = true;
                     let cut = link.enter_recovery(&params, false);
                     rel.stats.cwnd_cuts += cut as u64;
@@ -1377,7 +1368,7 @@ pub(crate) fn ack_arrival<W: NicWorld>(w: &mut W, k: LinkKey, cum: u64, sack: u6
             // retries > 0) — unless Eifel just restored the pre-backoff
             // value.
             if !spurious {
-                link.derive_rto(&params);
+                link.derive_rto();
             }
             rel.stats.rto_ns = link.rto_cur.nanos();
             // Release parked packets into the freed congestion-window
@@ -1559,7 +1550,7 @@ mod tests {
         let outcome = run_until(&mut w, |w: &TestWorld| w.nics.rel.stats.rtt_samples >= 1);
         assert_eq!(outcome, RunOutcome::Satisfied);
         assert_eq!(w.nics.rel.stats.srtt_ns, 10_000, "first sample seeds SRTT");
-        // rto = srtt + 4*rttvar = 10 + 20 = 30 µs, clamped to min_rto 50 µs.
+        // rto = srtt + 4*rttvar = 10 + 20 = 30 µs, clamped to MIN_RTO 50 µs.
         assert_eq!(w.nics.rel.stats.rto_ns, 50_000, "RTO clamps to the floor");
         let (srtt, rto) = w.nics.rel.link_rtt(Proto::Gm, a, b).unwrap();
         assert_eq!(srtt, SimTime::from_micros(10));
@@ -1582,10 +1573,10 @@ mod tests {
             rel_send(&mut w, pkt(a, b, i), SimTime::ZERO);
         }
         run_to_quiescence(&mut w);
-        let (max_retries, stats) = (w.nics.rel.params.max_retries, w.nics.rel.stats);
+        let stats = w.nics.rel.stats;
         assert_eq!(
             stats.timeouts + stats.probes,
-            max_retries as u64 + 1,
+            MAX_RETRIES as u64 + 1,
             "death happens exactly at the last unanswered question"
         );
         assert!(stats.probes > 0, "probes filled the backoff gaps");
@@ -1721,7 +1712,7 @@ mod tests {
         // window base.
         ack_arrival(&mut w, k, 1, 0b110, SimTime::ZERO);
         ack_arrival(&mut w, k, 1, 0b110, SimTime::ZERO);
-        assert_eq!(w.nics.rel.stats.fast_retransmits, 0, "below dupack_k");
+        assert_eq!(w.nics.rel.stats.fast_retransmits, 0, "below DUPACK_K");
         ack_arrival(&mut w, k, 1, 0b110, SimTime::ZERO);
         assert_eq!(w.nics.rel.stats.fast_retransmits, 1);
         assert_eq!(
@@ -1744,6 +1735,30 @@ mod tests {
         ack_arrival(&mut w, k, 6, 0, SimTime::ZERO);
         assert_eq!(w.nics.rel.link_cwnd(Proto::Gm, a, b), Some(32));
         assert_eq!(w.nics.rel.in_flight(Proto::Gm, a, b), 0);
+    }
+
+    #[test]
+    fn a_fixed_window_sender_never_fast_retransmits() {
+        // `cc: false` switches fast retransmit off with the rest of the
+        // control loop: the dup-SACK schedule that fires it above does not.
+        let (mut w, a, b) = world();
+        w.nics.rel = RelState::new(RelParams::fixed_window());
+        let (na, nb) = (w.nics.get(a).node, w.nics.get(b).node);
+        w.nics.set_fault_plan(crate::FaultPlan::new(1).for_link(
+            na,
+            nb,
+            crate::FaultPlan::new(2).with_drop(1.0),
+        ));
+        for i in 0..5 {
+            rel_send(&mut w, pkt(a, b, i), SimTime::ZERO);
+        }
+        let k = key(Proto::Gm, a, b);
+        for _ in 0..2 * DUPACK_K {
+            ack_arrival(&mut w, k, 1, 0b110, SimTime::ZERO);
+        }
+        assert_eq!(w.nics.rel.stats.fast_retransmits, 0);
+        assert_eq!(w.nics.rel.stats.retransmits, 0);
+        assert_eq!(w.nics.rel.stats.cwnd_cuts, 0);
     }
 
     /// Dead links are reclaimed: rings, receiver bitmaps and lazily-derived

@@ -65,8 +65,10 @@ impl NodeOs {
 
     /// Allocate `len` bytes of physically contiguous, implicitly pinned
     /// kernel memory; returns its kernel-virtual (direct map) address.
+    /// A length past what a frame count can address is out of memory.
     pub fn kalloc(&mut self, len: u64) -> Result<VirtAddr, OsError> {
-        let pages = len.div_ceil(PAGE_SIZE).max(1) as u32;
+        let pages =
+            u32::try_from(len.div_ceil(PAGE_SIZE).max(1)).map_err(|_| OsError::OutOfMemory)?;
         let first = self.mem.alloc_contig(pages, FrameState::Kernel)?;
         Ok(first.base().to_kernel_virt())
     }

@@ -13,7 +13,6 @@ pub mod params;
 pub mod stream;
 pub mod tcp;
 
-pub use params::{TcpParams, ZsockParams};
 pub use stream::{
     sock_close, sock_create, sock_on_event, sock_recv, sock_send, Sock, SockId, SockOpId,
     SockResult, SockStats, ZsockLayer, ZsockWorld, SOCK_SLOT_BITS,

@@ -6,88 +6,54 @@
 //! * SOCKETS-GM ≈ 15 µs — GM kernel latency plus the extra *dispatching
 //!   kernel thread* its limited completion notification requires;
 //! * TCP/IP "is known to use 50 % of the overall transaction cost".
+//!
+//! The costs are constants: they are measurements of one testbed, not
+//! settings.
 
 use knet_simcore::{Bandwidth, SimTime};
 
-/// Costs of the zero-copy socket layers.
-#[derive(Clone, Copy, Debug)]
-pub struct ZsockParams {
-    /// Socket-layer bookkeeping per call (after the syscall itself).
-    pub sock_layer: SimTime,
-    /// Per-incoming-message cost of the SOCKETS-GM dispatcher thread: a
-    /// wake-up and a context switch in, then one back out.
-    pub gm_dispatch_switches: u32,
-    /// Per-event interrupt cost on SOCKETS-GM (its completion notification
-    /// is interrupt-driven through the dispatcher thread).
-    pub gm_interrupt: SimTime,
-    /// Stream header bytes (seq + len).
-    pub header_len: u64,
-    /// Payloads up to this size ride inline behind the header on MX
-    /// (one message instead of two).
-    pub inline_max_mx: u64,
-    /// Inline threshold for GM.
-    pub inline_max_gm: u64,
-    /// Flow-control window: bytes in flight per socket.
-    pub window: u64,
+// ---- the zero-copy socket layers ----------------------------------------
+
+/// Socket-layer bookkeeping per call (after the syscall itself).
+pub const SOCK_LAYER: SimTime = SimTime::from_nanos(250);
+/// Per-incoming-message cost of the SOCKETS-GM dispatcher thread: a
+/// wake-up and a context switch in, then one back out.
+pub const GM_DISPATCH_SWITCHES: u64 = 2;
+/// Per-event interrupt cost on SOCKETS-GM (its completion notification
+/// is interrupt-driven through the dispatcher thread).
+pub const GM_INTERRUPT: SimTime = SimTime::from_nanos(2_200);
+/// Payloads up to this size ride inline behind the header on MX
+/// (one message instead of two).
+pub const INLINE_MAX_MX: u64 = 4096;
+/// Inline threshold for GM.
+pub const INLINE_MAX_GM: u64 = 1024;
+
+// ---- the TCP/IP-over-Gigabit-Ethernet baseline --------------------------
+
+/// Wire rate of the GigE link.
+pub const WIRE_BW: Bandwidth = Bandwidth::mb_per_sec(125);
+/// MTU (standard Ethernet).
+pub const MTU: u64 = 1500;
+/// One-way wire + switch latency.
+pub const WIRE_LATENCY: SimTime = SimTime::from_micros(12);
+/// Host protocol cost per packet (IP/TCP processing, interrupt share).
+pub const PER_PACKET_HOST: SimTime = SimTime::from_micros(4);
+/// Checksum computation bandwidth (touches every byte).
+pub const CHECKSUM_BW: Bandwidth = Bandwidth::mb_per_sec(800);
+/// Fixed per-send and per-receive host cost (syscall + socket).
+pub const PER_CALL_HOST: SimTime = SimTime::from_micros(2);
+
+/// Host CPU time to push or accept `bytes` through the TCP/IP stack
+/// (fragmentation + checksum + per-packet processing), one side.
+pub fn host_cost(bytes: u64) -> SimTime {
+    let packets = bytes.div_ceil(MTU).max(1);
+    PER_CALL_HOST + PER_PACKET_HOST * packets + CHECKSUM_BW.transfer_time(bytes)
 }
 
-impl Default for ZsockParams {
-    fn default() -> Self {
-        ZsockParams {
-            sock_layer: SimTime::from_nanos(250),
-            gm_dispatch_switches: 2,
-            gm_interrupt: SimTime::from_micros_f64(2.2),
-            header_len: 16,
-            inline_max_mx: 4096,
-            inline_max_gm: 1024,
-            window: 1 << 20,
-        }
-    }
-}
-
-/// The TCP/IP-over-Gigabit-Ethernet baseline model.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpParams {
-    /// Wire rate of the GigE link.
-    pub wire_bw: Bandwidth,
-    /// MTU (standard Ethernet).
-    pub mtu: u64,
-    /// One-way wire + switch latency.
-    pub wire_latency: SimTime,
-    /// Host protocol cost per packet (IP/TCP processing, interrupt share).
-    pub per_packet_host: SimTime,
-    /// Checksum computation bandwidth (touches every byte).
-    pub checksum_bw: Bandwidth,
-    /// Fixed per-send and per-receive host cost (syscall + socket).
-    pub per_call_host: SimTime,
-}
-
-impl Default for TcpParams {
-    fn default() -> Self {
-        TcpParams {
-            wire_bw: Bandwidth::mb_per_sec(125),
-            mtu: 1500,
-            wire_latency: SimTime::from_micros_f64(12.0),
-            per_packet_host: SimTime::from_micros_f64(4.0),
-            checksum_bw: Bandwidth::gb_per_sec_f64(0.8),
-            per_call_host: SimTime::from_micros_f64(2.0),
-        }
-    }
-}
-
-impl TcpParams {
-    /// Host CPU time to push or accept `bytes` through the TCP/IP stack
-    /// (fragmentation + checksum + per-packet processing), one side.
-    pub fn host_cost(&self, bytes: u64) -> SimTime {
-        let packets = bytes.div_ceil(self.mtu).max(1);
-        self.per_call_host + self.per_packet_host * packets + self.checksum_bw.transfer_time(bytes)
-    }
-
-    /// Wire occupancy of `bytes` (with per-packet framing of 58 bytes).
-    pub fn wire_cost(&self, bytes: u64) -> SimTime {
-        let packets = bytes.div_ceil(self.mtu).max(1);
-        self.wire_bw.transfer_time(bytes + packets * 58)
-    }
+/// GigE wire occupancy of `bytes` (with per-packet framing of 58 bytes).
+pub fn wire_cost(bytes: u64) -> SimTime {
+    let packets = bytes.div_ceil(MTU).max(1);
+    WIRE_BW.transfer_time(bytes + packets * 58)
 }
 
 #[cfg(test)]
@@ -98,9 +64,8 @@ mod tests {
     fn tcp_host_cost_is_about_half_the_transaction() {
         // §5.3 cites [Sum00]: TCP/IP ≈ 50 % of the overall transaction cost.
         // For a 64 kB transfer: host (both sides) vs wire time.
-        let p = TcpParams::default();
-        let host = p.host_cost(65536).micros() * 2.0;
-        let total = host + p.wire_cost(65536).micros() + p.wire_latency.micros();
+        let host = host_cost(65536).micros() * 2.0;
+        let total = host + wire_cost(65536).micros() + WIRE_LATENCY.micros();
         let share = host / total;
         assert!(
             (0.35..=0.6).contains(&share),
@@ -110,8 +75,7 @@ mod tests {
 
     #[test]
     fn tcp_small_message_latency_is_tens_of_microseconds() {
-        let p = TcpParams::default();
-        let one_way = p.host_cost(1) + p.wire_cost(1) + p.wire_latency + p.host_cost(1);
+        let one_way = host_cost(1) + wire_cost(1) + WIRE_LATENCY + host_cost(1);
         assert!(
             (20.0..=60.0).contains(&one_way.micros()),
             "GigE 1-byte one-way = {one_way}"
@@ -120,7 +84,6 @@ mod tests {
 
     #[test]
     fn gige_wire_is_eight_times_slower_than_myrinet_xe() {
-        let p = TcpParams::default();
-        assert_eq!(p.wire_bw.raw() * 4, 500_000_000);
+        assert_eq!(WIRE_BW.raw() * 4, 500_000_000);
     }
 }

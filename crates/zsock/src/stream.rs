@@ -42,7 +42,7 @@ use knet_core::{
 };
 use knet_simos::{cpu_charge, Asid, VirtAddr};
 
-use crate::params::ZsockParams;
+use crate::params::{GM_DISPATCH_SWITCHES, GM_INTERRUPT, INLINE_MAX_GM, INLINE_MAX_MX, SOCK_LAYER};
 
 /// Identifier of one socket endpoint.
 ///
@@ -242,22 +242,12 @@ impl Sock {
 /// per-slot generations (see [`SockId`]).
 #[derive(Default)]
 pub struct ZsockLayer {
-    pub params: ZsockParams,
     socks: Vec<Option<Sock>>,
     gens: Vec<u32>,
     free: Vec<u32>,
 }
 
 impl ZsockLayer {
-    pub fn new(params: ZsockParams) -> Self {
-        ZsockLayer {
-            params,
-            socks: Vec::new(),
-            gens: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
     /// Resolve a socket id, `None` when stale (closed, or the slot was
     /// recycled by a later [`sock_create`]).
     pub fn try_sock(&self, id: SockId) -> Option<&Sock> {
@@ -459,7 +449,7 @@ pub fn sock_close<W: ZsockWorld>(w: &mut W, sid: SockId) {
 /// Charge the entry cost of a socket call (syscall + socket layer).
 fn charge_call<W: ZsockWorld>(w: &mut W, sid: SockId) {
     let node = w.zsock().sock(sid).ep.node;
-    let cost = w.os().node(node).cpu.model.syscall + w.zsock().params.sock_layer;
+    let cost = w.os().node(node).cpu.model.syscall + SOCK_LAYER;
     cpu_charge(w, node, cost);
 }
 
@@ -541,10 +531,9 @@ pub fn sock_send<W: ZsockWorld>(w: &mut W, sid: SockId, src: MemRef) -> SockOpId
         (op, seq, s.ep, s.ep.node)
     };
     let ch = chan(w, sid);
-    let params = w.zsock().params;
     let inline_max = match ep.kind {
-        TransportKind::Mx => params.inline_max_mx,
-        TransportKind::Gm => params.inline_max_gm,
+        TransportKind::Mx => INLINE_MAX_MX,
+        TransportKind::Gm => INLINE_MAX_GM,
     };
     // Header: [seq, len] little-endian, staged through the ring.
     let mut hdr = [0u8; 16];
@@ -692,9 +681,7 @@ pub fn sock_on_event<W: ZsockWorld>(w: &mut W, sid: SockId, ev: TransportEvent) 
     // The SOCKETS-GM dispatcher thread: every completion is picked up by an
     // extra kernel thread before the socket layer sees it.
     if kind == TransportKind::Gm {
-        let p = w.zsock().params;
-        let cost =
-            w.os().node(node).cpu.model.ctx_switch * p.gm_dispatch_switches as u64 + p.gm_interrupt;
+        let cost = w.os().node(node).cpu.model.ctx_switch * GM_DISPATCH_SWITCHES + GM_INTERRUPT;
         cpu_charge(w, node, cost);
         w.zsock_mut().sock_mut(sid).stats.dispatch_wakeups += 1;
     }
@@ -708,7 +695,9 @@ pub fn sock_on_event<W: ZsockWorld>(w: &mut W, sid: SockId, ev: TransportEvent) 
             }
             let seq = u64::from_le_bytes(data[..8].try_into().unwrap());
             let len = u64::from_le_bytes(data[8..16].try_into().unwrap());
-            if data.len() as u64 == 16 + len {
+            // `len` comes off the wire: compare the rest of the frame with
+            // it, never `16 + len`, which a hostile length overflows.
+            if (data.len() - 16) as u64 == len {
                 // Inline payload: consume directly.
                 accept_in_order(w, sid, seq, data.slice(16..));
                 drain_rx(w, sid);

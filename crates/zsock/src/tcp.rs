@@ -15,7 +15,7 @@ use knet_core::{read_iovec, write_iovec, IoVec, MemRef};
 use knet_simcore::{Busy, SimTime};
 use knet_simos::{cpu_charge, NodeId, OsWorld};
 
-use crate::params::TcpParams;
+use crate::params::{host_cost, wire_cost, MTU, WIRE_LATENCY};
 
 /// Identifier of a TCP socket endpoint.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -55,27 +55,13 @@ pub struct TcpSock {
 
 /// All TCP state: sockets plus one shared full-duplex GigE wire per
 /// direction between each node pair.
+#[derive(Default)]
 pub struct TcpLayer {
-    pub params: TcpParams,
     socks: Vec<TcpSock>,
     wires: std::collections::BTreeMap<(u32, u32), Busy>,
 }
 
-impl Default for TcpLayer {
-    fn default() -> Self {
-        Self::new(TcpParams::default())
-    }
-}
-
 impl TcpLayer {
-    pub fn new(params: TcpParams) -> Self {
-        TcpLayer {
-            params,
-            socks: Vec::new(),
-            wires: std::collections::BTreeMap::new(),
-        }
-    }
-
     pub fn sock(&self, id: TcpSockId) -> &TcpSock {
         &self.socks[id.0 as usize]
     }
@@ -113,14 +99,13 @@ pub fn tcp_pair<W: TcpWorld>(w: &mut W, a: NodeId, b: NodeId) -> (TcpSockId, Tcp
 
 /// `send(fd, buf)` through the TCP/IP stack.
 pub fn tcp_send<W: TcpWorld>(w: &mut W, sid: TcpSockId, src: MemRef) -> TcpOpId {
-    let params = w.tcp().params;
     let (node, peer, op) = {
         let s = w.tcp_mut().sock_mut(sid);
         let op = s.next_op;
         s.next_op += 1;
         s.stats.sends += 1;
         s.stats.bytes_sent += src.len();
-        s.stats.packets += src.len().div_ceil(params.mtu).max(1);
+        s.stats.packets += src.len().div_ceil(MTU).max(1);
         (s.node, s.peer.expect("connected"), op)
     };
     let len = src.len();
@@ -128,24 +113,23 @@ pub fn tcp_send<W: TcpWorld>(w: &mut W, sid: TcpSockId, src: MemRef) -> TcpOpId 
         .map(Bytes::from)
         .unwrap_or_default();
     // Sender stack: copy into skbs, fragment, checksum.
-    let host_done = cpu_charge(w, node, params.host_cost(len));
+    let host_done = cpu_charge(w, node, host_cost(len));
     // Wire occupancy (shared per direction).
     let peer_node = w.tcp().sock(peer).node;
     let wire_end = {
         let now = knet_simcore::now(w);
         let wire = w.tcp_mut().wires.entry((node.0, peer_node.0)).or_default();
-        let (_, end) = wire.acquire(host_done.max(now), params.wire_cost(len));
+        let (_, end) = wire.acquire(host_done.max(now), wire_cost(len));
         end
     };
-    let arrival = wire_end + params.wire_latency;
+    let arrival = wire_end + WIRE_LATENCY;
     // Receiver stack then delivery. The arrival is the receiver node's
-    // event; note the comparison stack's own `wire_latency` is *not*
-    // guaranteed to clear the sharded engine's lookahead — a too-small
-    // setting surfaces as a typed `CausalityViolation`, never silence.
+    // event; note the comparison stack's own `WIRE_LATENCY` is *not*
+    // guaranteed to clear the sharded engine's lookahead — an arrival
+    // inside it surfaces as a typed `CausalityViolation`, never silence.
     knet_simcore::call_at(w, peer_node.0, arrival, move |w: &mut W| {
-        let p = w.tcp().params;
         let rx_node = w.tcp().sock(peer).node;
-        let done = cpu_charge(w, rx_node, p.host_cost(len));
+        let done = cpu_charge(w, rx_node, host_cost(len));
         knet_simcore::call_at(w, rx_node.0, done, move |w: &mut W| {
             let s = w.tcp_mut().sock_mut(peer);
             s.rx_buffered += data.len() as u64;

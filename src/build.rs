@@ -1,10 +1,8 @@
 //! Cluster construction.
 
 use knet_gm::{GmLayer, GmParams};
-use knet_mx::{MxLayer, MxParams};
 use knet_simnic::{FaultPlan, NicLayer, NicModel, QosPolicy, RelParams};
 use knet_simos::{CpuModel, NodeId, OsLayer};
-use knet_zsock::{TcpLayer, TcpParams, ZsockLayer, ZsockParams};
 
 use crate::shard::ShardedCluster;
 use crate::world::ClusterWorld;
@@ -15,9 +13,6 @@ pub struct ClusterBuilder {
     nic: NicModel,
     mem_frames: u32,
     gm_params: GmParams,
-    mx_params: MxParams,
-    zsock_params: ZsockParams,
-    tcp_params: TcpParams,
     fault: Option<FaultPlan>,
     rel_params: RelParams,
     tenants: Vec<TenantSpec>,
@@ -45,9 +40,6 @@ impl ClusterBuilder {
             nic: NicModel::pci_xd(),
             mem_frames: 65_536,
             gm_params: GmParams::default(),
-            mx_params: MxParams::default(),
-            zsock_params: ZsockParams::default(),
-            tcp_params: TcpParams::default(),
             fault: None,
             rel_params: RelParams::default(),
             tenants: Vec::new(),
@@ -110,23 +102,10 @@ impl ClusterBuilder {
         self
     }
 
+    /// Change the GM settings a world may vary: the per-port send-token
+    /// limit and the blocking-notification cost (see `knet_gm::GmParams`).
     pub fn gm_params(mut self, p: GmParams) -> Self {
         self.gm_params = p;
-        self
-    }
-
-    pub fn mx_params(mut self, p: MxParams) -> Self {
-        self.mx_params = p;
-        self
-    }
-
-    pub fn zsock_params(mut self, p: ZsockParams) -> Self {
-        self.zsock_params = p;
-        self
-    }
-
-    pub fn tcp_params(mut self, p: TcpParams) -> Self {
-        self.tcp_params = p;
         self
     }
 
@@ -139,8 +118,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Tune the NIC-level reliability windows: AIMD congestion control,
-    /// fast-retransmit threshold, retry budget (see
+    /// Switch the NIC-level reliability windows' control loop (AIMD
+    /// congestion window, fast retransmit, NACK repair; see
     /// `knet_simnic::RelParams`). `RelParams::fixed_window()` is the
     /// pre-control-loop sender — the incast bench's baseline.
     pub fn rel_params(mut self, p: RelParams) -> Self {
@@ -175,14 +154,7 @@ impl ClusterBuilder {
             nics.set_fault_plan(plan.clone());
         }
         nics.rel = knet_simnic::RelState::new(self.rel_params);
-        let mut w = ClusterWorld::from_layers(
-            os,
-            nics,
-            GmLayer::new(self.gm_params),
-            MxLayer::new(self.mx_params),
-            ZsockLayer::new(self.zsock_params),
-            TcpLayer::new(self.tcp_params),
-        );
+        let mut w = ClusterWorld::from_layers(os, nics, GmLayer::new(self.gm_params));
         for spec in &self.tenants {
             w.register_tenant(&spec.name, spec.weight, spec.policy);
         }

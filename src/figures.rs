@@ -7,7 +7,8 @@
 //! improvement factors).
 
 use knet_core::{MemRef, TransportKind};
-use knet_gm::{gm_register, GmParams, GmPortConfig, GmPortId};
+use knet_gm::params::{deregister_cost, register_cost};
+use knet_gm::{gm_register, GmPortConfig, GmPortId};
 use knet_mx::{MxEndpointConfig, MxOpts};
 use knet_orfs::{client_create, server_create, ClientKind, OrfsClientId, VfsConfig};
 use knet_simcore::{pow2_sizes, Series};
@@ -38,7 +39,6 @@ pub fn fig1b() -> Figure {
     let sizes = pow2_sizes(256, 256 * 1024);
     let p4 = CpuModel::p4_2600();
     let p3 = CpuModel::p3_1200();
-    let gm = GmParams::default();
     let mut copy_p3 = Series::new("Copy (P3 1.2 GHz)");
     let mut copy_p4 = Series::new("Copy (P4 2.6 GHz)");
     let mut reg = Series::new("Memory Registration");
@@ -48,12 +48,9 @@ pub fn fig1b() -> Figure {
         let pages = s.div_ceil(PAGE_SIZE);
         copy_p3.push(s, p3.memcpy_cost(s).micros());
         copy_p4.push(s, p4.memcpy_cost(s).micros());
-        reg.push(s, gm.register_cost(pages).micros());
-        dereg.push(s, gm.deregister_cost(pages).micros());
-        both.push(
-            s,
-            (gm.register_cost(pages) + gm.deregister_cost(pages)).micros(),
-        );
+        reg.push(s, register_cost(pages).micros());
+        dereg.push(s, deregister_cost(pages).micros());
+        both.push(s, (register_cost(pages) + deregister_cost(pages)).micros());
     }
     Figure {
         id: "fig1b",

@@ -117,10 +117,9 @@ pub mod prelude {
     pub use knet_gm::{GmParams, GmPortConfig};
     pub use knet_kv::{
         kv_add_shards, kv_check, kv_client_create, kv_fingerprint, kv_get, kv_pair, kv_put,
-        kv_replica_create, kv_report_dead, KvClientId, KvConfig, KvOutcome, KvReplicaId, KvResult,
-        KvWorld,
+        kv_replica_create, kv_report_dead, KvClientId, KvOutcome, KvReplicaId, KvResult, KvWorld,
     };
-    pub use knet_mx::{MxEndpointConfig, MxOpts, MxParams};
+    pub use knet_mx::{MxEndpointConfig, MxOpts};
     pub use knet_orfs::{ClientKind, VfsConfig};
     pub use knet_rpc::{
         rpc_call, rpc_cancel, rpc_client_create, rpc_client_stats, rpc_collect, rpc_server_create,

@@ -67,23 +67,16 @@ pub struct ClusterWorld {
 }
 
 impl ClusterWorld {
-    pub(crate) fn from_layers(
-        os: OsLayer,
-        nics: NicLayer,
-        gm: GmLayer,
-        mx: MxLayer,
-        zsock: ZsockLayer,
-        tcp: TcpLayer,
-    ) -> Self {
+    pub(crate) fn from_layers(os: OsLayer, nics: NicLayer, gm: GmLayer) -> Self {
         ClusterWorld {
             sched: Scheduler::new(),
             os,
             nics,
             gm,
-            mx,
+            mx: MxLayer::default(),
             orfs: OrfsLayer::new(),
-            zsock,
-            tcp,
+            zsock: ZsockLayer::default(),
+            tcp: TcpLayer::default(),
             nbd: NbdLayer::new(),
             coll: CollLayer::default(),
             rpc: RpcLayer::new(),

@@ -24,9 +24,11 @@
 //! moves (chunking, packet building, matching, reassembly) lives in
 //! `knet_core::driver`, and neither driver may grow its own copy back; how
 //! a cached page is walked, filled, landed and given back lives in
-//! `knet_core::pageio`, and neither storage client may. The last row keeps
-//! deleted second paths deleted: a driver completion reaches its consumer
-//! through one hook, not a driver queue and a dispatch loop.
+//! `knet_core::pageio`, and neither storage client may. The last two rows
+//! keep deleted things deleted: a driver completion reaches its consumer
+//! through one hook, not a driver queue and a dispatch loop; and a
+//! calibrated cost that only ever held one value is a constant, not a
+//! config field.
 
 use std::fs;
 use std::path::Path;
@@ -582,6 +584,36 @@ fn one_completion_path_from_driver_to_consumer() {
         offenders.is_empty(),
         "a second completion path grew back (a driver hands each completion \
          to CompletionHook::complete; RPC completions are handler upcalls):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The paper's costs are measurements of one testbed, so a value only one
+/// configuration ever used is a named constant in the module that owns the
+/// cost, not a field every test and benchmark would have to cover. What
+/// stays settable is `GmParams::{send_tokens, blocking_notify}` and
+/// `RelParams::cc`; the config structs, builder methods and fields below
+/// were deleted and must not grow back.
+#[test]
+fn deleted_knobs_stay_deleted() {
+    // Patterns assembled at runtime so this file never matches itself.
+    let patterns = vec![
+        format!("mx_{}(", "params"),
+        format!("zsock_{}(", "params"),
+        format!("tcp_{}(", "params"),
+        format!("Mx{}", "Params"),
+        format!("Zsock{}", "Params"),
+        format!("Tcp{}", "Params"),
+        format!("Coll{}", "Params"),
+        format!("Kv{}", "Config"),
+        format!("dupack_{}", "k"),
+        format!("probe_{}", "after"),
+    ];
+    let offenders = offenders_for(&["crates", "src", "tests", "examples"], &patterns);
+    assert!(
+        offenders.is_empty(),
+        "a deleted config knob grew back (use the named constant in the \
+         module that owns the cost):\n{}",
         offenders.join("\n")
     );
 }

@@ -6,7 +6,7 @@
 use knet::figures::{self, fs_fixture, FsOpts};
 use knet::harness::{fsops, seq_read_mb, sock_pingpong_us, ubuf};
 use knet::prelude::*;
-use knet_gm::GmParams;
+use knet_gm::params::{DEREG_BASE, REG_PER_PAGE};
 use knet_simos::PAGE_SIZE as P;
 use knet_zsock::sock_create;
 
@@ -329,7 +329,6 @@ fn fig6_regime_change_at_the_medium_boundary() {
 fn table1_registration_costs_match_the_quoted_numbers() {
     // §2.2.2: "a 3 µs overhead per page registration, with the addition of
     // a 200 µs base for deregistration".
-    let p = GmParams::default();
-    assert_eq!(p.reg_per_page.micros(), 3.0);
-    assert_eq!(p.dereg_base.micros(), 200.0);
+    assert_eq!(REG_PER_PAGE.micros(), 3.0);
+    assert_eq!(DEREG_BASE.micros(), 200.0);
 }

@@ -143,7 +143,15 @@ fn incast_goodput_is_monotone_ish_and_retransmits_stay_bounded() {
             // The control loop (NACK-driven repair + AIMD + fast
             // retransmit) must beat the pre-control-loop sender, whose
             // only repair for fan-in tail drops is the RTO.
-            let (fixed, _) = incast_goodput(n, knet_simnic::RelParams::fixed_window());
+            let (fixed, fixed_st) = incast_goodput(n, knet_simnic::RelParams::fixed_window());
+            // `cc: false` switches the whole loop off, fast retransmit and
+            // NACK repair included: the reference sender repairs by RTO
+            // rounds (and tail-loss probes) only.
+            assert_eq!(
+                fixed_st.rel.fast_retransmits, 0,
+                "fixed window fast-retransmitted"
+            );
+            assert_eq!(fixed_st.rel.nack_resends, 0, "fixed window repaired a NACK");
             assert!(
                 goodput >= fixed * 1.5,
                 "control loop buys only {:.2}x over the fixed-window \
@@ -240,7 +248,7 @@ fn a_deep_rx_backlog_never_kills_a_live_link() {
     ] {
         let (goodput, st) = incast_goodput(n, rel);
         let round = SimTime::from_nanos(((n as u64 * MSG) as f64 / goodput * 1e9) as u64);
-        let budget = rel.min_rto * (rel.max_retries as u64 + 1);
+        let budget = knet_simnic::rel::MIN_RTO * (knet_simnic::rel::MAX_RETRIES as u64 + 1);
         assert!(
             round > budget,
             "the fan-in drains in {round}, inside the {budget} question budget"

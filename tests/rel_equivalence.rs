@@ -147,7 +147,8 @@ fn lossy_settled_link(s: u64, n: u64) -> (RelWorld, NicId, NicId) {
     assert_delivery(&w, s, n);
     let (_, rto) = w.nics.rel.link_rtt(Proto::Gm, a, b).expect("sampled");
     assert_eq!(
-        rto, w.nics.rel.params.min_rto,
+        rto,
+        knet_simnic::rel::MIN_RTO,
         "the estimator settled on the floor"
     );
     (w, a, b)
@@ -209,7 +210,7 @@ proptest! {
         send_stream(&mut w, a, b, seed, n);
         let max_load = run_tracking_window(&mut w, a, b);
         prop_assert!(
-            max_load <= w.nics.rel.params.window,
+            max_load <= knet_simnic::rel::WINDOW,
             "window cap violated: {max_load}"
         );
         prop_assert!(w.dead.is_empty(), "the link must survive recoverable faults");
@@ -275,7 +276,8 @@ fn adaptive_rto_tracks_the_fabric() {
         "SRTT should sit near the wire RTT, got {srtt}"
     );
     assert_eq!(
-        rto, w.nics.rel.params.min_rto,
+        rto,
+        knet_simnic::rel::MIN_RTO,
         "on a fast clean fabric the RTO clamps to its floor"
     );
     assert_eq!(w.nics.rel.stats.spurious_rtos, 0);
@@ -324,7 +326,7 @@ fn budget_exhaustion_kills_only_the_dead_link() {
     let rel = w.nics.rel.stats;
     assert_eq!(
         rel.timeouts + rel.probes,
-        w.nics.rel.params.max_retries as u64 + 1,
+        knet_simnic::rel::MAX_RETRIES as u64 + 1,
         "death exactly at the last unanswered question"
     );
     assert_eq!(w.nics.rel.buffered_total(), 0, "all rings torn down");
@@ -367,7 +369,7 @@ fn rounds_until(
 #[test]
 fn a_dead_peer_is_found_by_rtt_scale_probes() {
     let (mut w, a, b) = lossy_settled_link(5, 20);
-    let min_rto = w.nics.rel.params.min_rto;
+    let min_rto = knet_simnic::rel::MIN_RTO;
     let timeouts_before = w.nics.rel.stats.timeouts;
 
     let kill = w.sched.now();
@@ -380,7 +382,7 @@ fn a_dead_peer_is_found_by_rtt_scale_probes() {
     let dead_at = w.sched.now();
 
     let rel = w.nics.rel.stats;
-    let budget = w.nics.rel.params.max_retries as u64 + 1;
+    let budget = knet_simnic::rel::MAX_RETRIES as u64 + 1;
     assert_eq!(rel.tlps, 1, "one tail-loss probe before the first round");
     assert_eq!(
         rel.timeouts - timeouts_before + rel.probes,
@@ -488,6 +490,6 @@ fn a_black_holed_ack_direction_still_kills_the_link() {
     assert!(rel.probes > 0, "the peer was probed");
     assert_eq!(
         rel.timeouts + rel.probes,
-        w.nics.rel.params.max_retries as u64 + 1
+        knet_simnic::rel::MAX_RETRIES as u64 + 1
     );
 }

@@ -268,3 +268,29 @@ fn socket_ids_never_alias_across_close_create_churn() {
     assert_eq!(w.zsock.count(), 0, "all sockets closed");
     run_to_quiescence(&mut w);
 }
+
+// ------------------------------------------------- hostile header length
+
+#[test]
+fn a_header_announcing_u64_max_bytes_is_not_accepted_inline() {
+    // The header's length word comes off the wire. Comparing the frame
+    // with `16 + len` overflowed on `u64::MAX` and panicked; the rest of
+    // the frame is compared with `len` directly, so a 16-byte header
+    // announcing `u64::MAX` bytes is a header without an inline payload.
+    // Staging that payload then asks `kalloc` for more pages than a frame
+    // count holds: out of memory, which poisons the stream.
+    let (mut w, sa, sb, _ba, _bb) = pair(TransportKind::Mx, 4096);
+    let mut hdr = [0u8; 16];
+    hdr[8..].copy_from_slice(&u64::MAX.to_le_bytes());
+    let ev = TransportEvent::Unexpected {
+        tag: 1 << 62,
+        data: bytes::Bytes::copy_from_slice(&hdr),
+        from: w.zsock.sock(sa).ep,
+    };
+    knet_zsock::sock_on_event(&mut w, sb, ev);
+    run_to_quiescence(&mut w);
+    let st = w.zsock.sock(sb).stats;
+    assert_eq!(st.bytes_received, 0, "no inline accept");
+    assert_eq!(st.buffered_receives, 0, "no inline accept");
+    assert!(w.zsock.sock(sb).error().is_some(), "the stream is poisoned");
+}
