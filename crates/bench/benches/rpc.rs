@@ -4,11 +4,11 @@
 //!
 //! * **Echo latency** — p50/p99 round-trip latency of `rpc_call` over MX
 //!   for payloads across the eager window (small, medium, and just under
-//!   the rendezvous cutoff), across a packet-loss ladder. The
-//!   retry machinery is part of the measurement: at every surveyed loss
-//!   rate each call must still *resolve successfully*, so the p99 column
-//!   is exactly the price of the recovery schedule (attempt timers,
-//!   backoff), not of abandoned calls.
+//!   the rendezvous cutoff), across a packet-loss ladder. Each request
+//!   is sent once and loss is repaired below RPC, by the NIC's
+//!   reliability layer: at every surveyed loss rate each call must still
+//!   *resolve successfully*, so the p99 column is exactly the price of
+//!   that repair, not of abandoned calls.
 //! * **Failover blackout** — the replicated KV store's write-availability
 //!   gap when the primary's node is killed mid-workload: virtual time
 //!   from the kill instant to (a) the backup's promotion and (b) the
@@ -111,11 +111,6 @@ fn echo_point(cfg: &Config, payload: u64, loss_pct: u64, seed: u64) -> EchoPoint
     let ccfg = RpcClientConfig {
         req_cap: payload + 128,
         resp_cap: payload + 128,
-        policy: RetryPolicy {
-            max_attempts: 6,
-            attempt_timeout: SimTime::from_millis(2),
-            ..Default::default()
-        },
         ..Default::default()
     };
     let cid = rpc_client_create(&mut w, cep, sep, "bench", on_done, ccfg).unwrap();
@@ -178,7 +173,7 @@ fn echo_point(cfg: &Config, payload: u64, loss_pct: u64, seed: u64) -> EchoPoint
         pace_us,
         p50_us: percentile_us(&lat_ns, 0.50),
         p99_us: percentile_us(&lat_ns, 0.99),
-        retries: rpc_client_stats(&w, cid).retries,
+        retries: w.stats().rpc.retries,
     }
 }
 
@@ -214,14 +209,7 @@ fn failover_point(cfg: &Config, loss_pct: u64, seed: u64) -> FailoverPoint {
     let b_srv = ep(&mut w, n1);
     let r0 = kv_replica_create(&mut w, a_srv, RpcServerConfig::default());
     let r1 = kv_replica_create(&mut w, b_srv, RpcServerConfig::default());
-    let rpc_cfg = RpcClientConfig {
-        policy: RetryPolicy {
-            max_attempts: 4,
-            attempt_timeout: SimTime::from_millis(2),
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+    let rpc_cfg = RpcClientConfig::default();
     let a_repl = ep(&mut w, n0);
     let b_repl = ep(&mut w, n1);
     kv_pair(&mut w, r0, a_repl, r1, b_repl, rpc_cfg);
@@ -318,12 +306,10 @@ fn main() {
         failover.push(p);
     }
 
-    // Sanity on the headline shape: lossless p99 must sit far below the
-    // first retry timer (a clean fabric never waits on the recovery
-    // schedule), and every blackout stays far below the ~10 ms that nine
-    // backed-off link rounds took to declare the primary dead: liveness
-    // probes find it at RTT scale, and what remains is the client's one
-    // 2 ms attempt timer.
+    // Sanity on the headline shape: lossless p99 must stay under 2 ms (a
+    // clean fabric never waits on a recovery timer), and every blackout
+    // stays far below the ~10 ms that nine backed-off link rounds took to
+    // declare the primary dead: liveness probes find it at RTT scale.
     let clean_p99 = echo
         .iter()
         .filter(|p| p.loss_pct == 0)
@@ -331,8 +317,8 @@ fn main() {
         .fold(0.0f64, f64::max);
     assert!(
         clean_p99 < 2_000.0,
-        "lossless p99 ({clean_p99} µs) crossed the 2 ms attempt timer — \
-         clean-fabric calls must never ride the retry schedule"
+        "lossless p99 ({clean_p99} µs) crossed 2 ms — \
+         clean-fabric calls must never wait on a recovery timer"
     );
     // A lone loss is repaired at RTT scale: at 1 % loss no small or
     // medium echo in the tail waits out the retransmit timer's floor.
@@ -360,8 +346,10 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"rpc\",\n");
     json.push_str(&format!(
-        "  \"config\": {{\"calls\": {}, \"kv_puts\": {}, \"transport\": \"mx\", \"retry\": {{\"max_attempts\": 6, \"attempt_timeout_ms\": 2}}}},\n",
-        cfg.calls, cfg.kv_puts
+        "  \"config\": {{\"calls\": {}, \"kv_puts\": {}, \"transport\": \"mx\", \"call_horizon_ms\": {}}},\n",
+        cfg.calls,
+        cfg.kv_puts,
+        CALL_HORIZON.nanos() / 1_000_000
     ));
     json.push_str("  \"unit\": \"virtual-time microseconds\",\n");
     json.push_str("  \"echo\": [\n");

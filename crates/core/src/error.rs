@@ -70,22 +70,23 @@ impl From<OsError> for NetError {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RpcError {
     /// The call's virtual-time deadline passed before a reply was
-    /// observed (also used when the retry budget ran out after the
-    /// deadline). Servers drop requests that arrive already expired, so
-    /// the deadline is enforced on both ends of the wire.
+    /// observed — the caller's own, or, for a call without one, the RPC
+    /// layer's `CALL_HORIZON`. Servers drop requests that arrive already
+    /// expired, so a caller deadline is enforced on both ends of the wire.
     Deadline,
     /// The caller withdrew the call with `rpc_cancel`; its posted receive
     /// was cancelled and no reply will be observed.
     Cancelled,
     /// The peer's node is unreachable: the reliability layer declared it
-    /// dead (`PeerDown`), a send failed non-transiently, or the retry
-    /// budget was exhausted before any deadline.
+    /// dead (`PeerDown`), or a send failed non-transiently. RPC itself
+    /// never infers a death from silence.
     PeerUnreachable,
     /// The peer speaks a different RPC schema version (or the reply failed
     /// to decode); renegotiation is an application concern.
     VersionMismatch,
-    /// The server shed the request: its reply pipeline was at capacity.
-    /// Retryable — the retry engine backs off before resending.
+    /// The server shed the request (its reply pipeline was at capacity),
+    /// or the caller's window or send queue was full. Final for the call;
+    /// the caller may reissue.
     Overload,
 }
 

@@ -13,13 +13,17 @@
 //!   configuration service) carries an epoch per shard; every request
 //!   carries the client's believed epoch, and replicas answer
 //!   `WRONG_EPOCH` when it is stale. When a primary's node is killed, the
-//!   backup promotes (epoch bump), clients re-resolve the map and reissue
-//!   with the **same idempotency key**, so a write that already executed
-//!   is answered from the reply cache instead of applied twice.
+//!   backup promotes (epoch bump), and clients re-resolve the map and
+//!   reissue. A reissued write is a new write with a new sequence number:
+//!   the RPC layer sends each request once, so no duplicate of it can
+//!   reach a replica.
+//! * **One failure detector**: a replica is marked dead only when the
+//!   reliability layer declares its node dead — the server's peer-down
+//!   hook, or a call failing `PeerUnreachable`, which only the channel's
+//!   `PeerDown` produces. Silence and stale roles are not deaths.
 //! * **Typed failure handling end to end**: every client operation
-//!   resolves with a value or a typed error; `PeerUnreachable` feeds the
-//!   failure detector, `Overload`/`WRONG_EPOCH` reissue with bounded
-//!   attempts, `Deadline`/`Cancelled` are terminal.
+//!   resolves with a value or a typed error; `Overload`/`WRONG_EPOCH`
+//!   reissue with bounded attempts, `Deadline`/`Cancelled` are terminal.
 //!
 //! The crate never touches `channel_send`/`channel_post_recv` directly —
 //! that is the point (and CI greps for it): the RPC layer is a sufficient
@@ -162,7 +166,6 @@ struct KvOp {
     kind: OpKind,
     key: Vec<u8>,
     val: Vec<u8>,
-    idem: u64,
     deadline: Option<SimTime>,
     attempts: u32,
     state: OpState,
@@ -208,14 +211,14 @@ knet_simcore::counters! {
     }
 }
 
-/// Reissue budget per operation (on top of the RPC layer's own
-/// retransmissions).
+/// Reissue budget per operation.
 pub const OP_RETRIES: u32 = 8;
 /// Pause before reissuing a failed operation, so failover has time to
 /// converge and a dead primary is not hot-looped.
 pub const RETRY_DELAY: SimTime = SimTime::from_millis(1);
 
 /// All KV state in a world.
+#[derive(Default)]
 pub struct KvLayer {
     pub shards: Vec<Shard>,
     replicas: Vec<Replica>,
@@ -226,26 +229,8 @@ pub struct KvLayer {
     pub issued_puts: Vec<(KvOpId, Vec<u8>, Vec<u8>)>,
     pub stats: KvStats,
     next_op: u64,
-    next_idem: u64,
     scratch: Vec<u8>,
     collect_buf: Vec<u8>,
-}
-
-impl Default for KvLayer {
-    fn default() -> Self {
-        KvLayer {
-            shards: Vec::new(),
-            replicas: Vec::new(),
-            clients: Vec::new(),
-            outcomes: Vec::new(),
-            issued_puts: Vec::new(),
-            stats: KvStats::default(),
-            next_op: 0,
-            next_idem: 1,
-            scratch: Vec::new(),
-            collect_buf: Vec::new(),
-        }
-    }
 }
 
 impl KvLayer {
@@ -542,8 +527,6 @@ pub fn kv_put<W: KvWorld>(
         let kv = w.kv_mut();
         let op_id = kv.next_op;
         kv.next_op += 1;
-        let idem = kv.next_idem;
-        kv.next_idem += 1;
         kv.stats.puts += 1;
         kv.issued_puts.push((op_id, key.to_vec(), val.to_vec()));
         let c = &mut kv.clients[cid.0 as usize];
@@ -553,7 +536,6 @@ pub fn kv_put<W: KvWorld>(
             kind: OpKind::Put,
             key: key.to_vec(),
             val: val.to_vec(),
-            idem,
             deadline,
             attempts: 0,
             state: OpState::Waiting,
@@ -583,7 +565,6 @@ pub fn kv_get<W: KvWorld>(
             kind: OpKind::Get,
             key: key.to_vec(),
             val: Vec::new(),
-            idem: 0,
             deadline,
             attempts: 0,
             state: OpState::Waiting,
@@ -630,7 +611,6 @@ fn issue<W: KvWorld>(w: &mut W, cid: u32, op_slot: u32) {
             let rpc_cid = c.rpc[replica as usize];
             let opts = RpcCallOpts {
                 deadline: o.deadline,
-                idem: o.idem,
             };
             Some((replica, rpc_cid, method, scratch, opts))
         }
@@ -743,8 +723,7 @@ fn kv_on_rpc_done<W: KvWorld>(w: &mut W, cid: u32, replica: u32, comp: RpcComple
             match parsed {
                 Some((KV_WRONG_EPOCH, _)) => {
                     // Stale routing: the map moved under us. Re-resolve
-                    // and reissue (same idempotency key — an already
-                    // executed write is answered from the reply cache).
+                    // and reissue.
                     w.kv_mut().stats.wrong_epoch += 1;
                     retry_or_fail(w, cid, op_slot, RpcError::PeerUnreachable);
                 }
@@ -753,8 +732,8 @@ fn kv_on_rpc_done<W: KvWorld>(w: &mut W, cid: u32, replica: u32, comp: RpcComple
             }
         }
         Err(RpcError::PeerUnreachable) => {
-            // Feed the failure detector (models the config service
-            // learning of the death), then reissue against the new map.
+            // The reliability layer declared the replica's node dead:
+            // tell the config service, then reissue against the new map.
             kv_report_dead(w, replica);
             retry_or_fail(w, cid, op_slot, RpcError::PeerUnreachable);
         }
@@ -820,7 +799,7 @@ fn kv_service<W: KvWorld>(
                     enc_status_seq(resp, KV_OK, seq);
                     RpcOutcome::Reply
                 }
-                Some(b) => {
+                Some(_) => {
                     // Synchronous replication: defer the client's reply
                     // until the backup acknowledges, propagating the
                     // client's remaining deadline through the second hop.
@@ -838,13 +817,7 @@ fn kv_service<W: KvWorld>(
                     let mut frame = std::mem::take(&mut w.kv_mut().scratch);
                     enc_repl(&mut frame, epoch_now, seq, key, val);
                     let deadline = (req.deadline != SimTime::NEVER).then_some(req.deadline);
-                    let res = rpc_call(
-                        w,
-                        repl_cid,
-                        METHOD_REPL,
-                        &frame,
-                        RpcCallOpts { deadline, idem: 0 },
-                    );
+                    let res = rpc_call(w, repl_cid, METHOD_REPL, &frame, RpcCallOpts { deadline });
                     w.kv_mut().scratch = frame;
                     match res {
                         Ok(call) => {
@@ -857,13 +830,10 @@ fn kv_service<W: KvWorld>(
                             );
                             RpcOutcome::Defer
                         }
-                        Err(_) => {
-                            // The backup is unreachable before we even
-                            // queued: demote to solo and ack from here.
-                            kv_report_dead(w, b);
-                            enc_status_seq(resp, KV_OK, seq);
-                            RpcOutcome::Reply
-                        }
+                        // The replication client's window or send queue is
+                        // full. That is load, not a death: shed the PUT and
+                        // let the client reissue it.
+                        Err(_) => RpcOutcome::Err(RpcError::Overload),
                     }
                 }
             }
@@ -898,9 +868,10 @@ fn kv_service<W: KvWorld>(
 }
 
 /// Dead hosts don't run software: a replica (or client) whose node the
-/// fault plan has killed must take no actions — in particular a deposed
-/// primary's timed-out replication RPC must not report the *live* backup
-/// dead (that split-brain would demote the only promotion candidate).
+/// fault plan has killed must take no actions — in particular a killed
+/// primary's replication RPC, failed when its own links die, must not
+/// report the *live* backup dead (that split-brain would demote the only
+/// promotion candidate).
 fn host_dead<W: KvWorld>(w: &W, node: NodeId) -> bool {
     w.nics().node_dead(node, now(w))
 }
@@ -923,44 +894,44 @@ fn kv_on_repl_done<W: KvWorld>(w: &mut W, rid: u32, comp: RpcCompletion) {
         return;
     };
     let server = w.kv().replicas[rid as usize].server;
-    match comp.result {
+    let status = match comp.result {
         Ok(_len) => {
             let mut buf = std::mem::take(&mut w.kv_mut().collect_buf);
             rpc_collect(w, comp.client, comp.call, &mut buf);
             let status = dec_status_seq(&buf).map(|(s, _)| s);
             w.kv_mut().collect_buf = buf;
+            // Anything but OK is WRONG_EPOCH from the backup: we were
+            // deposed while the write was in flight. The client must not
+            // treat this write as durable under the old regime; it
+            // re-resolves the map and reissues to the new primary.
             if status == Some(KV_OK) {
-                let mut resp = std::mem::take(&mut w.kv_mut().scratch);
-                enc_status_seq(&mut resp, KV_OK, pr.seq);
-                rpc_server_reply(w, server, pr.token, Ok(&resp));
-                w.kv_mut().scratch = resp;
+                KV_OK
             } else {
-                // WRONG_EPOCH from the backup: we were deposed while the
-                // write was in flight. The client must not treat this
-                // write as durable under the old regime.
-                rpc_server_reply(w, server, pr.token, Err(RpcError::PeerUnreachable));
+                KV_WRONG_EPOCH
             }
         }
         Err(RpcError::PeerUnreachable) => {
-            // The backup died. The write is applied locally; demote to
-            // solo and ack — durability is single-copy from here on,
-            // which is the contract once the replica pair degrades.
+            // The backup's node was declared dead. The write is applied
+            // locally; demote to solo and ack — durability is single-copy
+            // from here on, which is the contract once the pair degrades.
             let partner = w.kv().replicas[rid as usize].partner;
             if let Some(p) = partner {
                 kv_report_dead(w, p);
             }
-            let mut resp = std::mem::take(&mut w.kv_mut().scratch);
-            enc_status_seq(&mut resp, KV_OK, pr.seq);
-            rpc_server_reply(w, server, pr.token, Ok(&resp));
-            w.kv_mut().scratch = resp;
+            KV_OK
         }
         Err(e) => {
             // Deadline (propagated and expired) or overload on the
             // replication path: fail the client PUT typed; the reply is
             // suppressed anyway if the client's deadline already passed.
             rpc_server_reply(w, server, pr.token, Err(e));
+            return;
         }
-    }
+    };
+    let mut resp = std::mem::take(&mut w.kv_mut().scratch);
+    enc_status_seq(&mut resp, status, pr.seq);
+    rpc_server_reply(w, server, pr.token, Ok(&resp));
+    w.kv_mut().scratch = resp;
 }
 
 // ----------------------------------------------------------------- failover

@@ -47,8 +47,8 @@ pub struct ReqHeader {
     /// Absolute virtual-time deadline in nanoseconds ([`NO_DEADLINE`] when
     /// unset), propagated so the callee can drop expired work.
     pub deadline_ns: u64,
-    /// Idempotency key (`0` = none): retried requests repeat it, so the
-    /// server's idempotency cache can answer without re-executing.
+    /// Reserved: sent as 0 and ignored by the server. It keeps the
+    /// request layout (and so every request's wire size) fixed.
     pub idem: u64,
 }
 

@@ -22,14 +22,17 @@
 //!   resolves racing completions deterministically (a matched in-flight
 //!   completion quarantines the call slot until it drains — buffers are
 //!   never reused under an active transfer);
-//! * a **retry policy engine** ([`RetryPolicy`]): per-attempt timers,
-//!   exponential backoff with equal jitter drawn from a per-client seeded
-//!   [`SplitMix64`] stream (deterministic per seed, shard-invariant), and
-//!   idempotency keys so retried writes are answered exactly once from
-//!   the server's reply cache;
+//! * **no second failure detector**: each request is sent exactly once.
+//!   Packet loss is repaired below, by the NIC's reliability layer, and
+//!   peer death is declared there too (`api::peer_down`, surfacing as the
+//!   channel's `PeerDown`). A call with no caller deadline is bounded by
+//!   [`CALL_HORIZON`], derived from that layer's own give-up budget, so it
+//!   can never hang;
 //! * **typed errors** ([`RpcError`]) instead of hangs: every submitted
 //!   call resolves with exactly one completion — reply, `Deadline`,
-//!   `Cancelled`, `PeerUnreachable`, `VersionMismatch` or `Overload`.
+//!   `Cancelled`, `PeerUnreachable` (the peer was declared dead),
+//!   `VersionMismatch` or `Overload` (shed by the server). Consumers that
+//!   want another attempt (the `knet-kv` store) reissue themselves.
 //!
 //! Completions surface as a typed upcall ([`RpcCompletion`]) into the
 //! handler the client was created with (the `knet-kv` store, benches,
@@ -44,14 +47,15 @@ pub mod codec;
 use std::sync::Arc;
 
 use knet_core::api::{
-    channel_abort_queued_send, channel_accept_handler, channel_cancel_recv, channel_close,
+    channel_abort_queued_send, channel_accept_handler, channel_cancel_recv,
     channel_connect_handler, channel_post_recv, channel_send, channel_send_to, DispatchWorld,
 };
 use knet_core::{
     ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, RpcError, SendMap, StagingRing,
     TransportEvent,
 };
-use knet_simcore::{emit_after, emit_at, now, SimEvent, SimTime, SplitMix64};
+use knet_simcore::{emit_at, now, SimEvent, SimTime};
+use knet_simnic::rel;
 use knet_simos::{Asid, NodeId, VirtAddr};
 
 use codec::{
@@ -90,38 +94,37 @@ fn corr_gen(corr: u64) -> u32 {
     (corr >> 32) as u32
 }
 
+/// How long a call without a caller deadline waits for its reply before it
+/// resolves [`RpcError::Deadline`]: `rel::MAX_RETRIES + 1` unanswered
+/// questions, each at most `rel::MAX_RTO` apart — the longest silence a
+/// live link can show before the reliability layer itself declares the
+/// peer dead. Past it, either `PeerDown` has already resolved the call or
+/// the peer is alive and not answering. Local only: the wire still
+/// carries `NO_DEADLINE`, so the server keeps no clock for the caller.
+pub const CALL_HORIZON: SimTime =
+    SimTime::from_nanos((rel::MAX_RETRIES as u64 + 1) * rel::MAX_RTO.nanos());
+
 // -------------------------------------------------------------- typed events
 
 /// The RPC layer's typed engine events. The composed world lifts these
-/// into its event enum ([`RpcWorld::lift_rpc`]) so deadline and retry
-/// timers move through the scheduler's recycled arena with zero heap
-/// allocation. Every event carries the call's generation — a stale timer
-/// (its call already resolved, slot maybe reused) is a no-op.
+/// into its event enum ([`RpcWorld::lift_rpc`]) so the timers move
+/// through the scheduler's recycled arena with zero heap allocation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RpcEv {
-    /// A call's virtual-time deadline fired.
+    /// A call's virtual-time deadline fired. The call's generation makes
+    /// a stale timer (call already resolved, slot maybe reused) a no-op.
     Deadline { client: u32, slot: u32, gen: u32 },
-    /// A call's retry timer fired: retransmit, or — with the attempt
-    /// budget spent — resolve typed. `seq` discriminates stale timers
-    /// when a server `Overload` push rescheduled the retransmission.
-    Retry {
-        client: u32,
-        slot: u32,
-        gen: u32,
-        seq: u32,
-    },
+    /// The client's one horizon timer fired: every call without a caller
+    /// deadline that has waited [`CALL_HORIZON`] resolves `Deadline`, and
+    /// the timer re-arms at the earliest horizon still pending.
+    Horizon { client: u32 },
 }
 
 /// Execute one RPC-layer event.
 pub fn run_rpc_ev<W: RpcWorld>(w: &mut W, ev: RpcEv) {
     match ev {
         RpcEv::Deadline { client, slot, gen } => on_deadline(w, RpcClientId(client), slot, gen),
-        RpcEv::Retry {
-            client,
-            slot,
-            gen,
-            seq,
-        } => on_retry(w, RpcClientId(client), slot, gen, seq),
+        RpcEv::Horizon { client } => on_horizon(w, RpcClientId(client)),
     }
 }
 
@@ -138,66 +141,25 @@ pub trait RpcWorld: DispatchWorld {
     }
 }
 
-// ------------------------------------------------------------------- policy
+// ------------------------------------------------------------------- options
 
-/// The retry policy engine's knobs.
-#[derive(Clone, Copy, Debug)]
+/// Inert: the layer never retransmits and reads neither field. It is kept
+/// only so that configurations written against the old retry engine (the
+/// `benchmark/` package) still compile; delete it with them.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RetryPolicy {
-    /// Total transmission attempts (the first send included). `1`
-    /// disables retransmission; the attempt timer still bounds the call,
-    /// so it can never hang.
     pub max_attempts: u32,
-    /// How long to wait for a reply to one attempt. Must sit well above
-    /// the reliability layer's RTO: packet loss is repaired below us; RPC
-    /// retries exist for dropped-expired work, shed load and failover.
     pub attempt_timeout: SimTime,
-    /// Base of the exponential backoff added between attempts.
-    pub base_backoff: SimTime,
-    /// Backoff ceiling.
-    pub max_backoff: SimTime,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            attempt_timeout: SimTime::from_millis(2),
-            base_backoff: SimTime::from_micros(200),
-            max_backoff: SimTime::from_millis(5),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Equal-jitter exponential backoff after transmission `attempt`
-    /// (1-based): uniform in `[b/2, b)` where `b = min(base << (attempt -
-    /// 1), max)`. Drawn from the client's seeded stream — deterministic
-    /// per seed, independent of shard count.
-    fn backoff(&self, rng: &mut SplitMix64, attempt: u32) -> SimTime {
-        let shift = attempt.saturating_sub(1).min(16);
-        let b = self
-            .base_backoff
-            .nanos()
-            .checked_shl(shift)
-            .unwrap_or(u64::MAX)
-            .min(self.max_backoff.nanos())
-            .max(2);
-        SimTime::from_nanos(b / 2 + rng.next_below(b - b / 2))
-    }
 }
 
 /// Options for one call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RpcCallOpts {
-    /// Absolute virtual-time deadline. `None` = bounded only by the
-    /// retry budget. A deadline already expired at submit resolves
-    /// [`RpcError::Deadline`] through the normal completion path without
-    /// touching the wire.
+    /// Absolute virtual-time deadline, propagated on the wire. `None` =
+    /// bounded locally by [`CALL_HORIZON`]. A deadline already expired at
+    /// submit resolves [`RpcError::Deadline`] through the normal
+    /// completion path without touching the wire.
     pub deadline: Option<SimTime>,
-    /// Idempotency key (`0` = none). Retransmissions repeat it, so the
-    /// server's reply cache answers duplicates without re-executing —
-    /// retried writes stay exactly-once at the application layer.
-    pub idem: u64,
 }
 
 // ------------------------------------------------------------------- client
@@ -236,19 +198,13 @@ enum CallState {
 struct CallSlot {
     gen: u32,
     state: CallState,
-    deadline: SimTime,
-    idem: u64,
-    /// Transmissions so far (1-based after the first send).
-    attempt: u32,
-    /// Discriminates the live retry timer from superseded ones.
-    retry_seq: u32,
+    /// When the horizon timer resolves this call; [`SimTime::NEVER`] when
+    /// a caller deadline bounds it instead.
+    horizon: SimTime,
     /// A tagged receive for this call's reply is posted in the driver.
     recv_armed: bool,
-    /// Send context of the latest attempt, while in flight or queued.
+    /// Send context of the request, while in flight or queued.
     tx_ctx: Option<u64>,
-    req_addr: VirtAddr,
-    req_len: u64,
-    resp_addr: VirtAddr,
 }
 
 /// Per-client counters.
@@ -257,8 +213,9 @@ pub struct RpcClientStats {
     pub calls: u64,
     pub completed: u64,
     pub failed: u64,
-    pub retries: u64,
     pub cancelled: u64,
+    /// Calls resolved `Deadline`, by the caller's deadline or by
+    /// [`CALL_HORIZON`].
     pub deadline_failures: u64,
     pub expired_at_submit: u64,
     /// Replies that arrived for an already-resolved call (duplicates,
@@ -277,9 +234,8 @@ pub struct RpcClientConfig {
     pub req_cap: u64,
     /// Per-slot response buffer capacity (header + payload).
     pub resp_cap: u64,
+    /// Inert; see [`RetryPolicy`].
     pub policy: RetryPolicy,
-    /// Seed of the client's backoff-jitter stream.
-    pub seed: u64,
 }
 
 impl Default for RpcClientConfig {
@@ -289,7 +245,6 @@ impl Default for RpcClientConfig {
             req_cap: 1024,
             resp_cap: 1024,
             policy: RetryPolicy::default(),
-            seed: 0x5eed_0000_0000_0001,
         }
     }
 }
@@ -303,9 +258,12 @@ pub struct RpcClient<W: ?Sized> {
     pub ch: ChannelId,
     on_done: RpcSinkFn<W>,
     cfg: RpcClientConfig,
-    rng: SplitMix64,
     calls: Vec<CallSlot>,
     free: Vec<u32>,
+    /// The horizon timer is armed (or its handler is running). At most one
+    /// is ever outstanding: horizons are submit time + a constant, so a
+    /// new call never needs an earlier timer than one already armed.
+    horizon_armed: bool,
     /// In-flight request sends → the call slot each carries.
     tx: SendMap<u32>,
     /// Buffer region: `window` slots of `req_cap + resp_cap` bytes each.
@@ -352,7 +310,6 @@ pub struct RpcRequest {
     /// The caller's propagated absolute deadline ([`SimTime::NEVER`] when
     /// none). Deferred work resolving past it is dropped, not answered.
     pub deadline: SimTime,
-    pub idem: u64,
     /// Pre-minted defer token: return [`RpcOutcome::Defer`] and answer
     /// later through [`rpc_server_reply`] with this token.
     pub token: u64,
@@ -379,9 +336,6 @@ pub struct RpcServerStats {
     /// propagated deadline had already passed — the server never answers
     /// the dead.
     pub expired_dropped: u64,
-    /// Duplicate (retried) requests answered from the idempotency cache
-    /// without re-executing the service.
-    pub idem_hits: u64,
     pub overloads: u64,
     pub version_mismatches: u64,
 }
@@ -394,8 +348,6 @@ pub struct RpcServerConfig {
     /// Outstanding replies (in-flight sends + deferred) beyond which new
     /// requests are shed with [`RpcError::Overload`].
     pub max_pending: u32,
-    /// Idempotency-cache capacity (ring eviction, oldest first).
-    pub idem_capacity: u32,
 }
 
 impl Default for RpcServerConfig {
@@ -403,7 +355,6 @@ impl Default for RpcServerConfig {
         RpcServerConfig {
             ring: 1 << 20,
             max_pending: 128,
-            idem_capacity: 256,
         }
     }
 }
@@ -414,7 +365,6 @@ enum DeferState {
     Pending {
         from: Endpoint,
         corr: u64,
-        idem: u64,
         deadline_ns: u64,
     },
 }
@@ -424,67 +374,9 @@ struct DeferSlot {
     state: DeferState,
 }
 
-struct IdemEntry {
-    key: u64,
-    /// Cached successful reply payload (buffers recycle on eviction).
-    buf: Vec<u8>,
-}
-
-/// Bounded exactly-once reply cache: idempotency key → cached payload,
-/// ring eviction (oldest insertion first).
-struct IdemCache {
-    entries: Vec<IdemEntry>,
-    index: std::collections::BTreeMap<u64, u32>,
-    next: u32,
-    cap: u32,
-}
-
-impl IdemCache {
-    fn new(cap: u32) -> Self {
-        IdemCache {
-            entries: Vec::new(),
-            index: std::collections::BTreeMap::new(),
-            next: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    fn get(&self, key: u64) -> Option<&[u8]> {
-        let slot = *self.index.get(&key)?;
-        Some(&self.entries[slot as usize].buf)
-    }
-
-    fn put(&mut self, key: u64, payload: &[u8]) {
-        if let Some(&slot) = self.index.get(&key) {
-            let e = &mut self.entries[slot as usize];
-            e.buf.clear();
-            e.buf.extend_from_slice(payload);
-            return;
-        }
-        if (self.entries.len() as u32) < self.cap {
-            let slot = self.entries.len() as u32;
-            self.entries.push(IdemEntry {
-                key,
-                buf: payload.to_vec(),
-            });
-            self.index.insert(key, slot);
-            return;
-        }
-        // Evict the ring's next victim, recycling its buffer.
-        let slot = self.next;
-        self.next = (self.next + 1) % self.cap;
-        let e = &mut self.entries[slot as usize];
-        self.index.remove(&e.key);
-        e.key = key;
-        e.buf.clear();
-        e.buf.extend_from_slice(payload);
-        self.index.insert(key, slot);
-    }
-}
-
 /// One RPC server: an accept-side handler channel dispatching into a
-/// service function, with deadline filtering, idempotency caching, load
-/// shedding and deferred replies.
+/// service function, with deadline filtering, load shedding and deferred
+/// replies.
 pub struct RpcServer {
     pub id: RpcServerId,
     pub ep: Endpoint,
@@ -498,7 +390,6 @@ pub struct RpcServer {
     defers: Vec<DeferSlot>,
     defer_free: Vec<u32>,
     defers_pending: u32,
-    idem: IdemCache,
     pub stats: RpcServerStats,
 }
 
@@ -545,8 +436,12 @@ knet_simcore::counters! {
         pub calls: u64,
         pub completed: u64,
         pub failed: u64,
+        /// Inert, always 0: the layer never retransmits. Kept while the
+        /// `benchmark/` package still reports it.
         pub retries: u64,
         pub expired_dropped: u64,
+        /// Inert, always 0: there is no reply cache. Kept while the
+        /// `benchmark/` package still reports it.
         pub idem_hits: u64,
     }
 }
@@ -616,9 +511,9 @@ pub fn rpc_client_create<W: RpcWorld>(
         ch,
         on_done,
         cfg,
-        rng: SplitMix64::new(cfg.seed ^ ((id.0 as u64) << 17)),
         calls: Vec::new(),
         free: Vec::new(),
+        horizon_armed: false,
         tx: SendMap::default(),
         region,
         stats: RpcClientStats::default(),
@@ -626,35 +521,12 @@ pub fn rpc_client_create<W: RpcWorld>(
     Ok(id)
 }
 
-/// Point the client at a different server endpoint (failover
-/// re-resolution). Pending calls must already be resolved — `PeerDown`
-/// does that when the old server died. The old channel is torn down
-/// (queued sends complete as `SendFailed` first) and a fresh one
-/// connected; the new channel's context pool restarts, so the send map is
-/// cleared.
-pub fn rpc_retarget<W: RpcWorld>(w: &mut W, cid: RpcClientId, server: Endpoint) {
-    let (ep, old_ch) = {
-        let c = &w.rpc().clients[cid.0 as usize];
-        (c.ep, c.ch)
-    };
-    channel_close(w, old_ch);
-    let ch = channel_connect_handler(
-        w,
-        ep,
-        server,
-        &format!("rpc-client-{}", cid.0),
-        move |w, _via, ev| rpc_on_client_event(w, cid, ev),
-    );
-    let c = &mut w.rpc_mut().clients[cid.0 as usize];
-    c.ch = ch;
-    c.server = server;
-    c.tx.clear();
-}
-
-/// Submit a typed call: `payload` goes out under `method`; the reply (or
-/// typed failure) arrives as exactly one completion. Synchronous errors:
-/// [`RpcError::Overload`] when the in-flight window is full or the
-/// payload exceeds the slot buffer.
+/// Submit a typed call: `payload` goes out once under `method`; the reply
+/// (or typed failure) arrives as exactly one completion. Synchronous
+/// errors, after which no completion follows: [`RpcError::Overload`] when
+/// the in-flight window is full, the payload exceeds the slot buffer or
+/// the channel's send queue is full, and [`RpcError::PeerUnreachable`]
+/// when the channel no longer accepts work.
 pub fn rpc_call<W: RpcWorld>(
     w: &mut W,
     cid: RpcClientId,
@@ -663,7 +535,8 @@ pub fn rpc_call<W: RpcWorld>(
     opts: RpcCallOpts,
 ) -> Result<RpcCall, RpcError> {
     let t_now = now(w);
-    let (slot, gen, corr, node, expired) = {
+    let deadline = opts.deadline.unwrap_or(SimTime::NEVER);
+    let (slot, gen, node, ch, req_addr, resp_addr, resp_cap) = {
         let c = &mut w.rpc_mut().clients[cid.0 as usize];
         if (REQ_HEADER_LEN as u64 + payload.len() as u64) > c.cfg.req_cap {
             return Err(RpcError::Overload);
@@ -671,51 +544,38 @@ pub fn rpc_call<W: RpcWorld>(
         let slot = match c.free.pop() {
             Some(s) => s,
             None if (c.calls.len() as u32) < c.cfg.window => {
-                let s = c.calls.len() as u32;
                 c.calls.push(CallSlot {
                     gen: 0,
                     state: CallState::Free,
-                    deadline: SimTime::NEVER,
-                    idem: 0,
-                    attempt: 0,
-                    retry_seq: 0,
+                    horizon: SimTime::NEVER,
                     recv_armed: false,
                     tx_ctx: None,
-                    req_addr: VirtAddr::new(0),
-                    req_len: 0,
-                    resp_addr: VirtAddr::new(0),
                 });
-                s
+                c.calls.len() as u32 - 1
             }
             None => return Err(RpcError::Overload),
         };
-        let deadline = opts.deadline.unwrap_or(SimTime::NEVER);
         let (req_addr, resp_addr) = (c.slot_req_addr(slot), c.slot_resp_addr(slot));
         let s = &mut c.calls[slot as usize];
         debug_assert_eq!(s.state, CallState::Free);
         s.state = CallState::Pending;
-        s.deadline = deadline;
-        s.idem = opts.idem;
-        s.attempt = 0;
-        s.recv_armed = false;
-        s.tx_ctx = None;
-        s.req_addr = req_addr;
-        s.req_len = 0;
-        s.resp_addr = resp_addr;
-        c.stats.calls += 1;
+        s.horizon = SimTime::NEVER;
         (
             slot,
             s.gen,
-            corr_of(slot, s.gen),
             c.ep.node,
-            deadline <= t_now,
+            c.ch,
+            req_addr,
+            resp_addr,
+            c.cfg.resp_cap,
         )
     };
-    w.rpc_mut().stats.calls += 1;
-    if expired {
+    let corr = corr_of(slot, gen);
+    if deadline <= t_now {
         // Dead on arrival: resolve through the normal typed-event path —
         // the completion lands at the submit instant, and the wire never
         // sees the request.
+        count_call(w, cid);
         w.rpc_mut().clients[cid.0 as usize].stats.expired_at_submit += 1;
         emit_at(
             w,
@@ -729,10 +589,7 @@ pub fn rpc_call<W: RpcWorld>(
         );
         return Ok(corr);
     }
-    // Encode once into the slot's request buffer; retransmissions resend
-    // the same bytes (same corr, same idempotency key).
     let (mut frame, had_cap) = w.rpc_mut().frame_scratch.take();
-    let deadline = w.rpc().clients[cid.0 as usize].calls[slot as usize].deadline;
     encode_request(
         &mut frame,
         ReqHeader {
@@ -744,16 +601,15 @@ pub fn rpc_call<W: RpcWorld>(
             } else {
                 deadline.nanos()
             },
-            idem: opts.idem,
+            idem: 0,
         },
         payload,
     );
-    let req_addr = w.rpc().clients[cid.0 as usize].calls[slot as usize].req_addr;
     w.os_mut()
         .node_mut(node)
         .write_virt(Asid::KERNEL, req_addr, &frame)
         .expect("rpc request staging");
-    w.rpc_mut().clients[cid.0 as usize].calls[slot as usize].req_len = frame.len() as u64;
+    let req_len = frame.len() as u64;
     w.rpc_mut().frame_scratch.put(frame, had_cap);
     if deadline != SimTime::NEVER {
         emit_at(
@@ -766,120 +622,61 @@ pub fn rpc_call<W: RpcWorld>(
                 gen,
             }),
         );
-    }
-    transmit(w, cid, slot);
-    Ok(corr)
-}
-
-/// Send (or resend) the staged request of a pending call, arming the
-/// reply receive when needed, and schedule the next retry timer.
-fn transmit<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32) {
-    let (ch, corr, node, req_addr, req_len, resp_addr, resp_cap, need_recv, policy) = {
-        let c = &w.rpc().clients[cid.0 as usize];
-        let s = &c.calls[slot as usize];
-        debug_assert_eq!(s.state, CallState::Pending);
-        (
-            c.ch,
-            corr_of(slot, s.gen),
-            c.ep.node,
-            s.req_addr,
-            s.req_len,
-            s.resp_addr,
-            c.cfg.resp_cap,
-            !s.recv_armed,
-            c.cfg.policy,
-        )
-    };
-    let gen = corr_gen(corr);
-    if need_recv {
-        match channel_post_recv(
-            w,
-            ch,
-            corr,
-            IoVec::single(MemRef::kernel(resp_addr, resp_cap)),
-        ) {
-            Ok(_) => {
-                w.rpc_mut().clients[cid.0 as usize].calls[slot as usize].recv_armed = true;
-            }
-            Err(_) => {
-                resolve(w, cid, slot, Err(RpcError::PeerUnreachable));
-                return;
-            }
-        }
-    }
-    match channel_send(
-        w,
-        ch,
-        corr,
-        IoVec::single(MemRef::kernel(req_addr, req_len)),
-    ) {
-        Ok(ctx) => {
-            let (seq, delay) = {
-                let layer = w.rpc_mut();
-                let retransmit = layer.clients[cid.0 as usize].calls[slot as usize].attempt > 0;
-                if retransmit {
-                    layer.clients[cid.0 as usize].stats.retries += 1;
-                    layer.stats.retries += 1;
-                }
-                let c = &mut layer.clients[cid.0 as usize];
-                let s = &mut c.calls[slot as usize];
-                s.attempt += 1;
-                s.tx_ctx = Some(ctx);
-                s.retry_seq = s.retry_seq.wrapping_add(1);
-                let attempt = s.attempt;
-                let seq = s.retry_seq;
-                c.tx.insert(ctx, slot);
-                // Fold backoff into the inter-attempt gap: reply window
-                // first, jittered exponential spacing on top.
-                let delay = policy.attempt_timeout + policy.backoff(&mut c.rng, attempt);
-                (seq, delay)
-            };
-            emit_after(
+    } else {
+        let horizon = t_now + CALL_HORIZON;
+        let c = &mut w.rpc_mut().clients[cid.0 as usize];
+        c.calls[slot as usize].horizon = horizon;
+        if !std::mem::replace(&mut c.horizon_armed, true) {
+            emit_at(
                 w,
                 node.0,
-                delay,
-                W::lift_rpc(RpcEv::Retry {
-                    client: cid.0,
-                    slot,
-                    gen,
-                    seq,
-                }),
+                horizon,
+                W::lift_rpc(RpcEv::Horizon { client: cid.0 }),
             );
         }
-        Err(NetError::SendQueueFull) => {
-            // The attempt died at the local queue; spend it and back off.
-            let decision = {
-                let c = &mut w.rpc_mut().clients[cid.0 as usize];
-                let pol = c.cfg.policy;
-                let s = &mut c.calls[slot as usize];
-                s.attempt += 1;
-                if s.attempt < pol.max_attempts {
-                    s.retry_seq = s.retry_seq.wrapping_add(1);
-                    let attempt = s.attempt;
-                    let seq = s.retry_seq;
-                    let d = pol.backoff(&mut c.rng, attempt);
-                    Some((seq, d))
-                } else {
-                    None
-                }
-            };
-            match decision {
-                Some((seq, d)) => emit_after(
-                    w,
-                    node.0,
-                    d,
-                    W::lift_rpc(RpcEv::Retry {
-                        client: cid.0,
-                        slot,
-                        gen,
-                        seq,
-                    }),
-                ),
-                None => resolve(w, cid, slot, Err(RpcError::Overload)),
-            }
-        }
-        Err(_) => resolve(w, cid, slot, Err(RpcError::PeerUnreachable)),
     }
+    let resp = IoVec::single(MemRef::kernel(resp_addr, resp_cap));
+    let sent = match channel_post_recv(w, ch, corr, resp) {
+        Err(_) => Err(RpcError::PeerUnreachable),
+        Ok(_) => {
+            w.rpc_mut().clients[cid.0 as usize].calls[slot as usize].recv_armed = true;
+            channel_send(
+                w,
+                ch,
+                corr,
+                IoVec::single(MemRef::kernel(req_addr, req_len)),
+            )
+            .map_err(|e| match e {
+                NetError::SendQueueFull => RpcError::Overload,
+                _ => RpcError::PeerUnreachable,
+            })
+        }
+    };
+    match sent {
+        Ok(ctx) => {
+            count_call(w, cid);
+            let c = &mut w.rpc_mut().clients[cid.0 as usize];
+            c.calls[slot as usize].tx_ctx = Some(ctx);
+            c.tx.insert(ctx, slot);
+            Ok(corr)
+        }
+        Err(e) => {
+            // Never submitted: withdraw the receive and hand the slot
+            // back. A deadline timer already armed for it dies by the
+            // generation bump.
+            if w.rpc().clients[cid.0 as usize].calls[slot as usize].recv_armed {
+                channel_cancel_recv(w, ch, corr);
+            }
+            w.rpc_mut().clients[cid.0 as usize].free_slot(slot);
+            Err(e)
+        }
+    }
+}
+
+fn count_call<W: RpcWorld>(w: &mut W, cid: RpcClientId) {
+    let layer = w.rpc_mut();
+    layer.clients[cid.0 as usize].stats.calls += 1;
+    layer.stats.calls += 1;
 }
 
 /// Cancel a pending call. Returns `true` iff the call was pending and is
@@ -924,7 +721,7 @@ pub fn rpc_collect<W: RpcWorld>(
         let CallState::Done { len } = s.state else {
             return None;
         };
-        (len, s.resp_addr, c.ep.node)
+        (len, c.slot_resp_addr(slot), c.ep.node)
     };
     out.clear();
     out.resize(len as usize, 0);
@@ -1019,26 +816,31 @@ fn on_deadline<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32, gen: u32) {
     }
 }
 
-fn on_retry<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32, gen: u32, seq: u32) {
-    let exhausted = {
-        let Some(c) = w.rpc().clients.get(cid.0 as usize) else {
-            return;
-        };
-        let Some(s) = c.calls.get(slot as usize) else {
-            return;
-        };
-        if s.gen != gen || s.state != CallState::Pending || s.retry_seq != seq {
-            return; // Resolved, reused, or superseded: stale timer.
+/// The horizon timer fired: resolve every call whose horizon has passed,
+/// then re-arm at the earliest one still pending. The armed flag stays set
+/// while the completion handlers run, so a call they submit cannot arm a
+/// second timer.
+fn on_horizon<W: RpcWorld>(w: &mut W, cid: RpcClientId) {
+    let t_now = now(w);
+    let i = cid.0 as usize;
+    for slot in 0..w.rpc().clients[i].calls.len() {
+        let s = &w.rpc().clients[i].calls[slot];
+        if s.state == CallState::Pending && s.horizon <= t_now {
+            resolve(w, cid, slot as u32, Err(RpcError::Deadline));
         }
-        s.attempt >= c.cfg.policy.max_attempts
-    };
-    if exhausted {
-        resolve(w, cid, slot, Err(RpcError::PeerUnreachable));
-    } else {
-        // A previous copy may still be on the wire; the idempotency key
-        // (server side) and the generation check (client side) make the
-        // duplicate harmless.
-        transmit(w, cid, slot);
+    }
+    let c = &mut w.rpc_mut().clients[i];
+    let next = c
+        .calls
+        .iter()
+        .filter(|s| s.state == CallState::Pending)
+        .map(|s| s.horizon)
+        .min()
+        .unwrap_or(SimTime::NEVER);
+    c.horizon_armed = next != SimTime::NEVER;
+    if c.horizon_armed {
+        let node = c.ep.node.0;
+        emit_at(w, node, next, W::lift_rpc(RpcEv::Horizon { client: cid.0 }));
     }
 }
 
@@ -1091,7 +893,7 @@ fn on_reply<W: RpcWorld>(w: &mut W, cid: RpcClientId, corr: u64, recv_len: u64) 
         match c.calls.get(slot as usize).map(|s| (s.gen, s.state)) {
             Some((g, CallState::Pending)) if g == gen => {
                 c.calls[slot as usize].recv_armed = false;
-                Some((c.calls[slot as usize].resp_addr, c.ep.node))
+                Some((c.slot_resp_addr(slot), c.ep.node))
             }
             Some((g, CallState::Draining)) if g == gen => {
                 // The quarantined completion drained; the slot is safe
@@ -1118,52 +920,19 @@ fn on_reply<W: RpcWorld>(w: &mut W, cid: RpcClientId, corr: u64, recv_len: u64) 
         .node(node)
         .read_virt(Asid::KERNEL, resp_addr, &mut hdr_buf)
         .expect("rpc reply header read");
-    let Some((hdr, plen)) = decode_response(&hdr_buf) else {
-        resolve(w, cid, slot, Err(RpcError::VersionMismatch));
-        return;
-    };
-    if hdr.version != RPC_SCHEMA_VERSION
-        || hdr.corr != corr
-        || (RESP_HEADER_LEN + plen) as u64 > recv_len
-    {
-        resolve(w, cid, slot, Err(RpcError::VersionMismatch));
-        return;
-    }
-    match hdr.status {
-        None => resolve(w, cid, slot, Ok(plen as u64)),
-        Some(RpcError::Overload) => {
-            // Shed by the server: back off and retry while budget lasts.
-            let decision = {
-                let c = &mut w.rpc_mut().clients[cid.0 as usize];
-                let pol = c.cfg.policy;
-                let s = &mut c.calls[slot as usize];
-                if s.attempt < pol.max_attempts {
-                    s.retry_seq = s.retry_seq.wrapping_add(1);
-                    let attempt = s.attempt.max(1);
-                    let seq = s.retry_seq;
-                    let d = pol.backoff(&mut c.rng, attempt);
-                    Some((seq, d))
-                } else {
-                    None
-                }
-            };
-            match decision {
-                Some((seq, d)) => emit_after(
-                    w,
-                    node.0,
-                    d,
-                    W::lift_rpc(RpcEv::Retry {
-                        client: cid.0,
-                        slot,
-                        gen,
-                        seq,
-                    }),
-                ),
-                None => resolve(w, cid, slot, Err(RpcError::Overload)),
-            }
+    let result = match decode_response(&hdr_buf) {
+        Some((hdr, plen))
+            if hdr.version == RPC_SCHEMA_VERSION
+                && hdr.corr == corr
+                && (RESP_HEADER_LEN + plen) as u64 <= recv_len =>
+        {
+            // A typed server answer (`Overload` included) is final: the
+            // consumer decides whether to reissue.
+            hdr.status.map_or(Ok(plen as u64), Err)
         }
-        Some(e) => resolve(w, cid, slot, Err(e)),
-    }
+        _ => Err(RpcError::VersionMismatch),
+    };
+    resolve(w, cid, slot, result);
 }
 
 /// The reliability layer declared the server's node dead: every in-flight
@@ -1200,9 +969,9 @@ fn on_client_peer_down<W: RpcWorld>(w: &mut W, cid: RpcClientId) {
 // ------------------------------------------------------------ server driver
 
 /// Create a server on `ep`: every inbound request frame is decoded,
-/// filtered (schema version, expiry, duplicate, load) and dispatched into
-/// `service`; `on_peer_down` fires when a peer node is declared dead
-/// (failover hooks — this is how the KV store learns a primary died).
+/// filtered (schema version, expiry, load) and dispatched into `service`;
+/// `on_peer_down` fires when a peer node is declared dead (failover hooks
+/// — this is how the KV store learns a primary died).
 pub fn rpc_server_create<W: RpcWorld>(
     w: &mut W,
     ep: Endpoint,
@@ -1229,7 +998,6 @@ pub fn rpc_server_create<W: RpcWorld>(
         defers: Vec::new(),
         defer_free: Vec::new(),
         defers_pending: 0,
-        idem: IdemCache::new(cfg.idem_capacity),
         stats: RpcServerStats::default(),
     });
     Ok(id)
@@ -1245,9 +1013,8 @@ fn rpc_on_server_event<W: RpcWorld>(
     match ev {
         TransportEvent::Unexpected { data, from, .. } => handle_request(w, sid, from, &data, svc),
         TransportEvent::SendDone { ctx } | TransportEvent::SendFailed { ctx, .. } => {
-            // A reply left (or died); either way its slot stops counting
-            // toward the overload watermark. Lost replies are repaired by
-            // the client's retry and the idempotency cache.
+            // A reply left (or died with its peer); either way its slot
+            // stops counting toward the overload watermark.
             let s = &mut w.rpc_mut().servers[sid.0 as usize];
             if s.reply_tx.take(ctx).is_some() {
                 s.replies_in_flight -= 1;
@@ -1303,15 +1070,6 @@ fn handle_request<W: RpcWorld>(
         layer.stats.expired_dropped += 1;
         return;
     }
-    if hdr.idem != 0 && w.rpc().servers[sid.0 as usize].idem.get(hdr.idem).is_some() {
-        // A retransmission of work already executed: answer from the
-        // reply cache, exactly-once at the application layer.
-        let layer = w.rpc_mut();
-        layer.servers[sid.0 as usize].stats.idem_hits += 1;
-        layer.stats.idem_hits += 1;
-        send_cached_reply(w, sid, from, hdr.corr, hdr.idem);
-        return;
-    }
     let overloaded = {
         let s = &w.rpc().servers[sid.0 as usize];
         s.pending() >= s.cfg.max_pending
@@ -1336,7 +1094,6 @@ fn handle_request<W: RpcWorld>(
         d.state = DeferState::Pending {
             from,
             corr: hdr.corr,
-            idem: hdr.idem,
             deadline_ns: hdr.deadline_ns,
         };
         corr_of(slot, d.gen)
@@ -1350,7 +1107,6 @@ fn handle_request<W: RpcWorld>(
         } else {
             SimTime::from_nanos(hdr.deadline_ns)
         },
-        idem: hdr.idem,
         token,
     };
     let (mut resp, had_cap) = w.rpc_mut().resp_scratch.take();
@@ -1358,16 +1114,9 @@ fn handle_request<W: RpcWorld>(
     match outcome {
         RpcOutcome::Reply => {
             release_defer(w, sid, token);
-            if hdr.idem != 0 {
-                w.rpc_mut().servers[sid.0 as usize]
-                    .idem
-                    .put(hdr.idem, &resp);
-            }
             send_reply(w, sid, from, hdr.corr, None, &resp);
         }
         RpcOutcome::Err(e) => {
-            // Errors are not cached: a retry may succeed where this
-            // attempt failed.
             release_defer(w, sid, token);
             send_reply(w, sid, from, hdr.corr, Some(e), &[]);
         }
@@ -1403,7 +1152,7 @@ pub fn rpc_server_reply<W: RpcWorld>(
 ) -> bool {
     let t_now = now(w);
     let slot = corr_slot(token);
-    let (from, corr, idem, deadline_ns) = {
+    let (from, corr, deadline_ns) = {
         let s = &mut w.rpc_mut().servers[sid.0 as usize];
         let Some(d) = s.defers.get_mut(slot as usize) else {
             return false;
@@ -1414,7 +1163,6 @@ pub fn rpc_server_reply<W: RpcWorld>(
         let DeferState::Pending {
             from,
             corr,
-            idem,
             deadline_ns,
         } = d.state
         else {
@@ -1424,7 +1172,7 @@ pub fn rpc_server_reply<W: RpcWorld>(
         d.gen = d.gen.wrapping_add(1);
         s.defer_free.push(slot);
         s.defers_pending -= 1;
-        (from, corr, idem, deadline_ns)
+        (from, corr, deadline_ns)
     };
     if deadline_ns != NO_DEADLINE && t_now.nanos() >= deadline_ns {
         let layer = w.rpc_mut();
@@ -1433,12 +1181,7 @@ pub fn rpc_server_reply<W: RpcWorld>(
         return true;
     }
     match result {
-        Ok(payload) => {
-            if idem != 0 {
-                w.rpc_mut().servers[sid.0 as usize].idem.put(idem, payload);
-            }
-            send_reply(w, sid, from, corr, None, payload);
-        }
+        Ok(payload) => send_reply(w, sid, from, corr, None, payload),
         Err(e) => send_reply(w, sid, from, corr, Some(e), &[]),
     }
     true
@@ -1462,35 +1205,6 @@ fn send_reply<W: RpcWorld>(
         },
         payload,
     );
-    stage_and_send(w, sid, to, corr, frame, had_cap);
-}
-
-fn send_cached_reply<W: RpcWorld>(w: &mut W, sid: RpcServerId, to: Endpoint, corr: u64, key: u64) {
-    let (mut frame, had_cap) = w.rpc_mut().frame_scratch.take();
-    {
-        let s = &w.rpc().servers[sid.0 as usize];
-        let payload = s.idem.get(key).expect("idem hit already checked");
-        encode_response(
-            &mut frame,
-            RespHeader {
-                version: RPC_SCHEMA_VERSION,
-                status: None,
-                corr,
-            },
-            payload,
-        );
-    }
-    stage_and_send(w, sid, to, corr, frame, had_cap);
-}
-
-fn stage_and_send<W: RpcWorld>(
-    w: &mut W,
-    sid: RpcServerId,
-    to: Endpoint,
-    corr: u64,
-    frame: Vec<u8>,
-    had_cap: usize,
-) {
     let (ch, node) = {
         let s = &w.rpc().servers[sid.0 as usize];
         (s.ch, s.ep.node)
@@ -1504,8 +1218,8 @@ fn stage_and_send<W: RpcWorld>(
     w.rpc_mut().frame_scratch.put(frame, had_cap);
     // A reply frame the ring can never hold (a service answering past
     // `RpcServerConfig::ring`), or one that could not even be queued (peer
-    // declared dead, queue overflow), is dropped — the client's retry
-    // machinery and the idempotency cache repair the loss.
+    // declared dead, queue overflow), is dropped — the caller resolves at
+    // its deadline or horizon.
     let Some(seg) = staged else { return };
     if let Ok(ctx) = channel_send_to(w, ch, to, corr, IoVec::single(seg)) {
         let s = &mut w.rpc_mut().servers[sid.0 as usize];
@@ -1532,50 +1246,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let pol = RetryPolicy::default();
-        let mut a = SplitMix64::new(7);
-        let mut b = SplitMix64::new(7);
-        for attempt in 1..=8 {
-            let x = pol.backoff(&mut a, attempt);
-            let y = pol.backoff(&mut b, attempt);
-            assert_eq!(x, y, "same seed, same jitter");
-            let cap = pol
-                .base_backoff
-                .nanos()
-                .checked_shl(attempt - 1)
-                .unwrap_or(u64::MAX)
-                .min(pol.max_backoff.nanos())
-                .max(2);
-            assert!(x.nanos() >= cap / 2 && x.nanos() < cap);
-        }
-        // Different seeds diverge (overwhelmingly likely across 8 draws).
-        let mut c = SplitMix64::new(8);
-        let mut d = SplitMix64::new(7);
-        let diverged = (1..=8u32).any(|i| pol.backoff(&mut c, i) != pol.backoff(&mut d, i));
-        assert!(diverged);
-    }
-
-    #[test]
-    fn idem_cache_overwrites_and_evicts() {
-        let mut c = IdemCache::new(2);
-        c.put(1, b"one");
-        c.put(2, b"two");
-        assert_eq!(c.get(1), Some(&b"one"[..]));
-        assert_eq!(c.get(2), Some(&b"two"[..]));
-        // Same key overwrites in place.
-        c.put(1, b"uno");
-        assert_eq!(c.get(1), Some(&b"uno"[..]));
-        // A third distinct key evicts the oldest ring slot.
-        c.put(3, b"three");
-        assert_eq!(c.get(3), Some(&b"three"[..]));
-        assert!(c.get(1).is_none() || c.get(2).is_none());
-    }
-
-    #[test]
     fn corr_roundtrip() {
         let corr = corr_of(17, 0xDEAD);
         assert_eq!(corr_slot(corr), 17);
         assert_eq!(corr_gen(corr), 0xDEAD);
+    }
+
+    #[test]
+    fn call_horizon_is_rels_give_up_budget() {
+        assert_eq!(CALL_HORIZON, SimTime::from_millis(18));
     }
 }

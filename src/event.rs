@@ -26,7 +26,7 @@ pub enum ClusterEv {
     Gm(GmEv),
     /// MX driver completions (sends, matched receives, unexpecteds).
     Mx(MxEv),
-    /// RPC timers: virtual-time deadlines and retry/backoff firings.
+    /// RPC timers: per-call deadlines and each client's horizon timer.
     Rpc(RpcEv),
     /// KV layer: paced operation reissues after failures.
     Kv(KvEv),

@@ -123,9 +123,9 @@ pub mod prelude {
     pub use knet_orfs::{ClientKind, VfsConfig};
     pub use knet_rpc::{
         rpc_call, rpc_cancel, rpc_client_create, rpc_client_stats, rpc_collect, rpc_server_create,
-        rpc_server_reply, rpc_server_stats, RetryPolicy, RpcCall, RpcCallOpts, RpcClientConfig,
-        RpcClientId, RpcCompletion, RpcOutcome, RpcRequest, RpcServerConfig, RpcServerId,
-        RpcSinkFn, RpcWorld,
+        rpc_server_reply, rpc_server_stats, RpcCall, RpcCallOpts, RpcClientConfig, RpcClientId,
+        RpcCompletion, RpcOutcome, RpcRequest, RpcServerConfig, RpcServerId, RpcSinkFn, RpcWorld,
+        CALL_HORIZON,
     };
     pub use knet_simcore::{now, run_to_quiescence, run_until, RunOutcome, SimTime};
     pub use knet_simnic::{CollOp, NicModel, QosPolicy, ReduceOp};

@@ -58,7 +58,7 @@ pub struct ClusterWorld {
     pub nbd: NbdLayer,
     /// Collective groups (rosters, round counters, completion contexts).
     pub coll: CollLayer,
-    /// Typed RPC over channels: call slabs, servers, deadline/retry state.
+    /// Typed RPC over channels: call slabs, servers, deadline timers.
     pub rpc: RpcLayer<ClusterWorld>,
     /// Replicated KV store (the RPC layer's proof-of-API consumer).
     pub kv: KvLayer,

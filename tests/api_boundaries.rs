@@ -593,7 +593,9 @@ fn one_completion_path_from_driver_to_consumer() {
 /// cost, not a field every test and benchmark would have to cover. What
 /// stays settable is `GmParams::{send_tokens, blocking_notify}` and
 /// `RelParams::cc`; the config structs, builder methods and fields below
-/// were deleted and must not grow back.
+/// were deleted and must not grow back. So were the RPC layer's backoff
+/// knobs and its idempotency reply cache: the layer sends each request
+/// once, so there is nothing to space out and no duplicate to answer.
 #[test]
 fn deleted_knobs_stay_deleted() {
     // Patterns assembled at runtime so this file never matches itself.
@@ -608,6 +610,10 @@ fn deleted_knobs_stay_deleted() {
         format!("Kv{}", "Config"),
         format!("dupack_{}", "k"),
         format!("probe_{}", "after"),
+        format!("base_{}", "backoff"),
+        format!("max_{}", "backoff"),
+        format!("idem_{}", "capacity"),
+        format!("Idem{}", "Cache"),
     ];
     let offenders = offenders_for(&["crates", "src", "tests", "examples"], &patterns);
     assert!(

@@ -690,15 +690,16 @@ fn rpc_codec_warm_encode_decode_allocates_nothing() {
     assert_eq!(allocs, 0, "warm codec encode/decode must not allocate");
 }
 
-/// Warm RPC round-trips and warm *retries* hold the layer to the same
-/// contract as the raw channel path: call slots are pooled (the slab stops
-/// minting), the codec scratch is recycled (`grows` flat while `uses`
-/// climbs), and the channel context pool underneath stays at its
+/// Warm RPC round-trips and warm *unanswered* calls hold the layer to the
+/// same contract as the raw channel path: call slots are pooled (the slab
+/// stops minting), the codec scratch is recycled (`grows` flat while
+/// `uses` climbs), and the channel context pool underneath stays at its
 /// high-water mark. A steady-state RPC costs no new buffers anywhere —
 /// only the per-packet payload `Bytes` the driver already accounts.
 #[test]
 fn rpc_round_trips_and_retries_recycle_pools_in_steady_state() {
     use knet::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     let mut w = ClusterBuilder::new()
@@ -768,11 +769,10 @@ fn rpc_round_trips_and_retries_recycle_pools_in_steady_state() {
     );
     let cs = rpc_client_stats(&w, cid);
     assert_eq!(cs.completed, 116);
-    assert_eq!(cs.retries, 0, "a healthy echo pair never retries");
 
-    // The *retry* path rides the same pools: a black-hole server forces
-    // attempt-timer resends until the budget exhausts (typed
-    // `PeerUnreachable`), and none of it may grow a buffer either.
+    // The *unanswered* path rides the same pools: calls to a black-hole
+    // server resolve typed `Deadline` at the horizon, and none of it may
+    // grow a buffer either.
     let bep = w.open_mx(n1, MxEndpointConfig::kernel()).unwrap();
     rpc_server_create(
         &mut w,
@@ -784,24 +784,19 @@ fn rpc_round_trips_and_retries_recycle_pools_in_steady_state() {
     )
     .unwrap();
     let cep2 = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
+    let resolved_at = Arc::new(AtomicU64::new(0));
+    let stamp = resolved_at.clone();
     let rcid = rpc_client_create(
         &mut w,
         cep2,
         bep,
-        "retrier",
-        Arc::new(|_w, _comp| {}),
-        RpcClientConfig {
-            policy: RetryPolicy {
-                max_attempts: 3,
-                attempt_timeout: SimTime::from_micros(300),
-                base_backoff: SimTime::from_micros(50),
-                max_backoff: SimTime::from_micros(200),
-            },
-            ..Default::default()
-        },
+        "unanswered",
+        Arc::new(move |w, _comp| stamp.store(now(w).nanos(), Ordering::Relaxed)),
+        RpcClientConfig::default(),
     )
     .unwrap();
     let failed_round = |w: &mut knet::world::ClusterWorld| {
+        let t0 = now(w);
         rpc_call(
             w,
             rcid,
@@ -811,8 +806,13 @@ fn rpc_round_trips_and_retries_recycle_pools_in_steady_state() {
         )
         .unwrap();
         knet_simcore::run_to_quiescence(w);
+        assert_eq!(
+            resolved_at.load(Ordering::Relaxed),
+            (t0 + CALL_HORIZON).nanos(),
+            "resolved exactly at the horizon"
+        );
     };
-    // Warm the retry machinery once (timer events, resend path).
+    // Warm the unanswered path once (horizon timer, deadline resolution).
     failed_round(&mut w);
     let (_, rgrows0) = w.rpc.scratch_stats();
     let rpool0 = w.registry.stats.ctx_pool_slots;
@@ -822,11 +822,15 @@ fn rpc_round_trips_and_retries_recycle_pools_in_steady_state() {
     let (_, rgrows1) = w.rpc.scratch_stats();
     let rs = rpc_client_stats(&w, rcid);
     assert_eq!(rs.failed, 25, "every voided call fails typed");
-    assert_eq!(rs.retries, 50, "two resends per call (budget of three)");
-    assert_eq!(rgrows1, rgrows0, "warm retries must not grow the scratch");
+    assert_eq!(rs.deadline_failures, 25, "each one at its horizon");
+    assert_eq!(w.stats().rpc.retries, 0, "nothing is ever resent");
+    assert_eq!(
+        rgrows1, rgrows0,
+        "warm unanswered calls must not grow the scratch"
+    );
     assert_eq!(
         w.registry.stats.ctx_pool_slots, rpool0,
-        "warm retries must not mint context slots"
+        "warm unanswered calls must not mint context slots"
     );
     assert_eq!(w.stats().engine.errors, 0);
 }

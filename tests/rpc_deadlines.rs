@@ -8,8 +8,9 @@
 //! * expiring while the send sits in the channel's backpressure queue →
 //!   the queued send is withdrawn (`channel_abort_queued_send`), the call
 //!   resolves `Deadline`, nothing leaks;
-//! * deadline racing the retry/backoff schedule → whichever fires first
-//!   resolves the call exactly once, typed;
+//! * no caller deadline → the call resolves `Deadline` at submit +
+//!   `CALL_HORIZON`, by the client's one horizon timer; a caller deadline
+//!   shorter than that horizon wins;
 //! * a proptest over randomized virtual-time schedules (deadlines, loss,
 //!   payload sizes): every call resolves exactly once, engine error
 //!   counter stays zero.
@@ -61,9 +62,9 @@ fn echo_pair(
 
 /// A server that accepts requests and never answers them (defers and
 /// leaks the token) — the client's timers are the only way out.
-fn black_hole(w: &mut ClusterWorld, n1: NodeId) -> Endpoint {
+fn black_hole(w: &mut ClusterWorld, n1: NodeId) -> (Endpoint, RpcServerId) {
     let sep = w.open_mx(n1, MxEndpointConfig::kernel()).unwrap();
-    rpc_server_create(
+    let sid = rpc_server_create(
         w,
         sep,
         "blackhole",
@@ -72,7 +73,7 @@ fn black_hole(w: &mut ClusterWorld, n1: NodeId) -> Endpoint {
         |_w, _node| {},
     )
     .unwrap();
-    sep
+    (sep, sid)
 }
 
 #[test]
@@ -119,7 +120,6 @@ fn expired_at_submit_resolves_typed_without_wire_traffic() {
 
     let opts = RpcCallOpts {
         deadline: Some(SimTime::from_millis(1)), // long past
-        ..Default::default()
     };
     let call = rpc_call(&mut w, cid, 1, b"dead on arrival", opts).unwrap();
     run_to_quiescence(&mut w);
@@ -127,12 +127,10 @@ fn expired_at_submit_resolves_typed_without_wire_traffic() {
     let d = done.lock().unwrap().clone();
     assert_eq!(d.len(), 1);
     assert_eq!((d[0].0, d[0].1), (call, Err(RpcError::Deadline)));
-    // The wire never saw it: the server never got a request, and the
-    // client never transmitted (no retries either).
+    // The wire never saw it: the server never got a request.
     assert_eq!(rpc_server_stats(&w, sid).requests, 0);
     let cs = rpc_client_stats(&w, cid);
     assert_eq!(cs.expired_at_submit, 1);
-    assert_eq!(cs.retries, 0);
     assert_eq!(cs.deadline_failures, 1);
     // The slot is free again: the window is not leaked.
     assert_eq!(w.rpc.clients[cid.0 as usize].outstanding(), 0);
@@ -186,7 +184,6 @@ fn deadline_expiring_in_send_backpressure_queue_aborts_the_queued_send() {
     // needs to drain 64 × 4 kB.
     let opts = RpcCallOpts {
         deadline: Some(SimTime::from_micros(120)),
-        ..Default::default()
     };
     let mut calls = Vec::new();
     for i in 0..64u64 {
@@ -219,9 +216,9 @@ fn deadline_expiring_in_send_backpressure_queue_aborts_the_queued_send() {
 fn deadline_beats_slower_retry_schedule() {
     let (mut w, n0, n1) = knet::build::two_nodes();
     let done: Done = Default::default();
-    let sep = black_hole(&mut w, n1);
+    let (sep, sid) = black_hole(&mut w, n1);
     let cep = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
-    // Attempt timer 2 ms; deadline 500 µs — the deadline must fire first.
+    // Horizon 18 ms; deadline 500 µs — the deadline must fire first.
     let cid = rpc_client_create(
         &mut w,
         cep,
@@ -233,7 +230,6 @@ fn deadline_beats_slower_retry_schedule() {
     .unwrap();
     let opts = RpcCallOpts {
         deadline: Some(SimTime::from_micros(500)),
-        ..Default::default()
     };
     let call = rpc_call(&mut w, cid, 3, b"x", opts).unwrap();
     run_to_quiescence(&mut w);
@@ -241,52 +237,82 @@ fn deadline_beats_slower_retry_schedule() {
     let d = done.lock().unwrap().clone();
     assert_eq!(d.len(), 1);
     assert_eq!((d[0].0, d[0].1), (call, Err(RpcError::Deadline)));
-    let cs = rpc_client_stats(&w, cid);
-    assert_eq!(cs.retries, 0, "no retransmission before a 2 ms timer");
+    assert_eq!(rpc_server_stats(&w, sid).requests, 1, "sent exactly once");
     assert_eq!(d[0].2, 500_000, "resolution exactly at the deadline");
 }
 
+/// Without a caller deadline, silence is bounded by the horizon and
+/// nothing else: a call to a server that never answers is sent once and
+/// resolves `Deadline` exactly at submit + `CALL_HORIZON`. A second call
+/// submitted later re-arms the client's one horizon timer for its own
+/// horizon, and a call with a caller deadline past the horizon runs to
+/// that deadline instead.
 #[test]
-fn retry_budget_beats_slower_deadline() {
+fn a_call_without_a_deadline_resolves_at_the_horizon() {
     let (mut w, n0, n1) = knet::build::two_nodes();
     let done: Done = Default::default();
-    let sep = black_hole(&mut w, n1);
+    let (sep, sid) = black_hole(&mut w, n1);
     let cep = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
-    let ccfg = RpcClientConfig {
-        policy: RetryPolicy {
-            max_attempts: 2,
-            attempt_timeout: SimTime::from_micros(300),
-            base_backoff: SimTime::from_micros(50),
-            max_backoff: SimTime::from_micros(100),
+    let cid = rpc_client_create(
+        &mut w,
+        cep,
+        sep,
+        "cli",
+        sink_into(&done),
+        RpcClientConfig::default(),
+    )
+    .unwrap();
+    let t0 = now(&w);
+    let first = rpc_call(&mut w, cid, 3, b"x", RpcCallOpts::default()).unwrap();
+    let late = SimTime::from_millis(5);
+    let second: Arc<Mutex<Option<RpcCall>>> = Default::default();
+    let slot = second.clone();
+    knet_simcore::emit_at(
+        &mut w,
+        n0.0,
+        t0 + late,
+        ClusterEv_call(move |w| {
+            *slot.lock().unwrap() =
+                Some(rpc_call(w, cid, 3, b"y", RpcCallOpts::default()).unwrap());
+        }),
+    );
+    let patient = t0 + SimTime::from_millis(50);
+    let bounded = rpc_call(
+        &mut w,
+        cid,
+        3,
+        b"z",
+        RpcCallOpts {
+            deadline: Some(patient),
         },
-        ..Default::default()
-    };
-    let cid = rpc_client_create(&mut w, cep, sep, "cli", sink_into(&done), ccfg).unwrap();
-    // Deadline far beyond what two 300 µs attempts need.
-    let opts = RpcCallOpts {
-        deadline: Some(SimTime::from_millis(50)),
-        ..Default::default()
-    };
-    let call = rpc_call(&mut w, cid, 3, b"x", opts).unwrap();
+    )
+    .unwrap();
     run_to_quiescence(&mut w);
 
+    let second = second.lock().unwrap().expect("second call submitted");
     let d = done.lock().unwrap().clone();
-    assert_eq!(d.len(), 1);
-    assert_eq!((d[0].0, d[0].1), (call, Err(RpcError::PeerUnreachable)));
-    let cs = rpc_client_stats(&w, cid);
-    assert_eq!(cs.retries, 1, "one retransmission then the budget is spent");
-    assert!(
-        d[0].2 < 50_000_000,
-        "resolved by the retry budget, not the deadline (at {} ns)",
-        d[0].2
+    let at = (t0 + CALL_HORIZON).nanos();
+    assert_eq!(
+        d,
+        vec![
+            (first, Err(RpcError::Deadline), at),
+            (second, Err(RpcError::Deadline), at + late.nanos()),
+            (bounded, Err(RpcError::Deadline), patient.nanos()),
+        ],
+        "each call resolves once, at its horizon or its own deadline"
     );
+    assert_eq!(rpc_server_stats(&w, sid).requests, 3, "each sent once");
+    assert_eq!(w.stats().rpc.retries, 0);
+    assert_eq!(rpc_client_stats(&w, cid).deadline_failures, 3);
+    assert_eq!(w.rpc.clients[cid.0 as usize].outstanding(), 0);
+    assert_eq!(w.stats().engine.errors, 0);
 }
 
 #[test]
 fn cancellation_is_typed_and_idempotent() {
     let (mut w, n0, n1) = knet::build::two_nodes();
     let done: Done = Default::default();
-    let sep = black_hole(&mut w, n1);
+    let (sep, _) = black_hole(&mut w, n1);
     let cep = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
     let cid = rpc_client_create(
         &mut w,
@@ -341,17 +367,12 @@ fn a_call_in_flight_to_a_live_server_survives_another_nodes_death() {
         |_w, _node| {},
     )
     .unwrap();
-    let doomed_ep = black_hole(&mut w, n2);
+    let (doomed_ep, _) = black_hole(&mut w, n2);
 
-    // Neither client may resolve a call by its own timers: only a reply
-    // or a `PeerDown` can end these calls.
-    let patient = RpcClientConfig {
-        policy: RetryPolicy {
-            max_attempts: 1,
-            attempt_timeout: SimTime::from_millis(1_000),
-            ..Default::default()
-        },
-        ..Default::default()
+    // The live server answers past `CALL_HORIZON`, so both calls carry a
+    // 1 s caller deadline: only a reply or a `PeerDown` can end them.
+    let patient = RpcCallOpts {
+        deadline: Some(SimTime::from_millis(1_000)),
     };
     let (live_done, doomed_done): (Done, Done) = Default::default();
     let live_cep = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
@@ -361,7 +382,7 @@ fn a_call_in_flight_to_a_live_server_survives_another_nodes_death() {
         live_ep,
         "to-live",
         sink_into(&live_done),
-        patient,
+        RpcClientConfig::default(),
     )
     .unwrap();
     let doomed_cep = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
@@ -371,15 +392,15 @@ fn a_call_in_flight_to_a_live_server_survives_another_nodes_death() {
         doomed_ep,
         "to-doomed",
         sink_into(&doomed_done),
-        patient,
+        RpcClientConfig::default(),
     )
     .unwrap();
 
-    let live_call = rpc_call(&mut w, to_live, 1, b"ping", RpcCallOpts::default()).unwrap();
+    let live_call = rpc_call(&mut w, to_live, 1, b"ping", patient).unwrap();
     // Submitted after the kill: the request is never acknowledged, node
     // 0's window toward node 2 exhausts its budget and declares it dead.
     let call_doomed = ClusterEv_call(move |w| {
-        rpc_call(w, to_doomed, 1, b"anyone?", RpcCallOpts::default()).unwrap();
+        rpc_call(w, to_doomed, 1, b"anyone?", patient).unwrap();
     });
     knet_simcore::emit_after(&mut w, 0, SimTime::from_micros(100), call_doomed);
     run_to_quiescence(&mut w);
@@ -427,10 +448,6 @@ proptest! {
         let done: Done = Default::default();
         let ccfg = RpcClientConfig {
             window: 64,
-            policy: RetryPolicy {
-                max_attempts: 6,
-                ..Default::default()
-            },
             ..Default::default()
         };
         let (cid, _sid) = echo_pair(&mut w, n0, n1, ccfg, &done);
@@ -440,7 +457,6 @@ proptest! {
             let payload = vec![(i as u8).wrapping_mul(31); 1 + (i * 97) % 900];
             let opts = RpcCallOpts {
                 deadline: Some(SimTime::from_micros(*us)),
-                ..Default::default()
             };
             let call = rpc_call(&mut w, cid, i as u16, &payload, opts).unwrap();
             expect.push((call, payload));
@@ -464,7 +480,7 @@ proptest! {
                 }
                 Err(e) => {
                     // Typed failures only; this workload can only die of
-                    // time or budget.
+                    // time, or of a link the reliability layer gave up on.
                     prop_assert!(
                         matches!(e, RpcError::Deadline | RpcError::PeerUnreachable),
                         "unexpected error {:?}", e
