@@ -3,8 +3,8 @@
 //! Each `cargo bench` target rebuilds one of the paper's evaluation
 //! artifacts on the simulated testbed and prints the measured series (text
 //! table + CSV). All numbers are *virtual-time* measurements — deterministic
-//! and reproducible. `micro_simulator` additionally benchmarks the
-//! simulator's own wall-clock performance with Criterion.
+//! and reproducible. `hotpath` and `rpc` additionally write
+//! `BENCH_hotpath.json` and `BENCH_rpc.json`.
 
 /// Print a figure in both human and CSV form.
 pub fn emit(fig: &knet::figures::Figure) {

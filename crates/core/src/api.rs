@@ -51,6 +51,7 @@ use smallvec::SmallVec;
 
 use crate::error::NetError;
 use crate::iovec::{read_iovec, IoVec, MemRef};
+use crate::pace::Sent;
 use crate::tenant::{TenantChannelRow, TenantId, TenantTable, WdrrLanes};
 use crate::transport::{Endpoint, TransportEvent, TransportKind, TransportWorld};
 
@@ -586,6 +587,10 @@ pub struct Registry<W> {
     eps: EpTable,
     /// Tenant directory: ids, weights, per-tenant channel-layer counters.
     tenants: TenantTable,
+    /// Staging buffers that went with a parked send, as (sending endpoint,
+    /// send context, address, length): each is freed on its send's
+    /// completion.
+    lent: Vec<(Endpoint, u64, VirtAddr, u64)>,
     pub stats: RegistryStats,
 }
 
@@ -597,6 +602,7 @@ impl<W> Default for Registry<W> {
             channels: Slab::new(),
             eps: EpTable::default(),
             tenants: TenantTable::default(),
+            lent: Vec::new(),
             stats: RegistryStats::default(),
         }
     }
@@ -955,6 +961,9 @@ pub fn deliver<W: DispatchWorld>(w: &mut W, ep: Endpoint, ev: TransportEvent) {
     // by now, so a recycled slot can never collide with its bookkeeping —
     // and the endpoint's channel is whatever the handler left there.
     let Some(ctx) = retired_ctx else { return };
+    if !w.registry().lent.is_empty() {
+        release_lent_staging(w, ep, ctx);
+    }
     let r = w.registry_mut();
     let Some(chid) = r.channel_of(ep) else { return };
     if let Some(c) = r.channels.get_mut(chid.0) {
@@ -962,6 +971,16 @@ pub fn deliver<W: DispatchWorld>(w: &mut W, ep: Endpoint, ev: TransportEvent) {
     }
     if is_send_done {
         flush_channel_sends(w, chid);
+    }
+}
+
+/// Free the staging buffer that went with send `ctx` of `ep`, if any.
+#[cold]
+fn release_lent_staging<W: DispatchWorld>(w: &mut W, ep: Endpoint, ctx: u64) {
+    let r = w.registry_mut();
+    if let Some(i) = r.lent.iter().position(|&(e, c, ..)| (e, c) == (ep, ctx)) {
+        let (_, _, addr, len) = r.lent.swap_remove(i);
+        release_kernel_buffer(w, ep.node, addr, len);
     }
 }
 
@@ -1223,8 +1242,8 @@ pub fn channel_send_to<W: DispatchWorld>(
         }
     };
     match w.t_send_t(local, to, tag, wire_iov, ctx, tenant) {
-        Ok(()) => {
-            charge_coalesce(w, ch, local.node, coalesced);
+        Ok(sent) => {
+            charge_coalesce(w, ch, local, ctx, coalesced, sent);
             w.registry_mut()
                 .tenants
                 .note(tenant, |s| s.direct_sends += 1);
@@ -1276,8 +1295,8 @@ fn flush_channel_sends<W: DispatchWorld>(w: &mut W, ch: ChannelId) {
         let failed = match coalesce_for_transport(w, ch, local, qs.iov.clone()) {
             Ok((wire_iov, coalesced)) => {
                 match w.t_send_t(local, qs.to, qs.tag, wire_iov, qs.ctx, tenant) {
-                    Ok(()) => {
-                        charge_coalesce(w, ch, local.node, coalesced);
+                    Ok(sent) => {
+                        charge_coalesce(w, ch, local, qs.ctx, coalesced, sent);
                         let r = w.registry_mut();
                         r.stats.retried_sends += 1;
                         r.tenants.note(tenant, |s| s.retried_sends += 1);
@@ -1309,16 +1328,33 @@ fn flush_channel_sends<W: DispatchWorld>(w: &mut W, ch: ChannelId) {
     }
 }
 
-fn charge_coalesce<W: DispatchWorld>(w: &mut W, ch: ChannelId, node: NodeId, coalesced: u64) {
-    // Account the gather copy only once the send is accepted, so a failed
-    // send (e.g. out of tokens) retried later is not double-charged.
+/// Book a send the transport accepted after `coalesce_for_transport`
+/// gathered `coalesced` bytes for it. The gather copy is charged only now,
+/// so a send refused for tokens and retried later is not charged twice. A
+/// send the pacing seam parked reads its bytes when its lane drains, so
+/// the staging buffer goes with it: the channel forgets the buffer (the
+/// next vectored send gathers into a fresh one) and [`deliver`] frees it
+/// on the send's completion.
+fn charge_coalesce<W: DispatchWorld>(
+    w: &mut W,
+    ch: ChannelId,
+    local: Endpoint,
+    ctx: u64,
+    coalesced: u64,
+    sent: Sent,
+) {
     if coalesced == 0 {
         return;
     }
-    let cost = w.os().node(node).cpu.model.memcpy_cost(coalesced);
-    cpu_charge(w, node, cost);
-    if let Some(c) = w.registry_mut().channels.get_mut(ch.0) {
+    let cost = w.os().node(local.node).cpu.model.memcpy_cost(coalesced);
+    cpu_charge(w, local.node, cost);
+    let r = w.registry_mut();
+    if let Some(c) = r.channels.get_mut(ch.0) {
         c.coalesced_bytes += coalesced;
+        if let (Sent::Parked, Some((addr, len))) = (sent, c.staging) {
+            c.staging = None;
+            r.lent.push((local, ctx, addr, len));
+        }
     }
 }
 

@@ -170,11 +170,6 @@ impl IoVec {
         self.total_len() == 0
     }
 
-    /// Total pages spanned (what registration and pinning pay for).
-    pub fn total_pages(&self) -> u64 {
-        self.segs.iter().map(MemRef::pages).sum()
-    }
-
     /// Does any segment require pinning (user virtual memory)?
     pub fn needs_pinning(&self) -> bool {
         self.segs

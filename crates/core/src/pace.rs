@@ -48,6 +48,16 @@ pub trait PacedSend<W: NicWorld>: Sized {
     fn pace_timer(nic: NicId) -> <W as SimWorld>::Ev;
 }
 
+/// How [`pace_submit`] took a send it did not refuse.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sent {
+    /// Admitted: the driver's pipeline ran and has read the payload.
+    Now,
+    /// Parked in a pacing lane: the payload is read when the lane drains,
+    /// so its memory must stay as it is until the send completes.
+    Parked,
+}
+
 struct Parked<S> {
     /// Payload bytes: the send's price at the token bucket and in WDRR.
     bytes: u64,
@@ -111,13 +121,13 @@ pub fn pace_submit<W: NicWorld, S: PacedSend<W>>(
     bytes: u64,
     send_now: impl FnOnce(&mut W) -> Result<(), NetError>,
     parked: impl FnOnce() -> S,
-) -> Result<(), NetError> {
+) -> Result<Sent, NetError> {
     let lane_busy = S::lanes(w)
         .lanes
         .get(&nic)
         .is_some_and(|l| l.lane_len(tenant) > 0);
     if lane_busy {
-        return park(w, nic, tenant, bytes, parked);
+        return park(w, nic, tenant, bytes, parked).map(|()| Sent::Parked);
     }
     let at = now(w);
     match w.nics_mut().qos.admit(nic, tenant.0, bytes, at) {
@@ -126,13 +136,13 @@ pub fn pace_submit<W: NicWorld, S: PacedSend<W>>(
             if r.is_err() {
                 w.nics_mut().qos.refund(nic, tenant.0, bytes);
             }
-            r
+            r.map(|()| Sent::Now)
         }
         Admission::Shed => Err(NetError::Overload),
         Admission::Defer { until } => {
             park(w, nic, tenant, bytes, parked)?;
             arm::<W, S>(w, nic, until);
-            Ok(())
+            Ok(Sent::Parked)
         }
     }
 }
@@ -352,7 +362,7 @@ mod tests {
         w
     }
 
-    fn submit(w: &mut World, tenant: u32, id: u64, bytes: u64) -> Result<(), NetError> {
+    fn submit(w: &mut World, tenant: u32, id: u64, bytes: u64) -> Result<Sent, NetError> {
         let t = TenantId(tenant);
         pace_submit(
             w,
@@ -372,11 +382,11 @@ mod tests {
     #[test]
     fn a_busy_lane_keeps_the_tenant_fifo() {
         let mut w = world(&[(1, 1_000_000, 16)]);
-        submit(&mut w, 1, 1, 800).unwrap();
+        assert_eq!(submit(&mut w, 1, 1, 800), Ok(Sent::Now));
         // 200 bytes of credit left: 500 defers...
-        submit(&mut w, 1, 2, 500).unwrap();
+        assert_eq!(submit(&mut w, 1, 2, 500), Ok(Sent::Parked));
         // ...and 100 would fit the bucket, but parks behind it unoffered.
-        submit(&mut w, 1, 3, 100).unwrap();
+        assert_eq!(submit(&mut w, 1, 3, 100), Ok(Sent::Parked));
         assert_eq!(w.sent, vec![(1, 1)]);
         assert_eq!(w.paced.backlog(NIC), 2);
         assert_eq!(w.nics.qos.tenant_stats(1).deferred, 1);

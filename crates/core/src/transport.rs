@@ -14,6 +14,7 @@ use knet_simos::NodeId;
 
 use crate::error::NetError;
 use crate::iovec::IoVec;
+use crate::pace::Sent;
 use crate::tenant::TenantId;
 
 /// Which driver an endpoint belongs to.
@@ -141,6 +142,8 @@ pub trait TransportWorld: NicWorld {
     /// implementation discards the attribution (bare transports have no
     /// QoS machinery); the composed world overrides it. The channel layer
     /// is the only caller — services never name tenants on the wire path.
+    /// The [`Sent`] it returns says whether the payload was read already
+    /// or will be read when the send's pacing lane drains.
     fn t_send_t(
         &mut self,
         from: Endpoint,
@@ -149,9 +152,9 @@ pub trait TransportWorld: NicWorld {
         iov: IoVec,
         ctx: u64,
         tenant: TenantId,
-    ) -> Result<(), NetError> {
+    ) -> Result<Sent, NetError> {
         let _ = tenant;
-        self.t_send(from, to, tag, iov, ctx)
+        self.t_send(from, to, tag, iov, ctx).map(|()| Sent::Now)
     }
 
     fn t_post_recv(&mut self, ep: Endpoint, tag: u64, iov: IoVec, ctx: u64)

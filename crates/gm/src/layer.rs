@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, VecDeque};
 use knet_core::{
     host_completion, land, pace_drain, pace_submit, pace_timer_fired, send_chunks, take_tag,
     ChunkSource, CompletionHook, Endpoint, IoVec, MemRef, NetError, PaceLanes, PacedSend, Posted,
-    RangePlan, Reassembly, RegCache, RegKey, Route, ScratchStats, SegList, TenantId,
+    RangePlan, Reassembly, RegCache, RegKey, Route, ScratchStats, SegList, Sent, TenantId,
     TransportEvent, TransportKind, ANY_TAG,
 };
 use knet_simcore::{SimTime, SimWorld};
@@ -276,10 +276,6 @@ impl GmLayer {
             .iter()
             .filter(move |p| p.open && p.node == node)
             .map(|p| p.id)
-    }
-
-    pub fn open_ports(&self) -> usize {
-        self.ports.iter().filter(|p| p.open).count()
     }
 
     /// Messages still reassembling.
@@ -602,14 +598,15 @@ pub fn gm_send<W: GmWorld>(
     tag: u64,
     ctx: u64,
 ) -> Result<(), NetError> {
-    gm_send_t(w, port_id, buf, dest, tag, ctx, TenantId::DEFAULT)
+    gm_send_t(w, port_id, buf, dest, tag, ctx, TenantId::DEFAULT).map(drop)
 }
 
 /// Tenant-attributed send: consults the tenant's token bucket at the NIC
 /// admission point before committing any send token or registration, then
 /// admits, parks or sheds the send as the shared pacing seam decides
-/// ([`knet_core::pace`]). A parked send returns `Ok(())`; its
-/// `SendDone`/`SendFailed` completion arrives later.
+/// ([`knet_core::pace`]). A parked send returns [`Sent::Parked`]: `buf` is
+/// read when the lane drains, and its `SendDone`/`SendFailed` completion
+/// arrives later.
 pub fn gm_send_t<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
@@ -618,7 +615,7 @@ pub fn gm_send_t<W: GmWorld>(
     tag: u64,
     ctx: u64,
     tenant: TenantId,
-) -> Result<(), NetError> {
+) -> Result<Sent, NetError> {
     // Fail fast on the errors that would also fail at drain time, so a
     // doomed send is never parked.
     let nic = w.gm().port(port_id)?.nic;

@@ -238,10 +238,6 @@ impl KvLayer {
         Self::default()
     }
 
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     fn shard_of(&self, key: &[u8]) -> u32 {
         (fnv1a(key) % self.shards.len() as u64) as u32
     }

@@ -23,7 +23,8 @@ use knet_core::{
     first_fit, host_completion, land, pace_submit, pace_timer_fired, read_iovec_into,
     resolve_iovec_into, send_chunks, tag_matches, take_first, take_tag, write_iovec, AddrClass,
     ChunkSource, CompletionHook, Endpoint, IoVec, NetError, PaceLanes, PacedSend, Posted,
-    Reassembly, Route, ScratchStats, SegList, TenantId, TransportEvent, TransportKind, ANY_TAG,
+    Reassembly, Route, ScratchStats, SegList, Sent, TenantId, TransportEvent, TransportKind,
+    ANY_TAG,
 };
 use knet_simcore::{IdHashMap, SimTime, SimWorld};
 use knet_simnic::{
@@ -529,14 +530,14 @@ pub fn mx_isend<W: MxWorld>(
     iov: &IoVec,
     ctx: u64,
 ) -> Result<(), NetError> {
-    mx_isend_t(w, from, dest, tag, iov, ctx, TenantId::DEFAULT)
+    mx_isend_t(w, from, dest, tag, iov, ctx, TenantId::DEFAULT).map(drop)
 }
 
 /// Tenant-attributed send: consults the tenant's token bucket at the NIC
 /// admission point before committing any copy, pin or DMA, then admits,
 /// parks or sheds the send as the shared pacing seam decides
-/// ([`knet_core::pace`]). A parked send returns `Ok(())`; its completion
-/// arrives later.
+/// ([`knet_core::pace`]). A parked send returns [`Sent::Parked`]: `iov`
+/// is read when the lane drains, and its completion arrives later.
 pub fn mx_isend_t<W: MxWorld>(
     w: &mut W,
     from: MxEndpointId,
@@ -545,7 +546,7 @@ pub fn mx_isend_t<W: MxWorld>(
     iov: &IoVec,
     ctx: u64,
     tenant: TenantId,
-) -> Result<(), NetError> {
+) -> Result<Sent, NetError> {
     // Fail fast on the errors that would also fail at drain time, so a
     // doomed send is never parked.
     let nic = {

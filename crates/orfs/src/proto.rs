@@ -11,7 +11,7 @@
 
 use bytes::{Bytes, BytesMut};
 use knet_simcore::SimTime;
-use knet_simfs::{Attr, DirEntry, FileType, FsError, InodeNo};
+use knet_simfs::{Attr, DirEntry, FileType, FsError};
 
 /// Tag bit distinguishing bulk-data messages from request/response tags.
 pub const DATA_TAG_BIT: u64 = 1 << 63;
@@ -182,10 +182,6 @@ impl WireAttr {
             mtime_ns: a.mtime.nanos(),
         }
     }
-
-    pub fn file_type(&self) -> FileType {
-        u8_to_ftype(self.ftype).unwrap_or(FileType::Regular)
-    }
 }
 
 impl WireDirEntry {
@@ -194,14 +190,6 @@ impl WireDirEntry {
             name: e.name.clone(),
             ino: e.ino.0,
             ftype: ftype_to_u8(e.ftype),
-        }
-    }
-
-    pub fn to_entry(&self) -> DirEntry {
-        DirEntry {
-            name: self.name.clone(),
-            ino: InodeNo(self.ino),
-            ftype: u8_to_ftype(self.ftype).unwrap_or(FileType::Regular),
         }
     }
 }

@@ -132,10 +132,6 @@ impl OrfsServer {
             .and_then(|x| *x)
             .ok_or(OrfsError::BadHandle)
     }
-
-    pub fn open_handles(&self) -> usize {
-        self.handles.iter().filter(|h| h.is_some()).count()
-    }
 }
 
 /// Execute one metadata/namespace request. Returns the response.

@@ -1,11 +1,8 @@
 //! The schema-versioned request/response codec.
 //!
 //! The wire format is deliberately transport-agnostic: frames are byte
-//! strings, and [`RpcTransport`] is the only thing the codec-level state
-//! machine needs — the in-crate [`Loopback`] shuttles frames between a
-//! client and a server adapter for unit tests, while the real deployment
-//! moves the same bytes through channels (`rpc_client_create` /
-//! `rpc_server_create` in the crate root).
+//! strings, moved through channels by the client and server in the crate
+//! root (`rpc_client_create` / `rpc_server_create`).
 //!
 //! Frames:
 //!
@@ -146,40 +143,6 @@ pub fn decode_response(buf: &[u8]) -> Option<(RespHeader, usize)> {
     Some((hdr, len))
 }
 
-/// The transport seam of the codec level: anything that can move a frame
-/// toward a destination. The real implementation is a channel; tests use
-/// [`Loopback`].
-pub trait RpcTransport {
-    fn send(&mut self, dst: u32, frame: &[u8]);
-}
-
-/// An in-memory frame shuttle for codec-level tests: every send is queued
-/// under its destination and popped in FIFO order.
-#[derive(Default)]
-pub struct Loopback {
-    queues: std::collections::BTreeMap<u32, std::collections::VecDeque<Vec<u8>>>,
-}
-
-impl Loopback {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pop the oldest frame destined to `dst`.
-    pub fn recv(&mut self, dst: u32) -> Option<Vec<u8>> {
-        self.queues.get_mut(&dst)?.pop_front()
-    }
-}
-
-impl RpcTransport for Loopback {
-    fn send(&mut self, dst: u32, frame: &[u8]) {
-        self.queues
-            .entry(dst)
-            .or_default()
-            .push_back(frame.to_vec());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,48 +213,5 @@ mod tests {
             b"",
         );
         assert!(decode_response(&buf).is_none());
-    }
-
-    #[test]
-    fn loopback_shuttles_a_request_response_cycle() {
-        // The snippet-3 shape: client adapter encodes over the transport
-        // trait, server adapter decodes, executes, answers.
-        let mut t = Loopback::new();
-        let mut scratch = Vec::new();
-        encode_request(
-            &mut scratch,
-            ReqHeader {
-                version: RPC_SCHEMA_VERSION,
-                method: 1,
-                corr: 77,
-                deadline_ns: NO_DEADLINE,
-                idem: 0,
-            },
-            b"ping",
-        );
-        t.send(1, &scratch);
-
-        // Server side.
-        let frame = t.recv(1).expect("request arrived");
-        let (hdr, payload) = decode_request(&frame).expect("decodes");
-        assert_eq!(payload, b"ping");
-        let status = (hdr.version != RPC_SCHEMA_VERSION).then_some(RpcError::VersionMismatch);
-        encode_response(
-            &mut scratch,
-            RespHeader {
-                version: RPC_SCHEMA_VERSION,
-                status,
-                corr: hdr.corr,
-            },
-            b"pong",
-        );
-        t.send(0, &scratch);
-
-        // Client side.
-        let frame = t.recv(0).expect("response arrived");
-        let (hdr, len) = decode_response(&frame).expect("decodes");
-        assert_eq!(hdr.corr, 77);
-        assert_eq!(hdr.status, None);
-        assert_eq!(&frame[RESP_HEADER_LEN..RESP_HEADER_LEN + len], b"pong");
     }
 }

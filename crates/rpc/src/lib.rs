@@ -6,8 +6,8 @@
 //! infrastructure (the NetKernel argument), directly on the channel/CQ
 //! API:
 //!
-//! * **schema-versioned codec** ([`codec`]): request/response frames over
-//!   a transport trait, loopback-testable without a world;
+//! * **schema-versioned codec** ([`codec`]): request/response frames,
+//!   testable without a world;
 //! * **correlation ids** from a generation-tagged call slab — a late or
 //!   duplicated reply can never resolve the wrong call;
 //! * **virtual-time deadlines with propagation**: the caller's absolute
@@ -63,7 +63,6 @@ use codec::{
     NO_DEADLINE, REQ_HEADER_LEN, RESP_HEADER_LEN, RPC_SCHEMA_VERSION,
 };
 
-pub use codec::{Loopback, RpcTransport};
 pub use knet_core::RpcError as Error;
 
 // --------------------------------------------------------------- identifiers

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::time::SimTime;
-
 /// How one counter field combines when stats blocks are merged — shard
 /// worlds into a cluster aggregate, per-tenant or per-NIC rows into a total.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,11 +131,6 @@ impl Summary {
         self.sum += x;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Record a virtual-time sample in microseconds.
-    pub fn push_time(&mut self, t: SimTime) {
-        self.push(t.micros());
     }
 
     pub fn count(&self) -> u64 {

@@ -144,10 +144,6 @@ impl SimFs {
         (self.block_watermark as u64 - 1) - self.free_blocks.len() as u64
     }
 
-    pub fn live_inodes(&self) -> usize {
-        self.inodes.iter().filter(|i| i.is_some()).count()
-    }
-
     fn block_data(&mut self, b: BlockNo) -> &mut [u8; BLOCK_SIZE as usize] {
         self.blocks[b.0 as usize].get_or_insert_with(|| Box::new([0u8; BLOCK_SIZE as usize]))
     }

@@ -117,11 +117,6 @@ impl NicLayer {
         self.fault = Some(FaultState::new(plan));
     }
 
-    /// Remove the fault plan: the fabric is perfect again.
-    pub fn clear_fault_plan(&mut self) {
-        self.fault = None;
-    }
-
     /// Counters of injected faults (zeros when no plan is installed).
     pub fn fault_stats(&self) -> FaultStats {
         self.fault.as_ref().map(|f| f.stats).unwrap_or_default()

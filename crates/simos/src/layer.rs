@@ -59,10 +59,6 @@ impl NodeOs {
         self.spaces.get_mut(&asid.0).ok_or(OsError::NoSuchSpace)
     }
 
-    pub fn live_processes(&self) -> usize {
-        self.spaces.len()
-    }
-
     /// Allocate `len` bytes of physically contiguous, implicitly pinned
     /// kernel memory; returns its kernel-virtual (direct map) address.
     /// A length past what a frame count can address is out of memory.
@@ -197,10 +193,6 @@ impl OsLayer {
 
     pub fn node_mut(&mut self, id: NodeId) -> &mut NodeOs {
         &mut self.nodes[id.0 as usize]
-    }
-
-    pub fn try_node(&self, id: NodeId) -> Result<&NodeOs, OsError> {
-        self.nodes.get(id.0 as usize).ok_or(OsError::NoSuchNode)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Cluster construction.
 
 use knet_gm::{GmLayer, GmParams};
-use knet_simnic::{FaultPlan, NicLayer, NicModel, QosPolicy, RelParams};
+use knet_simnic::{FaultPlan, NicLayer, NicModel, RelParams};
 use knet_simos::{CpuModel, NodeId, OsLayer};
 
 use crate::shard::ShardedCluster;
@@ -15,15 +15,8 @@ pub struct ClusterBuilder {
     gm_params: GmParams,
     fault: Option<FaultPlan>,
     rel_params: RelParams,
-    tenants: Vec<TenantSpec>,
-}
-
-/// A tenant declared at build time: registry name, WDRR weight, and an
-/// optional NIC admission policy (`None` ⇒ unthrottled, scheduler-only).
-struct TenantSpec {
-    name: String,
-    weight: u64,
-    policy: Option<QosPolicy>,
+    /// Tenants declared at build time: registry name and WDRR weight.
+    tenants: Vec<(String, u64)>,
 }
 
 impl Default for ClusterBuilder {
@@ -51,35 +44,7 @@ impl ClusterBuilder {
     /// 1 (id 0 is the always-present default tenant), identically in every
     /// shard, so sharded runs see the same tenant directory.
     pub fn tenant(mut self, name: &str, weight: u64) -> Self {
-        self.tenants.push(TenantSpec {
-            name: name.to_string(),
-            weight,
-            policy: None,
-        });
-        self
-    }
-
-    /// Declare a tenant with a WDRR `weight` **and** a token-bucket policy
-    /// at the NIC admission point: sustained `rate_bytes_per_sec` with
-    /// `burst_bytes` of credit, sends beyond the rate paced in virtual
-    /// time (or shed with `NetError::Overload` once the pacing queue hits
-    /// the policy's cap).
-    pub fn tenant_limited(
-        mut self,
-        name: &str,
-        weight: u64,
-        rate_bytes_per_sec: u64,
-        burst_bytes: u64,
-    ) -> Self {
-        self.tenants.push(TenantSpec {
-            name: name.to_string(),
-            weight,
-            policy: Some(QosPolicy {
-                rate_bytes_per_sec,
-                burst_bytes,
-                ..QosPolicy::default()
-            }),
-        });
+        self.tenants.push((name.to_string(), weight));
         self
     }
 
@@ -127,17 +92,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Make one *direction* of one node pair misbehave: install `plan`'s
-    /// dice for packets `src → dst` only, leaving the rest of the fabric
-    /// on whatever base plan is (or is not) installed. Asymmetric links —
-    /// a flaky uplink next to a clean downlink — compose by calling this
-    /// repeatedly.
-    pub fn fault_link(mut self, src: NodeId, dst: NodeId, plan: FaultPlan) -> Self {
-        let base = self.fault.take().unwrap_or_else(|| FaultPlan::new(0));
-        self.fault = Some(base.for_link(src, dst, plan));
-        self
-    }
-
     /// Build the world.
     pub fn build(self) -> ClusterWorld {
         self.build_one()
@@ -155,8 +109,8 @@ impl ClusterBuilder {
         }
         nics.rel = knet_simnic::RelState::new(self.rel_params);
         let mut w = ClusterWorld::from_layers(os, nics, GmLayer::new(self.gm_params));
-        for spec in &self.tenants {
-            w.register_tenant(&spec.name, spec.weight, spec.policy);
+        for (name, weight) in &self.tenants {
+            w.register_tenant(name, *weight, None);
         }
         w
     }

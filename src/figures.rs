@@ -418,19 +418,6 @@ pub fn fs_fixture_faulty(opts: FsOpts, plan: knet_simnic::FaultPlan) -> FsFixtur
     fx
 }
 
-/// [`fs_fixture`] with an *asymmetric* faulty fabric: `plan`'s dice apply
-/// only to the client→server direction (node 0 → node 1); the reply path
-/// stays clean. Exercises one-sided recovery — data/announcement loss with
-/// a lossless ack/reply channel — which go-back-N and selective repeat
-/// handle very differently.
-pub fn fs_fixture_asym(opts: FsOpts, plan: knet_simnic::FaultPlan) -> FsFixture {
-    let seed = plan.seed;
-    fs_fixture_faulty(
-        opts,
-        knet_simnic::FaultPlan::new(seed).for_link(NodeId(0), NodeId(1), plan),
-    )
-}
-
 /// Build a server (node 1) + client (node 0) world with `/data` populated.
 pub fn fs_fixture(opts: FsOpts) -> FsFixture {
     let mut w = ClusterBuilder::new().mem_frames(131_072).build();

@@ -198,20 +198,6 @@ pub fn transport_pingpong_us(
     elapsed.micros() / (2.0 * iters as f64)
 }
 
-/// NetPIPE-convention bandwidth (MB/s) at `size`: `size / one_way_time`.
-pub fn transport_bandwidth_mb(
-    w: &mut ClusterWorld,
-    a: Endpoint,
-    b: Endpoint,
-    buf_a: IoVec,
-    buf_b: IoVec,
-    iters: u32,
-) -> f64 {
-    let size = buf_a.total_len();
-    let us = transport_pingpong_us(w, a, b, buf_a, buf_b, iters);
-    size as f64 / us
-}
-
 /// Block until ORFS syscall `sid` completes on client `cid`.
 pub fn orfs_wait(w: &mut ClusterWorld, cid: OrfsClientId, sid: SyscallId) -> SysResult {
     let outcome = run_until(w, |w| {

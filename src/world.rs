@@ -23,8 +23,8 @@
 use knet_coll::{CollLayer, CollWorld};
 use knet_core::api::{self, ConsumerId, CqId, Registry};
 use knet_core::{
-    CompletionHook, DispatchWorld, Endpoint, IoVec, MemRef, NetError, TenantId, TenantSendStats,
-    TransportEvent, TransportKind, TransportWorld,
+    CompletionHook, DispatchWorld, Endpoint, IoVec, MemRef, NetError, Sent, TenantId,
+    TenantSendStats, TransportEvent, TransportKind, TransportWorld,
 };
 use knet_gm::{
     gm_ensure_cached, gm_on_packet, gm_on_vma_event, gm_open_port, gm_provide_receive_buffer,
@@ -524,6 +524,7 @@ impl TransportWorld for ClusterWorld {
         ctx: u64,
     ) -> Result<(), NetError> {
         self.t_send_t(from, to, tag, iov, ctx, TenantId::DEFAULT)
+            .map(drop)
     }
 
     fn t_send_t(
@@ -534,7 +535,7 @@ impl TransportWorld for ClusterWorld {
         iov: IoVec,
         ctx: u64,
         tenant: TenantId,
-    ) -> Result<(), NetError> {
+    ) -> Result<Sent, NetError> {
         match from.kind {
             TransportKind::Mx => mx_isend_t(
                 self,

@@ -266,6 +266,82 @@ fn coalescing_works_on_stock_gm_through_the_registration_cache() {
     );
 }
 
+/// A vectored GM send the tenant's token bucket parks still carries its
+/// own bytes when it finally leaves: the channel's staging buffer goes with
+/// the parked send, and the next vectored send gathers into a fresh one.
+/// Three back-to-back sends against a one-message burst: the first is
+/// admitted, the second deferred, the third parks behind it. With equal
+/// sizes the third send used to overwrite the second's parked bytes; with
+/// growing sizes the regrow used to free them. Once the channel closes,
+/// every staging buffer is back with the kernel.
+#[test]
+fn parked_vectored_gm_sends_keep_their_own_bytes() {
+    for lens in [[4_500u64; 3], [3_000, 4_000, 4_500]] {
+        let (mut w, n0, n1) = two_nodes();
+        let tenant = w.register_tenant(
+            "paced",
+            1,
+            Some(QosPolicy {
+                rate_bytes_per_sec: 1_000_000,
+                burst_bytes: 4_500,
+                pace_queue_cap: 16,
+            }),
+        );
+        let (ch_a, _ch_b, _cq_a, _cq_b, ea, eb) = channel_pair(&mut w, TransportKind::Gm, n0, n1);
+        w.assign_tenant(ea, tenant);
+        let mut sent = Vec::new();
+        let mut iovs = Vec::new();
+        for (i, len) in lens.into_iter().enumerate() {
+            let tag = i as u64 + 1;
+            let mut iov = IoVec::new();
+            let mut bytes = Vec::new();
+            for seg in [len / 3, len / 3, len - 2 * (len / 3)] {
+                let kb = kbuf(&mut w, n0, seg);
+                let chunk: Vec<u8> = (0..seg).map(|j| (j * 7 + tag * 31) as u8).collect();
+                write_kernel(&mut w, n0, kb.addr, &chunk);
+                iov.push(kb.memref(seg));
+                bytes.extend(chunk);
+            }
+            sent.push((tag, bytes));
+            iovs.push(iov);
+        }
+        let frames_before = w.os.node(n0).mem.allocated_frames();
+        for ((tag, _), iov) in sent.iter().zip(iovs) {
+            channel_send(&mut w, ch_a, *tag, iov).unwrap();
+        }
+        run_to_quiescence(&mut w);
+        assert!(w.stats().qos.deferred > 0, "{lens:?}: a send was parked");
+
+        let mut got = Vec::new();
+        while let Some(ev) = w.take_event(eb) {
+            if let TransportEvent::Unexpected { tag, data, .. } = ev {
+                got.push((tag, data.to_vec()));
+            }
+        }
+        let tags: Vec<u64> = got.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, [1, 2, 3], "{lens:?}");
+        for ((tag, data), (_, want)) in got.iter().zip(&sent) {
+            assert!(
+                data == want,
+                "{lens:?}: tag {tag} arrived with another send's bytes"
+            );
+        }
+        let mut done = 0;
+        while let Some(ev) = w.take_event(ea) {
+            assert!(matches!(ev, TransportEvent::SendDone { .. }), "{ev:?}");
+            done += 1;
+        }
+        assert_eq!(done, 3, "{lens:?}");
+
+        channel_close(&mut w, ch_a);
+        assert_eq!(
+            w.os.node(n0).mem.allocated_frames(),
+            frames_before,
+            "{lens:?}: closing the channel frees every staging buffer"
+        );
+    }
+}
+
 #[test]
 fn multi_segment_sends_pass_through_untouched_on_mx() {
     // MX is vectorial: the channel layer must not copy.

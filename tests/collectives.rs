@@ -1,12 +1,13 @@
 //! The collective subsystem, end to end: groups wired over real GM/MX
 //! kernel endpoints, payload bytes moving NIC-to-NIC down and up k-ary
 //! trees, completions surfacing as typed `TransportEvent`s — plus the
-//! failure contract (a dead member resolves, never hangs) and the
-//! per-link reliability breakdown.
+//! failure contract (a dead member resolves, never hangs), the per-link
+//! reliability breakdown, and the tree's win over the host-staged loop.
 
 use knet::figures::{coll_fixture, CollFixture};
 use knet::prelude::*;
 use knet::world::ClusterWorld;
+use knet_core::api::channel_send_to;
 use knet_core::TransportEvent;
 use knet_simnic::FaultPlan;
 use knet_simos::Asid;
@@ -346,4 +347,203 @@ fn rel_link_breakdown_sums_to_the_aggregate() {
         .link_stats(knet_simnic::Proto::Gm, root_tx[0].src, root_tx[0].dst)
         .unwrap();
     assert_eq!(one.data_packets, root_tx[0].data_packets);
+}
+
+// ------------------------------------------------- NIC tree vs host loop
+
+/// Scale of the tree-vs-host comparison. Yu et al.'s NIC-based collectives
+/// (cs/0402027) win from 64 nodes up; this is the smallest rung of that
+/// claim.
+const CMP_NODES: usize = 64;
+const CMP_FANOUT: usize = 4;
+const CMP_BCAST_BYTES: u64 = 4096;
+const CMP_LANES: usize = 8;
+/// Measured rounds; one warm-up round (link states, pools) precedes them.
+const CMP_ROUNDS: u64 = 2;
+
+/// Drop everything queued at `eps`.
+fn discard_events(w: &mut ClusterWorld, eps: &[Endpoint]) {
+    let mut batch = Vec::new();
+    for &ep in eps {
+        w.take_events(ep, usize::MAX, &mut batch);
+        batch.clear();
+    }
+}
+
+/// Run until every endpoint in `eps` has an event queued.
+fn await_each(w: &mut ClusterWorld, eps: &[Endpoint], what: &str) {
+    let out = run_until(w, |w: &ClusterWorld| eps.iter().all(|&e| w.has_event(e)));
+    assert_eq!(out, RunOutcome::Satisfied, "{what} stalled");
+}
+
+/// Run until `ep` observed `want` `RecvDone`s, consuming what it pops: its
+/// queue may also hold its own `SendDone`s, which `has_event` cannot tell
+/// apart.
+fn await_recvs(w: &mut ClusterWorld, ep: Endpoint, want: usize, what: &str) {
+    let (mut got, mut batch) = (0, Vec::new());
+    while got < want {
+        let out = run_until(w, |w: &ClusterWorld| w.has_event(ep));
+        assert_eq!(out, RunOutcome::Satisfied, "{what} stalled at {got}/{want}");
+        batch.clear();
+        w.take_events(ep, usize::MAX, &mut batch);
+        got += batch
+            .iter()
+            .filter(|e| matches!(e.event, TransportEvent::RecvDone { .. }))
+            .count();
+    }
+}
+
+/// Virtual-time µs of `[bcast, barrier, allreduce]`, summed over the
+/// measured rounds.
+type OpSums = [f64; 3];
+
+/// Time `op` in virtual µs; add it to `sum` unless this is the warm-up.
+fn timed(w: &mut ClusterWorld, round: u64, sum: &mut f64, op: impl FnOnce(&mut ClusterWorld)) {
+    let t0 = now(w);
+    op(w);
+    if round > 0 {
+        *sum += (now(w) - t0).micros();
+    }
+}
+
+/// The three collectives on the NIC tree: frames forwarded NIC-to-NIC,
+/// acks and partial reductions aggregated on the way up.
+fn tree_latencies() -> OpSums {
+    let CollFixture {
+        mut w,
+        group,
+        eps,
+        bufs,
+    } = coll_fixture(TransportKind::Gm, CMP_NODES, CMP_FANOUT);
+    let payload = pattern(CMP_BCAST_BYTES as usize, 1);
+    let lanes: Vec<u64> = (0..CMP_LANES as u64).collect();
+    let mut sums = [0.0; 3];
+    for r in 0..=CMP_ROUNDS {
+        write_kernel(&mut w, NodeId(0), bufs[0].addr, &payload);
+        // Broadcast: done when the root's aggregated ack arrives.
+        timed(&mut w, r, &mut sums[0], |w| {
+            channel_bcast(w, group, r, &bufs[0].iov(CMP_BCAST_BYTES)).unwrap();
+            await_each(w, &eps[..1], "tree bcast");
+        });
+        discard_events(&mut w, &eps);
+        // Barrier: done when the release wave reached every member.
+        timed(&mut w, r, &mut sums[1], |w| {
+            for &ep in &eps {
+                channel_barrier(w, group, ep).unwrap();
+            }
+            await_each(w, &eps, "tree barrier");
+        });
+        discard_events(&mut w, &eps);
+        // Allreduce: in-NIC fan-in to the root, then the root broadcasts
+        // the combined vector down the same tree.
+        timed(&mut w, r, &mut sums[2], |w| {
+            for &ep in &eps {
+                channel_reduce(w, group, ep, ReduceOp::Sum, &lanes).unwrap();
+            }
+            await_each(w, &eps[..1], "tree reduce");
+            discard_events(w, &eps);
+            let result = vec![0xAA; CMP_LANES * 8];
+            write_kernel(w, NodeId(0), bufs[0].addr, &result);
+            let iov = bufs[0].iov(result.len() as u64);
+            channel_bcast(w, group, 1_000_000 + r, &iov).unwrap();
+            await_each(w, &eps[..1], "tree allreduce bcast");
+        });
+        discard_events(&mut w, &eps);
+    }
+    sums
+}
+
+/// The same three collectives staged by the host, the only thing the
+/// point-to-point API offers: the root drives N-1 channel sends per step
+/// and gathers N-1 replies, paying the full host→NIC submission cost per
+/// member. Allreduce combines at the root for free in virtual time, which
+/// favours the loop.
+fn host_loop_latencies() -> OpSums {
+    let n = CMP_NODES;
+    let mut w = ClusterBuilder::new()
+        .nodes(n, CpuModel::xeon_2600())
+        .mem_frames(32_768)
+        .build();
+    let port = GmPortConfig::kernel().with_physical_api();
+    let buf_len = CMP_BCAST_BYTES.max(CMP_LANES as u64 * 8);
+    // One accept-side channel at the root (scatter via `channel_send_to`,
+    // gather receives posted on it), one connected channel per member.
+    let root_cq = w.new_cq();
+    let root = w.open_gm_cq(NodeId(0), port.clone(), root_cq).unwrap();
+    let root_ch = channel_accept(&mut w, root, root_cq);
+    channel_set_send_queue_cap(&mut w, root_ch, n + 8);
+    let root_buf = kbuf(&mut w, NodeId(0), buf_len);
+    let (mut members, mut up, mut member_bufs, mut gather_bufs) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for i in 1..n as u32 {
+        let cq = w.new_cq();
+        let ep = w.open_gm_cq(NodeId(i), port.clone(), cq).unwrap();
+        up.push(channel_connect(&mut w, ep, root, cq));
+        member_bufs.push(kbuf(&mut w, NodeId(i), buf_len));
+        gather_bufs.push(kbuf(&mut w, NodeId(0), CMP_LANES as u64 * 8));
+        members.push(ep);
+    }
+    let all: Vec<Endpoint> = std::iter::once(root).chain(members.clone()).collect();
+    write_kernel(
+        &mut w,
+        NodeId(0),
+        root_buf.addr,
+        &pattern(buf_len as usize, 1),
+    );
+
+    // One scatter from the root: every member posts `tag`, the root sends.
+    let scatter = |w: &mut ClusterWorld, tag: u64, len: u64, what: &str| {
+        for (i, &ep) in members.iter().enumerate() {
+            channel_post_recv(w, up[i], tag, member_bufs[i].iov(len)).unwrap();
+            channel_send_to(w, root_ch, ep, tag, root_buf.iov(len)).unwrap();
+        }
+        for &ep in &members {
+            await_recvs(w, ep, 1, what);
+        }
+    };
+    // One gather at the root: the root posts `tag` per member, each sends.
+    let gather = |w: &mut ClusterWorld, tag: u64, len: u64, what: &str| {
+        for (i, &ch) in up.iter().enumerate() {
+            channel_post_recv(w, root_ch, tag, gather_bufs[i].iov(len)).unwrap();
+            channel_send(w, ch, tag, member_bufs[i].iov(len)).unwrap();
+        }
+        await_recvs(w, root, members.len(), what);
+    };
+    let lane_bytes = CMP_LANES as u64 * 8;
+    let mut sums = [0.0; 3];
+    for r in 0..=CMP_ROUNDS {
+        let tag = 10 * r;
+        timed(&mut w, r, &mut sums[0], |w| {
+            scatter(w, tag, CMP_BCAST_BYTES, "host bcast")
+        });
+        discard_events(&mut w, &all);
+        timed(&mut w, r, &mut sums[1], |w| {
+            gather(w, tag + 1, 8, "host barrier gather");
+            scatter(w, tag + 2, 8, "host barrier release");
+        });
+        discard_events(&mut w, &all);
+        timed(&mut w, r, &mut sums[2], |w| {
+            gather(w, tag + 3, lane_bytes, "host allreduce gather");
+            scatter(w, tag + 4, lane_bytes, "host allreduce scatter");
+        });
+        discard_events(&mut w, &all);
+    }
+    sums
+}
+
+/// The paper-line claim behind the collective subsystem: at 64 nodes the
+/// NIC-resident tree completes broadcast, barrier and allreduce sooner
+/// than the host-staged point-to-point loop, in deterministic virtual
+/// time.
+#[test]
+fn nic_tree_beats_the_host_staged_loop_at_64_nodes() {
+    let (tree, host) = (tree_latencies(), host_loop_latencies());
+    for (i, op) in ["bcast", "barrier", "allreduce"].into_iter().enumerate() {
+        let (t, h) = (tree[i] / CMP_ROUNDS as f64, host[i] / CMP_ROUNDS as f64);
+        eprintln!("{op}: tree {t:.1} us, host loop {h:.1} us");
+        assert!(
+            t < h,
+            "{op}: the NIC tree ({t:.1} us) must beat the host-staged loop ({h:.1} us) at {CMP_NODES} nodes"
+        );
+    }
 }

@@ -425,3 +425,53 @@ fn chaos_smoke_shard_matrix() {
         );
     }
 }
+
+/// Steady-state rounds on the sharded engine grow no event arena. The
+/// workload is ring traffic: every node sends one message to its
+/// successor per round, so under `node % shards` ownership every message
+/// crosses a shard boundary. One warm-up round brings every pool to its
+/// high-water mark; the rounds after it must recycle them.
+/// `tests/hotpath_alloc.rs` holds the sequential engine to the same.
+#[test]
+fn sharded_steady_state_rounds_do_not_grow_the_event_arena() {
+    let (n, msg_bytes) = (100, 4096);
+    for k in [2, 4] {
+        let mut d = builder(n).build_sharded(k);
+        let (eps, chans, bufs) = d.setup(|w| {
+            let (mut eps, mut cqs, mut bufs) = (Vec::new(), Vec::new(), Vec::new());
+            for i in 0..n {
+                let node = NodeId(i as u32);
+                let cq = w.new_cq();
+                eps.push(w.open_mx_cq(node, MxEndpointConfig::kernel(), cq).unwrap());
+                cqs.push(cq);
+                bufs.push(kbuf(w, node, msg_bytes));
+            }
+            let chans: Vec<ChannelId> = (0..n)
+                .map(|i| knet_core::api::channel_connect(w, eps[i], eps[(i + 1) % n], cqs[i]))
+                .collect();
+            (eps, chans, bufs)
+        });
+        let round = |d: &mut ShardedCluster, r: u64| {
+            for i in 0..n {
+                let (ch, iov) = (chans[i], bufs[i].iov(msg_bytes));
+                d.on(i as u32, |w| channel_send(w, ch, r * 1_000 + i as u64, iov))
+                    .unwrap();
+            }
+            d.run_to_quiescence();
+            for (i, &ep) in eps.iter().enumerate() {
+                d.on(i as u32, |w| while w.take_event(ep).is_some() {});
+            }
+        };
+        round(&mut d, 0);
+        let warm = d.engine_stats().0.arena_grows;
+        for r in 1..=3 {
+            round(&mut d, r);
+        }
+        assert_eq!(d.engine_error(), None);
+        assert_eq!(
+            d.engine_stats().0.arena_grows,
+            warm,
+            "{k} shards: steady-state rounds grew the event arena"
+        );
+    }
+}
