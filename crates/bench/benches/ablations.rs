@@ -64,7 +64,7 @@ fn main() {
         // Strip the notify cost post-hoc by re-opening the client port
         // without the flag: rebuild the fixture via gm params.
         let mut p = fx.w.gm.params;
-        p.blocking_notify = knet_simcore::SimTime::ZERO;
+        p.blocking_notify = SimTime::ZERO;
         fx.w.gm.params = p;
         let fd = fsops::open(&mut fx.w, fx.cid, "/data", false).unwrap();
         let user = fx.user;

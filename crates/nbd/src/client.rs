@@ -71,7 +71,9 @@ pub struct NbdClient {
     /// The handler-backed channel wrapping `ep` (peer = the server).
     pub ch: ChannelId,
     pub server: Endpoint,
-    /// Page-cache namespace for this device (disjoint from ORFS mounts).
+    /// Page-cache namespace for this device (disjoint from ORFS mounts);
+    /// [`NbdClient::cache_key`] adds the client, so two clients naming
+    /// the same device never share a cached sector.
     pub device_id: u32,
     next_op: u64,
     /// Requests in flight → the block op each one advances.
@@ -94,7 +96,8 @@ const WRITE_CHUNK: u64 = 16 * 1024;
 /// Write chunks in flight at once (stays under GM's send-token budget,
 /// which also covers the ack replies).
 const WRITE_WINDOW: u32 = 8;
-/// Page-cache keys for NBD devices use this inode namespace.
+/// Page-cache keys for NBD devices use the inodes counting down from
+/// this one, one per client.
 const NBD_INODE: u32 = u32::MAX;
 
 /// Create a client on the node owning `ep`, attached to `server`.
@@ -139,10 +142,11 @@ impl NbdClient {
         self.reqs.capacity()
     }
 
-    fn key(&self, sector: u64) -> PageKey {
+    /// The page-cache key of `sector` as this client caches it.
+    pub fn cache_key(&self, sector: u64) -> PageKey {
         PageKey {
             mount: self.device_id,
-            inode: NBD_INODE,
+            inode: NBD_INODE - self.id.0,
             index: sector,
         }
     }
@@ -221,7 +225,7 @@ pub fn nbd_read<W: NbdWorld>(w: &mut W, cid: NbdClientId, dest: MemRef, offset: 
         let op = c.next_op;
         c.next_op += 1;
         c.stats.reads += 1;
-        let cur = Cursor::new(c.key(0), dest, offset);
+        let cur = Cursor::new(c.cache_key(0), dest, offset);
         c.ops.insert(op, OpState::Buffered(cur));
         op
     };
@@ -277,7 +281,7 @@ pub fn nbd_write<W: NbdWorld>(w: &mut W, cid: NbdClientId, src: MemRef, offset: 
     pageio::charge_copy(w, node, len);
     let first = offset / SECTOR_SIZE;
     for i in 0..(len / SECTOR_SIZE) {
-        let key = w.nbd().clients[cid.0 as usize].key(first + i);
+        let key = w.nbd().clients[cid.0 as usize].cache_key(first + i);
         let sector = src.sub_range(i * SECTOR_SIZE, SECTOR_SIZE);
         // `src` was just read whole, so the one failure left is a frame
         // shortage on an absent sector: it stays uncached (nothing stale)

@@ -57,10 +57,10 @@ fn session(kind: TransportKind) {
     wait(&mut w, client, op);
 
     // Drop the (write-through) cached sectors so the first read is cold.
-    let device = w.nbd.clients[client.0 as usize].device_id;
+    let key = w.nbd.clients[client.0 as usize].cache_key(0);
     let os = w.os.node_mut(n0);
     let mut cache = std::mem::take(&mut os.page_cache);
-    cache.evict_file(&mut os.mem, device, u32::MAX).unwrap();
+    cache.evict_file(&mut os.mem, key.mount, key.inode).unwrap();
     w.os.node_mut(n0).page_cache = cache;
 
     // Cold buffered read of the whole megabyte (per-sector requests).

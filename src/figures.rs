@@ -805,8 +805,8 @@ pub fn table1() -> Vec<Table1Row> {
 // --------------------------------------------------------------- collectives
 
 /// A cluster with one kernel endpoint per node, all joined into a single
-/// collective group — the deployment every collective test, chaos scenario
-/// and `BENCH_collectives` mode drives.
+/// collective group — the deployment every collective test and chaos
+/// scenario drives.
 pub struct CollFixture {
     pub w: ClusterWorld,
     pub group: knet_coll::GroupId,

@@ -23,7 +23,6 @@
 //! admission control ([`NetError::Overload`]) or a full channel lane
 //! ([`NetError::SendQueueFull`]) are counted, not measured.
 //!
-//! `crates/bench/benches/tail.rs` wraps this module into `BENCH_tail.json`;
 //! `tests/tenant_isolation.rs` uses it for the noisy-neighbor proof.
 
 use std::collections::HashMap;

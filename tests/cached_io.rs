@@ -213,6 +213,32 @@ fn nbd_reads_sharing_an_uncached_sector_fetch_it_once() {
     }
 }
 
+/// Two clients on one node name the same `device_id` but mount different
+/// servers, whose disks differ: each buffered read of the same sector
+/// returns its own disk's bytes, never the other client's cached copy.
+#[test]
+fn nbd_clients_sharing_a_device_id_never_share_cached_sectors() {
+    let mut w = ClusterBuilder::new()
+        .nodes(3, CpuModel::xeon_2600())
+        .build();
+    let n0 = NodeId(0);
+    let mut clients = Vec::new();
+    for (server, offset) in [(NodeId(1), 0u64), (NodeId(2), 7)] {
+        let ce = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
+        let se = w.open_mx(server, MxEndpointConfig::kernel()).unwrap();
+        let sid = nbd_server_create(&mut w, se, 1024).unwrap();
+        let image = pattern(offset, 8192);
+        assert!(w.nbd.servers[sid.0 as usize].disk.write(0, &image));
+        clients.push((nbd_client_create(&mut w, ce, se, 7).unwrap(), image));
+    }
+    let user = ubuf(&mut w, n0, 1 << 20);
+    for (cid, image) in &clients {
+        let op = nbd_read(&mut w, *cid, user.memref(4096), 0);
+        assert_eq!(nbd_wait(&mut w, *cid, op), Ok(4096));
+        assert_eq!(read_user(&w, &user, 0, 4096), image[..4096], "{cid:?}");
+    }
+}
+
 // ------------------------------------------- an abandoned fetch gives frames back
 
 /// The ORFS twin of `chaos.rs::nbd_server_kill_spares_surviving_traffic`'s

@@ -265,19 +265,22 @@ proptest! {
     }
 }
 
-/// Fixed-seed smoke entry for CI: loss rate from `CHAOS_LOSS_PCT` (default
-/// 5), everything else fixed — one deterministic pass over all scenarios.
+/// The loss rates every fixed-seed smoke test runs at. 15 and 20 % are
+/// the high-loss selective-repeat points, where go-back-N still delivers
+/// but at a collapsed goodput.
+const SMOKE_LOSS_PCTS: [u64; 5] = [2, 5, 10, 15, 20];
+
+/// One deterministic pass over all scenarios at each smoke loss rate,
+/// everything else fixed.
 #[test]
 fn chaos_smoke_fixed_seed() {
-    let loss: u64 = std::env::var("CHAOS_LOSS_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    for kind in [TransportKind::Mx, TransportKind::Gm] {
-        zsock_scenario(kind, plan(0xC0FFEE, loss, true, true));
-        orfs_scenario(kind, plan(0xC0FFEE ^ 1, loss, true, true));
+    for loss in SMOKE_LOSS_PCTS {
+        for kind in [TransportKind::Mx, TransportKind::Gm] {
+            zsock_scenario(kind, plan(0xC0FFEE, loss, true, true));
+            orfs_scenario(kind, plan(0xC0FFEE ^ 1, loss, true, true));
+        }
+        nbd_scenario(plan(0xC0FFEE ^ 2, loss, true, true));
     }
-    nbd_scenario(plan(0xC0FFEE ^ 2, loss, true, true));
 }
 
 /// Same seed ⇒ same simulation, event for event.
@@ -315,33 +318,31 @@ fn asymmetric_plans_leave_planless_links_bit_identical() {
     );
 }
 
-/// Fixed-seed asymmetric smoke entry for CI: one direction of the fabric
-/// is lossy (drop + dup + delay-reorder), the reverse direction is clean —
+/// Fixed-seed asymmetric smoke at each smoke loss rate: one direction of
+/// the fabric is lossy (drop + dup + delay-reorder), the reverse is clean —
 /// the shape where go-back-N and selective repeat differ most (data loss
 /// with a lossless ack path). Every scenario must stay byte-exact.
 #[test]
 fn chaos_smoke_asymmetric() {
-    let loss: u64 = std::env::var("CHAOS_LOSS_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let asym = |seed: u64| {
-        FaultPlan::new(seed).for_link(NodeId(0), NodeId(1), plan(seed ^ 0xA5, loss, true, true))
-    };
-    for kind in [TransportKind::Mx, TransportKind::Gm] {
-        zsock_scenario(kind, asym(0xA11C));
-        orfs_scenario(kind, asym(0xA11D));
+    for loss in SMOKE_LOSS_PCTS {
+        let asym = |seed: u64| {
+            FaultPlan::new(seed).for_link(NodeId(0), NodeId(1), plan(seed ^ 0xA5, loss, true, true))
+        };
+        for kind in [TransportKind::Mx, TransportKind::Gm] {
+            zsock_scenario(kind, asym(0xA11C));
+            orfs_scenario(kind, asym(0xA11D));
+        }
+        nbd_scenario(asym(0xA11E));
+        // And the reverse asymmetry (lossy replies, clean requests).
+        let asym_rev = |seed: u64| {
+            FaultPlan::new(seed).for_link(NodeId(1), NodeId(0), plan(seed ^ 0x5A, loss, true, true))
+        };
+        for kind in [TransportKind::Mx, TransportKind::Gm] {
+            zsock_scenario(kind, asym_rev(0xB22C));
+            orfs_scenario(kind, asym_rev(0xB22D));
+        }
+        nbd_scenario(asym_rev(0xB22E));
     }
-    nbd_scenario(asym(0xA11E));
-    // And the reverse asymmetry (lossy replies, clean requests).
-    let asym_rev = |seed: u64| {
-        FaultPlan::new(seed).for_link(NodeId(1), NodeId(0), plan(seed ^ 0x5A, loss, true, true))
-    };
-    for kind in [TransportKind::Mx, TransportKind::Gm] {
-        zsock_scenario(kind, asym_rev(0xB22C));
-        orfs_scenario(kind, asym_rev(0xB22D));
-    }
-    nbd_scenario(asym_rev(0xB22E));
 }
 
 /// Killing the server node mid-workload: every in-flight and subsequent
@@ -768,25 +769,24 @@ proptest! {
     }
 }
 
-/// Fixed-seed CI entry: same env knob as the point-to-point smoke.
+/// The collective twin of `chaos_smoke_fixed_seed`, at the same loss
+/// rates.
 #[test]
 fn chaos_smoke_collectives() {
-    let loss: u64 = std::env::var("CHAOS_LOSS_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    coll_scenario(
-        TransportKind::Gm,
-        plan(0xC0FFEE ^ 3, loss, true, true),
-        8,
-        2,
-    );
-    coll_scenario(
-        TransportKind::Mx,
-        plan(0xC0FFEE ^ 4, loss, true, true),
-        9,
-        3,
-    );
+    for loss in SMOKE_LOSS_PCTS {
+        coll_scenario(
+            TransportKind::Gm,
+            plan(0xC0FFEE ^ 3, loss, true, true),
+            8,
+            2,
+        );
+        coll_scenario(
+            TransportKind::Mx,
+            plan(0xC0FFEE ^ 4, loss, true, true),
+            9,
+            3,
+        );
+    }
 }
 
 /// Same seed ⇒ same collective simulation, event for event — including

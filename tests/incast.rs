@@ -13,7 +13,10 @@
 //! * goodput is monotone-ish in the sender count (no collapse),
 //! * `retransmits / data_packets` stays bounded,
 //! * the 16-sender point actually exercises the rx-FIFO model
-//!   (`nic.rx_congestion_drops > 0`),
+//!   (`nic.rx_congestion_drops > 0`), and there the control loop beats
+//!   the fixed-window sender on goodput (≥ 1.5×) and on p99 latency,
+//! * every sender count's elapsed time, p99, drops and retransmits, with
+//!   and without the control loop, match a pinned table,
 //! * the whole scenario — events and summed counters — is bit-identical per
 //!   seed at shard counts 1/2/4.
 
@@ -73,51 +76,96 @@ fn post_round(
     channel_send(w, ch, round * 100 + sender, buf.iov(MSG)).unwrap();
 }
 
+/// One incast run: goodput in bytes/s of virtual time, the run's elapsed
+/// ns, the p99 per-message latency in ns (round start to the message's
+/// arrival), and the world's stats tree.
+struct IncastRun {
+    goodput: f64,
+    elapsed_ns: u64,
+    p99_ns: u64,
+    st: knet::WorldStats,
+}
+
 /// Run barrier-synchronized incast rounds sequentially (the classic
 /// incast shape: every sender answers the round's request at once, the
-/// next round starts when the fan-in drains); return (goodput bytes/sec
-/// in virtual time, the world's stats tree).
-fn incast_goodput(n_senders: usize, rel: knet_simnic::RelParams) -> (f64, knet::WorldStats) {
+/// next round starts when the fan-in drains).
+fn incast_goodput(n_senders: usize, rel: knet_simnic::RelParams) -> IncastRun {
     let mut w = builder(n_senders).rel_params(rel).build();
     let inc = incast_setup(&mut w, n_senders);
+    let mut lat = Vec::new();
+    let mut got_bytes = 0u64;
     for round in 0..ROUNDS {
+        let start = knet_simcore::now(&w);
         for (i, s) in inc.senders.iter().enumerate() {
             post_round(&mut w, s, round, i as u64 + 1);
         }
+        // Every byte must arrive despite the self-inflicted drops.
+        let mut landed = 0;
+        while landed < n_senders {
+            let outcome = run_until(&mut w, |w: &ClusterWorld| w.has_event(inc.recv_ep));
+            assert_eq!(
+                outcome,
+                RunOutcome::Satisfied,
+                "{n_senders} senders: stalled at {landed} in round {round}"
+            );
+            let at = knet_simcore::now(&w) - start;
+            while let Some(ev) = w.take_event(inc.recv_ep) {
+                if let TransportEvent::Unexpected { data, .. } = ev {
+                    landed += 1;
+                    got_bytes += data.len() as u64;
+                    lat.push(at.nanos());
+                }
+            }
+        }
         run_to_quiescence(&mut w);
     }
-    run_to_quiescence(&mut w);
     assert_eq!(w.sched.engine_error(), None);
-
-    // Every byte must arrive despite the self-inflicted drops.
-    let mut got_msgs = 0u64;
-    let mut got_bytes = 0u64;
-    while let Some(ev) = w.take_event(inc.recv_ep) {
-        if let TransportEvent::Unexpected { data, .. } = ev {
-            got_msgs += 1;
-            got_bytes += data.len() as u64;
-        }
-    }
-    assert_eq!(
-        got_msgs,
-        n_senders as u64 * ROUNDS,
-        "{n_senders} senders: every message delivered"
-    );
     assert_eq!(got_bytes, n_senders as u64 * ROUNDS * MSG);
 
-    let elapsed = knet_simcore::now(&w).nanos().max(1);
-    let goodput = got_bytes as f64 / (elapsed as f64 / 1e9);
-    (goodput, w.stats())
+    lat.sort_unstable();
+    let elapsed_ns = knet_simcore::now(&w).nanos().max(1);
+    IncastRun {
+        goodput: got_bytes as f64 / (elapsed_ns as f64 / 1e9),
+        elapsed_ns,
+        p99_ns: lat[(lat.len() * 99).div_ceil(100) - 1],
+        st: w.stats(),
+    }
 }
+
+/// One row per sender count: the control loop's run and the fixed
+/// window's, each as (elapsed ns, p99 ns, rx-FIFO drops, retransmits).
+/// Pinned exactly: a change that moves a row edits this table and says why.
+const INCAST_ROWS: [(usize, [u64; 4], [u64; 4]); 4] = [
+    (2, [1_386_103, 212_092, 0, 0], [1_386_103, 212_092, 0, 0]),
+    (4, [2_641_910, 375_548, 0, 0], [2_641_910, 375_548, 0, 0]),
+    (8, [5_863_369, 702_460, 0, 0], [5_863_369, 702_460, 0, 0]),
+    (
+        16,
+        [9_954_142, 1_293_564, 264, 264],
+        [22_522_412, 1_883_698, 348, 348],
+    ),
+];
 
 /// The headline regression: adding senders must not collapse goodput,
 /// and the control loop keeps the retransmit ratio bounded even while
 /// the rx FIFO is genuinely overflowing.
 #[test]
 fn incast_goodput_is_monotone_ish_and_retransmits_stay_bounded() {
+    let row = |r: &IncastRun| {
+        [
+            r.elapsed_ns,
+            r.p99_ns,
+            r.st.nic.rx_congestion_drops,
+            r.st.rel.retransmits,
+        ]
+    };
     let mut prev = 0.0f64;
-    for n in [2usize, 4, 8, 16] {
-        let (goodput, st) = incast_goodput(n, knet_simnic::RelParams::default());
+    let mut rows = Vec::new();
+    for (n, ..) in INCAST_ROWS {
+        let cc = incast_goodput(n, knet_simnic::RelParams::default());
+        let fixed = incast_goodput(n, knet_simnic::RelParams::fixed_window());
+        rows.push((n, row(&cc), row(&fixed)));
+        let (goodput, st) = (cc.goodput, &cc.st);
         assert!(
             goodput >= prev * 0.75,
             "congestion collapse at {n} senders: {:.1} MB/s after {:.1} MB/s",
@@ -140,28 +188,35 @@ fn incast_goodput_is_monotone_ish_and_retransmits_stay_bounded() {
                 "16-way incast never overflowed the rx FIFO — the \
                  scenario stopped exercising the contention model"
             );
-            // The control loop (NACK-driven repair + AIMD + fast
-            // retransmit) must beat the pre-control-loop sender, whose
-            // only repair for fan-in tail drops is the RTO.
-            let (fixed, fixed_st) = incast_goodput(n, knet_simnic::RelParams::fixed_window());
             // `cc: false` switches the whole loop off, fast retransmit and
             // NACK repair included: the reference sender repairs by RTO
             // rounds (and tail-loss probes) only.
             assert_eq!(
-                fixed_st.rel.fast_retransmits, 0,
+                fixed.st.rel.fast_retransmits, 0,
                 "fixed window fast-retransmitted"
             );
-            assert_eq!(fixed_st.rel.nack_resends, 0, "fixed window repaired a NACK");
+            assert_eq!(fixed.st.rel.nack_resends, 0, "fixed window repaired a NACK");
+            // The control loop (NACK-driven repair + AIMD + fast
+            // retransmit) must beat the pre-control-loop sender, whose
+            // only repair for fan-in tail drops is the RTO, on goodput
+            // and on the tail.
             assert!(
-                goodput >= fixed * 1.5,
+                goodput >= fixed.goodput * 1.5,
                 "control loop buys only {:.2}x over the fixed-window \
                  sender ({:.1} vs {:.1} MB/s)",
-                goodput / fixed,
+                goodput / fixed.goodput,
                 goodput / 1e6,
-                fixed / 1e6
+                fixed.goodput / 1e6
+            );
+            assert!(
+                cc.p99_ns < fixed.p99_ns,
+                "control loop worsens p99 ({} vs {} ns)",
+                cc.p99_ns,
+                fixed.p99_ns
             );
         }
     }
+    assert_eq!(rows, INCAST_ROWS, "the incast rows moved");
 }
 
 // ------------------------------------------------------- shard identity
@@ -246,7 +301,7 @@ fn a_deep_rx_backlog_never_kills_a_live_link() {
         knet_simnic::RelParams::default(),
         knet_simnic::RelParams::fixed_window(),
     ] {
-        let (goodput, st) = incast_goodput(n, rel);
+        let IncastRun { goodput, st, .. } = incast_goodput(n, rel);
         let round = SimTime::from_nanos(((n as u64 * MSG) as f64 / goodput * 1e9) as u64);
         let budget = knet_simnic::rel::MIN_RTO * (knet_simnic::rel::MAX_RETRIES as u64 + 1);
         assert!(

@@ -13,7 +13,9 @@
 //!   shorter than that horizon wins;
 //! * a proptest over randomized virtual-time schedules (deadlines, loss,
 //!   payload sizes): every call resolves exactly once, engine error
-//!   counter stays zero.
+//!   counter stays zero;
+//! * the echo loss ladder: paced calls at three payloads and four loss
+//!   rates all succeed, and their p50 / p99 match a pinned table.
 
 use std::sync::{Arc, Mutex};
 
@@ -491,4 +493,147 @@ proptest! {
         prop_assert_eq!(w.rpc.clients[cid.0 as usize].outstanding(), 0);
         prop_assert_eq!(w.stats().engine.errors, 0);
     }
+}
+
+// ------------------------------------------------------- echo loss ladder
+
+/// Latency of paced echo calls over MX, in virtual time: one row per
+/// (payload, loss %) with the call p50 and p99 in ns. Payloads span the
+/// eager window (small, medium, just under the 32 kB rendezvous cutoff);
+/// each request is sent once and loss is repaired below RPC, by the NIC's
+/// reliability layer, so the p99 column is the price of that repair.
+/// Pinned exactly: a change that moves a row edits this table and says why.
+const ECHO_ROWS: [(u64, u64, u64, u64); 12] = [
+    (64, 0, 10_478, 10_478),
+    (64, 1, 10_478, 13_126),
+    (64, 5, 10_478, 15_842),
+    (64, 10, 10_478, 217_094),
+    (1024, 0, 25_898, 25_898),
+    (1024, 1, 25_898, 32_454),
+    (1024, 5, 25_898, 32_454),
+    (1024, 10, 25_898, 150_254),
+    (32_000, 0, 375_194, 375_194),
+    (32_000, 1, 375_194, 442_590),
+    (32_000, 5, 392_570, 625_594),
+    (32_000, 10, 442_590, 1_116_522),
+];
+
+/// Calls per ladder point.
+const ECHO_CALLS: u64 = 400;
+
+/// One ladder point: `ECHO_CALLS` calls against an MX echo server, paced
+/// below the window's service rate (~16 ns/byte of eager serialization,
+/// so the gap scales with the payload) so that latency stays a property of
+/// one call, not of a queue the test built. Returns (p50, p99) in ns.
+fn echo_point(payload: u64, loss_pct: u64) -> (u64, u64) {
+    let seed = 0xEC40 ^ (payload << 8) ^ loss_pct;
+    let mut w = ClusterBuilder::new()
+        .nodes(2, CpuModel::xeon_2600())
+        .mem_frames(32_768)
+        .fault_plan(FaultPlan::new(seed).with_drop(loss_pct as f64 / 100.0))
+        .build();
+    let sep = w.open_mx(NodeId(1), MxEndpointConfig::kernel()).unwrap();
+    let cep = w.open_mx(NodeId(0), MxEndpointConfig::kernel()).unwrap();
+    rpc_server_create(
+        &mut w,
+        sep,
+        "echo",
+        RpcServerConfig::default(),
+        |_w, _req, payload, resp| {
+            resp.extend_from_slice(payload);
+            RpcOutcome::Reply
+        },
+        |_w, _node| {},
+    )
+    .unwrap();
+    // The sink stamps each completion and collects it, so the 64-slot
+    // window recycles under the paced load.
+    let done: Done = Default::default();
+    let on_done: RpcSinkFn<ClusterWorld> = {
+        let d = done.clone();
+        Arc::new(move |w: &mut ClusterWorld, comp: RpcCompletion| {
+            if comp.result.is_ok() {
+                rpc_collect(w, comp.client, comp.call, &mut Vec::new());
+            }
+            d.lock()
+                .unwrap()
+                .push((comp.call, comp.result, now(w).nanos()));
+        })
+    };
+    let ccfg = RpcClientConfig {
+        req_cap: payload + 128,
+        resp_cap: payload + 128,
+        ..Default::default()
+    };
+    let cid = rpc_client_create(&mut w, cep, sep, "ladder", on_done, ccfg).unwrap();
+
+    let pace_us = 50 + payload / 50;
+    let submits: Arc<Mutex<Vec<(RpcCall, u64)>>> = Default::default();
+    let body: Vec<u8> = (0..payload).map(|i| (i % 251) as u8).collect();
+    for i in 1..=ECHO_CALLS {
+        let (s, body) = (submits.clone(), body.clone());
+        let at = SimTime::from_micros(pace_us * i);
+        let call = ClusterEv_call(move |w| {
+            let t = now(w).nanos();
+            let call = rpc_call(w, cid, 1, &body, RpcCallOpts::default()).unwrap();
+            s.lock().unwrap().push((call, t));
+        });
+        knet_simcore::emit_at(&mut w, 0, at, call);
+    }
+    run_to_quiescence(&mut w);
+
+    let label = format!("payload={payload} loss={loss_pct}%");
+    let (submits, done) = (submits.lock().unwrap(), done.lock().unwrap());
+    assert_eq!(
+        submits.len() as u64,
+        ECHO_CALLS,
+        "{label}: every call submits"
+    );
+    assert_eq!(
+        done.len() as u64,
+        ECHO_CALLS,
+        "{label}: one resolution per call"
+    );
+    let mut lat: Vec<u64> = submits
+        .iter()
+        .map(|&(call, t_sub)| {
+            let got: Vec<_> = done.iter().filter(|d| d.0 == call).collect();
+            assert_eq!(got.len(), 1, "{label}: {call:?} resolves exactly once");
+            assert_eq!(
+                got[0].1,
+                Ok(payload),
+                "{label}: survivable loss fails no call"
+            );
+            got[0].2 - t_sub
+        })
+        .collect();
+    assert_eq!(w.stats().engine.errors, 0, "{label}");
+    lat.sort_unstable();
+    let pct = |p: usize| lat[((lat.len() - 1) * p + 50) / 100];
+    (pct(50), pct(99))
+}
+
+/// The echo ladder: 64 B / 1 KiB / 32 000 B at 0 / 1 / 5 / 10 % loss.
+/// Every call resolves once and successfully; a clean fabric never waits
+/// on a recovery timer (lossless p99 < 2 ms); and a lone loss is repaired
+/// at RTT scale, so at 1 % loss no small or medium echo in the tail waits
+/// out the retransmit timer's floor (p99 < p50 + `MIN_RTO`).
+#[test]
+fn echo_loss_ladder_resolves_every_call_and_repairs_at_rtt_scale() {
+    let min_rto = knet_simnic::rel::MIN_RTO.nanos();
+    let mut got = Vec::new();
+    for (payload, loss, ..) in ECHO_ROWS {
+        let (p50, p99) = echo_point(payload, loss);
+        if loss == 0 {
+            assert!(p99 < 2_000_000, "{payload} B lossless: p99 {p99} ns ≥ 2 ms");
+        }
+        if loss == 1 && payload <= 1024 {
+            assert!(
+                p99 < p50 + min_rto,
+                "{payload} B at 1 % loss: p99 {p99} ns ≥ p50 {p50} ns + the RTO floor"
+            );
+        }
+        got.push((payload, loss, p50, p99));
+    }
+    assert_eq!(got, ECHO_ROWS, "the echo ladder moved");
 }
