@@ -257,22 +257,49 @@ pub fn copy_in<W: OsWorld>(
     debug_assert!(page_off + src.len() <= PAGE_SIZE, "copy-in stays in a page");
     let mut scratch = std::mem::take(&mut io(w).scratch);
     let os = w.os_mut().node_mut(node);
-    let filled = read_iovec_into(os, &IoVec::single(src), &mut scratch).and_then(|()| {
-        let page = match os.page_cache.peek(key) {
-            Some(page) => page,
-            None => os.page_cache.insert(&mut os.mem, key)?,
-        };
-        os.mem
-            .write(page.frame.base().add(page_off), &scratch)
-            .expect("a cached frame is writable");
-        match fill {
-            Fill::Dirty => os.page_cache.mark_dirty(key),
-            Fill::Uptodate => os.page_cache.mark_uptodate(key),
-        }
-        Ok(())
-    });
+    let filled = read_iovec_into(os, &IoVec::single(src), &mut scratch)
+        .and_then(|()| fill_page(os, key, page_off, &scratch, fill));
     io(w).scratch = scratch;
     filled
+}
+
+/// [`copy_in`] from bytes the caller already holds: a write-through client
+/// that read its source once fills the cache with exactly the bytes it
+/// sends, however long the op waited on a page in flight.
+pub fn copy_in_bytes<W: OsWorld>(
+    w: &mut W,
+    node: NodeId,
+    key: PageKey,
+    page_off: u64,
+    bytes: &[u8],
+    fill: Fill,
+) -> Result<(), NetError> {
+    debug_assert!(
+        page_off + bytes.len() as u64 <= PAGE_SIZE,
+        "copy-in stays in a page"
+    );
+    fill_page(w.os_mut().node_mut(node), key, page_off, bytes, fill)
+}
+
+fn fill_page(
+    os: &mut NodeOs,
+    key: PageKey,
+    page_off: u64,
+    bytes: &[u8],
+    fill: Fill,
+) -> Result<(), NetError> {
+    let page = match os.page_cache.peek(key) {
+        Some(page) => page,
+        None => os.page_cache.insert(&mut os.mem, key)?,
+    };
+    os.mem
+        .write(page.frame.base().add(page_off), bytes)
+        .expect("a cached frame is writable");
+    match fill {
+        Fill::Dirty => os.page_cache.mark_dirty(key),
+        Fill::Uptodate => os.page_cache.mark_uptodate(key),
+    }
+    Ok(())
 }
 
 /// Charge `node`'s CPU one cache-warm copy of `bytes`.

@@ -3,7 +3,7 @@
 //! What makes MX the paper's vehicle for an efficient in-kernel API:
 //!
 //! * the host interface is the *same* from user space and from the kernel —
-//!   latency does not change (§5.1);
+//!   latency does not change (§5.1, measured before the send-copy removal);
 //! * the application tells MX what kind of memory it passes (user virtual /
 //!   kernel virtual / physical, §4.2) and MX does the right thing: pin and
 //!   translate, translate only, or nothing;
@@ -11,10 +11,15 @@
 //! * no explicit registration: small messages are inlined by PIO, medium
 //!   messages (128 B–32 kB) are copied through pre-pinned rings on both
 //!   sides, large messages rendezvous and are pinned internally (§5.1);
-//! * the paper's send-copy-removal optimization (`no_send_copy`) DMAs
-//!   physically contiguous medium messages straight from the source, and the
-//!   *predicted* receive-side removal (`no_recv_copy`) is implemented as the
-//!   "future MX" whose receive processing lives in the NIC (§5.1).
+//! * the paper's send-copy removal (`no_send_copy`, on by default) DMAs
+//!   kernel-virtual or physical, physically contiguous medium messages
+//!   straight from the source; user buffers and non-contiguous vectors still
+//!   go through the ring. [`MxOpts::SEND_COPY`] is the pre-§5.1 MX that
+//!   copies every medium send, which fig. 5's kernel curves and fig. 6's
+//!   baseline reproduce;
+//! * the *predicted* receive-side removal (`no_recv_copy`, off by default) is
+//!   implemented as the "future MX" whose receive processing lives in the
+//!   NIC (§5.1).
 
 use std::collections::VecDeque;
 
@@ -55,14 +60,37 @@ pub enum MxMode {
 }
 
 /// The copy-removal switches of §5.1.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+///
+/// The default is MX as the paper ships it: the send-side copy removal on,
+/// the predicted receive-side removal off.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MxOpts {
     /// Skip the send-side medium copy for physically contiguous kernel
-    /// buffers (implemented in the paper: +17 % at 32 kB).
+    /// buffers (implemented in the paper: +17 % at 32 kB, +9 % for a single
+    /// page). On by default.
     pub no_send_copy: bool,
     /// Skip the receive-side medium copy (the paper's *prediction*, possible
     /// once receive processing moves into the NIC: another +15 %).
     pub no_recv_copy: bool,
+}
+
+impl MxOpts {
+    /// The pre-§5.1 MX: every medium send is copied through the pinned ring.
+    /// The paper measured this MX for the "kernel = user" claim (fig. 5) and
+    /// as the baseline of the copy-removal gains (fig. 6).
+    pub const SEND_COPY: MxOpts = MxOpts {
+        no_send_copy: false,
+        no_recv_copy: false,
+    };
+}
+
+impl Default for MxOpts {
+    fn default() -> Self {
+        MxOpts {
+            no_send_copy: true,
+            no_recv_copy: false,
+        }
+    }
 }
 
 /// Endpoint configuration.

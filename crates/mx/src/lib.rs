@@ -9,7 +9,9 @@
 //! Protocol engine (§5.1):
 //! * **small** (< 128 B): PIO-inlined;
 //! * **medium** (128 B – 32 kB): copied through pre-pinned rings on both
-//!   sides — including the paper's send-copy-removal optimization and the
+//!   sides, except where the paper's send-copy removal applies — on by
+//!   default, for kernel-virtual or physical, physically contiguous
+//!   buffers ([`MxOpts::SEND_COPY`] is the MX before it) — and the
 //!   *predicted* receive-copy removal as a simulated "future MX";
 //! * **large** (> 32 kB): rendezvous (RTS/CTS), internally pinned,
 //!   zero-copy DMA on both ends.

@@ -252,7 +252,7 @@ fn kernel_latency_equals_user_latency() {
     // communications."
     for size in [1u64, 64, 1024, 4096] {
         let u = user_latency(size);
-        let k = kernel_latency(size, MxOpts::default());
+        let k = kernel_latency(size, MxOpts::SEND_COPY);
         let diff = (u - k).abs();
         assert!(
             diff <= 0.40,
@@ -290,14 +290,8 @@ fn one_way_time(size: u64, opts: MxOpts) -> SimTime {
 fn send_copy_removal_gains_match_figure_6() {
     // §5.1: removing the send-side copy buys ≈17 % at 32 kB...
     let size = 32 * 1024;
-    let std = one_way_time(size, MxOpts::default());
-    let nosend = one_way_time(
-        size,
-        MxOpts {
-            no_send_copy: true,
-            no_recv_copy: false,
-        },
-    );
+    let std = one_way_time(size, MxOpts::SEND_COPY);
+    let nosend = one_way_time(size, MxOpts::default());
     let gain = (std.micros() - nosend.micros()) / nosend.micros();
     assert!(
         (0.10..=0.24).contains(&gain),
@@ -308,8 +302,8 @@ fn send_copy_removal_gains_match_figure_6() {
     let nocopy = one_way_time(
         size,
         MxOpts {
-            no_send_copy: true,
             no_recv_copy: true,
+            ..MxOpts::default()
         },
     );
     let gain2 = (nosend.micros() - nocopy.micros()) / nocopy.micros();
@@ -324,14 +318,8 @@ fn send_copy_removal_gains_match_figure_6() {
 fn single_page_copy_removal_gains_about_nine_percent() {
     // §5.1: "The most common case would be a single-page transfer. In this
     // case, our optimization gives a 9 % improvement."
-    let std = one_way_time(PAGE_SIZE, MxOpts::default());
-    let nosend = one_way_time(
-        PAGE_SIZE,
-        MxOpts {
-            no_send_copy: true,
-            no_recv_copy: false,
-        },
-    );
+    let std = one_way_time(PAGE_SIZE, MxOpts::SEND_COPY);
+    let nosend = one_way_time(PAGE_SIZE, MxOpts::default());
     let gain = (std.micros() - nosend.micros()) / nosend.micros();
     assert!(
         (0.05..=0.15).contains(&gain),
@@ -603,8 +591,8 @@ fn user_endpoint_rejects_kernel_memory() {
 fn copy_avoidance_counters_track_usage() {
     let (mut w, n0, n1) = world();
     let cfg = MxEndpointConfig::kernel().with_opts(MxOpts {
-        no_send_copy: true,
         no_recv_copy: true,
+        ..MxOpts::default()
     });
     let ea = mx_open_endpoint(&mut w, n0, cfg).unwrap();
     let eb = mx_open_endpoint(&mut w, n1, cfg).unwrap();

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
-use knet_core::pageio::{self, Cursor, Fill, PageIo, Then};
+use knet_core::pageio::{self, Cursor, Fill, PageIo, Probe, Then};
 use knet_core::{
     channel_send_request, ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, ReqTable,
     StagingRing, TransportEvent,
@@ -52,12 +52,16 @@ enum OpState {
     Buffered(Cursor),
     /// Raw read: waiting for the data message.
     Raw,
-    /// Write in flight: completes when every chunk is acknowledged.
-    /// Chunks are issued in a bounded window (GM bounds pending sends
-    /// with tokens — §4.1), refilled as acks return.
-    WriteAck {
+    /// Buffered write: copies its sectors into the page-cache, parked while
+    /// a read still fetches one of them (that reply carries older bytes and
+    /// would land over these), then completes when every chunk is
+    /// acknowledged. Chunks are issued in a bounded window (GM bounds
+    /// pending sends with tokens — §4.1), refilled as acks return.
+    Write {
         len: u64,
         first_sector: u64,
+        /// Sectors copied into the page-cache so far.
+        cached: u64,
         next_off: u64,
         remaining_acks: u32,
         data: Bytes,
@@ -179,7 +183,16 @@ fn fail_op<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, e: NetError) {
     c.completed.push_back((op, Err(e)));
     let node = c.ep.node;
     for parked in pageio::abandoned(w, node, engine(cid), op) {
-        advance_read(w, cid, parked);
+        resume(w, cid, parked);
+    }
+}
+
+/// Continue `op` after the sector it was parked on settled.
+fn resume<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
+    match w.nbd().clients[cid.0 as usize].ops.get(&op) {
+        Some(OpState::Buffered(_)) => advance_read(w, cid, op),
+        Some(OpState::Write { .. }) => advance_write(w, cid, op),
+        Some(OpState::Raw) | None => {}
     }
 }
 
@@ -253,7 +266,8 @@ pub fn nbd_read_raw<W: NbdWorld>(w: &mut W, cid: NbdClientId, dest: MemRef, sect
 }
 
 /// Buffered write: fills page-cache sectors and writes them through
-/// synchronously (NBD has no delayed write-back in this model).
+/// synchronously (NBD has no delayed write-back in this model). A sector
+/// that a read is still fetching is filled once that fetch has settled.
 pub fn nbd_write<W: NbdWorld>(w: &mut W, cid: NbdClientId, src: MemRef, offset: u64) -> NbdOp {
     charge_entry(w, cid);
     debug_assert_eq!(offset % SECTOR_SIZE, 0, "sector-aligned writes");
@@ -279,35 +293,62 @@ pub fn nbd_write<W: NbdWorld>(w: &mut W, cid: NbdClientId, src: MemRef, offset: 
         }
     };
     pageio::charge_copy(w, node, len);
-    let first = offset / SECTOR_SIZE;
-    for i in 0..(len / SECTOR_SIZE) {
-        let key = w.nbd().clients[cid.0 as usize].cache_key(first + i);
-        let sector = src.sub_range(i * SECTOR_SIZE, SECTOR_SIZE);
-        // `src` was just read whole, so the one failure left is a frame
-        // shortage on an absent sector: it stays uncached (nothing stale)
-        // and still reaches the server.
-        let _ = pageio::copy_in(w, node, engine(cid), key, 0, sector, Fill::Uptodate);
+    w.nbd_mut().clients[cid.0 as usize].ops.insert(
+        op,
+        OpState::Write {
+            len,
+            first_sector: offset / SECTOR_SIZE,
+            cached: 0,
+            next_off: 0,
+            remaining_acks: chunks,
+            data: Bytes::from(data),
+        },
+    );
+    advance_write(w, cid, op);
+    op
+}
+
+/// Advance a buffered write: update the cached sectors (write-through),
+/// parking on one that a read is still fetching, then issue the chunked
+/// write requests through a bounded window.
+fn advance_write<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
+    let c = &w.nbd().clients[cid.0 as usize];
+    let Some(&OpState::Write {
+        len,
+        first_sector,
+        mut cached,
+        ref data,
+        ..
+    }) = c.ops.get(&op)
+    else {
+        return;
+    };
+    let (node, data, sectors) = (c.ep.node, data.clone(), len / SECTOR_SIZE);
+    while cached < sectors {
+        let key = w.nbd().clients[cid.0 as usize].cache_key(first_sector + cached);
+        if pageio::probe(w, node, engine(cid), key, op) == Probe::InFlight {
+            break;
+        }
+        let at = (cached * SECTOR_SIZE) as usize;
+        let sector = &data[at..at + SECTOR_SIZE as usize];
+        // The one failure is a frame shortage on an absent sector: it stays
+        // uncached (nothing stale) and still reaches the server.
+        let _ = pageio::copy_in_bytes(w, node, key, 0, sector, Fill::Uptodate);
+        cached += 1;
     }
-    // Issue the chunked write requests through a bounded window.
+    if let Some(OpState::Write { cached: at, .. }) =
+        w.nbd_mut().clients[cid.0 as usize].ops.get_mut(&op)
     {
-        let c = &mut w.nbd_mut().clients[cid.0 as usize];
-        c.ops.insert(
-            op,
-            OpState::WriteAck {
-                len,
-                first_sector: first,
-                next_off: 0,
-                remaining_acks: chunks,
-                data: Bytes::from(data),
-            },
-        );
+        *at = cached;
+    }
+    if cached < sectors {
+        return; // parked: the fetch's landing or abandon resumes the write
     }
     for _ in 0..WRITE_WINDOW {
         if !issue_next_write_chunk(w, cid, op) {
             break;
         }
     }
-    op
 }
 
 /// Send the next pending chunk of a windowed write; returns false when all
@@ -315,7 +356,7 @@ pub fn nbd_write<W: NbdWorld>(w: &mut W, cid: NbdClientId, src: MemRef, offset: 
 fn issue_next_write_chunk<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) -> bool {
     let (first, off, n, chunk) = {
         let c = &mut w.nbd_mut().clients[cid.0 as usize];
-        let Some(OpState::WriteAck {
+        let Some(OpState::Write {
             len,
             first_sector,
             next_off,
@@ -437,7 +478,7 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
             let parked = pageio::landed(w, node, engine(cid), op);
             advance_read(w, cid, op);
             for op in parked {
-                advance_read(w, cid, op);
+                resume(w, cid, op);
             }
         }
         Some(OpState::Raw) => {
@@ -446,7 +487,7 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
             c.ops.remove(&op);
             c.completed.push_back((op, Ok(len)));
         }
-        Some(OpState::WriteAck {
+        Some(OpState::Write {
             len,
             remaining_acks,
             ..
@@ -458,7 +499,7 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
             } else {
                 {
                     let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                    if let Some(OpState::WriteAck { remaining_acks, .. }) = c.ops.get_mut(&op) {
+                    if let Some(OpState::Write { remaining_acks, .. }) = c.ops.get_mut(&op) {
                         *remaining_acks -= 1;
                     }
                 }

@@ -184,13 +184,15 @@ pub fn fig5a() -> Figure {
     }
     out.push(s);
 
-    // MX kernel.
+    // MX kernel, as measured for §5.1's "kernel = user" claim: before the
+    // send-copy removal.
     let mut s = Series::new("MX Kernel");
+    let cfg = MxEndpointConfig::kernel().with_opts(MxOpts::SEND_COPY);
     for &n in &sizes {
         let (mut w, n0, n1) = two_nodes();
         let cq = w.new_cq();
-        let ea = w.open_mx_cq(n0, MxEndpointConfig::kernel(), cq).unwrap();
-        let eb = w.open_mx_cq(n1, MxEndpointConfig::kernel(), cq).unwrap();
+        let ea = w.open_mx_cq(n0, cfg, cq).unwrap();
+        let eb = w.open_mx_cq(n1, cfg, cq).unwrap();
         let ka = kbuf(&mut w, n0, 4096.max(n));
         let kb = kbuf(&mut w, n1, 4096.max(n));
         let us = transport_pingpong_us(&mut w, ea, eb, ka.iov(n), kb.iov(n), 5);
@@ -245,12 +247,14 @@ pub fn fig5b() -> Figure {
     }
     out.push(s);
 
+    // Before the send-copy removal, like fig. 5a's kernel curve.
     let mut s = Series::new("MX Kernel Physical");
+    let cfg = MxEndpointConfig::kernel().with_opts(MxOpts::SEND_COPY);
     for &n in &sizes {
         let (mut w, n0, n1) = two_nodes();
         let cq = w.new_cq();
-        let ea = w.open_mx_cq(n0, MxEndpointConfig::kernel(), cq).unwrap();
-        let eb = w.open_mx_cq(n1, MxEndpointConfig::kernel(), cq).unwrap();
+        let ea = w.open_mx_cq(n0, cfg, cq).unwrap();
+        let eb = w.open_mx_cq(n1, cfg, cq).unwrap();
         let ka = kbuf(&mut w, n0, (1 << 20).max(n));
         let kb = kbuf(&mut w, n1, (1 << 20).max(n));
         let pa = MemRef::physical(ka.addr.kernel_to_phys().unwrap(), n);
@@ -301,19 +305,13 @@ pub fn fig6() -> Figure {
     out.push(user);
 
     for (name, opts) in [
-        ("MX Kernel", MxOpts::default()),
-        (
-            "MX Kernel No-send-copy",
-            MxOpts {
-                no_send_copy: true,
-                no_recv_copy: false,
-            },
-        ),
+        ("MX Kernel", MxOpts::SEND_COPY),
+        ("MX Kernel No-send-copy", MxOpts::default()),
         (
             "MX Kernel No-copy (predicted)",
             MxOpts {
-                no_send_copy: true,
                 no_recv_copy: true,
+                ..MxOpts::default()
             },
         ),
     ] {

@@ -10,6 +10,10 @@
 //!   pages in the cache, where the next read of them tripped over them;
 //! * a user buffer that faults used to be a panic (NBD write), a silent
 //!   `Ok` (ORFS read) or a page of zeroes marked dirty (ORFS write).
+//!
+//! And one way NBD's write-through broke it after the merge: it filled a
+//! sector that a read was still fetching, and the read's older bytes then
+//! landed over the written ones.
 
 use knet::figures::{fs_fixture, FsFixture, FsOpts};
 use knet::harness::{fsops, orfs_wait, pattern_byte, ubuf};
@@ -237,6 +241,37 @@ fn nbd_clients_sharing_a_device_id_never_share_cached_sectors() {
         assert_eq!(nbd_wait(&mut w, *cid, op), Ok(4096));
         assert_eq!(read_user(&w, &user, 0, 4096), image[..4096], "{cid:?}");
     }
+}
+
+/// A buffered write over a sector that an earlier read is still fetching
+/// waits for that fetch: the read's reply carries the device's older bytes
+/// and must not land over the newer ones in the cache.
+#[test]
+fn nbd_write_over_a_sector_in_flight_keeps_the_written_bytes() {
+    let Nbd {
+        mut w,
+        cid,
+        user,
+        image,
+    } = nbd();
+    let n0 = NodeId(0);
+    let (at_w, at_r) = (64 * 1024, 128 * 1024);
+    let new = pattern(1000, 8192);
+    w.os.node_mut(n0)
+        .write_virt(user.asid, user.addr.add(at_w), &new)
+        .unwrap();
+    let read = nbd_read(&mut w, cid, user.memref(4096), 0);
+    let write = nbd_write(&mut w, cid, user.memref_at(at_w, 8192), 0);
+    assert_eq!(nbd_wait(&mut w, cid, read), Ok(4096));
+    assert_eq!(nbd_wait(&mut w, cid, write), Ok(8192));
+    assert_eq!(read_user(&w, &user, 0, 4096), image[..4096], "read first");
+    run_to_quiescence(&mut w);
+    assert_eq!(w.nbd.servers[0].disk.read(0, 2).unwrap(), new, "the device");
+    let requests = w.nbd.servers[0].requests;
+    let again = nbd_read(&mut w, cid, user.memref_at(at_r, 8192), 0);
+    assert_eq!(nbd_wait(&mut w, cid, again), Ok(8192));
+    assert_eq!(read_user(&w, &user, at_r, 8192), new, "the cache");
+    assert_eq!(w.nbd.servers[0].requests, requests, "served from the cache");
 }
 
 // ------------------------------------------- an abandoned fetch gives frames back

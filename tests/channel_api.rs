@@ -363,6 +363,140 @@ fn multi_segment_sends_pass_through_untouched_on_mx() {
     );
 }
 
+// ------------------------------------------------ send-copy removal (§5.1)
+
+/// One channel send of the bytes `setup` places on node 0, from an MX
+/// endpoint opened with the config `setup` returns, into a buffer posted on
+/// a kernel endpoint on node 1. Checks that the bytes arrive intact and
+/// returns the sender's `send_copies_avoided`, the instant its `SendDone`
+/// surfaced and the instant its node's CPU was free after the send.
+fn mx_send_once(
+    setup: impl FnOnce(&mut ClusterWorld, NodeId) -> (MxEndpointConfig, IoVec),
+) -> (u64, SimTime, SimTime) {
+    let (mut w, n0, n1) = two_nodes();
+    let (cfg, iov) = setup(&mut w, n0);
+    let len = iov.total_len();
+    let data: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+    knet_core::write_iovec(w.os.node_mut(n0), &iov, &data).unwrap();
+    let (cq_a, cq_b) = (w.new_cq(), w.new_cq());
+    let ea = w.open_mx(n0, cfg).unwrap();
+    let eb = w.open_mx(n1, MxEndpointConfig::kernel()).unwrap();
+    let ch_a = channel_connect(&mut w, ea, eb, cq_a);
+    let ch_b = api::channel_accept(&mut w, eb, cq_b);
+    let kb = kbuf(&mut w, n1, 64 * 1024);
+    api::channel_post_recv(&mut w, ch_b, 5, kb.iov(64 * 1024)).unwrap();
+    let ctx = channel_send(&mut w, ch_a, 5, iov).unwrap();
+    let cpu_free = w.os.node(n0).cpu.busy.free_at();
+    match await_cq(&mut w, cq_a, ea) {
+        TransportEvent::SendDone { ctx: c } => assert_eq!(c, ctx, "{len} B"),
+        other => panic!("{len} B: {other:?}"),
+    }
+    let send_done = now(&w);
+    match await_cq(&mut w, cq_b, eb) {
+        TransportEvent::RecvDone { len: got, .. } => assert_eq!(got, len),
+        other => panic!("{len} B: {other:?}"),
+    }
+    assert_eq!(read_kernel(&w, n1, kb.addr, len as usize), data, "{len} B");
+    let avoided =
+        w.mx.ep(knet_mx::MxEndpointId(ea.idx))
+            .unwrap()
+            .stats
+            .send_copies_avoided;
+    (avoided, send_done, cpu_free)
+}
+
+/// A send of `len` bytes of kernel-virtual memory from a kernel endpoint
+/// opened with `opts`, for [`mx_send_once`].
+fn kernel_send(
+    len: u64,
+    opts: MxOpts,
+) -> impl FnOnce(&mut ClusterWorld, NodeId) -> (MxEndpointConfig, IoVec) {
+    move |w, n0| {
+        let cfg = MxEndpointConfig::kernel().with_opts(opts);
+        (cfg, kbuf(w, n0, len).iov(len))
+    }
+}
+
+/// A kernel endpoint's default skips the host copy of a medium send
+/// (128 B – 32 kB) whose buffer is kernel-virtual or physical and
+/// physically contiguous: the source is DMAed directly, so the buffer is
+/// the sender's again only after the last DMA fetch, which comes after the
+/// host's work on the send has ended.
+#[test]
+fn default_mx_medium_sends_from_contiguous_kernel_memory_skip_the_copy() {
+    let kernel = |len| kernel_send(len, MxOpts::default());
+    let physical = |len: u64| {
+        move |w: &mut ClusterWorld, n0| {
+            let pa = kbuf(w, n0, len).addr.kernel_to_phys().unwrap();
+            let iov = IoVec::single(MemRef::physical(pa, len));
+            (MxEndpointConfig::kernel(), iov)
+        }
+    };
+    for (what, (avoided, send_done, cpu_free)) in [
+        ("kernel-virtual 128 B", mx_send_once(kernel(128))),
+        ("kernel-virtual 4 kB", mx_send_once(kernel(4096))),
+        ("physical 32 kB", mx_send_once(physical(32 * 1024))),
+    ] {
+        assert_eq!(avoided, 1, "{what}: the copy was skipped");
+        assert!(
+            send_done > cpu_free,
+            "{what}: SendDone at {send_done:?} waits for the DMA, past the host's {cpu_free:?}"
+        );
+    }
+}
+
+/// Everything else keeps the copy or never had one: user memory, a
+/// vector of non-contiguous kernel pieces, a PIO-sized (small) send, a
+/// rendezvous-sized (large) send, and any send from an endpoint opened
+/// with the pre-§5.1 options [`MxOpts::SEND_COPY`].
+#[test]
+fn mx_sends_outside_the_copy_removal_keep_the_host_copy() {
+    let user = |w: &mut ClusterWorld, n0| {
+        let buf = ubuf(w, n0, 4096);
+        (MxEndpointConfig::user(buf.asid), buf.iov(4096))
+    };
+    let split_vector = |w: &mut ClusterWorld, n0| {
+        let os = w.os.node_mut(n0);
+        let k1 = os.kalloc(PAGE_SIZE).unwrap();
+        let _gap = os.kalloc(PAGE_SIZE).unwrap();
+        let k2 = os.kalloc(PAGE_SIZE).unwrap();
+        let mut iov = IoVec::new();
+        iov.push(MemRef::kernel(k1, 1024));
+        iov.push(MemRef::kernel(k2, 1024));
+        (MxEndpointConfig::kernel(), iov)
+    };
+    let copied = [
+        ("user-virtual 4 kB", mx_send_once(user)),
+        ("split kernel vector", mx_send_once(split_vector)),
+        (
+            "SEND_COPY 4 kB",
+            mx_send_once(kernel_send(4096, MxOpts::SEND_COPY)),
+        ),
+        (
+            "SEND_COPY 32 kB",
+            mx_send_once(kernel_send(32 * 1024, MxOpts::SEND_COPY)),
+        ),
+        (
+            "PIO 127 B",
+            mx_send_once(kernel_send(127, MxOpts::default())),
+        ),
+    ];
+    for (what, (avoided, send_done, cpu_free)) in copied {
+        assert_eq!(avoided, 0, "{what}: nothing skipped");
+        assert_eq!(
+            send_done, cpu_free,
+            "{what}: SendDone when the host's copy ends"
+        );
+    }
+    let (avoided, send_done, cpu_free) =
+        mx_send_once(kernel_send(32 * 1024 + 1, MxOpts::default()));
+    assert_eq!(avoided, 0, "rendezvous: no medium copy to skip");
+    assert!(
+        send_done > cpu_free,
+        "rendezvous: SendDone after the data moved"
+    );
+}
+
 #[test]
 fn closed_channels_stop_routing_and_release_state() {
     let (mut w, n0, n1) = two_nodes();

@@ -74,7 +74,9 @@ const CONFIGS: [Cfg; 8] = [
 
 /// One hash per size, for each (configuration, posted?, lossy?) in the
 /// order `golden_rows` walks them. Recorded on the parent of the PR that
-/// introduced `knet_core::driver`'s message engine.
+/// introduced `knet_core::driver`'s message engine; the `MxKernelMpi` rows
+/// (default `MxOpts`) re-recorded when the send-copy removal became MX's
+/// default, which moved their medium-send `SendDone` instants.
 const GOLDEN: [[u64; SIZES.len()]; CONFIGS.len() * 4] = include!("driver_datapath_golden.in");
 
 /// The same cases folded without the virtual instants: events, bytes,
@@ -134,8 +136,8 @@ fn region(w: &mut ClusterWorld, node: NodeId, len: u64, user: bool) -> Region {
 
 fn open(w: &mut ClusterWorld, cfg: Cfg, node: NodeId, buf: Region, len: u64) -> Endpoint {
     let mx = |no_recv_copy| MxOpts {
-        no_send_copy: false,
         no_recv_copy,
+        ..MxOpts::SEND_COPY
     };
     match cfg {
         Cfg::GmUserRegistered => {

@@ -300,23 +300,76 @@ fn fig8_socket_latency_and_capacity_claims() {
 }
 
 // ---------------------------------------------------------------- Figure 6
-// (the copy-removal gains themselves are asserted in knet-mx's unit tests;
-// here: the medium/large boundary is visible as a regime change)
+// (§5.1's copy-removal anchors, as the figure reproduces them, and the
+// medium/large boundary as a regime change)
+
+/// Ping-pong bandwidth of `n`-byte kernel-virtual messages between two
+/// default kernel MX endpoints, measured as fig. 6 measures its curves.
+fn kernel_mx_mbps(n: u64) -> f64 {
+    let (mut w, n0, n1) = two_nodes();
+    let cq = w.new_cq();
+    let a = w.open_mx_cq(n0, MxEndpointConfig::kernel(), cq).unwrap();
+    let b = w.open_mx_cq(n1, MxEndpointConfig::kernel(), cq).unwrap();
+    let ka = knet::harness::kbuf(&mut w, n0, n);
+    let kb = knet::harness::kbuf(&mut w, n1, n);
+    let us = knet::harness::transport_pingpong_us(&mut w, a, b, ka.iov(n), kb.iov(n), 3);
+    n as f64 / us
+}
+
+/// The curve of `fig` named `name`.
+fn curve<'a>(fig: &'a figures::Figure, name: &str) -> &'a knet_simcore::Series {
+    fig.series
+        .iter()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("{}: no curve {name:?}", fig.id))
+}
+
+/// What every in-kernel consumer gets, `MxEndpointConfig::kernel()`, is
+/// the paper's MX after §5.1: fig. 6's no-send-copy curve, point for
+/// point. Against the pre-§5.1 baseline that curve gains ≈17 % at 32 kB
+/// and ≈9 % for a single page (knet-mx's tolerances).
+#[test]
+fn fig6_default_kernel_mx_is_the_no_send_copy_curve_and_gains_as_in_the_paper() {
+    let fig = figures::fig6();
+    let (copy, nosend) = (
+        curve(&fig, "MX Kernel"),
+        curve(&fig, "MX Kernel No-send-copy"),
+    );
+    for p in &nosend.points {
+        let n = p.x;
+        assert_eq!(kernel_mx_mbps(n), p.y, "{n} B: default kernel MX vs fig. 6");
+    }
+    let gain = |n| nosend.exact(n).unwrap() / copy.exact(n).unwrap() - 1.0;
+    let (at_32k, at_page) = (gain(32 * 1024), gain(P));
+    assert!(
+        (0.10..=0.24).contains(&at_32k),
+        "no-send-copy gain at 32 kB = {:.1} % (paper: 17 %)",
+        at_32k * 100.0
+    );
+    assert!(
+        (0.05..=0.15).contains(&at_page),
+        "single-page no-send-copy gain = {:.1} % (paper: 9 %)",
+        at_page * 100.0
+    );
+}
+
+/// §5.1's "kernel = user" claim was measured before the send-copy removal:
+/// fig. 5a's MX Kernel curve is that MX, and it is the MX User curve.
+#[test]
+fn fig5a_pre_copy_removal_kernel_mx_latency_equals_user_mx() {
+    let fig = figures::fig5a();
+    let (user, kernel) = (curve(&fig, "MX User"), curve(&fig, "MX Kernel"));
+    assert_eq!(user.points.len(), kernel.points.len());
+    for (u, k) in user.points.iter().zip(&kernel.points) {
+        assert_eq!(u.x, k.x);
+        assert_eq!(k.y, u.y, "{} B: kernel {} vs user {} µs", k.x, k.y, u.y);
+    }
+}
 
 #[test]
 fn fig6_regime_change_at_the_medium_boundary() {
-    let run = |n: u64| {
-        let (mut w, n0, n1) = two_nodes();
-        let cq = w.new_cq();
-        let a = w.open_mx_cq(n0, MxEndpointConfig::kernel(), cq).unwrap();
-        let b = w.open_mx_cq(n1, MxEndpointConfig::kernel(), cq).unwrap();
-        let ka = knet::harness::kbuf(&mut w, n0, n);
-        let kb = knet::harness::kbuf(&mut w, n1, n);
-        let us = knet::harness::transport_pingpong_us(&mut w, a, b, ka.iov(n), kb.iov(n), 3);
-        n as f64 / us
-    };
-    let medium_end = run(32 * 1024); // copies on both sides
-    let large_start = run(64 * 1024); // rendezvous, zero-copy
+    let medium_end = kernel_mx_mbps(32 * 1024); // the receive-side copy
+    let large_start = kernel_mx_mbps(64 * 1024); // rendezvous, zero-copy
     assert!(
         large_start > medium_end * 1.15,
         "crossing into the rendezvous regime jumps: {medium_end:.0} → {large_start:.0} MB/s"
