@@ -35,8 +35,8 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 use knet_simcore::{IdHashMap, SimTime};
 use knet_simnic::{
-    dma_charge, dma_gather, dma_scatter, fw_charge, rel_send, MsgHeader, NicId, NicLayer, NicWorld,
-    Packet, Proto,
+    dma_charge, dma_gather, dma_scatter, fw_charge, tx_submit, MsgHeader, NicId, NicLayer,
+    NicWorld, Packet, Proto,
 };
 use knet_simos::{NodeId, OsError, PhysSeg};
 
@@ -93,8 +93,9 @@ pub struct Route {
 }
 
 impl Route {
-    /// The one packet builder: `hdr` + `payload` under the link's
-    /// reliability window, no earlier than `ready`.
+    /// The one packet builder: `hdr` + `payload` into the NIC's transmit
+    /// queue, ready for the link no earlier than `ready` (the queue books
+    /// it under the link's reliability window).
     #[inline]
     pub fn send<W: NicWorld>(&self, w: &mut W, hdr: MsgHeader, payload: Bytes, ready: SimTime) {
         let mut pkt = Packet::new(
@@ -107,7 +108,7 @@ impl Route {
             self.header_bytes,
         );
         pkt.tenant = self.tenant.0;
-        rel_send(w, pkt, ready);
+        tx_submit(w, pkt, ready);
     }
 }
 
@@ -298,6 +299,10 @@ pub struct Reassembly<B> {
     window: Vec<PhysSeg>,
     /// Chunks of cancelled messages, counted and dropped.
     pub discarded: u64,
+    /// Packets whose header words describe no chunk a sender could have
+    /// cut — see [`chunk_fits`] and [`Reassembly::begin_or_resume`] —
+    /// counted and dropped.
+    pub malformed: u64,
 }
 
 impl<B> Default for Reassembly<B> {
@@ -307,28 +312,38 @@ impl<B> Default for Reassembly<B> {
             rings: Vec::new(),
             window: Vec::new(),
             discarded: 0,
+            malformed: 0,
         }
     }
 }
 
 impl<B: Posted> Reassembly<B> {
-    /// The assembly `m`'s packet belongs to, out of the table while the
-    /// chunk is processed. A first
-    /// chunk begins one — capturing the first fitting buffer of `posted` —
-    /// and returns `true`.
+    /// The assembly `m`'s packet — `len` payload bytes arriving over
+    /// `link` — belongs to, out of the table while the chunk is processed.
+    /// A first chunk begins one — capturing the first fitting buffer of
+    /// `posted` — and returns `true`. A chunk that does not fit its message
+    /// ([`chunk_fits`]), or that names a message begun with another length
+    /// or over another link, is counted in [`Self::malformed`] and yields
+    /// `None`, leaving the table and `posted` as they were.
     #[inline]
     pub fn begin_or_resume(
         &mut self,
         m: &MsgHeader,
+        len: u64,
         link: (NicId, NicId),
         posted: &mut VecDeque<B>,
-    ) -> (Assembly<B>, bool) {
-        match self.resume(m) {
-            Some(a) => (a, false),
-            None => {
+    ) -> Option<(Assembly<B>, bool)> {
+        match self.take(m, len, link) {
+            Ok(Some(a)) => Some((a, false)),
+            Ok(None) if chunk_fits(m, len) => {
                 let matched = first_fit(posted, m.tag, m.total);
-                (Assembly::begin(m, link, matched), true)
+                Some((Assembly::begin(m, link, matched), true))
             }
+            Ok(None) => {
+                self.malformed += 1;
+                None
+            }
+            Err(()) => None,
         }
     }
 
@@ -341,13 +356,43 @@ impl<B: Posted> Reassembly<B> {
         }
     }
 
-    /// An assembly already begun (or [`Self::commit`]ted), if any.
-    pub fn resume(&mut self, m: &MsgHeader) -> Option<Assembly<B>> {
+    /// Whether `m`'s message has begun (or been [`Self::commit`]ted) and
+    /// not yet completed.
+    pub fn is_assembling(&self, m: &MsgHeader) -> bool {
+        !self.map.is_empty() && self.map.contains_key(&(m.dst, m.src, m.msg_id))
+    }
+
+    /// An assembly already begun (or [`Self::commit`]ted) that a chunk of
+    /// `len` bytes arriving over `link` continues, if any (a chunk that
+    /// does not fit it is counted in [`Self::malformed`]).
+    pub fn resume(&mut self, m: &MsgHeader, len: u64, link: (NicId, NicId)) -> Option<Assembly<B>> {
+        self.take(m, len, link).ok().flatten()
+    }
+
+    /// [`Self::resume`], telling "no such message" (`Ok(None)`) from a
+    /// chunk that does not fit the message it names — another length,
+    /// another link, bytes past its end (`Err`, counted; the assembly stays
+    /// where it was).
+    fn take(
+        &mut self,
+        m: &MsgHeader,
+        len: u64,
+        link: (NicId, NicId),
+    ) -> Result<Option<Assembly<B>>, ()> {
         // (Most messages arrive whole: nothing is reassembling, skip the hash.)
         if self.map.is_empty() {
-            return None;
+            return Ok(None);
         }
-        self.map.remove(&(m.dst, m.src, m.msg_id))
+        let key = (m.dst, m.src, m.msg_id);
+        let Some(a) = self.map.remove(&key) else {
+            return Ok(None);
+        };
+        if a.total != m.total || a.link != link || !chunk_fits(m, len) {
+            self.map.insert(key, a);
+            self.malformed += 1;
+            return Err(());
+        }
+        Ok(Some(a))
     }
 
     /// Begin an assembly ahead of its first chunk, committing `buf` to it
@@ -418,6 +463,15 @@ impl<B> Reassembly<B> {
     pub fn footprint(&self) -> (usize, usize) {
         (self.map.capacity(), self.rings.len())
     }
+}
+
+/// Whether header `m` describes a chunk of `len` bytes a sender could have
+/// cut from its message: one that ends by the message's end (an empty
+/// message travels as one empty chunk at offset 0). `MsgHeader::unpack`
+/// accepts any four words, so the receive paths judge the fields here
+/// before they capture a buffer or stage a byte.
+pub fn chunk_fits(m: &MsgHeader, len: u64) -> bool {
+    m.offset.checked_add(len).is_some_and(|end| end <= m.total)
 }
 
 /// Land `pkt` (header `m`), the next chunk of `a`, at its destination NIC no
@@ -523,7 +577,9 @@ mod tests {
         let mut t: Reassembly<Buf> = Reassembly::default();
         let mut posted: VecDeque<Buf> = [Buf(7, 8192), Buf(7, 8192)].into_iter().collect();
         for msg_id in [5, 4] {
-            let (a, first) = t.begin_or_resume(&hdr(0, msg_id), link, &mut posted);
+            let (a, first) = t
+                .begin_or_resume(&hdr(0, msg_id), 0, link, &mut posted)
+                .unwrap();
             assert!(first && a.matched.is_some());
             t.put_back(&hdr(0, msg_id), a);
         }
@@ -537,7 +593,7 @@ mod tests {
         assert!(t.cancel_captured(3, 7).is_some());
         assert_eq!((t.incomplete(), t.map.len()), (2, 3));
         assert!(t.map[&(3, 0, 4)].cancelled && !t.map[&(3, 0, 5)].cancelled);
-        let (resumed, first) = t.begin_or_resume(&hdr(0, 4), link, &mut posted);
+        let (resumed, first) = t.begin_or_resume(&hdr(0, 4), 0, link, &mut posted).unwrap();
         assert!(!first && resumed.cancelled && resumed.matched.is_none());
         // Then the other eager message's; never the committed one.
         assert!(t.cancel_captured(3, 7).is_some());

@@ -33,8 +33,9 @@ use knet_simnic::{
 use knet_simos::{cpu_charge, page_slices, Asid, FrameIdx, NodeId, PhysSeg};
 
 use crate::params::{
-    deregister_cost, GmParams, FW_CHUNK, FW_RECV, FW_SEND, FW_TRANSLATE_BASE, FW_TRANSLATE_PAGE,
-    HEADER_BYTES, HOST_EVENT_POLL, HOST_SEND_POST, KERNEL_OP_EXTRA, REG_PER_PAGE, REG_SYSCALL,
+    deregister_cost, GmParams, BOUNCE_MAX, FW_CHUNK, FW_RECV, FW_SEND, FW_TRANSLATE_BASE,
+    FW_TRANSLATE_PAGE, HEADER_BYTES, HOST_EVENT_POLL, HOST_SEND_POST, KERNEL_OP_EXTRA,
+    REG_PER_PAGE, REG_SYSCALL,
 };
 
 /// Global identifier of an open GM port.
@@ -286,6 +287,12 @@ impl GmLayer {
     /// `(table capacity, idle bounce buffers)` of the reassembly table.
     pub fn reassembly_footprint(&self) -> (usize, usize) {
         self.assemblies.footprint()
+    }
+
+    /// Packets dropped because their kind or header words describe nothing
+    /// a peer could have sent (see `knet_core::driver::chunk_fits`).
+    pub fn malformed(&self) -> u64 {
+        self.assemblies.malformed
     }
 }
 
@@ -822,26 +829,43 @@ pub fn gm_on_packet<W: GmWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     if is_coll_frame(pkt.kind) {
         return coll_on_packet(w, nic, pkt);
     }
+    if pkt.kind != PKT_KIND_DATA {
+        w.gm_mut().assemblies.malformed += 1;
+        return;
+    }
     let m = MsgHeader::unpack(&pkt.meta);
     let dst = GmPortId(m.dst);
     let now = knet_simcore::now(w);
 
     // Locate the destination port; a stale port swallows the packet (real GM
-    // drops traffic to closed ports).
+    // drops traffic to closed ports), and so does a port on another card.
     let Ok(port) = w.gm().port(dst) else {
         return;
     };
-    debug_assert_eq!(port.nic, nic, "packet routed to the wrong NIC");
+    if port.nic != nic {
+        w.gm_mut().assemblies.malformed += 1;
+        return;
+    }
     let (node, is_kernel, blocking) = (port.node, port.mode.is_kernel(), port.blocking_notify);
 
     // A first chunk matches against the provided buffers and pays the match
     // processing plus the captured buffer's address translation (skipped
-    // entirely by physical-address buffers); later chunks pay per chunk.
-    let (mut a, first) = {
+    // entirely by physical-address buffers); later chunks pay per chunk. A
+    // chunk whose header does not fit a message is dropped before either.
+    let len = pkt.payload.len() as u64;
+    let begun = {
         let l = w.gm_mut();
         let queue = &mut l.ports[m.dst as usize].recv_queue;
-        l.assemblies.begin_or_resume(&m, (nic, pkt.src), queue)
+        l.assemblies.begin_or_resume(&m, len, (nic, pkt.src), queue)
     };
+    let Some((mut a, first)) = begun else {
+        return;
+    };
+    // The bounce pool stages an unmatched message only up to its size.
+    if first && a.matched.is_none() && a.total > BOUNCE_MAX {
+        w.gm_mut().assemblies.malformed += 1;
+        return;
+    }
     let fw_cost = match (first, &a.matched) {
         (true, Some(buf)) => FW_RECV + buf.translate_cost,
         (true, None) => FW_RECV,

@@ -44,6 +44,10 @@ pub const DEREG_BASE: SimTime = SimTime::from_micros(200);
 pub const DEREG_PER_PAGE: SimTime = SimTime::from_nanos(100);
 /// On-wire header bytes per packet.
 pub const HEADER_BYTES: u64 = 24;
+/// Largest message the pre-registered bounce pool stages when no provided
+/// buffer matched it; a larger unmatched message is dropped, so a header
+/// naming a 4 GiB message cannot make the receiver stage one.
+pub const BOUNCE_MAX: u64 = 4 << 20;
 
 /// The GM settings a world may change. Plain scalars — `Copy`, so the hot
 /// path reads it by value instead of cloning per operation.

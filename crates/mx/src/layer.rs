@@ -40,7 +40,7 @@ use knet_simos::{Asid, FrameIdx, NodeId, PhysSeg};
 
 use crate::params::{
     pio_cost, protocol_for, MxProtocol, FW_CHUNK, FW_RECV, FW_RNDV, FW_SEND, HEADER_BYTES,
-    HOST_EVENT, HOST_POST,
+    HOST_EVENT, HOST_POST, MEDIUM_MAX,
 };
 
 /// Global identifier of an open MX endpoint.
@@ -335,6 +335,12 @@ impl MxLayer {
     /// `(table capacity, idle receive rings)` of the reassembly table.
     pub fn reassembly_footprint(&self) -> (usize, usize) {
         self.inbound.footprint()
+    }
+
+    /// Packets dropped because their kind or header words describe nothing
+    /// a peer could have sent (see `knet_core::driver::chunk_fits`).
+    pub fn malformed(&self) -> u64 {
+        self.inbound.malformed
     }
 
     /// Take out the rendezvous sends `gone` selects, in message order.
@@ -864,7 +870,7 @@ pub fn mx_on_packet<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
         KIND_RTS => rts_rx(w, nic, pkt),
         KIND_CTS => cts_rx(w, nic, pkt),
         KIND_LARGE => large_rx(w, nic, pkt),
-        k => debug_assert!(false, "unknown MX packet kind {k}"),
+        _ => w.mx_mut().inbound.malformed += 1,
     }
 }
 
@@ -873,13 +879,24 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let dst = MxEndpointId(m.dst);
     let now = knet_simcore::now(w);
     let Ok(e) = w.mx().ep(dst) else { return };
+    // An endpoint on another card, or an eager message larger than any a
+    // sender sends eagerly (above the medium size it is a rendezvous):
+    // nothing a peer could have meant.
+    if e.nic != nic || m.total > MEDIUM_MAX {
+        w.mx_mut().inbound.malformed += 1;
+        return;
+    }
     let (node, no_recv_copy, deliver) = (e.node, e.opts.no_recv_copy, e.deliver_unexpected);
 
     // A first chunk matches against the posted receives.
-    let (mut a, first) = {
+    let len = pkt.payload.len() as u64;
+    let begun = {
         let l = w.mx_mut();
         let posted = &mut l.endpoints[m.dst as usize].posted;
-        l.inbound.begin_or_resume(&m, (nic, pkt.src), posted)
+        l.inbound.begin_or_resume(&m, len, (nic, pkt.src), posted)
+    };
+    let Some((mut a, first)) = begun else {
+        return;
     };
     let fw_cost = if first { FW_RECV } else { FW_CHUNK };
     let fw_done = fw_charge(w, nic, now, fw_cost);
@@ -942,9 +959,15 @@ fn eager_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 fn rts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let m = MsgHeader::unpack(&pkt.meta);
     let now = knet_simcore::now(w);
-    let Ok(_) = w.mx().ep(MxEndpointId(m.dst)) else {
+    let Ok(e) = w.mx().ep(MxEndpointId(m.dst)) else {
         return;
     };
+    // An endpoint on another card, or a second RTS for a message already
+    // accepted.
+    if e.nic != nic || w.mx().inbound.is_assembling(&m) {
+        w.mx_mut().inbound.malformed += 1;
+        return;
+    }
     fw_charge(w, nic, now, FW_RNDV);
     let e = &mut w.mx_mut().endpoints[m.dst as usize];
     match first_fit(&mut e.posted, m.tag, m.total) {
@@ -959,7 +982,16 @@ fn rts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
 fn cts_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let m = MsgHeader::unpack(&pkt.meta);
     let now = knet_simcore::now(w);
-    let Some(r) = w.mx_mut().rndv_send.remove(&m.msg_id) else {
+    // Only the peer the RTS went to can clear its message to stream.
+    let l = w.mx_mut();
+    if l.rndv_send
+        .get(&m.msg_id)
+        .is_none_or(|r| r.link != (nic, pkt.src))
+    {
+        l.inbound.malformed += 1;
+        return;
+    }
+    let Some(r) = l.rndv_send.remove(&m.msg_id) else {
         return;
     };
     let fw_done = fw_charge(w, nic, now, FW_RNDV);
@@ -1011,7 +1043,8 @@ fn large_rx<W: MxWorld>(w: &mut W, nic: NicId, pkt: Packet) {
     let m = MsgHeader::unpack(&pkt.meta);
     let dst = MxEndpointId(m.dst);
     let now = knet_simcore::now(w);
-    let Some(mut a) = w.mx_mut().inbound.resume(&m) else {
+    let len = pkt.payload.len() as u64;
+    let Some(mut a) = w.mx_mut().inbound.resume(&m, len, (nic, pkt.src)) else {
         return;
     };
     let fw_done = fw_charge(w, nic, now, FW_CHUNK);

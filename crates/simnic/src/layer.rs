@@ -6,6 +6,18 @@
 //! Because both are [`Busy`]/[`LaneBank`] resources, chunk *i*'s wire time
 //! overlaps chunk *i+1*'s DMA time — the bus and the wire pipeline, and the
 //! slower stage (the 250 MB/s link) sets the asymptotic bandwidth.
+//!
+//! How the link is booked: DMA and firmware are charged eagerly, chunk by
+//! chunk, when the driver submits a message, but the transmit link is
+//! booked a packet at a time by the card's transmit queue
+//! ([`crate::txq`]). A packet goes on the link at once while nothing is
+//! queued and the booked backlog is at most
+//! [`crate::txq::TX_HORIZON_MTUS`] MTU-times; otherwise it waits in its
+//! tenant's FIFO until a NIC-local wake ([`NicEv::TxWake`]) books the
+//! queued packets round robin across tenants, one horizon ahead of the
+//! wire. Recovery traffic (retransmission rounds, tail-loss probes, NACK
+//! resends, packets the reliability window parked) and NIC collective
+//! frames bypass the queue.
 
 use bytes::Bytes;
 use knet_simcore::{Busy, Counters, LaneBank, SimTime};
@@ -20,6 +32,7 @@ use crate::packet::{NicId, Packet, Proto};
 use crate::qos::QosState;
 use crate::rel::{LinkKey, RelState};
 use crate::ttable::TransTable;
+use crate::txq::TxQueue;
 
 knet_simcore::counters! {
     /// Counters exposed to figures and tests.
@@ -37,6 +50,14 @@ knet_simcore::counters! {
         /// Transmissions per physical lane (lane striping observability; lanes
         /// beyond the fourth fold into the last bucket).
         pub lane_tx: [u64; 4],
+        /// Driver packets that waited in the transmit queue
+        /// ([`crate::txq`]) instead of being booked on the link at submit.
+        pub tx_queued: u64,
+        /// Queued packets dropped at their turn because their reliability
+        /// link had died meanwhile.
+        pub tx_queue_dead_drops: u64,
+        /// Transmit-queue structure growth (warm-up only in steady state).
+        pub tx_queue_grows: u64,
     }
 }
 
@@ -57,6 +78,8 @@ pub struct Nic {
     pub rx: LaneBank,
     pub ttable: TransTable,
     pub stats: NicStats,
+    /// Driver packets waiting for the tx link ([`crate::txq`]).
+    pub(crate) txq: TxQueue,
 }
 
 impl Nic {
@@ -64,6 +87,7 @@ impl Nic {
         let tx = LaneBank::new(model.links);
         let rx = LaneBank::new(model.links);
         let ttable = TransTable::new(model.ttable_entries);
+        let txq = TxQueue::new(&model);
         Nic {
             id,
             node,
@@ -74,6 +98,7 @@ impl Nic {
             rx,
             ttable,
             stats: NicStats::default(),
+            txq,
         }
     }
 }
@@ -184,6 +209,12 @@ impl NicLayer {
         &mut self.nics[id.0 as usize]
     }
 
+    /// Driver packets waiting in every card's transmit queue (zero at
+    /// quiescence).
+    pub fn tx_queued(&self) -> usize {
+        self.nics.iter().map(|n| n.txq.len()).sum()
+    }
+
     /// The first NIC installed in `node`, if any.
     pub fn nic_of_node(&self, node: NodeId) -> Option<NicId> {
         *self.first_nic.get(node.0 as usize)?
@@ -205,6 +236,9 @@ pub enum NicEv {
     /// scheduled under contention — the uncontended path delivers inline
     /// from the `Rx` event).
     RxDeliver { nic: NicId, pkt: Packet },
+    /// `nic`'s transmit queue books its next packets on the link (see
+    /// [`crate::txq`]).
+    TxWake { nic: NicId },
     /// The reliability window's retransmission timer for link `key` fires
     /// at the sender.
     RelTimer { key: LinkKey },
@@ -300,6 +334,7 @@ pub fn run_nic_ev<W: NicWorld>(w: &mut W, ev: NicEv) {
             d.stats.rx_bytes += pkt.wire_len;
             w.nic_rx(nic, pkt);
         }
+        NicEv::TxWake { nic } => crate::txq::tx_wake(w, nic),
         NicEv::RelTimer { key } => crate::rel::rel_timeout(w, key),
         NicEv::RelCtrl {
             key,

@@ -21,6 +21,7 @@ pub mod packet;
 pub mod qos;
 pub mod rel;
 pub mod ttable;
+pub mod txq;
 
 pub use coll::{
     coll_inject, coll_on_packet, combine_lanes, is_coll_frame, CollCmd, CollEvent, CollNicStats,
@@ -39,3 +40,4 @@ pub use rel::{
     CWND_FLOOR,
 };
 pub use ttable::{TransKey, TransTable, TtError, TtStats};
+pub use txq::{tx_submit, TX_HORIZON_MTUS};

@@ -750,10 +750,12 @@ pub enum RelVerdict {
 ///
 /// Within the window this is exactly `wire_send(pkt, ready)` plus a stored
 /// clone (`Bytes` payloads are refcounted — no copy); beyond it the packet
-/// parks until acks free a slot. On a dead link the packet is silently
-/// dropped — callers check [`RelState::link_dead`] first and surface the
-/// error synchronously.
-pub fn rel_send<W: NicWorld>(w: &mut W, mut pkt: Packet, ready: SimTime) {
+/// parks until acks free a slot. On a dead link the packet is dropped,
+/// counted in [`RelStats::dead_dropped`], and `false` is returned —
+/// drivers check [`RelState::link_dead`] first and surface the error
+/// synchronously; the transmit queue counts what it held when the link
+/// died.
+pub fn rel_send<W: NicWorld>(w: &mut W, mut pkt: Packet, ready: SimTime) -> bool {
     debug_assert!(pkt.proto != Proto::Raw, "raw fabric traffic is unsequenced");
     let k = key(pkt.proto, pkt.src, pkt.dst);
     let action = {
@@ -762,16 +764,17 @@ pub fn rel_send<W: NicWorld>(w: &mut W, mut pkt: Packet, ready: SimTime) {
         let record = rel.links.entry(k).or_default();
         if record.dead {
             // Reclaimed link: the rings are gone, only the tombstone
-            // remains — drop silently, like the pre-reclaim dead flag.
+            // remains — drop and count, like the pre-reclaim dead flag.
             rel.stats.dead_dropped += 1;
-            return;
+            return false;
         }
         let link = record.tx.get_or_insert_with(|| {
             rel.stats.links += 1;
             TxLink::new()
         });
         if link.dead {
-            return;
+            rel.stats.dead_dropped += 1;
+            return false;
         }
         pkt.rel_seq = link.next_seq;
         link.next_seq += 1;
@@ -803,6 +806,7 @@ pub fn rel_send<W: NicWorld>(w: &mut W, mut pkt: Packet, ready: SimTime) {
         note_tx(w, k, tx_done);
         arm_timer(w, k);
     }
+    true
 }
 
 /// Record a transmission's link-departure instant (staleness baseline).

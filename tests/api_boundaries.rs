@@ -17,6 +17,11 @@
 //! channel queue are its only possible users — naming it anywhere else is
 //! a compile error.
 //!
+//! One entry is a layering boundary with a performance reason: outside
+//! the NIC layer, only the drivers' one packet builder puts a packet
+//! toward the wire, through the transmit queue that shares the link
+//! packet by packet.
+//!
 //! The last four entries are not layering boundaries. One is a
 //! performance boundary: the registry's and the reliability layer's tables
 //! are indexed by the ids this program mints, never searched or SipHashed
@@ -353,6 +358,46 @@ fn physical_lane_model_stays_inside_the_nic_layer() {
          striping and rx contention belong to knet-simnic; observe them \
          through stats and goodput only):\n{}",
         offenders.join("\n")
+    );
+}
+
+/// Directories where nothing but the drivers' one packet builder
+/// (`knet_core::driver::Route::send`) may put a packet toward the wire. It
+/// hands every packet to the NIC's transmit queue (`knet_simnic::txq`),
+/// which books the tx link a packet at a time, round robin across tenants;
+/// a second path into the reliability window or onto the raw wire would
+/// book whole messages at submit again and bring head-of-line blocking
+/// back. (Inside `knet-simnic`, recovery traffic and NIC collective frames
+/// bypass the queue on purpose.)
+const WIRE_FORBIDDEN: &[&str] = &[
+    "src",
+    "crates/core",
+    "crates/gm",
+    "crates/mx",
+    "crates/coll",
+    "crates/rpc",
+    "crates/kv",
+    "crates/orfs",
+    "crates/nbd",
+    "crates/zsock",
+];
+
+#[test]
+fn one_path_from_the_drivers_to_the_wire() {
+    // Patterns assembled at runtime so this file never matches itself.
+    let patterns = vec![format!("rel_{}(", "send"), format!("wire_{}(", "send")];
+    let offenders = offenders_for(WIRE_FORBIDDEN, &patterns);
+    assert!(
+        offenders.is_empty(),
+        "a packet booked on the wire around the transmit queue (build it \
+         with knet_core::driver::Route::send):\n{}",
+        offenders.join("\n")
+    );
+    let submitters = offenders_for(WIRE_FORBIDDEN, &[format!("tx_{}(", "submit")]);
+    assert_eq!(submitters.len(), 1, "{submitters:#?}");
+    assert!(
+        submitters[0].contains("crates/core/src/driver.rs"),
+        "only Route::send submits: {submitters:#?}"
     );
 }
 

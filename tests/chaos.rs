@@ -543,6 +543,7 @@ fn orfs_server_kill_spares_surviving_traffic() {
         0,
         "window rings drained everywhere (dead link torn down)"
     );
+    assert_eq!(w.nics.tx_queued(), 0, "transmit queues empty");
     assert_eq!(
         w.orfs.servers[sid_b.0 as usize].staging_len(),
         0,
@@ -624,6 +625,7 @@ fn nbd_server_kill_spares_surviving_traffic() {
     run_to_quiescence(&mut w);
 
     assert_eq!(w.nics.rel.buffered_total(), 0, "window rings drained");
+    assert_eq!(w.nics.tx_queued(), 0, "transmit queues empty");
     let st = w.stats();
     assert!(
         st.registry.ctx_pool_slots <= 256,

@@ -62,15 +62,18 @@ fn gm_stream(w: &mut ClusterWorld, msgs: u64, msg_bytes: u64) -> SimTime {
 /// One row per loss %: (loss %, elapsed ns, retransmits, timeouts, SACK
 /// repairs, spurious RTOs, dead links). 400 × 4 kB on the default fabric,
 /// fault seed `0xD1CE + loss`. Goodput is 400 × 4096 B over the elapsed
-/// time: 247.9 MB/s at 0 % loss, 198.7 at 10 %, 133.7 at 15 % and 114.1
-/// at 20 %.
+/// time: 247.9 MB/s at 0 % loss, 199.0 at 10 %, 123.9 at 15 % and 116.1
+/// at 20 %. The lossy rows moved when the NIC's transmit queue began
+/// booking the link a packet at a time: fresh packets now meet the fault
+/// dice as they are booked, interleaved with recovery traffic, so each row
+/// draws another loss pattern.
 const LOSS_SWEEP_ROWS: [(u64, u64, u64, u64, u64, u64, u64); 6] = [
     (0, 6_609_264, 0, 0, 0, 0, 0),
-    (2, 6_931_224, 7, 4, 94, 0, 0),
-    (5, 7_445_464, 22, 9, 144, 0, 0),
-    (10, 8_247_064, 35, 15, 237, 0, 0),
-    (15, 12_254_304, 88, 41, 415, 0, 0),
-    (20, 14_359_044, 134, 46, 396, 0, 0),
+    (2, 6_827_924, 7, 2, 22, 0, 0),
+    (5, 7_433_384, 21, 11, 54, 0, 0),
+    (10, 8_232_224, 39, 20, 102, 0, 0),
+    (15, 13_226_744, 93, 54, 163, 0, 0),
+    (20, 14_110_164, 138, 47, 432, 0, 0),
 ];
 
 /// The loss sweep never stalls and never kills a live link. It is the

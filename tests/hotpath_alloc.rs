@@ -631,6 +631,80 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
     );
 }
 
+/// The NIC transmit queue (`knet_simnic::txq`) rides the same contract.
+/// Three tenants each send a 16 kB MX message from one card at the same
+/// instant, so the link is past its booking horizon and their chunks wait
+/// in per-tenant FIFOs and go out round robin from the queue's wakes. Once
+/// warm, a round allocates only its gathered payloads — one `Bytes` per
+/// medium message, which its chunks slice — the queue's FIFOs stay at
+/// their high-water mark, and every round ends with the queue empty.
+#[test]
+fn multi_tenant_sends_through_the_transmit_queue_allocate_only_their_payload() {
+    use knet_mx::MxEndpointConfig;
+
+    let mut w = ClusterBuilder::new()
+        .nodes(2, CpuModel::xeon_2600())
+        .build();
+    let (n0, n1) = (NodeId(0), NodeId(1));
+    let cq = w.new_cq();
+    let cfg = MxEndpointConfig::kernel();
+    const LEN: u64 = 16 * 1024;
+    let mut flows = Vec::new();
+    for name in ["t1", "t2", "t3"] {
+        let tenant = w.register_tenant(name, 1, None);
+        let a = w.open_mx_cq(n0, cfg, cq).unwrap();
+        let b = w.open_mx_cq(n1, cfg, cq).unwrap();
+        w.assign_tenant(a, tenant);
+        let ch = (
+            channel_connect(&mut w, a, b, cq),
+            channel_connect(&mut w, b, a, cq),
+        );
+        flows.push((ch, (a, b), kbuf(&mut w, n0, LEN), kbuf(&mut w, n1, LEN)));
+    }
+    let nic = w.nics.nic_of_node(n0).unwrap();
+
+    let mut batch = Vec::new();
+    let mut round = |w: &mut knet::world::ClusterWorld, tag: u64| {
+        for ((tx, rx), _, src, dst) in &flows {
+            channel_post_recv(w, *rx, tag, dst.iov(LEN)).unwrap();
+            channel_send(w, *tx, tag, src.iov(LEN)).unwrap();
+        }
+        knet_simcore::run_to_quiescence(w);
+        assert_eq!(w.nics.tx_queued(), 0, "the queue drains every round");
+        let mut popped = 0;
+        for (_, (a, b), _, _) in &flows {
+            popped += w.take_events(*a, usize::MAX, &mut batch);
+            popped += w.take_events(*b, usize::MAX, &mut batch);
+        }
+        assert_eq!(popped, 6, "a SendDone and a RecvDone per message");
+    };
+
+    for tag in 1..=8u64 {
+        round(&mut w, tag);
+    }
+    let stats0 = w.nics.get(nic).stats;
+    const N: u64 = 50;
+    let (allocs, ()) = count(|| {
+        for tag in 9..9 + N {
+            round(&mut w, tag);
+        }
+    });
+    let stats1 = w.nics.get(nic).stats;
+    assert!(
+        stats1.tx_queued >= stats0.tx_queued + N,
+        "the rounds really went through the queue"
+    );
+    assert_eq!(
+        stats1.tx_queue_grows, stats0.tx_queue_grows,
+        "the queue's FIFOs stay at their high-water mark"
+    );
+    assert_eq!(
+        allocs,
+        N * 3,
+        "three 16 kB MX medium messages a round: one gathered payload each"
+    );
+}
+
 // ---------------------------------------------------------------- rpc
 
 /// The RPC codec's warm path is *strictly* allocation-free: requests and

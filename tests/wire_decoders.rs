@@ -4,6 +4,13 @@
 //! random buffers of 0–256 bytes, each of those with a valid opcode or kind
 //! planted where the decoder dispatches on it, and every truncation of a
 //! valid encoding of each message kind.
+//!
+//! One layer down, the GM and MX receive paths act on whatever header words
+//! a packet carries (`MsgHeader::unpack` cannot fail, so the drivers must
+//! judge the fields): seeded packets with arbitrary kinds and header words
+//! — offsets past the message, chunks running over it, empty messages with
+//! a payload, destinations that are closed, out of range or on another
+//! card — are each dropped or fail typed, never panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -16,6 +23,16 @@ use knet_rpc::codec::{
     NO_DEADLINE, RESP_HEADER_LEN, RPC_SCHEMA_VERSION,
 };
 use knet_simfs::FsError;
+
+use knet::build::ClusterBuilder;
+use knet::harness::{kbuf, KBuf};
+use knet::world::ClusterWorld;
+use knet_core::{Endpoint, TransportWorld};
+use knet_gm::GmPortConfig;
+use knet_mx::MxEndpointConfig;
+use knet_simcore::{now, run_to_quiescence};
+use knet_simnic::{wire_send, MsgHeader, Packet, Proto};
+use knet_simos::{CpuModel, NodeId};
 
 /// Random buffers per decoder, and the seed they are drawn from.
 const CASES: usize = 20_000;
@@ -257,4 +274,190 @@ fn every_truncation_of_a_valid_message_decodes_to_a_typed_error() {
             assert_eq!(got, None, "{req:?} cut at {cut}");
         }
     }
+}
+
+// ------------------------------------------------------ driver receive paths
+
+/// Injected packets, and the tag the receivers post under.
+const PACKETS: usize = 6_000;
+const POSTED_TAG: u64 = 7;
+const POSTED_LEN: u64 = 8192;
+
+/// A receiving node's GM port and MX endpoint, with a kernel buffer each
+/// to post receives into.
+struct Receiver {
+    gm: Endpoint,
+    mx: Endpoint,
+    gm_buf: KBuf,
+    mx_buf: KBuf,
+}
+
+fn repost(w: &mut ClusterWorld, r: &Receiver) {
+    for (ep, buf) in [(r.gm, &r.gm_buf), (r.mx, &r.mx_buf)] {
+        for (ctx, tag) in [(1, POSTED_TAG), (2, u64::MAX)] {
+            w.t_post_recv(ep, tag, buf.iov(POSTED_LEN), ctx).unwrap();
+        }
+    }
+}
+
+/// One packet from node 0 to `dst`'s card with header fields drawn to hit
+/// the edges a well-behaved sender never produces.
+fn hostile_packet(rng: &mut Rng, w: &ClusterWorld, recv: &[Receiver], dst: usize) -> Packet {
+    let proto = if rng.next().is_multiple_of(2) {
+        Proto::Gm
+    } else {
+        Proto::Mx
+    };
+    let kind = match rng.next() % 3 {
+        0 => 0,
+        1 => (rng.next() % 5) as u8,
+        _ => rng.next() as u8,
+    };
+    let pick = |rng: &mut Rng, eps: [u32; 3]| match rng.next() % 4 {
+        0 | 1 => eps[0],
+        2 => eps[1],
+        _ => rng.next() as u32,
+    };
+    let idx = |ep: Endpoint| ep.idx;
+    let (here, elsewhere) = (&recv[dst], &recv[3 - dst]);
+    let dst_ep = match proto {
+        Proto::Gm => pick(rng, [idx(here.gm), idx(elsewhere.gm), 0]),
+        _ => pick(rng, [idx(here.mx), idx(elsewhere.mx), 0]),
+    };
+    let len = match rng.next() % 4 {
+        0 => 0,
+        1 => 1 + rng.next() % 64,
+        2 => 4096,
+        _ => rng.next() % 4097,
+    };
+    let total = match rng.next() % 6 {
+        0 => 0,
+        1 => len,
+        2 => POSTED_LEN,
+        3 => 4 * 4096,
+        4 => 1 + rng.next() % 100_000,
+        _ => rng.next() & 0xFFFF_FFFF,
+    };
+    let offset = match rng.next() % 5 {
+        0 => 0,
+        1 => total,
+        2 => total.saturating_sub(len / 2),
+        3 => rng.next() % (total + 1),
+        _ => rng.next() & 0xFFFF_FFFF,
+    };
+    let tag = if rng.next().is_multiple_of(3) {
+        rng.next()
+    } else {
+        POSTED_TAG
+    };
+    let msg_id = rng.next() % 4;
+    // One in four is a whole message a peer could have sent, so the
+    // receivers keep completing and keep a table of half-arrived ones.
+    let (kind, dst_ep, total, offset) = if rng.next().is_multiple_of(4) {
+        let ep = match proto {
+            Proto::Gm => here.gm,
+            _ => here.mx,
+        };
+        (0, ep.idx, len, 0)
+    } else {
+        (kind, dst_ep, total, offset)
+    };
+    let meta = if rng.next().is_multiple_of(8) {
+        [rng.next(), rng.next(), rng.next(), rng.next()]
+    } else {
+        MsgHeader::new(dst_ep, (rng.next() % 3) as u32, tag, msg_id, offset, total).pack()
+    };
+    let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+    let src = w.nics.nic_of_node(NodeId(0)).unwrap();
+    let dst = w.nics.nic_of_node(NodeId(dst as u32)).unwrap();
+    Packet::new(src, dst, proto, kind, meta, payload.into(), 32)
+}
+
+/// Three nodes, each with a GM port and an MX endpoint to receive on.
+fn receivers() -> (ClusterWorld, Vec<Receiver>) {
+    let mut w = ClusterBuilder::new()
+        .nodes(3, CpuModel::xeon_2600())
+        .build();
+    let mut recv = Vec::new();
+    for n in 0..3 {
+        let node = NodeId(n);
+        let cq = w.new_cq();
+        let gm_cfg = GmPortConfig::kernel().with_physical_api();
+        let gm = w.open_gm_cq(node, gm_cfg, cq).unwrap();
+        let mx = w.open_mx_cq(node, MxEndpointConfig::kernel(), cq).unwrap();
+        let gm_buf = kbuf(&mut w, node, POSTED_LEN);
+        let mx_buf = kbuf(&mut w, node, POSTED_LEN);
+        recv.push(Receiver {
+            gm,
+            mx,
+            gm_buf,
+            mx_buf,
+        });
+    }
+    (w, recv)
+}
+
+/// A well-formed whole message that reaches node 1's card but names the
+/// port / endpoint of node 2, where a receive is posted: neither driver
+/// may land it there (GM used to panic, MX wrote node 2's buffer).
+#[test]
+fn a_message_naming_an_endpoint_on_another_card_is_dropped() {
+    let (mut w, recv) = receivers();
+    repost(&mut w, &recv[2]);
+    let src = w.nics.nic_of_node(NodeId(0)).unwrap();
+    let dst = w.nics.nic_of_node(NodeId(1)).unwrap();
+    for (proto, ep) in [(Proto::Gm, recv[2].gm), (Proto::Mx, recv[2].mx)] {
+        let hdr = MsgHeader::new(ep.idx, 0, POSTED_TAG, 1, 0, 64);
+        let pkt = Packet::new(src, dst, proto, 0, hdr.pack(), vec![7u8; 64].into(), 32);
+        let at = now(&w);
+        wire_send(&mut w, pkt, at);
+        run_to_quiescence(&mut w);
+    }
+    let mut events = Vec::new();
+    for r in &recv {
+        assert_eq!(w.take_events(r.gm, usize::MAX, &mut events), 0);
+        assert_eq!(w.take_events(r.mx, usize::MAX, &mut events), 0);
+    }
+    assert_eq!((w.gm.malformed(), w.mx.malformed()), (1, 1));
+    assert_eq!(w.stats().engine.errors, 0);
+}
+
+#[test]
+fn hostile_header_words_never_panic_a_driver_receive_path() {
+    let (mut w, recv) = receivers();
+    let mut rng = Rng(SEED ^ 0xD21E);
+    let mut events = Vec::new();
+    let mut completions = 0;
+    for i in 0..PACKETS {
+        if i % 64 == 0 {
+            for r in &recv[1..] {
+                repost(&mut w, r);
+            }
+        }
+        let dst = 1 + (rng.next() % 2) as usize;
+        let pkt = hostile_packet(&mut rng, &w, &recv, dst);
+        let shown = format!(
+            "{:?} kind {} meta {:x?} {} B -> node {dst}",
+            pkt.proto,
+            pkt.kind,
+            pkt.meta,
+            pkt.payload.len()
+        );
+        catch_unwind(AssertUnwindSafe(|| {
+            let at = now(&w);
+            wire_send(&mut w, pkt, at);
+            run_to_quiescence(&mut w);
+        }))
+        .unwrap_or_else(|_| panic!("packet {i} panicked a receive path: {shown}"));
+        for r in &recv {
+            completions += w.take_events(r.gm, usize::MAX, &mut events);
+            completions += w.take_events(r.mx, usize::MAX, &mut events);
+        }
+    }
+    // The cases reach both sides of the judgement: messages complete into
+    // posted buffers or as unexpected ones, and both drivers drop some.
+    assert!(completions > 100, "only {completions} completions");
+    assert!(w.gm.malformed() > 100, "GM dropped {}", w.gm.malformed());
+    assert!(w.mx.malformed() > 100, "MX dropped {}", w.mx.malformed());
+    assert_eq!(w.stats().engine.errors, 0, "no engine errors");
 }
