@@ -34,9 +34,15 @@
 //! * **Send backpressure** lives in the channel, not in every caller: when
 //!   the transport rejects a send for lack of tokens
 //!   ([`NetError::NoSendTokens`]), the channel queues it and retries in
-//!   order on the next `SendDone`, bounded by
+//!   submission order on the next send completion (`SendDone` or
+//!   `SendFailed`: either returns a token), bounded by
 //!   [`Channel::send_queue_cap`] — overflow surfaces as
-//!   [`NetError::SendQueueFull`].
+//!   [`NetError::SendQueueFull`]. This queue is the one place a send waits
+//!   for tokens: a send the transport accepted already holds its token,
+//!   also while the driver's pacing lane ([`crate::pace`]) holds it back
+//!   for its tenant's bucket. The queue is one FIFO per channel; each
+//!   entry keeps the tenant it was submitted under, for the per-tenant
+//!   counters.
 //!
 //! Worlds participate by implementing [`DispatchWorld`]; applications
 //! attach with [`Registry::register`] + [`bind`] and are never named by the
@@ -52,7 +58,7 @@ use smallvec::SmallVec;
 use crate::error::NetError;
 use crate::iovec::{read_iovec, IoVec, MemRef};
 use crate::pace::Sent;
-use crate::tenant::{TenantChannelRow, TenantId, TenantTable, WdrrLanes};
+use crate::tenant::{TenantChannelRow, TenantId, TenantTable};
 use crate::transport::{Endpoint, TransportEvent, TransportKind, TransportWorld};
 
 /// Handle to a completion queue.
@@ -112,7 +118,7 @@ knet_simcore::counters! {
         pub indexed_pops: u64,
         /// Channel sends queued because the transport was out of tokens.
         pub queued_sends: u64,
-        /// Queued channel sends successfully retried after a `SendDone`.
+        /// Queued channel sends successfully retried after a send completion.
         pub retried_sends: u64,
         /// Queued channel sends that failed their retry with a non-transient
         /// error and were dropped (the original caller already holds the
@@ -395,11 +401,9 @@ struct QueuedSend {
     tag: u64,
     iov: IoVec,
     ctx: u64,
-}
-
-/// WDRR byte cost of a parked send.
-fn send_cost(qs: &QueuedSend) -> u64 {
-    qs.iov.total_len()
+    /// The channel's tenant when the send was submitted: the send goes out
+    /// and is counted under it even if the channel is re-tagged meanwhile.
+    tenant: TenantId,
 }
 
 /// Default bound of the per-channel backpressure queue.
@@ -429,16 +433,13 @@ pub struct Channel {
     /// endpoint's registered tenant at channel creation; updated by
     /// [`Registry::assign_tenant`]).
     pub tenant: TenantId,
-    /// Sends the transport refused for lack of tokens — one lane per
-    /// tenant, drained in weighted deficit-round-robin order on the next
-    /// `SendDone` (FIFO within each tenant; exact FIFO when only one
-    /// tenant is active).
-    pending: WdrrLanes<QueuedSend>,
-    /// Per-tenant bound of `pending`: each tenant's lane holds at most
-    /// this many parked sends; a send arriving at its tenant's full lane
-    /// fails with [`NetError::SendQueueFull`]. `0` disables queueing —
-    /// token exhaustion then surfaces as [`NetError::NoSendTokens`], the
-    /// raw transport contract.
+    /// Sends the transport refused for lack of tokens, in submission
+    /// order, retried from the front on the next send completion.
+    pending: VecDeque<QueuedSend>,
+    /// Bound of `pending`: a send arriving at a full queue fails with
+    /// [`NetError::SendQueueFull`]. `0` disables queueing — token
+    /// exhaustion then surfaces as [`NetError::NoSendTokens`], the raw
+    /// transport contract.
     pub send_queue_cap: usize,
     /// Recycled send contexts (slots dense within this channel; see
     /// [`ctx_slot`]).
@@ -446,25 +447,15 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// Sends currently parked in the backpressure queue (all tenants).
+    /// Sends currently parked in the backpressure queue.
     pub fn queued_len(&self) -> usize {
         self.pending.len()
     }
 
-    /// Sends parked for one tenant's lane.
-    pub fn queued_len_for(&self, t: TenantId) -> usize {
-        self.pending.lane_len(t)
-    }
-
-    /// Heap-growth events of the per-tenant queue slab (flat in steady
-    /// state; asserted by `tests/hotpath_alloc.rs`).
-    pub fn queue_grows(&self) -> u64 {
-        self.pending.grows()
-    }
-
-    /// Tenant lanes ever materialized on this channel.
-    pub fn queue_lanes(&self) -> usize {
-        self.pending.lane_count()
+    /// Sends the backpressure queue holds before it reallocates (flat in
+    /// steady state; asserted by `tests/hotpath_alloc.rs`).
+    pub fn queue_capacity(&self) -> usize {
+        self.pending.capacity()
     }
 }
 
@@ -831,7 +822,8 @@ impl<W> Registry<W> {
     }
 
     /// Attribute an endpoint (and its current channel, if any) to a
-    /// tenant. Sends already parked keep the lane they joined under. An id
+    /// tenant. Sends already queued keep the tenant they were submitted
+    /// under. An id
     /// [`Self::tenant_create`] never minted has no stats row and is refused
     /// (`false`): the endpoint stays on its current tenant.
     pub fn assign_tenant(&mut self, ep: Endpoint, t: TenantId) -> bool {
@@ -866,21 +858,24 @@ impl<W> Registry<W> {
             .collect()
     }
 
-    /// Fold the WDRR scheduler state of the channels whose local endpoint
+    /// Fold the backpressure queues of the channels whose local endpoint
     /// lives on `node` into a fingerprint accumulator, ascending channel id
     /// — the shard-equivalence hook (`tests/sched_equivalence` mixes this
     /// next to the event stream so per-tenant queueing cannot silently
     /// diverge across shard counts). Per node because a node's channel
     /// state is authoritative only on the shard world owning the node:
     /// equivalence tests fold each node's slice from its owner.
-    pub fn wdrr_fingerprint_node(&self, node: u32, mut mix: impl FnMut(u64)) {
+    pub fn queue_fingerprint_node(&self, node: u32, mut mix: impl FnMut(u64)) {
         for (id, c) in self.channels.iter() {
             if c.local.node.0 != node {
                 continue;
             }
             mix(id as u64);
             mix(c.tenant.0 as u64);
-            c.pending.fingerprint(&mut mix);
+            mix(c.pending.len() as u64);
+            for qs in &c.pending {
+                mix(qs.tenant.0 as u64);
+            }
         }
     }
 }
@@ -922,10 +917,22 @@ pub fn bind<W: DispatchWorld>(w: &mut W, ep: Endpoint, cid: ConsumerId) {
 /// Route one transport event to the endpoint's consumer. This is the single
 /// entry point the composed world calls from its driver dispatch loops.
 ///
-/// A `SendDone` additionally releases transport tokens, so it is the moment
-/// the endpoint's channel (if any) retries sends parked by backpressure.
+/// A send completion — `SendDone`, or the `SendFailed` of a send the
+/// driver had accepted — releases that send's transport token, so it is
+/// the moment the endpoint's channel (if any) retries the sends its
+/// backpressure queue holds.
 pub fn deliver<W: DispatchWorld>(w: &mut W, ep: Endpoint, ev: TransportEvent) {
-    let is_send_done = matches!(ev, TransportEvent::SendDone { .. });
+    if let Some(chid) = route(w, ep, ev) {
+        flush_channel_sends(w, chid);
+    }
+}
+
+/// [`deliver`] without the retry: route `ev` to the endpoint's consumer
+/// and, when it completes a send, return that send's context to its
+/// channel's pool and name the channel. The channel layer's own
+/// `SendFailed` for a send it never handed to the transport goes through
+/// here — no token came back, so there is nothing to retry.
+fn route<W: DispatchWorld>(w: &mut W, ep: Endpoint, ev: TransportEvent) -> Option<ChannelId> {
     // A send completion retires its pooled context: the slot recycles for
     // the next send (the context *value* stays unique — generations).
     let retired_ctx = match ev {
@@ -960,18 +967,14 @@ pub fn deliver<W: DispatchWorld>(w: &mut W, ep: Endpoint, ev: TransportEvent) {
     // Release *after* routing: a handler consumer has processed the event
     // by now, so a recycled slot can never collide with its bookkeeping —
     // and the endpoint's channel is whatever the handler left there.
-    let Some(ctx) = retired_ctx else { return };
+    let ctx = retired_ctx?;
     if !w.registry().lent.is_empty() {
         release_lent_staging(w, ep, ctx);
     }
     let r = w.registry_mut();
-    let Some(chid) = r.channel_of(ep) else { return };
-    if let Some(c) = r.channels.get_mut(chid.0) {
-        c.pool.release(ctx);
-    }
-    if is_send_done {
-        flush_channel_sends(w, chid);
-    }
+    let chid = r.channel_of(ep)?;
+    r.channels.get_mut(chid.0)?.pool.release(ctx);
+    Some(chid)
 }
 
 /// Free the staging buffer that went with send `ctx` of `ep`, if any.
@@ -1032,7 +1035,7 @@ fn create_channel<W: DispatchWorld>(
         next_ctx: 1,
         coalesced_bytes: 0,
         tenant,
-        pending: WdrrLanes::default(),
+        pending: VecDeque::new(),
         send_queue_cap: DEFAULT_SEND_QUEUE_CAP,
         pool: CtxPool::default(),
     });
@@ -1112,42 +1115,32 @@ pub fn channel_cq<W: DispatchWorld>(w: &W, ch: ChannelId) -> Option<CqId> {
     w.registry().channel(ch).and_then(|c| c.cq)
 }
 
-/// Bound the channel's backpressure queue (see [`channel_send`]); the cap
-/// applies **per tenant lane**, and `0` disables queueing and restores the
-/// raw [`NetError::NoSendTokens`] contract.
+/// Bound the channel's backpressure queue (see [`channel_send`]); `0`
+/// disables queueing and restores the raw [`NetError::NoSendTokens`]
+/// contract.
 ///
-/// Shrinking the cap below a lane's current [`Channel::queued_len_for`]
-/// does not silently strand the excess: parked sends past the new cap are
-/// failed deterministically — newest first *within each tenant's lane*,
-/// lanes visited in tenant order, never evicting one tenant's sends to
-/// make room for another's — each completing as
+/// Shrinking the cap below the current [`Channel::queued_len`] does not
+/// silently strand the excess: parked sends past the new cap are failed
+/// deterministically, newest first, each completing as
 /// [`TransportEvent::SendFailed`] with [`NetError::SendQueueFull`] (the
 /// caller holds `Ok(ctx)` for them, so a completion must arrive).
 pub fn channel_set_send_queue_cap<W: DispatchWorld>(w: &mut W, ch: ChannelId, cap: usize) {
-    let local = {
-        let r = w.registry_mut();
-        let Some(c) = r.channels.get_mut(ch.0) else {
-            return;
-        };
-        c.send_queue_cap = cap;
-        c.local
-    };
     loop {
-        let evicted = {
+        let (local, evicted) = {
             let r = w.registry_mut();
             let Some(c) = r.channels.get_mut(ch.0) else {
                 return;
             };
-            let over = (0..c.pending.lane_count())
-                .map(|i| TenantId(i as u32))
-                .find(|t| c.pending.lane_len(*t) > cap);
-            let Some(t) = over else { return };
-            let qs = c.pending.evict_newest(t).expect("lane over cap");
+            c.send_queue_cap = cap;
+            if c.pending.len() <= cap {
+                return;
+            }
+            let qs = c.pending.pop_back().expect("queue over cap");
             r.stats.failed_retries += 1;
-            r.tenants.note(t, |s| s.failed_retries += 1);
-            qs.ctx
+            r.tenants.note(qs.tenant, |s| s.failed_retries += 1);
+            (c.local, qs.ctx)
         };
-        deliver(
+        route(
             w,
             local,
             TransportEvent::SendFailed {
@@ -1168,11 +1161,12 @@ pub fn channel_set_send_queue_cap<W: DispatchWorld>(w: &mut W, ch: ChannelId, ca
 ///
 /// **Backpressure contract:** when the transport is out of send tokens
 /// ([`NetError::NoSendTokens`]), the send is queued and retried — in
-/// submission order — each time a `SendDone` frees a token; the caller
+/// submission order — each time a send completion frees a token; the caller
 /// still gets `Ok(ctx)` and the completion arrives later. The queue is
 /// bounded by [`Channel::send_queue_cap`]; a send arriving at a full queue
 /// fails with [`NetError::SendQueueFull`]. Every other transport error
-/// still surfaces synchronously.
+/// still surfaces synchronously — a send the driver's pacing lane parks is
+/// accepted, not queued here.
 pub fn channel_send<W: DispatchWorld>(
     w: &mut W,
     ch: ChannelId,
@@ -1200,18 +1194,11 @@ pub fn channel_send_to<W: DispatchWorld>(
 ) -> Result<u64, NetError> {
     // Contexts come from the channel's own pool: recycled slots, unique
     // values (see `ctx_slot`). The slot returns on SendDone/SendFailed.
-    let (local, tenant, busy, cap, qlen, ctx) = {
+    let (local, tenant, cap, qlen, ctx) = {
         let r = w.registry_mut();
         let c = r.channels.get_mut(ch.0).ok_or(NetError::BadEndpoint)?;
         let (ctx, reused) = c.pool.alloc();
-        let state = (
-            c.local,
-            c.tenant,
-            c.pending.lane_len(c.tenant) > 0,
-            c.send_queue_cap,
-            c.pending.lane_len(c.tenant),
-            ctx,
-        );
+        let state = (c.local, c.tenant, c.send_queue_cap, c.pending.len(), ctx);
         if reused {
             r.stats.ctx_pool_reuses += 1;
         } else {
@@ -1219,19 +1206,24 @@ pub fn channel_send_to<W: DispatchWorld>(
         }
         state
     };
-    // Earlier sends of this tenant are already waiting for tokens: keep
-    // the tenant's FIFO order, join its lane (or overflow it).
-    if busy {
+    // Earlier sends are already waiting for tokens: keep submission
+    // order, join the queue (or overflow it).
+    if qlen > 0 {
         if qlen >= cap {
             release_channel_ctx(w, ch, ctx);
             return Err(NetError::SendQueueFull);
         }
-        let r = w.registry_mut();
-        if let Some(c) = r.channels.get_mut(ch.0) {
-            c.pending.push(tenant, QueuedSend { to, tag, iov, ctx });
-        }
-        r.stats.queued_sends += 1;
-        r.tenants.note(tenant, |s| s.queued_sends += 1);
+        queue_send(
+            w,
+            ch,
+            QueuedSend {
+                to,
+                tag,
+                iov,
+                ctx,
+                tenant,
+            },
+        );
         return Ok(ctx);
     }
     let (wire_iov, coalesced) = match coalesce_for_transport(w, ch, local, iov.clone()) {
@@ -1250,20 +1242,35 @@ pub fn channel_send_to<W: DispatchWorld>(
             Ok(ctx)
         }
         Err(NetError::NoSendTokens) if cap > 0 => {
-            let r = w.registry_mut();
-            if let Some(c) = r.channels.get_mut(ch.0) {
-                // Queue the *original* io-vector; coalescing (and its
-                // charge) reruns when the retry is accepted.
-                c.pending.push(tenant, QueuedSend { to, tag, iov, ctx });
-            }
-            r.stats.queued_sends += 1;
-            r.tenants.note(tenant, |s| s.queued_sends += 1);
+            // Queue the *original* io-vector; coalescing (and its charge)
+            // reruns when the retry is accepted.
+            queue_send(
+                w,
+                ch,
+                QueuedSend {
+                    to,
+                    tag,
+                    iov,
+                    ctx,
+                    tenant,
+                },
+            );
             Ok(ctx)
         }
         Err(e) => {
             release_channel_ctx(w, ch, ctx);
             Err(e)
         }
+    }
+}
+
+/// Append a send to the channel's backpressure queue and count it.
+fn queue_send<W: DispatchWorld>(w: &mut W, ch: ChannelId, qs: QueuedSend) {
+    let r = w.registry_mut();
+    r.stats.queued_sends += 1;
+    r.tenants.note(qs.tenant, |s| s.queued_sends += 1);
+    if let Some(c) = r.channels.get_mut(ch.0) {
+        c.pending.push_back(qs);
     }
 }
 
@@ -1275,23 +1282,20 @@ fn release_channel_ctx<W: DispatchWorld>(w: &mut W, ch: ChannelId, ctx: u64) {
     }
 }
 
-/// Retry queued sends of `ch` until the queue drains or the transport runs
-/// out of tokens again. Called from [`deliver`] on every `SendDone` for the
-/// channel's endpoint. Lanes drain in weighted deficit-round-robin order
-/// (FIFO within each tenant; exact FIFO when one tenant is active).
+/// Retry queued sends of `ch`, oldest first, until the queue drains or
+/// the transport runs out of tokens again. Called from [`deliver`] on
+/// every send completion for the channel's endpoint.
 fn flush_channel_sends<W: DispatchWorld>(w: &mut W, ch: ChannelId) {
     loop {
-        let Some((local, tenant, qs)) = ({
-            let r = w.registry_mut();
-            let tenants = &r.tenants;
-            r.channels.get_mut(ch.0).and_then(|c| {
-                c.pending
-                    .pop_next(|t| tenants.weight(t), send_cost)
-                    .map(|(t, qs)| (c.local, t, qs))
-            })
-        }) else {
+        let Some((local, qs)) = w
+            .registry_mut()
+            .channels
+            .get_mut(ch.0)
+            .and_then(|c| Some((c.local, c.pending.pop_front()?)))
+        else {
             return;
         };
+        let tenant = qs.tenant;
         let failed = match coalesce_for_transport(w, ch, local, qs.iov.clone()) {
             Ok((wire_iov, coalesced)) => {
                 match w.t_send_t(local, qs.to, qs.tag, wire_iov, qs.ctx, tenant) {
@@ -1303,11 +1307,10 @@ fn flush_channel_sends<W: DispatchWorld>(w: &mut W, ch: ChannelId) {
                         None
                     }
                     Err(NetError::NoSendTokens) => {
-                        // Still dry: put it back (cost refunded, same lane
-                        // head) and wait for the next SendDone.
+                        // Still dry: back to the head of the queue, to wait
+                        // for the next send completion.
                         if let Some(c) = w.registry_mut().channels.get_mut(ch.0) {
-                            let cost = send_cost(&qs);
-                            c.pending.requeue_front(tenant, qs, cost);
+                            c.pending.push_front(qs);
                         }
                         return;
                     }
@@ -1323,7 +1326,7 @@ fn flush_channel_sends<W: DispatchWorld>(w: &mut W, ch: ChannelId) {
             let r = w.registry_mut();
             r.stats.failed_retries += 1;
             r.tenants.note(tenant, |s| s.failed_retries += 1);
-            deliver(w, local, TransportEvent::SendFailed { ctx: qs.ctx, error });
+            route(w, local, TransportEvent::SendFailed { ctx: qs.ctx, error });
         }
     }
 }
@@ -1433,23 +1436,18 @@ pub fn channel_cancel_recv<W: DispatchWorld>(w: &mut W, ch: ChannelId, tag: u64)
 /// into backpressure: an RPC whose deadline fires while its request is
 /// still queued resolves `Deadline` without ever touching the wire.
 pub fn channel_abort_queued_send<W: DispatchWorld>(w: &mut W, ch: ChannelId, ctx: u64) -> bool {
-    let removed = {
-        let r = w.registry_mut();
-        let Some(c) = r.channels.get_mut(ch.0) else {
-            return false;
-        };
-        c.pending.remove_first(|qs| qs.ctx == ctx)
+    let r = w.registry_mut();
+    let Some(c) = r.channels.get_mut(ch.0) else {
+        return false;
     };
-    match removed {
-        Some((t, _qs)) => {
-            release_channel_ctx(w, ch, ctx);
-            let r = w.registry_mut();
-            r.stats.aborted_queued_sends += 1;
-            r.tenants.note(t, |s| s.aborted_queued_sends += 1);
-            true
-        }
-        None => false,
-    }
+    let Some(i) = c.pending.iter().position(|qs| qs.ctx == ctx) else {
+        return false;
+    };
+    let qs = c.pending.remove(i).expect("found");
+    c.pool.release(ctx);
+    r.stats.aborted_queued_sends += 1;
+    r.tenants.note(qs.tenant, |s| s.aborted_queued_sends += 1);
+    true
 }
 
 /// Remove a channel's state — route entry, consumer, staging buffer,
@@ -1458,15 +1456,14 @@ pub fn channel_abort_queued_send<W: DispatchWorld>(w: &mut W, ch: ChannelId, ctx
 fn teardown_channel<W: DispatchWorld>(w: &mut W, ch: ChannelId) -> Option<Endpoint> {
     let mut c = w.registry_mut().channels.remove(ch.0)?;
     // Backpressure-queued sends can never go out now. Complete them as
-    // `SendFailed` while the channel's consumer is still bound, so every
-    // `Ok(ctx)` the caller holds gets its completion and the resources
-    // tied to those contexts are released (lanes drain in tenant order,
-    // FIFO within each).
-    for (t, qs) in c.pending.take_all() {
+    // `SendFailed`, oldest first, while the channel's consumer is still
+    // bound, so every `Ok(ctx)` the caller holds gets its completion and
+    // the resources tied to those contexts are released.
+    for qs in std::mem::take(&mut c.pending) {
         let r = w.registry_mut();
         r.stats.failed_retries += 1;
-        r.tenants.note(t, |s| s.failed_retries += 1);
-        deliver(
+        r.tenants.note(qs.tenant, |s| s.failed_retries += 1);
+        route(
             w,
             c.local,
             TransportEvent::SendFailed {
@@ -1534,22 +1531,22 @@ pub fn peer_down<W: DispatchWorld>(
         .map(|(id, c)| (ChannelId(id), c.local, c.peer, c.accepting))
         .collect();
     for (chid, local, peer, accepting) in affected {
-        // Fail queued sends addressed to the dead node, in order (lanes in
-        // tenant order, FIFO within each).
+        // Fail queued sends addressed to the dead node, oldest first.
         loop {
             let ctx = {
                 let r = w.registry_mut();
                 let Some(c) = r.channels.get_mut(chid.0) else {
                     break;
                 };
-                let Some((t, qs)) = c.pending.remove_first(|qs| qs.to.node == remote_node) else {
+                let Some(i) = c.pending.iter().position(|qs| qs.to.node == remote_node) else {
                     break;
                 };
+                let qs = c.pending.remove(i).expect("found");
                 r.stats.failed_retries += 1;
-                r.tenants.note(t, |s| s.failed_retries += 1);
+                r.tenants.note(qs.tenant, |s| s.failed_retries += 1);
                 qs.ctx
             };
-            deliver(
+            route(
                 w,
                 local,
                 TransportEvent::SendFailed {

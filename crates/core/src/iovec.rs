@@ -170,13 +170,6 @@ impl IoVec {
         self.total_len() == 0
     }
 
-    /// Does any segment require pinning (user virtual memory)?
-    pub fn needs_pinning(&self) -> bool {
-        self.segs
-            .iter()
-            .any(|s| s.class() == AddrClass::UserVirtual)
-    }
-
     /// The single class of this vector, or `None` when mixed.
     pub fn uniform_class(&self) -> Option<AddrClass> {
         let mut it = self.segs.iter().map(MemRef::class);
@@ -445,7 +438,6 @@ mod tests {
         iov.push(MemRef::kernel(VirtAddr::new(knet_simos::KERNEL_BASE), 0)); // dropped
         assert_eq!(iov.seg_count(), 2);
         assert_eq!(iov.total_len(), 100 + PAGE_SIZE);
-        assert!(!iov.needs_pinning());
         assert_eq!(iov.uniform_class(), None);
     }
 

@@ -69,10 +69,8 @@ pub use iovec::{
     seg_window, seg_window_into, write_iovec, AddrClass, ChunkCursor, IoVec, MemRef, Resolution,
     SegList, IOVEC_INLINE_SEGS,
 };
-pub use pace::{pace_drain, pace_submit, pace_timer_fired, PaceLanes, PacedSend, Sent};
+pub use pace::{pace_submit, pace_timer_fired, PaceLanes, PacedSend, Sent};
 pub use regcache::{RangePlan, RegCache, RegCacheStats, RegKey};
 pub use req::{channel_send_request, ring_stage, ReqTable, SendMap, StagingRing, REQ_ID_MASK};
-pub use tenant::{
-    TenantChannelRow, TenantId, TenantInfo, TenantSendStats, TenantTable, WDRR_QUANTUM_BYTES,
-};
+pub use tenant::{TenantChannelRow, TenantId, TenantInfo, TenantSendStats, TenantTable};
 pub use transport::{Endpoint, TransportEvent, TransportKind, TransportWorld};

@@ -243,16 +243,6 @@ impl RegCache {
         self.entries.clear();
         out
     }
-
-    /// Hit rate over the cache's lifetime (pages).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.stats.page_hits + self.stats.page_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.stats.page_hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +268,6 @@ mod tests {
         let plan2 = c.plan_range(Asid(1), va(0x1000), 2 * P);
         assert!(plan2.missing.is_empty());
         assert_eq!(plan2.hit_pages, 2);
-        assert_eq!(c.hit_rate(), 0.5);
     }
 
     #[test]

@@ -20,10 +20,10 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use knet_core::{
-    host_completion, land, pace_drain, pace_submit, pace_timer_fired, send_chunks, take_tag,
-    ChunkSource, CompletionHook, Endpoint, IoVec, MemRef, NetError, PaceLanes, PacedSend, Posted,
-    RangePlan, Reassembly, RegCache, RegKey, Route, ScratchStats, SegList, Sent, TenantId,
-    TransportEvent, TransportKind, ANY_TAG,
+    host_completion, land, pace_submit, pace_timer_fired, send_chunks, take_tag, ChunkSource,
+    CompletionHook, Endpoint, IoVec, MemRef, NetError, PaceLanes, PacedSend, Posted, RangePlan,
+    Reassembly, RegCache, RegKey, Route, ScratchStats, SegList, Sent, TenantId, TransportEvent,
+    TransportKind, ANY_TAG,
 };
 use knet_simcore::{SimTime, SimWorld};
 use knet_simnic::{
@@ -192,7 +192,9 @@ pub struct GmScratch {
 }
 
 /// A send parked in a NIC's per-tenant pacing lane: everything needed to
-/// re-issue it verbatim once the tenant's token bucket refills.
+/// re-issue it verbatim once the tenant's token bucket refills. It holds
+/// the send token [`gm_send_t`] reserved for it; the token comes back with
+/// its `SendDone` or `SendFailed`.
 pub struct PacedGmSend {
     port: GmPortId,
     buf: MemRef,
@@ -240,8 +242,7 @@ pub struct GmLayer {
     /// Recycled per-operation buffers (see [`GmScratch`]).
     pub scratch: GmScratch,
     /// Tenant pacing lanes (the shared seam, [`knet_core::pace`]): sends
-    /// the token bucket deferred, drained on pace-timer fire and — GM only
-    /// — on send-token return.
+    /// the token bucket deferred, drained on pace-timer fire.
     pub paced: PaceLanes<PacedGmSend>,
 }
 
@@ -307,8 +308,9 @@ impl Default for GmLayer {
 /// worlds embed these in their event enum via [`GmWorld::lift_gm`].
 #[derive(Debug)]
 pub enum GmEv {
-    /// Complete `ev` on `port`: a `SendDone` returns the send token, a
-    /// receive is counted (an `Unexpected` one was bounced through the
+    /// Complete `ev` on `port`: a `SendDone` — or the `SendFailed` of a
+    /// send the pacing lane gave up on — returns the send token, a receive
+    /// is counted (an `Unexpected` one was bounced through the
     /// pre-registered pool), then the completion goes to the port's
     /// consumer ([`CompletionHook::complete`]).
     Complete { port: GmPortId, ev: TransportEvent },
@@ -325,11 +327,9 @@ pub fn run_gm_ev<W: GmWorld>(w: &mut W, ev: GmEv) {
             let Ok(p) = w.gm_mut().port_mut(port) else {
                 return;
             };
-            let mut token_back_on = None;
             match &ev {
-                TransportEvent::SendDone { .. } => {
+                TransportEvent::SendDone { .. } | TransportEvent::SendFailed { .. } => {
                     p.send_tokens += 1;
-                    token_back_on = Some(p.nic);
                 }
                 TransportEvent::RecvDone { len, .. } => {
                     p.stats.recvs += 1;
@@ -346,14 +346,6 @@ pub fn run_gm_ev<W: GmWorld>(w: &mut W, ev: GmEv) {
                 node: p.node,
                 idx: port.0,
             };
-            // A returned token can unblock a pacing lane that stalled on
-            // `NoSendTokens`; drain before delivering so parked (older)
-            // sends beat the channel layer's retry queue to it.
-            if let Some(nic) = token_back_on {
-                if w.gm().paced.backlog(nic) > 0 {
-                    pace_drain::<W, PacedGmSend>(w, nic);
-                }
-            }
             w.complete(ep, ev);
         }
         GmEv::Pace { nic } => pace_timer_fired::<W, PacedGmSend>(w, nic),
@@ -608,12 +600,18 @@ pub fn gm_send<W: GmWorld>(
     gm_send_t(w, port_id, buf, dest, tag, ctx, TenantId::DEFAULT).map(drop)
 }
 
-/// Tenant-attributed send: consults the tenant's token bucket at the NIC
-/// admission point before committing any send token or registration, then
-/// admits, parks or sheds the send as the shared pacing seam decides
-/// ([`knet_core::pace`]). A parked send returns [`Sent::Parked`]: `buf` is
-/// read when the lane drains, and its `SendDone`/`SendFailed` completion
-/// arrives later.
+/// Tenant-attributed send: reserves a send token, then consults the
+/// tenant's token bucket at the NIC admission point before committing any
+/// registration, and admits, parks or sheds the send as the shared pacing
+/// seam decides ([`knet_core::pace`]). A port with no token left refuses
+/// with [`NetError::NoSendTokens`] — or with [`NetError::Overload`] when
+/// the tenant's policy sheds the send whatever its bucket holds (zero
+/// rate, message over the burst), so such a send fails at once rather than
+/// wait for a token; a full pacing lane is only checked once a token is
+/// held. A parked send returns [`Sent::Parked`] and keeps
+/// its token: `buf` is read when the lane drains, and its
+/// `SendDone`/`SendFailed` completion arrives later and returns the token.
+/// A send refused here returns its token at once.
 pub fn gm_send_t<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
@@ -630,7 +628,18 @@ pub fn gm_send_t<W: GmWorld>(
     if w.nics().rel.link_dead(Proto::Gm, nic, dst_nic) {
         return Err(NetError::PeerUnreachable);
     }
-    pace_submit(
+    if w.gm().port(port_id)?.send_tokens == 0 {
+        // A send its tenant's bucket sheds is refused as such, token or
+        // not: queueing it for a token would only postpone the `Overload`.
+        let qos = &mut w.nics_mut().qos;
+        if qos.policy(tenant.0).is_some_and(|p| p.sheds(buf.len())) {
+            qos.note_shed(tenant.0);
+            return Err(NetError::Overload);
+        }
+        return Err(NetError::NoSendTokens);
+    }
+    w.gm_mut().port_mut(port_id)?.send_tokens -= 1;
+    let sent = pace_submit(
         w,
         nic,
         tenant,
@@ -643,11 +652,18 @@ pub fn gm_send_t<W: GmWorld>(
             tag,
             ctx,
         },
-    )
+    );
+    if sent.is_err() {
+        if let Ok(p) = w.gm_mut().port_mut(port_id) {
+            p.send_tokens += 1;
+        }
+    }
+    sent
 }
 
-/// The admitted send pipeline (post token-bucket): token check, address
-/// resolution, host/firmware charges, MTU chunking, wire submission.
+/// The admitted send pipeline (post token-bucket, its send token already
+/// reserved): address resolution, host/firmware charges, MTU chunking,
+/// wire submission.
 fn gm_send_admitted<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
@@ -665,19 +681,9 @@ fn gm_send_admitted<W: GmWorld>(
     // at open time in real GM — at send time here).
     let dst_nic = w.gm().port(dest)?.nic;
     // A peer whose reliability window died is unreachable: fail before any
-    // tokens, registrations or DMA are committed.
+    // registrations or DMA are committed.
     if w.nics().rel.link_dead(Proto::Gm, nic, dst_nic) {
         return Err(NetError::PeerUnreachable);
-    }
-
-    {
-        let p = w.gm_mut().port_mut(port_id)?;
-        if p.send_tokens == 0 {
-            return Err(NetError::NoSendTokens);
-        }
-        p.send_tokens -= 1;
-        p.stats.sends += 1;
-        p.stats.bytes_sent += buf.len();
     }
 
     // Resolve into the layer's recycled segment scratch (no allocation at
@@ -688,16 +694,15 @@ fn gm_send_admitted<W: GmWorld>(
     let translate_cost = match resolve_for_wire(w, port_id, &buf, &mut segs) {
         Ok(cost) => cost,
         Err(e) => {
-            // Return the token on failure.
-            if let Ok(p) = w.gm_mut().port_mut(port_id) {
-                p.send_tokens += 1;
-                p.stats.sends -= 1;
-                p.stats.bytes_sent -= buf.len();
-            }
             w.gm_mut().scratch.segs = segs;
             return Err(e);
         }
     };
+    {
+        let p = w.gm_mut().port_mut(port_id)?;
+        p.stats.sends += 1;
+        p.stats.bytes_sent += buf.len();
+    }
 
     // Host posts the send (kernel interface pays its overhead).
     let mut host_cost = HOST_SEND_POST;

@@ -3,7 +3,8 @@
 
 use bytes::Bytes;
 use knet_core::{
-    CompletionHook, Endpoint, IoVec, MemRef, NetError, TenantId, TransportEvent, TransportKind,
+    CompletionHook, Endpoint, IoVec, MemRef, NetError, Sent, TenantId, TransportEvent,
+    TransportKind,
 };
 use knet_simcore::{run_to_quiescence, run_until, RunOutcome, Scheduler, SimTime, SimWorld};
 use knet_simnic::{FaultPlan, NicId, NicLayer, NicModel, NicWorld, Packet, Proto, QosPolicy};
@@ -698,6 +699,103 @@ fn parked_send_failing_at_drain_is_refunded() {
     let mut bucket = Vec::new();
     w.nics.qos.fingerprint_nic(nic, |v| bucket.push(v));
     assert_eq!(bucket, vec![1, 100 * 1_000_000_000, 100_000_000]);
+}
+
+/// `gm_send_t` reserves the send token before it consults the bucket, so
+/// a send the pacing seam refuses at once — shed by its bucket, or
+/// `Overload` at a full pacing lane — hands its token straight back, and a
+/// parked send returns its own with its `SendDone`.
+#[test]
+fn a_refused_paced_send_returns_its_reserved_token() {
+    let (mut w, n0, n1) = world();
+    let cfg = GmPortConfig::kernel().with_physical_api();
+    let a = gm_open_port(&mut w, n0, cfg.clone()).unwrap();
+    let b = gm_open_port(&mut w, n1, cfg).unwrap();
+    let nic = w.gm.port(a).unwrap().nic;
+    let addr = w.os.node_mut(n0).kalloc(PAGE_SIZE).unwrap();
+    let tokens = GmParams::default().send_tokens;
+    let (mute, paced) = (TenantId(1), TenantId(2));
+    let policy = |rate| QosPolicy {
+        rate_bytes_per_sec: rate,
+        burst_bytes: 1000,
+        pace_queue_cap: 1,
+    };
+    w.nics.qos.set_policy(mute.0, policy(0));
+    w.nics.qos.set_policy(paced.0, policy(1000));
+    let tokens_now = |w: &World| w.gm.port(a).unwrap().tokens();
+
+    // Shed by the bucket: a zero-rate tenant may not transmit.
+    let shed = gm_send_t(&mut w, a, MemRef::kernel(addr, 100), b, 1, 1, mute);
+    assert_eq!(shed, Err(NetError::Overload));
+    assert_eq!(tokens_now(&w), tokens, "the shed send's token is back");
+
+    // The burst goes out, the next send parks holding its token, and a
+    // third finds the one-slot pacing lane full.
+    gm_send_t(&mut w, a, MemRef::kernel(addr, 1000), b, 2, 2, paced).unwrap();
+    let parked = gm_send_t(&mut w, a, MemRef::kernel(addr, 100), b, 3, 3, paced);
+    assert_eq!(parked, Ok(Sent::Parked));
+    assert_eq!(w.gm.paced.backlog(nic), 1);
+    assert_eq!(
+        tokens_now(&w),
+        tokens - 2,
+        "sent and parked sends hold one each"
+    );
+    let full = gm_send_t(&mut w, a, MemRef::kernel(addr, 100), b, 4, 4, paced);
+    assert_eq!(full, Err(NetError::Overload));
+    assert_eq!(
+        tokens_now(&w),
+        tokens - 2,
+        "the refused send's token is back"
+    );
+    assert_eq!(w.nics.qos.tenant_stats(paced.0).shed, 1);
+
+    run_to_quiescence(&mut w);
+    let done: Vec<u64> = std::iter::from_fn(|| next_event(&mut w, a))
+        .map(|ev| match ev {
+            TransportEvent::SendDone { ctx } => ctx,
+            other => panic!("unexpected completion {other:?}"),
+        })
+        .collect();
+    assert_eq!(done, vec![2, 3]);
+    assert_eq!(tokens_now(&w), tokens, "every token is back");
+}
+
+/// On a port with no send token left, a send its tenant's policy sheds
+/// whatever the bucket holds (zero rate, message over the burst) still
+/// fails at once with `Overload`, counted as shed; any other send gets
+/// `NoSendTokens`, for the channel to queue.
+#[test]
+fn a_shed_send_is_refused_as_overload_without_a_token() {
+    let (mut w, n0, n1) = world();
+    let cfg = GmPortConfig::kernel().with_physical_api();
+    let a = gm_open_port(&mut w, n0, cfg.clone()).unwrap();
+    let b = gm_open_port(&mut w, n1, cfg).unwrap();
+    let addr = w.os.node_mut(n0).kalloc(PAGE_SIZE).unwrap();
+    let (mute, paced) = (TenantId(1), TenantId(2));
+    let policy = |rate| QosPolicy {
+        rate_bytes_per_sec: rate,
+        burst_bytes: 1000,
+        pace_queue_cap: 16,
+    };
+    w.nics.qos.set_policy(mute.0, policy(0));
+    w.nics.qos.set_policy(paced.0, policy(1000));
+    for ctx in 0..GmParams::default().send_tokens as u64 {
+        gm_send(&mut w, a, MemRef::kernel(addr, 8), b, 0, ctx).unwrap();
+    }
+    assert_eq!(w.gm.port(a).unwrap().tokens(), 0);
+
+    let send =
+        |w: &mut World, len, tenant| gm_send_t(w, a, MemRef::kernel(addr, len), b, 1, 100, tenant);
+    assert_eq!(send(&mut w, 100, mute), Err(NetError::Overload));
+    assert_eq!(send(&mut w, 1001, paced), Err(NetError::Overload));
+    assert_eq!(send(&mut w, 100, paced), Err(NetError::NoSendTokens));
+    assert_eq!(
+        send(&mut w, 100, TenantId::DEFAULT),
+        Err(NetError::NoSendTokens)
+    );
+    assert_eq!(w.nics.qos.tenant_stats(mute.0).shed, 1);
+    assert_eq!(w.nics.qos.tenant_stats(paced.0).shed, 1);
+    assert_eq!(w.gm.port(a).unwrap().tokens(), 0, "no refusal took a token");
 }
 
 /// A 32 kB message whose sender dies mid-stream leaves the receiver with a

@@ -162,15 +162,6 @@ pub fn ftype_to_u8(t: FileType) -> u8 {
     }
 }
 
-pub fn u8_to_ftype(v: u8) -> Option<FileType> {
-    match v {
-        0 => Some(FileType::Regular),
-        1 => Some(FileType::Directory),
-        2 => Some(FileType::Symlink),
-        _ => None,
-    }
-}
-
 impl WireAttr {
     pub fn from_attr(a: &Attr) -> Self {
         WireAttr {

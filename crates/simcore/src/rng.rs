@@ -41,14 +41,6 @@ impl SplitMix64 {
         lo + self.next_below(hi - lo + 1)
     }
 
-    /// Fill a byte slice with pseudo-random data.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
     /// Fisher-Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -87,14 +79,6 @@ mod tests {
             assert!((10..=20).contains(&v));
             assert!(r.next_below(3) < 3);
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SplitMix64::new(9);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!
 //! Tenants with **no policy** are admitted unconditionally and consume
 //! nothing: the QoS machinery is invisible until configured.
+//!
+//! Beside the policies sits each tenant's **WDRR weight**: the drivers'
+//! pacing lanes (`knet_core::pace`) read it here when they drain the sends
+//! a bucket deferred, so the weight has one home below the registry.
 
 use std::collections::BTreeMap;
 
@@ -45,6 +49,15 @@ pub struct QosPolicy {
     /// Max sends parked in a driver pacing lane before admission sheds
     /// instead of deferring (bounds memory under sustained overload).
     pub pace_queue_cap: usize,
+}
+
+impl QosPolicy {
+    /// Whether a `bytes`-long send is shed whatever its bucket holds: the
+    /// tenant may not transmit, or the message exceeds the burst.
+    pub fn sheds(&self, bytes: u64) -> bool {
+        self.rate_bytes_per_sec == 0
+            || bytes.saturating_mul(SCALE) > self.burst_bytes.saturating_mul(SCALE)
+    }
 }
 
 impl Default for QosPolicy {
@@ -96,6 +109,8 @@ pub struct QosState {
     policies: BTreeMap<u32, QosPolicy>,
     buckets: BTreeMap<(NicId, u32), Bucket>,
     stats: BTreeMap<u32, QosTenantStats>,
+    /// WDRR weights indexed by tenant id (missing → 1).
+    weights: Vec<u64>,
 }
 
 impl QosState {
@@ -108,6 +123,20 @@ impl QosState {
 
     pub fn policy(&self, tenant: u32) -> Option<QosPolicy> {
         self.policies.get(&tenant).copied()
+    }
+
+    /// Install a tenant's WDRR weight (clamped to ≥ 1).
+    pub fn set_weight(&mut self, tenant: u32, weight: u64) {
+        let i = tenant as usize;
+        if self.weights.len() <= i {
+            self.weights.resize(i + 1, 1);
+        }
+        self.weights[i] = weight.max(1);
+    }
+
+    /// A tenant's WDRR weight (1 for a tenant never given one).
+    pub fn weight(&self, tenant: u32) -> u64 {
+        self.weights.get(tenant as usize).copied().unwrap_or(1)
     }
 
     /// Per-tenant admission counters (zero row for unconfigured tenants).
@@ -139,12 +168,12 @@ impl QosState {
             return Admission::Admit; // unconfigured tenants ride free
         };
         let stats = self.stats.entry(tenant).or_default();
-        let cost = bytes.saturating_mul(SCALE);
-        let burst = policy.burst_bytes.saturating_mul(SCALE);
-        if policy.rate_bytes_per_sec == 0 || cost > burst {
+        if policy.sheds(bytes) {
             stats.shed += 1;
             return Admission::Shed;
         }
+        let cost = bytes.saturating_mul(SCALE);
+        let burst = policy.burst_bytes.saturating_mul(SCALE);
         let bucket = self.buckets.entry((nic, tenant)).or_insert(Bucket {
             level: burst,
             last: now,
@@ -171,7 +200,7 @@ impl QosState {
     }
 
     /// Return tokens consumed by an `admit` whose send then failed before
-    /// reaching the wire (e.g. GM ran out of send tokens at drain time).
+    /// reaching the wire (e.g. its peer died while it was parked).
     pub fn refund(&mut self, nic: NicId, tenant: u32, bytes: u64) {
         let Some(policy) = self.policies.get(&tenant).copied() else {
             return;

@@ -15,9 +15,7 @@
 //! Like the GMKRC (`knet_core::RegCache`), the table is on the per-message
 //! fast path — every virtually-addressed send pays one lookup per page —
 //! so it is one [`LruSlab`] (`knet_simcore::lru`, the shared intrusive-LRU
-//! structure): lookups, inserts, removes and the LRU probe are all O(1),
-//! and the slab's `(asid, vpn)`-ordered secondary index serves
-//! [`TransTable::purge_asid`] without scanning unrelated spaces.
+//! structure): lookups, inserts, removes and the LRU probe are all O(1).
 
 use knet_simcore::LruSlab;
 use knet_simos::{Asid, PhysAddr, VirtAddr};
@@ -89,10 +87,6 @@ impl TransTable {
         self.capacity
     }
 
-    pub fn free_entries(&self) -> usize {
-        self.capacity - self.entries.len()
-    }
-
     /// Install one page translation. Fails when the table is full.
     pub fn insert(&mut self, key: TransKey, phys: PhysAddr) -> Result<(), TtError> {
         if !self.entries.contains(&key) && self.entries.len() >= self.capacity {
@@ -138,21 +132,6 @@ impl TransTable {
     /// the table fills up. O(1): the tail of the intrusive list.
     pub fn lru_key(&self) -> Option<TransKey> {
         self.entries.lru_key()
-    }
-
-    /// Drop every translation belonging to an address space (process exit).
-    /// Served by the ordered index: O(log n + k) for k dropped entries.
-    pub fn purge_asid(&mut self, asid: Asid) -> usize {
-        let range = TransKey { asid, vpn: 0 }..=TransKey {
-            asid,
-            vpn: u64::MAX,
-        };
-        let mut purged = 0usize;
-        while self.entries.pop_in_range(range.clone()).is_some() {
-            self.stats.removes += 1;
-            purged += 1;
-        }
-        purged
     }
 }
 
@@ -228,21 +207,7 @@ mod tests {
         assert_eq!(t.lru_key(), Some(key(1, 1)));
         assert!(t.remove(key(1, 1)));
         assert!(!t.remove(key(1, 1)), "second remove is a no-op");
-        assert_eq!(t.free_entries(), 2);
-    }
-
-    #[test]
-    fn purge_asid_removes_only_that_space() {
-        let mut t = TransTable::new(16);
-        for vpn in 0..4 {
-            t.insert(key(1, vpn), PhysAddr::new(vpn << 12)).unwrap();
-            t.insert(key(2, vpn), PhysAddr::new((vpn + 8) << 12))
-                .unwrap();
-        }
-        assert_eq!(t.purge_asid(Asid(1)), 4);
-        assert_eq!(t.len(), 4);
-        assert!(t.contains(key(2, 0)));
-        assert!(!t.contains(key(1, 0)));
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! arrival (== its send instant) and the echoed reply landing back at the
 //! client, so it includes channel queueing, WDRR scheduling, token-bucket
 //! pacing, both wire directions and the echo turn-around. Sends shed by
-//! admission control ([`NetError::Overload`]) or a full channel lane
+//! admission control ([`NetError::Overload`]) or a full channel queue
 //! ([`NetError::SendQueueFull`]) are counted, not measured.
 //!
 //! `tests/tenant_isolation.rs` uses it for the noisy-neighbor proof.
@@ -48,7 +48,7 @@ use crate::world::ClusterWorld;
 pub struct ClassSpec {
     /// Tenant name (minted idempotently in the registry).
     pub name: String,
-    /// WDRR weight at every scheduling point.
+    /// WDRR weight in the drivers' pacing lanes.
     pub weight: u64,
     /// Token-bucket sustained rate at the NIC admission point;
     /// `0` = unthrottled (no policy installed).
@@ -121,7 +121,7 @@ pub struct ClassReport {
     pub completed: u64,
     /// Sends refused by NIC admission ([`NetError::Overload`]), client side.
     pub shed: u64,
-    /// Sends refused by a full channel lane ([`NetError::SendQueueFull`]).
+    /// Sends refused by a full channel queue ([`NetError::SendQueueFull`]).
     pub queue_full: u64,
     /// Accepted sends that later failed (`TransportEvent::SendFailed`).
     pub failed: u64,

@@ -216,8 +216,9 @@ impl ClusterWorld {
     }
 
     /// Register a tenant (idempotent by name): mints the registry id,
-    /// installs the WDRR weight in both drivers, and — when `policy` is
-    /// given — the token-bucket policy at the NIC admission point.
+    /// installs its WDRR weight beside the admission policies, and — when
+    /// `policy` is given — the token-bucket policy at the NIC admission
+    /// point.
     pub fn register_tenant(
         &mut self,
         name: &str,
@@ -225,10 +226,11 @@ impl ClusterWorld {
         policy: Option<knet_simnic::QosPolicy>,
     ) -> TenantId {
         let t = self.registry.tenant_create(name, weight);
+        let weight = self.registry.tenant_table().weight(t);
+        self.nics.qos.set_weight(t.0, weight);
         if let Some(p) = policy {
             self.nics.qos.set_policy(t.0, p);
         }
-        self.sync_tenant_weights();
         t
     }
 
@@ -237,15 +239,6 @@ impl ClusterWorld {
     /// no change — for an id [`Self::register_tenant`] never returned.
     pub fn assign_tenant(&mut self, ep: Endpoint, tenant: TenantId) -> bool {
         self.registry.assign_tenant(ep, tenant)
-    }
-
-    /// Mirror the registry's tenant weights into the driver pacing
-    /// schedulers (both drivers index weights by dense tenant id).
-    fn sync_tenant_weights(&mut self) {
-        let table = self.registry.tenant_table();
-        let weights = (0..table.count()).map(|i| table.weight(TenantId(i as u32)));
-        self.gm.paced.tenant_weights = weights.collect();
-        self.mx.paced.tenant_weights = self.gm.paced.tenant_weights.clone();
     }
 
     /// One stats row per tenant: channel-layer queueing counters joined
@@ -265,14 +258,15 @@ impl ClusterWorld {
     }
 
     /// Fold one node's slice of the tenant-visible scheduler and admission
-    /// state into a fingerprint accumulator: WDRR lanes of the channels
-    /// homed on the node, pacing lanes and token buckets of its NIC. In a
+    /// state into a fingerprint accumulator: backpressure queues of the
+    /// channels homed on the node, pacing lanes and token buckets of its
+    /// NIC. In a
     /// sharded run a node's slice is authoritative only on the owning shard
     /// world, so equivalence tests (`tests/sched_equivalence.rs`) fold node
     /// slices from their owners and get bit-identical results at every
     /// shard count. Mixes nothing when no tenant is configured.
     pub fn tenant_fingerprint_node(&self, node: NodeId, mut mix: impl FnMut(u64)) {
-        self.registry.wdrr_fingerprint_node(node.0, &mut mix);
+        self.registry.queue_fingerprint_node(node.0, &mut mix);
         if let Some(nic) = self.nics.nic_of_node(node) {
             self.gm.paced.fingerprint_nic(nic, &mut mix);
             self.mx.paced.fingerprint_nic(nic, &mut mix);

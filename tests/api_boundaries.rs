@@ -12,15 +12,17 @@
 //! This file is the **one table** of the boundaries that only a text search
 //! can check (CI runs it with the rest of the suite; it has no grep steps
 //! of its own). A boundary that crate visibility can express is not listed
-//! here: the per-tenant lane queue (`knet_core::tenant`) is crate-private,
-//! so the one pacing seam both drivers share (`knet_core::pace`) and the
-//! channel queue are its only possible users — naming it anywhere else is
-//! a compile error.
+//! here: the per-tenant WDRR lane queue is private to the one pacing seam
+//! both drivers share (`knet_core::pace`), its only user — naming it
+//! anywhere else is a compile error.
 //!
 //! One entry is a layering boundary with a performance reason: outside
 //! the NIC layer, only the drivers' one packet builder puts a packet
 //! toward the wire, through the transmit queue that shares the link
 //! packet by packet.
+//!
+//! One entry keeps one wait in one queue: a GM send waits for send tokens
+//! in its channel and nowhere else.
 //!
 //! The last four entries are not layering boundaries. One is a
 //! performance boundary: the registry's and the reliability layer's tables
@@ -76,19 +78,31 @@ const REL_FORBIDDEN: &[&str] = &[
     "crates/kv",
 ];
 
-fn scan(dir: &Path, patterns: &[String], offenders: &mut Vec<String>) {
+/// Collect `path:line: text` for every line under `dir` naming one of
+/// `patterns`. With `library_only`, test code — a `tests.rs` file, or
+/// anything after a file's first `#[cfg(test)]` — and comment lines are
+/// skipped.
+fn scan(dir: &Path, patterns: &[String], library_only: bool, offenders: &mut Vec<String>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            scan(&path, patterns, offenders);
-        } else if path.extension().is_some_and(|e| e == "rs") {
+            scan(&path, patterns, library_only, offenders);
+        } else if path.extension().is_some_and(|e| e == "rs")
+            && !(library_only && path.ends_with("tests.rs"))
+        {
             let Ok(text) = fs::read_to_string(&path) else {
                 continue;
             };
             for (i, line) in text.lines().enumerate() {
+                if library_only && line.contains("#[cfg(test)]") {
+                    break;
+                }
+                if library_only && line.trim_start().starts_with("//") {
+                    continue;
+                }
                 if patterns.iter().any(|p| line.contains(p.as_str())) {
                     offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
                 }
@@ -101,7 +115,7 @@ fn offenders_for(dirs: &[&str], patterns: &[String]) -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut offenders = Vec::new();
     for dir in dirs {
-        scan(&root.join(dir), patterns, &mut offenders);
+        scan(&root.join(dir), patterns, false, &mut offenders);
     }
     offenders
 }
@@ -281,7 +295,7 @@ fn request_plumbing_lives_in_the_shared_seam_only() {
 /// *below* per-tenant fair queueing: calling them directly would let a
 /// caller pick its own tenant id, defeating both isolation and accounting.
 /// (The lane queue type itself, which could reorder parked sends, is not
-/// nameable outside `knet-core` at all.) Services,
+/// nameable outside `knet_core::pace` at all.) Services,
 /// examples and integration tests send through channels; only the channel
 /// layer (`crates/core`), the two drivers, and the composed world
 /// (`src/world.rs`, which implements the `t_send_t` seam) sit below it.
@@ -399,6 +413,44 @@ fn one_path_from_the_drivers_to_the_wire() {
         submitters[0].contains("crates/core/src/driver.rs"),
         "only Route::send submits: {submitters:#?}"
     );
+}
+
+/// A GM send waits for send tokens in one queue: its channel's
+/// backpressure queue (`knet_core::api`). The GM driver reserves a token
+/// when it accepts a send, so a send its pacing lane parks already holds
+/// one, and every error of an admitted send is final. So `NoSendTokens` is
+/// produced in `crates/gm/src` alone and matched in `crates/core/src/api.rs`
+/// alone (its declaration in `error.rs` aside): a second matcher, such as
+/// the pacing seam retrying it, would be a second queue racing the first
+/// for every returned token.
+#[test]
+fn one_queue_waits_for_gm_send_tokens() {
+    // Pattern assembled at runtime so this file never matches itself.
+    let patterns = vec![format!("NoSend{}", "Tokens")];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut hits = Vec::new();
+    scan(&root.join("crates"), &patterns, true, &mut hits);
+    scan(&root.join("src"), &patterns, true, &mut hits);
+    let (mut produced, mut matched, mut offenders) = (0, 0, Vec::new());
+    for hit in &hits {
+        let is_match_arm = hit.contains("=>");
+        if hit.contains("crates/core/src/error.rs:") {
+            continue;
+        } else if hit.contains("crates/gm/src/") && !is_match_arm {
+            produced += 1;
+        } else if hit.contains("crates/core/src/api.rs:") && is_match_arm {
+            matched += 1;
+        } else {
+            offenders.push(hit.as_str());
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a second place produces or waits on GM's send-token error (only \
+         the GM driver raises it, only the channel queue retries it):\n{}",
+        offenders.join("\n")
+    );
+    assert!(produced > 0 && matched > 0, "{hits:#?}");
 }
 
 #[test]

@@ -845,6 +845,139 @@ fn a_zero_queue_cap_restores_the_raw_token_contract() {
     );
 }
 
+/// A GM send waits for send tokens in its channel and for its tenant's
+/// bucket in the driver's pacing lane, never both at once: a send the
+/// bucket defers already holds the token it took at submit. Twelve sends
+/// over two tokens, behind a bucket that admits one message at a time,
+/// cross both queues; each completes exactly once, in submission order,
+/// and every token comes back.
+#[test]
+fn paced_gm_sends_hold_their_token_and_complete_once_in_order() {
+    let (mut w, n0, n1) = (
+        ClusterBuilder::new()
+            .gm_params(GmParams {
+                send_tokens: 2,
+                ..GmParams::default()
+            })
+            .build(),
+        NodeId(0),
+        NodeId(1),
+    );
+    let tenant = w.register_tenant(
+        "paced",
+        1,
+        Some(QosPolicy {
+            rate_bytes_per_sec: 1_000_000,
+            burst_bytes: 1024,
+            pace_queue_cap: 16,
+        }),
+    );
+    let (ch_a, _ch_b, cq_a, cq_b, ea, _eb) = channel_pair(&mut w, TransportKind::Gm, n0, n1);
+    w.assign_tenant(ea, tenant);
+    let port = knet_gm::GmPortId(ea.idx);
+    let ka = kbuf(&mut w, n0, 4096);
+    let ctxs: Vec<u64> = (0..12u64)
+        .map(|i| channel_send(&mut w, ch_a, i, ka.iov(1024)).unwrap())
+        .collect();
+    // The first send left, the second waits for the bucket holding the
+    // other token, the rest wait for tokens in the channel.
+    assert_eq!(w.gm.port(port).unwrap().tokens(), 0);
+    assert_eq!(w.registry.channel(ch_a).unwrap().queued_len(), 10);
+    let nic = w.gm.port(port).unwrap().nic;
+    assert_eq!(w.gm.paced.backlog(nic), 1);
+
+    knet_simcore::run_to_quiescence(&mut w);
+    let mut done = Vec::new();
+    while let Some(e) = w.registry.cq_pop_for(cq_a, ea) {
+        match e.event {
+            TransportEvent::SendDone { ctx } => done.push(ctx),
+            other => panic!("unexpected completion {other:?}"),
+        }
+    }
+    assert_eq!(done, ctxs, "each send completed once, in order");
+    let mut tags = Vec::new();
+    while let Some(e) = w.registry.cq_pop(cq_b) {
+        if let TransportEvent::Unexpected { tag, .. } = e.event {
+            tags.push(tag);
+        }
+    }
+    assert_eq!(tags, (0..12).collect::<Vec<_>>(), "wire order preserved");
+    assert_eq!(w.gm.port(port).unwrap().tokens(), 2, "every token is back");
+    assert_eq!(w.gm.paced.backlog(nic), 0);
+    assert_eq!(w.registry.channel(ch_a).unwrap().queued_len(), 0);
+    let qos = w.nics.qos.tenant_stats(tenant.0);
+    assert_eq!(qos.admitted, 12);
+    assert!(qos.deferred >= 11, "the bucket paced every later send");
+}
+
+/// A token a parked send returns with its `SendFailed` wakes the channel's
+/// queue just as a `SendDone` does. Both tokens sit with sends the pacing
+/// lane holds, nothing is in flight and nine sends wait in the channel;
+/// then the tenant's rate drops to zero, so the lane sheds both parked
+/// sends at drain. Their failures must retry the queue: every send gets
+/// its one completion and both tokens come home.
+#[test]
+fn a_parked_send_failing_at_drain_retries_the_channel_queue() {
+    let (mut w, n0, n1) = (
+        ClusterBuilder::new()
+            .gm_params(GmParams {
+                send_tokens: 2,
+                ..GmParams::default()
+            })
+            .build(),
+        NodeId(0),
+        NodeId(1),
+    );
+    let policy = QosPolicy {
+        rate_bytes_per_sec: 1_000_000,
+        burst_bytes: 1024,
+        pace_queue_cap: 16,
+    };
+    let tenant = w.register_tenant("paced", 1, Some(policy));
+    let (ch_a, _ch_b, cq_a, _cq_b, ea, _eb) = channel_pair(&mut w, TransportKind::Gm, n0, n1);
+    w.assign_tenant(ea, tenant);
+    let port = knet_gm::GmPortId(ea.idx);
+    let nic = w.gm.port(port).unwrap().nic;
+    let ka = kbuf(&mut w, n0, 4096);
+    let ctxs: Vec<u64> = (0..12u64)
+        .map(|i| channel_send(&mut w, ch_a, i, ka.iov(1024)).unwrap())
+        .collect();
+    // The first send's `SendDone` hands its token to the third, which
+    // parks behind the second.
+    knet_simcore::run_until(&mut w, |w| w.gm.paced.backlog(nic) == 2);
+    assert_eq!(w.gm.port(port).unwrap().tokens(), 0);
+    assert_eq!(w.registry.channel(ch_a).unwrap().queued_len(), 9);
+    w.nics.qos.set_policy(
+        tenant.0,
+        QosPolicy {
+            rate_bytes_per_sec: 0,
+            ..policy
+        },
+    );
+
+    knet_simcore::run_to_quiescence(&mut w);
+    let mut done = Vec::new();
+    let mut failed = Vec::new();
+    while let Some(e) = w.registry.cq_pop_for(cq_a, ea) {
+        match e.event {
+            TransportEvent::SendDone { ctx } => done.push(ctx),
+            TransportEvent::SendFailed { ctx, error } => {
+                assert_eq!(error, NetError::Overload);
+                failed.push(ctx);
+            }
+            other => panic!("unexpected completion {other:?}"),
+        }
+    }
+    assert_eq!(done, ctxs[..1], "only the first send reached the wire");
+    // The queue fails on the first returned token, before the second
+    // parked send's failure arrives, so only the set is pinned.
+    failed.sort_unstable();
+    assert_eq!(failed, ctxs[1..], "every other send failed exactly once");
+    assert_eq!(w.gm.port(port).unwrap().tokens(), 2, "every token is back");
+    assert_eq!(w.gm.paced.backlog(nic), 0);
+    assert_eq!(w.registry.channel(ch_a).unwrap().queued_len(), 0);
+}
+
 // ------------------------------------------------------------ CQ index
 
 #[test]
@@ -1298,10 +1431,11 @@ fn shrinking_the_send_queue_cap_fails_excess_parked_sends() {
 }
 
 #[test]
-fn cap_shrink_evicts_within_each_tenant_never_across() {
-    // The send-queue cap is per tenant lane. Shrinking it must evict
-    // newest-first *within* each over-cap lane and never let one tenant's
-    // backlog push out another tenant's parked sends.
+fn a_retag_mid_queue_keeps_submission_order_and_each_sends_tenant() {
+    // The backpressure queue is one FIFO per channel. Re-tagging the
+    // channel while sends are queued must not reorder them, and each send
+    // stays attributed to the tenant it was submitted under — when it is
+    // retried, when a cap shrink evicts it, and in the per-tenant rows.
     let (mut w, n0, n1) = (
         ClusterBuilder::new()
             .gm_params(GmParams {
@@ -1312,17 +1446,16 @@ fn cap_shrink_evicts_within_each_tenant_never_across() {
         NodeId(0),
         NodeId(1),
     );
-    let (ch_a, _ch_b, cq_a, _cq_b, ea, _eb) = channel_pair(&mut w, TransportKind::Gm, n0, n1);
+    let (ch_a, _ch_b, cq_a, cq_b, ea, _eb) = channel_pair(&mut w, TransportKind::Gm, n0, n1);
     let ka = kbuf(&mut w, n0, 4096);
 
     // Four sends under the default tenant: one takes the only token, three
-    // park in the default lane.
+    // queue.
     let mut a_ctxs = Vec::new();
     for i in 0..4u64 {
         a_ctxs.push(channel_send(&mut w, ch_a, i, ka.iov(16)).unwrap());
     }
-    // Re-tag the endpoint and park four more in tenant b's lane. Parked
-    // sends keep the lane they joined under.
+    // Re-tag the endpoint and queue four more under tenant b, behind them.
     let tb = w.registry.tenant_create("b", 2);
     assert!(w.assign_tenant(ea, tb));
     // An id nobody minted has no stats row — sends tagged with it would
@@ -1333,23 +1466,11 @@ fn cap_shrink_evicts_within_each_tenant_never_across() {
     for i in 10..14u64 {
         b_ctxs.push(channel_send(&mut w, ch_a, i, ka.iov(16)).unwrap());
     }
-    let ch = w.registry.channel(ch_a).unwrap();
-    assert_eq!(ch.queued_len_for(TenantId::DEFAULT), 3);
-    assert_eq!(ch.queued_len_for(tb), 4);
+    assert_eq!(w.registry.channel(ch_a).unwrap().queued_len(), 7);
 
-    api::channel_set_send_queue_cap(&mut w, ch_a, 2);
-
-    let ch = w.registry.channel(ch_a).unwrap();
-    assert_eq!(
-        ch.queued_len_for(TenantId::DEFAULT),
-        2,
-        "default lane trimmed to the cap, not drained for tenant b"
-    );
-    assert_eq!(
-        ch.queued_len_for(tb),
-        2,
-        "tenant b's lane trimmed to the cap independently"
-    );
+    // Shrinking the cap evicts the newest sends, whoever they belong to.
+    api::channel_set_send_queue_cap(&mut w, ch_a, 5);
+    assert_eq!(w.registry.channel(ch_a).unwrap().queued_len(), 5);
     let mut failed = Vec::new();
     while let Some(e) = w.registry.cq_pop_for(cq_a, ea) {
         if let TransportEvent::SendFailed { ctx, error } = e.event {
@@ -1357,12 +1478,9 @@ fn cap_shrink_evicts_within_each_tenant_never_across() {
             failed.push(ctx);
         }
     }
-    assert_eq!(
-        failed,
-        vec![a_ctxs[3], b_ctxs[3], b_ctxs[2]],
-        "each lane evicts its own newest; survivors belong to both tenants"
-    );
-    // Every surviving send still completes.
+    assert_eq!(failed, vec![b_ctxs[3], b_ctxs[2]], "newest first");
+
+    // The survivors complete, and reach the peer, in submission order.
     knet_simcore::run_to_quiescence(&mut w);
     let mut done = Vec::new();
     while let Some(e) = w.registry.cq_pop_for(cq_a, ea) {
@@ -1370,22 +1488,43 @@ fn cap_shrink_evicts_within_each_tenant_never_across() {
             done.push(ctx);
         }
     }
-    let mut expected = vec![a_ctxs[0], a_ctxs[1], a_ctxs[2], b_ctxs[0], b_ctxs[1]];
-    expected.sort_unstable();
-    done.sort_unstable();
-    assert_eq!(done, expected, "both lanes drain after the shrink");
-    // Every parked, retried and evicted send is in some tenant's row.
+    let mut expected = a_ctxs.clone();
+    expected.extend_from_slice(&b_ctxs[..2]);
+    assert_eq!(done, expected, "one FIFO across the re-tag");
+    let mut tags = Vec::new();
+    while let Some(e) = w.registry.cq_pop(cq_b) {
+        if let TransportEvent::Unexpected { tag, .. } = e.event {
+            tags.push(tag);
+        }
+    }
+    assert_eq!(tags, vec![0, 1, 2, 3, 10, 11], "wire order preserved");
+
+    // Each send is counted under the tenant it was submitted under.
     let (reg, rows) = (w.stats().registry, w.tenant_stats());
-    let sum = |of: fn(&knet_core::TenantSendStats) -> u64| -> u64 {
-        rows.iter().map(|r| of(&r.channel)).sum()
-    };
+    let row = |t: TenantId| rows.iter().find(|r| r.id == t).unwrap().channel;
+    let (a, b) = (row(TenantId::DEFAULT), row(tb));
+    assert_eq!(
+        (
+            a.direct_sends,
+            a.queued_sends,
+            a.retried_sends,
+            a.failed_retries
+        ),
+        (1, 3, 3, 0)
+    );
+    assert_eq!(
+        (
+            b.direct_sends,
+            b.queued_sends,
+            b.retried_sends,
+            b.failed_retries
+        ),
+        (0, 4, 2, 2)
+    );
     assert_eq!(
         (reg.queued_sends, reg.retried_sends, reg.failed_retries),
-        (7, 4, 3)
+        (7, 5, 2)
     );
-    assert_eq!(sum(|s| s.queued_sends), reg.queued_sends);
-    assert_eq!(sum(|s| s.retried_sends), reg.retried_sends);
-    assert_eq!(sum(|s| s.failed_retries), reg.failed_retries);
 }
 
 #[test]

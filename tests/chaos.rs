@@ -68,6 +68,19 @@ fn assert_no_engine_errors(w: &ClusterWorld) {
     );
 }
 
+/// Every send token an open GM port lent out is back: a send returns its
+/// token with its completion, wherever it waited (channel queue, pacing
+/// lane), and whatever became of its peer.
+fn assert_gm_tokens_home(w: &ClusterWorld) {
+    let home = GmParams::default().send_tokens;
+    for node in 0..w.os.node_count() {
+        for port in w.gm.ports_on(NodeId(node as u32)) {
+            let tokens = w.gm.port(port).unwrap().tokens();
+            assert_eq!(tokens, home, "{port:?} is missing send tokens");
+        }
+    }
+}
+
 fn fill_user(w: &mut ClusterWorld, buf: &UBuf, data: &[u8]) {
     w.os.node_mut(buf.node)
         .write_virt(buf.asid, buf.addr, data)
@@ -117,6 +130,7 @@ fn zsock_scenario(kind: TransportKind, fault: FaultPlan) -> u64 {
     run_to_quiescence(&mut w);
     assert_eq!(w.zsock.sock(sa).error(), None, "{kind:?}: never poisoned");
     assert_eq!(w.zsock.sock(sb).error(), None);
+    assert_gm_tokens_home(&w);
     // Context-pool slots stay bounded (released on completion — no leak)
     // while recycling keeps happening.
     let st = w.registry.stats;
@@ -544,6 +558,7 @@ fn orfs_server_kill_spares_surviving_traffic() {
         "window rings drained everywhere (dead link torn down)"
     );
     assert_eq!(w.nics.tx_queued(), 0, "transmit queues empty");
+    assert_gm_tokens_home(&w);
     assert_eq!(
         w.orfs.servers[sid_b.0 as usize].staging_len(),
         0,
@@ -626,6 +641,7 @@ fn nbd_server_kill_spares_surviving_traffic() {
 
     assert_eq!(w.nics.rel.buffered_total(), 0, "window rings drained");
     assert_eq!(w.nics.tx_queued(), 0, "transmit queues empty");
+    assert_gm_tokens_home(&w);
     let st = w.stats();
     assert!(
         st.registry.ctx_pool_slots <= 256,

@@ -485,17 +485,19 @@ fn multi_chunk_messages_allocate_only_their_payload() {
     assert_eq!(footprint(&w), warm, "scratch, rings and tables stay flat");
 }
 
-/// The multi-tenant machinery rides the same contract: per-tenant WDRR
-/// lanes in the channel, per-tenant pacing lanes in the driver and token
+/// The multi-tenant machinery rides the same contract: the channels'
+/// backpressure queues, per-tenant pacing lanes in the driver and token
 /// buckets at the NIC all reach their high-water mark during warm-up and
 /// never grow again. Three tenants share a 2-node cluster — "rt"
 /// unthrottled on GM, "bulk" on GM and "bulk-mx" on MX each behind a token
 /// bucket so their sends cross the Defer → pacing-lane → pace-timer path
 /// of the one shared seam through both drivers every round — while a tiny
-/// GM token pool parks sends in the channel lanes. Once warm, an identical batch of
-/// rounds performs *exactly* the same number of heap allocations as the
-/// previous one: the steady-state tenant path allocates nothing beyond the
-/// payload `Bytes` the driver already accounts.
+/// GM token pool queues sends in each GM channel (a send waits for tokens
+/// there only: a paced GM send holds the token it took at submit). Once
+/// warm, an identical batch of rounds performs *exactly* the same number
+/// of heap allocations as the previous one: the steady-state tenant path
+/// allocates nothing beyond the payload `Bytes` the driver already
+/// accounts.
 #[test]
 fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
     use knet_gm::GmParams;
@@ -540,9 +542,9 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
 
     let mut batch = Vec::new();
     let mut round = |w: &mut knet::world::ClusterWorld, r: u64| {
-        // Six sends per tenant against two tokens: four park in each
-        // GM channel's tenant lane; the bulk tenants' admitted sends
-        // outrun their buckets and defer through the drivers' pacing lanes.
+        // Six sends per tenant against two tokens: four queue in each GM
+        // channel; the bulk tenants' accepted sends outrun their buckets
+        // and defer through the drivers' pacing lanes.
         for i in 0..6u64 {
             channel_send(w, ch_rt, r * 100 + i, ka.iov(1024)).unwrap();
             channel_send(w, ch_bulk, r * 100 + i, ka.iov(1024)).unwrap();
@@ -565,10 +567,8 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
         let rt_ch = w.registry.channel(ch_rt).unwrap();
         let bulk_ch = w.registry.channel(ch_bulk).unwrap();
         (
-            rt_ch.queue_grows(),
-            rt_ch.queue_lanes(),
-            bulk_ch.queue_grows(),
-            bulk_ch.queue_lanes(),
+            rt_ch.queue_capacity(),
+            bulk_ch.queue_capacity(),
             w.gm.paced.grows(),
             w.mx.paced.grows(),
         )
@@ -596,14 +596,14 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
         "identical warm batches must allocate identically — any growth \
          would make the second batch cheaper or dearer"
     );
-    assert_eq!(lanes1, lanes0, "tenant lane slabs and pacing queues flat");
+    assert_eq!(lanes1, lanes0, "channel queues and pacing lanes flat");
     assert_eq!(
         pool1.ctx_pool_slots, pool0.ctx_pool_slots,
         "no new send-context slots for tenant traffic"
     );
     assert!(
         pool1.queued_sends >= pool0.queued_sends + 100,
-        "the rounds really parked sends in the tenant lanes"
+        "the rounds really queued sends in the channels"
     );
     assert!(
         qos1.deferred > qos0.deferred,
