@@ -58,7 +58,7 @@ use smallvec::SmallVec;
 use crate::error::NetError;
 use crate::iovec::{read_iovec, IoVec, MemRef};
 use crate::pace::Sent;
-use crate::tenant::{TenantChannelRow, TenantId, TenantTable};
+use crate::tenant::{TenantId, TenantTable};
 use crate::transport::{Endpoint, TransportEvent, TransportKind, TransportWorld};
 
 /// Handle to a completion queue.
@@ -808,8 +808,8 @@ impl<W> Registry<W> {
     /// Mint a tenant id at registration time (idempotent by name). The id
     /// is carried on every send the tenant's endpoints issue and honored
     /// at each queueing point below the channel layer.
-    pub fn tenant_create(&mut self, name: &str, weight: u64) -> TenantId {
-        self.tenants.create(name, weight)
+    pub fn tenant_create(&mut self, name: &str) -> TenantId {
+        self.tenants.create(name)
     }
 
     /// The tenant an endpoint's sends are attributed to
@@ -838,24 +838,9 @@ impl<W> Registry<W> {
         true
     }
 
-    /// The tenant directory (names, weights, per-tenant counters).
+    /// The tenant directory (names, per-tenant counters).
     pub fn tenant_table(&self) -> &TenantTable {
         &self.tenants
-    }
-
-    /// Per-tenant channel-layer stats rows (one per registered tenant).
-    pub fn tenant_rows(&self) -> Vec<TenantChannelRow> {
-        (0..self.tenants.count())
-            .map(|i| {
-                let t = TenantId(i as u32);
-                TenantChannelRow {
-                    id: t,
-                    name: self.tenants.name(t).unwrap_or("").to_string(),
-                    weight: self.tenants.weight(t),
-                    stats: self.tenants.stats[i],
-                }
-            })
-            .collect()
     }
 
     /// Fold the backpressure queues of the channels whose local endpoint
@@ -1206,6 +1191,13 @@ pub fn channel_send_to<W: DispatchWorld>(
         }
         state
     };
+    let qs = QueuedSend {
+        to,
+        tag,
+        iov,
+        ctx,
+        tenant,
+    };
     // Earlier sends are already waiting for tokens: keep submission
     // order, join the queue (or overflow it).
     if qlen > 0 {
@@ -1213,48 +1205,20 @@ pub fn channel_send_to<W: DispatchWorld>(
             release_channel_ctx(w, ch, ctx);
             return Err(NetError::SendQueueFull);
         }
-        queue_send(
-            w,
-            ch,
-            QueuedSend {
-                to,
-                tag,
-                iov,
-                ctx,
-                tenant,
-            },
-        );
+        queue_send(w, ch, qs);
         return Ok(ctx);
     }
-    let (wire_iov, coalesced) = match coalesce_for_transport(w, ch, local, iov.clone()) {
-        Ok(x) => x,
-        Err(e) => {
-            release_channel_ctx(w, ch, ctx);
-            return Err(e);
-        }
-    };
-    match w.t_send_t(local, to, tag, wire_iov, ctx, tenant) {
-        Ok(sent) => {
-            charge_coalesce(w, ch, local, ctx, coalesced, sent);
+    match transmit(w, ch, local, &qs) {
+        Ok(()) => {
             w.registry_mut()
                 .tenants
                 .note(tenant, |s| s.direct_sends += 1);
             Ok(ctx)
         }
+        // Queue the *original* io-vector; coalescing (and its charge)
+        // reruns when the retry is accepted.
         Err(NetError::NoSendTokens) if cap > 0 => {
-            // Queue the *original* io-vector; coalescing (and its charge)
-            // reruns when the retry is accepted.
-            queue_send(
-                w,
-                ch,
-                QueuedSend {
-                    to,
-                    tag,
-                    iov,
-                    ctx,
-                    tenant,
-                },
-            );
+            queue_send(w, ch, qs);
             Ok(ctx)
         }
         Err(e) => {
@@ -1262,6 +1226,20 @@ pub fn channel_send_to<W: DispatchWorld>(
             Err(e)
         }
     }
+}
+
+/// Hand one channel send to the transport: coalesce it for GM, send it,
+/// and charge the gather copy once the transport accepts it.
+fn transmit<W: DispatchWorld>(
+    w: &mut W,
+    ch: ChannelId,
+    local: Endpoint,
+    qs: &QueuedSend,
+) -> Result<(), NetError> {
+    let (wire_iov, coalesced) = coalesce_for_transport(w, ch, local, qs.iov.clone())?;
+    let sent = w.t_send_t(local, qs.to, qs.tag, wire_iov, qs.ctx, qs.tenant)?;
+    charge_coalesce(w, ch, local, qs.ctx, coalesced, sent);
+    Ok(())
 }
 
 /// Append a send to the channel's backpressure queue and count it.
@@ -1295,38 +1273,30 @@ fn flush_channel_sends<W: DispatchWorld>(w: &mut W, ch: ChannelId) {
         else {
             return;
         };
-        let tenant = qs.tenant;
-        let failed = match coalesce_for_transport(w, ch, local, qs.iov.clone()) {
-            Ok((wire_iov, coalesced)) => {
-                match w.t_send_t(local, qs.to, qs.tag, wire_iov, qs.ctx, tenant) {
-                    Ok(sent) => {
-                        charge_coalesce(w, ch, local, qs.ctx, coalesced, sent);
-                        let r = w.registry_mut();
-                        r.stats.retried_sends += 1;
-                        r.tenants.note(tenant, |s| s.retried_sends += 1);
-                        None
-                    }
-                    Err(NetError::NoSendTokens) => {
-                        // Still dry: back to the head of the queue, to wait
-                        // for the next send completion.
-                        if let Some(c) = w.registry_mut().channels.get_mut(ch.0) {
-                            c.pending.push_front(qs);
-                        }
-                        return;
-                    }
-                    Err(e) => Some(e),
-                }
+        match transmit(w, ch, local, &qs) {
+            Ok(()) => {
+                let r = w.registry_mut();
+                r.stats.retried_sends += 1;
+                r.tenants.note(qs.tenant, |s| s.retried_sends += 1);
             }
-            Err(e) => Some(e),
-        };
-        if let Some(error) = failed {
-            // Non-transient failure on retry: the channel's consumer gets a
-            // `SendFailed` completion so resources tied to the context are
-            // released (the original caller already holds `Ok(ctx)`).
-            let r = w.registry_mut();
-            r.stats.failed_retries += 1;
-            r.tenants.note(tenant, |s| s.failed_retries += 1);
-            route(w, local, TransportEvent::SendFailed { ctx: qs.ctx, error });
+            Err(NetError::NoSendTokens) => {
+                // Still dry: back to the head of the queue, to wait for the
+                // next send completion.
+                if let Some(c) = w.registry_mut().channels.get_mut(ch.0) {
+                    c.pending.push_front(qs);
+                }
+                return;
+            }
+            Err(error) => {
+                // Non-transient failure on retry: the channel's consumer
+                // gets a `SendFailed` completion so resources tied to the
+                // context are released (the original caller already holds
+                // `Ok(ctx)`).
+                let r = w.registry_mut();
+                r.stats.failed_retries += 1;
+                r.tenants.note(qs.tenant, |s| s.failed_retries += 1);
+                route(w, local, TransportEvent::SendFailed { ctx: qs.ctx, error });
+            }
         }
     }
 }

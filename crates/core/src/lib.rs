@@ -72,5 +72,5 @@ pub use iovec::{
 pub use pace::{pace_submit, pace_timer_fired, PaceLanes, PacedSend, Sent};
 pub use regcache::{RangePlan, RegCache, RegCacheStats, RegKey};
 pub use req::{channel_send_request, ring_stage, ReqTable, SendMap, StagingRing, REQ_ID_MASK};
-pub use tenant::{TenantChannelRow, TenantId, TenantInfo, TenantSendStats, TenantTable};
+pub use tenant::{TenantId, TenantSendStats, TenantTable};
 pub use transport::{Endpoint, TransportEvent, TransportKind, TransportWorld};

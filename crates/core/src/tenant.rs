@@ -1,5 +1,5 @@
-//! Tenant identity: the ids, weights and per-tenant channel counters of
-//! the registry's tenant directory.
+//! Tenant identity: the ids, names and per-tenant channel counters of the
+//! registry's tenant directory.
 //!
 //! The consumer registry names every endpoint's owner; this module makes
 //! that ownership schedulable. A [`TenantId`] is a consumer *group* minted
@@ -10,7 +10,7 @@
 //! they were submitted under so the per-tenant counters here stay exact;
 //! the pacing lanes of the one seam below both drivers ([`crate::pace`])
 //! wait for each tenant's token bucket, one lane per tenant, drained by
-//! deficit round robin weighted by the tenant's registered weight; the
+//! deficit round robin weighted by the tenant's weight (`knet_simnic::qos`); the
 //! NIC's transmit queue (`knet_simnic::txq`) shares the link packet by
 //! packet, round robin across tenants.
 
@@ -43,28 +43,9 @@ knet_simcore::counters! {
     }
 }
 
-/// One registered tenant: display name plus WDRR weight.
-#[derive(Clone, Debug)]
-pub struct TenantInfo {
-    pub name: String,
-    /// Relative drain weight (clamped to ≥ 1 when scheduling).
-    pub weight: u64,
-}
-
-/// One per-tenant stats row as surfaced by `Registry::tenant_rows` (the
-/// channel-layer half; the composed world merges the NIC-admission half
-/// into its own per-tenant rows).
-#[derive(Clone, Debug)]
-pub struct TenantChannelRow {
-    pub id: TenantId,
-    pub name: String,
-    pub weight: u64,
-    pub stats: TenantSendStats,
-}
-
 /// The registry's tenant directory: dense ids, idempotent registration.
 pub struct TenantTable {
-    infos: Vec<TenantInfo>,
+    names: Vec<String>,
     /// Per-tenant channel-layer counters, indexed by `TenantId.0`.
     pub stats: Vec<TenantSendStats>,
 }
@@ -73,10 +54,7 @@ impl Default for TenantTable {
     fn default() -> Self {
         // Tenant 0 always exists: the unregistered world's identity.
         TenantTable {
-            infos: vec![TenantInfo {
-                name: "default".to_string(),
-                weight: 1,
-            }],
+            names: vec!["default".to_string()],
             stats: vec![TenantSendStats::default()],
         }
     }
@@ -84,43 +62,31 @@ impl Default for TenantTable {
 
 impl TenantTable {
     /// Mint a tenant id (idempotent by name: re-registering returns the
-    /// existing id without touching its weight).
-    pub fn create(&mut self, name: &str, weight: u64) -> TenantId {
-        if let Some(i) = self.infos.iter().position(|t| t.name == name) {
-            return TenantId(i as u32);
+    /// existing id).
+    pub fn create(&mut self, name: &str) -> TenantId {
+        if let Some(t) = self.lookup(name) {
+            return t;
         }
-        let id = TenantId(self.infos.len() as u32);
-        self.infos.push(TenantInfo {
-            name: name.to_string(),
-            weight: weight.max(1),
-        });
+        self.names.push(name.to_string());
         self.stats.push(TenantSendStats::default());
-        id
+        TenantId(self.names.len() as u32 - 1)
     }
 
     pub fn count(&self) -> usize {
-        self.infos.len()
+        self.names.len()
     }
 
     /// The id minted for `name`, if any (no side effects — the read-only
     /// twin of [`Self::create`]).
     pub fn lookup(&self, name: &str) -> Option<TenantId> {
-        self.infos
+        self.names
             .iter()
-            .position(|t| t.name == name)
+            .position(|n| n == name)
             .map(|i| TenantId(i as u32))
     }
 
     pub fn name(&self, t: TenantId) -> Option<&str> {
-        self.infos.get(t.0 as usize).map(|i| i.name.as_str())
-    }
-
-    /// The tenant's WDRR weight (1 for unknown tenants).
-    pub fn weight(&self, t: TenantId) -> u64 {
-        self.infos
-            .get(t.0 as usize)
-            .map(|i| i.weight.max(1))
-            .unwrap_or(1)
+        self.names.get(t.0 as usize).map(String::as_str)
     }
 
     /// Bump a per-tenant counter via `f` (no-op for unknown tenants; the

@@ -78,10 +78,12 @@ pub enum TransportEvent {
         data: Bytes,
         from: Endpoint,
     },
-    /// A send the channel layer had accepted (queued under backpressure)
-    /// failed its retry non-transiently: no bytes left the node and no
-    /// `SendDone` will ever arrive for `ctx`. Consumers must release
-    /// whatever resources they tied to the context.
+    /// A send that was accepted but never left failed: the channel layer
+    /// queued it under backpressure and its retry failed, or the driver's
+    /// pacing lane parked it and gave it up at drain time (an endpoint
+    /// closed, the peer died, the tenant's policy sheds it). No bytes left
+    /// the node and no `SendDone` will ever arrive for `ctx`. Consumers
+    /// must release whatever resources they tied to the context.
     SendFailed { ctx: u64, error: NetError },
     /// The driver's reliability window declared the peer's node dead (retry
     /// budget exhausted, or the node was killed). Delivered, on the node
@@ -117,33 +119,25 @@ pub enum TransportEvent {
 }
 
 /// World capability: send/receive over whichever driver owns the endpoint.
+/// The composed world implements it with one driver call per operation;
+/// what a driver does for a send or a receive post (GM's registration
+/// cache, MX's address-class checks and copy protocols) happens inside it.
 ///
 /// Contract expected from implementations:
-/// * `t_send` is asynchronous: data leaves via the driver's protocol and a
-///   `SendDone { ctx }` event is eventually delivered to the *sender's*
+/// * `t_send_t` is asynchronous: data leaves via the driver's protocol and
+///   a `SendDone { ctx }` event is eventually delivered to the *sender's*
 ///   owner.
 /// * `t_post_recv` arms a tagged receive; when a message with that tag
 ///   arrives, its payload lands in the io-vector (zero-copy when the driver
 ///   can) and `RecvDone` is delivered to the endpoint's owner.
 /// * Messages with no armed tag surface as `Unexpected`.
 pub trait TransportWorld: NicWorld {
-    fn t_send(
-        &mut self,
-        from: Endpoint,
-        to: Endpoint,
-        tag: u64,
-        iov: IoVec,
-        ctx: u64,
-    ) -> Result<(), NetError>;
-
-    /// Tenant-attributed send: like [`TransportWorld::t_send`], plus the
-    /// sending consumer group's [`TenantId`], which the driver threads to
-    /// its pacing queues and the NIC admission point. The default
-    /// implementation discards the attribution (bare transports have no
-    /// QoS machinery); the composed world overrides it. The channel layer
-    /// is the only caller — services never name tenants on the wire path.
-    /// The [`Sent`] it returns says whether the payload was read already
-    /// or will be read when the send's pacing lane drains.
+    /// Send on behalf of the sending consumer group's [`TenantId`], which
+    /// the driver threads to its pacing lanes and the NIC admission point.
+    /// The channel layer is the only caller — services never name tenants
+    /// on the wire path. The [`Sent`] it returns says whether the payload
+    /// was read already or will be read when the send's pacing lane
+    /// drains.
     fn t_send_t(
         &mut self,
         from: Endpoint,
@@ -152,9 +146,20 @@ pub trait TransportWorld: NicWorld {
         iov: IoVec,
         ctx: u64,
         tenant: TenantId,
-    ) -> Result<Sent, NetError> {
-        let _ = tenant;
-        self.t_send(from, to, tag, iov, ctx).map(|()| Sent::Now)
+    ) -> Result<Sent, NetError>;
+
+    /// [`TransportWorld::t_send_t`] under [`TenantId::DEFAULT`], which has
+    /// no QoS policy unless one was installed: the untenanted driver seam.
+    fn t_send(
+        &mut self,
+        from: Endpoint,
+        to: Endpoint,
+        tag: u64,
+        iov: IoVec,
+        ctx: u64,
+    ) -> Result<(), NetError> {
+        self.t_send_t(from, to, tag, iov, ctx, TenantId::DEFAULT)
+            .map(drop)
     }
 
     fn t_post_recv(&mut self, ep: Endpoint, tag: u64, iov: IoVec, ctx: u64)

@@ -1,4 +1,5 @@
-//! GMKRC wiring: transparent on-the-fly registration for GM sends.
+//! GMKRC wiring: transparent on-the-fly registration for GM sends and
+//! receive buffers.
 //!
 //! The paper's GM kernel registration cache (§3.2): buffers are registered
 //! the first time they are used; deregistration is deferred until the NIC
@@ -10,9 +11,9 @@
 use knet_core::{MemRef, NetError, RegKey};
 use knet_simcore::SimTime;
 use knet_simnic::TransKey;
-use knet_simos::{cpu_charge, FrameIdx, NodeId, VirtAddr, VmaEvent};
+use knet_simos::{cpu_charge, Asid, FrameIdx, NodeId, VirtAddr, VmaEvent};
 
-use crate::layer::{gm_send, GmPortId, GmWorld};
+use crate::layer::{GmPortId, GmWorld};
 use crate::params::{deregister_cost, DEREG_PER_PAGE, REG_PER_PAGE, REG_SYSCALL};
 
 /// Evictions happen in batches of this fraction of the cache capacity, so
@@ -26,7 +27,7 @@ const EVICT_BATCH_DIVISOR: usize = 2;
 pub fn gm_ensure_cached<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
-    asid: knet_simos::Asid,
+    asid: Asid,
     addr: VirtAddr,
     len: u64,
 ) -> Result<SimTime, NetError> {
@@ -139,7 +140,7 @@ fn register_one<W: GmWorld>(
     w: &mut W,
     nic: knet_simnic::NicId,
     node: NodeId,
-    asid: knet_simos::Asid,
+    asid: Asid,
     page: VirtAddr,
 ) -> Result<FrameIdx, NetError> {
     // Kernel direct-map memory is unswappable: no pinning, translation by
@@ -187,19 +188,27 @@ fn drop_registrations<W: GmWorld>(
     }
 }
 
-/// Send with transparent registration caching (the ORFA/ORFS direct path).
-pub fn gm_send_cached<W: GmWorld>(
+/// GMKRC's rule, the first step of [`crate::gm_send_t`] and
+/// [`crate::gm_provide_receive_buffer`] on a port with a cache: register
+/// user memory on the fly and, for a send on a stock port (no
+/// physical-address patch), kernel memory too — the channel layer's
+/// coalescing staging buffers take that path.
+pub(crate) fn register_on_the_fly<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
-    buf: MemRef,
-    dest: GmPortId,
-    tag: u64,
-    ctx: u64,
+    seg: &MemRef,
+    send: bool,
 ) -> Result<(), NetError> {
-    if let MemRef::UserVirtual { asid, addr, len } = buf {
-        gm_ensure_cached(w, port_id, asid, addr, len)?;
+    let p = w.gm().port(port_id)?;
+    if p.regcache.is_none() {
+        return Ok(());
     }
-    gm_send(w, port_id, buf, dest, tag, ctx)
+    let (asid, addr, len) = match *seg {
+        MemRef::UserVirtual { asid, addr, len } => (asid, addr, len),
+        MemRef::KernelVirtual { addr, len } if send && !p.physical_api => (Asid::KERNEL, addr, len),
+        _ => return Ok(()),
+    };
+    gm_ensure_cached(w, port_id, asid, addr, len).map(drop)
 }
 
 /// VMA SPY subscriber for GM: invalidate every port cache on `node` that the

@@ -32,6 +32,7 @@ use knet_simnic::{
 };
 use knet_simos::{cpu_charge, page_slices, Asid, FrameIdx, NodeId, PhysSeg};
 
+use crate::cache::register_on_the_fly;
 use crate::params::{
     deregister_cost, GmParams, BOUNCE_MAX, FW_CHUNK, FW_RECV, FW_SEND, FW_TRANSLATE_BASE,
     FW_TRANSLATE_PAGE, HEADER_BYTES, HOST_EVENT_POLL, HOST_SEND_POST, KERNEL_OP_EXTRA,
@@ -163,7 +164,25 @@ pub struct GmPort {
     open: bool,
 }
 
+/// What the data path reads of a port, copied out by one lookup.
+#[derive(Clone, Copy)]
+struct PortView {
+    node: NodeId,
+    nic: NicId,
+    mode: PortMode,
+    physical_api: bool,
+}
+
 impl GmPort {
+    fn view(&self) -> PortView {
+        PortView {
+            node: self.node,
+            nic: self.nic,
+            mode: self.mode,
+            physical_api: self.physical_api,
+        }
+    }
+
     /// Send tokens currently available.
     pub fn tokens(&self) -> usize {
         self.send_tokens
@@ -195,6 +214,7 @@ pub struct GmScratch {
 /// re-issue it verbatim once the tenant's token bucket refills. It holds
 /// the send token [`gm_send_t`] reserved for it; the token comes back with
 /// its `SendDone` or `SendFailed`.
+#[derive(Clone, Copy)]
 pub struct PacedGmSend {
     port: GmPortId,
     buf: MemRef,
@@ -209,9 +229,9 @@ impl<W: GmWorld> PacedSend<W> for PacedGmSend {
     }
 
     fn send_admitted(&self, w: &mut W, tenant: TenantId) -> Result<(), NetError> {
-        gm_send_admitted(
-            w, self.port, self.buf, self.dest, self.tag, self.ctx, tenant,
-        )
+        // A port may have closed, or the link died, while the send waited.
+        let (src, dst_nic) = check_send(w, self.port, self.dest)?;
+        gm_send_admitted(w, self, src, dst_nic, tenant)
     }
 
     fn send_failed(&self, w: &W, error: NetError) -> Option<(u32, <W as SimWorld>::Ev)> {
@@ -393,9 +413,9 @@ pub fn gm_open_port<W: GmWorld>(
     Ok(id)
 }
 
-/// The ASID a buffer is checked against on this port.
-fn buffer_asid(port: &GmPort, seg: &MemRef) -> Result<Asid, NetError> {
-    match (*seg, port.mode) {
+/// The ASID a buffer is checked against on a port of this mode.
+fn buffer_asid(mode: PortMode, seg: &MemRef) -> Result<Asid, NetError> {
+    match (*seg, mode) {
         (MemRef::UserVirtual { asid, .. }, PortMode::User(port_asid)) => {
             if asid == port_asid {
                 Ok(asid)
@@ -534,27 +554,20 @@ pub fn gm_deregister<W: GmWorld>(
 ///   translation lookup.
 fn resolve_for_wire<W: GmWorld>(
     w: &mut W,
-    port_id: GmPortId,
+    port: &PortView,
     seg: &MemRef,
     out: &mut Vec<PhysSeg>,
 ) -> Result<SimTime, NetError> {
-    let (nic, physical_api) = {
-        let p = w.gm().port(port_id)?;
-        (p.nic, p.physical_api)
-    };
-    let asid = {
-        let p = w.gm().port(port_id)?;
-        buffer_asid(p, seg)?
-    };
+    let asid = buffer_asid(port.mode, seg)?;
     match *seg {
         MemRef::Physical { addr, len } => {
-            if !physical_api {
+            if !port.physical_api {
                 return Err(NetError::Unsupported);
             }
             PhysSeg::push_merged(out, PhysSeg::new(addr, len));
             Ok(SimTime::ZERO)
         }
-        MemRef::KernelVirtual { addr, len } if physical_api => {
+        MemRef::KernelVirtual { addr, len } if port.physical_api => {
             // Patched GM: the kernel hands over the direct-mapped
             // physical address; no NIC lookup.
             let p = addr.kernel_to_phys().ok_or(NetError::BadAddressClass)?;
@@ -568,7 +581,7 @@ fn resolve_for_wire<W: GmWorld>(
             let mut pages = 0u64;
             for (page, off, n) in page_slices(addr, len) {
                 pages += 1;
-                let tt = &mut w.nics_mut().get_mut(nic).ttable;
+                let tt = &mut w.nics_mut().get_mut(port.nic).ttable;
                 let phys = tt.lookup(asid, page)?;
                 PhysSeg::push_merged(out, PhysSeg::new(phys.add(off), n));
             }
@@ -580,38 +593,27 @@ fn resolve_for_wire<W: GmWorld>(
 
 const PKT_KIND_DATA: u8 = 0;
 
-/// `gm_send_with_callback`: send `buf` to `dest`. Asynchronous; a
-/// [`TransportEvent::SendDone`] with `ctx` completes when the buffer is
-/// reusable.
+/// `gm_send_with_callback`: send `buf` to `dest` on behalf of `tenant`.
+/// Asynchronous; a [`TransportEvent::SendDone`] with `ctx` completes when
+/// the buffer is reusable.
 ///
 /// `tag` travels with the message for receive matching (the correlation the
 /// in-kernel users layer over GM; plain MPI-over-GM uses `GM_ANY_TAG`
-/// buffers and does its own matching). Untenanted entry point: attributes
-/// the send to [`TenantId::DEFAULT`], which has no QoS policy unless one
-/// was explicitly installed — behaviour is then identical to pre-tenant GM.
-pub fn gm_send<W: GmWorld>(
-    w: &mut W,
-    port_id: GmPortId,
-    buf: MemRef,
-    dest: GmPortId,
-    tag: u64,
-    ctx: u64,
-) -> Result<(), NetError> {
-    gm_send_t(w, port_id, buf, dest, tag, ctx, TenantId::DEFAULT).map(drop)
-}
-
-/// Tenant-attributed send: reserves a send token, then consults the
-/// tenant's token bucket at the NIC admission point before committing any
-/// registration, and admits, parks or sheds the send as the shared pacing
-/// seam decides ([`knet_core::pace`]). A port with no token left refuses
-/// with [`NetError::NoSendTokens`] — or with [`NetError::Overload`] when
-/// the tenant's policy sheds the send whatever its bucket holds (zero
-/// rate, message over the burst), so such a send fails at once rather than
-/// wait for a token; a full pacing lane is only checked once a token is
-/// held. A parked send returns [`Sent::Parked`] and keeps
-/// its token: `buf` is read when the lane drains, and its
-/// `SendDone`/`SendFailed` completion arrives later and returns the token.
-/// A send refused here returns its token at once.
+/// buffers and does its own matching).
+///
+/// The port's registration cache (GMKRC, §3.2) registers `buf` first, if
+/// the NIC must translate it ([`crate::cache`]). Then the send reserves a
+/// send token, and the tenant's token bucket at the NIC admission point
+/// admits, parks or sheds it as the shared pacing seam decides
+/// ([`knet_core::pace`]). A port with no token left refuses with
+/// [`NetError::NoSendTokens`] — or with [`NetError::Overload`] when the
+/// tenant's policy sheds the send whatever its bucket holds (zero rate,
+/// message over the burst), so such a send fails at once rather than wait
+/// for a token; a full pacing lane is only checked once a token is held.
+/// A parked send returns [`Sent::Parked`] and keeps its token: `buf` is
+/// read when the lane drains, and its `SendDone`/`SendFailed` completion
+/// arrives later and returns the token. A send refused here returns its
+/// token at once.
 pub fn gm_send_t<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
@@ -621,14 +623,14 @@ pub fn gm_send_t<W: GmWorld>(
     ctx: u64,
     tenant: TenantId,
 ) -> Result<Sent, NetError> {
+    register_on_the_fly(w, port_id, &buf, true)?;
     // Fail fast on the errors that would also fail at drain time, so a
     // doomed send is never parked.
-    let nic = w.gm().port(port_id)?.nic;
-    let dst_nic = w.gm().port(dest)?.nic;
-    if w.nics().rel.link_dead(Proto::Gm, nic, dst_nic) {
-        return Err(NetError::PeerUnreachable);
-    }
-    if w.gm().port(port_id)?.send_tokens == 0 {
+    let (src, dst_nic) = check_send(w, port_id, dest)?;
+    let tokens = &mut w.gm_mut().port_mut(port_id)?.send_tokens;
+    if let Some(left) = tokens.checked_sub(1) {
+        *tokens = left;
+    } else {
         // A send its tenant's bucket sheds is refused as such, token or
         // not: queueing it for a token would only postpone the `Overload`.
         let qos = &mut w.nics_mut().qos;
@@ -638,20 +640,20 @@ pub fn gm_send_t<W: GmWorld>(
         }
         return Err(NetError::NoSendTokens);
     }
-    w.gm_mut().port_mut(port_id)?.send_tokens -= 1;
+    let send = PacedGmSend {
+        port: port_id,
+        buf,
+        dest,
+        tag,
+        ctx,
+    };
     let sent = pace_submit(
         w,
-        nic,
+        src.nic,
         tenant,
         buf.len(),
-        |w| gm_send_admitted(w, port_id, buf, dest, tag, ctx, tenant),
-        || PacedGmSend {
-            port: port_id,
-            buf,
-            dest,
-            tag,
-            ctx,
-        },
+        |w| gm_send_admitted(w, &send, src, dst_nic, tenant),
+        || send,
     );
     if sent.is_err() {
         if let Ok(p) = w.gm_mut().port_mut(port_id) {
@@ -661,37 +663,44 @@ pub fn gm_send_t<W: GmWorld>(
     sent
 }
 
-/// The admitted send pipeline (post token-bucket, its send token already
-/// reserved): address resolution, host/firmware charges, MTU chunking,
-/// wire submission.
-fn gm_send_admitted<W: GmWorld>(
-    w: &mut W,
-    port_id: GmPortId,
-    buf: MemRef,
+/// The checks a send passes when it is submitted, and again when its
+/// pacing lane drains: both ports open, the link between them alive.
+/// Returns the sending port and the destination's NIC.
+fn check_send<W: GmWorld>(
+    w: &W,
+    port: GmPortId,
     dest: GmPortId,
-    tag: u64,
-    ctx: u64,
-    tenant: TenantId,
-) -> Result<(), NetError> {
-    let (node, nic, is_kernel) = {
-        let p = w.gm().port(port_id)?;
-        (p.node, p.nic, p.mode.is_kernel())
-    };
+) -> Result<(PortView, NicId), NetError> {
+    let src = w.gm().port(port)?.view();
     // Destination must exist (GM routes are static; a bad route is an error
     // at open time in real GM — at send time here).
     let dst_nic = w.gm().port(dest)?.nic;
     // A peer whose reliability window died is unreachable: fail before any
-    // registrations or DMA are committed.
-    if w.nics().rel.link_dead(Proto::Gm, nic, dst_nic) {
+    // DMA is committed.
+    if w.nics().rel.link_dead(Proto::Gm, src.nic, dst_nic) {
         return Err(NetError::PeerUnreachable);
     }
+    Ok((src, dst_nic))
+}
+
+/// The admitted send pipeline (post token-bucket, its send token already
+/// reserved, its ports checked): address resolution, host/firmware
+/// charges, MTU chunking, wire submission.
+fn gm_send_admitted<W: GmWorld>(
+    w: &mut W,
+    send: &PacedGmSend,
+    src: PortView,
+    dst_nic: NicId,
+    tenant: TenantId,
+) -> Result<(), NetError> {
+    let (node, nic) = (src.node, src.nic);
 
     // Resolve into the layer's recycled segment scratch (no allocation at
     // the steady-state high-water mark).
     let mut segs = std::mem::take(&mut w.gm_mut().scratch.segs);
     let cap_before = segs.capacity();
     segs.clear();
-    let translate_cost = match resolve_for_wire(w, port_id, &buf, &mut segs) {
+    let translate_cost = match resolve_for_wire(w, &src, &send.buf, &mut segs) {
         Ok(cost) => cost,
         Err(e) => {
             w.gm_mut().scratch.segs = segs;
@@ -699,14 +708,14 @@ fn gm_send_admitted<W: GmWorld>(
         }
     };
     {
-        let p = w.gm_mut().port_mut(port_id)?;
+        let p = w.gm_mut().port_mut(send.port)?;
         p.stats.sends += 1;
-        p.stats.bytes_sent += buf.len();
+        p.stats.bytes_sent += send.buf.len();
     }
 
     // Host posts the send (kernel interface pays its overhead).
     let mut host_cost = HOST_SEND_POST;
-    if is_kernel {
+    if src.mode.is_kernel() {
         host_cost += KERNEL_OP_EXTRA;
     }
     let host_done = cpu_charge(w, node, host_cost);
@@ -729,9 +738,9 @@ fn gm_send_admitted<W: GmWorld>(
         tenant,
     };
     let hdr = MsgHeader {
-        dst: dest.0,
-        src: port_id.0,
-        tag,
+        dst: send.dest.0,
+        src: send.port.0,
+        tag: send.tag,
         msg_id,
         offset: 0,
         total: PhysSeg::total_len(&segs),
@@ -746,15 +755,17 @@ fn gm_send_admitted<W: GmWorld>(
     // complete the send and return the token.
     let ev_done = dma_charge(w, nic, sent?, 64); // completion record DMA
     let ev = W::lift_gm(GmEv::Complete {
-        port: port_id,
-        ev: TransportEvent::SendDone { ctx },
+        port: send.port,
+        ev: TransportEvent::SendDone { ctx: send.ctx },
     });
     knet_simcore::emit_at(w, node.0, ev_done, ev);
     Ok(())
 }
 
 /// `gm_provide_receive_buffer`: queue a buffer for incoming messages whose
-/// tag matches (or any message, with [`GM_ANY_TAG`]).
+/// tag matches (or any message, with [`GM_ANY_TAG`]). The port's
+/// registration cache first registers the buffer's user memory
+/// ([`crate::cache`]).
 pub fn gm_provide_receive_buffer<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
@@ -762,26 +773,26 @@ pub fn gm_provide_receive_buffer<W: GmWorld>(
     tag: u64,
     ctx: u64,
 ) -> Result<(), NetError> {
-    let (node, is_kernel) = {
-        let p = w.gm().port(port_id)?;
-        (p.node, p.mode.is_kernel())
-    };
+    for seg in iov.segs() {
+        register_on_the_fly(w, port_id, seg, false)?;
+    }
+    let port = w.gm().port(port_id)?.view();
     // Resolve through the recycled segment scratch; the buffer stays queued
     // until a message lands, so it keeps its own (inline) copy.
     let mut scratch = std::mem::take(&mut w.gm_mut().scratch.segs);
     scratch.clear();
     let translate_cost = iov.segs().iter().try_fold(SimTime::ZERO, |cost, seg| {
-        Ok::<_, NetError>(cost + resolve_for_wire(w, port_id, seg, &mut scratch)?)
+        Ok::<_, NetError>(cost + resolve_for_wire(w, &port, seg, &mut scratch)?)
     });
     let segs: SegList = scratch.iter().copied().collect();
     w.gm_mut().scratch.segs = scratch;
     let translate_cost = translate_cost?;
     let capacity = PhysSeg::total_len(&segs);
     let mut host_cost = HOST_SEND_POST;
-    if is_kernel {
+    if port.mode.is_kernel() {
         host_cost += KERNEL_OP_EXTRA;
     }
-    cpu_charge(w, node, host_cost);
+    cpu_charge(w, port.node, host_cost);
     w.gm_mut()
         .port_mut(port_id)?
         .recv_queue

@@ -10,11 +10,11 @@ use knet_simcore::{run_to_quiescence, run_until, RunOutcome, Scheduler, SimTime,
 use knet_simnic::{FaultPlan, NicId, NicLayer, NicModel, NicWorld, Packet, Proto, QosPolicy};
 use knet_simos::{munmap, CpuModel, NodeId, OsLayer, OsWorld, Prot, VirtAddr, VmaEvent, PAGE_SIZE};
 
-use crate::cache::{gm_on_vma_event, gm_send_cached};
+use crate::cache::gm_on_vma_event;
 use crate::layer::{
     gm_cancel_receive_buffer, gm_close_port, gm_on_packet, gm_open_port, gm_peer_down,
-    gm_provide_receive_buffer, gm_register, gm_send, gm_send_t, GmLayer, GmPortConfig, GmPortId,
-    GmWorld, GM_ANY_TAG,
+    gm_provide_receive_buffer, gm_register, gm_send_t, GmLayer, GmPortConfig, GmPortId, GmWorld,
+    GM_ANY_TAG,
 };
 use crate::params::GmParams;
 
@@ -157,7 +157,16 @@ fn user_pingpong_latency(size: u64, iters: u32) -> f64 {
             0,
         )
         .unwrap();
-        gm_send(w, pa, MemRef::user(ba.asid, ba.addr, size), pb, 1, 0).unwrap();
+        gm_send_t(
+            w,
+            pa,
+            MemRef::user(ba.asid, ba.addr, size),
+            pb,
+            1,
+            0,
+            TenantId::DEFAULT,
+        )
+        .unwrap();
         assert_eq!(run_until(w, |w| has_recv(w, pb)), RunOutcome::Satisfied);
         pop_recv(w, pb);
         gm_provide_receive_buffer(
@@ -168,7 +177,16 @@ fn user_pingpong_latency(size: u64, iters: u32) -> f64 {
             0,
         )
         .unwrap();
-        gm_send(w, pb, MemRef::user(bb.asid, bb.addr, size), pa, 1, 0).unwrap();
+        gm_send_t(
+            w,
+            pb,
+            MemRef::user(bb.asid, bb.addr, size),
+            pa,
+            1,
+            0,
+            TenantId::DEFAULT,
+        )
+        .unwrap();
         assert_eq!(run_until(w, |w| has_recv(w, pa)), RunOutcome::Satisfied);
         pop_recv(w, pa);
     };
@@ -216,11 +234,11 @@ fn kernel_pingpong_latency(size: u64, physical_api: bool) -> f64 {
     }
     let measure = |w: &mut World| {
         gm_provide_receive_buffer(w, pb, &IoVec::single(rb), GM_ANY_TAG, 0).unwrap();
-        gm_send(w, pa, ra, pb, 1, 0).unwrap();
+        gm_send_t(w, pa, ra, pb, 1, 0, TenantId::DEFAULT).unwrap();
         assert_eq!(run_until(w, |w| has_recv(w, pb)), RunOutcome::Satisfied);
         pop_recv(w, pb);
         gm_provide_receive_buffer(w, pa, &IoVec::single(ra), GM_ANY_TAG, 0).unwrap();
-        gm_send(w, pb, rb, pa, 1, 0).unwrap();
+        gm_send_t(w, pb, rb, pa, 1, 0, TenantId::DEFAULT).unwrap();
         assert_eq!(run_until(w, |w| has_recv(w, pa)), RunOutcome::Satisfied);
         pop_recv(w, pa);
     };
@@ -276,7 +294,16 @@ fn large_message_bandwidth_approaches_link_rate() {
     }
     let t0 = knet_simcore::now(&w);
     for _ in 0..count {
-        gm_send(&mut w, pa, MemRef::user(ba.asid, ba.addr, msg), pb, 1, 0).unwrap();
+        gm_send_t(
+            &mut w,
+            pa,
+            MemRef::user(ba.asid, ba.addr, msg),
+            pb,
+            1,
+            0,
+            TenantId::DEFAULT,
+        )
+        .unwrap();
     }
     run_to_quiescence(&mut w);
     let elapsed = knet_simcore::now(&w) - t0;
@@ -306,13 +333,14 @@ fn payload_data_is_delivered_intact() {
         7,
     )
     .unwrap();
-    gm_send(
+    gm_send_t(
         &mut w,
         pa,
         MemRef::user(ba.asid, ba.addr, len as u64),
         pb,
         42,
         9,
+        TenantId::DEFAULT,
     )
     .unwrap();
     run_to_quiescence(&mut w);
@@ -357,7 +385,15 @@ fn unregistered_send_fails() {
             .unwrap();
     let pa = gm_open_port(&mut w, n0, GmPortConfig::user(asid)).unwrap();
     let (pb, _) = make_user_port(&mut w, n1, PAGE_SIZE);
-    let err = gm_send(&mut w, pa, MemRef::user(asid, addr, 100), pb, 0, 0);
+    let err = gm_send_t(
+        &mut w,
+        pa,
+        MemRef::user(asid, addr, 100),
+        pb,
+        0,
+        0,
+        TenantId::DEFAULT,
+    );
     assert_eq!(err, Err(NetError::NotRegistered));
     // The failed send did not leak its token.
     assert_eq!(
@@ -373,7 +409,10 @@ fn physical_refs_require_the_patch() {
     let (pb, _) = make_user_port(&mut w, n1, PAGE_SIZE);
     let k = w.os.node_mut(n0).kalloc(PAGE_SIZE).unwrap();
     let r = MemRef::physical(k.kernel_to_phys().unwrap(), 64);
-    assert_eq!(gm_send(&mut w, pa, r, pb, 0, 0), Err(NetError::Unsupported));
+    assert_eq!(
+        gm_send_t(&mut w, pa, r, pb, 0, 0, TenantId::DEFAULT),
+        Err(NetError::Unsupported)
+    );
 }
 
 #[test]
@@ -386,10 +425,10 @@ fn send_tokens_bound_pending_requests() {
     let (pa, ba) = make_user_port(&mut w, n0, PAGE_SIZE);
     let (pb, _) = make_user_port(&mut w, n1, PAGE_SIZE);
     let r = MemRef::user(ba.asid, ba.addr, 64);
-    gm_send(&mut w, pa, r, pb, 0, 0).unwrap();
-    gm_send(&mut w, pa, r, pb, 0, 1).unwrap();
+    gm_send_t(&mut w, pa, r, pb, 0, 0, TenantId::DEFAULT).unwrap();
+    gm_send_t(&mut w, pa, r, pb, 0, 1, TenantId::DEFAULT).unwrap();
     assert_eq!(
-        gm_send(&mut w, pa, r, pb, 0, 2),
+        gm_send_t(&mut w, pa, r, pb, 0, 2, TenantId::DEFAULT),
         Err(NetError::NoSendTokens)
     );
     run_to_quiescence(&mut w);
@@ -404,7 +443,16 @@ fn unmatched_message_bounces_as_unexpected() {
     w.os.node_mut(n0)
         .write_virt(ba.asid, ba.addr, b"request!")
         .unwrap();
-    gm_send(&mut w, pa, MemRef::user(ba.asid, ba.addr, 8), pb, 77, 0).unwrap();
+    gm_send_t(
+        &mut w,
+        pa,
+        MemRef::user(ba.asid, ba.addr, 8),
+        pb,
+        77,
+        0,
+        TenantId::DEFAULT,
+    )
+    .unwrap();
     run_to_quiescence(&mut w);
     match next_event(&mut w, pb) {
         Some(TransportEvent::Unexpected { tag, data, from }) => {
@@ -443,7 +491,16 @@ fn tagged_buffers_match_selectively() {
     w.os.node_mut(n0)
         .write_virt(ba.asid, ba.addr, b"six")
         .unwrap();
-    gm_send(&mut w, pa, MemRef::user(ba.asid, ba.addr, 3), pb, 6, 0).unwrap();
+    gm_send_t(
+        &mut w,
+        pa,
+        MemRef::user(ba.asid, ba.addr, 3),
+        pb,
+        6,
+        0,
+        TenantId::DEFAULT,
+    )
+    .unwrap();
     run_to_quiescence(&mut w);
     match pop_recv(&mut w, pb) {
         TransportEvent::RecvDone { ctx, tag, .. } => {
@@ -477,12 +534,30 @@ fn cached_sends_register_once_and_invalidate_on_munmap() {
         .unwrap();
     };
     provide(&mut w);
-    gm_send_cached(&mut w, pa, MemRef::user(asid, addr, len), pb, 0, 0).unwrap();
+    gm_send_t(
+        &mut w,
+        pa,
+        MemRef::user(asid, addr, len),
+        pb,
+        0,
+        0,
+        TenantId::DEFAULT,
+    )
+    .unwrap();
     run_to_quiescence(&mut w);
     assert_eq!(w.gm.port(pa).unwrap().stats.pages_registered, 4);
     // Second send: 100 % cache hits, no new registrations.
     provide(&mut w);
-    gm_send_cached(&mut w, pa, MemRef::user(asid, addr, len), pb, 0, 0).unwrap();
+    gm_send_t(
+        &mut w,
+        pa,
+        MemRef::user(asid, addr, len),
+        pb,
+        0,
+        0,
+        TenantId::DEFAULT,
+    )
+    .unwrap();
     run_to_quiescence(&mut w);
     assert_eq!(w.gm.port(pa).unwrap().stats.pages_registered, 4);
     let cache = w.gm.port(pa).unwrap().regcache.as_ref().unwrap();
@@ -502,7 +577,16 @@ fn cached_sends_register_once_and_invalidate_on_munmap() {
         .write_virt(asid, addr2, b"fresh data")
         .unwrap();
     provide(&mut w);
-    gm_send_cached(&mut w, pa, MemRef::user(asid, addr2, 10), pb, 0, 0).unwrap();
+    gm_send_t(
+        &mut w,
+        pa,
+        MemRef::user(asid, addr2, 10),
+        pb,
+        0,
+        0,
+        TenantId::DEFAULT,
+    )
+    .unwrap();
     run_to_quiescence(&mut w);
     let mut buf = [0u8; 10];
     w.os.node(n1).read_virt(bb.asid, bb.addr, &mut buf).unwrap();
@@ -545,7 +629,16 @@ fn stale_registration_is_the_paper_hazard() {
         0,
     )
     .unwrap();
-    gm_send(&mut w, pa, MemRef::user(asid, addr, 9), pb, 0, 0).unwrap();
+    gm_send_t(
+        &mut w,
+        pa,
+        MemRef::user(asid, addr, 9),
+        pb,
+        0,
+        0,
+        TenantId::DEFAULT,
+    )
+    .unwrap();
     run_to_quiescence(&mut w);
     let mut buf = [0u8; 9];
     w.os.node(n1).read_virt(bb.asid, bb.addr, &mut buf).unwrap();
@@ -580,7 +673,16 @@ fn shared_kernel_port_disambiguates_address_spaces() {
             tag,
         )
         .unwrap();
-        gm_send_cached(&mut w, port, MemRef::user(asid, v1, 9), pb, tag, 0).unwrap();
+        gm_send_t(
+            &mut w,
+            port,
+            MemRef::user(asid, v1, 9),
+            pb,
+            tag,
+            0,
+            TenantId::DEFAULT,
+        )
+        .unwrap();
         run_to_quiescence(&mut w);
     }
     let mut buf = [0u8; 9];
@@ -603,7 +705,15 @@ fn user_port_rejects_foreign_address_space() {
             .map_anon(intruder, PAGE_SIZE, Prot::RW)
             .unwrap();
     assert_eq!(
-        gm_send(&mut w, pa, MemRef::user(intruder, va, 8), pb, 0, 0),
+        gm_send_t(
+            &mut w,
+            pa,
+            MemRef::user(intruder, va, 8),
+            pb,
+            0,
+            0,
+            TenantId::DEFAULT
+        ),
         Err(NetError::BadAddressClass)
     );
 }
@@ -628,7 +738,16 @@ fn registration_cost_is_observable_in_virtual_time() {
         )
         .unwrap();
         let before = w.os.node(n0).cpu.busy.busy_total();
-        gm_send_cached(w, pa, MemRef::user(asid, addr, len), pb, 0, 0).unwrap();
+        gm_send_t(
+            w,
+            pa,
+            MemRef::user(asid, addr, len),
+            pb,
+            0,
+            0,
+            TenantId::DEFAULT,
+        )
+        .unwrap();
         run_to_quiescence(w);
         pop_recv(w, pb);
         w.os.node(n0).cpu.busy.busy_total() - before
@@ -780,7 +899,16 @@ fn a_shed_send_is_refused_as_overload_without_a_token() {
     w.nics.qos.set_policy(mute.0, policy(0));
     w.nics.qos.set_policy(paced.0, policy(1000));
     for ctx in 0..GmParams::default().send_tokens as u64 {
-        gm_send(&mut w, a, MemRef::kernel(addr, 8), b, 0, ctx).unwrap();
+        gm_send_t(
+            &mut w,
+            a,
+            MemRef::kernel(addr, 8),
+            b,
+            0,
+            ctx,
+            TenantId::DEFAULT,
+        )
+        .unwrap();
     }
     assert_eq!(w.gm.port(a).unwrap().tokens(), 0);
 
@@ -836,7 +964,16 @@ fn a_buffer_captured_by_a_half_arrived_message_is_still_the_owners() {
                 let iov = IoVec::single(MemRef::user(bb.asid, bb.addr, size));
                 gm_provide_receive_buffer(&mut w, pb, &iov, 7, 42).unwrap();
             }
-            gm_send(&mut w, pa, MemRef::user(ba.asid, ba.addr, size), pb, 7, 1).unwrap();
+            gm_send_t(
+                &mut w,
+                pa,
+                MemRef::user(ba.asid, ba.addr, size),
+                pb,
+                7,
+                1,
+                TenantId::DEFAULT,
+            )
+            .unwrap();
             run_to_quiescence(&mut w);
             if has_event(&w, pb) {
                 continue; // the whole message beat the kill

@@ -253,9 +253,10 @@ impl<W: MxWorld> PacedSend<W> for PacedMxSend {
     }
 
     fn send_admitted(&self, w: &mut W, tenant: TenantId) -> Result<(), NetError> {
-        mx_isend_admitted(
-            w, self.from, self.dest, self.tag, &self.iov, self.ctx, tenant,
-        )
+        // An endpoint may have closed, or the link died, while the send
+        // waited.
+        let ends = check_send(w, self.from, self.dest, &self.iov)?;
+        mx_isend_admitted(w, ends, self.tag, &self.iov, self.ctx, tenant)
     }
 
     fn send_failed(&self, w: &W, error: NetError) -> Option<(u32, <W as SimWorld>::Ev)> {
@@ -539,37 +540,23 @@ fn resolve_pinned<W: MxWorld>(
 /// pinning; user memory is read through the copy path anyway.)
 fn send_copy_avoidable<W: MxWorld>(
     w: &mut W,
-    from: MxEndpointId,
-    node: NodeId,
+    ends: &SendEnds,
     iov: &IoVec,
 ) -> Result<bool, NetError> {
     let kernel_owned = matches!(
         iov.uniform_class(),
         Some(AddrClass::KernelVirtual | AddrClass::Physical)
     );
-    let contiguous = kernel_owned && with_resolution(w, node, iov, false, |r| r.segs.len() == 1)?;
-    Ok(contiguous && w.mx().ep(from)?.opts.no_send_copy)
+    let contiguous =
+        kernel_owned && with_resolution(w, ends.node, iov, false, |r| r.segs.len() == 1)?;
+    Ok(contiguous && ends.no_send_copy)
 }
 
-/// `mx_isend`: send the (possibly vectorial) `iov` to `dest` with `tag`.
-/// Always asynchronous; completion surfaces as [`TransportEvent::SendDone`].
-/// Untenanted entry point: attributes the send to [`TenantId::DEFAULT`],
-/// which has no QoS policy unless one was explicitly installed — behaviour
-/// is then identical to pre-tenant MX.
-pub fn mx_isend<W: MxWorld>(
-    w: &mut W,
-    from: MxEndpointId,
-    dest: MxEndpointId,
-    tag: u64,
-    iov: &IoVec,
-    ctx: u64,
-) -> Result<(), NetError> {
-    mx_isend_t(w, from, dest, tag, iov, ctx, TenantId::DEFAULT).map(drop)
-}
-
-/// Tenant-attributed send: consults the tenant's token bucket at the NIC
-/// admission point before committing any copy, pin or DMA, then admits,
-/// parks or sheds the send as the shared pacing seam decides
+/// `mx_isend`: send the (possibly vectorial) `iov` to `dest` with `tag` on
+/// behalf of `tenant`. Always asynchronous; completion surfaces as
+/// [`TransportEvent::SendDone`]. Consults the tenant's token bucket at the
+/// NIC admission point before committing any copy, pin or DMA, then
+/// admits, parks or sheds the send as the shared pacing seam decides
 /// ([`knet_core::pace`]). A parked send returns [`Sent::Parked`]: `iov`
 /// is read when the lane drains, and its completion arrives later.
 pub fn mx_isend_t<W: MxWorld>(
@@ -583,21 +570,13 @@ pub fn mx_isend_t<W: MxWorld>(
 ) -> Result<Sent, NetError> {
     // Fail fast on the errors that would also fail at drain time, so a
     // doomed send is never parked.
-    let nic = {
-        let e = w.mx().ep(from)?;
-        check_classes(e, iov)?;
-        e.nic
-    };
-    let dst_nic = w.mx().ep(dest)?.nic;
-    if w.nics().rel.link_dead(Proto::Mx, nic, dst_nic) {
-        return Err(NetError::PeerUnreachable);
-    }
+    let ends = check_send(w, from, dest, iov)?;
     pace_submit(
         w,
-        nic,
+        ends.nic,
         tenant,
         iov.total_len(),
-        |w| mx_isend_admitted(w, from, dest, tag, iov, ctx, tenant),
+        |w| mx_isend_admitted(w, ends, tag, iov, ctx, tenant),
         || PacedMxSend {
             from,
             dest,
@@ -608,28 +587,64 @@ pub fn mx_isend_t<W: MxWorld>(
     )
 }
 
-/// The admitted send pipeline (post token-bucket): protocol selection,
-/// copies/pins, host/firmware charges, wire submission.
-fn mx_isend_admitted<W: MxWorld>(
-    w: &mut W,
+/// The two endpoints of a send, checked by [`check_send`].
+#[derive(Clone, Copy)]
+struct SendEnds {
     from: MxEndpointId,
     dest: MxEndpointId,
-    tag: u64,
+    node: NodeId,
+    nic: NicId,
+    dst_nic: NicId,
+    no_send_copy: bool,
+}
+
+/// The checks a send passes when it is submitted, and again when its
+/// pacing lane drains: both endpoints open, every segment in an address
+/// class the sender may use, the link between them alive.
+fn check_send<W: MxWorld>(
+    w: &W,
+    from: MxEndpointId,
+    dest: MxEndpointId,
     iov: &IoVec,
-    ctx: u64,
-    tenant: TenantId,
-) -> Result<(), NetError> {
-    let (node, nic) = {
-        let e = w.mx().ep(from)?;
-        check_classes(e, iov)?;
-        (e.node, e.nic)
-    };
+) -> Result<SendEnds, NetError> {
+    let e = w.mx().ep(from)?;
+    check_classes(e, iov)?;
+    let (node, nic, no_send_copy) = (e.node, e.nic, e.opts.no_send_copy);
     let dst_nic = w.mx().ep(dest)?.nic;
     // A peer whose reliability window died is unreachable: fail before any
     // copies, pins or DMA are committed.
     if w.nics().rel.link_dead(Proto::Mx, nic, dst_nic) {
         return Err(NetError::PeerUnreachable);
     }
+    Ok(SendEnds {
+        from,
+        dest,
+        node,
+        nic,
+        dst_nic,
+        no_send_copy,
+    })
+}
+
+/// The admitted send pipeline (post token-bucket, its endpoints checked):
+/// protocol selection, copies/pins, host/firmware charges, wire
+/// submission.
+fn mx_isend_admitted<W: MxWorld>(
+    w: &mut W,
+    ends: SendEnds,
+    tag: u64,
+    iov: &IoVec,
+    ctx: u64,
+    tenant: TenantId,
+) -> Result<(), NetError> {
+    let SendEnds {
+        from,
+        dest,
+        node,
+        nic,
+        dst_nic,
+        ..
+    } = ends;
     let total = iov.total_len();
     {
         let e = w.mx_mut().ep_mut(from)?;
@@ -673,7 +688,7 @@ fn mx_isend_admitted<W: MxWorld>(
             send_done(w, host_done);
         }
         MxProtocol::Medium => {
-            let avoidable = send_copy_avoidable(w, from, node, iov)?;
+            let avoidable = send_copy_avoidable(w, &ends, iov)?;
             let data = gather_payload(w, node, iov)?;
             let host_cost = if avoidable {
                 // No copy: just the doorbell. (The paper's optimization.)

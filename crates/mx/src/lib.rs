@@ -23,7 +23,7 @@ pub mod params;
 mod tests;
 
 pub use layer::{
-    mx_cancel_recv, mx_close_endpoint, mx_coll_post, mx_irecv, mx_isend, mx_isend_t, mx_on_packet,
+    mx_cancel_recv, mx_close_endpoint, mx_coll_post, mx_irecv, mx_isend_t, mx_on_packet,
     mx_open_endpoint, mx_peer_down, run_mx_ev, MxEndpoint, MxEndpointConfig, MxEndpointId, MxEv,
     MxLayer, MxMode, MxOpts, MxStats, MxWorld, PacedMxSend, MX_ANY_TAG,
 };

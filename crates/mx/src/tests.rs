@@ -10,9 +10,8 @@ use knet_simnic::{FaultPlan, NicId, NicLayer, NicModel, NicWorld, Packet, Proto,
 use knet_simos::{Asid, CpuModel, NodeId, OsLayer, OsWorld, Prot, PAGE_SIZE};
 
 use crate::layer::{
-    mx_cancel_recv, mx_close_endpoint, mx_irecv, mx_isend, mx_isend_t, mx_on_packet,
-    mx_open_endpoint, mx_peer_down, MxEndpointConfig, MxEndpointId, MxLayer, MxOpts, MxWorld,
-    MX_ANY_TAG,
+    mx_cancel_recv, mx_close_endpoint, mx_irecv, mx_isend_t, mx_on_packet, mx_open_endpoint,
+    mx_peer_down, MxEndpointConfig, MxEndpointId, MxLayer, MxOpts, MxWorld, MX_ANY_TAG,
 };
 
 struct World {
@@ -173,11 +172,11 @@ fn pingpong_latency(
 ) -> f64 {
     let measure = |w: &mut World| {
         mx_irecv(w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
-        mx_isend(w, ea, eb, 1, &ba.iov, 0).unwrap();
+        mx_isend_t(w, ea, eb, 1, &ba.iov, 0, TenantId::DEFAULT).unwrap();
         assert_eq!(run_until(w, |w| has_recv(w, eb)), RunOutcome::Satisfied);
         pop_recv(w, eb);
         mx_irecv(w, ea, MX_ANY_TAG, &ba.iov, 0).unwrap();
-        mx_isend(w, eb, ea, 1, &bb.iov, 0).unwrap();
+        mx_isend_t(w, eb, ea, 1, &bb.iov, 0, TenantId::DEFAULT).unwrap();
         assert_eq!(run_until(w, |w| has_recv(w, ea)), RunOutcome::Satisfied);
         pop_recv(w, ea);
     };
@@ -272,13 +271,13 @@ fn one_way_time(size: u64, opts: MxOpts) -> SimTime {
     let bb = make_buf(&mut w, n1, size, Class::Kernel);
     // Warm-up.
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
-    mx_isend(&mut w, ea, eb, 1, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     pop_recv(&mut w, eb);
     // Measure.
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
     let t0 = knet_simcore::now(&w);
-    mx_isend(&mut w, ea, eb, 1, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     assert_eq!(
         run_until(&mut w, |w| has_recv(w, eb)),
         RunOutcome::Satisfied
@@ -342,7 +341,7 @@ fn small_medium_large_payloads_arrive_intact() {
             .write_virt(Asid::KERNEL, ba.addr, &data)
             .unwrap();
         mx_irecv(&mut w, eb, 5, &bb.iov, 77).unwrap();
-        mx_isend(&mut w, ea, eb, 5, &ba.iov, 88).unwrap();
+        mx_isend_t(&mut w, ea, eb, 5, &ba.iov, 88, TenantId::DEFAULT).unwrap();
         run_to_quiescence(&mut w);
         match pop_recv(&mut w, eb) {
             TransportEvent::RecvDone {
@@ -397,7 +396,7 @@ fn vectorial_send_gathers_and_scatters() {
     let d1 = w.os.node_mut(n1).kalloc(PAGE_SIZE).unwrap();
     let dst = IoVec::from_segs(vec![MemRef::kernel(d0, 120), MemRef::kernel(d1, 180)]);
     mx_irecv(&mut w, eb, MX_ANY_TAG, &dst, 0).unwrap();
-    mx_isend(&mut w, ea, eb, 9, &iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 9, &iov, 0, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     pop_recv(&mut w, eb);
     let flat: Vec<u8> = srcs.concat();
@@ -423,7 +422,7 @@ fn unexpected_eager_queues_for_later_irecv() {
     w.os.node_mut(n0)
         .write_virt(Asid::KERNEL, ba.addr, &[0xEE; 256])
         .unwrap();
-    mx_isend(&mut w, ea, eb, 3, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 3, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     assert_eq!(w.mx.ep(eb).unwrap().unexpected_queued(), 1);
     let bb = make_buf(&mut w, n1, 256, Class::Kernel);
@@ -458,7 +457,7 @@ fn unexpected_delivery_mode_emits_events() {
     w.os.node_mut(n0)
         .write_virt(Asid::KERNEL, ba.addr, b"rpc-request-bytes")
         .unwrap();
-    mx_isend(&mut w, ea, eb, 11, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 11, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     match next_event(&mut w, eb) {
         Some(TransportEvent::Unexpected { tag, data, from }) => {
@@ -482,7 +481,7 @@ fn rendezvous_waits_for_matching_receive() {
     let eb = mx_open_endpoint(&mut w, n1, cfg).unwrap();
     let size = 64 * 1024u64;
     let ba = make_buf(&mut w, n0, size, Class::Kernel);
-    mx_isend(&mut w, ea, eb, 8, &ba.iov, 5).unwrap();
+    mx_isend_t(&mut w, ea, eb, 8, &ba.iov, 5, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     // Only the RTS crossed the wire.
     let bytes_before = w.nics.get(w.nics.nic_of_node(n1).unwrap()).stats.rx_bytes;
@@ -506,7 +505,7 @@ fn large_user_transfers_pin_and_unpin() {
     let ea = mx_open_endpoint(&mut w, n0, MxEndpointConfig::user(ba.asid)).unwrap();
     let eb = mx_open_endpoint(&mut w, n1, MxEndpointConfig::user(bb.asid)).unwrap();
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
-    mx_isend(&mut w, ea, eb, 1, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     pop_recv(&mut w, eb);
     // All pins released after completion on both sides.
@@ -566,7 +565,7 @@ fn user_endpoint_rejects_kernel_memory() {
     let k = w.os.node_mut(n0).kalloc(PAGE_SIZE).unwrap();
     let iov = IoVec::single(MemRef::kernel(k, 64));
     assert_eq!(
-        mx_isend(&mut w, ea, eb, 0, &iov, 0),
+        mx_isend_t(&mut w, ea, eb, 0, &iov, 0, TenantId::DEFAULT),
         Err(NetError::BadAddressClass)
     );
     let other = w.os.node_mut(n0).create_process();
@@ -575,13 +574,14 @@ fn user_endpoint_rejects_kernel_memory() {
             .map_anon(other, PAGE_SIZE, Prot::RW)
             .unwrap();
     assert_eq!(
-        mx_isend(
+        mx_isend_t(
             &mut w,
             ea,
             eb,
             0,
             &IoVec::single(MemRef::user(other, va, 8)),
-            0
+            0,
+            TenantId::DEFAULT
         ),
         Err(NetError::BadAddressClass)
     );
@@ -599,7 +599,7 @@ fn copy_avoidance_counters_track_usage() {
     let ba = make_buf(&mut w, n0, 8 * 1024, Class::Kernel);
     let bb = make_buf(&mut w, n1, 8 * 1024, Class::Kernel);
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
-    mx_isend(&mut w, ea, eb, 1, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     pop_recv(&mut w, eb);
     assert_eq!(w.mx.ep(ea).unwrap().stats.send_copies_avoided, 1);
@@ -612,7 +612,7 @@ fn copy_avoidance_counters_track_usage() {
     iov.push(MemRef::kernel(k1, 1024));
     iov.push(MemRef::kernel(k2, 1024));
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
-    mx_isend(&mut w, ea, eb, 1, &iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &iov, 0, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     assert_eq!(
         w.mx.ep(ea).unwrap().stats.send_copies_avoided,
@@ -632,7 +632,7 @@ fn small_message_send_completes_before_the_wire() {
     let ba = make_buf(&mut w, n0, 64, Class::Kernel);
     let bb = make_buf(&mut w, n1, 64, Class::Kernel);
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
-    mx_isend(&mut w, ea, eb, 1, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     let sat = run_until(&mut w, |w| w.completed.iter().any(|(to, _)| to.idx == ea.0));
     assert_eq!(sat, RunOutcome::Satisfied);
     let send_done_at = knet_simcore::now(&w);
@@ -658,7 +658,7 @@ fn medium_data_is_snapshotted_at_send_time() {
         .write_virt(Asid::KERNEL, ba.addr, &[1u8; 1024])
         .unwrap();
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
-    mx_isend(&mut w, ea, eb, 1, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     // Clobber the source immediately (before the sim runs).
     w.os.node_mut(n0)
         .write_virt(Asid::KERNEL, ba.addr, &[9u8; 1024])
@@ -687,7 +687,7 @@ fn truncating_receive_is_rejected_by_matching() {
     let ba = make_buf(&mut w, n0, 2048, Class::Kernel);
     let small = make_buf(&mut w, n1, 128, Class::Kernel);
     mx_irecv(&mut w, eb, MX_ANY_TAG, &small.iov, 0).unwrap();
-    mx_isend(&mut w, ea, eb, 1, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     assert!(!has_recv(&w, eb));
     assert_eq!(w.mx.ep(eb).unwrap().unexpected_queued(), 1);
@@ -707,7 +707,7 @@ fn payload_bytes_on_wire_match_message_sizes() {
     let ba = make_buf(&mut w, n0, 10_000, Class::Kernel);
     let bb = make_buf(&mut w, n1, 10_000, Class::Kernel);
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 0).unwrap();
-    mx_isend(&mut w, ea, eb, 1, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     run_to_quiescence(&mut w);
     let sent = w.nics.get(w.nics.nic_of_node(n0).unwrap()).stats.tx_bytes;
     // 3 chunks × 32 B header + 10 000 B payload.
@@ -803,7 +803,7 @@ fn a_receive_captured_by_a_half_arrived_message_is_still_the_owners() {
             let ea = mx_open_endpoint(&mut w, n0, MxEndpointConfig::user(ba.asid)).unwrap();
             let eb = mx_open_endpoint(&mut w, n1, MxEndpointConfig::user(bb.asid)).unwrap();
             mx_irecv(&mut w, eb, 7, &bb.iov, 42).unwrap();
-            mx_isend(&mut w, ea, eb, 7, &ba.iov, 1).unwrap();
+            mx_isend_t(&mut w, ea, eb, 7, &ba.iov, 1, TenantId::DEFAULT).unwrap();
             run_to_quiescence(&mut w);
             if has_recv(&w, eb) {
                 continue; // the whole message beat the kill
@@ -846,7 +846,7 @@ fn the_rest_of_a_cancelled_message_is_discarded_not_rematched() {
     let ea = mx_open_endpoint(&mut w, n0, MxEndpointConfig::kernel()).unwrap();
     let eb = mx_open_endpoint(&mut w, n1, MxEndpointConfig::kernel()).unwrap();
     mx_irecv(&mut w, eb, MX_ANY_TAG, &bb.iov, 1).unwrap();
-    mx_isend(&mut w, ea, eb, 7, &ba.iov, 0).unwrap();
+    mx_isend_t(&mut w, ea, eb, 7, &ba.iov, 0, TenantId::DEFAULT).unwrap();
     // Stop after the first chunk captured the receive.
     let captured = |w: &World| w.mx.ep(eb).unwrap().posted_recvs() == 0;
     assert_eq!(run_until(&mut w, captured), RunOutcome::Satisfied);
@@ -872,7 +872,7 @@ fn rendezvous_send_toward_a_dead_peer_fails_once_and_unpins() {
     let ba = make_buf(&mut w, n0, size, Class::User);
     let ea = mx_open_endpoint(&mut w, n0, MxEndpointConfig::user(ba.asid)).unwrap();
     let eb = mx_open_endpoint(&mut w, n1, MxEndpointConfig::kernel()).unwrap();
-    mx_isend(&mut w, ea, eb, 1, &ba.iov, 77).unwrap();
+    mx_isend_t(&mut w, ea, eb, 1, &ba.iov, 77, TenantId::DEFAULT).unwrap();
     assert_eq!(pin_count(&w, n0, &ba), 1, "rendezvous pins the source");
     run_to_quiescence(&mut w);
     let (a_nic, b_nic) = (w.mx.ep(ea).unwrap().nic, w.mx.ep(eb).unwrap().nic);

@@ -14,7 +14,6 @@ use crate::time::SimTime;
 pub struct Busy {
     free_at: SimTime,
     busy_total: SimTime,
-    acquisitions: u64,
 }
 
 impl Busy {
@@ -29,7 +28,6 @@ impl Busy {
         let end = start + dur;
         self.free_at = end;
         self.busy_total += dur;
-        self.acquisitions += 1;
         (start, end)
     }
 
@@ -39,31 +37,10 @@ impl Busy {
         self.free_at
     }
 
-    /// Whether the resource is idle at `now`.
-    #[inline]
-    pub fn idle_at(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
     /// Total time spent busy over the simulation so far.
     #[inline]
     pub fn busy_total(&self) -> SimTime {
         self.busy_total
-    }
-
-    /// Number of reservations served.
-    #[inline]
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Fraction of `[ZERO, now]` spent busy (clamped to 1.0 — reservations
-    /// may extend past `now`).
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now.is_zero() {
-            return 0.0;
-        }
-        (self.busy_total.nanos() as f64 / now.nanos() as f64).min(1.0)
     }
 }
 
@@ -138,7 +115,6 @@ mod tests {
         let (s, e) = b.acquire(US(2), US(3));
         assert_eq!(s, US(10));
         assert_eq!(e, US(13));
-        assert_eq!(b.acquisitions(), 2);
         assert_eq!(b.busy_total(), US(13));
     }
 
@@ -146,21 +122,8 @@ mod tests {
     fn resource_goes_idle_after_gap() {
         let mut b = Busy::new();
         b.acquire(US(0), US(5));
-        assert!(!b.idle_at(US(4)));
-        assert!(b.idle_at(US(5)));
         let (s, _) = b.acquire(US(20), US(1));
         assert_eq!(s, US(20));
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut b = Busy::new();
-        b.acquire(US(0), US(5));
-        assert!((b.utilization(US(10)) - 0.5).abs() < 1e-9);
-        // Reservation extending past `now` clamps.
-        b.acquire(US(10), US(1000));
-        assert_eq!(b.utilization(US(11)), 1.0);
-        assert_eq!(Busy::new().utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl NicModel {
         self.links = links;
         self
     }
-
-    /// Aggregate wire bandwidth across all links.
-    pub fn aggregate_bw(&self) -> Bandwidth {
-        Bandwidth::bytes_per_sec(self.link_bw.raw() * self.links as u64)
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +86,7 @@ mod tests {
     #[test]
     fn xd_sustains_250() {
         let m = NicModel::pci_xd();
-        assert_eq!(m.aggregate_bw().raw(), 250_000_000);
+        assert_eq!(m.link_bw.raw() * m.links as u64, 250_000_000);
         assert_eq!(m.links, 1);
     }
 
@@ -99,7 +94,7 @@ mod tests {
     fn xe_sustains_500_on_two_links() {
         let m = NicModel::pci_xe();
         assert_eq!(m.links, 2);
-        assert_eq!(m.aggregate_bw().raw(), 500_000_000);
+        assert_eq!(m.link_bw.raw() * m.links as u64, 500_000_000);
     }
 
     #[test]

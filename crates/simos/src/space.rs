@@ -88,15 +88,6 @@ impl AddressSpace {
         self.vmas.values()
     }
 
-    /// The VMA containing `addr`, if any.
-    pub fn vma_at(&self, addr: VirtAddr) -> Option<&Vma> {
-        self.vmas
-            .range(..=addr.raw())
-            .next_back()
-            .map(|(_, v)| v)
-            .filter(|v| v.contains(addr))
-    }
-
     /// Map `len` bytes (page-rounded) of fresh anonymous memory; returns the
     /// chosen base address. Frames are allocated eagerly (the model has no
     /// demand paging — the paper's workloads touch everything they map).
@@ -447,14 +438,5 @@ mod tests {
         sp.clear(&mut mem);
         assert_eq!(mem.allocated_frames(), 0);
         assert_eq!(sp.mapped_pages(), 0);
-    }
-
-    #[test]
-    fn vma_lookup() {
-        let (mut mem, mut sp) = setup();
-        let base = sp.map_anon(&mut mem, 2 * PAGE_SIZE, Prot::RW).unwrap();
-        assert!(sp.vma_at(base).is_some());
-        assert!(sp.vma_at(base.add(2 * PAGE_SIZE - 1)).is_some());
-        assert!(sp.vma_at(base.add(2 * PAGE_SIZE)).is_none());
     }
 }

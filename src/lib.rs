@@ -48,8 +48,8 @@
 //!   (`knet_core::api::channel_connect` / `channel_accept` /
 //!   `channel_connect_handler`): connected, tagged, vectored message pipes
 //!   that coalesce multi-segment io-vectors on GM and absorb transport
-//!   token exhaustion in a bounded backpressure queue retried on
-//!   `SendDone`. Raw `t_send`/`t_post_recv` are the driver seam; nothing
+//!   token exhaustion in a bounded backpressure queue retried on every
+//!   send completion. Raw `t_send`/`t_post_recv` are the driver seam; nothing
 //!   above the channel layer calls them (enforced by
 //!   `tests/api_boundaries.rs`).
 //!

@@ -13,22 +13,21 @@
 //!   or an application handler (ORFS, NBD, sockets). The world itself
 //!   names no application: new workloads attach through the registry, not
 //!   by editing this file.
-//! * [`TransportWorld`] (`t_send`/`t_post_recv`) → the owning driver, with
-//!   the GM glue inserting GMKRC registration for user-virtual buffers
-//!   exactly where the paper's in-kernel clients needed it. This is the
-//!   *driver seam*: applications and benchmarks send through channels
+//! * [`TransportWorld`] (`t_send_t`/`t_post_recv`) → the owning driver,
+//!   one call per operation (GM's registration cache runs inside the GM
+//!   driver). This is the *driver seam*: applications and benchmarks send through channels
 //!   (`knet_core::api::channel_send`), never through the raw transport —
 //!   enforced by `tests/api_boundaries.rs`.
 
 use knet_coll::{CollLayer, CollWorld};
 use knet_core::api::{self, ConsumerId, CqId, Registry};
 use knet_core::{
-    CompletionHook, DispatchWorld, Endpoint, IoVec, MemRef, NetError, Sent, TenantId,
-    TenantSendStats, TransportEvent, TransportKind, TransportWorld,
+    CompletionHook, DispatchWorld, Endpoint, IoVec, NetError, Sent, TenantId, TenantSendStats,
+    TransportEvent, TransportKind, TransportWorld,
 };
 use knet_gm::{
-    gm_ensure_cached, gm_on_packet, gm_on_vma_event, gm_open_port, gm_provide_receive_buffer,
-    gm_send_t, GmEv, GmLayer, GmPortConfig, GmPortId, GmWorld,
+    gm_on_packet, gm_on_vma_event, gm_open_port, gm_provide_receive_buffer, gm_send_t, GmEv,
+    GmLayer, GmPortConfig, GmPortId, GmWorld,
 };
 use knet_kv::{KvEv, KvLayer, KvWorld};
 use knet_mx::{
@@ -216,7 +215,8 @@ impl ClusterWorld {
     }
 
     /// Register a tenant (idempotent by name): mints the registry id,
-    /// installs its WDRR weight beside the admission policies, and — when
+    /// installs its WDRR weight beside the admission policies when it mints
+    /// the id (a name registered again keeps its first weight), and — when
     /// `policy` is given — the token-bucket policy at the NIC admission
     /// point.
     pub fn register_tenant(
@@ -225,9 +225,11 @@ impl ClusterWorld {
         weight: u64,
         policy: Option<knet_simnic::QosPolicy>,
     ) -> TenantId {
-        let t = self.registry.tenant_create(name, weight);
-        let weight = self.registry.tenant_table().weight(t);
-        self.nics.qos.set_weight(t.0, weight);
+        let fresh = self.registry.tenant_table().lookup(name).is_none();
+        let t = self.registry.tenant_create(name);
+        if fresh {
+            self.nics.qos.set_weight(t.0, weight);
+        }
         if let Some(p) = policy {
             self.nics.qos.set_policy(t.0, p);
         }
@@ -244,15 +246,15 @@ impl ClusterWorld {
     /// One stats row per tenant: channel-layer queueing counters joined
     /// with the NIC admission counters (summed over the tenant's NICs).
     pub fn tenant_stats(&self) -> Vec<TenantStatsRow> {
-        self.registry
-            .tenant_rows()
-            .into_iter()
-            .map(|row| TenantStatsRow {
-                id: row.id,
-                name: row.name,
-                weight: row.weight,
-                channel: row.stats,
-                qos: self.nics.qos.tenant_stats(row.id.0),
+        let tenants = self.registry.tenant_table();
+        let qos = &self.nics.qos;
+        (0..tenants.count() as u32)
+            .map(|i| TenantStatsRow {
+                id: TenantId(i),
+                name: tenants.name(TenantId(i)).unwrap_or("").to_string(),
+                weight: qos.weight(i),
+                channel: tenants.stats[i as usize],
+                qos: qos.tenant_stats(i),
             })
             .collect()
     }
@@ -509,18 +511,6 @@ impl MxWorld for ClusterWorld {
 }
 
 impl TransportWorld for ClusterWorld {
-    fn t_send(
-        &mut self,
-        from: Endpoint,
-        to: Endpoint,
-        tag: u64,
-        iov: IoVec,
-        ctx: u64,
-    ) -> Result<(), NetError> {
-        self.t_send_t(from, to, tag, iov, ctx, TenantId::DEFAULT)
-            .map(drop)
-    }
-
     fn t_send_t(
         &mut self,
         from: Endpoint,
@@ -530,48 +520,24 @@ impl TransportWorld for ClusterWorld {
         ctx: u64,
         tenant: TenantId,
     ) -> Result<Sent, NetError> {
-        match from.kind {
-            TransportKind::Mx => mx_isend_t(
+        let (src, dest) = (from.idx, to.idx);
+        match (from.kind, iov.segs()) {
+            (TransportKind::Mx, _) => mx_isend_t(
                 self,
-                MxEndpointId(from.idx),
-                MxEndpointId(to.idx),
+                MxEndpointId(src),
+                MxEndpointId(dest),
                 tag,
                 &iov,
                 ctx,
                 tenant,
             ),
-            TransportKind::Gm => {
-                // GM is not vectorial (§4.1): single-segment sends only.
-                // The channel layer (`knet_core::api::channel_send`)
-                // coalesces above this point; raw callers see the driver's
-                // real contract.
-                if iov.seg_count() != 1 {
-                    return Err(NetError::Unsupported);
-                }
-                let seg = iov.segs()[0];
-                let port = GmPortId(from.idx);
-                match seg {
-                    // On-the-fly registration through GMKRC for pageable
-                    // memory.
-                    MemRef::UserVirtual { asid, addr, len } => {
-                        if self.gm.port(port)?.regcache.is_some() {
-                            gm_ensure_cached(self, port, asid, addr, len)?;
-                        }
-                    }
-                    // Stock GM (no physical-address patch) needs kernel
-                    // buffers registered too; the cache absorbs the cost the
-                    // same way (the channel layer's coalescing staging
-                    // buffers take this path).
-                    MemRef::KernelVirtual { addr, len } => {
-                        let p = self.gm.port(port)?;
-                        if p.regcache.is_some() && !p.physical_api {
-                            gm_ensure_cached(self, port, knet_simos::Asid::KERNEL, addr, len)?;
-                        }
-                    }
-                    MemRef::Physical { .. } => {}
-                }
-                gm_send_t(self, port, seg, GmPortId(to.idx), tag, ctx, tenant)
+            (TransportKind::Gm, &[seg]) => {
+                gm_send_t(self, GmPortId(src), seg, GmPortId(dest), tag, ctx, tenant)
             }
+            // GM is not vectorial (§4.1): single-segment sends only. The
+            // channel layer (`knet_core::api::channel_send`) coalesces above
+            // this point; raw callers see the driver's real contract.
+            (TransportKind::Gm, _) => Err(NetError::Unsupported),
         }
     }
 
@@ -584,17 +550,7 @@ impl TransportWorld for ClusterWorld {
     ) -> Result<(), NetError> {
         match ep.kind {
             TransportKind::Mx => mx_irecv(self, MxEndpointId(ep.idx), tag, &iov, ctx),
-            TransportKind::Gm => {
-                let port = GmPortId(ep.idx);
-                for seg in iov.segs() {
-                    if let MemRef::UserVirtual { asid, addr, len } = *seg {
-                        if self.gm.port(port)?.regcache.is_some() {
-                            gm_ensure_cached(self, port, asid, addr, len)?;
-                        }
-                    }
-                }
-                gm_provide_receive_buffer(self, port, &iov, tag, ctx)
-            }
+            TransportKind::Gm => gm_provide_receive_buffer(self, GmPortId(ep.idx), &iov, tag, ctx),
         }
     }
 

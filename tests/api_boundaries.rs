@@ -22,7 +22,8 @@
 //! packet by packet.
 //!
 //! One entry keeps one wait in one queue: a GM send waits for send tokens
-//! in its channel and nowhere else.
+//! in its channel and nowhere else. Another keeps one rule in one place:
+//! only the GM driver decides what its registration cache registers.
 //!
 //! The last four entries are not layering boundaries. One is a
 //! performance boundary: the registry's and the reliability layer's tables
@@ -451,6 +452,34 @@ fn one_queue_waits_for_gm_send_tokens() {
         offenders.join("\n")
     );
     assert!(produced > 0 && matched > 0, "{hits:#?}");
+}
+
+/// GM's registration cache (GMKRC, §3.2) is part of GM's kernel
+/// interface: the GM driver decides which memory it registers on the fly,
+/// as the first step of a send and of a receive post. So in library code
+/// the cache is entered from `crates/gm/src` alone; a composed world that
+/// registered buffers before calling the driver would hold a second copy
+/// of the rule. (Integration tests may drive the cache directly.)
+#[test]
+fn gm_registration_caching_lives_in_the_gm_driver() {
+    // Pattern assembled at runtime so this file never matches itself.
+    let patterns = vec![format!("gm_ensure_{}(", "cached")];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut hits = Vec::new();
+    scan(&root.join("crates"), &patterns, true, &mut hits);
+    scan(&root.join("src"), &patterns, true, &mut hits);
+    let offenders: Vec<&str> = hits
+        .iter()
+        .map(String::as_str)
+        .filter(|hit| !hit.contains("crates/gm/src/"))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "library code registers GM memory outside the GM driver (gm_send_t \
+         and gm_provide_receive_buffer run GMKRC's rule themselves):\n{}",
+        offenders.join("\n")
+    );
+    assert!(!hits.is_empty(), "the pattern no longer finds the cache");
 }
 
 #[test]

@@ -978,6 +978,90 @@ fn a_parked_send_failing_at_drain_retries_the_channel_queue() {
     assert_eq!(w.registry.channel(ch_a).unwrap().queued_len(), 0);
 }
 
+/// A channel send the pacing lane parks is checked again when the lane
+/// drains, on both drivers: its destination endpoint may have closed, or
+/// the peer's node died, while it waited. Either way the send completes
+/// once, as a typed `SendFailed`; the tenant's admission account does not
+/// count it, and a GM send returns the send token it held.
+#[test]
+fn a_parked_send_is_checked_again_when_its_lane_drains() {
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        DestinationClosed,
+        PeerKilled,
+    }
+    for kind in [TransportKind::Gm, TransportKind::Mx] {
+        for (fault, expect) in [
+            (Fault::DestinationClosed, NetError::BadEndpoint),
+            (Fault::PeerKilled, NetError::PeerUnreachable),
+        ] {
+            let case = format!("{kind:?} / {fault:?}");
+            let (mut w, n0, n1) = two_nodes();
+            // The first 1000 bytes drain the bucket; the next 100 refill in
+            // 100 ms, long after a dead peer's link is declared dead.
+            let policy = QosPolicy {
+                rate_bytes_per_sec: 1000,
+                burst_bytes: 1000,
+                pace_queue_cap: 16,
+            };
+            let tenant = w.register_tenant("paced", 1, Some(policy));
+            if let Fault::PeerKilled = fault {
+                w.set_fault_plan(knet_simnic::FaultPlan::new(1).with_kill(n1, SimTime::ZERO));
+            }
+            let (ch_a, _ch_b, cq_a, _cq_b, ea, eb) = channel_pair(&mut w, kind, n0, n1);
+            w.assign_tenant(ea, tenant);
+            let ka = kbuf(&mut w, n0, 4096);
+            let first = channel_send(&mut w, ch_a, 1, ka.iov(1000)).unwrap();
+            let parked = channel_send(&mut w, ch_a, 2, ka.iov(100)).unwrap();
+            let nic = w.nics.nic_of_node(n0).unwrap();
+            let backlog = match kind {
+                TransportKind::Gm => w.gm.paced.backlog(nic),
+                TransportKind::Mx => w.mx.paced.backlog(nic),
+            };
+            assert_eq!(backlog, 1, "{case}: the second send parked");
+            let before = w.nics.qos.tenant_stats(tenant.0);
+            if let Fault::DestinationClosed = fault {
+                match kind {
+                    TransportKind::Gm => {
+                        knet_gm::gm_close_port(&mut w, knet_gm::GmPortId(eb.idx)).map(drop)
+                    }
+                    TransportKind::Mx => {
+                        knet_mx::mx_close_endpoint(&mut w, knet_mx::MxEndpointId(eb.idx))
+                    }
+                }
+                .unwrap();
+            }
+
+            knet_simcore::run_to_quiescence(&mut w);
+            let (mut done, mut failed) = (Vec::new(), Vec::new());
+            while let Some(e) = w.registry.cq_pop_for(cq_a, ea) {
+                match e.event {
+                    TransportEvent::SendDone { ctx } => done.push(ctx),
+                    TransportEvent::SendFailed { ctx, error } => failed.push((ctx, error)),
+                    TransportEvent::PeerDown { .. } => {}
+                    other => panic!("{case}: unexpected completion {other:?}"),
+                }
+            }
+            assert_eq!(done, [first], "{case}: only the first send left");
+            assert_eq!(failed, [(parked, expect)], "{case}: one typed failure");
+            let after = w.nics.qos.tenant_stats(tenant.0);
+            assert_eq!(
+                (after.admitted, after.admitted_bytes),
+                (before.admitted, before.admitted_bytes),
+                "{case}: the failed send is not counted as admitted"
+            );
+            if kind == TransportKind::Gm {
+                let port = w.gm.port(knet_gm::GmPortId(ea.idx)).unwrap();
+                assert_eq!(
+                    port.tokens(),
+                    GmParams::default().send_tokens,
+                    "{case}: every send token is back"
+                );
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------ CQ index
 
 #[test]
@@ -1456,7 +1540,7 @@ fn a_retag_mid_queue_keeps_submission_order_and_each_sends_tenant() {
         a_ctxs.push(channel_send(&mut w, ch_a, i, ka.iov(16)).unwrap());
     }
     // Re-tag the endpoint and queue four more under tenant b, behind them.
-    let tb = w.registry.tenant_create("b", 2);
+    let tb = w.registry.tenant_create("b");
     assert!(w.assign_tenant(ea, tb));
     // An id nobody minted has no stats row — sends tagged with it would
     // count in the registry totals and in no tenant — so it is refused.

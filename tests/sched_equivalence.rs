@@ -182,7 +182,7 @@ struct Mesh {
 /// delay-reorder, and optionally a node kill). Returns the fingerprint.
 ///
 /// The mesh is multi-tenant: endpoints rotate through two weighted tenants
-/// plus a token-bucket-paced one, so the per-channel WDRR lanes, the
+/// plus a token-bucket-paced one, so the channel backpressure queues, the
 /// driver pacing lanes and the NIC buckets all carry state under chaos —
 /// and that state is folded into the fingerprint per node each round. (The
 /// paced tenant stays off the kill target: a dead NIC drains nothing, by
@@ -258,9 +258,10 @@ fn chaos_fingerprint(
                 while let Some(ev) = w.take_event(ep) {
                     h = mix_event(h, &ev);
                 }
-                // Fold this node's tenant-scheduler slice — channel WDRR
-                // lanes, driver pacing lanes, NIC token buckets — so a
-                // single mis-scheduled tenant byte anywhere diverges.
+                // Fold this node's tenant-scheduler slice — channel
+                // backpressure queues, driver pacing lanes, NIC token
+                // buckets — so a single mis-scheduled tenant byte anywhere
+                // diverges.
                 w.tenant_fingerprint_node(NodeId(i as u32), |v| h = mix(h, v));
                 h
             });

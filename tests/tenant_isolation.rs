@@ -74,8 +74,8 @@ fn spec(seed: u64, classes: Vec<ClassSpec>) -> WorkloadSpec {
     }
 }
 
-/// Fold every node's tenant-scheduler slice (channel WDRR lanes, driver
-/// pacing lanes, NIC token buckets) from its authoritative world.
+/// Fold every node's tenant-scheduler slice (channel backpressure queues,
+/// driver pacing lanes, NIC token buckets) from its authoritative world.
 fn fold_fingerprint<'a>(world_of: impl Fn(u32) -> &'a ClusterWorld) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for node in 0..NODES as u32 {
@@ -251,4 +251,21 @@ fn tenant_stats_rows_cover_admission_and_queueing() {
     );
     assert_eq!(ch.aborted_queued_sends, st.registry.aborted_queued_sends);
     let _ = reports;
+}
+
+/// A tenant's weight has one home, the NIC admission state: registering a
+/// name again returns its id and leaves the weight it was first given, in
+/// the stats row and in the WDRR scheduler alike.
+#[test]
+fn re_registering_a_tenant_keeps_its_first_weight() {
+    let mut w = builder().build();
+    let b = w.register_tenant("b", 3, None);
+    assert_eq!(w.register_tenant("b", 7, None), b);
+    let row = w
+        .tenant_stats()
+        .into_iter()
+        .find(|r| r.name == "b")
+        .unwrap();
+    assert_eq!((row.id, row.weight), (b, 3));
+    assert_eq!(w.nics.qos.weight(b.0), 3);
 }
