@@ -52,6 +52,12 @@ pub enum NetError {
     /// which case admission can never succeed). Typed and synchronous —
     /// the send never entered any queue.
     Overload,
+    /// A request to a peer that stays up was not answered within
+    /// `req::CALL_HORIZON`; its reply buffer was withdrawn.
+    Deadline,
+    /// 65 536 requests already in flight: the client's `req::ReqTable` has
+    /// no free slot. Synchronous; nothing was sent.
+    RequestTableFull,
 }
 
 impl From<OsError> for NetError {
@@ -70,8 +76,8 @@ impl From<OsError> for NetError {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RpcError {
     /// The call's virtual-time deadline passed before a reply was
-    /// observed — the caller's own, or, for a call without one, the RPC
-    /// layer's `CALL_HORIZON`. Servers drop requests that arrive already
+    /// observed — the caller's own, or, for a call without one, the request
+    /// table's `CALL_HORIZON` (`knet_core::req`). Servers drop requests that arrive already
     /// expired, so a caller deadline is enforced on both ends of the wire.
     Deadline,
     /// The caller withdrew the call with `rpc_cancel`; its posted receive
@@ -132,6 +138,8 @@ impl fmt::Display for NetError {
             NetError::BadAddressClass => f.write_str("address class not allowed here"),
             NetError::PeerUnreachable => f.write_str("peer unreachable (retry budget exhausted)"),
             NetError::Overload => f.write_str("tenant over its admission rate (send shed)"),
+            NetError::Deadline => f.write_str("request unanswered within the call horizon"),
+            NetError::RequestTableFull => f.write_str("request table full"),
         }
     }
 }

@@ -17,8 +17,8 @@
 //!   workload), with API-level coalescing of vectored sends on GM;
 //! * [`req`] — the request seam *above* the channel, shared by every
 //!   request/response service: the send-context → record map, the
-//!   bound-checked staging ring, and the request table (id mint, waiters,
-//!   send-failure and peer-death triage);
+//!   bound-checked staging ring, and the one request slab (id mint, horizon
+//!   timer, send-failure and peer-death triage);
 //! * [`pageio`] — the cached-I/O seam *beside* it, shared by the two
 //!   storage clients (ORFS, NBD): the page-cache walk, the page ↔ buffer
 //!   copy through one recycled bounce buffer, the page lifecycle (absent /
@@ -71,6 +71,9 @@ pub use iovec::{
 };
 pub use pace::{pace_submit, pace_timer_fired, PaceLanes, PacedSend, Sent};
 pub use regcache::{RangePlan, RegCache, RegCacheStats, RegKey};
-pub use req::{channel_send_request, ring_stage, ReqTable, SendMap, StagingRing, REQ_ID_MASK};
+pub use req::{
+    bound_request, channel_send_request, expire_request, horizon_fired, req_slot, ring_stage,
+    ReqEv, ReqTable, SendMap, StagingRing, CALL_HORIZON, REQ_ID_MASK,
+};
 pub use tenant::{TenantId, TenantSendStats, TenantTable};
 pub use transport::{Endpoint, TransportEvent, TransportKind, TransportWorld};

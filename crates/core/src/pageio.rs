@@ -55,6 +55,13 @@ pub struct PageIo {
     parked: Vec<(PageKey, u64)>,
 }
 
+impl PageIo {
+    /// No fetch in flight, no op parked: every page inserted has settled.
+    pub fn is_idle(&self) -> bool {
+        self.fetches.is_empty() && self.parked.is_empty()
+    }
+}
+
 /// Where [`probe`] found a page in its lifecycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Probe {

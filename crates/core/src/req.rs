@@ -6,19 +6,38 @@
 //! * [`StagingRing`]: the blind wrap-around ring headers and replies are
 //!   staged through, bounded in release builds too — a length read from
 //!   the wire is refused, never written past the ring;
-//! * [`ReqTable`]: the client half of correlation — request-id mint (the
-//!   wire tags), who waits for each id, and triage of the ways a request
-//!   ends without its reply (`SendFailed`, synchronous rejection, the
-//!   peer's death).
+//! * [`ReqTable`]: the one request slab. It mints every request id (the
+//!   wire tag of the request, its reply and the reply buffer posted under
+//!   it), finds a request by id in O(1), and ends requests that lose their
+//!   reply: `SendFailed`, synchronous rejection, the peer's death, expiry.
 //!
-//! The types name no service and no world; they hold plain values and are
-//! driven from the consumer's event handler. Which channels hear about a
+//! **Id layout** `[62] kind · [48..62] node · [32..48] endpoint index ·
+//! [16..32] generation · [0..16] slot`. Servers key per-request state by
+//! tag alone, so the owner bits make ids unique across clients; bit 63
+//! stays free ([`REQ_ID_MASK`]). A freed slot takes the next generation,
+//! so a stale id matches again only after its slot was reused 65 536
+//! times. A slot is reused once its request ended, and a request whose id
+//! reached the wire ends by a reply, an expiry or its peer's death — at
+//! least a round trip, ≈ 10 µs (`kv_failover`'s p50 is 10.7 µs). So that
+//! takes ≥ 0.65 s, far past [`CALL_HORIZON`] (18 ms). A mint past 65 536
+//! live requests is refused ([`NetError::RequestTableFull`]).
+//!
+//! **Expiry.** A request without a caller deadline expires [`CALL_HORIZON`]
+//! after submit. Each table keeps at most one horizon timer
+//! ([`ReqEv::Horizon`]), re-armed at the earliest pending expiry each time
+//! it fires ([`horizon_fired`]). A request expires once; the service may
+//! leave it pending when a matched reply is already landing in its buffer.
+//! A caller's own deadline (RPC) is a per-request [`ReqEv::Deadline`].
+//!
+//! The types name no service and no world. Which channels hear about a
 //! dead peer at all is decided below them, in
 //! [`peer_down`](crate::api::peer_down).
 
+use knet_simcore::{emit_at, now, SimTime, SimWorld};
+use knet_simnic::rel;
 use knet_simos::{Asid, NodeId, NodeOs, VirtAddr};
 
-use crate::api::{channel_send, ctx_slot, ChannelId, DispatchWorld};
+use crate::api::{channel_cancel_recv, channel_send, ctx_slot, ChannelId, DispatchWorld};
 use crate::error::NetError;
 use crate::iovec::{IoVec, MemRef};
 use crate::transport::Endpoint;
@@ -150,24 +169,49 @@ pub const REQ_ID_MASK: u64 = (1 << 63) - 1;
 
 const REQ_IDX_BITS: u32 = 16;
 const REQ_NODE_BITS: u32 = 14;
+const SLOT_BITS: u32 = 16;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
-/// Client-side request correlation: id mint, waiter list, and the map from
-/// in-flight sends to the request they carry. `T` is what the consumer
-/// resolves when a request ends (a syscall id, a block op). Nothing is
-/// allocated once the waiter list and the send map reach the in-flight
-/// high-water mark.
-///
-/// Ids are wire tags, and servers key per-request state by tag alone — so
-/// an id must be unique among *every* client a server can hear from. Each
-/// is a 32-bit counter (from 1) under the owning endpoint's identity:
-/// `[62] kind · [48..62] node · [32..48] endpoint index · [0..32] counter`.
-/// (After 2³² requests the counter wraps; a request still waiting by then
-/// would share its id.)
+/// How long a request without a caller deadline waits for its reply before
+/// it expires: `rel::MAX_RETRIES + 1` unanswered questions, each at most
+/// `rel::MAX_RTO` apart — the longest silence a live link can show before
+/// the reliability layer itself declares the peer dead. Past it, either
+/// `PeerDown` has already ended the request or the peer is alive and not
+/// answering. Local only: nothing on the wire carries it.
+pub const CALL_HORIZON: SimTime =
+    SimTime::from_nanos((rel::MAX_RETRIES as u64 + 1) * rel::MAX_RTO.nanos());
+
+/// The one timer event of every request table, whichever service owns it
+/// (the composed world lifts it into its event enum without allocating).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ReqEv {
+    /// Request `id`'s caller deadline passed; a stale id finds nothing.
+    Deadline { table: u32, id: u64 },
+    /// Table `table`'s one horizon timer fired ([`horizon_fired`]).
+    Horizon { table: u32 },
+}
+
+/// The slot an id names (a client may key per-slot buffers by it).
+pub fn req_slot(id: u64) -> usize {
+    (id & SLOT_MASK) as usize
+}
+
+struct Slot<T> {
+    gen: u16,
+    /// [`SimTime::NEVER`] when nothing bounds the request (any more).
+    expiry: SimTime,
+    rec: Option<T>,
+}
+
+/// The request slab: a generation-tagged slot per live request with the
+/// consumer's record `T` and its expiry; freed slots are reused last-in
+/// first-out, so nothing is allocated past the in-flight high-water mark.
 pub struct ReqTable<T> {
     owner_bits: u64,
-    counter: u32,
-    /// Requests awaiting their reply, sorted by id (= mint order).
-    waiting: Vec<(u64, T)>,
+    slots: Vec<Slot<T>>,
+    free: Vec<u16>,
+    /// The horizon timer is armed (or its handler is running).
+    horizon_armed: bool,
     sends: SendMap<u64>,
 }
 
@@ -183,26 +227,111 @@ impl<T> ReqTable<T> {
         let node = (owner.kind as u64) << REQ_NODE_BITS | owner.node.0 as u64;
         ReqTable {
             owner_bits: (node << REQ_IDX_BITS | owner.idx as u64) << 32,
-            counter: 0,
-            waiting: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            horizon_armed: false,
             sends: SendMap::default(),
         }
     }
 
-    /// Mint the next request id and park `waiter` under it — before the
-    /// request leaves, so a reply buffer can be posted under the id first.
-    pub fn mint(&mut self, waiter: T) -> u64 {
-        self.counter = self.counter.wrapping_add(1);
-        let id = self.owner_bits | self.counter as u64;
-        // Ids ascend, so this is a push — except across a counter wrap.
-        let at = self.waiting.partition_point(|(i, _)| *i < id);
-        self.waiting.insert(at, (id, waiter));
-        id
+    /// Mint a request id and park `rec` under it — before the request
+    /// leaves, so a reply buffer can be posted under the id first.
+    pub fn mint(&mut self, rec: T) -> Result<u64, NetError> {
+        let slot = match self.free.pop() {
+            Some(slot) => slot as usize,
+            None if self.slots.len() <= SLOT_MASK as usize => {
+                self.slots.push(Slot {
+                    gen: 0,
+                    expiry: SimTime::NEVER,
+                    rec: None,
+                });
+                self.slots.len() - 1
+            }
+            None => return Err(NetError::RequestTableFull),
+        };
+        self.slots[slot].rec = Some(rec);
+        Ok(self.id_at(slot))
     }
 
-    /// `SendDone`: the send left the node; nothing more to remember.
-    pub fn sent(&mut self, ctx: u64) {
-        self.sends.take(ctx);
+    fn id_at(&self, slot: usize) -> u64 {
+        self.owner_bits | (self.slots[slot].gen as u64) << SLOT_BITS | slot as u64
+    }
+
+    /// The live slot `id` names: owner bits, slot and generation all match.
+    fn live_slot(&self, id: u64) -> Option<usize> {
+        let slot = req_slot(id);
+        let s = self.slots.get(slot)?;
+        (s.rec.is_some() && self.id_at(slot) == id).then_some(slot)
+    }
+
+    /// The record of live request `id`.
+    pub fn get(&self, id: u64) -> Option<&T> {
+        self.slots[self.live_slot(id)?].rec.as_ref()
+    }
+
+    /// The record of live request `id`, to update in place.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        let slot = self.live_slot(id)?;
+        self.slots[slot].rec.as_mut()
+    }
+
+    /// Request `id` ended (its reply arrived, or it failed): free its slot
+    /// and hand its record back. `None` for an id that is not live.
+    pub fn finish(&mut self, id: u64) -> Option<T> {
+        let slot = self.live_slot(id)?;
+        let s = &mut self.slots[slot];
+        s.gen = s.gen.wrapping_add(1);
+        s.expiry = SimTime::NEVER;
+        self.free.push(slot as u16);
+        s.rec.take()
+    }
+
+    /// Live requests, in ascending slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        let live = self.slots.iter().enumerate();
+        live.filter_map(|(slot, s)| Some((self.id_at(slot), s.rec.as_ref()?)))
+    }
+
+    /// How many requests are live.
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Request `id` expires at `at` (`NEVER`: no longer expires). `true`
+    /// when the caller must arm the horizon timer at `at` (none is armed).
+    pub fn expire_at(&mut self, id: u64, at: SimTime) -> bool {
+        let Some(slot) = self.live_slot(id) else {
+            return false;
+        };
+        self.slots[slot].expiry = at;
+        at != SimTime::NEVER && !std::mem::replace(&mut self.horizon_armed, true)
+    }
+
+    /// The first live request from slot `*from` on that expired by `now`;
+    /// it expires once (its expiry is cleared) and `*from` moves past it.
+    fn take_expired(&mut self, from: &mut usize, now: SimTime) -> Option<u64> {
+        while let Some(s) = self.slots.get_mut(*from) {
+            *from += 1;
+            if s.rec.is_some() && s.expiry <= now {
+                s.expiry = SimTime::NEVER;
+                return Some(self.id_at(*from - 1));
+            }
+        }
+        None
+    }
+
+    /// The earliest expiry pending, to re-arm the horizon timer at (`None`:
+    /// the timer is disarmed).
+    fn rearm(&mut self) -> Option<SimTime> {
+        let live = self.slots.iter().filter(|s| s.rec.is_some());
+        let next = live.map(|s| s.expiry).min().unwrap_or(SimTime::NEVER);
+        self.horizon_armed = next != SimTime::NEVER;
+        self.horizon_armed.then_some(next)
+    }
+
+    /// `SendDone` (or a withdrawn send): forget `ctx`; the request it carried.
+    pub fn sent(&mut self, ctx: u64) -> Option<u64> {
+        self.sends.take(ctx)
     }
 
     /// `SendFailed`: the request this send carried will never be answered.
@@ -213,33 +342,85 @@ impl<T> ReqTable<T> {
         Some((id, self.finish(id)?))
     }
 
-    /// The request under wire tag `tag` ended (its reply arrived, or its
-    /// send was rejected synchronously): stop waiting for it.
-    pub fn finish(&mut self, tag: u64) -> Option<T> {
-        let at = self.waiting.binary_search_by_key(&tag, |(i, _)| *i).ok()?;
-        Some(self.waiting.remove(at).1)
-    }
-
-    /// The peer died: every waiting request, in ascending id order, and
+    /// The peer died: every live request, in ascending slot order, and
     /// every in-flight send forgotten (their completions find nothing).
     pub fn fail_all(&mut self) -> Vec<(u64, T)> {
         self.sends.clear();
-        std::mem::take(&mut self.waiting)
+        let ids: Vec<u64> = self.iter().map(|(id, _)| id).collect();
+        ids.into_iter()
+            .filter_map(|id| Some((id, self.finish(id)?)))
+            .collect()
     }
 
-    /// Requests the waiter list has room for (flat in steady state —
+    /// Requests the slab has room for (flat in steady state —
     /// `tests/hotpath_alloc.rs`; the send map is bounded by the channel's
     /// context pool, asserted flat there too).
     pub fn capacity(&self) -> usize {
-        self.waiting.capacity()
+        self.slots.capacity()
     }
+}
+
+/// Bound live request `id` of `table` by [`CALL_HORIZON`] from now, and
+/// arm the table's horizon timer — `horizon` on `node` — if none is armed.
+pub fn bound_request<W: SimWorld, T>(
+    w: &mut W,
+    node: NodeId,
+    id: u64,
+    table: impl FnOnce(&mut W) -> &mut ReqTable<T>,
+    horizon: impl FnOnce() -> W::Ev,
+) {
+    let at = now(w) + CALL_HORIZON;
+    if table(w).expire_at(id, at) {
+        emit_at(w, node.0, at, horizon());
+    }
+}
+
+/// A table's horizon timer (`horizon` on `node`) fired: hand every live
+/// request whose expiry has passed to `expire`, in ascending slot order,
+/// then re-arm the timer at the earliest expiry still pending. The timer
+/// counts as armed while `expire` runs, so a request it submits cannot arm
+/// a second one.
+pub fn horizon_fired<W: SimWorld, T>(
+    w: &mut W,
+    node: NodeId,
+    table: impl Fn(&mut W) -> &mut ReqTable<T>,
+    mut expire: impl FnMut(&mut W, u64),
+    horizon: impl FnOnce() -> W::Ev,
+) {
+    let (t, mut from) = (now(w), 0);
+    while let Some(id) = table(w).take_expired(&mut from, t) {
+        expire(w, id);
+    }
+    if let Some(at) = table(w).rearm() {
+        emit_at(w, node.0, at, horizon());
+    }
+}
+
+/// Request `id` of a storage client — its record says whether a reply
+/// buffer is posted under the id — expired. The buffer is withdrawn first;
+/// if that loses, a matched reply is already landing in it: the request
+/// stays pending and that reply resolves it (`None`). Otherwise the request
+/// ends and its record comes back, for the caller to fail.
+pub fn expire_request<W: DispatchWorld, T: Copy>(
+    w: &mut W,
+    ch: ChannelId,
+    id: u64,
+    table: impl Fn(&mut W) -> &mut ReqTable<(T, bool)>,
+) -> Option<T> {
+    let &(rec, posted) = table(w).get(id)?;
+    if posted && !channel_cancel_recv(w, ch, id) {
+        return None;
+    }
+    table(w).finish(id);
+    Some(rec)
 }
 
 /// [`channel_send`] for a message of request `id` (`table` selects the
 /// request table inside the world). An accepted send is recorded, so a
-/// later `SendFailed` fails exactly that request. A synchronous rejection
-/// ends the request here; the error comes back with the waiter to fail
-/// (`None` when an earlier message of the request already failed it).
+/// later `SendFailed` fails exactly that request, and its context comes
+/// back. A synchronous rejection ends the request here; the error comes
+/// back with the record to fail (`None` when an earlier message of the
+/// request already failed it).
 pub fn channel_send_request<W: DispatchWorld, T>(
     w: &mut W,
     ch: ChannelId,
@@ -247,11 +428,11 @@ pub fn channel_send_request<W: DispatchWorld, T>(
     id: u64,
     iov: IoVec,
     table: impl FnOnce(&mut W) -> &mut ReqTable<T>,
-) -> Result<(), (NetError, Option<T>)> {
+) -> Result<u64, (NetError, Option<T>)> {
     match channel_send(w, ch, tag, iov) {
         Ok(ctx) => {
             table(w).sends.insert(ctx, id);
-            Ok(())
+            Ok(ctx)
         }
         Err(e) => Err((e, table(w).finish(id))),
     }
@@ -334,9 +515,9 @@ mod tests {
         for owner in owners {
             let mut t = ReqTable::new(owner);
             for n in 0..100u32 {
-                let id = t.mint(n);
+                let id = t.mint(n).unwrap();
                 assert_eq!(id & !REQ_ID_MASK, 0, "bit 63 stays clear");
-                assert_eq!(id as u32, n + 1, "a 32-bit counter from 1");
+                assert_eq!((req_slot(id), id >> 16 & 0xFFFF), (n as usize, 0));
                 assert!(seen.insert(id), "{owner:?} re-minted {id:#x}");
             }
         }
@@ -349,23 +530,40 @@ mod tests {
     }
 
     #[test]
-    fn a_counter_wrap_stays_inside_the_owner_bits_and_keeps_the_list_sorted() {
+    fn a_reused_slot_never_answers_to_its_old_id() {
         let mut t = ReqTable::new(ep(TransportKind::Mx, 2, 5));
-        let first = t.mint("first");
-        t.counter = u32::MAX - 1;
-        let last = t.mint("last");
-        let wrapped = t.mint("wrapped");
-        assert_eq!((last as u32, wrapped as u32), (u32::MAX, 0));
+        let first = t.mint("first").unwrap();
+        assert_eq!(t.finish(first), Some("first"));
+        let second = t.mint("second").unwrap();
+        assert_eq!(req_slot(second), req_slot(first), "freed slots are reused");
+        assert_ne!(second, first, "under the next generation");
+        assert_eq!(t.get(first), None);
+        assert_eq!(t.finish(first), None, "a stale id frees nothing");
+        // The generation wraps inside its 16 bits: the owner bits stay.
+        t.slots[0].gen = u16::MAX;
+        let last = t.id_at(0);
+        assert_eq!(t.finish(last), Some("second"));
+        let wrapped = t.mint("wrapped").unwrap();
         assert_eq!(wrapped >> 32, first >> 32, "same owner bits");
-        assert_eq!(t.finish(last), Some("last"));
-        assert_eq!(t.fail_all(), [(wrapped, "wrapped"), (first, "first")]);
+        assert_eq!(wrapped & 0xFFFF_FFFF, 0, "generation 0, slot 0");
+        assert_eq!(t.get(wrapped), Some(&"wrapped"));
+    }
+
+    #[test]
+    fn a_mint_past_65_536_live_requests_is_refused() {
+        let mut t = ReqTable::new(ep(TransportKind::Gm, 0, 0));
+        let ids: Vec<u64> = (0..1 << 16).map(|_| t.mint(()).unwrap()).collect();
+        assert_eq!(t.live(), 1 << 16);
+        assert_eq!(t.mint(()), Err(NetError::RequestTableFull));
+        assert_eq!(t.finish(ids[7]), Some(()));
+        assert_eq!(req_slot(t.mint(()).unwrap()), 7, "one slot came free");
     }
 
     #[test]
     fn send_failed_fails_exactly_one_request_once() {
         let mut t = ReqTable::new(ep(TransportKind::Mx, 0, 0));
-        let a = t.mint('a');
-        let b = t.mint('b');
+        let a = t.mint('a').unwrap();
+        let b = t.mint('b').unwrap();
         // Request `a` has two sends in flight: header + announced payload.
         t.sends.insert(ctx(0, 0), a);
         t.sends.insert(ctx(1, 0), a);
@@ -374,7 +572,7 @@ mod tests {
         assert_eq!(t.send_failed(ctx(0, 0)), None, "already failed");
         assert_eq!(t.send_failed(ctx(0, 0)), None, "send forgotten");
         // `b` is untouched: its send completes, its reply arrives.
-        t.sent(ctx(2, 0));
+        assert_eq!(t.sent(ctx(2, 0)), Some(b));
         assert_eq!(t.send_failed(ctx(2, 0)), None);
         assert_eq!(t.finish(b), Some('b'));
     }
@@ -382,36 +580,62 @@ mod tests {
     #[test]
     fn finish_of_an_unknown_tag_is_none() {
         let mut t = ReqTable::new(ep(TransportKind::Gm, 0, 0));
-        let id = t.mint(1u8);
+        let id = t.mint(1u8).unwrap();
         assert_eq!(t.finish(id + 1), None, "never minted");
         assert_eq!(t.finish(id | !REQ_ID_MASK), None, "bulk-data companion tag");
+        assert_eq!(t.finish(id | 1 << 32), None, "another client's id");
         assert_eq!(t.finish(id), Some(1));
         assert_eq!(t.finish(id), None, "finished once");
     }
 
     #[test]
-    fn fail_all_yields_ascending_ids_and_forgets_every_send() {
+    fn fail_all_yields_ascending_slots_and_forgets_every_send() {
         let mut t = ReqTable::new(ep(TransportKind::Mx, 3, 1));
-        let ids: Vec<u64> = (0..5).map(|n| t.mint(n)).collect();
+        let ids: Vec<u64> = (0..5).map(|n| t.mint(n).unwrap()).collect();
         for (slot, id) in ids.iter().enumerate() {
             t.sends.insert(ctx(slot as u32, 0), *id);
         }
-        // Replies arrive out of order; the rest die with the peer.
+        // Replies arrive out of order; a new request takes the freed slot
+        // 0; the rest die with the peer.
         assert_eq!(t.finish(ids[3]), Some(3));
         assert_eq!(t.finish(ids[0]), Some(0));
+        let again = t.mint(9).unwrap();
         let failed = t.fail_all();
-        assert_eq!(failed, [(ids[1], 1), (ids[2], 2), (ids[4], 4)]);
+        assert_eq!(failed, [(again, 9), (ids[1], 1), (ids[2], 2), (ids[4], 4)]);
         assert!(t.fail_all().is_empty());
+        assert_eq!(t.live(), 0);
         for slot in 0..5 {
             assert_eq!(t.send_failed(ctx(slot, 0)), None, "send {slot} forgotten");
         }
     }
 
     #[test]
+    fn one_horizon_timer_per_table_rearmed_at_the_earliest_expiry() {
+        let ms = SimTime::from_millis;
+        let mut t = ReqTable::new(ep(TransportKind::Mx, 0, 0));
+        let [a, b, c, d] = [0, 1, 2, 3].map(|n| t.mint(n).unwrap());
+        assert!(t.expire_at(a, ms(18)), "the first bound request arms");
+        assert!(!t.expire_at(b, ms(20)), "one timer per table");
+        assert!(!t.expire_at(c, ms(25)));
+        assert!(!t.expire_at(d, SimTime::NEVER), "unbounded");
+        t.finish(b);
+        // The timer fires at 20 ms: `a` expires (once), `b` is gone, `c`
+        // and `d` wait; the timer re-arms at `c`'s expiry.
+        let mut from = 0;
+        assert_eq!(t.take_expired(&mut from, ms(20)), Some(a));
+        assert_eq!(t.take_expired(&mut from, ms(20)), None);
+        assert_eq!(t.rearm(), Some(ms(25)));
+        assert_eq!(t.get(a), Some(&0), "an expired request may stay pending");
+        t.finish(c);
+        assert_eq!(t.rearm(), None, "nothing left to bound: disarmed");
+        assert!(t.expire_at(d, ms(40)), "the next bound request arms again");
+    }
+
+    #[test]
     fn request_table_is_flat_once_warm() {
         let mut t = ReqTable::new(ep(TransportKind::Mx, 0, 0));
         let round = |t: &mut ReqTable<u32>, gen: u32| {
-            let ids: Vec<u64> = (0..8).map(|n| t.mint(n)).collect();
+            let ids: Vec<u64> = (0..8).map(|n| t.mint(n).unwrap()).collect();
             for (slot, id) in ids.iter().enumerate() {
                 t.sends.insert(ctx(slot as u32, gen), *id);
                 t.sent(ctx(slot as u32, gen));
@@ -421,11 +645,12 @@ mod tests {
             }
         };
         round(&mut t, 0);
-        let warm = (t.capacity(), t.sends.slots.capacity());
+        let warm = (t.capacity(), t.free.capacity(), t.sends.slots.capacity());
         for gen in 1..50 {
             round(&mut t, gen);
         }
-        assert_eq!((t.capacity(), t.sends.slots.capacity()), warm);
+        let now = (t.capacity(), t.free.capacity(), t.sends.slots.capacity());
+        assert_eq!(now, warm);
     }
 
     fn ring_node() -> (NodeOs, VirtAddr) {

@@ -17,8 +17,8 @@ use bytes::Bytes;
 use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
 use knet_core::pageio::{self, Cursor, Fill, PageIo, Probe, Then};
 use knet_core::{
-    channel_send_request, ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, ReqTable,
-    StagingRing, TransportEvent,
+    bound_request, channel_send_request, expire_request, horizon_fired, ring_stage, ChannelId,
+    Endpoint, IoVec, MemRef, NetError, ReqEv, ReqTable, StagingRing, TransportEvent,
 };
 use knet_simos::{cpu_charge, Asid, PageKey};
 
@@ -80,8 +80,9 @@ pub struct NbdClient {
     /// the same device never share a cached sector.
     pub device_id: u32,
     next_op: u64,
-    /// Requests in flight → the block op each one advances.
-    reqs: ReqTable<NbdOp>,
+    /// Requests in flight → the block op each one advances, and whether a
+    /// reply buffer is posted under the request's id.
+    reqs: ReqTable<(NbdOp, bool)>,
     ops: BTreeMap<NbdOp, OpState>,
     /// Staging ring for request headers and write chunks.
     ring: StagingRing,
@@ -140,10 +141,15 @@ pub fn nbd_client_create<W: NbdWorld>(
 }
 
 impl NbdClient {
-    /// Requests the request table has room for (flat in steady state;
-    /// asserted by `tests/hotpath_alloc.rs`).
-    pub fn request_table_capacity(&self) -> usize {
-        self.reqs.capacity()
+    /// Requests in flight (its slab stays flat in steady state, asserted
+    /// by `tests/hotpath_alloc.rs`).
+    pub fn requests(&self) -> &ReqTable<(NbdOp, bool)> {
+        &self.reqs
+    }
+
+    /// The cached-I/O engine state: fetches in flight, readers parked.
+    pub fn pageio(&self) -> &PageIo {
+        &self.pageio
     }
 
     /// The page-cache key of `sector` as this client caches it.
@@ -169,8 +175,16 @@ fn charge_entry<W: NbdWorld>(w: &mut W, cid: NbdClientId) {
 fn fail_request<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64, op: NbdOp, e: NetError) {
     let ch = w.nbd().clients[cid.0 as usize].ch;
     channel_cancel_recv(w, ch, reqid);
-    let c = &mut w.nbd_mut().clients[cid.0 as usize];
-    if c.ops.remove(&op).is_some() {
+    fail(w, cid, op, e);
+}
+
+/// Drop `op` and complete it with `e` — once: an op already gone is left.
+fn fail<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, e: NetError) {
+    if w.nbd_mut().clients[cid.0 as usize]
+        .ops
+        .remove(&op)
+        .is_some()
+    {
         fail_op(w, cid, op, e);
     }
 }
@@ -185,6 +199,47 @@ fn fail_op<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, e: NetError) {
     for parked in pageio::abandoned(w, node, engine(cid), op) {
         resume(w, cid, parked);
     }
+}
+
+/// Mint a request id for `op`, bounded by `CALL_HORIZON`. A full request
+/// table fails the op, as a rejected send does.
+fn mint<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) -> Option<u64> {
+    let c = &mut w.nbd_mut().clients[cid.0 as usize];
+    let (minted, node) = (c.reqs.mint((op, false)), c.ep.node);
+    let reqid = minted.map_err(|e| fail(w, cid, op, e)).ok()?;
+    let horizon = || W::lift_nbd(ReqEv::Horizon { table: cid.0 });
+    bound_request(w, node, reqid, reqs(cid), horizon);
+    Some(reqid)
+}
+
+/// Post `iov` as the reply buffer of request `reqid`.
+fn post_reply<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64, iov: IoVec) {
+    let ch = w.nbd().clients[cid.0 as usize].ch;
+    if channel_post_recv(w, ch, reqid, iov).is_ok() {
+        reqs(cid)(w).get_mut(reqid).expect("just minted").1 = true;
+    }
+}
+
+/// Selects client `cid`'s request table inside the world.
+fn reqs<W: NbdWorld>(cid: NbdClientId) -> impl Fn(&mut W) -> &mut ReqTable<(NbdOp, bool)> {
+    move |w| &mut w.nbd_mut().clients[cid.0 as usize].reqs
+}
+
+/// Client `table`'s horizon timer fired: a request unanswered for
+/// `CALL_HORIZON` fails its op [`NetError::Deadline`] (a sector it was
+/// fetching goes back through `pageio::abandoned`).
+pub fn run_nbd_ev<W: NbdWorld>(w: &mut W, ev: ReqEv) {
+    // NBD requests carry no caller deadline: only the horizon fires.
+    let ReqEv::Horizon { table } = ev else { return };
+    let cid = NbdClientId(table);
+    let c = &w.nbd().clients[cid.0 as usize];
+    let (node, ch) = (c.ep.node, c.ch);
+    let expire = |w: &mut W, reqid| {
+        if let Some(op) = expire_request(w, ch, reqid, reqs(cid)) {
+            fail(w, cid, op, NetError::Deadline);
+        }
+    };
+    horizon_fired(w, node, reqs(cid), expire, || W::lift_nbd(ev));
 }
 
 /// Continue `op` after the sector it was parked on settled.
@@ -210,10 +265,8 @@ fn send_request<W: NbdWorld>(
     req: NbdRequest,
     payload: &[u8],
 ) {
-    let (node, ch) = {
-        let c = &w.nbd().clients[cid.0 as usize];
-        (c.ep.node, c.ch)
-    };
+    let c = &w.nbd().clients[cid.0 as usize];
+    let (node, ch) = (c.ep.node, c.ch);
     let seg = ring_stage(
         w,
         node,
@@ -221,10 +274,8 @@ fn send_request<W: NbdWorld>(
         &[&req.encode(), payload],
     )
     .expect("a header + WRITE_CHUNK fits the client ring");
-    let sent = channel_send_request(w, ch, reqid, reqid, IoVec::single(seg), |w| {
-        &mut w.nbd_mut().clients[cid.0 as usize].reqs
-    });
-    if let Err((e, Some(op))) = sent {
+    let sent = channel_send_request(w, ch, reqid, reqid, IoVec::single(seg), reqs(cid));
+    if let Err((e, Some((op, _)))) = sent {
         fail_request(w, cid, reqid, op, e);
     }
 }
@@ -250,18 +301,19 @@ pub fn nbd_read<W: NbdWorld>(w: &mut W, cid: NbdClientId, dest: MemRef, offset: 
 pub fn nbd_read_raw<W: NbdWorld>(w: &mut W, cid: NbdClientId, dest: MemRef, sector: u64) -> NbdOp {
     charge_entry(w, cid);
     let count = (dest.len() / SECTOR_SIZE).max(1) as u32;
-    let (op, ch) = {
+    let op = {
         let c = &mut w.nbd_mut().clients[cid.0 as usize];
         let op = c.next_op;
         c.next_op += 1;
         c.stats.reads += 1;
         c.ops.insert(op, OpState::Raw);
-        (op, c.ch)
+        op
     };
     // Buffer first, then the request (the reply must never race it).
-    let reqid = w.nbd_mut().clients[cid.0 as usize].reqs.mint(op);
-    let _ = channel_post_recv(w, ch, reqid, IoVec::single(dest));
-    send_request(w, cid, reqid, NbdRequest::Read { sector, count }, &[]);
+    if let Some(reqid) = mint(w, cid, op) {
+        post_reply(w, cid, reqid, IoVec::single(dest));
+        send_request(w, cid, reqid, NbdRequest::Read { sector, count }, &[]);
+    }
     op
 }
 
@@ -379,7 +431,9 @@ fn issue_next_write_chunk<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) -
             data.slice(off as usize..(off + n) as usize),
         )
     };
-    let reqid = w.nbd_mut().clients[cid.0 as usize].reqs.mint(op);
+    let Some(reqid) = mint(w, cid, op) else {
+        return false;
+    };
     let req = NbdRequest::Write {
         sector: first + off / SECTOR_SIZE,
         count: (n / SECTOR_SIZE) as u32,
@@ -397,7 +451,7 @@ fn advance_read<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
     let Some(OpState::Buffered(mut cur)) = c.ops.get(&op).cloned() else {
         return;
     };
-    let (node, ch, want) = (c.ep.node, c.ch, cur.buf.len());
+    let (node, want) = (c.ep.node, cur.buf.len());
     let step = pageio::read_step(w, node, engine(cid), &mut cur, op, want, 1);
     let c = &mut w.nbd_mut().clients[cid.0 as usize];
     c.stats.sector_hits += step.hits;
@@ -419,10 +473,11 @@ fn advance_read<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
         }
         Then::Fetch { run, iov } => {
             c.stats.sector_misses += 1;
-            let reqid = c.reqs.mint(op);
-            let _ = channel_post_recv(w, ch, reqid, iov);
-            let sector = run.first.index;
-            send_request(w, cid, reqid, NbdRequest::Read { sector, count: 1 }, &[]);
+            if let Some(reqid) = mint(w, cid, op) {
+                post_reply(w, cid, reqid, iov);
+                let sector = run.first.index;
+                send_request(w, cid, reqid, NbdRequest::Read { sector, count: 1 }, &[]);
+            }
         }
     }
 }
@@ -442,7 +497,7 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
             // A queued request frame was dropped by its retry: the reply
             // will never come. Fail exactly that request's op.
             let failed = w.nbd_mut().clients[cid.0 as usize].reqs.send_failed(ctx);
-            if let Some((reqid, op)) = failed {
+            if let Some((reqid, (op, _))) = failed {
                 fail_request(w, cid, reqid, op, error);
             }
             return;
@@ -468,7 +523,7 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
             return;
         }
     };
-    let Some(op) = w.nbd_mut().clients[cid.0 as usize].reqs.finish(tag) else {
+    let Some((op, _)) = w.nbd_mut().clients[cid.0 as usize].reqs.finish(tag) else {
         return;
     };
     let c = &w.nbd().clients[cid.0 as usize];
@@ -497,11 +552,9 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
                 c.ops.remove(&op);
                 c.completed.push_back((op, Ok(len)));
             } else {
-                {
-                    let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                    if let Some(OpState::Write { remaining_acks, .. }) = c.ops.get_mut(&op) {
-                        *remaining_acks -= 1;
-                    }
+                let c = &mut w.nbd_mut().clients[cid.0 as usize];
+                if let Some(OpState::Write { remaining_acks, .. }) = c.ops.get_mut(&op) {
+                    *remaining_acks -= 1;
                 }
                 issue_next_write_chunk(w, cid, op);
             }

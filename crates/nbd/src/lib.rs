@@ -21,13 +21,13 @@ pub mod proto;
 pub mod server;
 
 pub use client::{
-    nbd_client_create, nbd_on_client_event, nbd_read, nbd_read_raw, nbd_wait, nbd_write, NbdClient,
-    NbdClientId, NbdClientStats, NbdOp, NbdResult,
+    nbd_client_create, nbd_on_client_event, nbd_read, nbd_read_raw, nbd_wait, nbd_write,
+    run_nbd_ev, NbdClient, NbdClientId, NbdClientStats, NbdOp, NbdResult,
 };
 pub use proto::{NbdRequest, SECTOR_SIZE};
 pub use server::{nbd_on_server_event, nbd_server_create, NbdServer, NbdServerId, VirtualDisk};
 
-use knet_core::DispatchWorld;
+use knet_core::{DispatchWorld, ReqEv};
 
 /// All NBD state in a world.
 #[derive(Default)]
@@ -36,14 +36,11 @@ pub struct NbdLayer {
     pub clients: Vec<NbdClient>,
 }
 
-impl NbdLayer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Capability trait: a world hosting NBD clients and servers.
 pub trait NbdWorld: DispatchWorld {
     fn nbd(&self) -> &NbdLayer;
     fn nbd_mut(&mut self) -> &mut NbdLayer;
+
+    /// Wrap a client's timer into the world's event enum (run by [`run_nbd_ev`]).
+    fn lift_nbd(ev: ReqEv) -> <Self as knet_simcore::SimWorld>::Ev;
 }

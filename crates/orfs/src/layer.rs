@@ -1,6 +1,6 @@
 //! ORFS world state: clients, servers, and their capability trait.
 
-use knet_core::DispatchWorld;
+use knet_core::{DispatchWorld, ReqEv};
 
 use crate::client::OrfsClient;
 use crate::server::OrfsServer;
@@ -21,10 +21,6 @@ pub struct OrfsLayer {
 }
 
 impl OrfsLayer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn server(&self, id: OrfsServerId) -> &OrfsServer {
         &self.servers[id.0 as usize]
     }
@@ -47,4 +43,7 @@ impl OrfsLayer {
 pub trait OrfsWorld: DispatchWorld {
     fn orfs(&self) -> &OrfsLayer;
     fn orfs_mut(&mut self) -> &mut OrfsLayer;
+
+    /// Wrap a client's timer into the world's event enum (run by `run_orfs_ev`).
+    fn lift_orfs(ev: ReqEv) -> <Self as knet_simcore::SimWorld>::Ev;
 }

@@ -36,6 +36,10 @@ pub enum OrfsError {
     Net,
     /// The caller's buffer is not mapped (`EFAULT`).
     Fault,
+    /// A request of the operation was not answered within
+    /// `knet_core::req::CALL_HORIZON` by a server that stays up (raised by
+    /// the client; the reply buffer was withdrawn, a late reply dropped).
+    Deadline,
 }
 
 impl From<FsError> for OrfsError {
@@ -476,7 +480,8 @@ fn error_code(e: OrfsError) -> (u8, u8) {
         OrfsError::Fs(f) => (0, fs_error_code(f)),
         OrfsError::Decode => (1, 0),
         OrfsError::BadHandle => (2, 0),
-        OrfsError::Net => (3, 0),
+        // `Deadline` is the client's own verdict; no server sends it.
+        OrfsError::Net | OrfsError::Deadline => (3, 0),
         OrfsError::Fault => (4, 0),
     }
 }

@@ -1,46 +1,36 @@
 //! # knet-rpc — typed request/response on top of channels
 //!
-//! Everything above the channel layer (ORFS, NBD, the socket servers) had
-//! re-invented request/response correlation, timeout handling and failure
-//! recovery by hand. This crate hosts those semantics once, as shared
-//! infrastructure (the NetKernel argument), directly on the channel/CQ
-//! API:
+//! The RPC semantics above the channel layer, hosted once as shared
+//! infrastructure (the NetKernel argument) on the channel/CQ API:
 //!
 //! * **schema-versioned codec** ([`codec`]): request/response frames,
 //!   testable without a world;
-//! * **correlation ids** from a generation-tagged call slab — a late or
-//!   duplicated reply can never resolve the wrong call;
+//! * **calls live in the request slab every service shares**
+//!   (`knet_core::req::ReqTable`): it mints the generation-tagged call ids,
+//!   so a late or duplicated reply never resolves the wrong call, and its
+//!   one horizon timer bounds a call without a caller deadline by
+//!   [`CALL_HORIZON`] — derived from the reliability layer's give-up
+//!   budget, so RPC is no second failure detector;
 //! * **virtual-time deadlines with propagation**: the caller's absolute
 //!   deadline rides the wire, so servers drop work that arrives (or
-//!   un-defers) already expired instead of answering the dead, and the
-//!   client enforces the deadline locally with a typed engine event
-//!   ([`RpcEv::Deadline`] via [`RpcWorld::lift_rpc`] — allocation-free in
-//!   the composed world), reaching into the send-backpressure queue
+//!   un-defers) already expired, and the client enforces it with a typed
+//!   timer (`ReqEv::Deadline` via [`RpcWorld::lift_rpc`], allocation-free
+//!   in the composed world) that reaches into the send-backpressure queue
 //!   (`channel_abort_queued_send`) when the request never left the node;
-//! * **typed cancellation** ([`rpc_cancel`]): withdraws the posted
-//!   receive under the channel layer's cancel-vs-completion rule and
-//!   resolves racing completions deterministically (a matched in-flight
-//!   completion quarantines the call slot until it drains — buffers are
-//!   never reused under an active transfer);
-//! * **no second failure detector**: each request is sent exactly once.
-//!   Packet loss is repaired below, by the NIC's reliability layer, and
-//!   peer death is declared there too (`api::peer_down`, surfacing as the
-//!   channel's `PeerDown`). A call with no caller deadline is bounded by
-//!   [`CALL_HORIZON`], derived from that layer's own give-up budget, so it
-//!   can never hang;
-//! * **typed errors** ([`RpcError`]) instead of hangs: every submitted
-//!   call resolves with exactly one completion — reply, `Deadline`,
-//!   `Cancelled`, `PeerUnreachable` (the peer was declared dead),
-//!   `VersionMismatch` or `Overload` (shed by the server). Consumers that
-//!   want another attempt (the `knet-kv` store) reissue themselves.
+//! * **typed cancellation** ([`rpc_cancel`]) under the channel layer's
+//!   cancel-vs-completion rule: a matched in-flight completion quarantines
+//!   the call's slot until it drains — buffers are never reused under an
+//!   active transfer;
+//! * **typed errors** ([`RpcError`]): each request is sent exactly once
+//!   (loss is repaired below, peer death declared below as `PeerDown`),
+//!   and every call resolves with exactly one completion — reply,
+//!   `Deadline`, `Cancelled`, `PeerUnreachable`, `VersionMismatch` or
+//!   `Overload`. Consumers that want another attempt (`knet-kv`) reissue.
 //!
 //! Completions surface as a typed upcall ([`RpcCompletion`]) into the
-//! handler the client was created with (the `knet-kv` store, benches,
-//! tests) — an RPC resolution is not a transport event.
-//! The warm path performs zero heap allocations: call slots, per-slot
-//! request/response buffers, encode scratch, send contexts and timer
-//! events are all pooled and recycled (`tests/hotpath_alloc.rs` pins
-//! this down).
+//! handler the client was created with. The warm path allocates nothing:
+//! slab slots, per-slot request/response buffers, encode scratch, send
+//! contexts and timer events are pooled (`tests/hotpath_alloc.rs`).
 
 pub mod codec;
 
@@ -48,14 +38,13 @@ use std::sync::Arc;
 
 use knet_core::api::{
     channel_abort_queued_send, channel_accept_handler, channel_cancel_recv,
-    channel_connect_handler, channel_post_recv, channel_send, channel_send_to, DispatchWorld,
+    channel_connect_handler, channel_post_recv, channel_send_to, DispatchWorld,
 };
 use knet_core::{
-    ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, RpcError, SendMap, StagingRing,
-    TransportEvent,
+    bound_request, channel_send_request, horizon_fired, req_slot, ring_stage, ChannelId, Endpoint,
+    IoVec, MemRef, NetError, ReqEv, ReqTable, RpcError, SendMap, StagingRing, TransportEvent,
 };
-use knet_simcore::{emit_at, now, SimEvent, SimTime};
-use knet_simnic::rel;
+use knet_simcore::{emit_at, now, SimTime};
 use knet_simos::{Asid, NodeId, VirtAddr};
 
 use codec::{
@@ -64,6 +53,7 @@ use codec::{
 };
 
 pub use knet_core::RpcError as Error;
+pub use knet_core::CALL_HORIZON;
 
 // --------------------------------------------------------------- identifiers
 
@@ -75,55 +65,24 @@ pub struct RpcClientId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RpcServerId(pub u32);
 
-/// A call handle: the generation-tagged correlation id (`gen << 32 |
-/// slot`) minted by the client's call slab. It doubles as the wire tag of
-/// the request, the reply and the posted receive, so the transport's tag
-/// matching *is* the correlation step.
+/// A call handle: the request id minted by the client's request table. It
+/// doubles as the wire tag of the request, the reply and the posted
+/// receive, so the transport's tag matching *is* the correlation step.
 pub type RpcCall = u64;
-
-fn corr_of(slot: u32, gen: u32) -> u64 {
-    ((gen as u64) << 32) | slot as u64
-}
-
-fn corr_slot(corr: u64) -> u32 {
-    (corr & 0xFFFF_FFFF) as u32
-}
-
-fn corr_gen(corr: u64) -> u32 {
-    (corr >> 32) as u32
-}
-
-/// How long a call without a caller deadline waits for its reply before it
-/// resolves [`RpcError::Deadline`]: `rel::MAX_RETRIES + 1` unanswered
-/// questions, each at most `rel::MAX_RTO` apart — the longest silence a
-/// live link can show before the reliability layer itself declares the
-/// peer dead. Past it, either `PeerDown` has already resolved the call or
-/// the peer is alive and not answering. Local only: the wire still
-/// carries `NO_DEADLINE`, so the server keeps no clock for the caller.
-pub const CALL_HORIZON: SimTime =
-    SimTime::from_nanos((rel::MAX_RETRIES as u64 + 1) * rel::MAX_RTO.nanos());
 
 // -------------------------------------------------------------- typed events
 
-/// The RPC layer's typed engine events. The composed world lifts these
-/// into its event enum ([`RpcWorld::lift_rpc`]) so the timers move
-/// through the scheduler's recycled arena with zero heap allocation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RpcEv {
-    /// A call's virtual-time deadline fired. The call's generation makes
-    /// a stale timer (call already resolved, slot maybe reused) a no-op.
-    Deadline { client: u32, slot: u32, gen: u32 },
-    /// The client's one horizon timer fired: every call without a caller
-    /// deadline that has waited [`CALL_HORIZON`] resolves `Deadline`, and
-    /// the timer re-arms at the earliest horizon still pending.
-    Horizon { client: u32 },
-}
-
-/// Execute one RPC-layer event.
-pub fn run_rpc_ev<W: RpcWorld>(w: &mut W, ev: RpcEv) {
+/// Execute one RPC-layer timer: a call's caller deadline, or client
+/// `table`'s horizon timer (every call without a caller deadline that has
+/// waited [`CALL_HORIZON`] resolves `Deadline`).
+pub fn run_rpc_ev<W: RpcWorld>(w: &mut W, ev: ReqEv) {
     match ev {
-        RpcEv::Deadline { client, slot, gen } => on_deadline(w, RpcClientId(client), slot, gen),
-        RpcEv::Horizon { client } => on_horizon(w, RpcClientId(client)),
+        ReqEv::Deadline { table, id } => {
+            if pending(w, RpcClientId(table), id) {
+                resolve(w, RpcClientId(table), id, Err(RpcError::Deadline));
+            }
+        }
+        ReqEv::Horizon { table } => on_horizon(w, RpcClientId(table)),
     }
 }
 
@@ -132,12 +91,8 @@ pub trait RpcWorld: DispatchWorld {
     fn rpc(&self) -> &RpcLayer<Self>;
     fn rpc_mut(&mut self) -> &mut RpcLayer<Self>;
 
-    /// Wrap an RPC event into the world's typed event enum. The default
-    /// boxes a closure (fine for unit worlds); the composed cluster world
-    /// overrides it with a zero-allocation enum variant.
-    fn lift_rpc(ev: RpcEv) -> <Self as knet_simcore::SimWorld>::Ev {
-        SimEvent::from_call(Box::new(move |w: &mut Self| run_rpc_ev(w, ev)))
-    }
+    /// Wrap a client's timer into the world's event enum (run by [`run_rpc_ev`]).
+    fn lift_rpc(ev: ReqEv) -> <Self as knet_simcore::SimWorld>::Ev;
 }
 
 // ------------------------------------------------------------------- options
@@ -179,14 +134,11 @@ pub struct RpcCompletion {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum CallState {
-    Free,
     /// Awaiting a reply (or a timer).
     Pending,
     /// Resolved successfully; the reply payload parks in the slot's
     /// response buffer until [`rpc_collect`] copies it out.
-    Done {
-        len: u64,
-    },
+    Done { len: u64 },
     /// Resolved (cancel / deadline / peer death) while a matched
     /// in-flight completion was still owed by the driver: the slot is
     /// quarantined until that completion drains, so its buffers are
@@ -194,12 +146,9 @@ enum CallState {
     Draining,
 }
 
-struct CallSlot {
-    gen: u32,
+/// A call's record in the client's request table.
+struct Call {
     state: CallState,
-    /// When the horizon timer resolves this call; [`SimTime::NEVER`] when
-    /// a caller deadline bounds it instead.
-    horizon: SimTime,
     /// A tagged receive for this call's reply is posted in the driver.
     recv_armed: bool,
     /// Send context of the request, while in flight or queued.
@@ -249,7 +198,7 @@ impl Default for RpcClientConfig {
 }
 
 /// One RPC client: a handler-backed channel to one server endpoint plus
-/// the generation-tagged call slab.
+/// the request table its calls live in.
 pub struct RpcClient<W: ?Sized> {
     pub id: RpcClientId,
     pub ep: Endpoint,
@@ -257,44 +206,35 @@ pub struct RpcClient<W: ?Sized> {
     pub ch: ChannelId,
     on_done: RpcSinkFn<W>,
     cfg: RpcClientConfig,
-    calls: Vec<CallSlot>,
-    free: Vec<u32>,
-    /// The horizon timer is armed (or its handler is running). At most one
-    /// is ever outstanding: horizons are submit time + a constant, so a
-    /// new call never needs an earlier timer than one already armed.
-    horizon_armed: bool,
-    /// In-flight request sends → the call slot each carries.
-    tx: SendMap<u32>,
+    /// Every call from submit until it is collected or released; its slot
+    /// picks the call's request/response buffers.
+    calls: ReqTable<Call>,
     /// Buffer region: `window` slots of `req_cap + resp_cap` bytes each.
     region: VirtAddr,
     pub stats: RpcClientStats,
 }
 
 impl<W: ?Sized> RpcClient<W> {
-    fn slot_req_addr(&self, slot: u32) -> VirtAddr {
+    fn req_addr(&self, call: RpcCall) -> VirtAddr {
+        let slot = req_slot(call) as u64;
         self.region
-            .add(slot as u64 * (self.cfg.req_cap + self.cfg.resp_cap))
+            .add(slot * (self.cfg.req_cap + self.cfg.resp_cap))
     }
 
-    fn slot_resp_addr(&self, slot: u32) -> VirtAddr {
-        self.slot_req_addr(slot).add(self.cfg.req_cap)
-    }
-
-    fn free_slot(&mut self, slot: u32) {
-        let s = &mut self.calls[slot as usize];
-        s.state = CallState::Free;
-        s.gen = s.gen.wrapping_add(1);
-        s.recv_armed = false;
-        s.tx_ctx = None;
-        self.free.push(slot);
+    fn resp_addr(&self, call: RpcCall) -> VirtAddr {
+        self.req_addr(call).add(self.cfg.req_cap)
     }
 
     /// Calls currently unresolved (pending or quarantined).
     pub fn outstanding(&self) -> u32 {
-        self.calls
-            .iter()
-            .filter(|s| matches!(s.state, CallState::Pending | CallState::Draining))
-            .count() as u32
+        let unresolved = |c: &&Call| matches!(c.state, CallState::Pending | CallState::Draining);
+        self.calls.iter().map(|(_, c)| c).filter(unresolved).count() as u32
+    }
+
+    /// Calls holding a slot: unresolved, or resolved and not yet
+    /// collected.
+    pub fn live_requests(&self) -> usize {
+        self.calls.live()
     }
 }
 
@@ -358,19 +298,12 @@ impl Default for RpcServerConfig {
     }
 }
 
-#[derive(Clone, Copy)]
-enum DeferState {
-    Free,
-    Pending {
-        from: Endpoint,
-        corr: u64,
-        deadline_ns: u64,
-    },
-}
-
-struct DeferSlot {
-    gen: u32,
-    state: DeferState,
+/// A request the service deferred: whom to answer, under which id, and
+/// by when.
+struct Deferred {
+    from: Endpoint,
+    corr: u64,
+    deadline_ns: u64,
 }
 
 /// One RPC server: an accept-side handler channel dispatching into a
@@ -386,16 +319,11 @@ pub struct RpcServer {
     /// Reply sends in flight (they count toward the overload watermark).
     reply_tx: SendMap<()>,
     replies_in_flight: u32,
-    defers: Vec<DeferSlot>,
-    defer_free: Vec<u32>,
-    defers_pending: u32,
+    /// Deferred requests; each one's id is its defer token. (A request
+    /// being served holds a token too, released when it is answered at
+    /// once.)
+    defers: ReqTable<Deferred>,
     pub stats: RpcServerStats,
-}
-
-impl RpcServer {
-    fn pending(&self) -> u32 {
-        self.replies_in_flight + self.defers_pending
-    }
 }
 
 type ServiceFn<W> = dyn Fn(&mut W, RpcRequest, &[u8], &mut Vec<u8>) -> RpcOutcome + Send + Sync;
@@ -469,10 +397,6 @@ impl<W: ?Sized> Default for RpcLayer<W> {
 }
 
 impl<W: ?Sized> RpcLayer<W> {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Scratch-pool health as `(uses, grows)`: in steady state `grows`
     /// stops moving while `uses` keeps counting.
     pub fn scratch_stats(&self) -> (u64, u64) {
@@ -510,14 +434,16 @@ pub fn rpc_client_create<W: RpcWorld>(
         ch,
         on_done,
         cfg,
-        calls: Vec::new(),
-        free: Vec::new(),
-        horizon_armed: false,
-        tx: SendMap::default(),
+        calls: ReqTable::new(ep),
         region,
         stats: RpcClientStats::default(),
     });
     Ok(id)
+}
+
+/// Selects client `cid`'s request table inside the world.
+fn calls<W: RpcWorld>(cid: RpcClientId) -> impl Fn(&mut W) -> &mut ReqTable<Call> {
+    move |w| &mut w.rpc_mut().clients[cid.0 as usize].calls
 }
 
 /// Submit a typed call: `payload` goes out once under `method`; the reply
@@ -535,57 +461,35 @@ pub fn rpc_call<W: RpcWorld>(
 ) -> Result<RpcCall, RpcError> {
     let t_now = now(w);
     let deadline = opts.deadline.unwrap_or(SimTime::NEVER);
-    let (slot, gen, node, ch, req_addr, resp_addr, resp_cap) = {
+    let (corr, node, ch, req_addr, resp_addr, resp_cap) = {
         let c = &mut w.rpc_mut().clients[cid.0 as usize];
-        if (REQ_HEADER_LEN as u64 + payload.len() as u64) > c.cfg.req_cap {
+        if (REQ_HEADER_LEN as u64 + payload.len() as u64) > c.cfg.req_cap
+            || c.calls.live() >= c.cfg.window as usize
+        {
             return Err(RpcError::Overload);
         }
-        let slot = match c.free.pop() {
-            Some(s) => s,
-            None if (c.calls.len() as u32) < c.cfg.window => {
-                c.calls.push(CallSlot {
-                    gen: 0,
-                    state: CallState::Free,
-                    horizon: SimTime::NEVER,
-                    recv_armed: false,
-                    tx_ctx: None,
-                });
-                c.calls.len() as u32 - 1
-            }
-            None => return Err(RpcError::Overload),
+        let call = Call {
+            state: CallState::Pending,
+            recv_armed: false,
+            tx_ctx: None,
         };
-        let (req_addr, resp_addr) = (c.slot_req_addr(slot), c.slot_resp_addr(slot));
-        let s = &mut c.calls[slot as usize];
-        debug_assert_eq!(s.state, CallState::Free);
-        s.state = CallState::Pending;
-        s.horizon = SimTime::NEVER;
-        (
-            slot,
-            s.gen,
-            c.ep.node,
-            c.ch,
-            req_addr,
-            resp_addr,
-            c.cfg.resp_cap,
-        )
+        let corr = c.calls.mint(call).map_err(|_| RpcError::Overload)?;
+        let (req_addr, resp_addr) = (c.req_addr(corr), c.resp_addr(corr));
+        (corr, c.ep.node, c.ch, req_addr, resp_addr, c.cfg.resp_cap)
     };
-    let corr = corr_of(slot, gen);
+    let deadline_ev = || {
+        W::lift_rpc(ReqEv::Deadline {
+            table: cid.0,
+            id: corr,
+        })
+    };
     if deadline <= t_now {
         // Dead on arrival: resolve through the normal typed-event path —
         // the completion lands at the submit instant, and the wire never
         // sees the request.
         count_call(w, cid);
         w.rpc_mut().clients[cid.0 as usize].stats.expired_at_submit += 1;
-        emit_at(
-            w,
-            node.0,
-            t_now,
-            W::lift_rpc(RpcEv::Deadline {
-                client: cid.0,
-                slot,
-                gen,
-            }),
-        );
+        emit_at(w, node.0, t_now, deadline_ev());
         return Ok(corr);
     }
     let (mut frame, had_cap) = w.rpc_mut().frame_scratch.take();
@@ -595,11 +499,8 @@ pub fn rpc_call<W: RpcWorld>(
             version: RPC_SCHEMA_VERSION,
             method,
             corr,
-            deadline_ns: if deadline == SimTime::NEVER {
-                NO_DEADLINE
-            } else {
-                deadline.nanos()
-            },
+            // `SimTime::NEVER` is `NO_DEADLINE` on the wire.
+            deadline_ns: deadline.nanos(),
             idem: 0,
         },
         payload,
@@ -611,63 +512,33 @@ pub fn rpc_call<W: RpcWorld>(
     let req_len = frame.len() as u64;
     w.rpc_mut().frame_scratch.put(frame, had_cap);
     if deadline != SimTime::NEVER {
-        emit_at(
-            w,
-            node.0,
-            deadline,
-            W::lift_rpc(RpcEv::Deadline {
-                client: cid.0,
-                slot,
-                gen,
-            }),
-        );
+        emit_at(w, node.0, deadline, deadline_ev());
     } else {
-        let horizon = t_now + CALL_HORIZON;
-        let c = &mut w.rpc_mut().clients[cid.0 as usize];
-        c.calls[slot as usize].horizon = horizon;
-        if !std::mem::replace(&mut c.horizon_armed, true) {
-            emit_at(
-                w,
-                node.0,
-                horizon,
-                W::lift_rpc(RpcEv::Horizon { client: cid.0 }),
-            );
-        }
+        let horizon = || W::lift_rpc(ReqEv::Horizon { table: cid.0 });
+        bound_request(w, node, corr, calls(cid), horizon);
     }
     let resp = IoVec::single(MemRef::kernel(resp_addr, resp_cap));
-    let sent = match channel_post_recv(w, ch, corr, resp) {
-        Err(_) => Err(RpcError::PeerUnreachable),
-        Ok(_) => {
-            w.rpc_mut().clients[cid.0 as usize].calls[slot as usize].recv_armed = true;
-            channel_send(
-                w,
-                ch,
-                corr,
-                IoVec::single(MemRef::kernel(req_addr, req_len)),
-            )
-            .map_err(|e| match e {
+    if channel_post_recv(w, ch, corr, resp).is_err() {
+        // Never submitted: hand the slot back. A deadline timer already
+        // armed for it dies by the generation bump.
+        calls(cid)(w).finish(corr);
+        return Err(RpcError::PeerUnreachable);
+    }
+    calls(cid)(w).get_mut(corr).expect("just minted").recv_armed = true;
+    let req = IoVec::single(MemRef::kernel(req_addr, req_len));
+    match channel_send_request(w, ch, corr, corr, req, calls(cid)) {
+        Ok(ctx) => {
+            count_call(w, cid);
+            calls(cid)(w).get_mut(corr).expect("just sent").tx_ctx = Some(ctx);
+            Ok(corr)
+        }
+        Err((e, _)) => {
+            // Never submitted: the slot is back; withdraw the receive.
+            channel_cancel_recv(w, ch, corr);
+            Err(match e {
                 NetError::SendQueueFull => RpcError::Overload,
                 _ => RpcError::PeerUnreachable,
             })
-        }
-    };
-    match sent {
-        Ok(ctx) => {
-            count_call(w, cid);
-            let c = &mut w.rpc_mut().clients[cid.0 as usize];
-            c.calls[slot as usize].tx_ctx = Some(ctx);
-            c.tx.insert(ctx, slot);
-            Ok(corr)
-        }
-        Err(e) => {
-            // Never submitted: withdraw the receive and hand the slot
-            // back. A deadline timer already armed for it dies by the
-            // generation bump.
-            if w.rpc().clients[cid.0 as usize].calls[slot as usize].recv_armed {
-                channel_cancel_recv(w, ch, corr);
-            }
-            w.rpc_mut().clients[cid.0 as usize].free_slot(slot);
-            Err(e)
         }
     }
 }
@@ -678,6 +549,16 @@ fn count_call<W: RpcWorld>(w: &mut W, cid: RpcClientId) {
     layer.stats.calls += 1;
 }
 
+/// Whether `call` of client `cid` is still awaiting its reply.
+fn pending<W: RpcWorld>(w: &W, cid: RpcClientId, call: RpcCall) -> bool {
+    let Some(c) = w.rpc().clients.get(cid.0 as usize) else {
+        return false;
+    };
+    c.calls
+        .get(call)
+        .is_some_and(|c| c.state == CallState::Pending)
+}
+
 /// Cancel a pending call. Returns `true` iff the call was pending and is
 /// now resolved [`RpcError::Cancelled`] (the completion is delivered as
 /// usual, so consumers see exactly one resolution either way). The posted
@@ -685,19 +566,11 @@ fn count_call<W: RpcWorld>(w: &mut W, cid: RpcClientId) {
 /// rule; if a matched completion is irrevocably in flight the slot is
 /// quarantined until it drains — the caller never observes it.
 pub fn rpc_cancel<W: RpcWorld>(w: &mut W, cid: RpcClientId, call: RpcCall) -> bool {
-    let slot = corr_slot(call);
-    let pending = {
-        let c = &w.rpc().clients[cid.0 as usize];
-        matches!(
-            c.calls.get(slot as usize),
-            Some(s) if s.gen == corr_gen(call) && s.state == CallState::Pending
-        )
-    };
-    if !pending {
+    if !pending(w, cid, call) {
         return false;
     }
     w.rpc_mut().clients[cid.0 as usize].stats.cancelled += 1;
-    resolve(w, cid, slot, Err(RpcError::Cancelled));
+    resolve(w, cid, call, Err(RpcError::Cancelled));
     true
 }
 
@@ -710,17 +583,12 @@ pub fn rpc_collect<W: RpcWorld>(
     call: RpcCall,
     out: &mut Vec<u8>,
 ) -> Option<u64> {
-    let slot = corr_slot(call);
     let (len, resp_addr, node) = {
         let c = &w.rpc().clients[cid.0 as usize];
-        let s = c.calls.get(slot as usize)?;
-        if s.gen != corr_gen(call) {
-            return None;
-        }
-        let CallState::Done { len } = s.state else {
+        let CallState::Done { len } = c.calls.get(call)?.state else {
             return None;
         };
-        (len, c.slot_resp_addr(slot), c.ep.node)
+        (len, c.resp_addr(call), c.ep.node)
     };
     out.clear();
     out.resize(len as usize, 0);
@@ -728,26 +596,27 @@ pub fn rpc_collect<W: RpcWorld>(
         .node(node)
         .read_virt(Asid::KERNEL, resp_addr.add(RESP_HEADER_LEN as u64), out)
         .expect("rpc reply read");
-    w.rpc_mut().clients[cid.0 as usize].free_slot(slot);
+    calls(cid)(w).finish(call);
     Some(len)
 }
 
 /// Resolve a pending call with `result`: withdraw whatever transport
 /// state is still live (queued send, posted receive), settle the slot,
 /// then deliver exactly one completion.
-fn resolve<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32, result: Result<u64, RpcError>) {
-    let (corr, ch, recv_armed, tx_ctx) = {
+fn resolve<W: RpcWorld>(w: &mut W, cid: RpcClientId, corr: u64, result: Result<u64, RpcError>) {
+    let (ch, recv_armed, tx_ctx) = {
         let c = &mut w.rpc_mut().clients[cid.0 as usize];
-        let s = &mut c.calls[slot as usize];
-        debug_assert_eq!(s.state, CallState::Pending);
-        (corr_of(slot, s.gen), c.ch, s.recv_armed, s.tx_ctx.take())
+        c.calls.expire_at(corr, SimTime::NEVER);
+        let call = c.calls.get_mut(corr).expect("resolving a live call");
+        debug_assert_eq!(call.state, CallState::Pending);
+        (c.ch, call.recv_armed, call.tx_ctx.take())
     };
     if let Some(ctx) = tx_ctx {
         // Deadline/cancel reaching into backpressure: if the request
         // never left the node, withdraw it. Either way, a late SendDone
         // must find no mapping.
         let _ = channel_abort_queued_send(w, ch, ctx);
-        w.rpc_mut().clients[cid.0 as usize].tx.take(ctx);
+        calls(cid)(w).sent(ctx);
     }
     let mut drain = false;
     if result.is_err() && recv_armed {
@@ -760,9 +629,9 @@ fn resolve<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32, result: Result<u
         let c = &mut layer.clients[cid.0 as usize];
         match result {
             Ok(len) => {
-                let s = &mut c.calls[slot as usize];
-                s.state = CallState::Done { len };
-                s.recv_armed = false;
+                let call = c.calls.get_mut(corr).expect("resolving a live call");
+                call.state = CallState::Done { len };
+                call.recv_armed = false;
                 c.stats.completed += 1;
                 layer.stats.completed += 1;
             }
@@ -773,22 +642,13 @@ fn resolve<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32, result: Result<u
                     c.stats.deadline_failures += 1;
                 }
                 if drain {
-                    c.calls[slot as usize].state = CallState::Draining;
+                    c.calls.get_mut(corr).expect("live").state = CallState::Draining;
                 } else {
-                    c.free_slot(slot);
+                    c.calls.finish(corr);
                 }
             }
         }
     }
-    deliver_completion(w, cid, corr, result);
-}
-
-fn deliver_completion<W: RpcWorld>(
-    w: &mut W,
-    cid: RpcClientId,
-    corr: u64,
-    result: Result<u64, RpcError>,
-) {
     let on_done = Arc::clone(&w.rpc().clients[cid.0 as usize].on_done);
     on_done(
         w,
@@ -800,77 +660,43 @@ fn deliver_completion<W: RpcWorld>(
     );
 }
 
-fn on_deadline<W: RpcWorld>(w: &mut W, cid: RpcClientId, slot: u32, gen: u32) {
-    let live = {
-        let Some(c) = w.rpc().clients.get(cid.0 as usize) else {
-            return;
-        };
-        matches!(
-            c.calls.get(slot as usize),
-            Some(s) if s.gen == gen && s.state == CallState::Pending
-        )
-    };
-    if live {
-        resolve(w, cid, slot, Err(RpcError::Deadline));
-    }
-}
-
-/// The horizon timer fired: resolve every call whose horizon has passed,
-/// then re-arm at the earliest one still pending. The armed flag stays set
-/// while the completion handlers run, so a call they submit cannot arm a
-/// second timer.
+/// The horizon timer fired: every call whose horizon has passed resolves
+/// `Deadline` (only pending calls carry one), and the timer re-arms at the
+/// earliest horizon still pending.
 fn on_horizon<W: RpcWorld>(w: &mut W, cid: RpcClientId) {
-    let t_now = now(w);
-    let i = cid.0 as usize;
-    for slot in 0..w.rpc().clients[i].calls.len() {
-        let s = &w.rpc().clients[i].calls[slot];
-        if s.state == CallState::Pending && s.horizon <= t_now {
-            resolve(w, cid, slot as u32, Err(RpcError::Deadline));
-        }
-    }
-    let c = &mut w.rpc_mut().clients[i];
-    let next = c
-        .calls
-        .iter()
-        .filter(|s| s.state == CallState::Pending)
-        .map(|s| s.horizon)
-        .min()
-        .unwrap_or(SimTime::NEVER);
-    c.horizon_armed = next != SimTime::NEVER;
-    if c.horizon_armed {
-        let node = c.ep.node.0;
-        emit_at(w, node, next, W::lift_rpc(RpcEv::Horizon { client: cid.0 }));
-    }
+    let node = w.rpc().clients[cid.0 as usize].ep.node;
+    let expire = |w: &mut W, call| resolve(w, cid, call, Err(RpcError::Deadline));
+    let horizon = || W::lift_rpc(ReqEv::Horizon { table: cid.0 });
+    horizon_fired(w, node, calls(cid), expire, horizon);
 }
 
 /// The client channel's raw transport events.
 fn rpc_on_client_event<W: RpcWorld>(w: &mut W, cid: RpcClientId, ev: TransportEvent) {
     match ev {
         TransportEvent::SendDone { ctx } => {
-            let c = &mut w.rpc_mut().clients[cid.0 as usize];
-            if let Some(slot) = c.tx.take(ctx) {
-                let s = &mut c.calls[slot as usize];
-                if s.tx_ctx == Some(ctx) {
-                    s.tx_ctx = None;
+            let t = calls(cid)(w);
+            if let Some(call) = t.sent(ctx).and_then(|corr| t.get_mut(corr)) {
+                if call.tx_ctx == Some(ctx) {
+                    call.tx_ctx = None;
                 }
             }
         }
         TransportEvent::SendFailed { ctx, error } => {
-            let slot = {
-                let c = &mut w.rpc_mut().clients[cid.0 as usize];
-                let Some(slot) = c.tx.take(ctx) else { return };
-                let s = &mut c.calls[slot as usize];
-                if s.tx_ctx != Some(ctx) || s.state != CallState::Pending {
+            let corr = {
+                let t = calls(cid)(w);
+                let Some(corr) = t.sent(ctx) else { return };
+                let Some(call) = t.get_mut(corr) else { return };
+                if call.tx_ctx != Some(ctx) || call.state != CallState::Pending {
                     return;
                 }
-                s.tx_ctx = None;
-                slot
+                call.tx_ctx = None;
+                corr
             };
             let e = match error {
                 NetError::SendQueueFull => RpcError::Overload,
                 _ => RpcError::PeerUnreachable,
             };
-            resolve(w, cid, slot, Err(e));
+            resolve(w, cid, corr, Err(e));
         }
         TransportEvent::RecvDone { tag, len, .. } => on_reply(w, cid, tag, len),
         TransportEvent::Unexpected { .. } => {
@@ -885,19 +711,17 @@ fn rpc_on_client_event<W: RpcWorld>(w: &mut W, cid: RpcClientId, ev: TransportEv
 }
 
 fn on_reply<W: RpcWorld>(w: &mut W, cid: RpcClientId, corr: u64, recv_len: u64) {
-    let slot = corr_slot(corr);
-    let gen = corr_gen(corr);
     let live = {
         let c = &mut w.rpc_mut().clients[cid.0 as usize];
-        match c.calls.get(slot as usize).map(|s| (s.gen, s.state)) {
-            Some((g, CallState::Pending)) if g == gen => {
-                c.calls[slot as usize].recv_armed = false;
-                Some((c.slot_resp_addr(slot), c.ep.node))
+        match c.calls.get_mut(corr) {
+            Some(call) if call.state == CallState::Pending => {
+                call.recv_armed = false;
+                Some((c.resp_addr(corr), c.ep.node))
             }
-            Some((g, CallState::Draining)) if g == gen => {
+            Some(call) if call.state == CallState::Draining => {
                 // The quarantined completion drained; the slot is safe
                 // to reuse now.
-                c.free_slot(slot);
+                c.calls.finish(corr);
                 c.stats.late_replies += 1;
                 None
             }
@@ -911,7 +735,7 @@ fn on_reply<W: RpcWorld>(w: &mut W, cid: RpcClientId, corr: u64, recv_len: u64) 
         return;
     };
     if recv_len < RESP_HEADER_LEN as u64 {
-        resolve(w, cid, slot, Err(RpcError::VersionMismatch));
+        resolve(w, cid, corr, Err(RpcError::VersionMismatch));
         return;
     }
     let mut hdr_buf = [0u8; RESP_HEADER_LEN];
@@ -931,7 +755,7 @@ fn on_reply<W: RpcWorld>(w: &mut W, cid: RpcClientId, corr: u64, recv_len: u64) 
         }
         _ => Err(RpcError::VersionMismatch),
     };
-    resolve(w, cid, slot, result);
+    resolve(w, cid, corr, result);
 }
 
 /// The reliability layer declared the server's node dead: every in-flight
@@ -940,27 +764,27 @@ fn on_reply<W: RpcWorld>(w: &mut W, cid: RpcClientId, corr: u64, recv_len: u64) 
 /// awaited died with the peer; a straggler is dropped by the generation
 /// check).
 fn on_client_peer_down<W: RpcWorld>(w: &mut W, cid: RpcClientId) {
-    let pending: Vec<u32> = {
-        let c = &mut w.rpc_mut().clients[cid.0 as usize];
-        let mut pending = Vec::new();
-        for slot in 0..c.calls.len() as u32 {
-            match c.calls[slot as usize].state {
-                CallState::Pending => pending.push(slot),
-                CallState::Draining => c.free_slot(slot),
-                _ => {}
+    let waiting: Vec<RpcCall> = {
+        let t = calls(cid)(w);
+        let mut waiting = Vec::new();
+        let mut draining = Vec::new();
+        for (corr, call) in t.iter() {
+            match call.state {
+                CallState::Pending => waiting.push(corr),
+                CallState::Draining => draining.push(corr),
+                CallState::Done { .. } => {}
             }
         }
-        pending
+        for corr in draining {
+            t.finish(corr);
+        }
+        waiting
     };
-    for slot in pending {
-        // A handler's reaction to an earlier resolution may have touched
-        // this slot (e.g. reissued into it); re-check.
-        let still_pending = {
-            let c = &w.rpc().clients[cid.0 as usize];
-            c.calls[slot as usize].state == CallState::Pending
-        };
-        if still_pending {
-            resolve(w, cid, slot, Err(RpcError::PeerUnreachable));
+    for corr in waiting {
+        // A handler's reaction to an earlier resolution may have resolved
+        // this call too; re-check.
+        if pending(w, cid, corr) {
+            resolve(w, cid, corr, Err(RpcError::PeerUnreachable));
         }
     }
 }
@@ -994,9 +818,7 @@ pub fn rpc_server_create<W: RpcWorld>(
         ring: StagingRing::new(ring, Asid::KERNEL, cfg.ring),
         reply_tx: SendMap::default(),
         replies_in_flight: 0,
-        defers: Vec::new(),
-        defer_free: Vec::new(),
-        defers_pending: 0,
+        defers: ReqTable::new(ep),
         stats: RpcServerStats::default(),
     });
     Ok(id)
@@ -1021,19 +843,11 @@ fn rpc_on_server_event<W: RpcWorld>(
         }
         TransportEvent::PeerDown { peer } => {
             // Deferred replies to the dead node can never be delivered.
-            {
-                let s = &mut w.rpc_mut().servers[sid.0 as usize];
-                for slot in 0..s.defers.len() as u32 {
-                    if let DeferState::Pending { from, .. } = s.defers[slot as usize].state {
-                        if from.node == peer.node {
-                            let d = &mut s.defers[slot as usize];
-                            d.state = DeferState::Free;
-                            d.gen = d.gen.wrapping_add(1);
-                            s.defer_free.push(slot);
-                            s.defers_pending -= 1;
-                        }
-                    }
-                }
+            let defers = &mut w.rpc_mut().servers[sid.0 as usize].defers;
+            let dead = defers.iter().filter(|(_, d)| d.from.node == peer.node);
+            let dead: Vec<u64> = dead.map(|(token, _)| token).collect();
+            for token in dead {
+                defers.finish(token);
             }
             let pd = pd.clone();
             pd(w, peer.node);
@@ -1069,79 +883,54 @@ fn handle_request<W: RpcWorld>(
         layer.stats.expired_dropped += 1;
         return;
     }
-    let overloaded = {
-        let s = &w.rpc().servers[sid.0 as usize];
-        s.pending() >= s.cfg.max_pending
-    };
-    if overloaded {
-        w.rpc_mut().servers[sid.0 as usize].stats.overloads += 1;
+    // Outstanding replies (in flight or deferred) at the watermark shed
+    // the request. Otherwise mint its defer token up front; the
+    // immediate-outcome paths release it right back.
+    let s = &mut w.rpc_mut().servers[sid.0 as usize];
+    let (corr, deadline_ns) = (hdr.corr, hdr.deadline_ns);
+    let token = (s.replies_in_flight + (s.defers.live() as u32) < s.cfg.max_pending)
+        .then(|| {
+            s.defers
+                .mint(Deferred {
+                    from,
+                    corr,
+                    deadline_ns,
+                })
+                .ok()
+        })
+        .flatten();
+    let Some(token) = token else {
+        s.stats.overloads += 1;
         send_reply(w, sid, from, hdr.corr, Some(RpcError::Overload), &[]);
         return;
-    }
-    // Mint the defer token up front; the immediate-outcome paths release
-    // it right back.
-    let token = {
-        let s = &mut w.rpc_mut().servers[sid.0 as usize];
-        let slot = s.defer_free.pop().unwrap_or_else(|| {
-            s.defers.push(DeferSlot {
-                gen: 0,
-                state: DeferState::Free,
-            });
-            (s.defers.len() - 1) as u32
-        });
-        let d = &mut s.defers[slot as usize];
-        d.state = DeferState::Pending {
-            from,
-            corr: hdr.corr,
-            deadline_ns: hdr.deadline_ns,
-        };
-        corr_of(slot, d.gen)
     };
     let req = RpcRequest {
         server: sid,
         from,
         method: hdr.method,
-        deadline: if hdr.deadline_ns == NO_DEADLINE {
-            SimTime::NEVER
-        } else {
-            SimTime::from_nanos(hdr.deadline_ns)
-        },
+        deadline: SimTime::from_nanos(hdr.deadline_ns),
         token,
     };
     let (mut resp, had_cap) = w.rpc_mut().resp_scratch.take();
     let outcome = svc(w, req, payload, &mut resp);
     match outcome {
         RpcOutcome::Reply => {
-            release_defer(w, sid, token);
+            w.rpc_mut().servers[sid.0 as usize].defers.finish(token);
             send_reply(w, sid, from, hdr.corr, None, &resp);
         }
         RpcOutcome::Err(e) => {
-            release_defer(w, sid, token);
+            w.rpc_mut().servers[sid.0 as usize].defers.finish(token);
             send_reply(w, sid, from, hdr.corr, Some(e), &[]);
         }
-        RpcOutcome::Defer => {
-            let s = &mut w.rpc_mut().servers[sid.0 as usize];
-            s.stats.deferred += 1;
-            s.defers_pending += 1;
-        }
+        RpcOutcome::Defer => w.rpc_mut().servers[sid.0 as usize].stats.deferred += 1,
     }
     w.rpc_mut().resp_scratch.put(resp, had_cap);
 }
 
-fn release_defer<W: RpcWorld>(w: &mut W, sid: RpcServerId, token: u64) {
-    let s = &mut w.rpc_mut().servers[sid.0 as usize];
-    let slot = corr_slot(token);
-    let d = &mut s.defers[slot as usize];
-    debug_assert_eq!(d.gen, corr_gen(token));
-    d.state = DeferState::Free;
-    d.gen = d.gen.wrapping_add(1);
-    s.defer_free.push(slot);
-}
-
 /// Complete a deferred request. Returns `false` if the token is stale —
-/// already answered, or its peer died in the meantime (the defer slab is
-/// generation-tagged like the call slab). A deferred reply resolving past
-/// the propagated deadline is suppressed: the caller already resolved
+/// already answered, or its peer died in the meantime (tokens are
+/// generation-tagged request ids, like calls). A deferred reply resolving
+/// past the propagated deadline is suppressed: the caller already resolved
 /// `Deadline` and is not answered late.
 pub fn rpc_server_reply<W: RpcWorld>(
     w: &mut W,
@@ -1150,29 +939,10 @@ pub fn rpc_server_reply<W: RpcWorld>(
     result: Result<&[u8], RpcError>,
 ) -> bool {
     let t_now = now(w);
-    let slot = corr_slot(token);
-    let (from, corr, deadline_ns) = {
-        let s = &mut w.rpc_mut().servers[sid.0 as usize];
-        let Some(d) = s.defers.get_mut(slot as usize) else {
-            return false;
-        };
-        if d.gen != corr_gen(token) {
-            return false;
-        }
-        let DeferState::Pending {
-            from,
-            corr,
-            deadline_ns,
-        } = d.state
-        else {
-            return false;
-        };
-        d.state = DeferState::Free;
-        d.gen = d.gen.wrapping_add(1);
-        s.defer_free.push(slot);
-        s.defers_pending -= 1;
-        (from, corr, deadline_ns)
+    let Some(d) = w.rpc_mut().servers[sid.0 as usize].defers.finish(token) else {
+        return false;
     };
+    let (from, corr, deadline_ns) = (d.from, d.corr, d.deadline_ns);
     if deadline_ns != NO_DEADLINE && t_now.nanos() >= deadline_ns {
         let layer = w.rpc_mut();
         layer.servers[sid.0 as usize].stats.expired_dropped += 1;
@@ -1243,13 +1013,6 @@ pub fn rpc_server_stats<W: RpcWorld>(w: &W, sid: RpcServerId) -> RpcServerStats 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn corr_roundtrip() {
-        let corr = corr_of(17, 0xDEAD);
-        assert_eq!(corr_slot(corr), 17);
-        assert_eq!(corr_gen(corr), 0xDEAD);
-    }
 
     #[test]
     fn call_horizon_is_rels_give_up_budget() {

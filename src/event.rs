@@ -8,10 +8,11 @@
 //! `tests/hotpath_alloc.rs` pins this down. Control code and cold paths
 //! (harness setup, comparison stacks) still box through [`ClusterEv::Call`].
 
+use knet_core::ReqEv;
 use knet_gm::{run_gm_ev, GmEv};
 use knet_kv::{run_kv_ev, KvEv};
 use knet_mx::{run_mx_ev, MxEv};
-use knet_rpc::{run_rpc_ev, RpcEv};
+use knet_rpc::run_rpc_ev;
 use knet_simcore::SimEvent;
 use knet_simnic::{run_nic_ev, NicEv};
 
@@ -26,8 +27,11 @@ pub enum ClusterEv {
     Gm(GmEv),
     /// MX driver completions (sends, matched receives, unexpecteds).
     Mx(MxEv),
-    /// RPC timers: per-call deadlines and each client's horizon timer.
-    Rpc(RpcEv),
+    /// Request-table timers (`knet_core::req`), one variant per service:
+    /// RPC's call deadlines, and every client's one horizon timer.
+    Rpc(ReqEv),
+    Orfs(ReqEv),
+    Nbd(ReqEv),
     /// KV layer: paced operation reissues after failures.
     Kv(KvEv),
     /// Boxed cold path: setup code, comparison stacks, deferred frees.
@@ -44,6 +48,8 @@ impl SimEvent<ClusterWorld> for ClusterEv {
             ClusterEv::Gm(ev) => run_gm_ev(w, ev),
             ClusterEv::Mx(ev) => run_mx_ev(w, ev),
             ClusterEv::Rpc(ev) => run_rpc_ev(w, ev),
+            ClusterEv::Orfs(ev) => knet_orfs::run_orfs_ev(w, ev),
+            ClusterEv::Nbd(ev) => knet_nbd::run_nbd_ev(w, ev),
             ClusterEv::Kv(ev) => run_kv_ev(w, ev),
             ClusterEv::Call(f) => f(w),
         }

@@ -22,8 +22,8 @@
 use knet_coll::{CollLayer, CollWorld};
 use knet_core::api::{self, ConsumerId, CqId, Registry};
 use knet_core::{
-    CompletionHook, DispatchWorld, Endpoint, IoVec, NetError, Sent, TenantId, TenantSendStats,
-    TransportEvent, TransportKind, TransportWorld,
+    CompletionHook, DispatchWorld, Endpoint, IoVec, NetError, ReqEv, Sent, TenantId,
+    TenantSendStats, TransportEvent, TransportKind, TransportWorld,
 };
 use knet_gm::{
     gm_on_packet, gm_on_vma_event, gm_open_port, gm_provide_receive_buffer, gm_send_t, GmEv,
@@ -36,7 +36,7 @@ use knet_mx::{
 };
 use knet_nbd::{NbdLayer, NbdWorld};
 use knet_orfs::{OrfsLayer, OrfsWorld};
-use knet_rpc::{RpcEv, RpcLayer, RpcWorld};
+use knet_rpc::{RpcLayer, RpcWorld};
 use knet_simcore::{Counters, Merge, Scheduler, SimWorld};
 
 use crate::event::ClusterEv;
@@ -57,7 +57,8 @@ pub struct ClusterWorld {
     pub nbd: NbdLayer,
     /// Collective groups (rosters, round counters, completion contexts).
     pub coll: CollLayer,
-    /// Typed RPC over channels: call slabs, servers, deadline timers.
+    /// Typed RPC over channels: clients (each a request table of calls),
+    /// servers.
     pub rpc: RpcLayer<ClusterWorld>,
     /// Replicated KV store (the RPC layer's proof-of-API consumer).
     pub kv: KvLayer,
@@ -73,12 +74,12 @@ impl ClusterWorld {
             nics,
             gm,
             mx: MxLayer::default(),
-            orfs: OrfsLayer::new(),
+            orfs: OrfsLayer::default(),
             zsock: ZsockLayer::default(),
             tcp: TcpLayer::default(),
-            nbd: NbdLayer::new(),
+            nbd: NbdLayer::default(),
             coll: CollLayer::default(),
-            rpc: RpcLayer::new(),
+            rpc: RpcLayer::default(),
             kv: KvLayer::new(),
             registry: Registry::new(),
         }
@@ -454,7 +455,7 @@ impl RpcWorld for ClusterWorld {
     fn rpc_mut(&mut self) -> &mut RpcLayer<Self> {
         &mut self.rpc
     }
-    fn lift_rpc(ev: RpcEv) -> ClusterEv {
+    fn lift_rpc(ev: ReqEv) -> ClusterEv {
         ClusterEv::Rpc(ev)
     }
 }
@@ -569,6 +570,9 @@ impl OrfsWorld for ClusterWorld {
     fn orfs_mut(&mut self) -> &mut OrfsLayer {
         &mut self.orfs
     }
+    fn lift_orfs(ev: ReqEv) -> ClusterEv {
+        ClusterEv::Orfs(ev)
+    }
 }
 
 impl ZsockWorld for ClusterWorld {
@@ -595,5 +599,8 @@ impl NbdWorld for ClusterWorld {
     }
     fn nbd_mut(&mut self) -> &mut NbdLayer {
         &mut self.nbd
+    }
+    fn lift_nbd(ev: ReqEv) -> ClusterEv {
+        ClusterEv::Nbd(ev)
     }
 }

@@ -46,7 +46,6 @@ const FORBIDDEN: &[&str] = &[
     "src",
     "examples",
     "crates/zsock",
-    "crates/bench",
     "crates/simfs",
     "crates/orfs",
     "crates/nbd",
@@ -69,7 +68,6 @@ const REL_FORBIDDEN: &[&str] = &[
     "tests",
     "crates/core",
     "crates/zsock",
-    "crates/bench",
     "crates/simfs",
     "crates/orfs",
     "crates/nbd",
@@ -165,7 +163,6 @@ const COLL_FORBIDDEN: &[&str] = &[
     "crates/core",
     "crates/coll",
     "crates/zsock",
-    "crates/bench",
     "crates/simfs",
     "crates/orfs",
     "crates/nbd",
@@ -178,8 +175,8 @@ const COLL_FORBIDDEN: &[&str] = &[
 /// steady-state events are *typed* (`lift_nic`/`lift_gm`/`lift_mx` →
 /// `ClusterEv` variants); the old free functions (`at`/`after`/
 /// `immediately`) that boxed every closure are gone from `knet_simcore`'s
-/// surface and must not come back above it. The composed cluster crate,
-/// examples and benches may also not fall back to `BoxEvent` — that type
+/// surface and must not come back above it. The composed cluster crate
+/// and the examples may also not fall back to `BoxEvent` — that type
 /// exists for standalone layer test-worlds only.
 const ENGINE_FORBIDDEN: &[&str] = &[
     "src",
@@ -192,7 +189,6 @@ const ENGINE_FORBIDDEN: &[&str] = &[
     "crates/simnic",
     "crates/simos",
     "crates/zsock",
-    "crates/bench",
     "crates/simfs",
     "crates/orfs",
     "crates/nbd",
@@ -200,7 +196,7 @@ const ENGINE_FORBIDDEN: &[&str] = &[
 
 /// Stricter subset: nothing in the composed cluster paths may even name the
 /// boxed-event fallback type.
-const BOXEVENT_FORBIDDEN: &[&str] = &["src", "examples", "crates/bench"];
+const BOXEVENT_FORBIDDEN: &[&str] = &["src", "examples"];
 
 #[test]
 fn boxed_event_scheduling_stays_inside_the_engine() {
@@ -264,9 +260,11 @@ fn kv_store_speaks_typed_rpc_only() {
 /// request-id mint with its pending map — and the copies drifted (one
 /// forgot the peer-death rule, all of them bounded their ring with a
 /// `debug_assert`). These are the names the copies went by; none may grow
-/// back in a service crate. (The socket layer keeps a ring of its own —
-/// *tracked* extents, a different algorithm — so only the map and mint
-/// names are fenced there.)
+/// back in a service crate. RPC's private call slab went by the last
+/// three: request ids — with their generation tag and horizon timer — are
+/// minted only in `knet_core::req`. (The socket layer keeps a ring of its
+/// own — *tracked* extents, a different algorithm — so only the map and
+/// mint names are fenced there.)
 const REQ_SEAM_FORBIDDEN: &[&str] = &["crates/orfs", "crates/nbd", "crates/rpc", "crates/kv"];
 
 #[test]
@@ -278,6 +276,9 @@ fn request_plumbing_lives_in_the_shared_seam_only() {
         format!("reply_{}", "slots"),
         format!("tx_{}", "inflight"),
         format!("next_{}", "reqid"),
+        format!("corr_{}", "of"),
+        format!("Call{}", "Slot"),
+        format!("horizon_{}", "armed"),
     ];
     let mut everything = maps_and_mints.clone();
     everything.push(format!("fn ring_{}", "reserve"));
@@ -305,7 +306,6 @@ const WDRR_FORBIDDEN: &[&str] = &[
     "tests",
     "crates/coll",
     "crates/zsock",
-    "crates/bench",
     "crates/simfs",
     "crates/orfs",
     "crates/nbd",
@@ -349,7 +349,6 @@ const LANE_FORBIDDEN: &[&str] = &[
     "crates/gm",
     "crates/mx",
     "crates/zsock",
-    "crates/bench",
     "crates/simfs",
     "crates/orfs",
     "crates/nbd",

@@ -306,8 +306,10 @@ fn orfs_server_kill_gives_the_in_flight_pages_back() {
 }
 
 /// Requests queued behind GM's send tokens whose retry fails (the server's
-/// port closed meanwhile) end in `SendFailed`: exactly those reads fail,
-/// and exactly their pages leave the cache.
+/// port closed meanwhile) end in `SendFailed`: exactly those reads fail
+/// `Net`. The reads whose request did leave wait on a server that is gone
+/// but not dead, until `CALL_HORIZON`: then they fail `Deadline`. Every
+/// read resolves once, and every page leaves the cache with its read.
 #[test]
 fn orfs_failed_sends_give_their_pages_back() {
     let (mut fx, fd) = orfs(TransportKind::Gm, false);
@@ -321,20 +323,19 @@ fn orfs_failed_sends_give_their_pages_back() {
     knet_gm::gm_close_port(w, server_port).unwrap();
     run_to_quiescence(w);
     let c = w.orfs.client(cid);
-    let failed = c
-        .completed
-        .iter()
-        .filter(|(sid, r)| sids.contains(sid) && *r == Err(OrfsError::Net))
-        .count() as u64;
-    assert_eq!(c.completed.len() as u64, failed, "nothing else resolved");
+    let resolved = |e: OrfsError| {
+        let r = c.completed.iter();
+        r.filter(|(sid, r)| sids.contains(sid) && *r == Err(e))
+            .count() as u64
+    };
+    let (failed, expired) = (resolved(OrfsError::Net), resolved(OrfsError::Deadline));
+    assert_eq!(c.completed.len() as u64, issued, "each read resolves once");
     assert!(failed >= 4, "the queued requests failed: {failed}");
-    // The reads whose request did leave wait on a server that is gone but
-    // not dead; they still own their pages. The failed ones own nothing.
+    assert_eq!(failed + expired, issued, "the rest expired at the horizon");
+    assert_eq!(c.requests().live(), 0);
+    assert!(c.pageio().is_idle());
     let after = footprint(w, n0);
-    assert_eq!(
-        (u64::from(after.0 - before.0), (after.1 - before.1) as u64),
-        (issued - failed, issued - failed)
-    );
+    assert_eq!((after.0, after.1), (before.0, before.1));
 }
 
 /// The node runs out of frames on page 2 of a combined run: pages 0 and 1

@@ -81,6 +81,20 @@ fn assert_gm_tokens_home(w: &ClusterWorld) {
     }
 }
 
+/// Every open ORFS, NBD and RPC client holds no live request: each one
+/// ended by its reply, a failure or its horizon, and gave its slot back.
+fn assert_no_live_requests(w: &ClusterWorld) {
+    for c in &w.orfs.clients {
+        assert_eq!(c.requests().live(), 0, "ORFS client {:?}", c.id);
+    }
+    for c in &w.nbd.clients {
+        assert_eq!(c.requests().live(), 0, "NBD client {:?}", c.id);
+    }
+    for c in &w.rpc.clients {
+        assert_eq!(c.live_requests(), 0, "RPC client {:?}", c.id);
+    }
+}
+
 fn fill_user(w: &mut ClusterWorld, buf: &UBuf, data: &[u8]) {
     w.os.node_mut(buf.node)
         .write_virt(buf.asid, buf.addr, data)
@@ -131,6 +145,7 @@ fn zsock_scenario(kind: TransportKind, fault: FaultPlan) -> u64 {
     assert_eq!(w.zsock.sock(sa).error(), None, "{kind:?}: never poisoned");
     assert_eq!(w.zsock.sock(sb).error(), None);
     assert_gm_tokens_home(&w);
+    assert_no_live_requests(&w);
     // Context-pool slots stay bounded (released on completion — no leak)
     // while recycling keeps happening.
     let st = w.registry.stats;
@@ -197,6 +212,7 @@ fn orfs_scenario(kind: TransportKind, fault: FaultPlan) {
     );
     run_to_quiescence(&mut fx.w);
     assert_no_engine_errors(&fx.w);
+    assert_no_live_requests(&fx.w);
 }
 
 fn nbd_wait(w: &mut ClusterWorld, cid: knet_nbd::NbdClientId, op: NbdOp) -> knet_nbd::NbdResult {
@@ -256,6 +272,7 @@ fn nbd_scenario(fault: FaultPlan) {
     );
     run_to_quiescence(&mut w);
     assert_no_engine_errors(&w);
+    assert_no_live_requests(&w);
 }
 
 proptest! {
@@ -406,6 +423,7 @@ fn killing_the_server_fails_all_ops_typed() {
         );
         run_to_quiescence(&mut fx.w);
         assert_no_engine_errors(&fx.w);
+        assert_no_live_requests(&fx.w);
     }
 }
 
@@ -559,6 +577,7 @@ fn orfs_server_kill_spares_surviving_traffic() {
     );
     assert_eq!(w.nics.tx_queued(), 0, "transmit queues empty");
     assert_gm_tokens_home(&w);
+    assert_no_live_requests(&w);
     assert_eq!(
         w.orfs.servers[sid_b.0 as usize].staging_len(),
         0,
@@ -642,6 +661,7 @@ fn nbd_server_kill_spares_surviving_traffic() {
     assert_eq!(w.nics.rel.buffered_total(), 0, "window rings drained");
     assert_eq!(w.nics.tx_queued(), 0, "transmit queues empty");
     assert_gm_tokens_home(&w);
+    assert_no_live_requests(&w);
     let st = w.stats();
     assert!(
         st.registry.ctx_pool_slots <= 256,

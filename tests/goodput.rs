@@ -77,7 +77,7 @@ const LOSS_SWEEP_ROWS: [(u64, u64, u64, u64, u64, u64, u64); 6] = [
 ];
 
 /// The loss sweep never stalls and never kills a live link. It is the
-/// heavy-loss gate of ROADMAP direction 1(c).
+/// heavy-loss gate of ROADMAP direction 4(b).
 #[test]
 fn loss_sweep_delivers_every_message_and_kills_no_link() {
     let mut got = Vec::new();

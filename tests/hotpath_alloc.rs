@@ -1012,8 +1012,11 @@ fn collective_rounds_recycle_pools_in_steady_state() {
 /// announced writes (two sends per request), direct reads, a metadata
 /// call; windowed block writes (eight requests in flight) and raw reads —
 /// and once warm, correlating all of it costs nothing: the request tables
-/// (waiter list + send-context map) stop growing, and so does the channel
-/// context pool underneath them.
+/// (slab + send-context map) stop growing, and so does the channel
+/// context pool underneath them. The rounds run back to back, each only
+/// until its ops resolved, for at least two `CALL_HORIZON`s of virtual
+/// time: each table's horizon timer fires inside the measured window with
+/// requests in flight, and re-arms.
 #[test]
 fn orfs_and_nbd_request_paths_keep_the_request_seam_flat() {
     use knet::figures::{fs_fixture, FsOpts};
@@ -1045,15 +1048,21 @@ fn orfs_and_nbd_request_paths_keep_the_request_seam_flat() {
         fsops::stat(w, cid, "/data").unwrap();
         let write = knet_nbd::nbd_write(w, nbd, nbd_user.memref(128 * 1024), 0);
         let read = knet_nbd::nbd_read_raw(w, nbd, nbd_user.memref(4096), 3);
-        knet_simcore::run_to_quiescence(w);
+        let resolved = |w: &ClusterWorld| {
+            let done = &w.nbd.clients[nbd.0 as usize].completed;
+            [write, read]
+                .iter()
+                .all(|op| done.iter().any(|(o, _)| o == op))
+        };
+        assert_eq!(run_until(w, resolved), RunOutcome::Satisfied);
         let c = &mut w.nbd.clients[nbd.0 as usize];
         assert_eq!(knet_nbd::nbd_wait(c, write), Some(Ok(128 * 1024)));
         assert_eq!(knet_nbd::nbd_wait(c, read), Some(Ok(4096)));
     };
     let sizes = |w: &ClusterWorld| {
         (
-            w.orfs.client(cid).request_table_capacity(),
-            w.nbd.clients[nbd.0 as usize].request_table_capacity(),
+            w.orfs.client(cid).requests().capacity(),
+            w.nbd.clients[nbd.0 as usize].requests().capacity(),
             w.registry.stats.ctx_pool_slots,
         )
     };
@@ -1066,8 +1075,10 @@ fn orfs_and_nbd_request_paths_keep_the_request_seam_flat() {
         warm.0 > 0 && warm.1 >= 8,
         "warm-up is where the tables grow"
     );
-    for _ in 0..50 {
+    let (t_warm, mut rounds) = (now(&fx.w), 0);
+    while rounds < 50 || now(&fx.w) < t_warm + CALL_HORIZON * 2 {
         round(&mut fx.w);
+        rounds += 1;
     }
     assert!(fx.w.orfs.client(cid).stats.requests >= requests0 + 150);
     assert_eq!(

@@ -458,7 +458,7 @@ fn kv_promotes_within_a_millisecond_of_the_kill() {
 /// which an RPC layer that re-sends on 2 ms of silence, and reads a spent
 /// attempt budget as a death, fails ops or splits the replicas. Every run
 /// must pass the every-run checks; the runs where rel itself declared a
-/// live link dead (direction 1(c) of the ROADMAP) are listed and held to
+/// live link dead (direction 4(b) of the ROADMAP) are listed and held to
 /// those only.
 #[test]
 fn kv_loss_sweep_fails_no_op_while_every_link_lives() {
