@@ -1395,6 +1395,13 @@ pub fn channel_cancel_recv<W: DispatchWorld>(w: &mut W, ch: ChannelId, tag: u64)
     false
 }
 
+/// Whether a message is arriving into the receive posted on `ch` under
+/// `tag` ([`TransportWorld::t_recv_filling`]).
+pub(crate) fn channel_recv_filling<W: DispatchWorld>(w: &W, ch: ChannelId, tag: u64) -> bool {
+    let local = w.registry().channel(ch).map(|c| c.local);
+    local.is_some_and(|ep| w.t_recv_filling(ep, tag))
+}
+
 /// Withdraw a send still parked in the channel's backpressure queue.
 ///
 /// Returns `true` iff `ctx` was waiting for transport tokens and never

@@ -419,6 +419,13 @@ impl<B: Posted> Reassembly<B> {
         buf
     }
 
+    /// Whether an incomplete message holds the buffer posted on endpoint
+    /// `dst` with exactly `tag` — captured or committed alike.
+    pub fn holds(&self, dst: u32, tag: u64) -> bool {
+        let holds = |a: &Assembly<B>| a.matched.as_ref().is_some_and(|b| b.tag() == tag);
+        self.map.iter().any(|(k, a)| k.0 == dst && holds(a))
+    }
+
     /// Forget every incomplete message `gone(dst endpoint, link)` selects —
     /// an endpoint that closed, a `(local, remote)` link declared dead —
     /// and hand back `(dst endpoint, captured buffer)`, newest message
@@ -586,6 +593,7 @@ mod tests {
         t.commit(&hdr(1, 1), link, Buf(7, 8192));
         assert!(posted.is_empty(), "both captured");
         assert_eq!(t.incomplete(), 3);
+        assert!(t.holds(3, 7) && !t.holds(2, 7) && !t.holds(3, 8));
         assert!(t.cancel_captured(2, 7).is_none(), "another endpoint's");
         assert!(t.cancel_captured(3, 8).is_none(), "another tag");
         // Cancel takes the oldest message's buffer and leaves a tombstone
@@ -598,11 +606,13 @@ mod tests {
         // Then the other eager message's; never the committed one.
         assert!(t.cancel_captured(3, 7).is_some());
         assert!(t.cancel_captured(3, 7).is_none());
+        assert!(t.holds(3, 7), "the committed buffer is still filling");
         // Peer death on another link touches nothing; on this one it hands
         // the committed buffer back with its endpoint and clears the table.
         assert!(t.abandon(|_, l| l == (NicId(1), NicId(2))).is_empty());
         let back = t.abandon(|_, l| l == link);
         assert!(matches!(back[..], [(3, Buf(7, 8192))]));
         assert_eq!(t.map.len(), 0);
+        assert!(!t.holds(3, 7));
     }
 }

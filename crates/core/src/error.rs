@@ -52,8 +52,9 @@ pub enum NetError {
     /// which case admission can never succeed). Typed and synchronous —
     /// the send never entered any queue.
     Overload,
-    /// A request to a peer that stays up was not answered within
-    /// `req::CALL_HORIZON`; its reply buffer was withdrawn.
+    /// A request's peer stayed up and silent for `req::CALL_HORIZON`:
+    /// every send of the request had completed and no reply was arriving.
+    /// Its reply buffer was withdrawn.
     Deadline,
     /// 65 536 requests already in flight: the client's `req::ReqTable` has
     /// no free slot. Synchronous; nothing was sent.

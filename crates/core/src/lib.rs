@@ -72,8 +72,8 @@ pub use iovec::{
 pub use pace::{pace_submit, pace_timer_fired, PaceLanes, PacedSend, Sent};
 pub use regcache::{RangePlan, RegCache, RegCacheStats, RegKey};
 pub use req::{
-    bound_request, channel_send_request, expire_request, horizon_fired, req_slot, ring_stage,
-    ReqEv, ReqTable, SendMap, StagingRing, CALL_HORIZON, REQ_ID_MASK,
+    bound_request, channel_send_request, expire_silent, horizon_fired, req_slot, ring_stage, ReqEv,
+    ReqTable, SendMap, StagingRing, CALL_HORIZON, REQ_ID_MASK,
 };
 pub use tenant::{TenantId, TenantSendStats, TenantTable};
 pub use transport::{Endpoint, TransportEvent, TransportKind, TransportWorld};

@@ -23,11 +23,16 @@
 //! live requests is refused ([`NetError::RequestTableFull`]).
 //!
 //! **Expiry.** A request without a caller deadline expires [`CALL_HORIZON`]
-//! after submit. Each table keeps at most one horizon timer
-//! ([`ReqEv::Horizon`]), re-armed at the earliest pending expiry each time
-//! it fires ([`horizon_fired`]). A request expires once; the service may
-//! leave it pending when a matched reply is already landing in its buffer.
-//! A caller's own deadline (RPC) is a per-request [`ReqEv::Deadline`].
+//! after it was last bounded ([`bound_request`]): RPC bounds a call at
+//! submit; a storage client (ORFS, NBD) bounds a request at submit and
+//! again at each `SendDone` of it, so its horizon measures how long the
+//! server has been silent, not how long the transfer took. Each table
+//! keeps at most one horizon timer ([`ReqEv::Horizon`]), re-armed at the
+//! earliest pending expiry each time it fires ([`horizon_fired`]). A
+//! storage request ends at expiry only if nothing is moving for it
+//! ([`expire_silent`]); otherwise it stays pending for the transfer under
+//! way. A caller's own deadline (RPC) is a per-request
+//! [`ReqEv::Deadline`].
 //!
 //! The types name no service and no world. Which channels hear about a
 //! dead peer at all is decided below them, in
@@ -37,7 +42,9 @@ use knet_simcore::{emit_at, now, SimTime, SimWorld};
 use knet_simnic::rel;
 use knet_simos::{Asid, NodeId, NodeOs, VirtAddr};
 
-use crate::api::{channel_cancel_recv, channel_send, ctx_slot, ChannelId, DispatchWorld};
+use crate::api::{
+    channel_cancel_recv, channel_recv_filling, channel_send, ctx_slot, ChannelId, DispatchWorld,
+};
 use crate::error::NetError;
 use crate::iovec::{IoVec, MemRef};
 use crate::transport::Endpoint;
@@ -172,8 +179,8 @@ const REQ_NODE_BITS: u32 = 14;
 const SLOT_BITS: u32 = 16;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
-/// How long a request without a caller deadline waits for its reply before
-/// it expires: `rel::MAX_RETRIES + 1` unanswered questions, each at most
+/// How long a request without a caller deadline waits on a silent peer
+/// before it expires: `rel::MAX_RETRIES + 1` unanswered questions, each at most
 /// `rel::MAX_RTO` apart — the longest silence a live link can show before
 /// the reliability layer itself declares the peer dead. Past it, either
 /// `PeerDown` has already ended the request or the peer is alive and not
@@ -360,8 +367,9 @@ impl<T> ReqTable<T> {
     }
 }
 
-/// Bound live request `id` of `table` by [`CALL_HORIZON`] from now, and
-/// arm the table's horizon timer — `horizon` on `node` — if none is armed.
+/// Bound live request `id` of `table` by [`CALL_HORIZON`] from now (a later
+/// bound replaces an earlier one), and arm the table's horizon timer —
+/// `horizon` on `node` — if none is armed.
 pub fn bound_request<W: SimWorld, T>(
     w: &mut W,
     node: NodeId,
@@ -396,23 +404,42 @@ pub fn horizon_fired<W: SimWorld, T>(
     }
 }
 
-/// Request `id` of a storage client — its record says whether a reply
-/// buffer is posted under the id — expired. The buffer is withdrawn first;
-/// if that loses, a matched reply is already landing in it: the request
-/// stays pending and that reply resolves it (`None`). Otherwise the request
-/// ends and its record comes back, for the caller to fail.
-pub fn expire_request<W: DispatchWorld, T: Copy>(
+/// [`horizon_fired`] for a storage client on channel `ch`, whose records
+/// say whether a reply buffer is posted under the request's id. A request
+/// past its expiry stays pending while the transport still works for it:
+///
+/// * a send of it is queued or on the wire: the transport may still read
+///   the caller's buffer. Its `SendDone` bounds the request again, its
+///   `SendFailed` fails it;
+/// * a reply is arriving into its buffer, or the buffer's withdrawal
+///   loses to a completion already on its way: that reply resolves it, or
+///   the peer's death does.
+///
+/// Otherwise the buffer is withdrawn, the request ends and `fail` fails
+/// its op with the record.
+pub fn expire_silent<W: DispatchWorld, T: Copy>(
     w: &mut W,
+    node: NodeId,
     ch: ChannelId,
-    id: u64,
     table: impl Fn(&mut W) -> &mut ReqTable<(T, bool)>,
-) -> Option<T> {
-    let &(rec, posted) = table(w).get(id)?;
-    if posted && !channel_cancel_recv(w, ch, id) {
-        return None;
-    }
-    table(w).finish(id);
-    Some(rec)
+    mut fail: impl FnMut(&mut W, T),
+    horizon: impl FnOnce() -> W::Ev,
+) {
+    let expire = |w: &mut W, id| {
+        let t = table(w);
+        let Some(&(rec, posted)) = t.get(id) else {
+            return;
+        };
+        if t.sends.values().any(|&sent| sent == id) {
+            return;
+        }
+        if posted && (channel_recv_filling(w, ch, id) || !channel_cancel_recv(w, ch, id)) {
+            return;
+        }
+        table(w).finish(id);
+        fail(w, rec);
+    };
+    horizon_fired(w, node, &table, expire, horizon);
 }
 
 /// [`channel_send`] for a message of request `id` (`table` selects the

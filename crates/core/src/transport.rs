@@ -196,6 +196,12 @@ pub trait TransportWorld: NicWorld {
     ///   zero-copy socket layer relies on (`knet-zsock`): it withdraws the
     ///   now-useless descriptor and lands the bytes by copy.
     fn t_cancel_recv(&mut self, ep: Endpoint, tag: u64) -> bool;
+
+    /// Whether a message is arriving into the receive posted on `ep` with
+    /// this `tag`: it matched the receive (captured it, or an accepted
+    /// rendezvous was committed to it) and has not finished. Its `RecvDone`
+    /// follows, or the sender's death hands the receive back.
+    fn t_recv_filling(&self, ep: Endpoint, tag: u64) -> bool;
 }
 
 #[cfg(test)]

@@ -1009,6 +1009,12 @@ pub fn gm_cancel_receive_buffer<W: GmWorld>(w: &mut W, port_id: GmPortId, tag: u
         || l.assemblies.cancel_captured(port_id.0, tag).is_some()
 }
 
+/// Whether a message that has not finished arriving captured the receive
+/// buffer provided on `port_id` with exactly this tag.
+pub fn gm_recv_filling<W: GmWorld>(w: &W, port_id: GmPortId, tag: u64) -> bool {
+    w.gm().assemblies.holds(port_id.0, tag)
+}
+
 /// The reliability window toward `remote` died: nothing more will arrive
 /// from it. Messages it was still sending to ports on `local` are dropped,
 /// and a buffer one had captured goes back to the head of its port's queue

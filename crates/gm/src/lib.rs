@@ -30,7 +30,8 @@ mod tests;
 pub use cache::{gm_ensure_cached, gm_on_vma_event};
 pub use layer::{
     gm_cancel_receive_buffer, gm_close_port, gm_coll_post, gm_deregister, gm_on_packet,
-    gm_open_port, gm_peer_down, gm_provide_receive_buffer, gm_register, gm_send_t, run_gm_ev, GmEv,
-    GmLayer, GmPort, GmPortConfig, GmPortId, GmStats, GmWorld, PacedGmSend, PortMode, GM_ANY_TAG,
+    gm_open_port, gm_peer_down, gm_provide_receive_buffer, gm_recv_filling, gm_register, gm_send_t,
+    run_gm_ev, GmEv, GmLayer, GmPort, GmPortConfig, GmPortId, GmStats, GmWorld, PacedGmSend,
+    PortMode, GM_ANY_TAG,
 };
 pub use params::GmParams;

@@ -1143,6 +1143,13 @@ pub fn mx_cancel_recv<W: MxWorld>(w: &mut W, ep_id: MxEndpointId, tag: u64) -> b
     }
 }
 
+/// Whether a message that has not finished arriving holds the receive
+/// posted on `ep_id` with exactly this tag: an eager one captured it, or
+/// an accepted rendezvous was committed to it.
+pub fn mx_recv_filling<W: MxWorld>(w: &W, ep_id: MxEndpointId, tag: u64) -> bool {
+    w.mx().inbound.holds(ep_id.0, tag)
+}
+
 /// The reliability window from `local` toward `remote` died. Every
 /// rendezvous send waiting for a CTS from `remote` fails (unpinned, then
 /// `SendFailed`), in message order; messages `remote` was still sending to

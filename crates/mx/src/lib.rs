@@ -24,7 +24,7 @@ mod tests;
 
 pub use layer::{
     mx_cancel_recv, mx_close_endpoint, mx_coll_post, mx_irecv, mx_isend_t, mx_on_packet,
-    mx_open_endpoint, mx_peer_down, run_mx_ev, MxEndpoint, MxEndpointConfig, MxEndpointId, MxEv,
-    MxLayer, MxMode, MxOpts, MxStats, MxWorld, PacedMxSend, MX_ANY_TAG,
+    mx_open_endpoint, mx_peer_down, mx_recv_filling, run_mx_ev, MxEndpoint, MxEndpointConfig,
+    MxEndpointId, MxEv, MxLayer, MxMode, MxOpts, MxStats, MxWorld, PacedMxSend, MX_ANY_TAG,
 };
 pub use params::MxProtocol;

@@ -17,8 +17,8 @@ use bytes::Bytes;
 use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
 use knet_core::pageio::{self, Cursor, Fill, PageIo, Probe, Then};
 use knet_core::{
-    bound_request, channel_send_request, expire_request, horizon_fired, ring_stage, ChannelId,
-    Endpoint, IoVec, MemRef, NetError, ReqEv, ReqTable, StagingRing, TransportEvent,
+    bound_request, channel_send_request, expire_silent, ring_stage, ChannelId, Endpoint, IoVec,
+    MemRef, NetError, ReqEv, ReqTable, StagingRing, TransportEvent,
 };
 use knet_simos::{cpu_charge, Asid, PageKey};
 
@@ -141,15 +141,15 @@ pub fn nbd_client_create<W: NbdWorld>(
 }
 
 impl NbdClient {
-    /// Requests in flight (its slab stays flat in steady state, asserted
-    /// by `tests/hotpath_alloc.rs`).
-    pub fn requests(&self) -> &ReqTable<(NbdOp, bool)> {
-        &self.reqs
+    /// Requests the request table has room for (flat in steady state;
+    /// asserted by `tests/hotpath_alloc.rs`).
+    pub fn request_table_capacity(&self) -> usize {
+        self.reqs.capacity()
     }
 
-    /// The cached-I/O engine state: fetches in flight, readers parked.
-    pub fn pageio(&self) -> &PageIo {
-        &self.pageio
+    /// No request in flight, no sector fetch in flight, no reader parked.
+    pub fn is_quiet(&self) -> bool {
+        self.reqs.live() == 0 && self.pageio.is_idle()
     }
 
     /// The page-cache key of `sector` as this client caches it.
@@ -180,11 +180,8 @@ fn fail_request<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64, op: NbdOp,
 
 /// Drop `op` and complete it with `e` — once: an op already gone is left.
 fn fail<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, e: NetError) {
-    if w.nbd_mut().clients[cid.0 as usize]
-        .ops
-        .remove(&op)
-        .is_some()
-    {
+    let c = &mut w.nbd_mut().clients[cid.0 as usize];
+    if c.ops.remove(&op).is_some() {
         fail_op(w, cid, op, e);
     }
 }
@@ -204,12 +201,18 @@ fn fail_op<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, e: NetError) {
 /// Mint a request id for `op`, bounded by `CALL_HORIZON`. A full request
 /// table fails the op, as a rejected send does.
 fn mint<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) -> Option<u64> {
-    let c = &mut w.nbd_mut().clients[cid.0 as usize];
-    let (minted, node) = (c.reqs.mint((op, false)), c.ep.node);
+    let minted = w.nbd_mut().clients[cid.0 as usize].reqs.mint((op, false));
     let reqid = minted.map_err(|e| fail(w, cid, op, e)).ok()?;
+    bound(w, cid, reqid);
+    Some(reqid)
+}
+
+/// (Re)start request `reqid`'s horizon: it expires `CALL_HORIZON` from now
+/// unless something moves before.
+fn bound<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64) {
+    let node = w.nbd().clients[cid.0 as usize].ep.node;
     let horizon = || W::lift_nbd(ReqEv::Horizon { table: cid.0 });
     bound_request(w, node, reqid, reqs(cid), horizon);
-    Some(reqid)
 }
 
 /// Post `iov` as the reply buffer of request `reqid`.
@@ -225,8 +228,8 @@ fn reqs<W: NbdWorld>(cid: NbdClientId) -> impl Fn(&mut W) -> &mut ReqTable<(NbdO
     move |w| &mut w.nbd_mut().clients[cid.0 as usize].reqs
 }
 
-/// Client `table`'s horizon timer fired: a request unanswered for
-/// `CALL_HORIZON` fails its op [`NetError::Deadline`] (a sector it was
+/// Client `table`'s horizon timer fired: a request the server left silent
+/// for `CALL_HORIZON` fails its op [`NetError::Deadline`] (a sector it was
 /// fetching goes back through `pageio::abandoned`).
 pub fn run_nbd_ev<W: NbdWorld>(w: &mut W, ev: ReqEv) {
     // NBD requests carry no caller deadline: only the horizon fires.
@@ -234,12 +237,8 @@ pub fn run_nbd_ev<W: NbdWorld>(w: &mut W, ev: ReqEv) {
     let cid = NbdClientId(table);
     let c = &w.nbd().clients[cid.0 as usize];
     let (node, ch) = (c.ep.node, c.ch);
-    let expire = |w: &mut W, reqid| {
-        if let Some(op) = expire_request(w, ch, reqid, reqs(cid)) {
-            fail(w, cid, op, NetError::Deadline);
-        }
-    };
-    horizon_fired(w, node, reqs(cid), expire, || W::lift_nbd(ev));
+    let expired = |w: &mut W, op| fail(w, cid, op, NetError::Deadline);
+    expire_silent(w, node, ch, reqs(cid), expired, || W::lift_nbd(ev));
 }
 
 /// Continue `op` after the sector it was parked on settled.
@@ -265,8 +264,10 @@ fn send_request<W: NbdWorld>(
     req: NbdRequest,
     payload: &[u8],
 ) {
-    let c = &w.nbd().clients[cid.0 as usize];
-    let (node, ch) = (c.ep.node, c.ch);
+    let (node, ch) = {
+        let c = &w.nbd().clients[cid.0 as usize];
+        (c.ep.node, c.ch)
+    };
     let seg = ring_stage(
         w,
         node,
@@ -490,7 +491,11 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
         TransportEvent::RecvDone { tag, len, .. } => (tag, len),
         TransportEvent::Unexpected { tag, data, .. } => (tag, data.len() as u64),
         TransportEvent::SendDone { ctx } => {
-            w.nbd_mut().clients[cid.0 as usize].reqs.sent(ctx);
+            // The transport is done with a send of the request: from
+            // here on only the server's silence counts.
+            if let Some(reqid) = w.nbd_mut().clients[cid.0 as usize].reqs.sent(ctx) {
+                bound(w, cid, reqid);
+            }
             return;
         }
         TransportEvent::SendFailed { ctx, error } => {
@@ -552,9 +557,11 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
                 c.ops.remove(&op);
                 c.completed.push_back((op, Ok(len)));
             } else {
-                let c = &mut w.nbd_mut().clients[cid.0 as usize];
-                if let Some(OpState::Write { remaining_acks, .. }) = c.ops.get_mut(&op) {
-                    *remaining_acks -= 1;
+                {
+                    let c = &mut w.nbd_mut().clients[cid.0 as usize];
+                    if let Some(OpState::Write { remaining_acks, .. }) = c.ops.get_mut(&op) {
+                        *remaining_acks -= 1;
+                    }
                 }
                 issue_next_write_chunk(w, cid, op);
             }

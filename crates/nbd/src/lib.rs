@@ -36,6 +36,12 @@ pub struct NbdLayer {
     pub clients: Vec<NbdClient>,
 }
 
+impl NbdLayer {
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Capability trait: a world hosting NBD clients and servers.
 pub trait NbdWorld: DispatchWorld {
     fn nbd(&self) -> &NbdLayer;

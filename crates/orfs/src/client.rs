@@ -21,8 +21,8 @@ use std::collections::{BTreeMap, VecDeque};
 use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
 use knet_core::pageio::{self, Cursor, Fill, PageIo, Probe, Run, Then};
 use knet_core::{
-    bound_request, channel_send_request, expire_request, horizon_fired, ring_stage, ChannelId,
-    Endpoint, IoVec, MemRef, NetError, ReqEv, ReqTable, StagingRing, TransportEvent, TransportKind,
+    bound_request, channel_send_request, expire_silent, ring_stage, ChannelId, Endpoint, IoVec,
+    MemRef, NetError, ReqEv, ReqTable, StagingRing, TransportEvent, TransportKind,
 };
 use knet_simcore::SimTime;
 use knet_simfs::FsError;
@@ -277,15 +277,15 @@ pub fn client_create<W: OrfsWorld>(
 }
 
 impl OrfsClient {
-    /// Requests in flight (its slab stays flat in steady state, asserted
-    /// by `tests/hotpath_alloc.rs`).
-    pub fn requests(&self) -> &ReqTable<(SyscallId, bool)> {
-        &self.reqs
+    /// Requests the request table has room for (flat in steady state;
+    /// asserted by `tests/hotpath_alloc.rs`).
+    pub fn request_table_capacity(&self) -> usize {
+        self.reqs.capacity()
     }
 
-    /// The cached-I/O engine state: fetches in flight, ops parked.
-    pub fn pageio(&self) -> &PageIo {
-        &self.pageio
+    /// No request in flight, no page fetch in flight, no op parked.
+    pub fn is_quiet(&self) -> bool {
+        self.reqs.live() == 0 && self.pageio.is_idle()
     }
 
     pub fn file(&self, fd: u32) -> Result<OpenFile, OrfsError> {
@@ -410,46 +410,55 @@ fn split_path(path: &str) -> Result<Vec<String>, OrfsError> {
 
 /// `open(path)`; `direct` requests `O_DIRECT`.
 pub fn op_open<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, path: &str, direct: bool) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(w, cid, path, AfterResolve::Open { direct })
 }
 
 /// `stat(path)`.
 pub fn op_stat<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, path: &str) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(w, cid, path, AfterResolve::Stat)
 }
 
 /// `readdir(path)`.
 pub fn op_readdir<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, path: &str) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(w, cid, path, AfterResolve::Readdir)
 }
 
 /// `readlink(path)`.
 pub fn op_readlink<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, path: &str) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(w, cid, path, AfterResolve::Readlink)
 }
 
 /// `truncate(path, size)`.
 pub fn op_truncate<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, path: &str, size: u64) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(w, cid, path, AfterResolve::Truncate { size })
 }
 
 /// `creat(path, mode)`.
 pub fn op_create<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, path: &str, mode: u16) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(w, cid, path, AfterResolve::NameOp(NameOp::Create { mode }))
 }
 
 /// `mkdir(path, mode)`.
 pub fn op_mkdir<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, path: &str, mode: u16) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(w, cid, path, AfterResolve::NameOp(NameOp::Mkdir { mode }))
 }
 
 /// `unlink(path)`.
 pub fn op_unlink<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, path: &str) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(w, cid, path, AfterResolve::NameOp(NameOp::Unlink))
 }
 
 /// `rmdir(path)`.
 pub fn op_rmdir<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, path: &str) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(w, cid, path, AfterResolve::NameOp(NameOp::Rmdir))
 }
 
@@ -460,6 +469,7 @@ pub fn op_symlink<W: OrfsWorld>(
     path: &str,
     target: &str,
 ) -> SyscallId {
+    charge_entry(w, cid);
     start_resolve(
         w,
         cid,
@@ -584,14 +594,12 @@ fn build_flush<W: OrfsWorld>(
 
 // ---- resolution ------------------------------------------------------------------
 
-/// Enter the client for a path operation and start resolving `path`.
 fn start_resolve<W: OrfsWorld>(
     w: &mut W,
     cid: OrfsClientId,
     path: &str,
     then: AfterResolve,
 ) -> SyscallId {
-    charge_entry(w, cid);
     let parts = match split_path(path) {
         Ok(p) => p,
         Err(e) => return refuse(w, cid, e),
@@ -610,106 +618,161 @@ fn start_resolve<W: OrfsWorld>(
 /// Continue a resolve: consume cached components, issue a lookup for the
 /// first uncached one, or proceed to the `then` action.
 fn advance_resolve<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
-    let (parts, mut idx, mut cur, then) = {
-        let c = w.orfs().client(cid);
-        match c.ops.get(&sid) {
-            Some(OpState::Resolve {
-                parts,
-                idx,
-                cur,
-                then,
-            }) => (parts.clone(), *idx, *cur, then.clone()),
-            _ => return,
-        }
-    };
-    // Components that must remain unresolved for name ops: the last one.
-    let stop_before_last = matches!(then, AfterResolve::NameOp(_));
-    let end = if stop_before_last {
-        parts.len().saturating_sub(1)
-    } else {
-        parts.len()
-    };
-    // Walk cached dentries (kernel client only).
-    let use_cache = w.orfs().client(cid).kind == ClientKind::KernelVfs;
-    while idx < end {
-        let key = (cur, parts[idx].clone());
-        let cached = use_cache
-            .then(|| w.orfs().client(cid).dentries.get(&key).copied())
-            .flatten();
-        match cached {
-            Some(child) => {
-                w.orfs_mut().client_mut(cid).stats.dentry_hits += 1;
-                cur = child;
-                idx += 1;
+    {
+        let (parts, mut idx, mut cur, then) = {
+            let c = w.orfs().client(cid);
+            match c.ops.get(&sid) {
+                Some(OpState::Resolve {
+                    parts,
+                    idx,
+                    cur,
+                    then,
+                }) => (parts.clone(), *idx, *cur, then.clone()),
+                _ => return,
             }
-            None => {
-                w.orfs_mut().client_mut(cid).stats.dentry_misses += 1;
-                // Issue the lookup and wait.
-                {
-                    let c = w.orfs_mut().client_mut(cid);
-                    if let Some(OpState::Resolve {
-                        idx: i, cur: c2, ..
-                    }) = c.ops.get_mut(&sid)
+        };
+        // Components that must remain unresolved for name ops: the last one.
+        let stop_before_last = matches!(then, AfterResolve::NameOp(_));
+        let end = if stop_before_last {
+            parts.len().saturating_sub(1)
+        } else {
+            parts.len()
+        };
+        // Walk cached dentries (kernel client only).
+        let use_cache = w.orfs().client(cid).kind == ClientKind::KernelVfs;
+        while idx < end {
+            let key = (cur, parts[idx].clone());
+            let cached = use_cache
+                .then(|| w.orfs().client(cid).dentries.get(&key).copied())
+                .flatten();
+            match cached {
+                Some(child) => {
+                    w.orfs_mut().client_mut(cid).stats.dentry_hits += 1;
+                    cur = child;
+                    idx += 1;
+                }
+                None => {
+                    w.orfs_mut().client_mut(cid).stats.dentry_misses += 1;
+                    // Issue the lookup and wait.
                     {
-                        *i = idx;
-                        *c2 = cur;
+                        let c = w.orfs_mut().client_mut(cid);
+                        if let Some(OpState::Resolve {
+                            idx: i, cur: c2, ..
+                        }) = c.ops.get_mut(&sid)
+                        {
+                            *i = idx;
+                            *c2 = cur;
+                        }
+                    }
+                    let name = parts[idx].clone();
+                    send_request(w, cid, sid, &Request::Lookup { dir: cur, name });
+                    return;
+                }
+            }
+        }
+        // Resolution finished; dispatch the continuation.
+        match then {
+            AfterResolve::Open { direct } => {
+                let c = w.orfs_mut().client_mut(cid);
+                c.ops.insert(sid, OpState::OpenWait { ino: cur, direct });
+                send_request(w, cid, sid, &Request::Open { ino: cur });
+            }
+            AfterResolve::Stat => {
+                // Attribute cache (kernel client).
+                if use_cache {
+                    if let Some(a) = w.orfs().client(cid).attrs.get(&cur).copied() {
+                        finish(w, cid, sid, Ok(SysRet::Attr(a)));
+                        return;
                     }
                 }
-                let name = parts[idx].clone();
-                send_request(w, cid, sid, &Request::Lookup { dir: cur, name });
-                return;
+                await_meta(w, cid, sid, MetaKind::Stat, &Request::Getattr { ino: cur });
+            }
+            AfterResolve::Readdir => {
+                await_meta(
+                    w,
+                    cid,
+                    sid,
+                    MetaKind::Readdir,
+                    &Request::Readdir { ino: cur },
+                );
+            }
+            AfterResolve::Readlink => {
+                await_meta(
+                    w,
+                    cid,
+                    sid,
+                    MetaKind::Readlink,
+                    &Request::Readlink { ino: cur },
+                );
+            }
+            AfterResolve::Truncate { size } => {
+                w.orfs_mut().client_mut(cid).attrs.remove(&cur);
+                let req = Request::Truncate { ino: cur, size };
+                await_meta(w, cid, sid, MetaKind::Generic, &req);
+            }
+            AfterResolve::NameOp(op) => {
+                let name = parts.last().cloned().unwrap_or_default();
+                let (req, kind) = match op {
+                    NameOp::Create { mode } => (
+                        Request::Create {
+                            dir: cur,
+                            name: name.clone(),
+                            mode,
+                        },
+                        MetaKind::CreateLike {
+                            dir: cur,
+                            name: name.clone(),
+                        },
+                    ),
+                    NameOp::Mkdir { mode } => (
+                        Request::Mkdir {
+                            dir: cur,
+                            name: name.clone(),
+                            mode,
+                        },
+                        MetaKind::CreateLike {
+                            dir: cur,
+                            name: name.clone(),
+                        },
+                    ),
+                    NameOp::Unlink => (
+                        Request::Unlink {
+                            dir: cur,
+                            name: name.clone(),
+                        },
+                        MetaKind::Lookup {
+                            dir: cur,
+                            name: name.clone(),
+                        },
+                    ),
+                    NameOp::Rmdir => (
+                        Request::Rmdir {
+                            dir: cur,
+                            name: name.clone(),
+                        },
+                        MetaKind::Lookup {
+                            dir: cur,
+                            name: name.clone(),
+                        },
+                    ),
+                    NameOp::Symlink { target } => (
+                        Request::Symlink {
+                            dir: cur,
+                            name: name.clone(),
+                            target,
+                        },
+                        MetaKind::Generic,
+                    ),
+                };
+                // Drop any stale cache entry for mutated names.
+                if let MetaKind::Lookup { dir, name } | MetaKind::CreateLike { dir, name } = &kind {
+                    let key = (*dir, name.clone());
+                    w.orfs_mut().client_mut(cid).dentries.remove(&key);
+                }
+                await_meta(w, cid, sid, kind, &req);
             }
         }
     }
-    // Resolution finished; dispatch the continuation.
-    let ino = cur;
-    let (kind, req) = match then {
-        AfterResolve::Open { direct } => {
-            let c = w.orfs_mut().client_mut(cid);
-            c.ops.insert(sid, OpState::OpenWait { ino, direct });
-            return send_request(w, cid, sid, &Request::Open { ino });
-        }
-        AfterResolve::Stat => {
-            // Attribute cache (kernel client).
-            let c = w.orfs().client(cid);
-            if let Some(a) = use_cache.then(|| c.attrs.get(&ino).copied()).flatten() {
-                return finish(w, cid, sid, Ok(SysRet::Attr(a)));
-            }
-            (MetaKind::Stat, Request::Getattr { ino })
-        }
-        AfterResolve::Readdir => (MetaKind::Readdir, Request::Readdir { ino }),
-        AfterResolve::Readlink => (MetaKind::Readlink, Request::Readlink { ino }),
-        AfterResolve::Truncate { size } => {
-            w.orfs_mut().client_mut(cid).attrs.remove(&ino);
-            (MetaKind::Generic, Request::Truncate { ino, size })
-        }
-        AfterResolve::NameOp(op) => {
-            let (dir, name) = (ino, parts.last().cloned().unwrap_or_default());
-            let created = MetaKind::CreateLike {
-                dir,
-                name: name.clone(),
-            };
-            let removed = MetaKind::Lookup {
-                dir,
-                name: name.clone(),
-            };
-            // Drop any stale cache entry for mutated names.
-            if !matches!(op, NameOp::Symlink { .. }) {
-                let c = w.orfs_mut().client_mut(cid);
-                c.dentries.remove(&(dir, name.clone()));
-            }
-            match op {
-                NameOp::Create { mode } => (created, Request::Create { dir, name, mode }),
-                NameOp::Mkdir { mode } => (created, Request::Mkdir { dir, name, mode }),
-                NameOp::Unlink => (removed, Request::Unlink { dir, name }),
-                NameOp::Rmdir => (removed, Request::Rmdir { dir, name }),
-                NameOp::Symlink { target } => {
-                    (MetaKind::Generic, Request::Symlink { dir, name, target })
-                }
-            }
-        }
-    };
-    await_meta(w, cid, sid, kind, &req);
 }
 
 // ---- request plumbing ------------------------------------------------------------
@@ -725,15 +788,21 @@ fn alloc_reqid<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) -> Op
         return None;
     };
     c.stats.requests += 1;
-    let node = c.ep.node;
-    let horizon = || W::lift_orfs(ReqEv::Horizon { table: cid.0 });
-    bound_request(w, node, reqid, reqs(cid), horizon);
+    bound(w, cid, reqid);
     Some(reqid)
 }
 
 /// Selects client `cid`'s request table inside the world.
 fn reqs<W: OrfsWorld>(cid: OrfsClientId) -> impl Fn(&mut W) -> &mut ReqTable<(SyscallId, bool)> {
     move |w| &mut w.orfs_mut().client_mut(cid).reqs
+}
+
+/// (Re)start request `reqid`'s horizon: it expires `CALL_HORIZON` from now
+/// unless something moves before.
+fn bound<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, reqid: u64) {
+    let node = w.orfs().client(cid).ep.node;
+    let horizon = || W::lift_orfs(ReqEv::Horizon { table: cid.0 });
+    bound_request(w, node, reqid, reqs(cid), horizon);
 }
 
 /// A request will never be answered (one of its sends was rejected or
@@ -746,21 +815,17 @@ fn fail_request<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, reqid: u64, sid: Sys
     finish(w, cid, sid, Err(OrfsError::Net));
 }
 
-/// Client `table`'s horizon timer fired: a request unanswered for
-/// `CALL_HORIZON` fails its syscall [`OrfsError::Deadline`] (pages it was
-/// fetching go back through `pageio::abandoned`).
+/// Client `table`'s horizon timer fired: a request the server left silent
+/// for `CALL_HORIZON` fails its syscall [`OrfsError::Deadline`] (pages it
+/// was fetching go back through `pageio::abandoned`).
 pub fn run_orfs_ev<W: OrfsWorld>(w: &mut W, ev: ReqEv) {
     // ORFS requests carry no caller deadline: only the horizon fires.
     let ReqEv::Horizon { table } = ev else { return };
     let cid = OrfsClientId(table);
     let c = w.orfs().client(cid);
     let (node, ch) = (c.ep.node, c.ch);
-    let expire = |w: &mut W, reqid| {
-        if let Some(sid) = expire_request(w, ch, reqid, reqs(cid)) {
-            finish(w, cid, sid, Err(OrfsError::Deadline));
-        }
-    };
-    horizon_fired(w, node, reqs(cid), expire, || W::lift_orfs(ev));
+    let expired = |w: &mut W, sid| finish(w, cid, sid, Err(OrfsError::Deadline));
+    expire_silent(w, node, ch, reqs(cid), expired, || W::lift_orfs(ev));
 }
 
 /// Submit one message of request `reqid` under wire tag `tag`; a
@@ -1097,7 +1162,11 @@ pub fn client_on_event<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, ev: Transport
             on_data(w, cid, sid, len);
         }
         TransportEvent::SendDone { ctx } => {
-            w.orfs_mut().client_mut(cid).reqs.sent(ctx);
+            // The transport is done with a send of the request: from
+            // here on only the server's silence counts.
+            if let Some(reqid) = w.orfs_mut().client_mut(cid).reqs.sent(ctx) {
+                bound(w, cid, reqid);
+            }
         }
         TransportEvent::SendFailed { ctx, .. } => {
             // A queued request (or write payload) frame was dropped by its
@@ -1132,18 +1201,24 @@ pub fn client_on_event<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, ev: Transport
 
 /// A metadata response arrived for `sid`.
 fn on_response<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, resp: Response) {
-    let Some(st) = w.orfs().client(cid).ops.get(&sid).cloned() else {
-        return;
+    let st = {
+        let c = w.orfs().client(cid);
+        match c.ops.get(&sid) {
+            Some(s) => s.clone(),
+            None => return,
+        }
     };
     if let Response::Err(e) = resp {
-        return finish(w, cid, sid, Err(e));
+        finish(w, cid, sid, Err(e));
+        return;
     }
     match st {
         OpState::Resolve {
             parts, idx, cur, ..
         } => {
             let Response::Ino(child) = resp else {
-                return finish(w, cid, sid, Err(OrfsError::Decode));
+                finish(w, cid, sid, Err(OrfsError::Decode));
+                return;
             };
             // Cache the dentry and continue walking.
             {
@@ -1162,15 +1237,16 @@ fn on_response<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, resp:
             advance_resolve(w, cid, sid);
         }
         OpState::OpenWait { ino, direct } => {
-            let Response::Handle(handle) = resp else {
-                return finish(w, cid, sid, Err(OrfsError::Decode));
+            let Response::Handle(h) = resp else {
+                finish(w, cid, sid, Err(OrfsError::Decode));
+                return;
             };
             let c = w.orfs_mut().client_mut(cid);
             c.ops.insert(
                 sid,
                 OpState::OpenAttrWait {
                     ino,
-                    handle,
+                    handle: h,
                     direct,
                 },
             );
@@ -1182,7 +1258,8 @@ fn on_response<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, resp:
             direct,
         } => {
             let Response::Attr(a) = resp else {
-                return finish(w, cid, sid, Err(OrfsError::Decode));
+                finish(w, cid, sid, Err(OrfsError::Decode));
+                return;
             };
             let c = w.orfs_mut().client_mut(cid);
             if c.kind == ClientKind::KernelVfs {
@@ -1233,7 +1310,8 @@ fn on_response<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, resp:
         }
         OpState::DirectWrite { fd } => {
             let Response::Written(n) = resp else {
-                return finish(w, cid, sid, Err(OrfsError::Decode));
+                finish(w, cid, sid, Err(OrfsError::Decode));
+                return;
             };
             {
                 let c = w.orfs_mut().client_mut(cid);

@@ -21,6 +21,10 @@ pub struct OrfsLayer {
 }
 
 impl OrfsLayer {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     pub fn server(&self, id: OrfsServerId) -> &OrfsServer {
         &self.servers[id.0 as usize]
     }

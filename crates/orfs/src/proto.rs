@@ -36,9 +36,10 @@ pub enum OrfsError {
     Net,
     /// The caller's buffer is not mapped (`EFAULT`).
     Fault,
-    /// A request of the operation was not answered within
-    /// `knet_core::req::CALL_HORIZON` by a server that stays up (raised by
-    /// the client; the reply buffer was withdrawn, a late reply dropped).
+    /// A server that stays up left a request of the operation silent for
+    /// `knet_core::req::CALL_HORIZON` after its last send completed, with
+    /// no reply arriving (raised by the client; the reply buffer was
+    /// withdrawn, a late reply dropped).
     Deadline,
 }
 

@@ -1,36 +1,48 @@
 //! # knet-rpc — typed request/response on top of channels
 //!
-//! The RPC semantics above the channel layer, hosted once as shared
-//! infrastructure (the NetKernel argument) on the channel/CQ API:
+//! Everything above the channel layer (ORFS, NBD, the socket servers) had
+//! re-invented request/response correlation, timeout handling and failure
+//! recovery by hand. This crate hosts those semantics once, as shared
+//! infrastructure (the NetKernel argument), directly on the channel/CQ
+//! API:
 //!
 //! * **schema-versioned codec** ([`codec`]): request/response frames,
 //!   testable without a world;
-//! * **calls live in the request slab every service shares**
-//!   (`knet_core::req::ReqTable`): it mints the generation-tagged call ids,
-//!   so a late or duplicated reply never resolves the wrong call, and its
-//!   one horizon timer bounds a call without a caller deadline by
-//!   [`CALL_HORIZON`] — derived from the reliability layer's give-up
-//!   budget, so RPC is no second failure detector;
+//! * **correlation ids** from the request slab every service shares
+//!   (`knet_core::req::ReqTable`), generation-tagged — a late or
+//!   duplicated reply can never resolve the wrong call;
 //! * **virtual-time deadlines with propagation**: the caller's absolute
 //!   deadline rides the wire, so servers drop work that arrives (or
-//!   un-defers) already expired, and the client enforces it with a typed
-//!   timer (`ReqEv::Deadline` via [`RpcWorld::lift_rpc`], allocation-free
-//!   in the composed world) that reaches into the send-backpressure queue
+//!   un-defers) already expired instead of answering the dead, and the
+//!   client enforces the deadline locally with a typed engine event
+//!   (`ReqEv::Deadline` via [`RpcWorld::lift_rpc`] — allocation-free in
+//!   the composed world), reaching into the send-backpressure queue
 //!   (`channel_abort_queued_send`) when the request never left the node;
-//! * **typed cancellation** ([`rpc_cancel`]) under the channel layer's
-//!   cancel-vs-completion rule: a matched in-flight completion quarantines
-//!   the call's slot until it drains — buffers are never reused under an
-//!   active transfer;
-//! * **typed errors** ([`RpcError`]): each request is sent exactly once
-//!   (loss is repaired below, peer death declared below as `PeerDown`),
-//!   and every call resolves with exactly one completion — reply,
-//!   `Deadline`, `Cancelled`, `PeerUnreachable`, `VersionMismatch` or
-//!   `Overload`. Consumers that want another attempt (`knet-kv`) reissue.
+//! * **typed cancellation** ([`rpc_cancel`]): withdraws the posted
+//!   receive under the channel layer's cancel-vs-completion rule and
+//!   resolves racing completions deterministically (a matched in-flight
+//!   completion quarantines the call slot until it drains — buffers are
+//!   never reused under an active transfer);
+//! * **no second failure detector**: each request is sent exactly once.
+//!   Packet loss is repaired below, by the NIC's reliability layer, and
+//!   peer death is declared there too (`api::peer_down`, surfacing as the
+//!   channel's `PeerDown`). A call with no caller deadline is bounded by
+//!   [`CALL_HORIZON`] from submit — derived from that layer's own give-up
+//!   budget, enforced by the request table's one horizon timer — so it
+//!   can never hang;
+//! * **typed errors** ([`RpcError`]) instead of hangs: every submitted
+//!   call resolves with exactly one completion — reply, `Deadline`,
+//!   `Cancelled`, `PeerUnreachable` (the peer was declared dead),
+//!   `VersionMismatch` or `Overload` (shed by the server). Consumers that
+//!   want another attempt (the `knet-kv` store) reissue themselves.
 //!
 //! Completions surface as a typed upcall ([`RpcCompletion`]) into the
-//! handler the client was created with. The warm path allocates nothing:
-//! slab slots, per-slot request/response buffers, encode scratch, send
-//! contexts and timer events are pooled (`tests/hotpath_alloc.rs`).
+//! handler the client was created with (the `knet-kv` store, benches,
+//! tests) — an RPC resolution is not a transport event.
+//! The warm path performs zero heap allocations: call slots, per-slot
+//! request/response buffers, encode scratch, send contexts and timer
+//! events are all pooled and recycled (`tests/hotpath_alloc.rs` pins
+//! this down).
 
 pub mod codec;
 
@@ -231,10 +243,10 @@ impl<W: ?Sized> RpcClient<W> {
         self.calls.iter().map(|(_, c)| c).filter(unresolved).count() as u32
     }
 
-    /// Calls holding a slot: unresolved, or resolved and not yet
-    /// collected.
-    pub fn live_requests(&self) -> usize {
-        self.calls.live()
+    /// No call holds a slot: each one resolved and was collected or
+    /// released.
+    pub fn is_quiet(&self) -> bool {
+        self.calls.live() == 0
     }
 }
 
@@ -397,6 +409,10 @@ impl<W: ?Sized> Default for RpcLayer<W> {
 }
 
 impl<W: ?Sized> RpcLayer<W> {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Scratch-pool health as `(uses, grows)`: in steady state `grows`
     /// stops moving while `uses` keeps counting.
     pub fn scratch_stats(&self) -> (u64, u64) {
@@ -499,8 +515,11 @@ pub fn rpc_call<W: RpcWorld>(
             version: RPC_SCHEMA_VERSION,
             method,
             corr,
-            // `SimTime::NEVER` is `NO_DEADLINE` on the wire.
-            deadline_ns: deadline.nanos(),
+            deadline_ns: if deadline == SimTime::NEVER {
+                NO_DEADLINE
+            } else {
+                deadline.nanos()
+            },
             idem: 0,
         },
         payload,
@@ -649,6 +668,15 @@ fn resolve<W: RpcWorld>(w: &mut W, cid: RpcClientId, corr: u64, result: Result<u
             }
         }
     }
+    deliver_completion(w, cid, corr, result);
+}
+
+fn deliver_completion<W: RpcWorld>(
+    w: &mut W,
+    cid: RpcClientId,
+    corr: u64,
+    result: Result<u64, RpcError>,
+) {
     let on_done = Arc::clone(&w.rpc().clients[cid.0 as usize].on_done);
     on_done(
         w,
@@ -908,7 +936,11 @@ fn handle_request<W: RpcWorld>(
         server: sid,
         from,
         method: hdr.method,
-        deadline: SimTime::from_nanos(hdr.deadline_ns),
+        deadline: if hdr.deadline_ns == NO_DEADLINE {
+            SimTime::NEVER
+        } else {
+            SimTime::from_nanos(hdr.deadline_ns)
+        },
         token,
     };
     let (mut resp, had_cap) = w.rpc_mut().resp_scratch.take();

@@ -74,12 +74,12 @@ impl ClusterWorld {
             nics,
             gm,
             mx: MxLayer::default(),
-            orfs: OrfsLayer::default(),
+            orfs: OrfsLayer::new(),
             zsock: ZsockLayer::default(),
             tcp: TcpLayer::default(),
-            nbd: NbdLayer::default(),
+            nbd: NbdLayer::new(),
             coll: CollLayer::default(),
-            rpc: RpcLayer::default(),
+            rpc: RpcLayer::new(),
             kv: KvLayer::new(),
             registry: Registry::new(),
         }
@@ -559,6 +559,13 @@ impl TransportWorld for ClusterWorld {
         match ep.kind {
             TransportKind::Mx => knet_mx::mx_cancel_recv(self, MxEndpointId(ep.idx), tag),
             TransportKind::Gm => knet_gm::gm_cancel_receive_buffer(self, GmPortId(ep.idx), tag),
+        }
+    }
+
+    fn t_recv_filling(&self, ep: Endpoint, tag: u64) -> bool {
+        match ep.kind {
+            TransportKind::Mx => knet_mx::mx_recv_filling(self, MxEndpointId(ep.idx), tag),
+            TransportKind::Gm => knet_gm::gm_recv_filling(self, GmPortId(ep.idx), tag),
         }
     }
 }

@@ -332,8 +332,7 @@ fn orfs_failed_sends_give_their_pages_back() {
     assert_eq!(c.completed.len() as u64, issued, "each read resolves once");
     assert!(failed >= 4, "the queued requests failed: {failed}");
     assert_eq!(failed + expired, issued, "the rest expired at the horizon");
-    assert_eq!(c.requests().live(), 0);
-    assert!(c.pageio().is_idle());
+    assert!(c.is_quiet(), "no request, fetch or parked op left");
     let after = footprint(w, n0);
     assert_eq!((after.0, after.1), (before.0, before.1));
 }

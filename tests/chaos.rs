@@ -82,16 +82,17 @@ fn assert_gm_tokens_home(w: &ClusterWorld) {
 }
 
 /// Every open ORFS, NBD and RPC client holds no live request: each one
-/// ended by its reply, a failure or its horizon, and gave its slot back.
+/// ended by its reply, a failure or its horizon, and gave its slot back
+/// (and no storage client has a page fetch in flight or an op parked).
 fn assert_no_live_requests(w: &ClusterWorld) {
     for c in &w.orfs.clients {
-        assert_eq!(c.requests().live(), 0, "ORFS client {:?}", c.id);
+        assert!(c.is_quiet(), "ORFS client {:?}", c.id);
     }
     for c in &w.nbd.clients {
-        assert_eq!(c.requests().live(), 0, "NBD client {:?}", c.id);
+        assert!(c.is_quiet(), "NBD client {:?}", c.id);
     }
     for c in &w.rpc.clients {
-        assert_eq!(c.live_requests(), 0, "RPC client {:?}", c.id);
+        assert!(c.is_quiet(), "RPC client {:?}", c.id);
     }
 }
 

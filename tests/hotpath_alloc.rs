@@ -1061,8 +1061,8 @@ fn orfs_and_nbd_request_paths_keep_the_request_seam_flat() {
     };
     let sizes = |w: &ClusterWorld| {
         (
-            w.orfs.client(cid).requests().capacity(),
-            w.nbd.clients[nbd.0 as usize].requests().capacity(),
+            w.orfs.client(cid).request_table_capacity(),
+            w.nbd.clients[nbd.0 as usize].request_table_capacity(),
             w.registry.stats.ctx_pool_slots,
         )
     };
