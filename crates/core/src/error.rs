@@ -59,6 +59,9 @@ pub enum NetError {
     /// 65 536 requests already in flight: the client's `req::ReqTable` has
     /// no free slot. Synchronous; nothing was sent.
     RequestTableFull,
+    /// The server refused a request that addresses past the end of what
+    /// it serves (an NBD sector range past the device).
+    OutOfRange,
 }
 
 impl From<OsError> for NetError {
@@ -141,6 +144,7 @@ impl fmt::Display for NetError {
             NetError::Overload => f.write_str("tenant over its admission rate (send shed)"),
             NetError::Deadline => f.write_str("request unanswered within the call horizon"),
             NetError::RequestTableFull => f.write_str("request table full"),
+            NetError::OutOfRange => f.write_str("request past the end of the device"),
         }
     }
 }

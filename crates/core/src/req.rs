@@ -9,7 +9,10 @@
 //! * [`ReqTable`]: the one request slab. It mints every request id (the
 //!   wire tag of the request, its reply and the reply buffer posted under
 //!   it), finds a request by id in O(1), and ends requests that lose their
-//!   reply: `SendFailed`, synchronous rejection, the peer's death, expiry.
+//!   reply: `SendFailed`, synchronous rejection, the peer's death, expiry;
+//! * [`StorageClient`]: the one request lifecycle of ORFS and NBD, over a
+//!   [`ReqClient`] — ending in a reply, a failure, or a server's refusal
+//!   ([`Reply::Refused`]).
 //!
 //! **Id layout** `[62] kind · [48..62] node · [32..48] endpoint index ·
 //! [16..32] generation · [0..16] slot`. Servers key per-request state by
@@ -24,30 +27,29 @@
 //!
 //! **Expiry.** A request without a caller deadline expires [`CALL_HORIZON`]
 //! after it was last bounded ([`bound_request`]): RPC bounds a call at
-//! submit; a storage client (ORFS, NBD) bounds a request at submit and
-//! again at each `SendDone` of it, so its horizon measures how long the
-//! server has been silent, not how long the transfer took. Each table
-//! keeps at most one horizon timer ([`ReqEv::Horizon`]), re-armed at the
-//! earliest pending expiry each time it fires ([`horizon_fired`]). A
-//! storage request ends at expiry only if nothing is moving for it
-//! ([`expire_silent`]); otherwise it stays pending for the transfer under
-//! way. A caller's own deadline (RPC) is a per-request
-//! [`ReqEv::Deadline`].
+//! submit; a storage client bounds a request at submit and again at each
+//! `SendDone` of it, so its horizon measures how long the server has been
+//! silent, not how long the transfer took. Each table keeps at most one
+//! horizon timer ([`ReqEv::Horizon`]), re-armed at the earliest pending
+//! expiry each time it fires ([`horizon_fired`]). A caller's own deadline
+//! (RPC) is a per-request [`ReqEv::Deadline`].
 //!
 //! The types name no service and no world. Which channels hear about a
 //! dead peer at all is decided below them, in
 //! [`peer_down`](crate::api::peer_down).
 
+use bytes::Bytes;
 use knet_simcore::{emit_at, now, SimTime, SimWorld};
 use knet_simnic::rel;
 use knet_simos::{Asid, NodeId, NodeOs, VirtAddr};
 
 use crate::api::{
-    channel_cancel_recv, channel_recv_filling, channel_send, ctx_slot, ChannelId, DispatchWorld,
+    channel_cancel_recv, channel_post_recv, channel_recv_filling, channel_send, ctx_slot,
+    ChannelId, DispatchWorld,
 };
 use crate::error::NetError;
 use crate::iovec::{IoVec, MemRef};
-use crate::transport::Endpoint;
+use crate::transport::{Endpoint, TransportEvent};
 
 /// In-flight channel sends → the record each carries, slab-indexed by the
 /// context's pooled slot ([`ctx_slot`]): O(1), and as bounded as the
@@ -169,9 +171,10 @@ pub fn ring_stage<W: DispatchWorld>(
     staged
 }
 
-/// The bits a request id may occupy. Bit 63 is never set, so a consumer's
-/// wire protocol can use it to mark a request's bulk-data companion
-/// message (`id | 1 << 63`) without leaving the id space.
+/// The bits a request id may occupy. Bit 63 is never set, so a wire
+/// protocol can use it to mark a request's companion message
+/// (`id | 1 << 63`) without leaving the id space: ORFS's write payload,
+/// and a server's refusal ([`Reply::Refused`]).
 pub const REQ_ID_MASK: u64 = (1 << 63) - 1;
 
 const REQ_IDX_BITS: u32 = 16;
@@ -344,14 +347,14 @@ impl<T> ReqTable<T> {
     /// `SendFailed`: the request this send carried will never be answered.
     /// Returned for the consumer to fail — once: a second failed send of
     /// the same request (header, then announced payload) finds it gone.
-    pub fn send_failed(&mut self, ctx: u64) -> Option<(u64, T)> {
+    fn send_failed(&mut self, ctx: u64) -> Option<(u64, T)> {
         let id = self.sends.take(ctx)?;
         Some((id, self.finish(id)?))
     }
 
     /// The peer died: every live request, in ascending slot order, and
     /// every in-flight send forgotten (their completions find nothing).
-    pub fn fail_all(&mut self) -> Vec<(u64, T)> {
+    fn fail_all(&mut self) -> Vec<(u64, T)> {
         self.sends.clear();
         let ids: Vec<u64> = self.iter().map(|(id, _)| id).collect();
         ids.into_iter()
@@ -404,44 +407,6 @@ pub fn horizon_fired<W: SimWorld, T>(
     }
 }
 
-/// [`horizon_fired`] for a storage client on channel `ch`, whose records
-/// say whether a reply buffer is posted under the request's id. A request
-/// past its expiry stays pending while the transport still works for it:
-///
-/// * a send of it is queued or on the wire: the transport may still read
-///   the caller's buffer. Its `SendDone` bounds the request again, its
-///   `SendFailed` fails it;
-/// * a reply is arriving into its buffer, or the buffer's withdrawal
-///   loses to a completion already on its way: that reply resolves it, or
-///   the peer's death does.
-///
-/// Otherwise the buffer is withdrawn, the request ends and `fail` fails
-/// its op with the record.
-pub fn expire_silent<W: DispatchWorld, T: Copy>(
-    w: &mut W,
-    node: NodeId,
-    ch: ChannelId,
-    table: impl Fn(&mut W) -> &mut ReqTable<(T, bool)>,
-    mut fail: impl FnMut(&mut W, T),
-    horizon: impl FnOnce() -> W::Ev,
-) {
-    let expire = |w: &mut W, id| {
-        let t = table(w);
-        let Some(&(rec, posted)) = t.get(id) else {
-            return;
-        };
-        if t.sends.values().any(|&sent| sent == id) {
-            return;
-        }
-        if posted && (channel_recv_filling(w, ch, id) || !channel_cancel_recv(w, ch, id)) {
-            return;
-        }
-        table(w).finish(id);
-        fail(w, rec);
-    };
-    horizon_fired(w, node, &table, expire, horizon);
-}
-
 /// [`channel_send`] for a message of request `id` (`table` selects the
 /// request table inside the world). An accepted send is recorded, so a
 /// later `SendFailed` fails exactly that request, and its context comes
@@ -462,6 +427,200 @@ pub fn channel_send_request<W: DispatchWorld, T>(
             Ok(ctx)
         }
         Err(e) => Err((e, table(w).finish(id))),
+    }
+}
+
+/// A storage client's request side (ORFS, NBD): its request slab, the
+/// staging ring its requests leave through and its channel to the server.
+pub struct ReqClient<O> {
+    node: NodeId,
+    ch: ChannelId,
+    reqs: ReqTable<Pending<O>>,
+    ring: StagingRing,
+}
+
+#[derive(Clone, Copy)]
+struct Pending<O> {
+    op: O,
+    /// A reply buffer is posted under the request's id.
+    posted: bool,
+}
+
+impl<O> ReqClient<O> {
+    /// The request side of endpoint `owner`'s client on channel `ch`.
+    pub fn new(owner: Endpoint, ch: ChannelId, ring: StagingRing) -> Self {
+        ReqClient {
+            node: owner.node,
+            ch,
+            reqs: ReqTable::new(owner),
+            ring,
+        }
+    }
+
+    /// How many requests are live.
+    pub fn live(&self) -> usize {
+        self.reqs.live()
+    }
+
+    /// Requests the slab has room for ([`ReqTable::capacity`]).
+    pub fn capacity(&self) -> usize {
+        self.reqs.capacity()
+    }
+}
+
+/// How a reply ended a storage request ([`StorageClient::on_event`]).
+pub enum Reply<O> {
+    /// A message under the request's id that no buffer took.
+    Message { op: O, data: Bytes },
+    /// `len` bytes landed in the buffer posted under the id.
+    Landed { op: O, len: u64 },
+    /// The server refused the request under `id | !REQ_ID_MASK`; `data` is
+    /// its reason, in the client's codec.
+    Refused { op: O, data: Bytes },
+    /// The server's node died and every request ended: the client fails
+    /// every op it holds.
+    PeerDown,
+}
+
+/// The request lifecycle ORFS and NBD share, implemented by the client's
+/// id. The client supplies where its [`ReqClient`] lives, its horizon
+/// timer and its error mapping. A request that ends without a reply
+/// withdraws its posted buffer, then fails its op.
+pub trait StorageClient<W: DispatchWorld>: Copy {
+    /// The client's operation id (an ORFS syscall, an NBD block op).
+    type Op: Copy;
+
+    /// The client's request side inside the world.
+    fn reqs(self, w: &mut W) -> &mut ReqClient<Self::Op>;
+
+    /// The client's horizon timer, lifted into the world's event enum.
+    fn horizon(self) -> W::Ev;
+
+    /// Fail `op` — once — with `e` in the client's own terms: `Deadline` at
+    /// the horizon, `RequestTableFull` at a full table, the transport's
+    /// error otherwise.
+    fn fail(self, w: &mut W, op: Self::Op, e: NetError);
+
+    /// Mint a request for `op`, bounded by [`CALL_HORIZON`] (`None`: the
+    /// table is full and the op failed).
+    fn mint(self, w: &mut W, op: Self::Op) -> Option<u64> {
+        match self.reqs(w).reqs.mint(Pending { op, posted: false }) {
+            Ok(id) => {
+                bound(w, self, id);
+                Some(id)
+            }
+            Err(e) => {
+                self.fail(w, op, e);
+                None
+            }
+        }
+    }
+
+    /// Post `iov` as request `id`'s reply buffer, before the request leaves
+    /// (a refused post leaves the reply to arrive as a message).
+    fn post(self, w: &mut W, id: u64, iov: IoVec) {
+        let ch = self.reqs(w).ch;
+        if channel_post_recv(w, ch, id, iov).is_ok() {
+            self.reqs(w).reqs.get_mut(id).expect("just minted").posted = true;
+        }
+    }
+
+    /// Stage `parts` end to end in the client's ring, sized for any request.
+    fn stage(self, w: &mut W, parts: &[&[u8]]) -> MemRef {
+        let (node, mut ring) = (self.reqs(w).node, self.reqs(w).ring);
+        let staged = ring.stage(w.os_mut().node_mut(node), parts);
+        self.reqs(w).ring = ring;
+        staged.expect("a client's requests fit its staging ring")
+    }
+
+    /// Send a message of request `id` under `tag` ([`channel_send_request`]);
+    /// a rejected one fails the op now. Whether it was accepted.
+    fn send(self, w: &mut W, tag: u64, id: u64, iov: IoVec) -> bool {
+        let ch = self.reqs(w).ch;
+        let sent = channel_send_request(w, ch, tag, id, iov, |w| &mut self.reqs(w).reqs);
+        if let Err((e, Some(p))) = sent {
+            withdraw(w, ch, id, p);
+            self.fail(w, p.op, e);
+        }
+        sent.is_ok()
+    }
+
+    /// Handle `ev` from the client's channel; a reply comes back with the op
+    /// it ends. Each `SendDone` bounds its request again, so the horizon
+    /// measures the server's silence, not the transfer's length.
+    fn on_event(self, w: &mut W, ev: TransportEvent) -> Option<Reply<Self::Op>> {
+        let ch = self.reqs(w).ch;
+        match ev {
+            TransportEvent::Unexpected { tag, data, .. } if tag & !REQ_ID_MASK != 0 => {
+                let id = tag & REQ_ID_MASK;
+                let p = self.reqs(w).reqs.finish(id)?;
+                withdraw(w, ch, id, p);
+                Some(Reply::Refused { op: p.op, data })
+            }
+            TransportEvent::Unexpected { tag, data, .. } => {
+                let op = self.reqs(w).reqs.finish(tag)?.op;
+                Some(Reply::Message { op, data })
+            }
+            TransportEvent::RecvDone { tag, len, .. } => {
+                let op = self.reqs(w).reqs.finish(tag)?.op;
+                Some(Reply::Landed { op, len })
+            }
+            TransportEvent::SendDone { ctx } => {
+                let id = self.reqs(w).reqs.sent(ctx)?;
+                bound(w, self, id);
+                None
+            }
+            TransportEvent::SendFailed { ctx, error } => {
+                let (id, p) = self.reqs(w).reqs.send_failed(ctx)?;
+                withdraw(w, ch, id, p);
+                self.fail(w, p.op, error);
+                None
+            }
+            TransportEvent::PeerDown { .. } => {
+                for (id, p) in self.reqs(w).reqs.fail_all() {
+                    withdraw(w, ch, id, p);
+                }
+                Some(Reply::PeerDown)
+            }
+            TransportEvent::CollectiveDone { .. }
+            | TransportEvent::CollectiveRecv { .. }
+            | TransportEvent::CollectiveFailed { .. } => None,
+        }
+    }
+
+    /// The horizon timer fired: an expired request ends, failing its op
+    /// `Deadline`, unless the transport still works for it — a send of it
+    /// is queued or on the wire, or a reply is arriving into its buffer or
+    /// beats the buffer's withdrawal.
+    fn horizon_fired(self, w: &mut W) {
+        let (node, ch) = (self.reqs(w).node, self.reqs(w).ch);
+        let expire = |w: &mut W, id| {
+            let t = &self.reqs(w).reqs;
+            let Some(&p) = t.get(id) else { return };
+            if t.sends.values().any(|&sent| sent == id) {
+                return;
+            }
+            if p.posted && (channel_recv_filling(w, ch, id) || !channel_cancel_recv(w, ch, id)) {
+                return;
+            }
+            self.reqs(w).reqs.finish(id);
+            self.fail(w, p.op, NetError::Deadline);
+        };
+        let horizon = || self.horizon();
+        horizon_fired(w, node, |w| &mut self.reqs(w).reqs, expire, horizon);
+    }
+}
+
+/// (Re)start request `id`'s horizon: it expires [`CALL_HORIZON`] from now.
+fn bound<W: DispatchWorld, C: StorageClient<W>>(w: &mut W, c: C, id: u64) {
+    let node = c.reqs(w).node;
+    bound_request(w, node, id, |w| &mut c.reqs(w).reqs, || c.horizon());
+}
+
+/// Withdraw the reply buffer ended request `id` posted, if any.
+fn withdraw<O>(w: &mut impl DispatchWorld, ch: ChannelId, id: u64, p: Pending<O>) {
+    if p.posted {
+        channel_cancel_recv(w, ch, id);
     }
 }
 

@@ -190,14 +190,13 @@ fn drop_registrations<W: GmWorld>(
 
 /// GMKRC's rule, the first step of [`crate::gm_send_t`] and
 /// [`crate::gm_provide_receive_buffer`] on a port with a cache: register
-/// user memory on the fly and, for a send on a stock port (no
-/// physical-address patch), kernel memory too — the channel layer's
-/// coalescing staging buffers take that path.
+/// user memory on the fly and, on a stock port (no physical-address
+/// patch), kernel memory too — the channel layer's coalescing staging
+/// buffers and an in-kernel client's receive buffers take that path.
 pub(crate) fn register_on_the_fly<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
     seg: &MemRef,
-    send: bool,
 ) -> Result<(), NetError> {
     let p = w.gm().port(port_id)?;
     if p.regcache.is_none() {
@@ -205,7 +204,7 @@ pub(crate) fn register_on_the_fly<W: GmWorld>(
     }
     let (asid, addr, len) = match *seg {
         MemRef::UserVirtual { asid, addr, len } => (asid, addr, len),
-        MemRef::KernelVirtual { addr, len } if send && !p.physical_api => (Asid::KERNEL, addr, len),
+        MemRef::KernelVirtual { addr, len } if !p.physical_api => (Asid::KERNEL, addr, len),
         _ => return Ok(()),
     };
     gm_ensure_cached(w, port_id, asid, addr, len).map(drop)

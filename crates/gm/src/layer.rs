@@ -623,7 +623,7 @@ pub fn gm_send_t<W: GmWorld>(
     ctx: u64,
     tenant: TenantId,
 ) -> Result<Sent, NetError> {
-    register_on_the_fly(w, port_id, &buf, true)?;
+    register_on_the_fly(w, port_id, &buf)?;
     // Fail fast on the errors that would also fail at drain time, so a
     // doomed send is never parked.
     let (src, dst_nic) = check_send(w, port_id, dest)?;
@@ -764,8 +764,8 @@ fn gm_send_admitted<W: GmWorld>(
 
 /// `gm_provide_receive_buffer`: queue a buffer for incoming messages whose
 /// tag matches (or any message, with [`GM_ANY_TAG`]). The port's
-/// registration cache first registers the buffer's user memory
-/// ([`crate::cache`]).
+/// registration cache first registers the buffer's memory on the fly, as
+/// it does a send's ([`crate::cache`]).
 pub fn gm_provide_receive_buffer<W: GmWorld>(
     w: &mut W,
     port_id: GmPortId,
@@ -774,7 +774,7 @@ pub fn gm_provide_receive_buffer<W: GmWorld>(
     ctx: u64,
 ) -> Result<(), NetError> {
     for seg in iov.segs() {
-        register_on_the_fly(w, port_id, seg, false)?;
+        register_on_the_fly(w, port_id, seg)?;
     }
     let port = w.gm().port(port_id)?.view();
     // Resolve through the recycled segment scratch; the buffer stays queued

@@ -8,7 +8,9 @@ use knet_core::{
 };
 use knet_simcore::{run_to_quiescence, run_until, RunOutcome, Scheduler, SimTime, SimWorld};
 use knet_simnic::{FaultPlan, NicId, NicLayer, NicModel, NicWorld, Packet, Proto, QosPolicy};
-use knet_simos::{munmap, CpuModel, NodeId, OsLayer, OsWorld, Prot, VirtAddr, VmaEvent, PAGE_SIZE};
+use knet_simos::{
+    munmap, Asid, CpuModel, NodeId, OsLayer, OsWorld, Prot, VirtAddr, VmaEvent, PAGE_SIZE,
+};
 
 use crate::cache::gm_on_vma_event;
 use crate::layer::{
@@ -400,6 +402,40 @@ fn unregistered_send_fails() {
         w.gm.port(pa).unwrap().tokens(),
         GmParams::default().send_tokens
     );
+}
+
+/// GMKRC on a stock kernel port (no physical-address patch) registers a
+/// kernel receive buffer on the fly, as it does a kernel send buffer: the
+/// buffer is posted, and the message lands in it.
+#[test]
+fn a_cached_stock_kernel_port_registers_a_kernel_receive_buffer() {
+    let (mut w, n0, n1) = world();
+    let cfg = || GmPortConfig::kernel().with_regcache(4096);
+    let pa = gm_open_port(&mut w, n0, cfg()).unwrap();
+    let pb = gm_open_port(&mut w, n1, cfg()).unwrap();
+    let src = w.os.node_mut(n0).kalloc(PAGE_SIZE).unwrap();
+    let dst = w.os.node_mut(n1).kalloc(PAGE_SIZE).unwrap();
+    w.os.node_mut(n0)
+        .write_virt(Asid::KERNEL, src, b"kernel bytes")
+        .unwrap();
+    let into = IoVec::single(MemRef::kernel(dst, PAGE_SIZE));
+    gm_provide_receive_buffer(&mut w, pb, &into, 5, 5).unwrap();
+    let sent = gm_send_t(
+        &mut w,
+        pa,
+        MemRef::kernel(src, 12),
+        pb,
+        5,
+        0,
+        TenantId::DEFAULT,
+    );
+    assert!(sent.is_ok(), "{sent:?}");
+    run_to_quiescence(&mut w);
+    let mut buf = [0u8; 12];
+    w.os.node(n1)
+        .read_virt(Asid::KERNEL, dst, &mut buf)
+        .unwrap();
+    assert_eq!(&buf, b"kernel bytes");
 }
 
 #[test]

@@ -685,7 +685,7 @@ fn kv_on_rpc_done<W: KvWorld>(w: &mut W, cid: u32, replica: u32, comp: RpcComple
         w.kv_mut().clients[cid as usize]
             .inflight
             .remove(&(replica, comp.call));
-        return;
+        return drop_completion(w, comp);
     }
     let Some(op_slot) = w
         .kv_mut()
@@ -693,7 +693,7 @@ fn kv_on_rpc_done<W: KvWorld>(w: &mut W, cid: u32, replica: u32, comp: RpcComple
         .get_mut(cid as usize)
         .and_then(|c| c.inflight.remove(&(replica, comp.call)))
     else {
-        return;
+        return drop_completion(w, comp);
     };
     match comp.result {
         Ok(_len) => {
@@ -872,6 +872,16 @@ fn host_dead<W: KvWorld>(w: &W, node: NodeId) -> bool {
     w.nics().node_dead(node, now(w))
 }
 
+/// A completion nobody answers: collect an `Ok` reply anyway, since until
+/// then its call holds a slot of the client's request table.
+fn drop_completion<W: KvWorld>(w: &mut W, comp: RpcCompletion) {
+    if comp.result.is_ok() {
+        let mut buf = std::mem::take(&mut w.kv_mut().collect_buf);
+        rpc_collect(w, comp.client, comp.call, &mut buf);
+        w.kv_mut().collect_buf = buf;
+    }
+}
+
 /// A replication RPC resolved: answer the deferred client PUT.
 fn kv_on_repl_done<W: KvWorld>(w: &mut W, rid: u32, comp: RpcCompletion) {
     let me = w.kv().replicas[rid as usize].node;
@@ -881,13 +891,13 @@ fn kv_on_repl_done<W: KvWorld>(w: &mut W, rid: u32, comp: RpcCompletion) {
         w.kv_mut().replicas[rid as usize]
             .pending_repl
             .remove(&comp.call);
-        return;
+        return drop_completion(w, comp);
     }
     let Some(pr) = w.kv_mut().replicas[rid as usize]
         .pending_repl
         .remove(&comp.call)
     else {
-        return;
+        return drop_completion(w, comp);
     };
     let server = w.kv().replicas[rid as usize].server;
     let status = match comp.result {

@@ -14,11 +14,11 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
+use knet_core::api::channel_connect_handler;
 use knet_core::pageio::{self, Cursor, Fill, PageIo, Probe, Then};
 use knet_core::{
-    bound_request, channel_send_request, expire_silent, ring_stage, ChannelId, Endpoint, IoVec,
-    MemRef, NetError, ReqEv, ReqTable, StagingRing, TransportEvent,
+    ChannelId, Endpoint, IoVec, MemRef, NetError, Reply, ReqClient, ReqEv, StagingRing,
+    StorageClient, TransportEvent,
 };
 use knet_simos::{cpu_charge, Asid, PageKey};
 
@@ -80,12 +80,10 @@ pub struct NbdClient {
     /// the same device never share a cached sector.
     pub device_id: u32,
     next_op: u64,
-    /// Requests in flight → the block op each one advances, and whether a
-    /// reply buffer is posted under the request's id.
-    reqs: ReqTable<(NbdOp, bool)>,
+    /// Requests in flight, each advancing one block op, and the staging
+    /// ring their headers and write chunks leave through.
+    reqs: ReqClient<NbdOp>,
     ops: BTreeMap<NbdOp, OpState>,
-    /// Staging ring for request headers and write chunks.
-    ring: StagingRing,
     /// Cached-I/O engine state (bounce buffer, readers parked on sectors
     /// in flight).
     pageio: PageIo,
@@ -130,9 +128,8 @@ pub fn nbd_client_create<W: NbdWorld>(
         server,
         device_id,
         next_op: 1,
-        reqs: ReqTable::new(ep),
+        reqs: ReqClient::new(ep, ch, StagingRing::new(ring, Asid::KERNEL, RING)),
         ops: BTreeMap::new(),
-        ring: StagingRing::new(ring, Asid::KERNEL, RING),
         pageio: PageIo::default(),
         completed: VecDeque::new(),
         stats: NbdClientStats::default(),
@@ -168,24 +165,6 @@ fn charge_entry<W: NbdWorld>(w: &mut W, cid: NbdClientId) {
     cpu_charge(w, node, cost);
 }
 
-/// A request will never be answered (its send was rejected or dropped):
-/// withdraw any posted reply buffer, drop the op and complete it with the
-/// error — silently dropping it would hang the block operation forever.
-/// An op fails once, however many of its requests do.
-fn fail_request<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64, op: NbdOp, e: NetError) {
-    let ch = w.nbd().clients[cid.0 as usize].ch;
-    channel_cancel_recv(w, ch, reqid);
-    fail(w, cid, op, e);
-}
-
-/// Drop `op` and complete it with `e` — once: an op already gone is left.
-fn fail<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, e: NetError) {
-    let c = &mut w.nbd_mut().clients[cid.0 as usize];
-    if c.ops.remove(&op).is_some() {
-        fail_op(w, cid, op, e);
-    }
-}
-
 /// Complete `op` (already out of the table) with `e`. A read that dies
 /// while it owns an in-flight sector gives the frame back, and the readers
 /// parked on it fetch for themselves.
@@ -198,47 +177,25 @@ fn fail_op<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, e: NetError) {
     }
 }
 
-/// Mint a request id for `op`, bounded by `CALL_HORIZON`. A full request
-/// table fails the op, as a rejected send does.
-fn mint<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) -> Option<u64> {
-    let minted = w.nbd_mut().clients[cid.0 as usize].reqs.mint((op, false));
-    let reqid = minted.map_err(|e| fail(w, cid, op, e)).ok()?;
-    bound(w, cid, reqid);
-    Some(reqid)
-}
+impl<W: NbdWorld> StorageClient<W> for NbdClientId {
+    type Op = NbdOp;
 
-/// (Re)start request `reqid`'s horizon: it expires `CALL_HORIZON` from now
-/// unless something moves before.
-fn bound<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64) {
-    let node = w.nbd().clients[cid.0 as usize].ep.node;
-    let horizon = || W::lift_nbd(ReqEv::Horizon { table: cid.0 });
-    bound_request(w, node, reqid, reqs(cid), horizon);
-}
-
-/// Post `iov` as the reply buffer of request `reqid`.
-fn post_reply<W: NbdWorld>(w: &mut W, cid: NbdClientId, reqid: u64, iov: IoVec) {
-    let ch = w.nbd().clients[cid.0 as usize].ch;
-    if channel_post_recv(w, ch, reqid, iov).is_ok() {
-        reqs(cid)(w).get_mut(reqid).expect("just minted").1 = true;
+    fn reqs(self, w: &mut W) -> &mut ReqClient<NbdOp> {
+        &mut w.nbd_mut().clients[self.0 as usize].reqs
     }
-}
 
-/// Selects client `cid`'s request table inside the world.
-fn reqs<W: NbdWorld>(cid: NbdClientId) -> impl Fn(&mut W) -> &mut ReqTable<(NbdOp, bool)> {
-    move |w| &mut w.nbd_mut().clients[cid.0 as usize].reqs
-}
+    fn horizon(self) -> W::Ev {
+        W::lift_nbd(ReqEv::Horizon { table: self.0 })
+    }
 
-/// Client `table`'s horizon timer fired: a request the server left silent
-/// for `CALL_HORIZON` fails its op [`NetError::Deadline`] (a sector it was
-/// fetching goes back through `pageio::abandoned`).
-pub fn run_nbd_ev<W: NbdWorld>(w: &mut W, ev: ReqEv) {
-    // NBD requests carry no caller deadline: only the horizon fires.
-    let ReqEv::Horizon { table } = ev else { return };
-    let cid = NbdClientId(table);
-    let c = &w.nbd().clients[cid.0 as usize];
-    let (node, ch) = (c.ep.node, c.ch);
-    let expired = |w: &mut W, op| fail(w, cid, op, NetError::Deadline);
-    expire_silent(w, node, ch, reqs(cid), expired, || W::lift_nbd(ev));
+    /// A lost request fails its block op with the error as it came (an op
+    /// already gone is left).
+    fn fail(self, w: &mut W, op: NbdOp, e: NetError) {
+        let c = &mut w.nbd_mut().clients[self.0 as usize];
+        if c.ops.remove(&op).is_some() {
+            fail_op(w, self, op, e);
+        }
+    }
 }
 
 /// Continue `op` after the sector it was parked on settled.
@@ -255,30 +212,24 @@ fn engine<W: NbdWorld>(cid: NbdClientId) -> impl Fn(&mut W) -> &mut PageIo {
     move |w| &mut w.nbd_mut().clients[cid.0 as usize].pageio
 }
 
-/// Stage `header` (and a write chunk behind it) in the ring and send it as
-/// request `reqid`; a synchronous rejection fails the request now.
+/// Send `req` (and a write chunk behind it) for `op` from the staging ring.
+/// A reply buffer `into` is posted first: the reply must never race it.
 fn send_request<W: NbdWorld>(
     w: &mut W,
     cid: NbdClientId,
-    reqid: u64,
+    op: NbdOp,
     req: NbdRequest,
     payload: &[u8],
+    into: Option<IoVec>,
 ) {
-    let (node, ch) = {
-        let c = &w.nbd().clients[cid.0 as usize];
-        (c.ep.node, c.ch)
+    let Some(reqid) = cid.mint(w, op) else {
+        return;
     };
-    let seg = ring_stage(
-        w,
-        node,
-        |w| &mut w.nbd_mut().clients[cid.0 as usize].ring,
-        &[&req.encode(), payload],
-    )
-    .expect("a header + WRITE_CHUNK fits the client ring");
-    let sent = channel_send_request(w, ch, reqid, reqid, IoVec::single(seg), reqs(cid));
-    if let Err((e, Some((op, _)))) = sent {
-        fail_request(w, cid, reqid, op, e);
+    if let Some(iov) = into {
+        cid.post(w, reqid, iov);
     }
+    let seg = cid.stage(w, &[&req.encode(), payload]);
+    cid.send(w, reqid, reqid, IoVec::single(seg));
 }
 
 /// Buffered read: `dest.len()` bytes at device `offset` through the
@@ -310,11 +261,8 @@ pub fn nbd_read_raw<W: NbdWorld>(w: &mut W, cid: NbdClientId, dest: MemRef, sect
         c.ops.insert(op, OpState::Raw);
         op
     };
-    // Buffer first, then the request (the reply must never race it).
-    if let Some(reqid) = mint(w, cid, op) {
-        post_reply(w, cid, reqid, IoVec::single(dest));
-        send_request(w, cid, reqid, NbdRequest::Read { sector, count }, &[]);
-    }
+    let req = NbdRequest::Read { sector, count };
+    send_request(w, cid, op, req, &[], Some(IoVec::single(dest)));
     op
 }
 
@@ -432,14 +380,11 @@ fn issue_next_write_chunk<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) -
             data.slice(off as usize..(off + n) as usize),
         )
     };
-    let Some(reqid) = mint(w, cid, op) else {
-        return false;
-    };
     let req = NbdRequest::Write {
         sector: first + off / SECTOR_SIZE,
         count: (n / SECTOR_SIZE) as u32,
     };
-    send_request(w, cid, reqid, req, &chunk);
+    send_request(w, cid, op, req, &chunk, None);
     true
 }
 
@@ -474,62 +419,35 @@ fn advance_read<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp) {
         }
         Then::Fetch { run, iov } => {
             c.stats.sector_misses += 1;
-            if let Some(reqid) = mint(w, cid, op) {
-                post_reply(w, cid, reqid, iov);
-                let sector = run.first.index;
-                send_request(w, cid, reqid, NbdRequest::Read { sector, count: 1 }, &[]);
-            }
+            let req = NbdRequest::Read {
+                sector: run.first.index,
+                count: 1,
+            };
+            send_request(w, cid, op, req, &[], Some(iov));
         }
     }
 }
 
 /// Transport upcall for NBD client `cid`.
 pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: TransportEvent) {
-    // Correlate by tag (= the request id); receive contexts are
-    // channel-assigned now.
-    let (tag, len) = match ev {
-        TransportEvent::RecvDone { tag, len, .. } => (tag, len),
-        TransportEvent::Unexpected { tag, data, .. } => (tag, data.len() as u64),
-        TransportEvent::SendDone { ctx } => {
-            // The transport is done with a send of the request: from
-            // here on only the server's silence counts.
-            if let Some(reqid) = w.nbd_mut().clients[cid.0 as usize].reqs.sent(ctx) {
-                bound(w, cid, reqid);
-            }
-            return;
-        }
-        TransportEvent::SendFailed { ctx, error } => {
-            // A queued request frame was dropped by its retry: the reply
-            // will never come. Fail exactly that request's op.
-            let failed = w.nbd_mut().clients[cid.0 as usize].reqs.send_failed(ctx);
-            if let Some((reqid, (op, _))) = failed {
-                fail_request(w, cid, reqid, op, error);
-            }
-            return;
-        }
-        // The block client does not participate in collective groups.
-        TransportEvent::CollectiveDone { .. }
-        | TransportEvent::CollectiveRecv { .. }
-        | TransportEvent::CollectiveFailed { .. } => return,
-        TransportEvent::PeerDown { .. } => {
+    let (op, len) = match cid.on_event(w, ev) {
+        Some(Reply::Landed { op, len }) => (op, len),
+        Some(Reply::Message { op, data }) => (op, data.len() as u64),
+        // The only request a server refuses addresses past its device.
+        Some(Reply::Refused { op, .. }) => return cid.fail(w, op, NetError::OutOfRange),
+        Some(Reply::PeerDown) => {
             // The server's node died: every block op — in flight, or parked
             // on a sector another op was fetching — completes with a typed
-            // error; nothing may stall on a dead disk. The table is emptied
-            // first, so a reader woken by an abandoned fetch finds itself
-            // gone instead of asking the dead server again.
-            let c = &mut w.nbd_mut().clients[cid.0 as usize];
-            let (ch, failed, ops) = (c.ch, c.reqs.fail_all(), std::mem::take(&mut c.ops));
-            for (reqid, _) in failed {
-                channel_cancel_recv(w, ch, reqid);
-            }
+            // error; nothing may stall on a dead disk. The op table is
+            // emptied first, so a reader woken by an abandoned fetch finds
+            // itself gone instead of asking the dead server again.
+            let ops = std::mem::take(&mut w.nbd_mut().clients[cid.0 as usize].ops);
             for op in ops.into_keys() {
                 fail_op(w, cid, op, NetError::PeerUnreachable);
             }
             return;
         }
-    };
-    let Some((op, _)) = w.nbd_mut().clients[cid.0 as usize].reqs.finish(tag) else {
-        return;
+        None => return,
     };
     let c = &w.nbd().clients[cid.0 as usize];
     let node = c.ep.node;

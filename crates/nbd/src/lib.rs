@@ -21,8 +21,8 @@ pub mod proto;
 pub mod server;
 
 pub use client::{
-    nbd_client_create, nbd_on_client_event, nbd_read, nbd_read_raw, nbd_wait, nbd_write,
-    run_nbd_ev, NbdClient, NbdClientId, NbdClientStats, NbdOp, NbdResult,
+    nbd_client_create, nbd_on_client_event, nbd_read, nbd_read_raw, nbd_wait, nbd_write, NbdClient,
+    NbdClientId, NbdClientStats, NbdOp, NbdResult,
 };
 pub use proto::{NbdRequest, SECTOR_SIZE};
 pub use server::{nbd_on_server_event, nbd_server_create, NbdServer, NbdServerId, VirtualDisk};
@@ -47,6 +47,7 @@ pub trait NbdWorld: DispatchWorld {
     fn nbd(&self) -> &NbdLayer;
     fn nbd_mut(&mut self) -> &mut NbdLayer;
 
-    /// Wrap a client's timer into the world's event enum (run by [`run_nbd_ev`]).
+    /// Wrap a client's horizon timer into the world's event enum; the world
+    /// runs it with `knet_core::StorageClient::horizon_fired`.
     fn lift_nbd(ev: ReqEv) -> <Self as knet_simcore::SimWorld>::Ev;
 }

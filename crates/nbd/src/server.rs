@@ -3,6 +3,7 @@
 use knet_core::api::{channel_accept_handler, channel_send_to};
 use knet_core::{
     ring_stage, ChannelId, Endpoint, IoVec, MemRef, NetError, StagingRing, TransportEvent,
+    REQ_ID_MASK,
 };
 use knet_simcore::SimTime;
 use knet_simos::{cpu_charge, Asid};
@@ -55,7 +56,9 @@ impl VirtualDisk {
     /// Write sector-aligned data; returns false when out of bounds.
     pub fn write(&mut self, sector: u64, data: &[u8]) -> bool {
         let count = data.len() as u64 / SECTOR_SIZE;
-        if !(data.len() as u64).is_multiple_of(SECTOR_SIZE) || sector + count > self.sector_count()
+        let end = sector.checked_add(count);
+        if !(data.len() as u64).is_multiple_of(SECTOR_SIZE)
+            || end.is_none_or(|e| e > self.sector_count())
         {
             return false;
         }
@@ -139,19 +142,26 @@ pub fn nbd_on_server_event<W: NbdWorld>(w: &mut W, sid: NbdServerId, ev: Transpo
     // Request dispatch cost.
     cpu_charge(w, node, SimTime::from_nanos(600));
     w.nbd_mut().servers[sid.0 as usize].requests += 1;
+    // A range off the end of the disk is refused: the reply goes under
+    // the request's companion tag, and the client fails the op typed.
+    let refused = tag | !REQ_ID_MASK;
     match req {
         NbdRequest::Read { sector, count } => {
             let (payload, access) = {
                 let s = &mut w.nbd_mut().servers[sid.0 as usize];
                 let access = s.disk.sector_access * count as u64;
                 // `count` is wire input: a range the ring could never
-                // stage is answered like one off the end of the disk —
-                // with an empty reply — before anything is read for it.
+                // stage is refused like one off the end of the disk,
+                // before anything is read for it.
                 let fits = count as u64 * SECTOR_SIZE <= RING;
                 (fits.then(|| s.disk.read(sector, count)).flatten(), access)
             };
             cpu_charge(w, node, access);
-            let payload = payload.unwrap_or_default();
+            let Some(payload) = payload else {
+                let seg = stage(w, sid, &[]).expect("an empty refusal fits the ring");
+                let _ = channel_send_to(w, ch, from, refused, IoVec::single(seg));
+                return;
+            };
             let n = payload.len() as u64;
             // Stage into the kernel ring (disk cache → network memory).
             let copy = w.os().node(node).cpu.model.memcpy_cost(n);
@@ -162,17 +172,20 @@ pub fn nbd_on_server_event<W: NbdWorld>(w: &mut W, sid: NbdServerId, ev: Transpo
         }
         NbdRequest::Write { sector, .. } => {
             let payload = data.slice(used..);
-            let access = {
+            let (ok, access) = {
                 let s = &mut w.nbd_mut().servers[sid.0 as usize];
                 let ok = s.disk.write(sector, &payload);
-                debug_assert!(ok, "client sends bounded writes");
-                s.bytes_written += payload.len() as u64;
-                s.disk.sector_access * (payload.len() as u64 / SECTOR_SIZE).max(1)
+                if ok {
+                    s.bytes_written += payload.len() as u64;
+                }
+                let access = s.disk.sector_access * (payload.len() as u64 / SECTOR_SIZE).max(1);
+                (ok, access)
             };
             cpu_charge(w, node, access);
-            // Acknowledge with a 1-byte status message.
-            let seg = stage(w, sid, &[0u8]).expect("one status byte fits the ring");
-            let _ = channel_send_to(w, ch, from, tag, IoVec::single(seg));
+            // Acknowledge with a 1-byte status message, or refuse.
+            let (reply, status): (u64, &[u8]) = if ok { (tag, &[0]) } else { (refused, &[]) };
+            let seg = stage(w, sid, status).expect("one status byte fits the ring");
+            let _ = channel_send_to(w, ch, from, reply, IoVec::single(seg));
         }
     }
 }
@@ -200,5 +213,6 @@ mod tests {
         assert!(d.read(4, 1).is_none());
         assert!(!d.write(3, &vec![0u8; 2 * SECTOR_SIZE as usize]));
         assert!(!d.write(0, &[1u8; 100])); // unaligned
+        assert!(!d.write(u64::MAX, &[0u8; SECTOR_SIZE as usize])); // overflows
     }
 }

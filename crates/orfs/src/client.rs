@@ -18,11 +18,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use knet_core::api::{channel_cancel_recv, channel_connect_handler, channel_post_recv};
+use knet_core::api::channel_connect_handler;
 use knet_core::pageio::{self, Cursor, Fill, PageIo, Probe, Run, Then};
 use knet_core::{
-    bound_request, channel_send_request, expire_silent, ring_stage, ChannelId, Endpoint, IoVec,
-    MemRef, NetError, ReqEv, ReqTable, StagingRing, TransportEvent, TransportKind,
+    ChannelId, Endpoint, IoVec, MemRef, NetError, Reply, ReqClient, ReqEv, StagingRing,
+    StorageClient, TransportEvent, TransportKind,
 };
 use knet_simcore::SimTime;
 use knet_simfs::FsError;
@@ -200,19 +200,17 @@ pub struct OrfsClient {
     /// Per-client page-cache namespace.
     pub mount_id: u32,
     next_syscall: u64,
-    /// Requests in flight → the syscall each one advances, and whether a
-    /// reply buffer is posted under the request's id.
-    reqs: ReqTable<(SyscallId, bool)>,
+    /// Requests in flight, each advancing one syscall, and the staging ring
+    /// they leave through: kernel memory for the ORFS kernel client, a user
+    /// mapping of the client's own process for the ORFA library (which
+    /// cannot touch kernel memory).
+    reqs: ReqClient<SyscallId>,
     ops: BTreeMap<SyscallId, OpState>,
     /// Completed operations for the driver to collect.
     pub completed: VecDeque<(SyscallId, SysResult)>,
     dentries: BTreeMap<(u32, String), u32>,
     attrs: BTreeMap<u32, WireAttr>,
     fds: Vec<Option<OpenFile>>,
-    /// Staging ring for request headers (and GM-coalesced writes): kernel
-    /// memory for the ORFS kernel client, a user mapping of the client's
-    /// own process for the ORFA library (which cannot touch kernel memory).
-    ring: StagingRing,
     /// Cached-I/O engine state (bounce buffer, ops parked on pages in
     /// flight).
     pageio: PageIo,
@@ -263,13 +261,12 @@ pub fn client_create<W: OrfsWorld>(
         asid,
         mount_id,
         next_syscall: 1,
-        reqs: ReqTable::new(ep),
+        reqs: ReqClient::new(ep, ch, StagingRing::new(ring, ring_asid, CLIENT_RING)),
         ops: BTreeMap::new(),
         completed: VecDeque::new(),
         dentries: BTreeMap::new(),
         attrs: BTreeMap::new(),
         fds: Vec::new(),
-        ring: StagingRing::new(ring, ring_asid, CLIENT_RING),
         pageio: PageIo::default(),
         stats: ClientStats::default(),
     });
@@ -665,7 +662,7 @@ fn advance_resolve<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
                         }
                     }
                     let name = parts[idx].clone();
-                    send_request(w, cid, sid, &Request::Lookup { dir: cur, name });
+                    send_request(w, cid, sid, &Request::Lookup { dir: cur, name }, None);
                     return;
                 }
             }
@@ -675,7 +672,7 @@ fn advance_resolve<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
             AfterResolve::Open { direct } => {
                 let c = w.orfs_mut().client_mut(cid);
                 c.ops.insert(sid, OpState::OpenWait { ino: cur, direct });
-                send_request(w, cid, sid, &Request::Open { ino: cur });
+                send_request(w, cid, sid, &Request::Open { ino: cur }, None);
             }
             AfterResolve::Stat => {
                 // Attribute cache (kernel client).
@@ -777,84 +774,50 @@ fn advance_resolve<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
 
 // ---- request plumbing ------------------------------------------------------------
 
-/// Mint a request id bound to `sid` (lets callers post the reply buffer
-/// *before* the request leaves — the reply must never race the buffer),
-/// bounded by `CALL_HORIZON`. A full request table fails the syscall, as
-/// a rejected send does.
-fn alloc_reqid<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) -> Option<u64> {
-    let c = w.orfs_mut().client_mut(cid);
-    let Ok(reqid) = c.reqs.mint((sid, false)) else {
-        finish(w, cid, sid, Err(OrfsError::Net));
-        return None;
+impl<W: OrfsWorld> StorageClient<W> for OrfsClientId {
+    type Op = SyscallId;
+
+    fn reqs(self, w: &mut W) -> &mut ReqClient<SyscallId> {
+        &mut w.orfs_mut().client_mut(self).reqs
+    }
+
+    fn horizon(self) -> W::Ev {
+        W::lift_orfs(ReqEv::Horizon { table: self.0 })
+    }
+
+    /// A silent server fails the syscall [`OrfsError::Deadline`]; any other
+    /// lost request [`OrfsError::Net`] (a syscall has one request at a time).
+    fn fail(self, w: &mut W, sid: SyscallId, e: NetError) {
+        let e = match e {
+            NetError::Deadline => OrfsError::Deadline,
+            _ => OrfsError::Net,
+        };
+        finish(w, self, sid, Err(e));
+    }
+}
+
+/// Encode and send request `req` for `sid` from the staging ring. A reply
+/// buffer `into` is posted first: it (registration, pinning) must be ready
+/// before the server can reply into it.
+fn send_request<W: OrfsWorld>(
+    w: &mut W,
+    cid: OrfsClientId,
+    sid: SyscallId,
+    req: &Request,
+    into: Option<IoVec>,
+) {
+    let Some(reqid) = cid.mint(w, sid) else {
+        return;
     };
+    let c = w.orfs_mut().client_mut(cid);
     c.stats.requests += 1;
-    bound(w, cid, reqid);
-    Some(reqid)
-}
-
-/// Selects client `cid`'s request table inside the world.
-fn reqs<W: OrfsWorld>(cid: OrfsClientId) -> impl Fn(&mut W) -> &mut ReqTable<(SyscallId, bool)> {
-    move |w| &mut w.orfs_mut().client_mut(cid).reqs
-}
-
-/// (Re)start request `reqid`'s horizon: it expires `CALL_HORIZON` from now
-/// unless something moves before.
-fn bound<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, reqid: u64) {
-    let node = w.orfs().client(cid).ep.node;
-    let horizon = || W::lift_orfs(ReqEv::Horizon { table: cid.0 });
-    bound_request(w, node, reqid, reqs(cid), horizon);
-}
-
-/// A request will never be answered (one of its sends was rejected or
-/// dropped): withdraw any reply buffer posted under the request id and
-/// fail the syscall — silently dropping it would hang the operation
-/// forever.
-fn fail_request<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, reqid: u64, sid: SyscallId) {
-    let ch = w.orfs().client(cid).ch;
-    channel_cancel_recv(w, ch, reqid);
-    finish(w, cid, sid, Err(OrfsError::Net));
-}
-
-/// Client `table`'s horizon timer fired: a request the server left silent
-/// for `CALL_HORIZON` fails its syscall [`OrfsError::Deadline`] (pages it
-/// was fetching go back through `pageio::abandoned`).
-pub fn run_orfs_ev<W: OrfsWorld>(w: &mut W, ev: ReqEv) {
-    // ORFS requests carry no caller deadline: only the horizon fires.
-    let ReqEv::Horizon { table } = ev else { return };
-    let cid = OrfsClientId(table);
-    let c = w.orfs().client(cid);
-    let (node, ch) = (c.ep.node, c.ch);
-    let expired = |w: &mut W, sid| finish(w, cid, sid, Err(OrfsError::Deadline));
-    expire_silent(w, node, ch, reqs(cid), expired, || W::lift_orfs(ev));
-}
-
-/// Submit one message of request `reqid` under wire tag `tag`; a
-/// synchronous rejection fails the request now. Returns whether the send
-/// was accepted.
-fn submit<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, tag: u64, reqid: u64, iov: IoVec) -> bool {
-    let ch = w.orfs().client(cid).ch;
-    let sent = channel_send_request(w, ch, tag, reqid, iov, reqs(cid));
-    if let Err((_, Some((sid, _)))) = sent {
-        fail_request(w, cid, reqid, sid);
+    let node = c.ep.node;
+    if let Some(iov) = into {
+        cid.post(w, reqid, iov);
     }
-    sent.is_ok()
-}
-
-/// Stage `parts` end to end in the client's ring. Every caller's total is
-/// bounded far below it: one encoded request header (names reach a file
-/// system through the VFS, which bounds them), plus at most
-/// `WRITE_INLINE_MAX` bytes of GM-coalesced payload.
-fn stage<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, parts: &[&[u8]]) -> MemRef {
-    let node = w.orfs().client(cid).ep.node;
-    ring_stage(w, node, |w| &mut w.orfs_mut().client_mut(cid).ring, parts)
-        .expect("a request header + WRITE_INLINE_MAX fits the client ring")
-}
-
-/// Encode and send a metadata request (small message from the staging ring).
-fn send_request<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, req: &Request) {
-    if let Some(reqid) = alloc_reqid(w, cid, sid) {
-        send_request_with_id(w, cid, reqid, req);
-    }
+    cpu_charge(w, node, codec_cost());
+    let seg = cid.stage(w, &[&req.encode()]);
+    cid.send(w, reqid, reqid, IoVec::single(seg));
 }
 
 /// Send metadata request `req` for `sid`; its response finishes the op as
@@ -868,20 +831,10 @@ fn await_meta<W: OrfsWorld>(
 ) {
     let c = w.orfs_mut().client_mut(cid);
     c.ops.insert(sid, OpState::MetaWait { kind });
-    send_request(w, cid, sid, req);
+    send_request(w, cid, sid, req, None);
 }
 
-/// Encode and send a request under a pre-allocated id.
-fn send_request_with_id<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, reqid: u64, req: &Request) {
-    let node = w.orfs().client(cid).ep.node;
-    cpu_charge(w, node, codec_cost());
-    let seg = stage(w, cid, &[&req.encode()]);
-    submit(w, cid, reqid, reqid, IoVec::single(seg));
-}
-
-/// Ask for `len` bytes at `offset` of `handle` to land in `iov`. The
-/// destination is prepared *first*: the buffer (registration, pinning) must
-/// be ready before the server can reply into it.
+/// Ask for `len` bytes at `offset` of `handle` to land in `iov`.
 fn request_read<W: OrfsWorld>(
     w: &mut W,
     cid: OrfsClientId,
@@ -891,19 +844,12 @@ fn request_read<W: OrfsWorld>(
     len: u64,
     iov: IoVec,
 ) {
-    let Some(reqid) = alloc_reqid(w, cid, sid) else {
-        return;
-    };
-    let ch = w.orfs().client(cid).ch;
-    if channel_post_recv(w, ch, reqid, iov).is_ok() {
-        reqs(cid)(w).get_mut(reqid).expect("just minted").1 = true;
-    }
     let req = Request::Read {
         handle,
         offset,
         len,
     };
-    send_request_with_id(w, cid, reqid, &req);
+    send_request(w, cid, sid, &req, Some(iov));
 }
 
 /// Send a write request with payload: vectorial on MX (header ++ data, no
@@ -926,37 +872,38 @@ fn send_write_request<W: OrfsWorld>(
     };
     cpu_charge(w, node, codec_cost());
     let header = req.encode();
-    let Some(reqid) = alloc_reqid(w, cid, sid) else {
+    let Some(reqid) = cid.mint(w, sid) else {
         return;
     };
+    w.orfs_mut().client_mut(cid).stats.requests += 1;
     if len > WRITE_INLINE_MAX {
         // Announced write: header first; the payload follows as a separate
         // tagged message once the server has posted its staging buffer.
         // (The announcement is tiny, so the server's post always wins the
         // race for eager transports; MX large messages rendezvous anyway.)
-        let seg = stage(w, cid, &[&header]);
-        if submit(w, cid, reqid, reqid, IoVec::single(seg)) {
-            submit(w, cid, reqid | DATA_TAG_BIT, reqid, IoVec::single(src));
+        let seg = cid.stage(w, &[&header]);
+        if cid.send(w, reqid, reqid, IoVec::single(seg)) {
+            cid.send(w, reqid | DATA_TAG_BIT, reqid, IoVec::single(src));
         }
         return;
     }
     let iov = match ep.kind {
         TransportKind::Mx => {
             // Vectorial: header from the ring, data straight from source.
-            IoVec::from_segs(vec![stage(w, cid, &[&header]), src])
+            IoVec::from_segs(vec![cid.stage(w, &[&header]), src])
         }
         TransportKind::Gm => {
             // GM cannot gather: coalesce header + data into the ring,
             // paying a host copy of the payload (§4.1).
             let data =
                 knet_core::read_iovec(w.os().node(node), &IoVec::single(src)).unwrap_or_default();
-            let seg = stage(w, cid, &[&header, &data]);
+            let seg = cid.stage(w, &[&header, &data]);
             let copy = w.os().node(node).cpu.model.ring_copy_cost(len);
             cpu_charge(w, node, copy);
             IoVec::single(seg)
         }
     };
-    submit(w, cid, reqid, reqid, iov);
+    cid.send(w, reqid, reqid, iov);
 }
 
 // ---- buffered I/O ------------------------------------------------------------------
@@ -1143,59 +1090,27 @@ fn advance_flush<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId) {
 
 /// Transport upcall: an event arrived at client `cid`'s endpoint.
 pub fn client_on_event<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, ev: TransportEvent) {
-    match ev {
-        TransportEvent::Unexpected { tag, data, .. } => {
-            let Some((sid, _)) = w.orfs_mut().client_mut(cid).reqs.finish(tag) else {
-                return;
-            };
+    match cid.on_event(w, ev) {
+        // A refused read's reason is a `Response::Err`: on_response fails
+        // the syscall with it.
+        Some(Reply::Message { op: sid, data } | Reply::Refused { op: sid, data }) => {
             let node = w.orfs().client(cid).ep.node;
             cpu_charge(w, node, codec_cost());
             let resp = Response::decode(&data).unwrap_or(Response::Err(OrfsError::Decode));
             on_response(w, cid, sid, resp);
         }
-        TransportEvent::RecvDone { tag, len, .. } => {
-            // Correlate by tag: receive contexts are channel-assigned now,
-            // but the reply's tag is the request id the client posted.
-            let Some((sid, _)) = w.orfs_mut().client_mut(cid).reqs.finish(tag) else {
-                return;
-            };
-            on_data(w, cid, sid, len);
-        }
-        TransportEvent::SendDone { ctx } => {
-            // The transport is done with a send of the request: from
-            // here on only the server's silence counts.
-            if let Some(reqid) = w.orfs_mut().client_mut(cid).reqs.sent(ctx) {
-                bound(w, cid, reqid);
-            }
-        }
-        TransportEvent::SendFailed { ctx, .. } => {
-            // A queued request (or write payload) frame was dropped by its
-            // retry: the reply will never come. Fail exactly that request's
-            // syscall with a typed error instead of hanging it.
-            let failed = w.orfs_mut().client_mut(cid).reqs.send_failed(ctx);
-            if let Some((reqid, (sid, _))) = failed {
-                fail_request(w, cid, reqid, sid);
-            }
-        }
-        TransportEvent::PeerDown { .. } => {
-            // The server's node is gone: every in-flight operation fails
-            // with a typed error — nothing may stall waiting for a reply
-            // that can never arrive. The table is emptied first, so an op
-            // woken by an abandoned fetch finds itself gone instead of
-            // asking the dead server again.
-            let c = w.orfs_mut().client_mut(cid);
-            let (ch, failed, ops) = (c.ch, c.reqs.fail_all(), std::mem::take(&mut c.ops));
-            for (reqid, _) in failed {
-                channel_cancel_recv(w, ch, reqid);
-            }
+        Some(Reply::Landed { op: sid, len }) => on_data(w, cid, sid, len),
+        Some(Reply::PeerDown) => {
+            // The server's node is gone: every operation fails with a typed
+            // error. The op table is emptied first, so an op woken by an
+            // abandoned fetch finds itself gone instead of asking the dead
+            // server again.
+            let ops = std::mem::take(&mut w.orfs_mut().client_mut(cid).ops);
             for sid in ops.into_keys() {
                 finish(w, cid, sid, Err(OrfsError::Net));
             }
         }
-        // The file client does not participate in collective groups.
-        TransportEvent::CollectiveDone { .. }
-        | TransportEvent::CollectiveRecv { .. }
-        | TransportEvent::CollectiveFailed { .. } => {}
+        None => {}
     }
 }
 
@@ -1250,7 +1165,7 @@ fn on_response<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, resp:
                     direct,
                 },
             );
-            send_request(w, cid, sid, &Request::Getattr { ino });
+            send_request(w, cid, sid, &Request::Getattr { ino }, None);
         }
         OpState::OpenAttrWait {
             ino,

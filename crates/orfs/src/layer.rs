@@ -48,6 +48,7 @@ pub trait OrfsWorld: DispatchWorld {
     fn orfs(&self) -> &OrfsLayer;
     fn orfs_mut(&mut self) -> &mut OrfsLayer;
 
-    /// Wrap a client's timer into the world's event enum (run by `run_orfs_ev`).
+    /// Wrap a client's horizon timer into the world's event enum; the world
+    /// runs it with `knet_core::StorageClient::horizon_fired`.
     fn lift_orfs(ev: ReqEv) -> <Self as knet_simcore::SimWorld>::Ev;
 }

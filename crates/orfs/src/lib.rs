@@ -17,8 +17,7 @@ pub mod server;
 pub use client::{
     client_create, client_on_event, op_close, op_create, op_fsync, op_mkdir, op_open, op_read,
     op_readdir, op_readlink, op_rmdir, op_stat, op_symlink, op_truncate, op_unlink, op_write,
-    run_orfs_ev, ClientKind, ClientStats, OpenFile, OrfsClient, SysResult, SysRet, SyscallId,
-    VfsConfig,
+    ClientKind, ClientStats, OpenFile, OrfsClient, SysResult, SysRet, SyscallId, VfsConfig,
 };
 pub use layer::{OrfsClientId, OrfsLayer, OrfsServerId, OrfsWorld};
 pub use proto::{OrfsError, Request, Response, WireAttr, WireDirEntry};

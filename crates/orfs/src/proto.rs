@@ -13,11 +13,14 @@ use bytes::{Bytes, BytesMut};
 use knet_simcore::SimTime;
 use knet_simfs::{Attr, DirEntry, FileType, FsError};
 
-/// Tag bit distinguishing bulk-data messages from request/response tags.
+/// Tag bit marking a request's companion message: an announced write's
+/// payload toward the server, a refused read's `Response::Err` toward the
+/// client.
 pub const DATA_TAG_BIT: u64 = 1 << 63;
 
-// Request ids (minted by `knet_core::ReqTable`) never occupy it.
-const _: () = assert!(DATA_TAG_BIT & knet_core::REQ_ID_MASK == 0);
+// It is the one bit request ids (minted by `knet_core::ReqTable`) leave
+// free, which the shared storage client reads as a refusal.
+const _: () = assert!(DATA_TAG_BIT == !knet_core::REQ_ID_MASK);
 
 /// Largest write payload sent inline behind its header; larger writes are
 /// announced first and stream into a server-posted buffer (staying inside

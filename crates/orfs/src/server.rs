@@ -519,12 +519,12 @@ fn server_handle_request<W: OrfsWorld>(
                     let _ = channel_send_to(w, ch, from, tag, IoVec::single(seg));
                 }
                 Err(e) => {
+                    // A refusal is a message of its own, under the
+                    // request's companion tag: the buffer the client posted
+                    // under the tag takes data only.
                     w.orfs_mut().server_mut(sid).stats.errors += 1;
-                    // Zero-length data reply signals EOF/error to the posted
-                    // buffer; benchmarks never hit this path.
-                    let _ = e;
-                    let ch = server_channel(w, via);
-                    let _ = channel_send_to(w, ch, from, tag, IoVec::new());
+                    let refused = tag | crate::proto::DATA_TAG_BIT;
+                    reply_meta(w, sid, refused, via, from, Response::Err(e));
                 }
             }
         }

@@ -8,10 +8,12 @@
 //! `tests/hotpath_alloc.rs` pins this down. Control code and cold paths
 //! (harness setup, comparison stacks) still box through [`ClusterEv::Call`].
 
-use knet_core::ReqEv;
+use knet_core::{ReqEv, StorageClient};
 use knet_gm::{run_gm_ev, GmEv};
 use knet_kv::{run_kv_ev, KvEv};
 use knet_mx::{run_mx_ev, MxEv};
+use knet_nbd::NbdClientId;
+use knet_orfs::OrfsClientId;
 use knet_rpc::run_rpc_ev;
 use knet_simcore::SimEvent;
 use knet_simnic::{run_nic_ev, NicEv};
@@ -48,8 +50,10 @@ impl SimEvent<ClusterWorld> for ClusterEv {
             ClusterEv::Gm(ev) => run_gm_ev(w, ev),
             ClusterEv::Mx(ev) => run_mx_ev(w, ev),
             ClusterEv::Rpc(ev) => run_rpc_ev(w, ev),
-            ClusterEv::Orfs(ev) => knet_orfs::run_orfs_ev(w, ev),
-            ClusterEv::Nbd(ev) => knet_nbd::run_nbd_ev(w, ev),
+            // Storage requests carry no caller deadline: only the horizon.
+            ClusterEv::Orfs(ReqEv::Horizon { table }) => OrfsClientId(table).horizon_fired(w),
+            ClusterEv::Nbd(ReqEv::Horizon { table }) => NbdClientId(table).horizon_fired(w),
+            ClusterEv::Orfs(_) | ClusterEv::Nbd(_) => {}
             ClusterEv::Kv(ev) => run_kv_ev(w, ev),
             ClusterEv::Call(f) => f(w),
         }

@@ -21,6 +21,10 @@
 //! toward the wire, through the transmit queue that shares the link
 //! packet by packet.
 //!
+//! One entry keeps one request lifecycle one: neither storage client (ORFS,
+//! NBD) may mint, bound, send or expire a request itself, or handle a send
+//! completion or a server's death — `knet_core::StorageClient` does, once.
+//!
 //! One entry keeps one wait in one queue: a GM send waits for send tokens
 //! in its channel and nowhere else. Another keeps one rule in one place:
 //! only the GM driver decides what its registration cache registers.
@@ -77,35 +81,32 @@ const REL_FORBIDDEN: &[&str] = &[
     "crates/kv",
 ];
 
-/// Collect `path:line: text` for every line under `dir` naming one of
-/// `patterns`. With `library_only`, test code — a `tests.rs` file, or
-/// anything after a file's first `#[cfg(test)]` — and comment lines are
-/// skipped.
-fn scan(dir: &Path, patterns: &[String], library_only: bool, offenders: &mut Vec<String>) {
-    let Ok(entries) = fs::read_dir(dir) else {
+/// Collect `path:line: text` for every line of `path` — a file, or every
+/// file under a directory — naming one of `patterns`. With `library_only`,
+/// test code — a `tests.rs` file, or anything after a file's first
+/// `#[cfg(test)]` — and comment lines are skipped.
+fn scan(path: &Path, patterns: &[String], library_only: bool, offenders: &mut Vec<String>) {
+    if let Ok(entries) = fs::read_dir(path) {
+        for entry in entries.flatten() {
+            scan(&entry.path(), patterns, library_only, offenders);
+        }
+        return;
+    }
+    if path.extension().is_none_or(|e| e != "rs") || (library_only && path.ends_with("tests.rs")) {
+        return;
+    }
+    let Ok(text) = fs::read_to_string(path) else {
         return;
     };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            scan(&path, patterns, library_only, offenders);
-        } else if path.extension().is_some_and(|e| e == "rs")
-            && !(library_only && path.ends_with("tests.rs"))
-        {
-            let Ok(text) = fs::read_to_string(&path) else {
-                continue;
-            };
-            for (i, line) in text.lines().enumerate() {
-                if library_only && line.contains("#[cfg(test)]") {
-                    break;
-                }
-                if library_only && line.trim_start().starts_with("//") {
-                    continue;
-                }
-                if patterns.iter().any(|p| line.contains(p.as_str())) {
-                    offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
-                }
-            }
+    for (i, line) in text.lines().enumerate() {
+        if library_only && line.contains("#[cfg(test)]") {
+            break;
+        }
+        if library_only && line.trim_start().starts_with("//") {
+            continue;
+        }
+        if patterns.iter().any(|p| line.contains(p.as_str())) {
+            offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
         }
     }
 }
@@ -288,6 +289,47 @@ fn request_plumbing_lives_in_the_shared_seam_only() {
         offenders.is_empty(),
         "a service re-grew its own request plumbing (use knet_core's \
          SendMap / StagingRing / ReqTable):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The ORFS and NBD crates, whose clients run their requests through the
+/// one storage lifecycle, `knet_core::StorageClient`: the request slab and
+/// the request helpers below it may not appear there.
+const STORAGE_CRATES: &[&str] = &["crates/orfs/src", "crates/nbd/src"];
+
+/// The two storage clients, which may not handle a send completion or a
+/// server's death themselves. (The ORFS server handles a client's death:
+/// it withdraws the staging of that client's announced writes.)
+const STORAGE_CLIENTS: &[&str] = &["crates/orfs/src/client.rs", "crates/nbd/src/client.rs"];
+
+#[test]
+fn storage_clients_share_one_request_lifecycle() {
+    // Patterns assembled at runtime so this file never matches itself.
+    let names = vec![
+        format!("Req{}", "Table"),
+        format!("bound_{}", "request"),
+        format!("expire_{}", "silent"),
+        format!("channel_send_{}", "request"),
+    ];
+    let arms = vec![
+        format!("TransportEvent::{}", "SendDone"),
+        format!("TransportEvent::{}", "SendFailed"),
+        format!("TransportEvent::{}", "PeerDown"),
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut offenders = Vec::new();
+    for dir in STORAGE_CRATES {
+        scan(&root.join(dir), &names, true, &mut offenders);
+    }
+    for file in STORAGE_CLIENTS {
+        assert!(root.join(file).is_file(), "{file} moved: update this row");
+        scan(&root.join(file), &arms, true, &mut offenders);
+    }
+    assert!(
+        offenders.is_empty(),
+        "a storage client re-grew its own request lifecycle (use \
+         knet_core::StorageClient):\n{}",
         offenders.join("\n")
     );
 }

@@ -111,6 +111,9 @@ fn assert_invariants(fx: &Fx, label: &str) {
         st.engine.errors, 0,
         "{label}: engine errors are a hard fail"
     );
+    for (i, c) in fx.w.rpc.clients.iter().enumerate() {
+        assert!(c.is_quiet(), "{label}: RPC client {i} holds a live call");
+    }
 }
 
 /// Loss-only matrix: with both replicas alive, the retry/idempotency

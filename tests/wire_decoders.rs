@@ -5,6 +5,10 @@
 //! planted where the decoder dispatches on it, and every truncation of a
 //! valid encoding of each message kind.
 //!
+//! An NBD server acts on the header it decodes: every range a peer can
+//! name is served or refused, typed, never a panic or an acknowledgement
+//! of a write off the disk.
+//!
 //! One layer down, the GM and MX receive paths act on whatever header words
 //! a packet carries (`MsgHeader::unpack` cannot fail, so the drivers must
 //! judge the fields): seeded packets with arbitrary kinds and header words
@@ -14,8 +18,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use knet_core::RpcError;
-use knet_nbd::NbdRequest;
+use knet_core::api::{channel_connect, channel_send};
+use knet_core::{RpcError, TransportEvent};
+use knet_nbd::proto::HEADER_LEN;
+use knet_nbd::{nbd_server_create, NbdRequest, SECTOR_SIZE};
 use knet_orfs::proto::{Request, Response, WireAttr, WireDirEntry};
 use knet_orfs::OrfsError;
 use knet_rpc::codec::{
@@ -32,7 +38,7 @@ use knet_gm::GmPortConfig;
 use knet_mx::MxEndpointConfig;
 use knet_simcore::{now, run_to_quiescence};
 use knet_simnic::{wire_send, MsgHeader, Packet, Proto};
-use knet_simos::{CpuModel, NodeId};
+use knet_simos::{Asid, CpuModel, NodeId};
 
 /// Random buffers per decoder, and the seed they are drawn from.
 const CASES: usize = 20_000;
@@ -205,6 +211,15 @@ fn nbd_requests() -> Vec<NbdRequest> {
             sector: u64::MAX / 2,
             count: 1,
         },
+        // Off any disk, where an unchecked `sector + count` overflows.
+        NbdRequest::Read {
+            sector: u64::MAX,
+            count: u32::MAX,
+        },
+        NbdRequest::Write {
+            sector: u64::MAX,
+            count: 1,
+        },
     ]
 }
 
@@ -274,6 +289,48 @@ fn every_truncation_of_a_valid_message_decodes_to_a_typed_error() {
             assert_eq!(got, None, "{req:?} cut at {cut}");
         }
     }
+}
+
+/// Each of `nbd_requests` sent to a 1 024-sector disk (a write with one
+/// sector behind its header): the read in range is answered under its tag,
+/// every range off the disk is refused under the tag's companion
+/// (`tag | 1 << 63`) with an empty message.
+#[test]
+fn an_nbd_server_refuses_every_range_off_its_disk() {
+    let mut w = ClusterBuilder::new().build();
+    let (n0, n1) = (NodeId(0), NodeId(1));
+    let server = w.open_mx(n1, MxEndpointConfig::kernel()).unwrap();
+    nbd_server_create(&mut w, server, 1024).unwrap();
+    let cq = w.new_cq();
+    let client = w.open_mx_cq(n0, MxEndpointConfig::kernel(), cq).unwrap();
+    let ch = channel_connect(&mut w, client, server, cq);
+    let buf = kbuf(&mut w, n0, HEADER_LEN as u64 + SECTOR_SIZE);
+    let (mut answers, mut events) = (Vec::new(), Vec::new());
+    for (tag, req) in nbd_requests().into_iter().enumerate() {
+        let mut msg = req.encode().to_vec();
+        if let NbdRequest::Write { .. } = req {
+            msg.resize(HEADER_LEN + SECTOR_SIZE as usize, 0xAB);
+        }
+        let node = w.os.node_mut(n0);
+        node.write_virt(Asid::KERNEL, buf.addr, &msg).unwrap();
+        channel_send(&mut w, ch, tag as u64, buf.iov(msg.len() as u64)).unwrap();
+        catch_unwind(AssertUnwindSafe(|| run_to_quiescence(&mut w)))
+            .unwrap_or_else(|_| panic!("{req:?} panicked the server"));
+        w.take_events(client, usize::MAX, &mut events);
+        answers.extend(events.iter().filter_map(|e| match &e.event {
+            TransportEvent::Unexpected { tag, data, .. } => Some((*tag, data.len())),
+            _ => None,
+        }));
+    }
+    let refused = 1 << 63;
+    let expect = [
+        (0, 8 * 4096),
+        (1 | refused, 0),
+        (2 | refused, 0),
+        (3 | refused, 0),
+    ];
+    assert_eq!(answers, expect);
+    assert_eq!(w.nbd.servers[0].bytes_written, 0, "nothing was written");
 }
 
 // ------------------------------------------------------ driver receive paths
