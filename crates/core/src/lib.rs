@@ -37,6 +37,9 @@
 //!   endpoint's consumer, and the message engine — MTU segmentation,
 //!   first-fit matching of posted buffers, reassembly, and the rule for
 //!   giving a captured buffer back;
+//! * [`wire`] — the one wire codec every service message is written and
+//!   read through: little-endian fields on a bounds-checked cursor, and
+//!   one-table error-code maps;
 //! * [`error`] — the unified error type.
 //!
 //! The two drivers implementing this API live in `knet-gm` and `knet-mx`.
@@ -51,6 +54,7 @@ pub mod regcache;
 pub mod req;
 pub mod tenant;
 pub mod transport;
+pub mod wire;
 
 pub use api::{
     bind, channel_accept, channel_accept_handler, channel_cancel_recv, channel_close,

@@ -228,7 +228,7 @@ pub fn fetch<W: OsWorld>(
         match os.page_cache.insert(&mut os.mem, key) {
             Ok(page) => iov.push(MemRef::physical(page.frame.base(), PAGE_SIZE)),
             Err(e) => {
-                run.keys().for_each(|key| evict_unfilled(os, key));
+                run.keys().for_each(|key| evict_if(os, key, false));
                 return Err(e.into());
             }
         }
@@ -339,14 +339,25 @@ pub fn abandoned<W: OsWorld>(
     io: impl Fn(&mut W) -> &mut PageIo,
     owner: u64,
 ) -> Vec<u64> {
-    settle(w, node, io, owner, evict_unfilled)
+    settle(w, node, io, owner, |os, key| evict_if(os, key, false))
 }
 
-fn evict_unfilled(os: &mut NodeOs, key: PageKey) {
-    if os.page_cache.peek(key).is_some_and(|page| !page.uptodate) {
+/// A write-through op failed after filling `count` pages from `first`: evict
+/// them, so a later read fetches the server's bytes, not the refused ones.
+pub fn discard<W: OsWorld>(w: &mut W, node: NodeId, first: PageKey, count: u64) {
+    let os = w.os_mut().node_mut(node);
+    Run { first, count }
+        .keys()
+        .for_each(|key| evict_if(os, key, true));
+}
+
+/// Evict `key`'s page if it is cached and its up-to-date flag is `uptodate`.
+fn evict_if(os: &mut NodeOs, key: PageKey, uptodate: bool) {
+    let page = os.page_cache.peek(key);
+    if page.is_some_and(|page| page.uptodate == uptodate) {
         os.page_cache
             .evict(&mut os.mem, key)
-            .expect("an in-flight page holds exactly its insert-time pin");
+            .expect("a cached page holds exactly its insert-time pin");
     }
 }
 

@@ -37,6 +37,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use knet_core::wire::{Dec, Enc};
 use knet_core::{Endpoint, RpcError};
 use knet_rpc::{
     rpc_call, rpc_client_create, rpc_collect, rpc_server_create, rpc_server_reply, RpcCall,
@@ -282,8 +283,8 @@ fn fnv1a(data: &[u8]) -> u64 {
 
 // -------------------------------------------------------------- wire codecs
 //
-// KV payloads ride inside RPC payloads; all little-endian, hand-rolled
-// like the RPC codec itself.
+// KV payloads ride inside RPC payloads, written through the shared
+// `knet_core::wire` cursor (little-endian):
 //
 //   get  req : epoch u64 | klen u16 | key
 //   put  req : epoch u64 | klen u16 | vlen u32 | key | val
@@ -293,93 +294,68 @@ fn fnv1a(data: &[u8]) -> u64 {
 
 fn enc_get(out: &mut Vec<u8>, epoch: u64, key: &[u8]) {
     out.clear();
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    out.extend_from_slice(key);
+    Enc::new(out).u64(epoch).bytes_u16(key);
 }
 
 fn dec_get(buf: &[u8]) -> Option<(u64, &[u8])> {
-    if buf.len() < 10 {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(buf[0..8].try_into().ok()?);
-    let klen = u16::from_le_bytes(buf[8..10].try_into().ok()?) as usize;
-    Some((epoch, buf.get(10..10 + klen)?))
+    let mut d = Dec::new(buf);
+    Some((d.u64().ok()?, d.bytes_u16().ok()?))
+}
+
+/// Append the `klen u16 | vlen u32 | key | val` tail of a put or a
+/// replication.
+fn enc_key_val(e: Enc, key: &[u8], val: &[u8]) {
+    e.u16(key.len() as u16)
+        .u32(val.len() as u32)
+        .bytes(key)
+        .bytes(val);
+}
+
+fn dec_key_val<'a>(d: &mut Dec<'a>) -> Option<(&'a [u8], &'a [u8])> {
+    let (klen, vlen) = (d.u16().ok()?, d.u32().ok()?);
+    Some((d.take(klen.into()).ok()?, d.take(vlen as usize).ok()?))
 }
 
 fn enc_put(out: &mut Vec<u8>, epoch: u64, key: &[u8], val: &[u8]) {
     out.clear();
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(val.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(val);
+    enc_key_val(Enc::new(out).u64(epoch), key, val);
 }
 
 fn dec_put(buf: &[u8]) -> Option<(u64, &[u8], &[u8])> {
-    if buf.len() < 14 {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(buf[0..8].try_into().ok()?);
-    let klen = u16::from_le_bytes(buf[8..10].try_into().ok()?) as usize;
-    let vlen = u32::from_le_bytes(buf[10..14].try_into().ok()?) as usize;
-    let key = buf.get(14..14 + klen)?;
-    let val = buf.get(14 + klen..14 + klen + vlen)?;
-    Some((epoch, key, val))
+    let mut d = Dec::new(buf);
+    let epoch = d.u64().ok()?;
+    dec_key_val(&mut d).map(|(key, val)| (epoch, key, val))
 }
 
 fn enc_repl(out: &mut Vec<u8>, epoch: u64, seq: u64, key: &[u8], val: &[u8]) {
     out.clear();
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(val.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(val);
+    enc_key_val(Enc::new(out).u64(epoch).u64(seq), key, val);
 }
 
 fn dec_repl(buf: &[u8]) -> Option<(u64, u64, &[u8], &[u8])> {
-    if buf.len() < 22 {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(buf[0..8].try_into().ok()?);
-    let seq = u64::from_le_bytes(buf[8..16].try_into().ok()?);
-    let klen = u16::from_le_bytes(buf[16..18].try_into().ok()?) as usize;
-    let vlen = u32::from_le_bytes(buf[18..22].try_into().ok()?) as usize;
-    let key = buf.get(22..22 + klen)?;
-    let val = buf.get(22 + klen..22 + klen + vlen)?;
-    Some((epoch, seq, key, val))
+    let mut d = Dec::new(buf);
+    let (epoch, seq) = (d.u64().ok()?, d.u64().ok()?);
+    dec_key_val(&mut d).map(|(key, val)| (epoch, seq, key, val))
 }
 
 fn enc_status_seq(out: &mut Vec<u8>, status: u8, seq: u64) {
     out.clear();
-    out.push(status);
-    out.extend_from_slice(&seq.to_le_bytes());
+    Enc::new(out).u8(status).u64(seq);
 }
 
 fn dec_status_seq(buf: &[u8]) -> Option<(u8, u64)> {
-    if buf.len() < 9 {
-        return None;
-    }
-    Some((buf[0], u64::from_le_bytes(buf[1..9].try_into().ok()?)))
+    let mut d = Dec::new(buf);
+    Some((d.u8().ok()?, d.u64().ok()?))
 }
 
 fn enc_get_resp(out: &mut Vec<u8>, status: u8, seq: u64, val: &[u8]) {
     out.clear();
-    out.push(status);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(val.len() as u32).to_le_bytes());
-    out.extend_from_slice(val);
+    Enc::new(out).u8(status).u64(seq).bytes_u32(val);
 }
 
 fn dec_get_resp(buf: &[u8]) -> Option<(u8, u64, &[u8])> {
-    if buf.len() < 13 {
-        return None;
-    }
-    let status = buf[0];
-    let seq = u64::from_le_bytes(buf[1..9].try_into().ok()?);
-    let vlen = u32::from_le_bytes(buf[9..13].try_into().ok()?) as usize;
-    Some((status, seq, buf.get(13..13 + vlen)?))
+    let mut d = Dec::new(buf);
+    Some((d.u8().ok()?, d.u64().ok()?, d.bytes_u32().ok()?))
 }
 
 // -------------------------------------------------------------------- setup
@@ -1076,47 +1052,28 @@ pub fn kv_check<W: KvWorld>(w: &W) -> Vec<String> {
 /// record. Equal seeds must yield equal fingerprints run over run.
 pub fn kv_fingerprint<W: KvWorld>(w: &W) -> u64 {
     let kv = w.kv();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut state = Vec::new();
+    let mut e = Enc::new(&mut state);
     for r in &kv.replicas {
-        mix(&[r.alive as u8]);
+        e = e.u8(r.alive as u8);
         for (k, (seq, v)) in &r.store {
-            mix(k);
-            mix(&seq.to_le_bytes());
-            mix(v);
+            e = e.bytes(k).u64(*seq).bytes(v);
         }
     }
     for sh in &kv.shards {
-        mix(&sh.epoch.to_le_bytes());
-        mix(&sh.primary.to_le_bytes());
-        mix(&sh.next_seq.to_le_bytes());
+        e = e.u64(sh.epoch).u32(sh.primary).u64(sh.next_seq);
     }
     for o in &kv.outcomes {
-        mix(&o.op.to_le_bytes());
-        mix(&o.key);
-        match &o.result {
-            Ok(KvResult::Put { seq }) => {
-                mix(b"P");
-                mix(&seq.to_le_bytes());
-            }
+        e = e.u64(o.op).bytes(&o.key);
+        e = match &o.result {
+            Ok(KvResult::Put { seq }) => e.bytes(b"P").u64(*seq),
             Ok(KvResult::Get { found, seq, val }) => {
-                mix(b"G");
-                mix(&[*found as u8]);
-                mix(&seq.to_le_bytes());
-                mix(val);
+                e.bytes(b"G").u8(*found as u8).u64(*seq).bytes(val)
             }
-            Err(e) => {
-                mix(b"E");
-                mix(format!("{:?}", e).as_bytes());
-            }
-        }
+            Err(err) => e.bytes(b"E").bytes(format!("{:?}", err)),
+        };
     }
-    h
+    fnv1a(&state)
 }
 
 #[cfg(test)]
@@ -1140,13 +1097,60 @@ mod tests {
         assert_eq!(dec_get_resp(&b), Some((KV_NOT_FOUND, 0, &b""[..])));
     }
 
+    /// Whether a payload's decoder takes the bytes.
+    type Decodes = fn(&[u8]) -> bool;
+
+    /// One payload of each kind, with its decoder's check.
+    fn payloads() -> [(Vec<u8>, Decodes); 5] {
+        let enc = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = Vec::new();
+            f(&mut b);
+            b
+        };
+        [
+            (enc(&|b| enc_get(b, 7, b"key")), |b| dec_get(b).is_some()),
+            (enc(&|b| enc_put(b, 9, b"key", b"value")), |b| {
+                dec_put(b).is_some()
+            }),
+            (enc(&|b| enc_repl(b, 3, 42, b"k", b"v")), |b| {
+                dec_repl(b).is_some()
+            }),
+            (enc(&|b| enc_status_seq(b, KV_WRONG_EPOCH, 11)), |b| {
+                dec_status_seq(b).is_some()
+            }),
+            (enc(&|b| enc_get_resp(b, KV_OK, 5, b"val")), |b| {
+                dec_get_resp(b).is_some()
+            }),
+        ]
+    }
+
+    /// Each payload's bytes, pinned: a layout change that encoder and
+    /// decoder make together still shows here.
+    #[test]
+    fn kv_payloads_keep_their_golden_bytes() {
+        let golden = [
+            "0700000000000000 0300 6b6579",
+            "0900000000000000 0300 05000000 6b6579 76616c7565",
+            "0300000000000000 2a00000000000000 0100 01000000 6b 76",
+            "02 0b00000000000000",
+            "00 0500000000000000 03000000 76616c",
+        ];
+        for ((enc, _), row) in payloads().iter().zip(golden) {
+            let hex: String = enc.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, row.replace(' ', ""));
+        }
+    }
+
+    /// Every cut of every payload, inside the fixed fields, the key or the
+    /// value, is refused.
     #[test]
     fn truncated_payloads_rejected() {
-        assert!(dec_get(&[0u8; 9]).is_none());
-        assert!(dec_put(&[0u8; 13]).is_none());
-        assert!(dec_repl(&[0u8; 21]).is_none());
-        assert!(dec_status_seq(&[0u8; 8]).is_none());
-        assert!(dec_get_resp(&[0u8; 12]).is_none());
+        for (enc, decodes) in payloads() {
+            assert!(decodes(&enc), "{enc:?}");
+            for cut in 0..enc.len() {
+                assert!(!decodes(&enc[..cut]), "{enc:?} cut at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -165,13 +165,23 @@ fn charge_entry<W: NbdWorld>(w: &mut W, cid: NbdClientId) {
     cpu_charge(w, node, cost);
 }
 
-/// Complete `op` (already out of the table) with `e`. A read that dies
-/// while it owns an in-flight sector gives the frame back, and the readers
-/// parked on it fetch for themselves.
-fn fail_op<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, e: NetError) {
+/// Complete `op` (already out of the table, last in `state`) with `e`. A
+/// read that dies while it owns an in-flight sector gives the frame back,
+/// and the readers parked on it fetch for themselves. A write gives back
+/// the sectors it cached: the server never took their bytes.
+fn fail_op<W: NbdWorld>(w: &mut W, cid: NbdClientId, op: NbdOp, state: OpState, e: NetError) {
     let c = &mut w.nbd_mut().clients[cid.0 as usize];
     c.completed.push_back((op, Err(e)));
     let node = c.ep.node;
+    if let OpState::Write {
+        first_sector,
+        cached,
+        ..
+    } = state
+    {
+        let first = c.cache_key(first_sector);
+        pageio::discard(w, node, first, cached);
+    }
     for parked in pageio::abandoned(w, node, engine(cid), op) {
         resume(w, cid, parked);
     }
@@ -192,8 +202,8 @@ impl<W: NbdWorld> StorageClient<W> for NbdClientId {
     /// already gone is left).
     fn fail(self, w: &mut W, op: NbdOp, e: NetError) {
         let c = &mut w.nbd_mut().clients[self.0 as usize];
-        if c.ops.remove(&op).is_some() {
-            fail_op(w, self, op, e);
+        if let Some(state) = c.ops.remove(&op) {
+            fail_op(w, self, op, state, e);
         }
     }
 }
@@ -442,8 +452,8 @@ pub fn nbd_on_client_event<W: NbdWorld>(w: &mut W, cid: NbdClientId, ev: Transpo
             // emptied first, so a reader woken by an abandoned fetch finds
             // itself gone instead of asking the dead server again.
             let ops = std::mem::take(&mut w.nbd_mut().clients[cid.0 as usize].ops);
-            for op in ops.into_keys() {
-                fail_op(w, cid, op, NetError::PeerUnreachable);
+            for (op, state) in ops {
+                fail_op(w, cid, op, state, NetError::PeerUnreachable);
             }
             return;
         }

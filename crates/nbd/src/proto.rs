@@ -1,6 +1,6 @@
 //! The NBD wire protocol: sector-addressed block transfers.
 
-use bytes::Bytes;
+use knet_core::wire::{Dec, Enc};
 
 /// Sector size: one page, matching the page-cache granularity the client
 /// manipulates (the paper's Linux 2.4 NBD moved page-sized bios).
@@ -22,30 +22,25 @@ const OP_WRITE: u8 = 2;
 pub const HEADER_LEN: usize = 1 + 8 + 4;
 
 impl NbdRequest {
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let (op, sector, count) = match *self {
             NbdRequest::Read { sector, count } => (OP_READ, sector, count),
             NbdRequest::Write { sector, count } => (OP_WRITE, sector, count),
         };
         let mut v = Vec::with_capacity(HEADER_LEN);
-        v.push(op);
-        v.extend_from_slice(&sector.to_le_bytes());
-        v.extend_from_slice(&count.to_le_bytes());
-        Bytes::from(v)
+        Enc::new(&mut v).u8(op).u64(sector).u32(count);
+        v
     }
 
     pub fn decode(buf: &[u8]) -> Option<(NbdRequest, usize)> {
-        if buf.len() < HEADER_LEN {
-            return None;
-        }
-        let sector = u64::from_le_bytes(buf[1..9].try_into().ok()?);
-        let count = u32::from_le_bytes(buf[9..13].try_into().ok()?);
-        let req = match buf[0] {
+        let mut d = Dec::new(buf);
+        let (op, sector, count) = (d.u8().ok()?, d.u64().ok()?, d.u32().ok()?);
+        let req = match op {
             OP_READ => NbdRequest::Read { sector, count },
             OP_WRITE => NbdRequest::Write { sector, count },
             _ => return None,
         };
-        Some((req, HEADER_LEN))
+        Some((req, d.pos()))
     }
 }
 

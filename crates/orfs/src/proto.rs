@@ -9,7 +9,7 @@
 //! Encoding is explicit little-endian (length-prefixed strings), as it
 //! would be on the wire; round-trips are property-tested.
 
-use bytes::{Bytes, BytesMut};
+use knet_core::wire::{self, Dec, Enc, Truncated};
 use knet_simcore::SimTime;
 use knet_simfs::{Attr, DirEntry, FileType, FsError};
 
@@ -49,6 +49,12 @@ pub enum OrfsError {
 impl From<FsError> for OrfsError {
     fn from(e: FsError) -> Self {
         OrfsError::Fs(e)
+    }
+}
+
+impl From<Truncated> for OrfsError {
+    fn from(_: Truncated) -> Self {
+        OrfsError::Decode
     }
 }
 
@@ -193,94 +199,9 @@ impl WireDirEntry {
     }
 }
 
-// ---- encoding helpers ------------------------------------------------------
-
-struct Enc {
-    buf: BytesMut,
-}
-
-impl Enc {
-    fn new(op: u8) -> Self {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.extend_from_slice(&[op]);
-        Enc { buf }
-    }
-
-    fn u8(mut self, v: u8) -> Self {
-        self.buf.extend_from_slice(&[v]);
-        self
-    }
-
-    fn u16(mut self, v: u16) -> Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    fn u32(mut self, v: u32) -> Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    fn u64(mut self, v: u64) -> Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    fn str(mut self, s: &str) -> Self {
-        self = self.u16(s.len() as u16);
-        self.buf.extend_from_slice(s.as_bytes());
-        self
-    }
-
-    fn done(self) -> Bytes {
-        self.buf.freeze()
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], OrfsError> {
-        if self.pos + n > self.buf.len() {
-            return Err(OrfsError::Decode);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, OrfsError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, OrfsError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, OrfsError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, OrfsError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, OrfsError> {
-        let n = self.u16()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| OrfsError::Decode)
-    }
-
-    fn rest(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+/// A length-prefixed UTF-8 string.
+fn string(d: &mut Dec) -> Result<String, OrfsError> {
+    String::from_utf8(d.bytes_u16()?.to_vec()).map_err(|_| OrfsError::Decode)
 }
 
 // ---- request ----------------------------------------------------------------
@@ -307,53 +228,52 @@ impl Request {
     /// coalesced GM write message.
     pub const WRITE_HEADER_LEN: usize = 1 + 4 + 8 + 8;
 
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64);
+        let e = Enc::new(&mut buf);
         match self {
-            Request::Lookup { dir, name } => Enc::new(OP_LOOKUP).u32(*dir).str(name).done(),
-            Request::Getattr { ino } => Enc::new(OP_GETATTR).u32(*ino).done(),
-            Request::SetattrMode { ino, mode } => Enc::new(OP_SETATTR).u32(*ino).u16(*mode).done(),
+            Request::Lookup { dir, name } => e.u8(OP_LOOKUP).u32(*dir).bytes_u16(name),
+            Request::Getattr { ino } => e.u8(OP_GETATTR).u32(*ino),
+            Request::SetattrMode { ino, mode } => e.u8(OP_SETATTR).u32(*ino).u16(*mode),
             Request::Create { dir, name, mode } => {
-                Enc::new(OP_CREATE).u32(*dir).u16(*mode).str(name).done()
+                e.u8(OP_CREATE).u32(*dir).u16(*mode).bytes_u16(name)
             }
             Request::Mkdir { dir, name, mode } => {
-                Enc::new(OP_MKDIR).u32(*dir).u16(*mode).str(name).done()
+                e.u8(OP_MKDIR).u32(*dir).u16(*mode).bytes_u16(name)
             }
-            Request::Unlink { dir, name } => Enc::new(OP_UNLINK).u32(*dir).str(name).done(),
-            Request::Rmdir { dir, name } => Enc::new(OP_RMDIR).u32(*dir).str(name).done(),
-            Request::Readdir { ino } => Enc::new(OP_READDIR).u32(*ino).done(),
+            Request::Unlink { dir, name } => e.u8(OP_UNLINK).u32(*dir).bytes_u16(name),
+            Request::Rmdir { dir, name } => e.u8(OP_RMDIR).u32(*dir).bytes_u16(name),
+            Request::Readdir { ino } => e.u8(OP_READDIR).u32(*ino),
             Request::Symlink { dir, name, target } => {
-                Enc::new(OP_SYMLINK).u32(*dir).str(name).str(target).done()
+                e.u8(OP_SYMLINK).u32(*dir).bytes_u16(name).bytes_u16(target)
             }
-            Request::Readlink { ino } => Enc::new(OP_READLINK).u32(*ino).done(),
+            Request::Readlink { ino } => e.u8(OP_READLINK).u32(*ino),
             Request::Rename {
                 fdir,
                 fname,
                 tdir,
                 tname,
-            } => Enc::new(OP_RENAME)
+            } => e
+                .u8(OP_RENAME)
                 .u32(*fdir)
-                .str(fname)
+                .bytes_u16(fname)
                 .u32(*tdir)
-                .str(tname)
-                .done(),
-            Request::Truncate { ino, size } => Enc::new(OP_TRUNCATE).u32(*ino).u64(*size).done(),
-            Request::Open { ino } => Enc::new(OP_OPEN).u32(*ino).done(),
-            Request::Close { handle } => Enc::new(OP_CLOSE).u32(*handle).done(),
+                .bytes_u16(tname),
+            Request::Truncate { ino, size } => e.u8(OP_TRUNCATE).u32(*ino).u64(*size),
+            Request::Open { ino } => e.u8(OP_OPEN).u32(*ino),
+            Request::Close { handle } => e.u8(OP_CLOSE).u32(*handle),
             Request::Read {
                 handle,
                 offset,
                 len,
-            } => Enc::new(OP_READ).u32(*handle).u64(*offset).u64(*len).done(),
+            } => e.u8(OP_READ).u32(*handle).u64(*offset).u64(*len),
             Request::Write {
                 handle,
                 offset,
                 len,
-            } => Enc::new(OP_WRITE)
-                .u32(*handle)
-                .u64(*offset)
-                .u64(*len)
-                .done(),
-        }
+            } => e.u8(OP_WRITE).u32(*handle).u64(*offset).u64(*len),
+        };
+        buf
     }
 
     /// Decode a request header; returns the request and the number of bytes
@@ -364,54 +284,44 @@ impl Request {
         let req = match op {
             OP_LOOKUP => Request::Lookup {
                 dir: d.u32()?,
-                name: d.str()?,
+                name: string(&mut d)?,
             },
             OP_GETATTR => Request::Getattr { ino: d.u32()? },
             OP_SETATTR => Request::SetattrMode {
                 ino: d.u32()?,
                 mode: d.u16()?,
             },
-            OP_CREATE => {
-                let dir = d.u32()?;
-                let mode = d.u16()?;
-                Request::Create {
-                    dir,
-                    name: d.str()?,
-                    mode,
-                }
-            }
-            OP_MKDIR => {
-                let dir = d.u32()?;
-                let mode = d.u16()?;
-                Request::Mkdir {
-                    dir,
-                    name: d.str()?,
-                    mode,
-                }
-            }
+            // Fields are read in the order they are written here.
+            OP_CREATE => Request::Create {
+                dir: d.u32()?,
+                mode: d.u16()?,
+                name: string(&mut d)?,
+            },
+            OP_MKDIR => Request::Mkdir {
+                dir: d.u32()?,
+                mode: d.u16()?,
+                name: string(&mut d)?,
+            },
             OP_UNLINK => Request::Unlink {
                 dir: d.u32()?,
-                name: d.str()?,
+                name: string(&mut d)?,
             },
             OP_RMDIR => Request::Rmdir {
                 dir: d.u32()?,
-                name: d.str()?,
+                name: string(&mut d)?,
             },
             OP_READDIR => Request::Readdir { ino: d.u32()? },
-            OP_SYMLINK => {
-                let dir = d.u32()?;
-                Request::Symlink {
-                    dir,
-                    name: d.str()?,
-                    target: d.str()?,
-                }
-            }
+            OP_SYMLINK => Request::Symlink {
+                dir: d.u32()?,
+                name: string(&mut d)?,
+                target: string(&mut d)?,
+            },
             OP_READLINK => Request::Readlink { ino: d.u32()? },
             OP_RENAME => Request::Rename {
                 fdir: d.u32()?,
-                fname: d.str()?,
+                fname: string(&mut d)?,
                 tdir: d.u32()?,
-                tname: d.str()?,
+                tname: string(&mut d)?,
             },
             OP_TRUNCATE => Request::Truncate {
                 ino: d.u32()?,
@@ -431,7 +341,7 @@ impl Request {
             },
             _ => return Err(OrfsError::Decode),
         };
-        Ok((req, d.pos))
+        Ok((req, d.pos()))
     }
 }
 
@@ -446,90 +356,77 @@ const R_ENTRIES: u8 = 5;
 const R_TARGET: u8 = 6;
 const R_UNIT: u8 = 7;
 
-fn fs_error_code(e: FsError) -> u8 {
-    match e {
-        FsError::NotFound => 1,
-        FsError::Exists => 2,
-        FsError::NotDirectory => 3,
-        FsError::IsDirectory => 4,
-        FsError::NotEmpty => 5,
-        FsError::NoSpace => 6,
-        FsError::NoInodes => 7,
-        FsError::NameTooLong => 8,
-        FsError::InvalidPath => 9,
-        FsError::FileTooBig => 10,
-        FsError::NotSymlink => 11,
-    }
-}
+/// File-system errors (class 0): `FS_ERRORS[i]` travels as code `i + 1`.
+const FS_ERRORS: [FsError; 11] = [
+    FsError::NotFound,
+    FsError::Exists,
+    FsError::NotDirectory,
+    FsError::IsDirectory,
+    FsError::NotEmpty,
+    FsError::NoSpace,
+    FsError::NoInodes,
+    FsError::NameTooLong,
+    FsError::InvalidPath,
+    FsError::FileTooBig,
+    FsError::NotSymlink,
+];
 
-fn fs_error_from(code: u8) -> Option<FsError> {
-    Some(match code {
-        1 => FsError::NotFound,
-        2 => FsError::Exists,
-        3 => FsError::NotDirectory,
-        4 => FsError::IsDirectory,
-        5 => FsError::NotEmpty,
-        6 => FsError::NoSpace,
-        7 => FsError::NoInodes,
-        8 => FsError::NameTooLong,
-        9 => FsError::InvalidPath,
-        10 => FsError::FileTooBig,
-        11 => FsError::NotSymlink,
-        _ => return None,
-    })
-}
+/// The other error classes: `CLASSES[i]` travels as class `i + 1`, with
+/// code 0. An unknown class reads as `Net`.
+const CLASSES: [OrfsError; 4] = [
+    OrfsError::Decode,
+    OrfsError::BadHandle,
+    OrfsError::Net,
+    OrfsError::Fault,
+];
 
 fn error_code(e: OrfsError) -> (u8, u8) {
     match e {
-        OrfsError::Fs(f) => (0, fs_error_code(f)),
-        OrfsError::Decode => (1, 0),
-        OrfsError::BadHandle => (2, 0),
+        OrfsError::Fs(f) => (0, wire::code_of(&FS_ERRORS, f)),
         // `Deadline` is the client's own verdict; no server sends it.
-        OrfsError::Net | OrfsError::Deadline => (3, 0),
-        OrfsError::Fault => (4, 0),
+        OrfsError::Deadline => (wire::code_of(&CLASSES, OrfsError::Net), 0),
+        e => (wire::code_of(&CLASSES, e), 0),
     }
 }
 
 fn error_from(class: u8, code: u8) -> OrfsError {
     match class {
-        0 => fs_error_from(code)
-            .map(OrfsError::Fs)
-            .unwrap_or(OrfsError::Decode),
-        1 => OrfsError::Decode,
-        2 => OrfsError::BadHandle,
-        4 => OrfsError::Fault,
-        _ => OrfsError::Net,
+        0 => wire::from_code(&FS_ERRORS, code).map_or(OrfsError::Decode, OrfsError::Fs),
+        _ => wire::from_code(&CLASSES, class).unwrap_or(OrfsError::Net),
     }
 }
 
 impl Response {
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64);
+        let e = Enc::new(&mut buf);
         match self {
-            Response::Err(e) => {
-                let (class, code) = error_code(*e);
-                Enc::new(R_ERR).u8(class).u8(code).done()
+            Response::Err(err) => {
+                let (class, code) = error_code(*err);
+                e.u8(R_ERR).u8(class).u8(code)
             }
-            Response::Ino(i) => Enc::new(R_INO).u32(*i).done(),
-            Response::Attr(a) => Enc::new(R_ATTR)
+            Response::Ino(i) => e.u8(R_INO).u32(*i),
+            Response::Attr(a) => e
+                .u8(R_ATTR)
                 .u32(a.ino)
                 .u8(a.ftype)
                 .u64(a.size)
                 .u32(a.nlink)
                 .u16(a.mode)
-                .u64(a.mtime_ns)
-                .done(),
-            Response::Handle(h) => Enc::new(R_HANDLE).u32(*h).done(),
-            Response::Written(n) => Enc::new(R_WRITTEN).u64(*n).done(),
+                .u64(a.mtime_ns),
+            Response::Handle(h) => e.u8(R_HANDLE).u32(*h),
+            Response::Written(n) => e.u8(R_WRITTEN).u64(*n),
             Response::Entries(es) => {
-                let mut e = Enc::new(R_ENTRIES).u32(es.len() as u32);
+                let mut e = e.u8(R_ENTRIES).u32(es.len() as u32);
                 for entry in es {
-                    e = e.u32(entry.ino).u8(entry.ftype).str(&entry.name);
+                    e = e.u32(entry.ino).u8(entry.ftype).bytes_u16(&entry.name);
                 }
-                e.done()
+                e
             }
-            Response::Target(t) => Enc::new(R_TARGET).str(t).done(),
-            Response::Unit => Enc::new(R_UNIT).done(),
-        }
+            Response::Target(t) => e.u8(R_TARGET).bytes_u16(t),
+            Response::Unit => e.u8(R_UNIT),
+        };
+        buf
     }
 
     pub fn decode(buf: &[u8]) -> Result<Response, OrfsError> {
@@ -559,21 +456,19 @@ impl Response {
                 }
                 let mut es = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    let ino = d.u32()?;
-                    let ftype = d.u8()?;
                     es.push(WireDirEntry {
-                        ino,
-                        ftype,
-                        name: d.str()?,
+                        ino: d.u32()?,
+                        ftype: d.u8()?,
+                        name: string(&mut d)?,
                     });
                 }
                 Response::Entries(es)
             }
-            R_TARGET => Response::Target(d.str()?),
+            R_TARGET => Response::Target(string(&mut d)?),
             R_UNIT => Response::Unit,
             _ => return Err(OrfsError::Decode),
         };
-        if d.rest() != 0 {
+        if !d.rest().is_empty() {
             return Err(OrfsError::Decode);
         }
         Ok(r)

@@ -14,8 +14,9 @@
 //! `deadline_ns` is an **absolute virtual-time deadline** (u64::MAX when
 //! none): the caller's deadline rides the wire, so a server can drop work
 //! that is already dead instead of answering it. `status` is `0` for
-//! success or an [`RpcError`] discriminant.
+//! success, else the [`RpcError`]'s code in the one table both ends read.
 
+use knet_core::wire::{self, Dec, Enc};
 use knet_core::RpcError;
 
 /// The one schema version this tree speaks. Requests carrying any other
@@ -58,89 +59,73 @@ pub struct RespHeader {
     pub corr: u64,
 }
 
-fn err_code(e: RpcError) -> u8 {
-    match e {
-        RpcError::Deadline => 1,
-        RpcError::Cancelled => 2,
-        RpcError::PeerUnreachable => 3,
-        RpcError::VersionMismatch => 4,
-        RpcError::Overload => 5,
-    }
-}
+/// Response status codes: `ERRORS[i]` travels as `i + 1`, 0 is success.
+const ERRORS: [RpcError; 5] = [
+    RpcError::Deadline,
+    RpcError::Cancelled,
+    RpcError::PeerUnreachable,
+    RpcError::VersionMismatch,
+    RpcError::Overload,
+];
 
-fn err_from_code(c: u8) -> Option<RpcError> {
-    match c {
-        1 => Some(RpcError::Deadline),
-        2 => Some(RpcError::Cancelled),
-        3 => Some(RpcError::PeerUnreachable),
-        4 => Some(RpcError::VersionMismatch),
-        5 => Some(RpcError::Overload),
-        _ => None,
-    }
+/// The frame's schema version, if the frame is of `kind`.
+fn version_of(d: &mut Dec, kind: u8) -> Option<u16> {
+    let version = d.u16().ok()?;
+    (d.u8().ok()? == kind).then_some(version)
 }
 
 /// Encode a request into `out` (cleared first; re-using a recycled scratch
 /// buffer keeps the warm path allocation-free).
 pub fn encode_request(out: &mut Vec<u8>, hdr: ReqHeader, payload: &[u8]) {
     out.clear();
-    out.extend_from_slice(&hdr.version.to_le_bytes());
-    out.push(KIND_REQUEST);
-    out.extend_from_slice(&hdr.method.to_le_bytes());
-    out.extend_from_slice(&hdr.corr.to_le_bytes());
-    out.extend_from_slice(&hdr.deadline_ns.to_le_bytes());
-    out.extend_from_slice(&hdr.idem.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    Enc::new(out)
+        .u16(hdr.version)
+        .u8(KIND_REQUEST)
+        .u16(hdr.method)
+        .u64(hdr.corr)
+        .u64(hdr.deadline_ns)
+        .u64(hdr.idem)
+        .bytes_u32(payload);
 }
 
 /// Decode a request frame into its header and payload slice.
 pub fn decode_request(buf: &[u8]) -> Option<(ReqHeader, &[u8])> {
-    if buf.len() < REQ_HEADER_LEN || buf[2] != KIND_REQUEST {
-        return None;
-    }
+    let mut d = Dec::new(buf);
     let hdr = ReqHeader {
-        version: u16::from_le_bytes(buf[0..2].try_into().ok()?),
-        method: u16::from_le_bytes(buf[3..5].try_into().ok()?),
-        corr: u64::from_le_bytes(buf[5..13].try_into().ok()?),
-        deadline_ns: u64::from_le_bytes(buf[13..21].try_into().ok()?),
-        idem: u64::from_le_bytes(buf[21..29].try_into().ok()?),
+        version: version_of(&mut d, KIND_REQUEST)?,
+        method: d.u16().ok()?,
+        corr: d.u64().ok()?,
+        deadline_ns: d.u64().ok()?,
+        idem: d.u64().ok()?,
     };
-    let len = u32::from_le_bytes(buf[29..33].try_into().ok()?) as usize;
-    let payload = buf.get(REQ_HEADER_LEN..REQ_HEADER_LEN + len)?;
-    Some((hdr, payload))
+    Some((hdr, d.bytes_u32().ok()?))
 }
 
 /// Encode a response into `out` (cleared first).
 pub fn encode_response(out: &mut Vec<u8>, hdr: RespHeader, payload: &[u8]) {
     out.clear();
-    out.extend_from_slice(&hdr.version.to_le_bytes());
-    out.push(KIND_RESPONSE);
-    out.push(hdr.status.map(err_code).unwrap_or(0));
-    out.extend_from_slice(&hdr.corr.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    Enc::new(out)
+        .u16(hdr.version)
+        .u8(KIND_RESPONSE)
+        .u8(hdr.status.map_or(0, |e| wire::code_of(&ERRORS, e)))
+        .u64(hdr.corr)
+        .bytes_u32(payload);
 }
 
 /// Decode a response header from the front of a frame; the payload is
 /// `buf[RESP_HEADER_LEN..RESP_HEADER_LEN + len]`. Returns the header and
 /// payload length (the caller may hold only the header bytes).
 pub fn decode_response(buf: &[u8]) -> Option<(RespHeader, usize)> {
-    if buf.len() < RESP_HEADER_LEN || buf[2] != KIND_RESPONSE {
-        return None;
-    }
-    let code = buf[3];
-    let status = if code == 0 {
-        None
-    } else {
-        Some(err_from_code(code)?)
-    };
+    let mut d = Dec::new(buf);
     let hdr = RespHeader {
-        version: u16::from_le_bytes(buf[0..2].try_into().ok()?),
-        status,
-        corr: u64::from_le_bytes(buf[4..12].try_into().ok()?),
+        version: version_of(&mut d, KIND_RESPONSE)?,
+        status: match d.u8().ok()? {
+            0 => None,
+            code => Some(wire::from_code(&ERRORS, code)?),
+        },
+        corr: d.u64().ok()?,
     };
-    let len = u32::from_le_bytes(buf[12..16].try_into().ok()?) as usize;
-    Some((hdr, len))
+    Some((hdr, d.u32().ok()? as usize))
 }
 
 #[cfg(test)]

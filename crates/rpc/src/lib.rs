@@ -1,13 +1,13 @@
 //! # knet-rpc — typed request/response on top of channels
 //!
-//! Everything above the channel layer (ORFS, NBD, the socket servers) had
-//! re-invented request/response correlation, timeout handling and failure
-//! recovery by hand. This crate hosts those semantics once, as shared
-//! infrastructure (the NetKernel argument), directly on the channel/CQ
-//! API:
+//! RPC semantics on the channel/CQ API, for the services that want them
+//! (the `knet-kv` store, benches, tests). What every service shares lives
+//! in `knet-core` (the NetKernel argument): the request slab (`req`, which
+//! ORFS and NBD reach through `knet_core::StorageClient`) and the wire
+//! codec (`knet_core::wire`). This crate adds:
 //!
-//! * **schema-versioned codec** ([`codec`]): request/response frames,
-//!   testable without a world;
+//! * **schema-versioned codec** ([`codec`]): request/response frames on
+//!   the shared `knet_core::wire` cursor, testable without a world;
 //! * **correlation ids** from the request slab every service shares
 //!   (`knet_core::req::ReqTable`), generation-tagged — a late or
 //!   duplicated reply can never resolve the wrong call;

@@ -37,6 +37,7 @@ use knet_core::api::{
     channel_cancel_recv, channel_close, channel_connect_handler, channel_post_recv, channel_send,
     release_kernel_buffer,
 };
+use knet_core::wire::{Dec, Enc};
 use knet_core::{
     ChannelId, Endpoint, IoVec, MemRef, NetError, SendMap, TransportEvent, TransportKind,
 };
@@ -536,9 +537,8 @@ pub fn sock_send<W: ZsockWorld>(w: &mut W, sid: SockId, src: MemRef) -> SockOpId
         TransportKind::Gm => INLINE_MAX_GM,
     };
     // Header: [seq, len] little-endian, staged through the ring.
-    let mut hdr = [0u8; 16];
-    hdr[..8].copy_from_slice(&seq.to_le_bytes());
-    hdr[8..].copy_from_slice(&len.to_le_bytes());
+    let mut hdr = Vec::with_capacity(16);
+    Enc::new(&mut hdr).u64(seq).u64(len);
     let hbuf = match stage_alloc(w, sid, 16) {
         Ok(b) => b,
         Err(e) => {
@@ -690,16 +690,15 @@ pub fn sock_on_event<W: ZsockWorld>(w: &mut W, sid: SockId, ev: TransportEvent) 
             if (TAG_HDR_BASE..TAG_DATA_BASE).contains(&tag) =>
         {
             // A stream header, possibly with the payload inline.
-            if data.len() < 16 {
+            let mut d = Dec::new(&data);
+            let (Ok(seq), Ok(len)) = (d.u64(), d.u64()) else {
                 return;
-            }
-            let seq = u64::from_le_bytes(data[..8].try_into().unwrap());
-            let len = u64::from_le_bytes(data[8..16].try_into().unwrap());
+            };
             // `len` comes off the wire: compare the rest of the frame with
             // it, never `16 + len`, which a hostile length overflows.
-            if (data.len() - 16) as u64 == len {
+            if d.rest().len() as u64 == len {
                 // Inline payload: consume directly.
-                accept_in_order(w, sid, seq, data.slice(16..));
+                accept_in_order(w, sid, seq, data.slice(d.pos()..));
                 drain_rx(w, sid);
             } else {
                 on_header(w, sid, seq, len);

@@ -25,6 +25,9 @@
 //! NBD) may mint, bound, send or expire a request itself, or handle a send
 //! completion or a server's death — `knet_core::StorageClient` does, once.
 //!
+//! One entry keeps one wire codec one: no service library (RPC, ORFS, NBD,
+//! KV, sockets) converts byte order itself — `knet_core::wire` does.
+//!
 //! One entry keeps one wait in one queue: a GM send waits for send tokens
 //! in its channel and nowhere else. Another keeps one rule in one place:
 //! only the GM driver decides what its registration cache registers.
@@ -330,6 +333,37 @@ fn storage_clients_share_one_request_lifecycle() {
         offenders.is_empty(),
         "a storage client re-grew its own request lifecycle (use \
          knet_core::StorageClient):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The services whose messages go on the wire. Each writes and reads them
+/// through `knet_core::wire`'s cursor, so byte order and bounds checks
+/// live in one place. Two little-endian users stay outside this row, as
+/// they are not service messages: the simulated file system's on-disk
+/// directory words (`knet-simfs`) and the NIC's reduce lanes
+/// (`simnic/coll.rs`, `knet-coll`).
+const WIRE_SERVICES: &[&str] = &[
+    "crates/rpc/src",
+    "crates/orfs/src",
+    "crates/nbd/src",
+    "crates/kv/src",
+    "crates/zsock/src",
+];
+
+#[test]
+fn byte_order_lives_in_the_one_wire_codec() {
+    // Patterns assembled at runtime so this file never matches itself.
+    let patterns = vec![format!("to_le_{}", "bytes"), format!("from_le_{}", "bytes")];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut offenders = Vec::new();
+    for dir in WIRE_SERVICES {
+        scan(&root.join(dir), &patterns, true, &mut offenders);
+    }
+    assert!(
+        offenders.is_empty(),
+        "a service hand-rolled its own byte order (use knet_core::wire's \
+         Enc / Dec):\n{}",
         offenders.join("\n")
     );
 }

@@ -8,7 +8,8 @@
 //!   `FileTooBig`; a read of a handle the server closed is `BadHandle`.
 //! * NBD: a write, a raw read and a buffered read one sector past the end
 //!   of the device are `OutOfRange`, and the buffered read leaves no page
-//!   behind.
+//!   behind. Neither does the refused write: its bytes were cached before
+//!   the server answered, and a read of that sector must not be served them.
 
 use knet::figures::{fs_fixture, FsOpts};
 use knet::harness::{fsops, orfs_wait, ubuf};
@@ -88,6 +89,22 @@ fn an_nbd_write_past_the_device_is_refused() {
     let op = nbd_write(&mut w, cid, user.memref(SECTOR_SIZE), SECTORS * SECTOR_SIZE);
     assert_eq!(resolve_once(&mut w, cid, op), Err(NetError::OutOfRange));
     assert_eq!(w.nbd.servers[0].bytes_written, 0, "nothing was written");
+}
+
+#[test]
+fn a_refused_nbd_write_leaves_nothing_cached_to_read() {
+    let (mut w, cid, user) = nbd();
+    let past = SECTORS * SECTOR_SIZE;
+    let op = nbd_write(&mut w, cid, user.memref(SECTOR_SIZE), past);
+    assert_eq!(resolve_once(&mut w, cid, op), Err(NetError::OutOfRange));
+    let key = w.nbd.clients[cid.0 as usize].cache_key(SECTORS);
+    assert!(w.os.node(user.node).page_cache.peek(key).is_none());
+    let op = nbd_read(&mut w, cid, user.memref(SECTOR_SIZE), past);
+    assert_eq!(
+        resolve_once(&mut w, cid, op),
+        Err(NetError::OutOfRange),
+        "the read reaches the server"
+    );
 }
 
 #[test]
